@@ -3,6 +3,9 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"runtime"
 	"sort"
@@ -214,13 +217,19 @@ func TestFleetPanicContainment(t *testing.T) {
 // periodic power cuts plus probabilistic read/program faults — and requires
 // that every device survives its cuts (recovery + remount + reattach) and
 // that the aggregate remains a pure function of the Spec across worker
-// counts, per-device fault seeds included.
+// counts, per-device fault seeds included. The golden hash is the absolute
+// reference the cross-worker comparison cannot give: it pins the faulted
+// aggregate, wear ledger included, to the bytes it had before the device
+// stack was shared with fleetd, so a refactor of boot, remount, pacing or
+// death rules that moves any counter fails here.
 func TestFleetFaultPlanDeterminism(t *testing.T) {
+	const golden = "938ab10dab05e17b8dcfe39756c2ba6ca225d9765923dd6a100f6201708d27d1"
 	build := func(workers int) Spec {
 		spec := testSpec(workers)
 		spec.Devices = 12
 		spec.Days = 4
 		spec.Classes = []ClassWeight{{ClassBenign, 0.9}, {ClassAttack, 0.1}}
+		spec.WearTrace = true
 		spec.Faults = &faultinject.Plan{
 			Seed:             99,
 			ReadFaultProb:    1e-4,
@@ -239,6 +248,13 @@ func TestFleetFaultPlanDeterminism(t *testing.T) {
 	}
 	if remounts.Load() == before {
 		t.Error("no device power-cycled; the plan's cuts never fired — tighten PowerCutEvery")
+	}
+	raw, err := json.Marshal(first.Accumulator)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != golden {
+		t.Errorf("faulted aggregate hash = %s, want %s", got, golden)
 	}
 	serial, err := Run(context.Background(), build(1))
 	if err != nil {

@@ -2,6 +2,7 @@ package fleetd
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -34,15 +35,31 @@ func fingerprint(t *testing.T, c *Campaign) []byte {
 // TestSchedulingInvariance pins the core contract: shards, workers, and
 // checkpoint cadence are invisible in the results. Every variant —
 // including the in-memory single-epoch run — must produce byte-identical
-// series, ledger, and aggregate.
+// series, ledger, and aggregate. The golden hashes anchor the reference
+// run itself: the variants only compare a faulted campaign with itself, so
+// without them a change to boot, remount, pacing or death rules that moved
+// every variant alike would pass.
 func TestSchedulingInvariance(t *testing.T) {
-	for _, seed := range []int64{1, 42} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+	for _, tc := range []struct {
+		seed           int64
+		faults, golden string
+	}{
+		{1, "read=2e-4,cut-every=3000000", "b9b3fc3b6b4c7f7c055a51e2d755f40d6a39e1d11595b5be593c21ff00c3d655"},
+		{42, "read=2e-4,cut-every=3000000", "279d27cfd5e149b6bbced6e66c4cdbe3b4eb92c6f8b171a7020ed2256441ee8b"},
+		// Every boot restarts the plan's operation count, so the plan
+		// above never reaches a cut inside one scaled day; this one cuts
+		// the heavy writers mid-day, hundreds of times over the campaign.
+		{7, "read=2e-4,cut-every=20000", "6ae6133a3af1ea860559ff25e491051a8a36e5196af757516b3399c65a20c60e"},
+	} {
+		tc := tc
+		t.Run(fmt.Sprintf("seed%d", tc.seed), func(t *testing.T) {
 			base := tinySpec()
-			base.Seed = seed
-			base.Faults = "read=2e-4,cut-every=3000000"
+			base.Seed = tc.seed
+			base.Faults = tc.faults
 			ref := fingerprint(t, runToEnd(t, "", base))
+			if got := fmt.Sprintf("%x", sha256.Sum256(ref)); got != tc.golden {
+				t.Errorf("reference fingerprint hash = %s, want %s", got, tc.golden)
+			}
 			for _, v := range []struct {
 				name            string
 				shards, workers int
