@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test fuzz race bench benchsnap faults torture wtrace fleetd-smoke fleetd-bigsmoke check
+.PHONY: all build vet lint test benchtest fuzz race bench benchsnap faults torture wtrace fleetd-smoke fleetd-bigsmoke check
 
 all: build
 
@@ -29,6 +29,14 @@ lint:
 
 test:
 	$(GO) test ./...
+
+# The benchmark's own tests. bench/ is a module of its own, so `./...`
+# never reaches it, yet it links against fleet.Run, Spec.Sample,
+# Params.ProfileIndex and fleetd's manager, aggregate, series and ledger:
+# an API slip in the tree must fail here, not in the benchmark pipeline.
+benchtest:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # Native fuzz smoke (DESIGN.md §15): the two fault-plan grammars and the
 # checkpoint cell decoder, each seeded from its committed corpus
@@ -133,4 +141,4 @@ fleetd-bigsmoke:
 		-metrics-csv fleetd-big-out/series.csv
 
 # The verification entrypoint: everything CI (or a reviewer) should run.
-check: vet lint build test fuzz race faults torture wtrace fleetd-smoke
+check: vet lint build test benchtest fuzz race faults torture wtrace fleetd-smoke

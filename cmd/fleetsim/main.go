@@ -22,17 +22,16 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
-	"strings"
-
-	"flashwear/internal/faultinject"
 	"flashwear/internal/fleet"
 	"flashwear/internal/fleetd"
 	"flashwear/internal/profiling"
 	"flashwear/internal/report"
 	"flashwear/internal/telemetry"
+	"flashwear/internal/wtrace"
 )
 
 func main() {
@@ -60,100 +59,81 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome trace-event file of the campaign's wall-clock execution (requires -checkpoint/-resume mode)")
 	flag.Parse()
 
-	var stopCPU func() error
+	usage := func(msg string) {
+		fmt.Fprintln(os.Stderr, "fleetsim:", msg)
+		os.Exit(2)
+	}
+	service := *checkpointDir != "" || *resumeDir != ""
+	switch {
+	case *buggy < 0 || *attack < 0 || *buggy+*attack > 1:
+		usage("-buggy and -attack must be non-negative and sum to at most 1")
+	case *checkpointDir != "" && *resumeDir != "":
+		usage("-checkpoint and -resume are mutually exclusive")
+	case service && *days != float64(int(*days)):
+		usage("-checkpoint/-resume mode advances whole days; -days must be an integer")
+	case !service && *tracePath != "":
+		usage("-trace requires -checkpoint/-resume mode (the execution tracer lives in the fleetd engine)")
+	}
+	// One population description for both modes: the campaign spec, whose
+	// derived fleet.Spec is also what batch mode runs.
+	cspec := fleetd.CampaignSpec{
+		Devices:         *devices,
+		Days:            int(*days),
+		Seed:            *seed,
+		Scale:           *scale,
+		ReqBytes:        *req,
+		Buggy:           *buggy,
+		Attack:          *attack,
+		Faults:          *faultPlan,
+		WearTrace:       *wearTrace != "",
+		Shards:          *shards,
+		Workers:         *workers,
+		CheckpointEvery: *checkpointEvery,
+	}
+	// In service mode Submit validates the spec, and -resume ignores it.
+	spec, err := cspec.FleetSpec()
+	if err != nil && !service {
+		usage(err.Error())
+	}
+
+	stopCPU := func() error { return nil }
 	if *pprofCPU != "" {
-		stop, err := profiling.StartCPU(*pprofCPU)
-		if err != nil {
+		if stopCPU, err = profiling.StartCPU(*pprofCPU); err != nil {
 			fmt.Fprintln(os.Stderr, "fleetsim:", err)
 			os.Exit(1)
 		}
-		stopCPU = stop
 	}
-	fail := func(err error) {
-		if stopCPU != nil {
-			stopCPU()
+	failed := false
+	if service {
+		err = serviceRun(*checkpointDir, *resumeDir, cspec, *metricsCSV, *wearTrace, *tracePath)
+	} else {
+		spec.Days = *days // batch horizons may be fractional; 0 means the default
+		if *metricsCSV != "" {
+			spec.MetricsEvery = *metricsEvery
 		}
+		failed, err = batchRun(spec, *quiet, *progress, *csvPath, *metricsCSV, *wearTrace)
+	}
+	if cerr := stopCPU(); err == nil {
+		err = cerr
+	}
+	if err == nil && *pprofHeap != "" {
+		err = profiling.WriteHeap(*pprofHeap)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "fleetsim:", err)
 		os.Exit(1)
 	}
+	if failed {
+		os.Exit(3)
+	}
+}
 
-	if *buggy < 0 || *attack < 0 || *buggy+*attack > 1 {
-		fmt.Fprintln(os.Stderr, "fleetsim: -buggy and -attack must be non-negative and sum to at most 1")
-		os.Exit(2)
-	}
-	if *checkpointDir != "" || *resumeDir != "" {
-		if *checkpointDir != "" && *resumeDir != "" {
-			fmt.Fprintln(os.Stderr, "fleetsim: -checkpoint and -resume are mutually exclusive")
-			os.Exit(2)
-		}
-		if *days != float64(int(*days)) {
-			fmt.Fprintln(os.Stderr, "fleetsim: -checkpoint/-resume mode advances whole days; -days must be an integer")
-			os.Exit(2)
-		}
-		cspec := fleetd.CampaignSpec{
-			Devices:         *devices,
-			Days:            int(*days),
-			Seed:            *seed,
-			Scale:           *scale,
-			ReqBytes:        *req,
-			Buggy:           *buggy,
-			Attack:          *attack,
-			Faults:          *faultPlan,
-			WearTrace:       *wearTrace != "",
-			Shards:          *shards,
-			Workers:         *workers,
-			CheckpointEvery: *checkpointEvery,
-		}
-		if err := serviceRun(*checkpointDir, *resumeDir, cspec, *metricsCSV, *wearTrace, *tracePath); err != nil {
-			fail(err)
-		}
-		if stopCPU != nil {
-			if err := stopCPU(); err != nil {
-				fail(err)
-			}
-			stopCPU = nil
-		}
-		if *pprofHeap != "" {
-			if err := profiling.WriteHeap(*pprofHeap); err != nil {
-				fail(err)
-			}
-		}
-		return
-	}
-	if *tracePath != "" {
-		fmt.Fprintln(os.Stderr, "fleetsim: -trace requires -checkpoint/-resume mode (the execution tracer lives in the fleetd engine)")
-		os.Exit(2)
-	}
-	var plan *faultinject.Plan
-	if *faultPlan != "" {
-		p, err := faultinject.ParsePlan(*faultPlan)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fleetsim:", fmt.Errorf("-fault-plan: %w", err))
-			os.Exit(2)
-		}
-		plan = &p
-	}
-	spec := fleet.Spec{
-		Devices:   *devices,
-		Workers:   *workers,
-		Seed:      *seed,
-		Days:      *days,
-		Scale:     *scale,
-		ReqBytes:  *req,
-		Faults:    plan,
-		WearTrace: *wearTrace != "",
-		Classes: []fleet.ClassWeight{
-			{Class: fleet.ClassBenign, Weight: 1 - *buggy - *attack},
-			{Class: fleet.ClassBuggy, Weight: *buggy},
-			{Class: fleet.ClassAttack, Weight: *attack},
-		},
-	}
-	if *metricsCSV != "" {
-		spec.MetricsEvery = *metricsEvery
-	}
-	if !*quiet {
+// batchRun is fleetsim's default mode: one fleet.Run call, rendered to
+// stdout. failed reports that some device simulation panicked.
+func batchRun(spec fleet.Spec, quiet bool, progress time.Duration, csvPath, metricsCSV, wearTrace string) (failed bool, err error) {
+	if !quiet {
 		var mu sync.Mutex
-		step := *devices / 100
+		step := spec.Devices / 100
 		if step == 0 {
 			step = 1
 		}
@@ -173,12 +153,12 @@ func main() {
 	// -progress: a wall-clock ticker over the live per-worker counters.
 	// These are schedule-dependent monitoring output (stderr only); the
 	// deterministic results never pass through this registry.
-	var stopProgress func()
-	if *progress > 0 {
+	stopProgress := func() {}
+	if progress > 0 {
 		reg := telemetry.NewRegistry()
 		spec.Telemetry = reg
 		//flashvet:ignore wallclock operator progress display on stderr; deterministic results never flow through it
-		ticker := time.NewTicker(*progress)
+		ticker := time.NewTicker(progress)
 		quitCh := make(chan struct{})
 		go func() {
 			for {
@@ -188,7 +168,7 @@ func main() {
 				case <-ticker.C:
 					done, bricked, ro := sumProgress(reg)
 					fmt.Fprintf(os.Stderr, "fleetsim: progress: %d/%d done, %d bricked, %d read-only\n",
-						done, *devices, bricked, ro)
+						done, spec.Devices, bricked, ro)
 				}
 			}
 		}()
@@ -199,46 +179,27 @@ func main() {
 	}
 
 	res, err := fleet.Run(context.Background(), spec)
-	if stopProgress != nil {
-		stopProgress()
-	}
+	stopProgress()
 	if err != nil {
-		fail(err)
+		return false, err
 	}
 	render(os.Stdout, res)
-	if *csvPath != "" {
-		if err := writeCSV(*csvPath, res); err != nil {
-			fail(err)
-		}
+	if csvPath != "" {
+		err = writeTo(csvPath, func(w io.Writer) error {
+			res.TimeToBrick.RenderCSV(w, "days_to_brick")
+			res.DeathGiB.RenderCSV(w, "gib_at_death")
+			res.SurvivorWear.RenderCSV(w, "survivor_wear_level")
+			res.WriteAmp.RenderCSV(w, "write_amp")
+			return nil
+		})
 	}
-	if *metricsCSV != "" {
-		if err := writeTo(*metricsCSV, res.WriteMetricsCSV); err != nil {
-			fail(err)
-		}
+	if err == nil && metricsCSV != "" {
+		err = writeTo(metricsCSV, res.WriteMetricsCSV)
 	}
-	if *wearTrace != "" {
-		renderWear := res.WriteWearCSV
-		if strings.HasSuffix(*wearTrace, ".json") {
-			renderWear = res.Wear.WriteJSON
-		}
-		if err := writeTo(*wearTrace, renderWear); err != nil {
-			fail(err)
-		}
+	if err == nil && wearTrace != "" {
+		err = writeLedger(wearTrace, *res.Wear)
 	}
-	if stopCPU != nil {
-		if err := stopCPU(); err != nil {
-			fmt.Fprintln(os.Stderr, "fleetsim:", err)
-		}
-		stopCPU = nil
-	}
-	if *pprofHeap != "" {
-		if err := profiling.WriteHeap(*pprofHeap); err != nil {
-			fail(err)
-		}
-	}
-	if res.Failed > 0 {
-		os.Exit(3)
-	}
+	return res.Failed > 0, err
 }
 
 // sumProgress totals the live per-worker counters in reg.
@@ -272,7 +233,15 @@ func writeTo(path string, fn func(io.Writer) error) error {
 	return f.Close()
 }
 
-func render(w *os.File, res *fleet.Result) {
+// writeLedger writes a wear ledger as CSV, or as JSON to a .json path.
+func writeLedger(path string, ledger wtrace.Snapshot) error {
+	if strings.HasSuffix(path, ".json") {
+		return writeTo(path, ledger.WriteJSON)
+	}
+	return writeTo(path, ledger.WriteCSV)
+}
+
+func render(w io.Writer, res *fleet.Result) {
 	spec := res.Spec
 	fmt.Fprintf(w, "Fleet of %d devices over %g days (seed %d, scale %d, req %s)\n\n",
 		spec.Devices, spec.Days, spec.Seed, spec.Scale, report.SizeLabel(spec.ReqBytes))
@@ -301,8 +270,8 @@ func render(w *os.File, res *fleet.Result) {
 		fmt.Fprintln(w)
 	}
 
-	groupTable(w, "By workload class", res.ByClass)
-	groupTable(w, "By device model", res.ByProfile)
+	groupTable(w, "By workload class", sortedRows(res.ByClass))
+	groupTable(w, "By device model", sortedRows(res.ByProfile))
 
 	if n := t.Devices - t.Bricked; n > 0 {
 		chart := report.NewBarChart(
@@ -318,39 +287,33 @@ func render(w *os.File, res *fleet.Result) {
 	fmt.Fprintf(w, "write amplification: p50 %.2f  p90 %.2f  p99 %.2f\n", wa[0], wa[1], wa[2])
 }
 
-// groupTable renders a per-group breakdown with keys sorted so the output
-// is deterministic (map iteration order is not).
-func groupTable(w *os.File, title string, groups map[string]*fleet.Group) {
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
+// groupRow is one named line of a per-group breakdown.
+type groupRow struct {
+	name string
+	fleet.Group
+}
+
+// sortedRows orders a batch result's groups by name, so the output is
+// deterministic (map iteration order is not).
+func sortedRows(groups map[string]*fleet.Group) []groupRow {
+	rows := make([]groupRow, 0, len(groups))
+	for name, g := range groups {
+		rows = append(rows, groupRow{name, *g})
 	}
-	sort.Strings(keys)
+	sort.Slice(rows, func(a, b int) bool { return rows[a].name < rows[b].name })
+	return rows
+}
+
+// groupTable renders a per-group breakdown for either mode, one line per
+// row in the order given.
+func groupTable(w io.Writer, title string, rows []groupRow) {
 	tbl := report.NewTable(title, "group", "devices", "bricked", "brick%", "mean-days", "host-data")
-	for _, k := range keys {
-		g := groups[k]
-		tbl.AddRow(k, g.Devices, g.Bricked,
+	for _, g := range rows {
+		tbl.AddRow(g.name, g.Devices, g.Bricked,
 			fmt.Sprintf("%.2f", g.BrickFraction()*100),
 			fmt.Sprintf("%.1f", g.MeanDaysToBrick()),
 			report.HumanBytes(g.HostMiB<<20))
 	}
 	tbl.Render(w)
 	fmt.Fprintln(w)
-}
-
-func writeCSV(path string, res *fleet.Result) error {
-	out := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	res.TimeToBrick.RenderCSV(out, "days_to_brick")
-	res.DeathGiB.RenderCSV(out, "gib_at_death")
-	res.SurvivorWear.RenderCSV(out, "survivor_wear_level")
-	res.WriteAmp.RenderCSV(out, "write_amp")
-	return nil
 }

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
+	"flashwear/internal/fleet"
 	"flashwear/internal/fleetd"
 	"flashwear/internal/report"
 )
@@ -18,43 +18,33 @@ import (
 // -checkpoint-every, and any number of interruptions, but not
 // digit-comparable with batch-mode output (see DESIGN.md §11).
 func serviceRun(checkpointDir, resumeDir string, spec fleetd.CampaignSpec, metricsCSV, wearTrace, tracePath string) error {
-	var c *fleetd.Campaign
-	var mgr *fleetd.Manager
+	dir := checkpointDir
 	if resumeDir != "" {
-		var err error
-		mgr, err = fleetd.NewManager(resumeDir)
-		if err != nil {
-			return err
-		}
-		campaigns := mgr.List()
-		if len(campaigns) == 0 {
-			return fmt.Errorf("-resume: no campaign found in %s", resumeDir)
-		}
+		dir = resumeDir
+	}
+	mgr, err := fleetd.NewManager(dir)
+	if err != nil {
+		return err
+	}
+	if tracePath != "" {
+		mgr.Trace().StartRecording()
+	}
+	var c *fleetd.Campaign
+	switch campaigns := mgr.List(); {
+	case resumeDir != "" && len(campaigns) == 0:
+		return fmt.Errorf("-resume: no campaign found in %s", resumeDir)
+	case resumeDir != "":
 		c = campaigns[0]
 		fmt.Fprintf(os.Stderr, "fleetsim: resuming campaign %s from %s (%d/%d days done)\n",
 			c.ID(), resumeDir, c.Status().DaysDone, c.Spec().Days)
-		if tracePath != "" {
-			mgr.Trace().StartRecording()
-		}
-		if err := c.Resume(); err != nil {
-			return err
-		}
-	} else {
-		var err error
-		mgr, err = fleetd.NewManager(checkpointDir)
-		if err != nil {
-			return err
-		}
-		if n := len(mgr.List()); n > 0 {
-			return fmt.Errorf("-checkpoint: %s already holds a campaign; use -resume to continue it", checkpointDir)
-		}
-		if tracePath != "" {
-			mgr.Trace().StartRecording()
-		}
+		err = c.Resume()
+	case len(campaigns) > 0:
+		return fmt.Errorf("-checkpoint: %s already holds a campaign; use -resume to continue it", checkpointDir)
+	default:
 		c, err = mgr.Submit(spec)
-		if err != nil {
-			return err
-		}
+	}
+	if err != nil {
+		return err
 	}
 	if err := c.Wait(); err != nil {
 		return err
@@ -74,16 +64,24 @@ func serviceRun(checkpointDir, resumeDir string, spec fleetd.CampaignSpec, metri
 		}
 	}
 	if wearTrace != "" {
-		ledger := c.Ledger()
-		renderWear := ledger.WriteCSV
-		if strings.HasSuffix(wearTrace, ".json") {
-			renderWear = ledger.WriteJSON
-		}
-		if err := writeTo(wearTrace, renderWear); err != nil {
-			return err
-		}
+		return writeLedger(wearTrace, c.Ledger())
 	}
 	return nil
+}
+
+// batchGroup drops a campaign group's read-only count, leaving the batch
+// engine's group and its derived-column methods.
+func batchGroup(g fleetd.Group) fleet.Group {
+	return fleet.Group{Devices: g.Devices, Bricked: g.Bricked, HostMiB: g.HostMiB, BrickDayMilli: g.BrickDayMilli}
+}
+
+// campaignRows adapts a campaign's name-sorted breakdown to groupTable.
+func campaignRows(groups []fleetd.NamedGroup) []groupRow {
+	rows := make([]groupRow, len(groups))
+	for i, g := range groups {
+		rows[i] = groupRow{g.Name, batchGroup(g.Group)}
+	}
+	return rows
 }
 
 // renderCampaign prints the fleetd-mode summary — the same shape as the
@@ -93,38 +91,15 @@ func renderCampaign(w io.Writer, c *fleetd.Campaign) {
 	agg, _ := c.Aggregate()
 	fmt.Fprintf(w, "Campaign %s: %d devices over %d days (seed %d, scale %d, checkpointed)\n\n",
 		c.ID(), spec.Devices, spec.Days, spec.Seed, spec.Scale)
-	t := agg.Total
+	t := batchGroup(agg.Total)
 	fmt.Fprintf(w, "bricked: %d of %d (%.2f%%), read-only: %d\n",
-		t.Bricked, t.Devices, pct(t.Bricked, t.Devices), t.ReadOnly)
+		t.Bricked, t.Devices, t.BrickFraction()*100, agg.Total.ReadOnly)
 	if t.Bricked > 0 {
-		fmt.Fprintf(w, "mean time-to-brick: %.1f days\n", float64(t.BrickDayMilli)/1000/float64(t.Bricked))
+		fmt.Fprintf(w, "mean time-to-brick: %.1f days\n", t.MeanDaysToBrick())
 	}
 	fmt.Fprintf(w, "host data absorbed: %s\n\n", report.HumanBytes(t.HostMiB<<20))
-	campaignGroupTable(w, "By workload class", agg.ByClass)
-	campaignGroupTable(w, "By device model", agg.ByProfile)
+	groupTable(w, "By workload class", campaignRows(agg.ByClass))
+	groupTable(w, "By device model", campaignRows(agg.ByProfile))
 	wa := report.Percentiles(agg.WriteAmp, 0.50, 0.90, 0.99)
 	fmt.Fprintf(w, "write amplification: p50 %.2f  p90 %.2f  p99 %.2f\n", wa[0], wa[1], wa[2])
-}
-
-func campaignGroupTable(w io.Writer, title string, groups []fleetd.NamedGroup) {
-	tbl := report.NewTable(title, "group", "devices", "bricked", "brick%", "mean-days", "host-data")
-	for _, g := range groups {
-		meanDays := 0.0
-		if g.Bricked > 0 {
-			meanDays = float64(g.BrickDayMilli) / 1000 / float64(g.Bricked)
-		}
-		tbl.AddRow(g.Name, g.Devices, g.Bricked,
-			fmt.Sprintf("%.2f", pct(g.Bricked, g.Devices)),
-			fmt.Sprintf("%.1f", meanDays),
-			report.HumanBytes(g.HostMiB<<20))
-	}
-	tbl.Render(w)
-	fmt.Fprintln(w)
-}
-
-func pct(part, whole int64) float64 {
-	if whole == 0 {
-		return 0
-	}
-	return 100 * float64(part) / float64(whole)
 }

@@ -6,13 +6,21 @@
 //
 // # Architecture
 //
-// The engine is a worker pool. Each worker owns a private simulation stack
-// per device — one simclock.Clock, one device.Device, one mounted file
-// system, one core.Runner — so no shared mutable state ever crosses a
-// goroutine boundary. Work is distributed by an atomic cursor (dynamic
-// load balancing: a worker that drew a cheap benign phone immediately
-// picks up the next index), and results stream into a lock-free
-// per-worker Accumulator that is merged after the pool drains.
+// One stack, two schedules. Phone is the booted phone — clock, device,
+// mounted file system, runner — and the only definition of how it boots,
+// recovers from a power cut, paces its writes and dies. Run schedules it
+// as first boot, then run to the horizon; internal/fleetd schedules the
+// same type day by day, rebooting from captured chip state. They stay two
+// callers because that nightly reboot, which makes a campaign's
+// kill/resume byte-identical, re-keys every RNG stream per day and so
+// cannot produce Run's always-on phones (DESIGN.md §6, §11).
+//
+// Run's engine is a worker pool. Each worker owns a private Phone per
+// device, so no shared mutable state ever crosses a goroutine boundary.
+// Work is distributed by an atomic cursor (dynamic load balancing: a
+// worker that drew a cheap benign phone immediately picks up the next
+// index), and results stream into a lock-free per-worker Accumulator that
+// is merged after the pool drains.
 //
 // # Determinism
 //
@@ -22,7 +30,7 @@
 //
 //  1. Per-device derivation: every simulation parameter of device i —
 //     profile, workload class, daily write rate, the NAND/FTL/workload
-//     seeds — is sampled from an RNG seeded by splitmix64(Spec.Seed, i).
+//     seeds — is sampled from an RNG seeded by MixSeed(Spec.Seed, i).
 //     Nothing depends on which worker runs the device or when.
 //  2. Isolated simulation: each device runs on its own clock against its
 //     own stack; the simulation itself is deterministic given its seeds.

@@ -265,6 +265,38 @@ func TestFleetFaultPlanDeterminism(t *testing.T) {
 	}
 }
 
+// TestFleetFaultPlanFirstBootDeath pins the death rule at its earliest point: a
+// phone that a fault plan kills during first boot — the device bricks under
+// mkfs, or every one of nine setup attempts is cut — is a bricked phone in
+// the aggregate, as it is in fleetd, not a failed run.
+func TestFleetFaultPlanFirstBootDeath(t *testing.T) {
+	for _, faults := range []string{"program=0.5", "cut-every=200"} {
+		plan, err := faultinject.ParsePlan(faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(workers int) *Result {
+			// Seed 1 because at program=0.5 some seeds draw eight failed
+			// programs in a row before the spare blocks run out, and the
+			// FTL reports that as a plain I/O error, not a brick.
+			spec := Spec{Devices: 4, Workers: workers, Seed: 1, Days: 5, Scale: 65536, Faults: &plan}
+			res, err := Run(context.Background(), spec)
+			if err != nil {
+				t.Fatalf("%s: a phone dying in first boot must not fail the run: %v", faults, err)
+			}
+			return res
+		}
+		first := run(3)
+		if first.Total.Devices != 4 || first.Total.Bricked != 4 || first.Failed != 0 {
+			t.Errorf("%s: devices/bricked/failed = %d/%d/%d, want 4/4/0",
+				faults, first.Total.Devices, first.Total.Bricked, first.Failed)
+		}
+		if !reflect.DeepEqual(stripSpec(first), stripSpec(run(1))) {
+			t.Errorf("%s: first-boot deaths differ across worker counts", faults)
+		}
+	}
+}
+
 func TestSamplerIsPure(t *testing.T) {
 	spec := testSpec(0).Defaults()
 	for i := 0; i < 128; i++ {

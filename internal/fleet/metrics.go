@@ -245,16 +245,17 @@ func (c *metricCollector) row(s telemetry.Snapshot) []int64 {
 	row[mFlashBytes] = flashBytes * c.eff
 	row[mFlashErases] = erases * c.eff
 	row[mBadBlocks] = bad * c.eff
-	row[mWearAvgMicro] = fixedPoint(pt[c.src.mainAvg].Float, 1e6)
-	row[mWearMaxMicro] = fixedPoint(pt[c.src.mainMax].Float, 1e6)
-	row[mRawBERFemto] = fixedPoint(pt[c.src.mainBER].Float, 1e15)
+	row[mWearAvgMicro] = FixedPoint(pt[c.src.mainAvg].Float, 1e6)
+	row[mWearMaxMicro] = FixedPoint(pt[c.src.mainMax].Float, 1e6)
+	row[mRawBERFemto] = FixedPoint(pt[c.src.mainBER].Float, 1e15)
 	row[mWearLevel] = int64(pt[c.src.wearLevel].Float)
 	return row
 }
 
-// fixedPoint converts a gauge to integer fixed point, mapping the
-// non-finite values a fully-dead chip can report to zero.
-func fixedPoint(v float64, scale float64) int64 {
+// FixedPoint converts a gauge to integer fixed point, mapping the
+// non-finite values a fully-dead chip can report to zero. fleetd's day rows
+// use it too, so both series round a gauge the same way.
+func FixedPoint(v float64, scale float64) int64 {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return 0
 	}

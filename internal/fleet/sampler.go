@@ -6,11 +6,11 @@ import (
 	"flashwear/internal/appmodel"
 )
 
-// deviceSeed derives device i's seed from the root seed with a splitmix64
-// finalizer: well-distributed, and a pure function of (root, i) so the
-// sample for device i never depends on worker scheduling.
-func deviceSeed(root int64, i int) int64 {
-	z := uint64(root) + 0x9e3779b97f4a7c15*uint64(i+1)
+// MixSeed derives sub-seed n of root with a splitmix64 finalizer: device
+// i's seed from the run's, and in fleetd every boot's RNG streams from
+// (device seed, day). Well-distributed, and a pure function of (root, n).
+func MixSeed(root, n int64) int64 {
+	z := uint64(root) + 0x9e3779b97f4a7c15*uint64(n+1)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return int64(z ^ (z >> 31))
@@ -43,12 +43,12 @@ type profileSample struct {
 func (p Params) ProfileIndex() int { return p.profile.idx }
 
 // Sample derives device i's parameters. It draws from an RNG seeded by
-// deviceSeed alone, so it is a pure function of (Spec.Seed, i) — the heart
+// MixSeed alone, so it is a pure function of (Spec.Seed, i) — the heart
 // of the order-independence argument in the package documentation. It is
 // exported for internal/fleetd, whose sharded campaigns must sample the
 // identical population for any shard count.
 func (s Spec) Sample(i int) Params {
-	seed := deviceSeed(s.Seed, i)
+	seed := MixSeed(s.Seed, int64(i))
 	rng := rand.New(rand.NewSource(seed))
 	pIdx := pickWeighted(rng, weightsOf(s.Profiles))
 	cIdx := pickWeighted(rng, classWeightsOf(s.Classes))

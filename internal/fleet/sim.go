@@ -2,19 +2,12 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
-	"flashwear/internal/core"
-	"flashwear/internal/device"
-	"flashwear/internal/fs"
-	"flashwear/internal/fs/extfs"
-	"flashwear/internal/ftl"
+	"flashwear/internal/faultinject"
 	"flashwear/internal/simclock"
 	"flashwear/internal/telemetry"
-	"flashwear/internal/workload"
 	"flashwear/internal/wtrace"
 )
 
@@ -51,74 +44,20 @@ type DeviceResult struct {
 	wear wtrace.Snapshot
 }
 
-// remounts counts power-loss recoveries across all devices of all runs —
-// schedule-independent in total, never part of a Result; tests read it to
-// prove a fault plan actually exercised the recovery path.
-var remounts atomic.Int64
-
-// pacer wraps a StepFunc to hold its long-run average to a target rate:
-// after each burst it idles the device's clock until the bytes written so
-// far are "due" at that rate. Benign phones therefore spend almost all
-// simulated time idle, exactly like real ones, and simulated wear stays a
-// function of volume, not of polling granularity.
-type pacer struct {
-	clock *simclock.Clock
-	step  core.StepFunc
-	// perSimSecond is the target rate in bytes per simulated second.
-	// Capacity scaling preserves rates (volume and time divide by the
-	// same factor), so the full-scale daily rate applies unchanged on the
-	// scaled device.
-	perSimSecond float64
-
-	start   time.Duration
-	started bool
-	written int64
-}
-
-func (p *pacer) Step(budget int64) (int64, error) {
-	if !p.started {
-		p.started = true
-		p.start = p.clock.Now()
-	}
-	n, err := p.step(budget)
-	p.written += n
-	due := time.Duration(float64(p.written) / p.perSimSecond * float64(time.Second))
-	if owed := due - (p.clock.Now() - p.start); owed > 0 {
-		p.clock.Advance(owed)
-	}
-	return n, err
-}
-
-// simulateDevice runs one phone from install to brick or horizon. It is
-// self-contained: everything it touches is built here, so concurrent calls
-// share no mutable state.
+// simulateDevice is fleet.Run's schedule over a Phone: first boot, then run
+// to the horizon. It is self-contained: everything it touches is built
+// here, so concurrent calls share no mutable state.
 func simulateDevice(ctx context.Context, spec Spec, p Params) (DeviceResult, error) {
-	prof := spec.Profiles[p.profile.idx].Profile
-	prof.Seed = p.Seed
+	var plan *faultinject.Plan
 	if spec.Faults != nil && !spec.Faults.Empty() {
 		// Re-seed the plan per device: fault schedules stay independent
 		// across the population but are a pure function of the Spec.
-		plan := spec.Faults.WithSeed(spec.Faults.Seed + p.Seed)
-		prof.Faults = &plan
+		seeded := spec.Faults.WithSeed(spec.Faults.Seed + p.Seed)
+		plan = &seeded
 	}
-	eff := prof.EffectiveScale(spec.Scale)
-	clock := simclock.New()
-	dev, err := device.New(prof.Scaled(spec.Scale), clock)
+	ph, err := NewPhone(spec, p, plan, simclock.New())
 	if err != nil {
-		return DeviceResult{}, fmt.Errorf("fleet: device %d (%s): %w", p.Index, prof.Name, err)
-	}
-
-	// Wear attribution attaches at device birth like telemetry does: the
-	// mkfs/mount/fill phase runs untagged (origin "os"), and the workload
-	// file set is wrapped so every operation it issues — and all the GC,
-	// wear-leveling, and cache work those writes cause — is charged to the
-	// device's workload class.
-	var tr *wtrace.Tracer
-	var clsOrg wtrace.Origin
-	if spec.WearTrace {
-		tr = wtrace.New()
-		dev.EnableWearTrace(tr)
-		clsOrg = tr.Origin(p.Class.String())
+		return DeviceResult{}, err
 	}
 
 	// Telemetry attaches at device birth — before mkfs, so the file-system
@@ -128,177 +67,46 @@ func simulateDevice(ctx context.Context, spec Spec, p Params) (DeviceResult, err
 	var coll *metricCollector
 	var sampler *telemetry.Sampler
 	if spec.MetricsEvery > 0 {
-		scaledEvery := spec.MetricsEvery / time.Duration(eff)
+		scaledEvery := spec.MetricsEvery / time.Duration(ph.Scale)
 		if scaledEvery <= 0 {
 			return DeviceResult{}, fmt.Errorf("fleet: device %d (%s): MetricsEvery %v vanishes at scale %d",
-				p.Index, prof.Name, spec.MetricsEvery, eff)
+				p.Index, ph.ProfileName, spec.MetricsEvery, ph.Scale)
 		}
 		reg := telemetry.NewRegistry()
-		dev.Instrument(reg)
-		coll = newMetricCollector(reg, eff)
-		sampler = telemetry.NewSampler(reg, clock, scaledEvery)
+		ph.Dev.Instrument(reg)
+		coll = newMetricCollector(reg, ph.Scale)
+		sampler = telemetry.NewSampler(reg, ph.Clock, scaledEvery)
 		sampler.Collect = false
 		sampler.OnSample = coll.observe
 	}
 
-	// The paper's file-set shape: a few files in a private directory,
-	// rewritten at random offsets — under a few percent of capacity at
-	// full scale, clamped up so tiny scaled devices still have room for
-	// random addressing.
-	fileSize := dev.Size() / 40
-	if min := 4 * spec.ReqBytes; fileSize < min {
-		fileSize = min
+	died, err := ph.FirstBoot()
+	if err != nil {
+		return DeviceResult{}, err
 	}
-	// mkfs, mount and the initial file fill can themselves be interrupted
-	// by an injected power cut; like a phone that loses power during first
-	// boot, the device power-cycles and reformats until setup holds. The
-	// retry count is deterministic, so so is the rebuilt file set.
-	var set *workload.FileSet
-	for attempt := 0; ; attempt++ {
-		err := func() error {
-			if err := extfs.Mkfs(dev); err != nil {
-				return fmt.Errorf("mkfs: %w", err)
-			}
-			mounted, err := extfs.Mount(dev, fs.Options{DataAccounting: true})
-			if err != nil {
-				return fmt.Errorf("mount: %w", err)
-			}
-			var fsys fs.FileSystem = mounted
-			if tr != nil {
-				fsys = wtrace.TagFS(fsys, tr, clsOrg)
-			}
-			set = workload.NewFileSet(fsys, "/app", fileSize, p.Seed+1)
-			set.ReqBytes = spec.ReqBytes
-			if err := set.Setup(); err != nil {
-				return fmt.Errorf("setup: %w", err)
-			}
-			return nil
-		}()
-		if err == nil {
-			break
+	if !died {
+		// The horizon in scaled simulated time: full-scale days divide by
+		// the effective scale, mirroring how results multiply times back.
+		horizon := ph.WorkStart() + time.Duration(spec.Days/float64(ph.Scale)*24*float64(time.Hour))
+		died, err = ph.RunUntil(horizon, func() bool { return ctx.Err() != nil })
+		if err != nil {
+			return DeviceResult{}, err
 		}
-		if !errors.Is(err, device.ErrPowerLoss) || attempt >= 8 {
-			return DeviceResult{}, fmt.Errorf("fleet: device %d (%s): %w", p.Index, prof.Name, err)
-		}
-		if err := dev.PowerCycle(); err != nil {
-			return DeviceResult{}, fmt.Errorf("fleet: device %d (%s): power cycle: %w", p.Index, prof.Name, err)
-		}
-	}
-
-	runner := core.NewRunner(dev, clock, eff)
-	runner.StepBytes = spec.StepBytes
-	runner.Pattern = p.Class.String()
-
-	step := core.StepFunc(set.Step)
-	if p.DailyBytes > 0 {
-		step = (&pacer{
-			clock:        clock,
-			step:         set.Step,
-			perSimSecond: float64(p.DailyBytes) / (24 * 60 * 60),
-		}).Step
-	}
-	// The horizon in scaled simulated time: full-scale days divide by the
-	// effective scale, mirroring how the runner multiplies times back.
-	horizonEnd := clock.Now() + time.Duration(spec.Days/float64(eff)*24*float64(time.Hour))
-	stop := func() bool {
-		return clock.Now() >= horizonEnd || ctx.Err() != nil
-	}
-	// A power cut surfaces as ErrPowerLoss from the step function. Like a
-	// real phone the device is power-cycled — the FTL rebuilds its mapping
-	// from on-flash OOB metadata — the file system remounted, the working
-	// files reattached, and the workload resumes until the horizon. A device
-	// that recovers into read-only EOL mode simply fails its next write and
-	// is reported failed by RunPhase. A phone that cannot boot at all — the
-	// remount hits a wear-dead page during journal replay, or the device
-	// comes back read-only or bricked — died of wear like any other and is
-	// reported bricked, not as a failed simulation. Boot itself can also be
-	// cut by the schedule, so it retries like the setup loop does.
-	diedBooting := false
-	for {
-		err := runner.RunPhase(step, 0, stop)
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, device.ErrPowerLoss) && !errors.Is(err, ftl.ErrPowerLoss) {
-			if errors.Is(err, extfs.ErrCorrupt) || errors.Is(err, extfs.ErrNotExtfs) {
-				// Wear corrupted file-system structure out from under the
-				// workload (RunPhase already classifies the device-level
-				// death errors itself): dead phone, not a failed simulation.
-				diedBooting = true
-				break
-			}
-			return DeviceResult{}, fmt.Errorf("fleet: device %d (%s): %w", p.Index, prof.Name, err)
-		}
-		rebooted := false
-		for attempt := 0; attempt < 8 && !rebooted && !diedBooting; attempt++ {
-			if err := dev.PowerCycle(); err != nil {
-				return DeviceResult{}, fmt.Errorf("fleet: device %d (%s): power cycle: %w", p.Index, prof.Name, err)
-			}
-			mounted, err := extfs.Mount(dev, fs.Options{DataAccounting: true})
-			if err == nil {
-				var fsys fs.FileSystem = mounted
-				if tr != nil {
-					fsys = wtrace.TagFS(fsys, tr, clsOrg)
-				}
-				err = set.Reattach(fsys)
-			}
-			switch {
-			case err == nil:
-				rebooted = true
-			case errors.Is(err, device.ErrPowerLoss) || errors.Is(err, ftl.ErrPowerLoss):
-				// Cut again mid-boot: cycle and try once more.
-			case errors.Is(err, device.ErrBricked) || errors.Is(err, ftl.ErrBricked),
-				errors.Is(err, device.ErrReadOnly) || errors.Is(err, ftl.ErrReadOnly),
-				errors.Is(err, ftl.ErrUnreadable),
-				errors.Is(err, extfs.ErrCorrupt) || errors.Is(err, extfs.ErrNotExtfs):
-				// ErrUnreadable: a page the journal needs rotted past ECC.
-				// ErrCorrupt/ErrNotExtfs: extreme wear destroyed metadata
-				// that GC could no longer relocate (ftl.Stats.LostPages) —
-				// the superblock itself can rot. Either way the phone does
-				// not boot, which is the paper's brick.
-				diedBooting = true
-			default:
-				return DeviceResult{}, fmt.Errorf("fleet: device %d (%s): remount: %w", p.Index, prof.Name, err)
-			}
-		}
-		if !rebooted {
-			// Either the boot found the device dead, or eight consecutive
-			// cuts landed inside it — a schedule so hot the phone can never
-			// come back up counts as dead too.
-			diedBooting = true
-			break
-		}
-		remounts.Add(1)
 	}
 	if err := ctx.Err(); err != nil {
 		return DeviceResult{}, err
 	}
-	rep := runner.Report()
-	rep.Bricked = rep.Bricked || diedBooting
-	var metricRows [][]int64
+	res := ph.Result(died)
 	if coll != nil {
 		sampler.Stop()
-		metricRows = coll.finish(metricRowCount(spec), clock.Now())
+		res.metrics = coll.finish(metricRowCount(spec), ph.Clock.Now())
 	}
-	res := DeviceResult{
-		Index:       p.Index,
-		ProfileName: prof.Name,
-		Class:       p.Class,
-		Bricked:     rep.Bricked,
-		ReadOnly:    dev.ReadOnly(),
-		Days:        rep.TotalHours / 24,
-		HostBytes:   dev.BytesWritten() * eff,
-		WearLevel:   dev.FTL().WearIndicator(ftl.PoolB),
-		WA:          rep.FinalWA,
-		metrics:     metricRows,
-	}
-	if tr != nil {
+	if spec.WearTrace {
 		// Scale each integer count back to full scale before aggregation,
 		// exactly as the metrics pipeline does, so the merged fleet ledger
 		// is a pure function of the Spec (DESIGN.md §6).
-		snap := tr.Ledger().Snapshot()
-		snap.Scale(eff)
-		res.wear = snap
+		res.wear = ph.Ledger()
+		res.wear.Scale(ph.Scale)
 	}
 	return res, nil
 }

@@ -4,9 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 
+	"flashwear/internal/fleet"
 	"flashwear/internal/report"
 	"flashwear/internal/wtrace"
 )
@@ -160,7 +160,7 @@ type Group struct {
 	BrickDayMilli int64 `json:"brick_day_milli"`
 }
 
-func (g *Group) add(o outcome) {
+func (g *Group) add(o fleet.DeviceResult) {
 	g.Devices++
 	g.HostMiB += o.HostBytes >> 20
 	if o.Bricked {
@@ -187,19 +187,6 @@ func (g *Group) merge(o Group) {
 type NamedGroup struct {
 	Name string `json:"name"`
 	Group
-}
-
-// outcome is one device's terminal result (fleet.DeviceResult's shape,
-// internal to the engine).
-type outcome struct {
-	ProfileName string
-	Class       string
-	Bricked     bool
-	ReadOnly    bool
-	Days        float64
-	HostBytes   int64
-	WearLevel   int
-	WA          float64
 }
 
 // Aggregate is the campaign's terminal statistics, mirroring fleet's
@@ -254,10 +241,10 @@ func groupFor(gs *[]NamedGroup, name string) *Group {
 
 // add folds one terminal outcome in (with its scaled wear ledger, which
 // is zero-valued when tracing is off).
-func (a *Aggregate) add(o outcome, wear wtrace.Snapshot) {
+func (a *Aggregate) add(o fleet.DeviceResult, wear wtrace.Snapshot) {
 	a.Total.add(o)
 	groupFor(&a.ByProfile, o.ProfileName).add(o)
-	groupFor(&a.ByClass, o.Class).add(o)
+	groupFor(&a.ByClass, o.Class.String()).add(o)
 	if o.Bricked {
 		a.TimeToBrick.Add(o.Days)
 		a.DeathGiB.Add(float64(o.HostBytes) / (1 << 30))
@@ -309,14 +296,4 @@ func (a *Aggregate) clone() *Aggregate {
 	c.WriteAmp = cloneHist(a.WriteAmp)
 	c.Ledger.Merge(a.Ledger)
 	return c
-}
-
-// fixedPoint converts a gauge to integer fixed point, mapping the
-// non-finite values a fully-dead chip can report to zero — the same
-// convention fleet's metric rows use.
-func fixedPoint(v float64, scale float64) int64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0
-	}
-	return int64(math.Round(v * scale))
 }

@@ -226,7 +226,7 @@ func (m *Manager) newCampaign(id string, spec CampaignSpec) (*Campaign, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	fspec, err := spec.fleetSpec()
+	fspec, err := spec.FleetSpec()
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"flashwear/internal/fleet"
 )
 
 // fingerprint renders everything the determinism contract covers: the
@@ -43,20 +45,26 @@ func TestSchedulingInvariance(t *testing.T) {
 	for _, tc := range []struct {
 		seed           int64
 		faults, golden string
+		midDayCuts     bool
 	}{
-		{1, "read=2e-4,cut-every=3000000", "b9b3fc3b6b4c7f7c055a51e2d755f40d6a39e1d11595b5be593c21ff00c3d655"},
-		{42, "read=2e-4,cut-every=3000000", "279d27cfd5e149b6bbced6e66c4cdbe3b4eb92c6f8b171a7020ed2256441ee8b"},
+		{1, "read=2e-4,cut-every=3000000", "b9b3fc3b6b4c7f7c055a51e2d755f40d6a39e1d11595b5be593c21ff00c3d655", false},
+		{42, "read=2e-4,cut-every=3000000", "279d27cfd5e149b6bbced6e66c4cdbe3b4eb92c6f8b171a7020ed2256441ee8b", false},
 		// Every boot restarts the plan's operation count, so the plan
 		// above never reaches a cut inside one scaled day; this one cuts
 		// the heavy writers mid-day, hundreds of times over the campaign.
-		{7, "read=2e-4,cut-every=20000", "6ae6133a3af1ea860559ff25e491051a8a36e5196af757516b3399c65a20c60e"},
+		{7, "read=2e-4,cut-every=20000", "6ae6133a3af1ea860559ff25e491051a8a36e5196af757516b3399c65a20c60e", true},
 	} {
 		tc := tc
 		t.Run(fmt.Sprintf("seed%d", tc.seed), func(t *testing.T) {
 			base := tinySpec()
 			base.Seed = tc.seed
 			base.Faults = tc.faults
+			before := fleet.Remounts()
 			ref := fingerprint(t, runToEnd(t, "", base))
+			// The nightly reboots alone remount devices x (days-1) times.
+			if n := fleet.Remounts() - before; tc.midDayCuts && n <= int64(base.Devices*(base.Days-1)) {
+				t.Errorf("%d remounts: the plan's cuts never fired mid-day — tighten cut-every", n)
+			}
 			if got := fmt.Sprintf("%x", sha256.Sum256(ref)); got != tc.golden {
 				t.Errorf("reference fingerprint hash = %s, want %s", got, tc.golden)
 			}

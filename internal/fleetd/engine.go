@@ -1,22 +1,16 @@
 package fleetd
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 
-	"flashwear/internal/core"
-	"flashwear/internal/device"
 	"flashwear/internal/faultinject"
 	"flashwear/internal/fleet"
-	"flashwear/internal/fs"
-	"flashwear/internal/fs/extfs"
 	"flashwear/internal/ftl"
 	"flashwear/internal/nand"
 	"flashwear/internal/report"
 	"flashwear/internal/simclock"
-	"flashwear/internal/workload"
 	"flashwear/internal/wtrace"
 )
 
@@ -55,50 +49,13 @@ type deviceState struct {
 	Cache *nand.ChipState
 }
 
-// liveDev is a booted device stack: the transient counterpart of a
-// deviceState, alive for exactly one simulated day.
+// liveDev is a booted fleet.Phone — the transient counterpart of a
+// deviceState, alive for exactly one simulated day — plus what fleetd
+// carries for it across the nightly reboots.
 type liveDev struct {
-	p        fleet.Params
-	profName string
-	eff      int64
-	clock    *simclock.Clock
-	dev      *device.Device
-	tr       *wtrace.Tracer
-	clsOrg   wtrace.Origin
-	set      *workload.FileSet
-	runner   *core.Runner
-	step     core.StepFunc
-	// workStart anchors the day grid; prevLedger carries the unscaled
-	// ledger accumulated before this boot.
-	workStart  time.Duration
+	*fleet.Phone
+	// prevLedger is the unscaled ledger accumulated before this boot.
 	prevLedger wtrace.Snapshot
-}
-
-// pacer holds a step function to a long-run average byte rate by idling
-// the simulated clock — fleet's pacer, rebuilt fresh at every boot (both
-// runs reboot at every day boundary, so the reset is canonical).
-type pacer struct {
-	clock        *simclock.Clock
-	step         core.StepFunc
-	perSimSecond float64
-
-	start   time.Duration
-	started bool
-	written int64
-}
-
-func (p *pacer) Step(budget int64) (int64, error) {
-	if !p.started {
-		p.started = true
-		p.start = p.clock.Now()
-	}
-	n, err := p.step(budget)
-	p.written += n
-	due := time.Duration(float64(p.written) / p.perSimSecond * float64(time.Second))
-	if owed := due - (p.clock.Now() - p.start); owed > 0 {
-		p.clock.Advance(owed)
-	}
-	return n, err
 }
 
 // dayPlan derives the fault plan for one device-day: re-seeded by
@@ -108,135 +65,43 @@ func dayPlan(spec fleet.Spec, p fleet.Params, day int, after time.Duration) *fau
 	if spec.Faults == nil || spec.Faults.Empty() {
 		return nil
 	}
-	plan := spec.Faults.WithSeed(mix(spec.Faults.Seed+p.Seed, int64(day))).After(after)
+	plan := spec.Faults.WithSeed(fleet.MixSeed(spec.Faults.Seed+p.Seed, int64(day))).After(after)
 	return &plan
 }
 
-// fileSizeFor mirrors fleet's file-set sizing: a few percent of capacity,
-// clamped up so tiny scaled devices still allow random addressing.
-func fileSizeFor(dev *device.Device, reqBytes int64) int64 {
-	fileSize := dev.Size() / 40
-	if min := 4 * reqBytes; fileSize < min {
-		fileSize = min
-	}
-	return fileSize
-}
-
-// newStack builds the device plus tracer for one boot (shared by birth
-// and boot).
-func newStack(spec fleet.Spec, p fleet.Params, plan *faultinject.Plan, clock *simclock.Clock) (*liveDev, error) {
-	prof := spec.Profiles[p.ProfileIndex()].Profile
-	prof.Seed = p.Seed
-	if plan != nil {
-		prof.Faults = plan
-	}
-	eff := prof.EffectiveScale(spec.Scale)
-	dev, err := device.New(prof.Scaled(spec.Scale), clock)
-	if err != nil {
-		return nil, fmt.Errorf("fleetd: device %d (%s): %w", p.Index, prof.Name, err)
-	}
-	ld := &liveDev{p: p, profName: prof.Name, eff: eff, clock: clock, dev: dev}
-	if spec.WearTrace {
-		ld.tr = wtrace.New()
-		dev.EnableWearTrace(ld.tr)
-		ld.clsOrg = ld.tr.Origin(p.Class.String())
-	}
-	return ld, nil
-}
-
-// finishBoot builds the per-boot runner and paced step function.
-func (ld *liveDev) finishBoot(spec fleet.Spec) {
-	ld.runner = core.NewRunner(ld.dev, ld.clock, ld.eff)
-	ld.runner.StepBytes = spec.StepBytes
-	ld.runner.Pattern = ld.p.Class.String()
-	ld.step = core.StepFunc(ld.set.Step)
-	if ld.p.DailyBytes > 0 {
-		ld.step = (&pacer{
-			clock:        ld.clock,
-			step:         ld.set.Step,
-			perSimSecond: float64(ld.p.DailyBytes) / (24 * 60 * 60),
-		}).Step
-	}
-}
-
-// birth runs a device's first boot: mkfs, mount, the initial file fill —
-// fleet's setup path, with the same bounded power-cut retry. The clock
-// after setup anchors the device's day grid. The second return is true
-// when wear or faults kill the device before setup completes (a death,
-// not an error, exactly like a failed boot).
+// birth runs a device's first boot on day 0's plan. The clock after setup
+// anchors the device's day grid. The second return is true when wear or
+// faults kill the device before setup completes (a death, not an error).
 func birth(spec fleet.Spec, p fleet.Params) (*liveDev, bool, error) {
-	ld, err := newStack(spec, p, dayPlan(spec, p, 0, 0), simclock.New())
+	ph, err := fleet.NewPhone(spec, p, dayPlan(spec, p, 0, 0), simclock.New())
 	if err != nil {
 		return nil, false, err
 	}
-	fileSize := fileSizeFor(ld.dev, spec.ReqBytes)
-	for attempt := 0; ; attempt++ {
-		err := func() error {
-			if err := extfs.Mkfs(ld.dev); err != nil {
-				return fmt.Errorf("mkfs: %w", err)
-			}
-			mounted, err := extfs.Mount(ld.dev, fs.Options{DataAccounting: true})
-			if err != nil {
-				return fmt.Errorf("mount: %w", err)
-			}
-			var fsys fs.FileSystem = mounted
-			if ld.tr != nil {
-				fsys = wtrace.TagFS(fsys, ld.tr, ld.clsOrg)
-			}
-			ld.set = workload.NewFileSet(fsys, "/app", fileSize, p.Seed+1)
-			ld.set.ReqBytes = spec.ReqBytes
-			if err := ld.set.Setup(); err != nil {
-				return fmt.Errorf("setup: %w", err)
-			}
-			return nil
-		}()
-		if err == nil {
-			break
-		}
-		switch {
-		case errors.Is(err, device.ErrPowerLoss) || errors.Is(err, ftl.ErrPowerLoss):
-			if attempt >= 8 {
-				ld.workStart = ld.clock.Now()
-				return ld, true, nil
-			}
-			if err := ld.dev.PowerCycle(); err != nil {
-				return nil, false, fmt.Errorf("fleetd: device %d (%s): power cycle: %w", p.Index, ld.profName, err)
-			}
-		case errors.Is(err, device.ErrBricked) || errors.Is(err, ftl.ErrBricked),
-			errors.Is(err, device.ErrReadOnly) || errors.Is(err, ftl.ErrReadOnly),
-			errors.Is(err, ftl.ErrUnreadable),
-			errors.Is(err, extfs.ErrCorrupt) || errors.Is(err, extfs.ErrNotExtfs):
-			ld.workStart = ld.clock.Now()
-			return ld, true, nil
-		default:
-			return nil, false, fmt.Errorf("fleetd: device %d (%s): %w", p.Index, ld.profName, err)
-		}
-	}
-	ld.finishBoot(spec)
-	ld.workStart = ld.clock.Now()
-	return ld, false, nil
+	died, err := ph.FirstBoot()
+	return &liveDev{Phone: ph}, died, err
 }
 
 // boot rebuilds a device stack from a captured state: fresh stack, chip
-// state imported, RNG streams re-keyed by (seed, day), then a clean power
-// cut and the OOB-scan recovery plus remount — exactly what a real device
-// does after losing power at the day boundary. The second return is true
-// when the device cannot boot (wear killed it between days): that is a
-// death, not an error, and it is deterministic because every run passes
+// state imported, RNG streams re-keyed by (seed, day) — so post-resume
+// behaviour is a pure function of the resume point, not of how many draws
+// the previous process consumed — then Phone.Reboot. The second return is
+// true when the device cannot boot (wear killed it between days): that is
+// a death, not an error, and it is deterministic because every run passes
 // through this same boot at this same boundary.
 func boot(spec fleet.Spec, p fleet.Params, st *deviceState) (*liveDev, bool, error) {
-	day := st.DaysDone
+	day := int64(st.DaysDone)
 	clock := simclock.New()
 	clock.Advance(st.Now)
-	ld, err := newStack(spec, p, dayPlan(spec, p, day, st.Now), clock)
+	ph, err := fleet.NewPhone(spec, p, dayPlan(spec, p, st.DaysDone, st.Now), clock)
 	if err != nil {
 		return nil, false, err
 	}
-	f := ld.dev.FTL()
+	f := ph.Dev.FTL()
 	if err := f.MainChip().ImportState(st.Main); err != nil {
 		return nil, false, fmt.Errorf("fleetd: device %d: %w", p.Index, err)
 	}
-	f.MainChip().Reseed(mix(p.Seed, int64(day)))
+	chipSeed := fleet.MixSeed(p.Seed, day)
+	f.MainChip().Reseed(chipSeed)
 	if cc := f.CacheChip(); cc != nil {
 		if st.Cache == nil {
 			return nil, false, fmt.Errorf("fleetd: device %d: state has no cache chip", p.Index)
@@ -244,106 +109,39 @@ func boot(spec fleet.Spec, p fleet.Params, st *deviceState) (*liveDev, bool, err
 		if err := cc.ImportState(st.Cache); err != nil {
 			return nil, false, fmt.Errorf("fleetd: device %d: %w", p.Index, err)
 		}
-		cc.Reseed(mix(p.Seed, int64(day)) + 1)
+		cc.Reseed(chipSeed + 1)
 	}
 	f.RestoreStats(st.FTLStats, st.GCCopies)
-	ld.dev.RestoreCounters(st.BytesWritten, st.BytesRead, st.Busy)
-	ld.workStart = st.WorkStart
+	ph.Dev.RestoreCounters(st.BytesWritten, st.BytesRead, st.Busy)
+	ld := &liveDev{Phone: ph}
 	ld.prevLedger.Merge(st.Ledger)
-
-	ld.set = workload.NewFileSet(nil, "/app", fileSizeFor(ld.dev, spec.ReqBytes), p.Seed+1)
-	ld.set.ReqBytes = spec.ReqBytes
-	ld.set.Restore(st.FSWrites)
-	ld.set.Reseed(mix(p.Seed+1, int64(day)))
-
-	ld.dev.CutPower()
-	died, err := ld.remount()
-	if err != nil {
-		return nil, false, err
-	}
-	ld.finishBoot(spec)
-	return ld, died, nil
+	died, err := ph.Reboot(st.WorkStart, st.FSWrites, fleet.MixSeed(p.Seed+1, day))
+	return ld, died, err
 }
 
-// remount is fleet's power-cycle/mount/reattach loop with its death
-// classification: up to eight attempts (a schedule so hot the phone can
-// never come back up counts as dead), power-loss errors retry, the
-// boot-killing errors — bricked, read-only, unreadable journal pages,
-// wear-destroyed file-system metadata — report death.
-func (ld *liveDev) remount() (died bool, err error) {
-	for attempt := 0; attempt < 8; attempt++ {
-		if err := ld.dev.PowerCycle(); err != nil {
-			return false, fmt.Errorf("fleetd: device %d (%s): power cycle: %w", ld.p.Index, ld.profName, err)
-		}
-		mounted, err := extfs.Mount(ld.dev, fs.Options{DataAccounting: true})
-		if err == nil {
-			var fsys fs.FileSystem = mounted
-			if ld.tr != nil {
-				fsys = wtrace.TagFS(fsys, ld.tr, ld.clsOrg)
-			}
-			err = ld.set.Reattach(fsys)
-		}
-		switch {
-		case err == nil:
-			return false, nil
-		case errors.Is(err, device.ErrPowerLoss) || errors.Is(err, ftl.ErrPowerLoss):
-			// Cut again mid-boot: cycle and try once more.
-		case errors.Is(err, device.ErrBricked) || errors.Is(err, ftl.ErrBricked),
-			errors.Is(err, device.ErrReadOnly) || errors.Is(err, ftl.ErrReadOnly),
-			errors.Is(err, ftl.ErrUnreadable),
-			errors.Is(err, extfs.ErrCorrupt) || errors.Is(err, extfs.ErrNotExtfs):
-			return true, nil
-		default:
-			return false, fmt.Errorf("fleetd: device %d (%s): remount: %w", ld.p.Index, ld.profName, err)
-		}
-	}
-	return true, nil
-}
-
-// runDay drives the workload until the device's day-(day+1) boundary,
-// remounting through mid-day power cuts like fleet does. The day grid is
-// integer nanoseconds on the scaled clock — day k ends at
-// workStart + ((k+1) * nsPerDay) / eff — so the boundary is a pure
+// runDay drives the workload until the device's day-(day+1) boundary. The
+// day grid is integer nanoseconds on the scaled clock — day k ends at
+// workStart + ((k+1) * nsPerDay) / scale — so the boundary is a pure
 // function of (spec, device), never of float accumulation.
 func (ld *liveDev) runDay(day int) (died bool, err error) {
-	dayEnd := ld.workStart + time.Duration((int64(day+1)*nsPerDay)/ld.eff)
-	stop := func() bool { return ld.clock.Now() >= dayEnd }
-	for {
-		err := ld.runner.RunPhase(ld.step, 0, stop)
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, device.ErrPowerLoss) && !errors.Is(err, ftl.ErrPowerLoss) {
-			if errors.Is(err, extfs.ErrCorrupt) || errors.Is(err, extfs.ErrNotExtfs) {
-				return true, nil // wear destroyed fs metadata: dead phone
-			}
-			return false, fmt.Errorf("fleetd: device %d (%s): %w", ld.p.Index, ld.profName, err)
-		}
-		died, rerr := ld.remount()
-		if rerr != nil {
-			return false, rerr
-		}
-		if died {
-			return true, nil
-		}
-	}
-	return ld.runner.Report().Bricked, nil
+	dayEnd := ld.WorkStart() + time.Duration((int64(day+1)*nsPerDay)/ld.Scale)
+	return ld.RunUntil(dayEnd, nil)
 }
 
 // sample reads the device's day row — pure reads of device, FTL, and chip
 // state, valid on dead stacks too (a bricked chip still reports wear).
 func (ld *liveDev) sample(died bool) (row []int64, wearLevel int) {
-	f := ld.dev.FTL()
+	f := ld.Dev.FTL()
 	main := f.MainChip()
 	row = make([]int64, dayCols)
 	row[dDevices] = 1
-	if died || ld.dev.Failed() {
+	if died || ld.Dev.Failed() {
 		row[dBricked] = 1
 	}
-	if ld.dev.ReadOnly() {
+	if ld.Dev.ReadOnly() {
 		row[dReadOnly] = 1
 	}
-	row[dHostBytes] = ld.dev.BytesWritten() * ld.eff
+	row[dHostBytes] = ld.Dev.BytesWritten() * ld.Scale
 	ms := main.Stats()
 	flashBytes, erases, bad := ms.BytesProgrammed, ms.Erases, int64(ms.BadBlocks)
 	if cc := f.CacheChip(); cc != nil {
@@ -352,30 +150,15 @@ func (ld *liveDev) sample(died bool) (row []int64, wearLevel int) {
 		erases += cs.Erases
 		bad += int64(cs.BadBlocks)
 	}
-	row[dFlashBytes] = flashBytes * ld.eff
-	row[dFlashErases] = erases * ld.eff
-	row[dBadBlocks] = bad * ld.eff
-	row[dWearAvgMicro] = fixedPoint(main.AvgWear(), 1e6)
-	row[dWearMaxMicro] = fixedPoint(main.MaxWear(), 1e6)
-	row[dRawBERFemto] = fixedPoint(main.ExpectedRBER(), 1e15)
+	row[dFlashBytes] = flashBytes * ld.Scale
+	row[dFlashErases] = erases * ld.Scale
+	row[dBadBlocks] = bad * ld.Scale
+	row[dWearAvgMicro] = fleet.FixedPoint(main.AvgWear(), 1e6)
+	row[dWearMaxMicro] = fleet.FixedPoint(main.MaxWear(), 1e6)
+	row[dRawBERFemto] = fleet.FixedPoint(main.ExpectedRBER(), 1e15)
 	wearLevel = f.WearIndicator(ftl.PoolB)
 	row[dWearLevel] = int64(wearLevel)
 	return row, wearLevel
-}
-
-// terminal builds the device's terminal outcome (fleet's DeviceResult
-// fields, computed from lifetime counters rather than the per-day runner).
-func (ld *liveDev) terminal(bricked bool) outcome {
-	return outcome{
-		ProfileName: ld.profName,
-		Class:       ld.p.Class.String(),
-		Bricked:     bricked,
-		ReadOnly:    ld.dev.ReadOnly(),
-		Days:        (ld.clock.Now() - ld.workStart).Hours() * float64(ld.eff) / 24,
-		HostBytes:   ld.dev.BytesWritten() * ld.eff,
-		WearLevel:   ld.dev.FTL().WearIndicator(ftl.PoolB),
-		WA:          ld.dev.FTL().WriteAmplification(),
-	}
 }
 
 // cumLedger is the device's lifetime unscaled ledger: everything captured
@@ -383,32 +166,30 @@ func (ld *liveDev) terminal(bricked bool) outcome {
 func (ld *liveDev) cumLedger() wtrace.Snapshot {
 	var s wtrace.Snapshot
 	s.Merge(ld.prevLedger)
-	if ld.tr != nil {
-		s.Merge(ld.tr.Ledger().Snapshot())
-	}
+	s.Merge(ld.Ledger())
 	return s
 }
 
 // scaledLedger is cumLedger at full-scale volumes.
 func (ld *liveDev) scaledLedger() wtrace.Snapshot {
 	s := ld.cumLedger()
-	s.Scale(ld.eff)
+	s.Scale(ld.Scale)
 	return s
 }
 
 // capture exports the device's persistent state at a day boundary. Pure
 // reads: the live stack is discarded afterwards, never resumed.
 func (ld *liveDev) capture(daysDone int) *deviceState {
-	f := ld.dev.FTL()
+	f := ld.Dev.FTL()
 	st := &deviceState{
-		Index:        ld.p.Index,
+		Index:        ld.Params.Index,
 		DaysDone:     daysDone,
-		Now:          ld.clock.Now(),
-		WorkStart:    ld.workStart,
-		BytesWritten: ld.dev.BytesWritten(),
-		BytesRead:    ld.dev.BytesRead(),
-		Busy:         ld.dev.BusyTime(),
-		FSWrites:     ld.set.Writes(),
+		Now:          ld.Clock.Now(),
+		WorkStart:    ld.WorkStart(),
+		BytesWritten: ld.Dev.BytesWritten(),
+		BytesRead:    ld.Dev.BytesRead(),
+		Busy:         ld.Dev.BusyTime(),
+		FSWrites:     ld.Writes(),
 		FTLStats:     f.Stats(),
 		GCCopies:     f.GCCopies(),
 		Ledger:       ld.cumLedger(),
@@ -487,7 +268,7 @@ func (a *epochAcc) addDayLocked(day int, row []int64, wearLevel int) {
 // foldDeath records a device death on the given global day: its frozen
 // sample fills the rest of the epoch and the cumulative frozen carry, and
 // its terminal outcome joins the aggregate.
-func (a *epochAcc) foldDeath(day int, row []int64, wearLevel int, out outcome, wear wtrace.Snapshot) {
+func (a *epochAcc) foldDeath(day int, row []int64, wearLevel int, out fleet.DeviceResult, wear wtrace.Snapshot) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for d := day; d < a.dayHi; d++ {
@@ -511,7 +292,7 @@ func (a *epochAcc) foldLive(wear wtrace.Snapshot) {
 
 // foldSurvivor records a device's terminal outcome at the horizon (final
 // epoch only).
-func (a *epochAcc) foldSurvivor(out outcome, wear wtrace.Snapshot) {
+func (a *epochAcc) foldSurvivor(out fleet.DeviceResult, wear wtrace.Snapshot) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.survivors.add(out, wear)
@@ -550,33 +331,29 @@ func (a *epochAcc) footer(shard, epoch int) (*epochFooter, error) {
 func runDeviceEpoch(spec fleet.Spec, p fleet.Params, st *deviceState, acc *epochAcc) (*deviceState, error) {
 	var ld *liveDev
 	for day := acc.dayLo; day < acc.dayHi; day++ {
-		var bootDied bool
+		var died bool
 		var err error
 		if st == nil {
-			ld, bootDied, err = birth(spec, p)
+			ld, died, err = birth(spec, p)
 		} else {
-			ld, bootDied, err = boot(spec, p, st)
+			ld, died, err = boot(spec, p, st)
+		}
+		if err == nil && !died {
+			died, err = ld.runDay(day)
 		}
 		if err != nil {
 			return nil, err
 		}
-		died := bootDied
-		if !died {
-			died, err = ld.runDay(day)
-			if err != nil {
-				return nil, err
-			}
-		}
 		row, level := ld.sample(died)
 		if died {
-			acc.foldDeath(day, row, level, ld.terminal(true), ld.scaledLedger())
+			acc.foldDeath(day, row, level, ld.Result(true), ld.scaledLedger())
 			return nil, nil
 		}
 		acc.addDay(day, row, level)
 		st = ld.capture(day + 1)
 	}
 	if acc.finalEpoch {
-		acc.foldSurvivor(ld.terminal(false), ld.scaledLedger())
+		acc.foldSurvivor(ld.Result(false), ld.scaledLedger())
 	}
 	acc.foldLive(ld.scaledLedger())
 	return st, nil

@@ -5,6 +5,15 @@
 // after a kill -9, queryable mid-run, and forkable into counterfactual
 // futures.
 //
+// # One stack, two schedules
+//
+// A campaign's device is a fleet.Phone: first boot, remount, pacing and the
+// rules for when a phone counts as dead are internal/fleet's, shared with
+// fleet.Run. fleetd owns only its schedule — per simulated day: first boot
+// or boot from imported chip state, run to the day boundary, sample,
+// capture — and the state that crosses it. The schedules cannot merge: the
+// nightly reboot below is what fleet.Run's always-on devices do not do.
+//
 // # Shard and epoch model
 //
 // A campaign partitions its population contiguously into Shards slices;
@@ -130,16 +139,16 @@ func (s CampaignSpec) Validate() error {
 	if s.CheckpointEvery < 0 {
 		return fmt.Errorf("fleetd: checkpoint_every = %d, want >= 0", s.CheckpointEvery)
 	}
-	if _, err := s.fleetSpec(); err != nil {
+	if _, err := s.FleetSpec(); err != nil {
 		return err
 	}
 	return nil
 }
 
-// fleetSpec derives the defaulted, validated fleet.Spec the engine samples
+// FleetSpec derives the defaulted, validated fleet.Spec the engine samples
 // devices from. The derivation is total: every device-visible knob of the
 // campaign maps onto the fleet spec, and the scheduling knobs never do.
-func (s CampaignSpec) fleetSpec() (fleet.Spec, error) {
+func (s CampaignSpec) FleetSpec() (fleet.Spec, error) {
 	var plan *faultinject.Plan
 	if s.Faults != "" {
 		p, err := faultinject.ParsePlan(s.Faults)
@@ -199,16 +208,3 @@ func epochCount(every, days int) int {
 
 // nsPerDay is one full-scale day in nanoseconds.
 const nsPerDay = int64(24 * time.Hour)
-
-// mix derives a sub-seed from (root, n) with the same splitmix64
-// finalizer fleet uses for per-device seeds. fleetd keys every per-boot
-// RNG stream — chip failure draws, workload offsets, fault schedules —
-// by (device seed, day) through this, so post-resume behaviour is a pure
-// function of the resume point, not of how many draws the previous
-// process consumed.
-func mix(root int64, n int64) int64 {
-	z := uint64(root) + 0x9e3779b97f4a7c15*uint64(n+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
-}
