@@ -55,8 +55,10 @@ fuzz:
 # determinism tests run the same 64-device population at 4 workers and at
 # 1 and require byte-identical aggregates — including the merged wear
 # ledger (DESIGN.md §6, §9) — plus the telemetry registry and wtrace
-# ledger under concurrent registration/emission.
+# ledger under concurrent registration/emission; and the NAND snapshot's
+# shared page payloads, with two chips running from one state.
 race:
+	$(GO) test -race -count=1 -run TestSnapshotSharesWriteOncePages ./internal/nand/
 	$(GO) test -race -count=1 -run TestFleet ./internal/fleet/
 	$(GO) test -race -count=1 -run 'TestRegistryConcurrent|TestWtraceCollector' ./internal/telemetry/
 	$(GO) test -race -count=1 -run TestConcurrentLedger ./internal/wtrace/

@@ -30,6 +30,25 @@ import (
 // only after the end marker, so a crash at any byte leaves either the
 // previous complete file or a .tmp the sweep ignores.
 
+const ckptBufSize = 1 << 20
+
+// A campaign opens a writer and a reader per cell and encodes a frame per
+// device-day; the buffers behind them are recycled so that steady state
+// allocates none of them.
+var (
+	encPool = sync.Pool{New: func() any { return new(enc) }}
+	bwPool  = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, ckptBufSize) }}
+	brPool  = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, ckptBufSize) }}
+)
+
+// getEnc returns an empty encode buffer; hand it back with encPool.Put
+// once its bytes have been copied out.
+func getEnc() *enc {
+	e := encPool.Get().(*enc)
+	e.b = e.b[:0]
+	return e
+}
+
 // shardDir and cellPath name the cells.
 func shardDir(campaignDir string, shard int) string {
 	return filepath.Join(campaignDir, fmt.Sprintf("shard-%04d", shard))
@@ -85,9 +104,12 @@ func newCkptWriter(fsys hostio.FS, path string, hdr fileHeader) (*ckptWriter, er
 	if err != nil {
 		return nil, ckptIOErr(err)
 	}
-	w := &ckptWriter{fsys: fsys, f: f, bw: bufio.NewWriterSize(f, 1<<20), path: path, tmp: tmp}
+	bw := bwPool.Get().(*bufio.Writer)
+	bw.Reset(f)
+	w := &ckptWriter{fsys: fsys, f: f, bw: bw, path: path, tmp: tmp}
 	w.bytes += int64(len(fileMagic)) + 4
-	var e enc
+	e := getEnc()
+	defer encPool.Put(e)
 	e.raw([]byte(fileMagic))
 	e.u32(ckptVersion)
 	w.bw.Write(e.b)
@@ -99,6 +121,16 @@ func newCkptWriter(fsys hostio.FS, path string, hdr fileHeader) (*ckptWriter, er
 		return nil, w.err
 	}
 	return w, nil
+}
+
+// releaseLocked hands the write buffer back once the file is closed; the
+// writer is finished or aborted and must not be written again.
+func (w *ckptWriter) releaseLocked() {
+	if w.bw != nil {
+		w.bw.Reset(nil)
+		bwPool.Put(w.bw)
+		w.bw = nil
+	}
 }
 
 // frameLocked appends one frame; the caller holds mu (or is the only
@@ -131,7 +163,8 @@ func (w *ckptWriter) frameLocked(typ byte, payload []byte) {
 // the record order in the file is whatever order workers finish in, which
 // is fine because every consumer folds records commutatively.
 func (w *ckptWriter) writeDevice(st *deviceState) error {
-	var e enc
+	e := getEnc()
+	defer encPool.Put(e)
 	e.deviceState(st)
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -146,7 +179,8 @@ func (w *ckptWriter) writeDevice(st *deviceState) error {
 func (w *ckptWriter) finish(ft *epochFooter) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var e enc
+	e := getEnc()
+	defer encPool.Put(e)
 	e.footer(ft)
 	w.frameLocked(frameFooter, e.b)
 	if w.err == nil {
@@ -176,6 +210,7 @@ func (w *ckptWriter) finish(ft *epochFooter) error {
 	if err := w.f.Close(); w.err == nil {
 		w.err = ckptIOErr(err)
 	}
+	w.releaseLocked()
 	if w.err != nil {
 		w.fsys.Remove(w.tmp)
 		return w.err
@@ -196,6 +231,7 @@ func (w *ckptWriter) abort() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.f.Close()
+	w.releaseLocked()
 	w.fsys.Remove(w.tmp)
 }
 
@@ -205,6 +241,7 @@ func (w *ckptWriter) abort() {
 type ckptReader struct {
 	f      hostio.File
 	br     *bufio.Reader
+	buf    bytes.Buffer // the current frame's payload, reused frame to frame
 	Header fileHeader
 }
 
@@ -216,46 +253,57 @@ func openCell(fsys hostio.FS, path string) (*ckptReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &ckptReader{f: f, br: bufio.NewReaderSize(f, 1<<20)}
-	magic := make([]byte, len(fileMagic))
-	if _, err := io.ReadFull(r.br, magic); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("%w: short magic", ErrCheckpointTruncated)
-	}
-	if string(magic) != fileMagic {
-		f.Close()
-		return nil, fmt.Errorf("%w: bad file magic %q", ErrCheckpointCorrupt, magic)
-	}
-	var verBuf [4]byte
-	if _, err := io.ReadFull(r.br, verBuf[:]); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("%w: short version", ErrCheckpointTruncated)
-	}
-	if v := binary.LittleEndian.Uint32(verBuf[:]); v != ckptVersion {
-		f.Close()
-		return nil, fmt.Errorf("%w: file version %d, codec version %d", ErrCheckpointVersion, v, ckptVersion)
-	}
-	typ, payload, err := r.frame()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if typ != frameHeader {
-		f.Close()
-		return nil, fmt.Errorf("%w: first frame type %d, want header", ErrCheckpointCorrupt, typ)
-	}
-	d := dec{b: payload}
-	r.Header = d.fileHeader()
-	if err := d.done(); err != nil {
-		f.Close()
+	br := brPool.Get().(*bufio.Reader)
+	br.Reset(f)
+	r := &ckptReader{f: f, br: br}
+	if err := r.readPreamble(); err != nil {
+		r.Close()
 		return nil, err
 	}
 	return r, nil
 }
 
-func (r *ckptReader) Close() error { return r.f.Close() }
+// readPreamble consumes the magic, the version and the header frame.
+func (r *ckptReader) readPreamble() error {
+	magic := make([]byte, len(fileMagic))
+	if _, err := io.ReadFull(r.br, magic); err != nil {
+		return fmt.Errorf("%w: short magic", ErrCheckpointTruncated)
+	}
+	if string(magic) != fileMagic {
+		return fmt.Errorf("%w: bad file magic %q", ErrCheckpointCorrupt, magic)
+	}
+	var verBuf [4]byte
+	if _, err := io.ReadFull(r.br, verBuf[:]); err != nil {
+		return fmt.Errorf("%w: short version", ErrCheckpointTruncated)
+	}
+	if v := binary.LittleEndian.Uint32(verBuf[:]); v != ckptVersion {
+		return fmt.Errorf("%w: file version %d, codec version %d", ErrCheckpointVersion, v, ckptVersion)
+	}
+	typ, payload, err := r.frame()
+	if err != nil {
+		return err
+	}
+	if typ != frameHeader {
+		return fmt.Errorf("%w: first frame type %d, want header", ErrCheckpointCorrupt, typ)
+	}
+	d := dec{b: payload}
+	r.Header = d.fileHeader()
+	return d.done()
+}
 
-// frame reads and CRC-checks the next frame.
+// Close closes the file and recycles the read buffer; the reader must not
+// be used afterwards.
+func (r *ckptReader) Close() error {
+	if r.br != nil {
+		r.br.Reset(nil)
+		brPool.Put(r.br)
+		r.br = nil
+	}
+	return r.f.Close()
+}
+
+// frame reads and CRC-checks the next frame. The payload it returns is
+// valid until the next call: the decoders copy out everything they keep.
 func (r *ckptReader) frame() (byte, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
@@ -268,12 +316,13 @@ func (r *ckptReader) frame() (byte, []byte, error) {
 	n := binary.LittleEndian.Uint32(hdr[1:])
 	// Read incrementally rather than pre-allocating n bytes: a corrupt
 	// length prefix in a short file must not drive a 4 GiB allocation
-	// before ReadFull can notice the file ends early.
-	var buf bytes.Buffer
-	if _, err := io.CopyN(&buf, r.br, int64(n)); err != nil {
+	// before ReadFull can notice the file ends early. The buffer grows
+	// only as bytes arrive and keeps its capacity for the next frame.
+	r.buf.Reset()
+	if _, err := io.CopyN(&r.buf, r.br, int64(n)); err != nil {
 		return 0, nil, fmt.Errorf("%w: short frame payload", ErrCheckpointTruncated)
 	}
-	payload := buf.Bytes()
+	payload := r.buf.Bytes()
 	var crcBuf [4]byte
 	if _, err := io.ReadFull(r.br, crcBuf[:]); err != nil {
 		return 0, nil, fmt.Errorf("%w: short frame checksum", ErrCheckpointTruncated)

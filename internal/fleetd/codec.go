@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 	"time"
 
 	"flashwear/internal/ftl"
@@ -35,8 +35,9 @@ var (
 
 // ckptVersion is the codec version stamped after the file magic. Bump on
 // any layout change; old files then fail with ErrCheckpointVersion
-// instead of decoding garbage.
-const ckptVersion = 1
+// instead of decoding garbage. Version 2 writes a non-zero page as its
+// non-zero span and carries main-pool GC copies once per device frame.
+const ckptVersion = 2
 
 // fileMagic opens every checkpoint file; endMagic closes a complete one.
 // A file without endMagic is a crash artifact by definition.
@@ -143,6 +144,12 @@ type dec struct {
 	b   []byte
 	off int
 	bad bool
+	// zero is the one all-zero page every zero-flagged page of the frame
+	// decodes to: the flag costs one input byte but claims PageSize, and a
+	// hostile frame could otherwise multiply a small payload into an
+	// arbitrarily large allocation. Safe to alias because NAND pages are
+	// write-once (nand.ExportState).
+	zero []byte
 }
 
 func (d *dec) take(n int) []byte {
@@ -197,7 +204,15 @@ func (d *dec) f64() float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(p))
 }
 
-func (d *dec) bool() bool { return d.u8() != 0 }
+// bool accepts only the two bytes the encoder writes: a decoded frame must
+// re-encode to itself, so a third spelling of true is a malformed frame.
+func (d *dec) bool() bool {
+	v := d.u8()
+	if v > 1 {
+		d.bad = true
+	}
+	return v == 1
+}
 
 // count reads a u32 length and sanity-caps it against the bytes left, so
 // a garbage length cannot drive a giant allocation.
@@ -260,16 +275,17 @@ func (d *dec) geometry() nand.Geometry {
 
 // geometrySane caps a decoded geometry against resource exhaustion: a
 // frame that passes its CRC can still carry a hostile or drifted
-// geometry, and the chip-state decode allocates PageSize bytes per
-// zero-marked page before done() gets a chance to reject the frame. The
-// caps sit far above any simulated chip, so a genuine state never trips
-// them.
+// geometry, and the chip-state decode allocates PageSize bytes per span
+// page (at least ten frame bytes each) before done() gets a chance to
+// reject the frame. The caps sit far above any simulated chip, so a
+// genuine state never trips them; PageSize's is also what lets a span's
+// offset and length-1 fit their u16 fields.
 func geometrySane(g nand.Geometry) bool {
 	return g.Dies > 0 && g.Dies <= 1<<10 &&
 		g.PlanesPerDie > 0 && g.PlanesPerDie <= 1<<10 &&
 		g.BlocksPerPlane > 0 && g.BlocksPerPlane <= 1<<20 &&
 		g.PagesPerBlock > 0 && g.PagesPerBlock <= 1<<16 &&
-		g.PageSize > 0 && g.PageSize <= 1<<20 &&
+		g.PageSize > 0 && g.PageSize <= 1<<16 &&
 		g.SpareSize >= 0 && g.SpareSize <= 1<<16
 }
 
@@ -297,16 +313,74 @@ func (d *dec) nandStats() nand.Stats {
 	return s
 }
 
-// isZeroPage reports an all-zero payload — the common case for this
-// repo's rewrite workloads, which write zero-filled buffers. Elided pages
-// cost one flag byte instead of PageSize.
-func isZeroPage(p []byte) bool {
-	for _, b := range p {
-		if b != 0 {
-			return false
+// nonZeroSpan returns the half-open range [lo, hi) from a page's first
+// non-zero byte to just past its last, scanning a word at a time from
+// each end; lo == hi means the page is all zeros. The rewrite workloads
+// write zero-filled buffers, so most data pages are all-zero and cost one
+// flag byte; what is left is file-system metadata, a few short runs in a
+// page of zeros, and the span is the part that carries information.
+func nonZeroSpan(p []byte) (lo, hi int) {
+	for lo+8 <= len(p) {
+		if w := binary.LittleEndian.Uint64(p[lo:]); w != 0 {
+			lo += bits.TrailingZeros64(w) / 8
+			break
 		}
+		lo += 8
 	}
-	return true
+	for lo < len(p) && p[lo] == 0 {
+		lo++
+	}
+	if lo == len(p) {
+		return lo, lo
+	}
+	hi = len(p)
+	for hi-8 >= lo {
+		if w := binary.LittleEndian.Uint64(p[hi-8:]); w != 0 {
+			hi -= bits.LeadingZeros64(w) / 8
+			break
+		}
+		hi -= 8
+	}
+	for p[hi-1] == 0 {
+		hi--
+	}
+	return lo, hi
+}
+
+// page writes one payload: flag 1 for an all-zero page, else flag 0 and
+// [u16 offset][u16 len-1][the bytes from first to last non-zero].
+func (e *enc) page(data []byte) {
+	lo, hi := nonZeroSpan(data)
+	if lo == hi {
+		e.bool(true)
+		return
+	}
+	e.bool(false)
+	e.u16(uint16(lo))
+	e.u16(uint16(hi - lo - 1))
+	e.raw(data[lo:hi])
+}
+
+// page reads one payload: the shared zero page, or a fresh PageSize slice
+// around the span. The span must be the canonical one — inside the page,
+// non-zero at both ends — because fork restamps cells by decode and
+// re-encode, and that must reproduce the bytes.
+func (d *dec) page(pageSize int) []byte {
+	if d.bool() {
+		if len(d.zero) != pageSize {
+			d.zero = make([]byte, pageSize)
+		}
+		return d.zero
+	}
+	lo := int(d.u16())
+	span := d.take(int(d.u16()) + 1)
+	if span == nil || lo+len(span) > pageSize || span[0] == 0 || span[len(span)-1] == 0 {
+		d.bad = true
+		return nil
+	}
+	p := make([]byte, pageSize)
+	copy(p[lo:], span)
+	return p
 }
 
 func (e *enc) chipState(st *nand.ChipState) {
@@ -332,27 +406,22 @@ func (e *enc) chipState(st *nand.ChipState) {
 				e.u16(m.Org)
 			}
 		}
-		// Page payloads in sorted page order: map iteration order must
-		// never leak into the bytes.
-		pages := make([]int, 0, len(b.Data))
-		for pg := range b.Data {
-			pages = append(pages, pg)
-		}
-		sort.Ints(pages)
-		e.u32(uint32(len(pages)))
-		for _, pg := range pages {
-			e.u32(uint32(pg))
-			data := b.Data[pg]
-			if isZeroPage(data) {
-				e.bool(true)
-			} else {
-				e.bool(false)
-				e.raw(data)
+		// Page payloads in page order: a block programs pages 0..NextPage
+		// in sequence, so walking that prefix visits every payload and map
+		// iteration order never reaches the bytes.
+		e.u32(uint32(len(b.Data)))
+		for pg := 0; pg < b.NextPage; pg++ {
+			if data, ok := b.Data[pg]; ok {
+				e.u32(uint32(pg))
+				e.page(data)
 			}
 		}
 	}
 }
 
+// chipState decodes a chip's state. Its page slices are the only copy the
+// resume path makes: ImportState shares them with the booted chip, which
+// never writes through them (NAND pages are write-once).
 func (d *dec) chipState() *nand.ChipState {
 	st := &nand.ChipState{Geometry: d.geometry(), Stats: d.nandStats()}
 	g := st.Geometry
@@ -365,12 +434,6 @@ func (d *dec) chipState() *nand.ChipState {
 		d.bad = true
 		return st
 	}
-	// All zero-marked pages share one all-zero slice: the zero-page flag
-	// costs one input byte but claims PageSize bytes, and a hostile frame
-	// could otherwise multiply a small payload into an arbitrarily large
-	// allocation. Safe to alias — the decoded state is read-only to every
-	// consumer (ImportState deep-copies it in, the encoder only reads it).
-	var zero []byte
 	st.Blocks = make([]nand.BlockState, nb)
 	for i := 0; i < nb && !d.bad; i++ {
 		b := &st.Blocks[i]
@@ -382,6 +445,10 @@ func (d *dec) chipState() *nand.ChipState {
 		b.FirstProg = time.Duration(d.i64())
 		b.LastErase = time.Duration(d.i64())
 		b.Reads = d.i64()
+		if b.NextPage < 0 || b.NextPage > g.PagesPerBlock {
+			d.bad = true
+			return st
+		}
 		if d.bool() {
 			nm := d.count(14)
 			if nm > g.PagesPerBlock {
@@ -396,27 +463,24 @@ func (d *dec) chipState() *nand.ChipState {
 			}
 		}
 		np := d.count(5)
-		if np > g.PagesPerBlock {
+		if np > b.NextPage {
 			d.bad = true
 			return st
 		}
 		if np > 0 {
 			b.Data = make(map[int][]byte, np)
 		}
+		// Strictly ascending page numbers inside the programmed prefix:
+		// the only order the encoder writes.
+		next := 0
 		for j := 0; j < np && !d.bad; j++ {
 			pg := int(d.u32())
-			if pg < 0 || pg >= g.PagesPerBlock {
+			if pg < next || pg >= b.NextPage {
 				d.bad = true
 				return st
 			}
-			if d.bool() {
-				if zero == nil {
-					zero = make([]byte, g.PageSize)
-				}
-				b.Data[pg] = zero
-			} else {
-				b.Data[pg] = append([]byte(nil), d.take(g.PageSize)...)
-			}
+			next = pg + 1
+			b.Data[pg] = d.page(g.PageSize)
 		}
 	}
 	return st
@@ -610,9 +674,12 @@ func (d *dec) footer() *epochFooter {
 	return ft
 }
 
+// ftlStats carries every ftl.Stats field but GCCopies, which the FTL never
+// fills in: the live counter sits next to the pool and travels as
+// deviceState.GCCopies.
 func (e *enc) ftlStats(s ftl.Stats) {
 	for _, v := range []int64{s.HostPagesWritten, s.HostPagesRead, s.HostBytesWritten,
-		s.GCCopies, s.DrainMigrations, s.CacheAbsorbed, s.CacheBypassed,
+		s.DrainMigrations, s.CacheAbsorbed, s.CacheBypassed,
 		s.LostPages, s.MergeEvents, s.ReadRetries, s.ProgramRetries, s.Recoveries} {
 		e.i64(v)
 	}
@@ -621,7 +688,7 @@ func (e *enc) ftlStats(s ftl.Stats) {
 func (d *dec) ftlStats() ftl.Stats {
 	var s ftl.Stats
 	for _, p := range []*int64{&s.HostPagesWritten, &s.HostPagesRead, &s.HostBytesWritten,
-		&s.GCCopies, &s.DrainMigrations, &s.CacheAbsorbed, &s.CacheBypassed,
+		&s.DrainMigrations, &s.CacheAbsorbed, &s.CacheBypassed,
 		&s.LostPages, &s.MergeEvents, &s.ReadRetries, &s.ProgramRetries, &s.Recoveries} {
 		*p = d.i64()
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"flashwear/internal/hostio"
+	"flashwear/internal/nand"
 )
 
 // realCell runs a tiny disk-backed campaign and returns the path of one
@@ -120,6 +121,10 @@ func TestCheckpointCorruptionTable(t *testing.T) {
 			binary.LittleEndian.PutUint32(b[len(fileMagic):], ckptVersion+1)
 			return b
 		}, ErrCheckpointVersion},
+		{"version 1 cell", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[len(fileMagic):], 1)
+			return b
+		}, ErrCheckpointVersion},
 		{"payload bit flip", func(b []byte) []byte { b[len(b)/2] ^= 0x01; return b }, ErrCheckpointCorrupt},
 		{"bad end marker", func(b []byte) []byte { b[len(b)-1] ^= 0xff; return b }, ErrCheckpointCorrupt},
 		{"trailing garbage", func(b []byte) []byte { return append(b, 0) }, ErrCheckpointCorrupt},
@@ -162,19 +167,146 @@ func TestCellIdentityCheck(t *testing.T) {
 	}
 }
 
-// TestZeroPageElision pins the encoding detail directly: an all-zero
-// page costs a flag byte, a non-zero page costs PageSize+flag, and both
-// round-trip.
-func TestZeroPageElision(t *testing.T) {
-	var e enc
-	zero := make([]byte, 64)
-	data := make([]byte, 64)
-	data[7] = 9
-	if !isZeroPage(zero) || isZeroPage(data) {
-		t.Fatal("isZeroPage misclassifies")
+// TestPageSpanCodec pins the page encoding byte for byte: an all-zero
+// page costs its flag, any other page costs flag + offset + length + the
+// bytes from its first to its last non-zero one, and every shape
+// round-trips. The decoder takes the canonical span only — a decoded cell
+// must re-encode to itself — so each other spelling is a corrupt frame.
+func TestPageSpanCodec(t *testing.T) {
+	const pageSize = 64
+	page := func(set ...int) []byte {
+		p := make([]byte, pageSize)
+		for _, i := range set {
+			p[i] = byte(i) | 0x80
+		}
+		return p
 	}
-	e.bool(isZeroPage(zero))
-	if len(e.b) != 1 {
-		t.Fatalf("zero page encoded %d bytes, want 1", len(e.b))
+	full := bytes.Repeat([]byte{0xA5}, pageSize)
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want int // encoded bytes
+	}{
+		{"all zero", page(), 1},
+		{"one byte at offset 0", page(0), 1 + 4 + 1},
+		{"one byte at the last offset", page(pageSize - 1), 1 + 4 + 1},
+		{"interior run with a hole", page(10, 11, 19), 1 + 4 + 10},
+		{"run across the word scan's seams", page(7, 8, 56), 1 + 4 + 50},
+		{"fully non-zero", full, 1 + 4 + pageSize},
+	} {
+		var e enc
+		e.page(tc.data)
+		if len(e.b) != tc.want {
+			t.Errorf("%s: encoded %d bytes, want %d", tc.name, len(e.b), tc.want)
+		}
+		d := dec{b: e.b}
+		got := d.page(pageSize)
+		if err := d.done(); err != nil {
+			t.Errorf("%s: decode: %v", tc.name, err)
+			continue
+		}
+		if !bytes.Equal(got, tc.data) {
+			t.Errorf("%s: round trip changed the page", tc.name)
+		}
+		var re enc
+		re.page(got)
+		if !bytes.Equal(re.b, e.b) {
+			t.Errorf("%s: re-encode differs", tc.name)
+		}
+	}
+
+	span := func(off, lenMinus1 uint16, body ...byte) []byte {
+		var e enc
+		e.bool(false)
+		e.u16(off)
+		e.u16(lenMinus1)
+		e.raw(body)
+		return e.b
+	}
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+	}{
+		{"leading zero in span", span(4, 2, 0, 7, 7)},
+		{"trailing zero in span", span(4, 2, 7, 7, 0)},
+		{"span runs past the page", span(pageSize-2, 2, 7, 7, 7)},
+		{"span longer than the frame", span(4, 9, 7, 7, 7)},
+		{"span header cut short", span(4, 0)[:3]},
+		{"flag neither 0 nor 1", []byte{2}},
+	} {
+		d := dec{b: tc.raw}
+		if p := d.page(pageSize); p != nil {
+			t.Errorf("%s: decoded a page", tc.name)
+		}
+		if err := d.done(); !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Errorf("%s: got %v, want ErrCheckpointCorrupt", tc.name, err)
+		}
+	}
+}
+
+// TestNonZeroSpanEveryEndpoint checks the word-wise scan against the
+// definition for every (first, last) pair in pages short enough to
+// enumerate, including lengths that are not a multiple of the word.
+func TestNonZeroSpanEveryEndpoint(t *testing.T) {
+	for n := 0; n <= 35; n++ {
+		p := make([]byte, n)
+		if lo, hi := nonZeroSpan(p); lo != hi {
+			t.Errorf("len %d, all zero: span [%d,%d)", n, lo, hi)
+		}
+		for first := 0; first < n; first++ {
+			for last := first; last < n; last++ {
+				p[first], p[last] = 1, 0x80
+				if lo, hi := nonZeroSpan(p); lo != first || hi != last+1 {
+					t.Errorf("len %d, non-zero at %d and %d: span [%d,%d)", n, first, last, lo, hi)
+				}
+				p[first], p[last] = 0, 0
+			}
+		}
+	}
+}
+
+// TestCellBytesPinned is the tier-1 guard on checkpoint volume: the exact
+// size of one cell of a fixed-seed campaign, and a floor on what span
+// encoding saves over writing every non-zero page whole. A codec or
+// file-system change that grows the cell fails here, not only in a traced
+// bench run (hostio.ckpt_kib_per_device_day).
+func TestCellBytesPinned(t *testing.T) {
+	const golden = 120747 // bytes in cell (shard 0, epoch 1) of realCell's campaign
+	path := realCell(t)
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := fi.Size()
+	if size != golden {
+		t.Errorf("cell is %d bytes, golden %d", size, golden)
+	}
+	r, err := openCell(hostio.OS{}, path)
+	if err != nil {
+		t.Fatalf("openCell: %v", err)
+	}
+	defer r.Close()
+	raw := size
+	_, err = r.scan(func(st *deviceState) error {
+		for _, chip := range []*nand.ChipState{st.Main, st.Cache} {
+			if chip == nil {
+				continue
+			}
+			for i := range chip.Blocks {
+				for _, data := range chip.Blocks[i].Data {
+					if lo, hi := nonZeroSpan(data); lo != hi {
+						raw += int64(len(data) - (4 + hi - lo))
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("scan: %v", err)
+	}
+	t.Logf("cell %d bytes, %d with raw pages", size, raw)
+	if size*3 > raw {
+		t.Errorf("cell is %d bytes, more than a third of the %d it costs with raw pages", size, raw)
 	}
 }

@@ -36,7 +36,8 @@ type deviceState struct {
 	// phase).
 	FSWrites int
 	// FTL cumulative counters. GCCopies rides separately because the FTL
-	// tracks it next to the pool, not in Stats.
+	// tracks it next to the pool, not in Stats; the codec carries this
+	// slot and skips the always-zero FTLStats.GCCopies.
 	FTLStats ftl.Stats
 	GCCopies int64
 	// Ledger is the cumulative unscaled wear-attribution snapshot across

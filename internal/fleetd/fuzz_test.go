@@ -4,9 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"flag"
+	"fmt"
 	"hash/crc32"
 	"io/fs"
 	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"flashwear/internal/hostio"
@@ -56,11 +61,17 @@ func (m fuzzFS) ReadFile(name string) ([]byte, error) {
 func (m fuzzFS) WriteFile(string, []byte, os.FileMode) error { return errors.New("fuzzFS: read-only") }
 func (m fuzzFS) Stat(string) (fs.FileInfo, error)            { return nil, errors.New("fuzzFS: read-only") }
 
+// seedSpan is how the seed cell's one span page reads inside its device
+// frame: flag 0, offset 3, length-1 2, three bytes.
+var seedSpan = []byte{0, 3, 0, 2, 0, 0xA5, 0xA5, 0xA5}
+
 // buildSeedCell assembles a small, fully valid checkpoint cell by hand:
 // file magic and version, a header frame, one device frame (two blocks,
-// one literal page, one zero page), and a footer frame with the end
-// marker. It decodes cleanly, so mutations of it explore the deep paths.
-func buildSeedCell() []byte {
+// one span page, one zero page), and a footer frame with the end marker.
+// It decodes cleanly, so mutations of it explore the deep paths. tamper,
+// when not nil, rewrites the device frame's payload before it is framed,
+// so the damage sits under a valid CRC.
+func buildSeedCell(tamper func([]byte) []byte) []byte {
 	var out []byte
 	out = append(out, fileMagic...)
 	out = binary.LittleEndian.AppendUint32(out, ckptVersion)
@@ -76,11 +87,13 @@ func buildSeedCell() []byte {
 	frame(frameHeader, e.b)
 
 	geo := nand.Geometry{Dies: 1, PlanesPerDie: 1, BlocksPerPlane: 2, PagesPerBlock: 4, PageSize: 16, SpareSize: 0}
-	page := bytes.Repeat([]byte{0xA5}, geo.PageSize)
+	page := make([]byte, geo.PageSize)
+	copy(page[3:], seedSpan[5:])
 	st := &deviceState{
 		Index:        1,
 		DaysDone:     3,
 		BytesWritten: 1 << 20,
+		GCCopies:     5,
 		Main: &nand.ChipState{
 			Geometry: geo,
 			Blocks: []nand.BlockState{
@@ -92,6 +105,9 @@ func buildSeedCell() []byte {
 	}
 	e = enc{}
 	e.deviceState(st)
+	if tamper != nil {
+		e.b = tamper(e.b)
+	}
 	frame(frameDevice, e.b)
 
 	days := 3
@@ -116,14 +132,155 @@ func buildSeedCell() []byte {
 	return out
 }
 
+// rewrite returns a tamper that replaces old, which must occur, with repl.
+func rewrite(old, repl []byte) func([]byte) []byte {
+	return func(payload []byte) []byte {
+		if !bytes.Contains(payload, old) {
+			panic("seed cell's device frame lacks the bytes to tamper with")
+		}
+		return bytes.Replace(payload, old, repl, 1)
+	}
+}
+
+// respan returns a tamper that rewrites the seed cell's span page.
+func respan(repl ...byte) func([]byte) []byte { return rewrite(seedSpan, repl) }
+
+// corpusSeed is one committed seed and what opening and scanning it
+// must report.
+type corpusSeed struct {
+	name string
+	data []byte
+	want error
+}
+
+// corpusSeeds is the committed corpus, testdata/fuzz/FuzzCellDecode/
+// seed-NN in this order: the valid cell, the spellings of a page list the
+// decoder must refuse under a valid CRC, and damage at the file layer.
+// Wrong-version cells are absent on purpose (FuzzCellDecode adds one
+// itself): TestFuzzCorpusCurrent treats any committed one as stale.
+func corpusSeeds() []corpusSeed {
+	seed := buildSeedCell(nil)
+	hdrEnd := len(fileMagic) + 4 + 5 + 9*8 + 4 // magic, version, header frame
+	flipped := bytes.Clone(seed)
+	flipped[hdrEnd+5+3] ^= 0xFF
+	lying := bytes.Clone(seed)
+	binary.LittleEndian.PutUint32(lying[hdrEnd+1:], 0xFFFFFFFF)
+	footerFirst := append(bytes.Clone(seed[:len(fileMagic)+4]), frameFooter, 1, 0, 0, 0, '0', 0, 0, 0, 0)
+	// Block 0's page list: two entries, page 0 the span and page 1 zero.
+	pages := append(append([]byte{2, 0, 0, 0, 0, 0, 0, 0}, seedSpan...), 1, 0, 0, 0, 1)
+	swapped := append([]byte{2, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0}, seedSpan...)
+	return []corpusSeed{
+		{"valid cell", seed, nil},
+		{"span starts on a zero", buildSeedCell(respan(0, 2, 0, 3, 0, 0, 0xA5, 0xA5, 0xA5)), ErrCheckpointCorrupt},
+		{"span ends on a zero", buildSeedCell(respan(0, 3, 0, 3, 0, 0xA5, 0xA5, 0xA5, 0)), ErrCheckpointCorrupt},
+		{"span runs past the page", buildSeedCell(respan(0, 14, 0, 2, 0, 0xA5, 0xA5, 0xA5)), ErrCheckpointCorrupt},
+		{"span longer than the frame", buildSeedCell(respan(0, 3, 0, 0xFF, 0xFF, 0xA5, 0xA5)), ErrCheckpointCorrupt},
+		{"page flag neither 0 nor 1", buildSeedCell(respan(2, 3, 0, 2, 0, 0xA5, 0xA5, 0xA5)), ErrCheckpointCorrupt},
+		{"pages out of order", buildSeedCell(rewrite(pages, swapped)), ErrCheckpointCorrupt},
+		{"device payload one byte short", buildSeedCell(func(p []byte) []byte { return p[:len(p)-1] }), ErrCheckpointCorrupt},
+		{"cut inside the device frame", seed[:hdrEnd+5+40], ErrCheckpointTruncated},
+		{"end marker missing", seed[:len(seed)-len(endMagic)], ErrCheckpointTruncated},
+		{"data past the end marker", append(bytes.Clone(seed), 0), ErrCheckpointCorrupt},
+		{"device payload flipped under its CRC", flipped, ErrCheckpointCorrupt},
+		{"device frame claims 4 GiB", lying, ErrCheckpointTruncated},
+		{"footer frame first", footerFirst, ErrCheckpointCorrupt},
+		{"magic and version only", seed[:len(fileMagic)+4], ErrCheckpointTruncated},
+		{"no magic", []byte("00000000"), ErrCheckpointCorrupt},
+	}
+}
+
+// TestCorpusSeedErrors runs every seed through the reader and requires
+// its designated sentinel: in particular a non-canonical page under a
+// valid CRC is corrupt, never decoded and never "truncated".
+func TestCorpusSeedErrors(t *testing.T) {
+	for _, cs := range corpusSeeds() {
+		r, err := openCell(fuzzFS{"cell.ckpt": cs.data}, "cell.ckpt")
+		if err == nil {
+			_, err = r.scan(func(*deviceState) error { return nil })
+			r.Close()
+		}
+		if !errors.Is(err, cs.want) { // errors.Is(err, nil) holds only for a nil err
+			t.Errorf("%s: got %v, want %v", cs.name, err, cs.want)
+		}
+	}
+}
+
+// corpusDir holds FuzzCellDecode's committed seeds, in the layout and
+// file format `go test -fuzz` reads and writes.
+var corpusDir = filepath.Join("testdata", "fuzz", "FuzzCellDecode")
+
+var updateCorpus = flag.Bool("update", false, "rewrite testdata/fuzz/FuzzCellDecode/seed-NN from corpusSeeds at the current codec version")
+
+// readCorpusFile decodes one single-[]byte corpus file.
+func readCorpusFile(path string) ([]byte, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	header, body, _ := strings.Cut(string(raw), "\n")
+	body = strings.TrimSpace(body)
+	if header != "go test fuzz v1" || !strings.HasPrefix(body, "[]byte(") || !strings.HasSuffix(body, ")") {
+		return nil, fmt.Errorf("%s: not a single-[]byte fuzz corpus file", path)
+	}
+	v, err := strconv.Unquote(body[len("[]byte(") : len(body)-1])
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return []byte(v), nil
+}
+
+// TestFuzzCorpusCurrent keeps the committed corpus on the codec's side of
+// the version check: a seed stamped with another version stops at
+// ErrCheckpointVersion and fuzzes nothing behind it. After a codec change,
+// `go test ./internal/fleetd -run TestFuzzCorpusCurrent -update` rewrites
+// seed-NN; crashers the fuzzer added under other names are only checked.
+func TestFuzzCorpusCurrent(t *testing.T) {
+	seeds := corpusSeeds()
+	if *updateCorpus {
+		for i, cs := range seeds {
+			text := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", cs.data)
+			if err := os.WriteFile(filepath.Join(corpusDir, fmt.Sprintf("seed-%02d", i)), []byte(text), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	entries, err := os.ReadDir(corpusDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := map[string][]byte{}
+	for _, ent := range entries {
+		b, err := readCorpusFile(filepath.Join(corpusDir, ent.Name()))
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		committed[ent.Name()] = b
+		if len(b) >= len(fileMagic)+4 && string(b[:len(fileMagic)]) == fileMagic {
+			if v := binary.LittleEndian.Uint32(b[len(fileMagic):]); v != ckptVersion {
+				t.Errorf("%s is a version %d cell, codec version is %d: rerun with -update", ent.Name(), v, ckptVersion)
+			}
+		}
+	}
+	for i, cs := range seeds {
+		name := fmt.Sprintf("seed-%02d", i)
+		if !bytes.Equal(committed[name], cs.data) {
+			t.Errorf("%s (%s) is not what the codec builds today: rerun with -update", name, cs.name)
+		}
+	}
+}
+
 // FuzzCellDecode drives the checkpoint reader with arbitrary bytes. The
 // contract under test: openCell/scan never panic and never allocate
 // proportionally to a lying length field, and every failure maps to
 // exactly the three-way error policy — ErrCheckpointTruncated,
 // ErrCheckpointCorrupt, or ErrCheckpointVersion — so the sweep's
 // cellUsable triage (recompute vs refuse) always has a defined answer.
+// And what does decode is canonical: every device frame scan accepts
+// re-encodes to its own payload bytes, which is what lets fork restamp a
+// cell by decode and re-encode.
 func FuzzCellDecode(f *testing.F) {
-	seed := buildSeedCell()
+	seed := buildSeedCell(nil)
 	f.Add(seed)
 	f.Add([]byte{})
 	f.Add([]byte(fileMagic))
@@ -170,6 +327,11 @@ func FuzzCellDecode(f *testing.F) {
 			devices++
 			if st == nil {
 				t.Fatal("scan delivered a nil device state without an error")
+			}
+			var re enc
+			re.deviceState(st)
+			if !bytes.Equal(re.b, r.buf.Bytes()) {
+				t.Fatal("a device frame decoded but does not re-encode to its payload")
 			}
 			return nil
 		})

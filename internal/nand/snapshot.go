@@ -2,6 +2,7 @@ package nand
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"time"
 )
@@ -21,7 +22,7 @@ type BlockState struct {
 	LastErase  time.Duration
 	Reads      int64
 	Meta       []OOB          // nil, or exactly NextPage entries
-	Data       map[int][]byte // page payloads, deep-copied
+	Data       map[int][]byte // page payloads: own map, slices shared with the chip, read-only
 }
 
 // ChipState is a chip's complete persistent state: per-block state plus
@@ -35,8 +36,14 @@ type ChipState struct {
 	Blocks   []BlockState
 }
 
-// ExportState captures the chip's persistent state. The copy is deep: the
-// caller may keep using the chip, and the snapshot never aliases it.
+// ExportState captures the chip's persistent state. The caller may keep
+// using the chip: counters, Meta and the per-block page maps are copies,
+// and the page payloads are shared rather than copied, which is safe
+// because a NAND page is write-once — ProgramPageOOB stores a private copy
+// that nothing writes again, ReadPage copies out, and EraseBlock drops the
+// block's map without touching the slices. The snapshot therefore never
+// changes under later programs and erases; its holder must not write
+// through Data either.
 func (c *Chip) ExportState() *ChipState {
 	st := &ChipState{
 		Geometry: c.geo,
@@ -58,12 +65,7 @@ func (c *Chip) ExportState() *ChipState {
 		if b.meta != nil {
 			bs.Meta = append([]OOB(nil), b.meta[:b.nextPage]...)
 		}
-		if b.data != nil {
-			bs.Data = make(map[int][]byte, len(b.data))
-			for pg, d := range b.data {
-				bs.Data[pg] = append([]byte(nil), d...)
-			}
-		}
+		bs.Data = maps.Clone(b.data)
 		st.Blocks[i] = bs
 	}
 	return st
@@ -72,8 +74,10 @@ func (c *Chip) ExportState() *ChipState {
 // ImportState replaces the chip's persistent state with st. The chip must
 // have been built with the same geometry (same profile, same scale); the
 // RNG is left untouched — callers that need deterministic post-import
-// behaviour should Reseed. The state is deep-copied in, so the caller may
-// reuse or discard st freely.
+// behaviour should Reseed. Counters, Meta and the page maps are copied in
+// and the page payloads shared (see ExportState), so the caller may import
+// st into any number of chips, or discard it, but must not write through
+// its Data.
 func (c *Chip) ImportState(st *ChipState) error {
 	if st.Geometry != c.geo {
 		return fmt.Errorf("nand: ImportState: geometry mismatch: chip %+v, state %+v", c.geo, st.Geometry)
@@ -118,13 +122,7 @@ func (c *Chip) ImportState(st *ChipState) error {
 			}
 			copy(b.meta, bs.Meta)
 		}
-		b.data = nil
-		if bs.Data != nil {
-			b.data = make(map[int][]byte, len(bs.Data))
-			for pg, d := range bs.Data {
-				b.data[pg] = append([]byte(nil), d...)
-			}
-		}
+		b.data = maps.Clone(bs.Data)
 	}
 	return nil
 }
