@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test benchtest fuzz race bench benchsnap faults torture wtrace fleetd-smoke fleetd-bigsmoke check
+.PHONY: all build vet lint test benchtest fuzz race bench faults torture wtrace fleetd-smoke fleetd-bigsmoke check
 
 all: build
 
@@ -90,18 +90,12 @@ torture:
 		|| { tail -40 torture-out/torture.log; exit 1; }
 	@tail -1 torture-out/torture.log
 
-# One pass over every benchmark (each regenerates a paper exhibit);
-# -benchtime=1x keeps it a smoke run. Drop the flag for real timings.
+# One pass over BenchmarkExhibit (every entry of experiments.Exhibits at
+# its pinned config, headlines as custom metrics) and
+# BenchmarkTelemetryOverhead; -benchtime=1x keeps it a smoke run. Speed is
+# measured by the benchmark in bench/ (BENCHMARK.json), not here.
 bench:
-	$(GO) test -bench=. -benchtime=1x -benchmem .
-
-# Benchmark-trajectory snapshot (DESIGN.md §14): fleet scaling devices/s,
-# runtrace recording overhead, and a live campaign's per-phase wall-time
-# split, written to BENCH_fleetd.json (committed) with raw artifacts in
-# benchsnap-out/. Deliberately NOT part of check: timings are machine-
-# dependent, so the committed file is refreshed by hand, not by CI.
-benchsnap:
-	./scripts/bench_snapshot.sh
+	$(GO) test -run=NONE -bench=. -benchtime=1x -benchmem .
 
 # End-to-end wear-attribution smoke (DESIGN.md §9): run the CLIs with
 # tracing on, then validate every artifact with wtracecheck — the ledger's
@@ -111,7 +105,7 @@ benchsnap:
 wtrace:
 	rm -rf wtrace-out && mkdir -p wtrace-out
 	$(GO) build -o wtrace-out/ ./cmd/flashsim ./cmd/fleetsim ./cmd/wtracecheck
-	./wtrace-out/flashsim -device "eMMC 8GB" -scale 2048 -gib 0.2 -fill 0.3 \
+	./wtrace-out/flashsim run -device "eMMC 8GB" -scale 2048 -gib 0.2 -fill 0.3 \
 		-wear-ledger wtrace-out/flashsim-ledger.csv -wear-trace wtrace-out/flashsim-trace.json >/dev/null
 	./wtrace-out/fleetsim -devices 12 -days 2 -scale 16384 -seed 7 -quiet -workers 1 \
 		-wear-trace wtrace-out/fleet-ledger-w1.csv >/dev/null

@@ -1,424 +1,39 @@
-// The benchmark harness regenerates every table and figure of the paper's
-// evaluation (one benchmark per exhibit) plus the ablation studies in
-// DESIGN.md §4. Each benchmark runs the corresponding experiment on
-// capacity-scaled devices and reports the headline quantities as custom
-// metrics, so
+// The benchmark harness regenerates every exhibit of the reproduction — the
+// paper's tables and figures, the ablations of DESIGN.md §4 and the
+// extensions — from the one table that lists them, experiments.Exhibits,
+// each at its pinned config, and reports the exhibit's headline quantities
+// as custom metrics, so
 //
-//	go test -bench=. -benchmem
+//	go test -bench=Exhibit -benchtime=1x
 //
-// prints the reproduction next to its timing. The shapes to check against
-// the paper are recorded in EXPERIMENTS.md.
+// prints the reproduction next to its timing. EXPERIMENTS.md pins the same
+// numbers (TestExperimentsHeadlines) and records them against the paper's.
 package flashwear_bench
 
 import (
-	"context"
-	"fmt"
-	"runtime"
-	"strings"
 	"testing"
 
-	"flashwear/internal/core"
-	"flashwear/internal/device"
 	"flashwear/internal/experiments"
-	"flashwear/internal/fleet"
 	"flashwear/internal/ftl"
 	"flashwear/internal/nand"
 	"flashwear/internal/telemetry"
 )
 
-// metric sanitises a label into a benchmark metric unit (no whitespace).
-func metric(label string) string {
-	return strings.ReplaceAll(label, " ", "_")
-}
-
-// benchCfg keeps benchmark iterations affordable: devices scaled to
-// minimum size, runs bounded to the first few indicator increments.
-func benchCfg(maxLevel int) experiments.Config {
-	return experiments.Config{Scale: 2048, MaxLevel: maxLevel}
-}
-
-// BenchmarkFigure1Sequential regenerates Figure 1a: sequential write
-// bandwidth vs request size for the five devices. Reported metrics are the
-// 4 KiB and plateau (16 MiB) bandwidths of the eMMC 16GB curve.
-func BenchmarkFigure1Sequential(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		points, err := experiments.Figure1(benchCfg(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range points {
-			if p.Device == "eMMC 16GB" && p.ReqBytes == 4096 {
-				b.ReportMetric(p.SeqMiBps, "eMMC16-4KiB-MiB/s")
-			}
-			if p.Device == "eMMC 16GB" && p.ReqBytes == 16<<20 {
-				b.ReportMetric(p.SeqMiBps, "eMMC16-16MiB-MiB/s")
-			}
-		}
-	}
-}
-
-// BenchmarkFigure1Random regenerates Figure 1b, reporting the uSD card's
-// random-write collapse (its 4 KiB random bandwidth) against its
-// sequential rate.
-func BenchmarkFigure1Random(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		points, err := experiments.Figure1(benchCfg(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range points {
-			if p.Device == "uSD 16GB" && p.ReqBytes == 4096 {
-				b.ReportMetric(p.RandMiBps, "uSD-4KiB-rand-MiB/s")
-				b.ReportMetric(p.SeqMiBps, "uSD-4KiB-seq-MiB/s")
-			}
-		}
-	}
-}
-
-// BenchmarkFigure2WearPerIncrement regenerates Figure 2: host GiB per
-// wear-indicator increment on the two external eMMC chips (paper: <=992
-// GiB for the 8GB chip, ~2210 GiB for the 16GB chip).
-func BenchmarkFigure2WearPerIncrement(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runs, err := experiments.Figure2(benchCfg(4))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range runs {
-			name := metric(fmt.Sprintf("%s-GiB/incr", r.Label))
-			b.ReportMetric(r.Report.MeanHostGiBPerIncrement(ftl.PoolB), name)
-		}
-	}
-}
-
-// BenchmarkFigure3TimePerIncrement regenerates Figure 3: hours per
-// indicator increment across the five configurations (paper range:
-// ~2.5-52 h).
-func BenchmarkFigure3TimePerIncrement(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runs, err := experiments.Figure3(benchCfg(3))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range runs {
-			incs := r.Report.IncrementsFor(ftl.PoolB)
-			if len(incs) > 0 {
-				b.ReportMetric(incs[len(incs)-1].Hours, metric(r.Label+"-h/incr"))
-			}
-		}
-	}
-}
-
-// BenchmarkFigure4FilesystemWear regenerates Figure 4: host GiB per
-// increment on Moto E with ext4 vs F2FS (paper: F2FS needs ~half the host
-// volume because its node writes double the I/O reaching flash).
-func BenchmarkFigure4FilesystemWear(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runs, err := experiments.Figure4(benchCfg(3))
-		if err != nil {
-			b.Fatal(err)
-		}
-		var ext4, f2 float64
-		for _, r := range runs {
-			m := r.Report.MeanHostGiBPerIncrement(ftl.PoolB)
-			b.ReportMetric(m, metric(r.Label+"-GiB/incr"))
-			if r.Label == "Moto E 8GB F2FS" {
-				f2 = m
-			} else {
-				ext4 = m
-			}
-		}
-		if ext4 > 0 {
-			b.ReportMetric(f2/ext4, "F2FS/ext4-ratio")
-		}
-	}
-}
-
-// BenchmarkTable1HybridWear regenerates Table 1: the hybrid eMMC 16GB's
-// Type A and Type B indicators across the workload phases. Reported: the
-// steady Type B volume, Type A's first (pre-merge) increment, and Type A's
-// post-merge increment (paper: ~2210, ~11936, ~439 GiB).
-func BenchmarkTable1HybridWear(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.Table1(experiments.Config{Scale: 2048, MaxLevel: 10})
-		if err != nil {
-			b.Fatal(err)
-		}
-		bIncs := rep.IncrementsFor(ftl.PoolB)
-		aIncs := rep.IncrementsFor(ftl.PoolA)
-		if len(bIncs) > 1 {
-			b.ReportMetric(bIncs[1].HostGiB, "TypeB-GiB/incr")
-		}
-		if len(aIncs) > 0 {
-			b.ReportMetric(aIncs[0].HostGiB, "TypeA-first-GiB")
-		}
-		if len(aIncs) > 1 {
-			b.ReportMetric(aIncs[len(aIncs)-1].HostGiB, "TypeA-merged-GiB")
-		}
-	}
-}
-
-// BenchmarkEnvelopeVsMeasured regenerates the §2.3 vs §4.3 comparison: the
-// factor by which the back-of-the-envelope estimate overstates endurance
-// (paper: "roughly three times").
-func BenchmarkEnvelopeVsMeasured(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runs, err := experiments.Figure2(benchCfg(3))
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows := experiments.EnvelopeComparison(runs, map[string]int64{
-			"eMMC 8GB": 8 << 30, "eMMC 16GB": 16 << 30,
-		})
-		for _, r := range rows {
-			b.ReportMetric(r.ShortfallFactor, metric(r.Device+"-shortfall-x"))
-		}
-	}
-}
-
-// BenchmarkDetectionEvasion regenerates §4.4's Detection experiment:
-// continuous vs stealth attacks on a Moto E. Reported: the stealth run's
-// wall-clock slowdown factor and what the monitors saw.
-func BenchmarkDetectionEvasion(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runs, err := experiments.Detection(experiments.Config{Scale: 4096})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var cont, stealth core.AttackReport
-		for _, r := range runs {
-			if r.Mode == core.Continuous {
-				cont = r.Report
-			} else {
-				stealth = r.Report
-			}
-		}
-		if cont.Hours > 0 {
-			b.ReportMetric(stealth.Hours/cont.Hours, "stealth-slowdown-x")
-		}
-		b.ReportMetric(stealth.PowerJoulesAttributed, "stealth-joules-seen")
-		b.ReportMetric(float64(stealth.ProcessObservedCount), "stealth-sightings")
-	}
-}
-
-// BenchmarkBudgetPhoneBricking regenerates the BLU observation: budget
-// phones without reliable indicators still brick within two weeks.
-func BenchmarkBudgetPhoneBricking(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runs, err := experiments.BudgetPhones(experiments.Config{Scale: 2048})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range runs {
-			b.ReportMetric(r.Days, metric(r.Label+"-days-to-brick"))
-		}
-	}
-}
-
-// BenchmarkMitigationPolicies evaluates the §4.5 defences: projected
-// lifetime under each policy and the collateral damage to a benign burst.
-func BenchmarkMitigationPolicies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Mitigation(experiments.Config{Scale: 4096})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.ProjectedLifeDays, metric(string(r.Policy)+"-life-days"))
-			b.ReportMetric(r.BenignBurstSeconds, metric(string(r.Policy)+"-burst-s"))
-		}
-	}
-}
-
-// --- Ablations (DESIGN.md §4) ---
-
-func BenchmarkAblationGCPolicy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationGCPolicy(benchCfg(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.WA, metric(r.Variant+"-WA"))
-		}
-	}
-}
-
-func BenchmarkAblationWearLeveling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationWearLeveling(benchCfg(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(float64(r.EraseSpread), metric(r.Variant+"-spread"))
-		}
-	}
-}
-
-func BenchmarkAblationOverProvisioning(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationOverProvisioning(benchCfg(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.WA, metric(r.Variant+"-WA"))
-		}
-	}
-}
-
-func BenchmarkAblationPoolMerge(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationPoolMerge(benchCfg(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.Extra, metric(r.Variant+"-TypeA-life-pct"))
-		}
-	}
-}
-
-func BenchmarkAblationSLCCache(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationSLCCache(benchCfg(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.Extra, metric(r.Variant+"-TypeA-life-pct"))
-		}
-	}
-}
-
-func BenchmarkAblationECCStrength(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationECCStrength(benchCfg(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.Extra, metric(r.Variant+"-GiB-endured"))
-		}
-	}
-}
-
-// BenchmarkTechnologyTrend is the §1 extension: the eMMC 8GB rebuilt with
-// TLC cells wears out in a fraction of the MLC volume ("technology trends
-// ... will exacerbate this problem").
-func BenchmarkTechnologyTrend(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		mlc, err := experiments.Figure2(benchCfg(3))
-		if err != nil {
-			b.Fatal(err)
-		}
-		tlc, err := experiments.TLCTrend(benchCfg(3))
-		if err != nil {
-			b.Fatal(err)
-		}
-		var mlcGiB float64
-		for _, r := range mlc {
-			if r.Label == "eMMC 8GB" {
-				mlcGiB = r.Report.MeanHostGiBPerIncrement(ftl.PoolB)
-			}
-		}
-		tlcGiB := tlc.Report.MeanHostGiBPerIncrement(ftl.PoolB)
-		b.ReportMetric(mlcGiB, "MLC-GiB/incr")
-		b.ReportMetric(tlcGiB, "TLC-GiB/incr")
-		if tlcGiB > 0 {
-			b.ReportMetric(mlcGiB/tlcGiB, "MLC/TLC-endurance-x")
-		}
-	}
-}
-
-// BenchmarkExtensionHealing runs the §2.2 self-healing extension: the same
-// bursty, idle-heavy workload on a normal chip vs one that detraps while
-// idle. Healing lowers the physical wear the workload leaves behind.
-func BenchmarkExtensionHealing(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Healing(benchCfg(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.PhysicalWearPct, metric(r.Variant+"-wear-pct"))
-		}
-	}
-}
-
-// BenchmarkClassifierEval runs the §4.5 classifier against a realistic app
-// population (camera, chat, updater, the Spotify cache bug, the attack):
-// the two harmful writers score high, the benign ones low.
-func BenchmarkClassifierEval(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.ClassifierEval(benchCfg(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.Score, metric(r.App+"-score"))
-		}
-	}
-}
-
-// BenchmarkFleetScaling runs the same small fleet at 1, 2, and
-// GOMAXPROCS(0) workers, reporting devices/sec. Scaling is near-linear on
-// multi-core hosts because devices share no state; the aggregates are
-// byte-identical at every width (the fleet package's tests assert it).
-// Endurance is derated so the bricking devices stay affordable.
-func BenchmarkFleetScaling(b *testing.B) {
-	prof := device.ProfileBLU4()
-	prof.RatedPE = 150
-	spec := fleet.Spec{
-		Devices:  32,
-		Seed:     42,
-		Days:     10,
-		Scale:    8192,
-		Profiles: []fleet.ProfileWeight{{Profile: prof, Weight: 1}},
-		Classes: []fleet.ClassWeight{
-			{Class: fleet.ClassBenign, Weight: 0.9},
-			{Class: fleet.ClassBuggy, Weight: 0.05},
-			{Class: fleet.ClassAttack, Weight: 0.05},
-		},
-	}
-	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		spec.Workers = workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+func BenchmarkExhibit(b *testing.B) {
+	for _, ex := range experiments.Exhibits {
+		b.Run(ex.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := fleet.Run(context.Background(), spec)
+				res, err := ex.Run(ex.Config)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if res.Total.Devices != int64(spec.Devices) {
-					b.Fatalf("simulated %d devices, want %d", res.Total.Devices, spec.Devices)
+				for _, h := range res.Headlines {
+					b.ReportMetric(h.Value, h.Name)
 				}
 			}
-			b.ReportMetric(float64(spec.Devices)*float64(b.N)/b.Elapsed().Seconds(), "devices/s")
 		})
 	}
 }
-
-// BenchmarkBenignBaseline quantifies the contrast behind the paper's title:
-// a normal app population leaves the device with decades of life, while the
-// same phone under the attack dies within months.
-func BenchmarkBenignBaseline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.BenignBaseline(benchCfg(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			name := "normal-use"
-			if r.LifePctPerYear > 1 {
-				name = "with-attack"
-			}
-			b.ReportMetric(r.YearsToEOL, name+"-years-to-EOL")
-		}
-	}
-}
-
-// --- Telemetry ---
 
 // BenchmarkTelemetryOverhead measures the cost instrumentation adds to the
 // FTL's host write path. The bare and instrumented sub-benchmarks run an

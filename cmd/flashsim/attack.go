@@ -1,15 +1,6 @@
-// Command brickphone runs §4.4's attack end to end: an unprivileged app on
-// a simulated phone rewrites four 100 MB files in its private storage until
-// the flash is destroyed, optionally in stealth mode (I/O only while
-// charging with the screen off, evading the power and process monitors).
-//
-// Usage:
-//
-//	brickphone [-phone "Moto E 8GB"] [-fs ext4|f2fs] [-stealth] [-scale N]
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"time"
@@ -21,32 +12,34 @@ import (
 	"flashwear/internal/simclock"
 )
 
-func main() {
-	phoneName := flag.String("phone", "Moto E 8GB", "device profile to attack")
-	fsKind := flag.String("fs", "ext4", "file system: ext4 or f2fs")
-	stealth := flag.Bool("stealth", false, "run only while charging with the screen off")
-	scale := flag.Int64("scale", 256, "device capacity divisor")
-	flag.Parse()
+// attack runs §4.4's attack end to end: an unprivileged app on a simulated
+// phone rewrites four 100 MB files in its private storage until the flash
+// is destroyed, optionally in stealth mode (I/O only while charging with
+// the screen off, evading the power and process monitors).
+func attack(args []string) {
+	var o options
+	fs := newFlagSet("attack", &o, 256, "device capacity divisor")
+	phoneName := fs.String("phone", "Moto E 8GB", "device profile to attack")
+	fsKind := fs.String("fs", "ext4", "file system: ext4 or f2fs")
+	stealth := fs.Bool("stealth", false, "run only while charging with the screen off")
+	parse(fs, args)
 
 	prof, err := device.ProfileByName(*phoneName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "brickphone:", err)
-		os.Exit(1)
+		fail(exitUsage, err)
 	}
-	eff := prof.EffectiveScale(*scale)
+	eff := prof.EffectiveScale(o.scale)
 	clock := simclock.New()
 	phone, err := android.NewPhone(android.Config{
-		Profile: prof.Scaled(*scale),
+		Profile: prof.Scaled(o.scale),
 		FS:      android.FSKind(*fsKind),
 	}, clock)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "brickphone:", err)
-		os.Exit(1)
+		fail(exitError, err)
 	}
 	app, err := phone.InstallApp("com.innocuous.wallpaper")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "brickphone:", err)
-		os.Exit(1)
+		fail(exitError, err)
 	}
 	clock.AdvanceTo(10 * time.Hour) // mid-morning install
 
@@ -54,14 +47,10 @@ func main() {
 	if *stealth {
 		mode = core.Stealth
 	}
-	fmt.Fprintf(os.Stderr, "attacking %s (%s, %v mode, scale %d)...\n",
-		prof.Name, *fsKind, mode, eff)
-
-	atk := core.NewAttack(app, mode, eff)
-	rep, err := atk.Run(phone, 10*365*24*time.Hour)
+	fmt.Fprintf(os.Stderr, "attacking %s (%s, %v mode, scale %d)...\n", prof.Name, *fsKind, mode, eff)
+	rep, err := core.NewAttack(app, mode, eff).Run(phone, 10*365*24*time.Hour)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "brickphone:", err)
-		os.Exit(1)
+		fail(exitError, err)
 	}
 
 	fmt.Printf("Attack report for %s (%s, %v):\n", prof.Name, *fsKind, rep.Mode)
@@ -82,5 +71,4 @@ func main() {
 			inc.HostGiB, inc.Hours)
 	}
 	tbl.Render(os.Stdout)
-
 }

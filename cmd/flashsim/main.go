@@ -1,22 +1,21 @@
-// Command flashsim inspects the simulated devices: it lists the calibrated
-// profiles, or runs an arbitrary write pattern against one and reports
-// throughput, write amplification, and wear — a small fio-plus-smartctl for
-// the simulation stack.
+// Command flashsim is the single-device front end of the simulation stack:
 //
-// Usage:
+//	flashsim list                             the calibrated device profiles
+//	flashsim run -device "eMMC 16GB" [...]    a write pattern against one device — a small fio-plus-smartctl
+//	flashsim exhibit list                     the paper's exhibits (experiments.Exhibits)
+//	flashsim exhibit fig2 [-scale N] [...]    regenerate one, at its pinned config unless told otherwise
+//	flashsim attack [-phone "Moto E 8GB"]     §4.4's attack app end to end
 //
-//	flashsim -list
-//	flashsim -device "eMMC 16GB" [-scale N] [-req 4096] [-seq] [-gib 8] [-fill 0.5]
-//	flashsim -device "eMMC 16GB" -fault-plan "seed=7,read=1e-4,cut-every=100000"
-//
-// Exit codes: 0 on success, 1 on runtime error, 2 on usage error, 3 when
-// the device hard-bricked, 4 when it retired into read-only EOL mode.
+// Each subcommand lists its flags with -h. Exit codes: 0 on success, 1 on
+// runtime error, 2 on usage error; run also exits 3 when the device
+// hard-bricked and 4 when it retired into read-only EOL mode.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -44,67 +43,122 @@ const (
 	exitReadOnly = 4
 )
 
-// stopCPU, when non-nil, finishes the -pprof-cpu profile; fail routes
-// through it because os.Exit skips defers.
-var stopCPU func() error
+// options holds the flags more than one subcommand takes.
+type options struct {
+	scale        int64
+	metricsCSV   string
+	metricsEvery time.Duration
+	wearLedger   string
+	wearTrace    string
+}
 
-// fail prints err and exits with code.
-func fail(code int, err error) {
-	if stopCPU != nil {
-		stopCPU()
+// startProfiles and stopProfiles honour -pprof-cpu/-pprof-heap once a
+// subcommand's flag set exists.
+var startProfiles, stopProfiles = func() error { return nil }, func() error { return nil }
+
+// newFlagSet starts a subcommand's flag set with what every subcommand
+// takes: -scale and the profiling pair.
+func newFlagSet(cmd string, o *options, scale int64, scaleUsage string) *flag.FlagSet {
+	fs := flag.NewFlagSet("flashsim "+cmd, flag.ExitOnError)
+	fs.Int64Var(&o.scale, "scale", scale, scaleUsage)
+	startProfiles, stopProfiles = profiling.Flags(fs)
+	return fs
+}
+
+// observeFlags registers the telemetry and wear-attribution outputs that
+// run and exhibit share; every is -metrics-every's default.
+func observeFlags(fs *flag.FlagSet, o *options, every time.Duration) {
+	fs.StringVar(&o.metricsCSV, "metrics-csv", "", "sample telemetry and write the series here (\"-\" = stdout; run: .json for JSON; exhibit: long form, one row per run, sample and metric)")
+	fs.DurationVar(&o.metricsEvery, "metrics-every", every, "simulated sampling cadence for -metrics-csv (exhibit: at full device scale)")
+	fs.StringVar(&o.wearLedger, "wear-ledger", "", "write the per-origin wear ledger here (\"-\" = stdout; run: .json for JSON; exhibit: one labeled CSV block per run)")
+	fs.StringVar(&o.wearTrace, "wear-trace", "", "write a Chrome trace-event JSON here (chrome://tracing, Perfetto; exhibit: one process per run)")
+}
+
+// parse parses a subcommand's flags — it takes no positional arguments —
+// and starts profiling.
+func parse(fs *flag.FlagSet, args []string) {
+	fs.Parse(args) // ExitOnError: prints usage and exits 2
+	if fs.NArg() > 0 {
+		fail(exitUsage, fmt.Errorf("%s: unexpected argument %q", fs.Name(), fs.Arg(0)))
 	}
-	fmt.Fprintln(os.Stderr, "flashsim:", err)
+	if err := startProfiles(); err != nil {
+		fail(exitError, err)
+	}
+}
+
+// exit ends the process by way of the profiling stop, which os.Exit would
+// skip as a defer.
+func exit(code int) {
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, "flashsim:", err)
+		if code == exitOK {
+			code = exitError
+		}
+	}
 	os.Exit(code)
 }
 
+// fail prints err and exits with code.
+func fail(code int, err error) {
+	fmt.Fprintln(os.Stderr, "flashsim:", err)
+	exit(code)
+}
+
 func main() {
-	list := flag.Bool("list", false, "list the calibrated device profiles")
-	name := flag.String("device", "eMMC 8GB", "device profile to simulate")
-	scale := flag.Int64("scale", 256, "device capacity divisor")
-	req := flag.Int64("req", 4096, "request size in bytes")
-	seq := flag.Bool("seq", false, "sequential instead of random writes")
-	gib := flag.Float64("gib", 4, "host GiB to write (at simulation scale)")
-	fill := flag.Float64("fill", 0, "pre-fill this fraction of the device with static data")
-	record := flag.String("record", "", "record the I/O trace to this file")
-	replay := flag.String("replay", "", "replay a recorded trace instead of generating a pattern")
-	metricsCSV := flag.String("metrics-csv", "", "sample telemetry and write the series here (\"-\" = stdout, .json for JSON)")
-	metricsEvery := flag.Duration("metrics-every", 10*time.Second, "simulated sampling cadence for -metrics-csv")
-	faultPlan := flag.String("fault-plan", "", "deterministic fault plan, e.g. \"seed=7,read=1e-4,program=1e-5,cut-every=100000\"")
-	powerCut := flag.Float64("power-cut", 0, "cut power once after this fraction of -gib, then power-cycle and continue")
-	wearTrace := flag.String("wear-trace", "", "write a Chrome trace-event JSON of the run here (chrome://tracing, Perfetto)")
-	wearLedger := flag.String("wear-ledger", "", "write the per-origin wear ledger here (\"-\" = stdout, .json for JSON)")
-	pprofCPU := flag.String("pprof-cpu", "", "write a CPU profile of the simulator to this file")
-	pprofHeap := flag.String("pprof-heap", "", "write a heap profile to this file at exit")
-	flag.Parse()
-
-	if *pprofCPU != "" {
-		stop, err := profiling.StartCPU(*pprofCPU)
-		if err != nil {
-			fail(exitError, err)
-		}
-		stopCPU = stop
+	if len(os.Args) < 2 {
+		fail(exitUsage, errors.New("usage: flashsim list | run | exhibit | attack [flags] (-h lists a subcommand's flags)"))
 	}
-
-	if *list {
-		tbl := report.NewTable("Calibrated device profiles (§4.1)",
-			"Name", "Kind", "Capacity", "Cell", "Rated P/E", "Parallelism", "Hybrid")
-		for _, p := range device.AllProfiles() {
-			hybrid := "-"
-			if p.Hybrid != nil {
-				hybrid = report.HumanBytes(p.Hybrid.CacheBytes) + " SLC"
-			}
-			tbl.AddRow(p.Name, p.Kind.String(), report.HumanBytes(p.CapacityBytes),
-				p.Cell.String(), p.RatedPE, p.Parallelism, hybrid)
-		}
-		tbl.Render(os.Stdout)
-		return
+	switch cmd, args := os.Args[1], os.Args[2:]; cmd {
+	case "list":
+		listProfiles()
+	case "run":
+		runDevice(args)
+	case "exhibit":
+		exhibit(args)
+	case "attack":
+		attack(args)
+	default:
+		fail(exitUsage, fmt.Errorf("unknown subcommand %q (want list, run, exhibit or attack)", cmd))
 	}
+	exit(exitOK)
+}
+
+func listProfiles() {
+	tbl := report.NewTable("Calibrated device profiles (§4.1)",
+		"Name", "Kind", "Capacity", "Cell", "Rated P/E", "Parallelism", "Hybrid")
+	for _, p := range device.AllProfiles() {
+		hybrid := "-"
+		if p.Hybrid != nil {
+			hybrid = report.HumanBytes(p.Hybrid.CacheBytes) + " SLC"
+		}
+		tbl.AddRow(p.Name, p.Kind.String(), report.HumanBytes(p.CapacityBytes),
+			p.Cell.String(), p.RatedPE, p.Parallelism, hybrid)
+	}
+	tbl.Render(os.Stdout)
+}
+
+// runDevice drives a write pattern (or a recorded trace) against one
+// device and reports throughput, write amplification and wear.
+func runDevice(args []string) {
+	var o options
+	fs := newFlagSet("run", &o, 256, "device capacity divisor")
+	name := fs.String("device", "eMMC 8GB", "device profile to simulate")
+	req := fs.Int64("req", 4096, "request size in bytes")
+	seq := fs.Bool("seq", false, "sequential instead of random writes")
+	gib := fs.Float64("gib", 4, "host GiB to write (at simulation scale)")
+	fill := fs.Float64("fill", 0, "pre-fill this fraction of the device with static data")
+	record := fs.String("record", "", "record the I/O trace to this file")
+	replay := fs.String("replay", "", "replay a recorded trace instead of generating a pattern")
+	faultPlan := fs.String("fault-plan", "", "deterministic fault plan, e.g. \"seed=7,read=1e-4,program=1e-5,cut-every=100000\"")
+	powerCut := fs.Float64("power-cut", 0, "cut power once after this fraction of -gib, then power-cycle and continue")
+	observeFlags(fs, &o, 10*time.Second)
+	parse(fs, args)
 
 	prof, err := device.ProfileByName(*name)
 	if err != nil {
 		fail(exitUsage, err)
 	}
-	scaled := prof.Scaled(*scale)
+	scaled := prof.Scaled(o.scale)
 	if *faultPlan != "" {
 		plan, err := faultinject.ParsePlan(*faultPlan)
 		if err != nil {
@@ -124,9 +178,9 @@ func main() {
 	// origin "os", the write pattern as "workload", and the ledger accounts
 	// every NAND program and erase between them.
 	var tr *wtrace.Tracer
-	if *wearTrace != "" || *wearLedger != "" {
+	if o.wearTrace != "" || o.wearLedger != "" {
 		tr = wtrace.New()
-		if *wearTrace != "" {
+		if o.wearTrace != "" {
 			tr.EnableEvents(0)
 		}
 		dev.EnableWearTrace(tr)
@@ -135,7 +189,7 @@ func main() {
 	// and pull counters agree; the sampler runs on the simulated clock, so
 	// the series is a pure function of the flags.
 	var reg *telemetry.Registry
-	if *metricsCSV != "" {
+	if o.metricsCSV != "" {
 		reg = telemetry.NewRegistry()
 		dev.Instrument(reg)
 	}
@@ -160,7 +214,7 @@ func main() {
 		if recorder != nil {
 			recorder.Instrument(reg)
 		}
-		sampler = telemetry.NewSampler(reg, clock, *metricsEvery)
+		sampler = telemetry.NewSampler(reg, clock, o.metricsEvery)
 	}
 
 	start := clock.Now()
@@ -222,7 +276,8 @@ func main() {
 	if sampler != nil {
 		sampler.Stop()
 		sampler.Final()
-		if err := writeSeries(*metricsCSV, sampler.Series()); err != nil {
+		s := sampler.Series()
+		if err := report.WriteTo(o.metricsCSV, bySuffix(o.metricsCSV, s.WriteCSV, s.WriteJSON)); err != nil {
 			fail(exitError, fmt.Errorf("metrics: %w", err))
 		}
 	}
@@ -242,7 +297,7 @@ func main() {
 	}
 
 	f := dev.FTL()
-	fmt.Printf("Device: %s (scaled /%d: %s exported)\n", prof.Name, *scale, report.HumanBytes(dev.Size()))
+	fmt.Printf("Device: %s (scaled /%d: %s exported)\n", prof.Name, o.scale, report.HumanBytes(dev.Size()))
 	fmt.Printf("Pattern: %s, %s requests\n",
 		map[bool]string{true: "sequential", false: "random"}[*seq], report.SizeLabel(*req))
 	fmt.Printf("Wrote %s in %.2f simulated s -> %.2f MiB/s\n",
@@ -266,13 +321,13 @@ func main() {
 	}
 	if tr != nil {
 		snap := tr.Ledger().Snapshot()
-		if *wearLedger != "" {
-			if err := writeLedger(*wearLedger, snap); err != nil {
+		if o.wearLedger != "" {
+			if err := report.WriteTo(o.wearLedger, bySuffix(o.wearLedger, snap.WriteCSV, snap.WriteJSON)); err != nil {
 				fail(exitError, fmt.Errorf("wear ledger: %w", err))
 			}
 		}
-		if *wearTrace != "" {
-			if err := writeTo(*wearTrace, func(w *os.File) error {
+		if o.wearTrace != "" {
+			if err := report.WriteTo(o.wearTrace, func(w io.Writer) error {
 				return wtrace.WriteChrome(w, tr.Process(prof.Name))
 			}); err != nil {
 				fail(exitError, fmt.Errorf("wear trace: %w", err))
@@ -284,70 +339,21 @@ func main() {
 				top, report.HumanBytes(t.PhysBytes), report.HumanBytes(t.HostBytes), len(snap.Rows))
 		}
 	}
-	if stopCPU != nil {
-		if err := stopCPU(); err != nil {
-			fmt.Fprintln(os.Stderr, "flashsim:", err)
-		}
-		stopCPU = nil
-	}
-	if *pprofHeap != "" {
-		if err := profiling.WriteHeap(*pprofHeap); err != nil {
-			fail(exitError, err)
-		}
-	}
 	switch {
 	case dev.Bricked():
 		fmt.Println("DEVICE BRICKED")
-		os.Exit(exitBricked)
+		exit(exitBricked)
 	case dev.ReadOnly():
 		fmt.Println("DEVICE READ-ONLY (graceful EOL: data preserved, writes refused)")
-		os.Exit(exitReadOnly)
+		exit(exitReadOnly)
 	}
 }
 
-// writeTo writes via fn to the file at path, or stdout for "-".
-func writeTo(path string, fn func(*os.File) error) error {
-	if path == "-" {
-		return fn(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeLedger writes the wear ledger to path — JSON when the path ends in
-// .json, the TOTAL-checked CSV otherwise; "-" means CSV on stdout.
-func writeLedger(path string, snap wtrace.Snapshot) error {
-	render := snap.WriteCSV
+// bySuffix picks the JSON renderer for a path ending in .json, the CSV one
+// otherwise.
+func bySuffix(path string, csv, json func(io.Writer) error) func(io.Writer) error {
 	if strings.HasSuffix(path, ".json") {
-		render = snap.WriteJSON
+		return json
 	}
-	return writeTo(path, func(f *os.File) error { return render(f) })
-}
-
-// writeSeries writes the sampled series to path — JSON when the path ends
-// in .json, CSV otherwise; "-" means CSV on stdout.
-func writeSeries(path string, s *telemetry.Series) error {
-	render := s.WriteCSV
-	if strings.HasSuffix(path, ".json") {
-		render = s.WriteJSON
-	}
-	if path == "-" {
-		return s.WriteCSV(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := render(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return csv
 }

@@ -35,7 +35,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -46,6 +45,7 @@ import (
 	"flashwear/internal/hostio"
 	"flashwear/internal/obs"
 	"flashwear/internal/profiling"
+	"flashwear/internal/report"
 )
 
 func main() {
@@ -164,28 +164,17 @@ func serve(args []string) error {
 	faultPlan := fs.String("host-fault-plan", "", "inject host I/O faults, hostio.ParsePlan grammar (fault drills; e.g. \"class=checkpoint,fault=enospc,from=3,until=6\")")
 	retries := fs.Int("checkpoint-retries", 3, "checkpoint write attempts before a campaign degrades to checkpointing-paused")
 	tracePath := fs.String("trace", "", "record runtrace spans for the server's lifetime and write a Chrome trace-event file here on shutdown")
-	pprofCPU := fs.String("pprof-cpu", "", "write a CPU profile of the server's lifetime to this file")
-	pprofHeap := fs.String("pprof-heap", "", "write a heap profile to this file at shutdown")
+	startProfiles, stopProfiles := profiling.Flags(fs.FlagSet) // the server's lifetime; heap at shutdown
 	fs.parse(args)
 
-	if *pprofCPU != "" {
-		stop, err := profiling.StartCPU(*pprofCPU)
-		if err != nil {
-			return err
+	if err := startProfiles(); err != nil {
+		return err
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, "fleetd:", err)
 		}
-		defer func() {
-			if err := stop(); err != nil {
-				fmt.Fprintln(os.Stderr, "fleetd:", err)
-			}
-		}()
-	}
-	if *pprofHeap != "" {
-		defer func() {
-			if err := profiling.WriteHeap(*pprofHeap); err != nil {
-				fmt.Fprintln(os.Stderr, "fleetd:", err)
-			}
-		}()
-	}
+	}()
 
 	var hfs hostio.FS = hostio.OS{}
 	if *faultPlan != "" {
@@ -216,7 +205,7 @@ func serve(args []string) error {
 		mgr.Trace().StartRecording()
 		defer func() {
 			mgr.Trace().StopRecording()
-			if err := writeFileWith(*tracePath, mgr.Trace().WriteChrome); err != nil {
+			if err := report.WriteTo(*tracePath, mgr.Trace().WriteChrome); err != nil {
 				fmt.Fprintln(os.Stderr, "fleetd: -trace:", err)
 			} else {
 				fmt.Fprintf(os.Stderr, "fleetd: wrote execution trace to %s (%d spans)\n",
@@ -575,19 +564,6 @@ func trace(args []string) error {
 	default:
 		return fmt.Errorf("trace: unknown action %q (want start, stop, status or fetch)", action)
 	}
-}
-
-// writeFileWith streams fn's output into path.
-func writeFileWith(path string, fn func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // campaignCmd runs a client action that takes only -addr and a campaign

@@ -50,13 +50,12 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress progress output on stderr")
 	wearTrace := flag.String("wear-trace", "", "write the merged per-origin wear ledger to this path (\"-\" = stdout, .json for JSON); byte-identical across -workers")
 	progress := flag.Duration("progress", 0, "print a done/bricked/read-only line to stderr at this wall-clock interval")
-	pprofCPU := flag.String("pprof-cpu", "", "write a CPU profile of the run to this file")
-	pprofHeap := flag.String("pprof-heap", "", "write a heap profile to this file at exit")
 	checkpointDir := flag.String("checkpoint", "", "run through the fleetd engine, checkpointing shards into this directory (survives kill -9; resume with -resume)")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint cadence in simulated days for -checkpoint (0 = only at the end)")
 	shards := flag.Int("shards", 0, "shard count for -checkpoint mode (scheduling only, never visible in results)")
 	resumeDir := flag.String("resume", "", "resume the campaign checkpointed in this directory (its spec comes from campaign.json; population flags are ignored)")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event file of the campaign's wall-clock execution (requires -checkpoint/-resume mode)")
+	startProfiles, stopProfiles := profiling.Flags(flag.CommandLine)
 	flag.Parse()
 
 	usage := func(msg string) {
@@ -96,12 +95,9 @@ func main() {
 		usage(err.Error())
 	}
 
-	stopCPU := func() error { return nil }
-	if *pprofCPU != "" {
-		if stopCPU, err = profiling.StartCPU(*pprofCPU); err != nil {
-			fmt.Fprintln(os.Stderr, "fleetsim:", err)
-			os.Exit(1)
-		}
+	if err := startProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, "fleetsim:", err)
+		os.Exit(1)
 	}
 	failed := false
 	if service {
@@ -113,11 +109,8 @@ func main() {
 		}
 		failed, err = batchRun(spec, *quiet, *progress, *csvPath, *metricsCSV, *wearTrace)
 	}
-	if cerr := stopCPU(); err == nil {
-		err = cerr
-	}
-	if err == nil && *pprofHeap != "" {
-		err = profiling.WriteHeap(*pprofHeap)
+	if perr := stopProfiles(); err == nil {
+		err = perr
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fleetsim:", err)
@@ -185,7 +178,7 @@ func batchRun(spec fleet.Spec, quiet bool, progress time.Duration, csvPath, metr
 	}
 	render(os.Stdout, res)
 	if csvPath != "" {
-		err = writeTo(csvPath, func(w io.Writer) error {
+		err = report.WriteTo(csvPath, func(w io.Writer) error {
 			res.TimeToBrick.RenderCSV(w, "days_to_brick")
 			res.DeathGiB.RenderCSV(w, "gib_at_death")
 			res.SurvivorWear.RenderCSV(w, "survivor_wear_level")
@@ -194,7 +187,7 @@ func batchRun(spec fleet.Spec, quiet bool, progress time.Duration, csvPath, metr
 		})
 	}
 	if err == nil && metricsCSV != "" {
-		err = writeTo(metricsCSV, res.WriteMetricsCSV)
+		err = report.WriteTo(metricsCSV, res.WriteMetricsCSV)
 	}
 	if err == nil && wearTrace != "" {
 		err = writeLedger(wearTrace, *res.Wear)
@@ -217,28 +210,12 @@ func sumProgress(reg *telemetry.Registry) (done, bricked, readOnly int64) {
 	return done, bricked, readOnly
 }
 
-// writeTo writes via fn to path, or stdout for "-".
-func writeTo(path string, fn func(io.Writer) error) error {
-	if path == "-" {
-		return fn(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // writeLedger writes a wear ledger as CSV, or as JSON to a .json path.
 func writeLedger(path string, ledger wtrace.Snapshot) error {
 	if strings.HasSuffix(path, ".json") {
-		return writeTo(path, ledger.WriteJSON)
+		return report.WriteTo(path, ledger.WriteJSON)
 	}
-	return writeTo(path, ledger.WriteCSV)
+	return report.WriteTo(path, ledger.WriteCSV)
 }
 
 func render(w io.Writer, res *fleet.Result) {

@@ -51,7 +51,7 @@ func serviceRun(checkpointDir, resumeDir string, spec fleetd.CampaignSpec, metri
 	}
 	if tracePath != "" {
 		mgr.Trace().StopRecording()
-		if err := writeTo(tracePath, mgr.Trace().WriteChrome); err != nil {
+		if err := report.WriteTo(tracePath, mgr.Trace().WriteChrome); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "fleetsim: wrote execution trace to %s (%d spans); the campaign results above are unaffected by tracing\n",
@@ -59,7 +59,7 @@ func serviceRun(checkpointDir, resumeDir string, spec fleetd.CampaignSpec, metri
 	}
 	renderCampaign(os.Stdout, c)
 	if metricsCSV != "" {
-		if err := writeTo(metricsCSV, c.Series().WriteCSV); err != nil {
+		if err := report.WriteTo(metricsCSV, c.Series().WriteCSV); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,6 @@
 // Command wtracecheck validates wear-attribution artifacts: a ledger CSV
-// (flashsim -wear-ledger, fleetsim -wear-trace, or a weartest labeled
-// ledger) and/or a Chrome trace-event JSON (flashsim/weartest
+// (flashsim run -wear-ledger, fleetsim -wear-trace, or a flashsim exhibit
+// labeled ledger) and/or a Chrome trace-event JSON (flashsim run/exhibit
 // -wear-trace). It is the teeth of the `make wtrace` smoke target: the
 // checks are exactly the ledger's advertised invariants —
 //
@@ -59,7 +59,7 @@ func main() {
 	}
 }
 
-// ledger column indices relative to the "origin" column. A weartest
+// ledger column indices relative to the "origin" column. A flashsim exhibit
 // labeled ledger has a leading "label" column; the offset is detected from
 // the header.
 var intCols = []string{"host_pages", "host_bytes", "host_programs", "gc_programs",

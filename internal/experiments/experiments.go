@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§4) on the simulation stack. Each experiment is a pure
-// function of a Config so the CLI tools and the benchmark harness share one
-// implementation; see DESIGN.md for the experiment index.
+// function of a Config; Exhibits lists them all, with the config each one's
+// published numbers come from, and is what `flashsim exhibit`, the
+// benchmark loop and the EXPERIMENTS.md check iterate.
 //
 // Results are reported at full device scale: experiments run on profiles
 // whose capacity is divided by Config.Scale and multiply volumes and times
@@ -40,16 +41,26 @@ type Config struct {
 	// divides by the effective scale, like every reported time).
 	MetricsEvery time.Duration
 	// MetricsSink receives each run's sampled series; series times are at
-	// device scale, so full-scale hours are row.At.Hours() * eff.
-	MetricsSink func(label string, eff int64, series *telemetry.Series)
+	// device scale, so full-scale hours are row.At.Hours() * eff. An error
+	// from a sink fails the experiment.
+	MetricsSink func(label string, eff int64, series *telemetry.Series) error
 	// WearSink, when non-nil, attaches a wtrace tracer to each wear run's
 	// device (at birth, before mkfs) and hands it over when the run ends.
 	// Setup runs as origin "os", the attack workload as "workload"; ledger
 	// counts are device-scale — multiply by eff for full scale.
-	WearSink func(label string, eff int64, tr *wtrace.Tracer)
+	WearSink func(label string, eff int64, tr *wtrace.Tracer) error
 	// WearEvents, when positive, also buffers up to this many Chrome trace
 	// events on the tracer handed to WearSink.
 	WearEvents int
+}
+
+// String names the two knobs that decide an exhibit's numbers, the way
+// EXPERIMENTS.md states a config.
+func (c Config) String() string {
+	if c.MaxLevel <= 0 {
+		return fmt.Sprintf("scale %d", c.Scale)
+	}
+	return fmt.Sprintf("scale %d, maxlevel %d", c.Scale, c.MaxLevel)
 }
 
 // Defaults fills zero fields: scale 256, run to level 11.
@@ -175,13 +186,18 @@ func runFileWear(prof device.Profile, kind android.FSKind, cfg Config) (core.Run
 	if err := runner.RunPhase(set.Step, 0, runner.UntilLevel(ftl.PoolB, cfg.MaxLevel)); err != nil {
 		return core.RunReport{}, fmt.Errorf("%s/%s: %w", prof.Name, kind, err)
 	}
+	label := fmt.Sprintf("%s/%s", prof.Name, kind)
 	if sampler != nil {
 		sampler.Stop()
 		sampler.Final()
-		cfg.MetricsSink(fmt.Sprintf("%s/%s", prof.Name, kind), eff, sampler.Series())
+		if err := cfg.MetricsSink(label, eff, sampler.Series()); err != nil {
+			return core.RunReport{}, fmt.Errorf("%s: metrics sink: %w", label, err)
+		}
 	}
 	if tr != nil {
-		cfg.WearSink(fmt.Sprintf("%s/%s", prof.Name, kind), eff, tr)
+		if err := cfg.WearSink(label, eff, tr); err != nil {
+			return core.RunReport{}, fmt.Errorf("%s: wear sink: %w", label, err)
+		}
 	}
 	return runner.Report(), nil
 }

@@ -51,10 +51,8 @@ func TestFigure1Shape(t *testing.T) {
 	if byDev["Samsung S6 32GB"][15].SeqMiBps <= byDev["eMMC 8GB"][15].SeqMiBps {
 		t.Error("UFS plateau should exceed eMMC 8GB")
 	}
-	// Series conversion keeps device count and point count.
-	series := Figure1Series(points, true)
-	if len(series) != 5 || len(series[0].X) != 16 {
-		t.Fatalf("series = %d x %d", len(series), len(series[0].X))
+	if len(byDev) != 5 {
+		t.Fatalf("%d devices, want 5", len(byDev))
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"flashwear/internal/device"
-	"flashwear/internal/report"
 	"flashwear/internal/workload"
 )
 
@@ -61,28 +60,4 @@ func Figure1(cfg Config) ([]Figure1Point, error) {
 		}
 	}
 	return out, nil
-}
-
-// Figure1Series converts points into per-device curves for one pattern.
-func Figure1Series(points []Figure1Point, sequential bool) []*report.Series {
-	byDev := map[string]*report.Series{}
-	var order []string
-	for _, p := range points {
-		s, ok := byDev[p.Device]
-		if !ok {
-			s = &report.Series{Name: p.Device, XLabel: "req_bytes", YLabel: "MiB/s"}
-			byDev[p.Device] = s
-			order = append(order, p.Device)
-		}
-		y := p.SeqMiBps
-		if !sequential {
-			y = p.RandMiBps
-		}
-		s.Add(float64(p.ReqBytes), y)
-	}
-	out := make([]*report.Series, 0, len(order))
-	for _, name := range order {
-		out = append(out, byDev[name])
-	}
-	return out
 }

@@ -299,35 +299,3 @@ func TestTraceHTTPEndpoints(t *testing.T) {
 		t.Error("pprof index does not list the goroutine profile")
 	}
 }
-
-// BenchmarkRuntraceOverhead measures the campaign cell loop with span
-// recording off (production default: totals + histograms only) and on
-// (full span capture), the numbers behind the <2% overhead budget in
-// BENCH_fleetd.json. Compare with: go test -bench RuntraceOverhead.
-func BenchmarkRuntraceOverhead(b *testing.B) {
-	spec := tinySpec()
-	spec.Days = 3
-	spec.CheckpointEvery = 0
-	run := func(b *testing.B, record bool) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m, err := NewManager("")
-			if err != nil {
-				b.Fatal(err)
-			}
-			if record {
-				m.Trace().StartRecording()
-			}
-			c, err := m.Submit(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := c.Wait(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(spec.Devices*spec.Days)*float64(b.N)/b.Elapsed().Seconds(), "devicedays/s")
-	}
-	b.Run("recording-off", func(b *testing.B) { run(b, false) })
-	b.Run("recording-on", func(b *testing.B) { run(b, true) })
-}

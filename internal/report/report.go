@@ -4,10 +4,29 @@
 package report
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 )
+
+// WriteTo creates the file at path, streams fn's output into it and closes
+// it, reporting the first error; "-" means stdout.
+func WriteTo(path string, fn func(io.Writer) error) error {
+	if path == "-" {
+		return fn(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := fn(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
 
 // Table is a simple column-aligned table.
 type Table struct {
@@ -76,66 +95,15 @@ func (t *Table) Render(w io.Writer) {
 	}
 }
 
-// Series is a named sequence of (x, y) points — one curve of a figure.
-type Series struct {
-	Name   string
-	X      []float64
-	Y      []float64
-	XLabel string
-	YLabel string
-}
-
-// Add appends a point.
-func (s *Series) Add(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// RenderCSV writes one or more series as CSV with a shared x column. All
-// series must have identical x values; mismatches render as separate
-// blocks.
-func RenderCSV(w io.Writer, series ...*Series) {
-	if len(series) == 0 {
-		return
-	}
-	aligned := true
-	for _, s := range series[1:] {
-		if len(s.X) != len(series[0].X) {
-			aligned = false
-			break
-		}
-		for i := range s.X {
-			if s.X[i] != series[0].X[i] {
-				aligned = false
-				break
-			}
+// RenderCSV writes the table as CSV: the title as a comment line, then the
+// header row and the data rows.
+func (t *Table) RenderCSV(w io.Writer) error {
+	if t.Title != "" {
+		if _, err := fmt.Fprintf(w, "# %s\n", t.Title); err != nil {
+			return err
 		}
 	}
-	if aligned {
-		xl := series[0].XLabel
-		if xl == "" {
-			xl = "x"
-		}
-		fmt.Fprintf(w, "%s", xl)
-		for _, s := range series {
-			fmt.Fprintf(w, ",%s", s.Name)
-		}
-		fmt.Fprintln(w)
-		for i := range series[0].X {
-			fmt.Fprintf(w, "%g", series[0].X[i])
-			for _, s := range series {
-				fmt.Fprintf(w, ",%.3f", s.Y[i])
-			}
-			fmt.Fprintln(w)
-		}
-		return
-	}
-	for _, s := range series {
-		fmt.Fprintf(w, "# %s\n", s.Name)
-		for i := range s.X {
-			fmt.Fprintf(w, "%g,%.3f\n", s.X[i], s.Y[i])
-		}
-	}
+	return csv.NewWriter(w).WriteAll(append([][]string{t.Headers}, t.rows...))
 }
 
 // BarChart renders labelled values as horizontal ASCII bars, scaled to the

@@ -40,37 +40,16 @@ func TestTableRendersIntsAndStrings(t *testing.T) {
 	}
 }
 
-func TestSeriesCSVAligned(t *testing.T) {
-	a := &Series{Name: "seq", XLabel: "size"}
-	b := &Series{Name: "rand"}
-	for i := 1; i <= 3; i++ {
-		a.Add(float64(i), float64(i*10))
-		b.Add(float64(i), float64(i))
-	}
+func TestTableRenderCSV(t *testing.T) {
+	tbl := NewTable("Figure 1", "Device", "MiB/s")
+	tbl.AddRow("eMMC, 8GB", 19.5)
 	var sb strings.Builder
-	RenderCSV(&sb, a, b)
-	out := sb.String()
-	if !strings.HasPrefix(out, "size,seq,rand\n") {
-		t.Fatalf("header wrong: %q", out)
+	if err := tbl.RenderCSV(&sb); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(out, "2,20.000,2.000") {
-		t.Fatalf("row wrong:\n%s", out)
+	if want := "# Figure 1\nDevice,MiB/s\n\"eMMC, 8GB\",19.50\n"; sb.String() != want {
+		t.Fatalf("got %q, want %q", sb.String(), want)
 	}
-}
-
-func TestSeriesCSVMisaligned(t *testing.T) {
-	a := &Series{Name: "a"}
-	a.Add(1, 1)
-	b := &Series{Name: "b"}
-	b.Add(1, 1)
-	b.Add(2, 2)
-	var sb strings.Builder
-	RenderCSV(&sb, a, b)
-	out := sb.String()
-	if !strings.Contains(out, "# a") || !strings.Contains(out, "# b") {
-		t.Fatalf("misaligned series not rendered as blocks:\n%s", out)
-	}
-	RenderCSV(&sb) // no series: no panic
 }
 
 func TestHumanBytes(t *testing.T) {

@@ -37,7 +37,7 @@ const (
 // them: in the Chrome trace each device becomes a process, each activity
 // class a named thread.
 type ProcessTrace struct {
-	// Name labels the process in the viewer ("flashsim", "weartest run=A").
+	// Name labels the process in the viewer ("eMMC 8GB", "Moto E 8GB/f2fs").
 	Name string
 	// Pid is the trace process id; WriteChrome assigns 1..n when zero.
 	Pid int
