@@ -52,16 +52,14 @@ type options struct {
 	wearTrace    string
 }
 
-// startProfiles and stopProfiles honour -pprof-cpu/-pprof-heap once a
-// subcommand's flag set exists.
-var startProfiles, stopProfiles = func() error { return nil }, func() error { return nil }
+// stopProfiles finishes -pprof-cpu/-pprof-heap once parse has started them.
+var stopProfiles = func() error { return nil }
 
-// newFlagSet starts a subcommand's flag set with what every subcommand
-// takes: -scale and the profiling pair.
+// newFlagSet starts a subcommand's flag set with -scale, which every
+// subcommand takes; parse adds the profiling pair.
 func newFlagSet(cmd string, o *options, scale int64, scaleUsage string) *flag.FlagSet {
 	fs := flag.NewFlagSet("flashsim "+cmd, flag.ExitOnError)
 	fs.Int64Var(&o.scale, "scale", scale, scaleUsage)
-	startProfiles, stopProfiles = profiling.Flags(fs)
 	return fs
 }
 
@@ -77,13 +75,15 @@ func observeFlags(fs *flag.FlagSet, o *options, every time.Duration) {
 // parse parses a subcommand's flags — it takes no positional arguments —
 // and starts profiling.
 func parse(fs *flag.FlagSet, args []string) {
+	start, stop := profiling.Flags(fs)
 	fs.Parse(args) // ExitOnError: prints usage and exits 2
 	if fs.NArg() > 0 {
 		fail(exitUsage, fmt.Errorf("%s: unexpected argument %q", fs.Name(), fs.Arg(0)))
 	}
-	if err := startProfiles(); err != nil {
+	if err := start(); err != nil {
 		fail(exitError, err)
 	}
+	stopProfiles = stop
 }
 
 // exit ends the process by way of the profiling stop, which os.Exit would
