@@ -144,6 +144,12 @@ func TestFleetMetricsDeterminism(t *testing.T) {
 	}
 
 	res, csv := run(1)
+	// The absolute reference the cross-worker comparison cannot give: a
+	// change to how the series is sampled or rendered fails here.
+	const golden = "418c59bb8f17d9e8c3b09e085c48f221b57c528589e0bfe9614535341c89696e"
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(csv))); got != golden {
+		t.Errorf("metrics CSV hash = %s, want %s:\n%s", got, golden, csv)
+	}
 	lines := strings.Split(strings.TrimSuffix(csv, "\n"), "\n")
 	if len(lines) != 1+4 {
 		t.Fatalf("CSV has %d lines, want header + 4 rows:\n%s", len(lines), csv)

@@ -238,3 +238,45 @@ func TestPhaseStrings(t *testing.T) {
 		t.Errorf("out-of-range phase = %q", Phase(200).String())
 	}
 }
+
+// TestWriteChromeGolden pins WriteChrome's bytes over fixed spans — two
+// shards with two phases each, one campaign-level span and a dropped
+// count — so the encoder can move without the trace format moving with it.
+func TestWriteChromeGolden(t *testing.T) {
+	tr := New(0, nil)
+	us := time.Microsecond
+	tr.spans = []Span{
+		{Phase: PhaseSimulate, Shard: 0, Epoch: 1, Device: 7, Start: 10 * us, Dur: 200 * us},
+		{Phase: PhaseCheckpointEncode, Shard: 0, Epoch: 1, Device: -1, Start: 210 * us, Dur: 30 * us},
+		{Phase: PhaseSimulate, Shard: 1, Epoch: 1, Device: 9, Start: 12 * us, Dur: 180 * us},
+		{Phase: PhaseCheckpointEncode, Shard: 1, Epoch: 1, Device: -1, Start: 192 * us, Dur: 25 * us},
+		{Phase: PhaseAggregate, Shard: -1, Epoch: 1, Device: -1, Start: 240 * us, Dur: 5 * us},
+	}
+	tr.dropped = 2
+	var buf bytes.Buffer
+	if err := tr.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	threads := func(pid string) string {
+		var b strings.Builder
+		for p := Phase(0); p < NumPhases; p++ {
+			b.WriteString(`{"name":"thread_name","ph":"M","pid":` + pid + `,"tid":` +
+				string(rune('1'+p)) + `,"args":{"name":"` + p.String() + `"}},`)
+		}
+		return b.String()
+	}
+	golden := `{"displayTimeUnit":"ms","traceEvents":[` +
+		`{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"campaign"}},` + threads("1") +
+		`{"name":"process_name","ph":"M","pid":2,"tid":0,"args":{"name":"shard 0"}},` + threads("2") +
+		`{"name":"process_name","ph":"M","pid":3,"tid":0,"args":{"name":"shard 1"}},` + threads("3") +
+		`{"name":"simulate","ph":"X","pid":2,"tid":1,"ts":10,"dur":200,"args":{"epoch":1,"device":7}},` +
+		`{"name":"checkpoint_encode","ph":"X","pid":2,"tid":2,"ts":210,"dur":30,"args":{"epoch":1}},` +
+		`{"name":"simulate","ph":"X","pid":3,"tid":1,"ts":12,"dur":180,"args":{"epoch":1,"device":9}},` +
+		`{"name":"checkpoint_encode","ph":"X","pid":3,"tid":2,"ts":192,"dur":25,"args":{"epoch":1}},` +
+		`{"name":"aggregate","ph":"X","pid":1,"tid":5,"ts":240,"dur":5,"args":{"epoch":1}},` +
+		`{"name":"spans dropped: 2","ph":"i","s":"g","pid":1,"tid":0,"ts":0,"args":{}}` +
+		"]}\n"
+	if got := buf.String(); got != golden {
+		t.Errorf("WriteChrome =\n%s\nwant\n%s", got, golden)
+	}
+}

@@ -434,3 +434,37 @@ func TestConcurrentLedger(t *testing.T) {
 		t.Errorf("total erases = %d, want %d", tot, workers*(perW/100))
 	}
 }
+
+// TestWriteChromeGolden pins WriteChrome's bytes over one small fixed
+// input — a host write, a gc relocation, an erase and a dropped count — so
+// the encoder can move without the trace format moving with it.
+func TestWriteChromeGolden(t *testing.T) {
+	tr := New()
+	tr.Now = func() time.Duration { return 42 * time.Microsecond }
+	tr.EnableEvents(3)
+	cam := tr.Origin("camera")
+	tr.SetOrigin(cam)
+	tr.EventHostWrite(4096, 8192, time.Millisecond, 10*time.Microsecond)
+	tr.EventRelocate(CauseGC, 3, 12)
+	tr.EraseBlockAttrib(5, []Origin{cam, cam})
+	tr.EventRelocate(CauseWL, 4, 7) // past the cap: dropped
+	var buf bytes.Buffer
+	if err := WriteChrome(&buf, tr.Process("dev0")); err != nil {
+		t.Fatal(err)
+	}
+	const golden = `{"displayTimeUnit":"ms","traceEvents":[` +
+		`{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"dev0"}},` +
+		`{"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"ftl:gc"}},` +
+		`{"name":"thread_name","ph":"M","pid":1,"tid":3,"args":{"name":"ftl:wl"}},` +
+		`{"name":"thread_name","ph":"M","pid":1,"tid":5,"args":{"name":"nand:erase"}},` +
+		`{"name":"thread_name","ph":"M","pid":1,"tid":100,"args":{"name":"host:os"}},` +
+		`{"name":"thread_name","ph":"M","pid":1,"tid":101,"args":{"name":"host:camera"}},` +
+		`{"name":"write","ph":"X","pid":1,"tid":101,"ts":1000,"dur":10,"args":{"origin":"camera","off":4096,"bytes":8192}},` +
+		`{"name":"gc.relocate","ph":"i","pid":1,"tid":2,"ts":42,"s":"t","args":{"origin":"os","block":3,"pages":12}},` +
+		`{"name":"erase","ph":"i","pid":1,"tid":5,"ts":42,"s":"t","args":{"origin":"camera","block":5,"pages":2}},` +
+		`{"name":"events dropped: 1","ph":"i","s":"g","pid":1,"tid":0,"ts":0,"args":{}}` +
+		"]}\n"
+	if got := buf.String(); got != golden {
+		t.Errorf("WriteChrome =\n%s\nwant\n%s", got, golden)
+	}
+}
