@@ -13,13 +13,13 @@ vet:
 # The project's own analyzers (DESIGN.md §10, §15): the five syntactic
 # invariants (wall-clock time, global math/rand, unsorted map emission,
 # float accumulation in merge paths, discarded NAND/FTL errors), the
-# cross-package simtaint data-flow analysis, and the fleetd lock-
-# discipline check. Builds cmd/flashvet and runs the suite over the whole
+# cross-package simtaint data-flow analysis, and the fleetd blocking-
+# under-a-held-lock check (copied locks are `make vet`'s copylocks).
+# Builds cmd/flashvet and runs the suite over the whole
 # module; exits non-zero on any finding or unused ignore directive. The
 # waiver audit then re-lists every ignore directive and ops-domain opt-out
 # and diffs it against the committed baseline, so a new waiver is a
-# reviewed diff of lint_waivers.txt, never a silent addition. The same
-# binary also works as `go vet -vettool=$$(pwd)/bin/flashvet ./...`.
+# reviewed diff of lint_waivers.txt, never a silent addition.
 lint:
 	@mkdir -p bin
 	$(GO) build -o bin/flashvet ./cmd/flashvet
@@ -54,14 +54,14 @@ fuzz:
 # A short -race pass over the concurrent subsystems: the fleet
 # determinism tests run the same 64-device population at 4 workers and at
 # 1 and require byte-identical aggregates — including the merged wear
-# ledger (DESIGN.md §6, §9) — plus the telemetry registry and wtrace
-# ledger under concurrent registration/emission; and the NAND snapshot's
-# shared page payloads, with two chips running from one state.
+# ledger (DESIGN.md §6, §9; per-device tracers share nothing) — plus
+# the telemetry registry under concurrent registration/emission; and the
+# NAND snapshot's shared page payloads, with two chips running from one
+# state.
 race:
 	$(GO) test -race -count=1 -run TestSnapshotSharesWriteOncePages ./internal/nand/
 	$(GO) test -race -count=1 -run TestFleet ./internal/fleet/
-	$(GO) test -race -count=1 -run 'TestRegistryConcurrent|TestWtraceCollector' ./internal/telemetry/
-	$(GO) test -race -count=1 -run TestConcurrentLedger ./internal/wtrace/
+	$(GO) test -race -count=1 -run TestRegistryConcurrent ./internal/telemetry/
 	$(GO) test -race -count=1 -run TestConcurrentSpans ./internal/runtrace/
 	$(GO) test -race -count=1 -run 'TestCampaignInMemory|TestServerAPI|TestResumeAfterTruncatedCell' ./internal/fleetd/
 

@@ -139,7 +139,7 @@ func (s *sinks) series(label string, eff int64, ser *telemetry.Series) error {
 // full scale) and keeps its Chrome process for the combined trace file.
 func (s *sinks) wear(label string, eff int64, tr *wtrace.Tracer) error {
 	if s.ledger != nil {
-		snap := tr.Ledger().Snapshot()
+		snap := tr.Snapshot()
 		snap.Scale(eff)
 		if err := snap.WriteLabeledCSV(s.ledger, label, !s.ledgerHeader); err != nil {
 			return err

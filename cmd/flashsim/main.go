@@ -320,7 +320,7 @@ func runDevice(args []string) {
 		fmt.Printf("Power-loss recoveries: %d (every acknowledged write survived or the run would have failed)\n", recoveries)
 	}
 	if tr != nil {
-		snap := tr.Ledger().Snapshot()
+		snap := tr.Snapshot()
 		if o.wearLedger != "" {
 			if err := report.WriteTo(o.wearLedger, bySuffix(o.wearLedger, snap.WriteCSV, snap.WriteJSON)); err != nil {
 				fail(exitError, fmt.Errorf("wear ledger: %w", err))

@@ -1,13 +1,13 @@
 // Command flashvet statically enforces the simulator's determinism and
 // safety invariants: no wall-clock time, no global or constant-seeded
 // RNGs, no map-iteration order in output, integer-only fleet merges, no
-// discarded storage-mutation errors. Run it standalone over package
-// patterns, or as a `go vet -vettool` backend. See DESIGN.md §10.
+// discarded storage-mutation errors. Run it over package patterns. See
+// DESIGN.md §10.
 //
 // Usage:
 //
 //	flashvet ./...
-//	go vet -vettool=$(pwd)/bin/flashvet ./...
+//	flashvet -waivers ./...
 //
 // Exit status: 0 clean, 1 internal/usage error, 2 findings.
 package main

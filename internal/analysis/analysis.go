@@ -9,9 +9,8 @@
 //
 // The analyzers themselves live under internal/analysis/passes; the suite
 // is assembled in internal/analysis/flashvet and exposed as the
-// cmd/flashvet binary, which runs standalone (`flashvet ./...`) or as a
-// `go vet -vettool` backend. See DESIGN.md §10 for the invariants each
-// analyzer guards.
+// cmd/flashvet binary (`flashvet ./...`). See DESIGN.md §10 for the
+// invariants each analyzer guards.
 package analysis
 
 import (

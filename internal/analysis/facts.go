@@ -1,13 +1,9 @@
 package analysis
 
 import (
-	"crypto/sha256"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"go/types"
-	"os"
-	"sort"
 )
 
 // A Fact is a serializable summary an analyzer attaches to a package-level
@@ -15,10 +11,9 @@ import (
 // downstream packages can reason about callee behavior without re-reading
 // its source. This is the same move golang.org/x/tools/go/analysis makes
 // with exported facts, rebuilt here on the standard library: facts are
-// JSON documents keyed by (analyzer, object), kept in memory for a
-// whole-module run and serialized alongside the `go list -export` data in
-// vet-tool mode (the go command hands dependency fact files to the tool
-// via vet.cfg's PackageVetx table and collects ours from VetxOutput).
+// JSON documents keyed by (analyzer, object), kept in memory for one
+// whole-module run (Run analyzes packages in dependency order, so a
+// callee's facts exist before its callers are visited).
 //
 // The marker method keeps fact types deliberate: only types that declare
 // themselves facts participate, exactly as in x/tools.
@@ -26,22 +21,9 @@ type Fact interface {
 	AFact()
 }
 
-// ErrStaleFacts reports a fact file whose fingerprint does not match the
-// export data of the package it describes: the dependency was re-analyzed
-// (or rebuilt) after the facts were written, so every summary in the file
-// is suspect and the package must be re-analyzed from source.
-var ErrStaleFacts = errors.New("analysis: stale facts")
-
-// factsVersion is bumped on any change to the fact file layout or to the
-// meaning of a serialized summary; old files then fail stale instead of
-// decoding garbage.
-const factsVersion = 1
-
 // A FactStore accumulates facts across one analysis run. Facts are stored
-// pre-marshaled: the JSON round-trip happens on every export, so the
-// in-memory and serialized paths cannot drift apart, and a fact that
-// cannot survive encoding fails at the export site, not two packages
-// later.
+// marshaled, so an import is always a copy: a pass cannot alias (and
+// mutate) the summary another package exported.
 type FactStore struct {
 	// obj maps analyzer -> object key -> fact JSON.
 	obj map[string]map[string]json.RawMessage
@@ -99,9 +81,8 @@ func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 	}
 }
 
-// ImportObjectFact copies the fact recorded for obj (by this pass's
-// analyzer, in this run or decoded from a dependency's fact file) into
-// fact, reporting whether one existed.
+// ImportObjectFact copies the fact recorded for obj by this pass's
+// analyzer into fact, reporting whether one existed.
 func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	return get(p.facts.obj, p.Analyzer.Name, ObjectKey(obj), fact)
 }
@@ -117,124 +98,4 @@ func (p *Pass) ExportPackageFact(fact Fact) {
 // fact, reporting whether one existed.
 func (p *Pass) ImportPackageFact(path string, fact Fact) bool {
 	return get(p.facts.pkg, p.Analyzer.Name, path, fact)
-}
-
-// factsFile is the serialized form of one package's contribution to the
-// store: every fact exported while analyzing that package, fingerprinted
-// by the package's export data so stale files are detected (see
-// DecodeFacts).
-type factsFile struct {
-	Version     int
-	ImportPath  string
-	Fingerprint string
-	Objects     map[string]map[string]json.RawMessage `json:",omitempty"`
-	Packages    map[string]json.RawMessage            `json:",omitempty"`
-}
-
-// EncodeFacts serializes the facts exported for the package at path —
-// object facts keyed under that package's prefix and the package fact
-// itself — stamped with fingerprint. The output is deterministic: keys
-// are emitted sorted (json.Marshal sorts map keys), so equal stores
-// encode byte-identically.
-func (s *FactStore) EncodeFacts(path, fingerprint string) ([]byte, error) {
-	f := factsFile{
-		Version:     factsVersion,
-		ImportPath:  path,
-		Fingerprint: fingerprint,
-		Objects:     make(map[string]map[string]json.RawMessage),
-		Packages:    make(map[string]json.RawMessage),
-	}
-	for analyzer, objs := range s.obj {
-		for key, data := range objs {
-			if !keyInPackage(key, path) {
-				continue
-			}
-			if f.Objects[analyzer] == nil {
-				f.Objects[analyzer] = make(map[string]json.RawMessage)
-			}
-			f.Objects[analyzer][key] = data
-		}
-	}
-	for analyzer, pkgs := range s.pkg {
-		if data, ok := pkgs[path]; ok {
-			f.Packages[analyzer] = data
-		}
-	}
-	return json.Marshal(f)
-}
-
-// DecodeFacts merges one serialized fact file into the store, refusing —
-// with ErrStaleFacts — a file whose fingerprint does not match the
-// expected one (the dependency changed since the facts were computed).
-// Pass expect == "" to skip the check, for callers that manage freshness
-// themselves.
-func (s *FactStore) DecodeFacts(data []byte, expect string) error {
-	var f factsFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return fmt.Errorf("analysis: decoding facts: %v", err)
-	}
-	if f.Version != factsVersion {
-		return fmt.Errorf("%w: fact file version %d, want %d", ErrStaleFacts, f.Version, factsVersion)
-	}
-	if expect != "" && f.Fingerprint != expect {
-		return fmt.Errorf("%w: %s was re-analyzed since these facts were written", ErrStaleFacts, f.ImportPath)
-	}
-	for analyzer, objs := range f.Objects {
-		for key, raw := range objs {
-			if s.obj[analyzer] == nil {
-				s.obj[analyzer] = make(map[string]json.RawMessage)
-			}
-			s.obj[analyzer][key] = raw
-		}
-	}
-	for analyzer, raw := range f.Packages {
-		if s.pkg[analyzer] == nil {
-			s.pkg[analyzer] = make(map[string]json.RawMessage)
-		}
-		s.pkg[analyzer][f.ImportPath] = raw
-	}
-	return nil
-}
-
-// keyInPackage reports whether an object key belongs to the package at
-// path: "path.Name" for functions, "(path.Type).Method" for methods
-// (including a pointer receiver's "(*path.Type).Method").
-func keyInPackage(key, path string) bool {
-	for _, prefix := range []string{path + ".", "(" + path + ".", "(*" + path + "."} {
-		if len(key) > len(prefix) && key[:len(prefix)] == prefix {
-			return true
-		}
-	}
-	return false
-}
-
-// Fingerprint hashes a package's export data file — the artifact the go
-// command regenerates whenever the package's source (or anything it
-// depends on) changes — so fact files inherit exactly the staleness
-// semantics of the build cache.
-func Fingerprint(exportFile string) (string, error) {
-	data, err := os.ReadFile(exportFile)
-	if err != nil {
-		return "", fmt.Errorf("analysis: fingerprinting %s: %v", exportFile, err)
-	}
-	sum := sha256.Sum256(data)
-	return fmt.Sprintf("%x", sum[:16]), nil
-}
-
-// AnalyzerNames returns the sorted analyzer names present in the store,
-// for tests and debugging.
-func (s *FactStore) AnalyzerNames() []string {
-	seen := map[string]bool{}
-	for a := range s.obj {
-		seen[a] = true
-	}
-	for a := range s.pkg {
-		seen[a] = true
-	}
-	names := make([]string, 0, len(seen))
-	for a := range seen {
-		names = append(names, a)
-	}
-	sort.Strings(names)
-	return names
 }

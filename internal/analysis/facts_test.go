@@ -1,17 +1,10 @@
 package analysis
 
-// Internal tests for the facts layer: the serialization contract between
-// one vet-tool invocation (which analyzes a dependency and writes its
-// fact file) and a later one (which decodes that file instead of
-// re-reading the dependency's source). The suite-level tests exercise
-// this end to end through the go command; these pin the layer's own
-// invariants — deterministic encoding, package-scoped filtering, stale
-// detection, and origin-keyed generic summaries — without a build.
+// Internal test for the facts layer's own invariant — origin-keyed
+// generic summaries — without a build. The suite-level tests exercise
+// fact export and import end to end through the analyzers.
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -23,148 +16,15 @@ import (
 // summaryFact stands in for an analyzer summary (simtaint's FuncTaint has
 // the same shape: plain exported fields, JSON-marshalable).
 type summaryFact struct {
-	Kinds  []string
-	Params map[int]uint64
+	Kinds []string
 }
 
 func (*summaryFact) AFact() {}
 
-type domainFact struct{ Declared bool }
-
-func (*domainFact) AFact() {}
-
 // newTestPass wires a Pass just far enough for fact export/import: the
-// analyzer name keys the store, the package scopes EncodeFacts.
+// analyzer name keys the store.
 func newTestPass(a *Analyzer, pkg *types.Package, store *FactStore) *Pass {
 	return &Pass{Analyzer: a, Pkg: pkg, facts: store}
-}
-
-// declareFunc declares a package-level function with no signature —
-// enough structure for ObjectKey, which only needs identity.
-func declareFunc(pkg *types.Package, name string) *types.Func {
-	sig := types.NewSignatureType(nil, nil, nil, nil, nil, false)
-	fn := types.NewFunc(token.NoPos, pkg, name, sig)
-	pkg.Scope().Insert(fn)
-	return fn
-}
-
-func TestFactsRoundTrip(t *testing.T) {
-	anl := &Analyzer{Name: "simtaint"}
-	dep := types.NewPackage("flashwear/internal/obs", "obs")
-	other := types.NewPackage("flashwear/internal/nand", "nand")
-
-	store := NewFactStore()
-	pass := newTestPass(anl, dep, store)
-
-	wallNow := declareFunc(dep, "WallNow")
-	foreign := declareFunc(other, "Erase")
-
-	want := &summaryFact{Kinds: []string{"wallclock"}, Params: map[int]uint64{1: 0b10}}
-	pass.ExportObjectFact(wallNow, want)
-	pass.ExportObjectFact(foreign, &summaryFact{Kinds: []string{"rand"}})
-	pass.ExportPackageFact(&domainFact{Declared: true})
-
-	const fp = "c0ffee00c0ffee00"
-	data, err := store.EncodeFacts(dep.Path(), fp)
-	if err != nil {
-		t.Fatalf("EncodeFacts: %v", err)
-	}
-	again, err := store.EncodeFacts(dep.Path(), fp)
-	if err != nil {
-		t.Fatalf("EncodeFacts (second): %v", err)
-	}
-	if !bytes.Equal(data, again) {
-		t.Fatalf("EncodeFacts is not deterministic:\n%s\n%s", data, again)
-	}
-
-	// A fresh store plus the decoded file must reproduce the dependency's
-	// facts — this is exactly what a downstream invocation sees.
-	fresh := NewFactStore()
-	if err := fresh.DecodeFacts(data, fp); err != nil {
-		t.Fatalf("DecodeFacts: %v", err)
-	}
-	down := newTestPass(anl, types.NewPackage("flashwear/internal/fleetd", "fleetd"), fresh)
-
-	var got summaryFact
-	if !down.ImportObjectFact(wallNow, &got) {
-		t.Fatalf("object fact for %s did not survive the round trip", ObjectKey(wallNow))
-	}
-	if len(got.Kinds) != 1 || got.Kinds[0] != "wallclock" || got.Params[1] != 0b10 {
-		t.Fatalf("round-tripped fact = %+v, want %+v", got, *want)
-	}
-	var dom domainFact
-	if !down.ImportPackageFact(dep.Path(), &dom) || !dom.Declared {
-		t.Fatalf("package fact for %s did not survive the round trip", dep.Path())
-	}
-
-	// EncodeFacts scopes to the named package: the fact exported for
-	// another package's function must not leak into obs's file.
-	var leaked summaryFact
-	if down.ImportObjectFact(foreign, &leaked) {
-		t.Fatalf("fact for %s leaked into %s's fact file", ObjectKey(foreign), dep.Path())
-	}
-}
-
-func TestDecodeFactsStaleness(t *testing.T) {
-	anl := &Analyzer{Name: "simtaint"}
-	dep := types.NewPackage("flashwear/internal/obs", "obs")
-	store := NewFactStore()
-	pass := newTestPass(anl, dep, store)
-	pass.ExportObjectFact(declareFunc(dep, "WallNow"), &summaryFact{Kinds: []string{"wallclock"}})
-
-	data, err := store.EncodeFacts(dep.Path(), "fingerprint-old")
-	if err != nil {
-		t.Fatalf("EncodeFacts: %v", err)
-	}
-
-	// Fingerprint mismatch: the dependency was rebuilt after the facts
-	// were written, so the whole file is refused.
-	if err := NewFactStore().DecodeFacts(data, "fingerprint-new"); !errors.Is(err, ErrStaleFacts) {
-		t.Fatalf("fingerprint mismatch: got %v, want ErrStaleFacts", err)
-	}
-	// Matching fingerprint and the caller-managed "" both accept.
-	if err := NewFactStore().DecodeFacts(data, "fingerprint-old"); err != nil {
-		t.Fatalf("matching fingerprint refused: %v", err)
-	}
-	if err := NewFactStore().DecodeFacts(data, ""); err != nil {
-		t.Fatalf("empty expected fingerprint must skip the check: %v", err)
-	}
-
-	// A version bump means the summary semantics changed: refuse even
-	// when the fingerprint still matches.
-	var f factsFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		t.Fatalf("unmarshal fact file: %v", err)
-	}
-	f.Version = factsVersion + 1
-	bumped, err := json.Marshal(f)
-	if err != nil {
-		t.Fatalf("marshal bumped fact file: %v", err)
-	}
-	if err := NewFactStore().DecodeFacts(bumped, "fingerprint-old"); !errors.Is(err, ErrStaleFacts) {
-		t.Fatalf("version mismatch: got %v, want ErrStaleFacts", err)
-	}
-
-	// Garbage is a decode error, not a silent empty store.
-	if err := NewFactStore().DecodeFacts([]byte("{not json"), ""); err == nil {
-		t.Fatal("DecodeFacts accepted malformed input")
-	}
-}
-
-func TestKeyInPackage(t *testing.T) {
-	const path = "flashwear/internal/obs"
-	for key, want := range map[string]bool{
-		"flashwear/internal/obs.WallNow":        true,
-		"(flashwear/internal/obs.Journal).Tag":  true,
-		"(*flashwear/internal/obs.Journal).Log": true,
-		"flashwear/internal/obsolete.WallNow":   false,
-		"flashwear/internal/nand.Erase":         false,
-		"flashwear/internal/obs.":               false, // empty member name
-	} {
-		if got := keyInPackage(key, path); got != want {
-			t.Errorf("keyInPackage(%q, %q) = %v, want %v", key, path, got, want)
-		}
-	}
 }
 
 // TestGenericInstantiationSharesSummary pins the property ObjectKey's
@@ -214,23 +74,15 @@ func Via[T any](v T) T { return v }
 		t.Fatalf("ObjectKey(Box[int].Get) = %q, want the origin's qualified name", ObjectKey(instGet))
 	}
 
-	// The fact pipeline end to end: export on the origin (what a pass
-	// analyzing the generic's package does), import via the instance
-	// (what a caller's pass holds), across an encode/decode cycle.
+	// The fact pipeline: export on the origin (what a pass analyzing the
+	// generic's package does), import via the instance (what a caller's
+	// pass holds).
 	anl := &Analyzer{Name: "simtaint"}
 	store := NewFactStore()
 	newTestPass(anl, pkg, store).ExportObjectFact(genGet, &summaryFact{Kinds: []string{"wallclock"}})
 
-	data, err := store.EncodeFacts(pkg.Path(), "fp")
-	if err != nil {
-		t.Fatalf("EncodeFacts: %v", err)
-	}
-	fresh := NewFactStore()
-	if err := fresh.DecodeFacts(data, "fp"); err != nil {
-		t.Fatalf("DecodeFacts: %v", err)
-	}
 	var got summaryFact
-	caller := newTestPass(anl, types.NewPackage("flashwear/internal/fleetd", "fleetd"), fresh)
+	caller := newTestPass(anl, types.NewPackage("flashwear/internal/fleetd", "fleetd"), store)
 	if !caller.ImportObjectFact(instGet, &got) {
 		t.Fatal("summary exported on the generic origin is invisible at the instantiated call site")
 	}

@@ -1,20 +1,12 @@
 // Package flashvet assembles the flashwear analyzer suite and implements
-// the cmd/flashvet entry point, which runs in two modes:
-//
-//   - standalone: `flashvet ./...` — enumerate, type-check, and analyze
-//     packages in the current module; what `make lint` runs.
-//   - vet tool: `go vet -vettool=$(go env GOPATH)/bin/flashvet ./...` —
-//     speak cmd/go's vettool protocol (-V=full, -flags, then one vet.cfg
-//     per package), which adds go vet's per-package caching and covers
-//     _test.go variants with exact build metadata.
+// the cmd/flashvet entry point: `flashvet ./...` enumerates, type-checks
+// and analyzes packages in the current module (what `make lint` runs);
+// `flashvet -waivers ./...` lists every waiver instead.
 package flashvet
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -51,14 +43,11 @@ func Main(args []string) int {
 
 	fs := flag.NewFlagSet("flashvet", flag.ContinueOnError)
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: flashvet [-analyzer...] [package pattern ...]\n")
-		fmt.Fprintf(fs.Output(), "       go vet -vettool=/path/to/flashvet [-analyzer...] ./...\n\nanalyzers:\n")
+		fmt.Fprintf(fs.Output(), "usage: flashvet [-analyzer...] [package pattern ...]\n\nanalyzers:\n")
 		for _, a := range suite {
 			fmt.Fprintf(fs.Output(), "  -%s\t%s\n", a.Name, strings.SplitN(a.Doc, "\n", 2)[0])
 		}
 	}
-	version := fs.String("V", "", "print version and exit (-V=full, for the go command)")
-	printFlags := fs.Bool("flags", false, "print analyzer flags in JSON (for the go command)")
 	waivers := fs.Bool("waivers", false, "audit mode: list every ignore directive and ops-domain declaration, sorted, and exit")
 	enabled := make(map[string]*bool, len(suite))
 	for _, a := range suite {
@@ -68,42 +57,10 @@ func Main(args []string) int {
 		return 1
 	}
 
-	switch {
-	case *version != "":
-		// cmd/go (Builder.toolID) demands `<name> version devel ...
-		// buildID=<content-id>` and caches vet results under the content
-		// id, so hash the binary itself: rebuilding flashvet invalidates
-		// prior runs.
-		if *version != "full" {
-			fmt.Fprintf(os.Stderr, "flashvet: unsupported -V=%s\n", *version)
-			return 1
-		}
-		fmt.Printf("flashvet version devel buildID=%s\n", selfHash())
-		return 0
-	case *printFlags:
-		// cmd/go merges these into `go vet`'s own flag set.
-		type jsonFlag struct {
-			Name  string
-			Bool  bool
-			Usage string
-		}
-		var out []jsonFlag
-		for _, a := range suite {
-			out = append(out, jsonFlag{a.Name, true, strings.SplitN(a.Doc, "\n", 2)[0]})
-		}
-		data, err := json.Marshal(out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "flashvet: %v\n", err)
-			return 1
-		}
-		os.Stdout.Write(data)
-		return 0
-	}
-
-	// Honor go vet's analyzer-selection convention: naming any analyzer
-	// runs just those; naming none runs the whole suite. The unused-ignore
-	// check needs the full suite (a directive for a disabled analyzer
-	// would look unused), so it is on only then.
+	// Naming any analyzer runs just those; naming none runs the whole
+	// suite (go vet's convention). The unused-ignore check needs the full
+	// suite (a directive for a disabled analyzer would look unused), so it
+	// is on only then.
 	var run []*analysis.Analyzer
 	for _, a := range suite {
 		if *enabled[a.Name] {
@@ -115,12 +72,7 @@ func Main(args []string) int {
 		run = suite
 	}
 
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return analysis.RunVetTool(run, rest[0], checkUnusedIgnores)
-	}
-
-	patterns := rest
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -172,22 +124,4 @@ func auditWaivers(patterns []string) int {
 		fmt.Println(w)
 	}
 	return 0
-}
-
-// selfHash content-addresses the running binary (cf. x/tools unitchecker).
-func selfHash() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:16])
 }

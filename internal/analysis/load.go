@@ -29,9 +29,6 @@ type Package struct {
 	// the load patterns: it is analyzed only so fact-exporting analyzers
 	// can summarize it for its dependents; its diagnostics are discarded.
 	FactsOnly bool
-	// ExportFile is the compiler export data the go command produced for
-	// this package, whose hash fingerprints serialized facts.
-	ExportFile string
 }
 
 // listedPackage is the subset of `go list -json` output the loader needs.
@@ -60,8 +57,7 @@ type listedPackage struct {
 // single in-order sweep sees every callee's facts before its callers.
 //
 // Test files are not loaded; the suite's invariants bind shipped
-// simulation code, and `go vet -vettool=flashvet` covers test variants
-// with exact build metadata when wanted (see DESIGN.md §10).
+// simulation code (see DESIGN.md §10).
 func Load(dir string, patterns ...string) ([]*Package, *token.FileSet, error) {
 	args := append([]string{"list", "-export", "-json", "-deps", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -106,7 +102,6 @@ func Load(dir string, patterns ...string) ([]*Package, *token.FileSet, error) {
 			return nil, nil, err
 		}
 		pkg.FactsOnly = t.DepOnly
-		pkg.ExportFile = exports[t.ImportPath]
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, fset, nil

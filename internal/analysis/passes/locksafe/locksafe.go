@@ -1,26 +1,20 @@
-// Package locksafe reports mutex misuse that deadlocks or silently
-// un-synchronizes the fleetd serving plane.
+// Package locksafe reports blocking under a held mutex, which deadlocks
+// or stalls the fleetd serving plane (a mutexed registry serving HTTP
+// handlers, SSE watchers on channels, and a self-healing supervisor
+// loop).
 //
-// Two checks, both motivated by real hazards in the fleetd server/engine
-// (a mutexed registry serving HTTP handlers, SSE watchers on channels,
-// and a self-healing supervisor loop):
+// Between a Lock/RLock and its release, code must not park the goroutine
+// on something another goroutine — possibly one that needs this very
+// lock — has to complete: channel sends and receives, select (unless it
+// has a default and so cannot block), sync.WaitGroup.Wait, time.Sleep,
+// and network or subprocess calls (net, net/http, os/exec). An SSE
+// watcher blocked on a slow client while holding the registry lock stalls
+// every campaign heartbeat; the journal's mutexed fsync is NOT flagged —
+// plain file IO is bounded and deliberate there (DESIGN.md §12).
 //
-//  1. Lock copies: a method with a value receiver — or a function with a
-//     value parameter — whose type contains a sync.Mutex, sync.RWMutex,
-//     sync.WaitGroup, sync.Once, or sync.Cond copies the lock on every
-//     call. The copy guards nothing: two goroutines "holding" it race on
-//     the state it was meant to protect, with no failure louder than
-//     corrupted data.
-//
-//  2. Blocking under a held lock: between a Lock/RLock and its release,
-//     code must not park the goroutine on something another goroutine —
-//     possibly one that needs this very lock — has to complete: channel
-//     sends and receives, select (unless it has a default and so cannot
-//     block), sync.WaitGroup.Wait, time.Sleep, and network or subprocess
-//     calls (net, net/http, os/exec). An SSE watcher blocked on a slow
-//     client while holding the registry lock stalls every campaign
-//     heartbeat; the journal's mutexed fsync is NOT flagged — plain file
-//     IO is bounded and deliberate there (DESIGN.md §12).
+// Copied locks (value receivers, by-value parameters, assignments) are
+// stock `go vet`'s copylocks check, which `make vet` runs; this package
+// does not duplicate it.
 //
 // sync.Cond.Wait is exempt: it is specified to be called with the lock
 // held (it unlocks while parked). Function literals are analyzed as
@@ -45,11 +39,10 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "locksafe",
-	Doc: "report lock copies and blocking calls under a held mutex\n\n" +
-		"Value receivers/parameters containing sync primitives copy the\n" +
-		"lock (guarding nothing); channel operations, select, WaitGroup.Wait,\n" +
-		"time.Sleep and net/subprocess calls between Lock and Unlock park\n" +
-		"the goroutine while others spin on the same lock.",
+	Doc: "report blocking calls under a held mutex\n\n" +
+		"Channel operations, select, WaitGroup.Wait, time.Sleep and\n" +
+		"net/subprocess calls between Lock and Unlock park the goroutine\n" +
+		"while others spin on the same lock.",
 	Run: run,
 }
 
@@ -63,7 +56,6 @@ func run(pass *analysis.Pass) error {
 			if pass.IsTestFile(fd.Pos()) {
 				continue
 			}
-			checkCopies(pass, fd)
 			if fd.Body != nil {
 				w := &walker{pass: pass, held: make(map[string]token.Pos)}
 				w.block(fd.Body)
@@ -72,76 +64,6 @@ func run(pass *analysis.Pass) error {
 	}
 	return nil
 }
-
-// ---- check 1: lock copies ----
-
-func checkCopies(pass *analysis.Pass, fd *ast.FuncDecl) {
-	if fd.Recv != nil && len(fd.Recv.List) > 0 {
-		field := fd.Recv.List[0]
-		if tv, ok := pass.TypesInfo.Types[field.Type]; ok {
-			if lock := copiedLock(tv.Type); lock != "" {
-				pass.Reportf(field.Type.Pos(),
-					"method %s has a value receiver containing %s: every call copies the lock, so it guards nothing — use a pointer receiver",
-					fd.Name.Name, lock)
-			}
-		}
-	}
-	if fd.Type.Params == nil {
-		return
-	}
-	for _, field := range fd.Type.Params.List {
-		tv, ok := pass.TypesInfo.Types[field.Type]
-		if !ok {
-			continue
-		}
-		if lock := copiedLock(tv.Type); lock != "" {
-			pass.Reportf(field.Type.Pos(),
-				"function %s takes a parameter by value containing %s: the callee locks a copy — pass a pointer",
-				fd.Name.Name, lock)
-		}
-	}
-}
-
-// copiedLock reports the sync primitive a by-value copy of t would copy,
-// or "" if t is safe to copy. Pointers, slices, maps, channels are safe:
-// the copy shares the lock.
-func copiedLock(t types.Type) string {
-	return lockIn(t, make(map[types.Type]bool))
-}
-
-var syncPrimitives = map[string]bool{
-	"Mutex":     true,
-	"RWMutex":   true,
-	"WaitGroup": true,
-	"Once":      true,
-	"Cond":      true,
-}
-
-func lockIn(t types.Type, seen map[types.Type]bool) string {
-	if seen[t] {
-		return ""
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" && syncPrimitives[obj.Name()] {
-			return "sync." + obj.Name()
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if lock := lockIn(u.Field(i).Type(), seen); lock != "" {
-				return lock
-			}
-		}
-	case *types.Array:
-		return lockIn(u.Elem(), seen)
-	}
-	return ""
-}
-
-// ---- check 2: blocking under a held lock ----
 
 // walker tracks the set of held locks (keyed by the printed receiver
 // path) through one function body, statement by statement.

@@ -32,16 +32,9 @@ const FrameworkName = "flashvet"
 //
 // Facts flow through a fresh store: pkgs is in dependency order (Load
 // guarantees it), so each fact-exporting analyzer sees its dependencies'
-// summaries before analyzing a dependent. Callers that seed or inspect
-// the store (vet-tool mode, the facts tests) use RunFacts directly.
+// summaries before analyzing a dependent.
 func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, checkUnusedIgnores bool) ([]Finding, error) {
-	return RunFacts(fset, pkgs, analyzers, checkUnusedIgnores, NewFactStore())
-}
-
-// RunFacts is Run with an explicit fact store, which may hold facts
-// decoded from dependency fact files and accumulates every fact exported
-// during this run.
-func RunFacts(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, checkUnusedIgnores bool, facts *FactStore) ([]Finding, error) {
+	facts := NewFactStore()
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		known[a.Name] = true

@@ -1,11 +1,8 @@
 package analysis_test
 
 import (
-	"bytes"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"flashwear/internal/analysis"
@@ -70,10 +67,10 @@ func TestOpserrcheckFixture(t *testing.T) {
 	checktest.Run(t, "./testdata/src/opserrcheck", opserrcheck.Analyzer)
 }
 
-// TestLocksafeFixture covers both locksafe hazards (lock copies,
-// blocking under a held mutex) and the sanctioned shapes that must stay
-// silent: release-before-block, select with default, goroutines launched
-// under a lock, Cond.Wait, mutexed file fsync.
+// TestLocksafeFixture covers locksafe's hazard (blocking under a held
+// mutex) and the shapes that must stay silent: release-before-block,
+// select with default, goroutines launched under a lock, Cond.Wait,
+// mutexed file fsync, and the lock copies stock go vet reports.
 func TestLocksafeFixture(t *testing.T) {
 	checktest.Run(t, "./testdata/src/locksafe", locksafe.Analyzer)
 }
@@ -114,43 +111,6 @@ func TestRealTreeClean(t *testing.T) {
 	}
 	for _, f := range findings {
 		t.Errorf("%s", f)
-	}
-}
-
-// TestVetToolProtocol proves the `go vet -vettool` integration end to end:
-// the binary speaks -V=full/-flags/vet.cfg well enough for cmd/go to drive
-// it, passes a clean package, and fails a seeded one.
-func TestVetToolProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary and shells out to go vet")
-	}
-	root := moduleRoot(t)
-	tool := filepath.Join(t.TempDir(), "flashvet")
-	build := exec.Command("go", "build", "-o", tool, "./cmd/flashvet")
-	build.Dir = root
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building flashvet: %v\n%s", err, out)
-	}
-
-	vet := func(pattern string) (string, error) {
-		cmd := exec.Command("go", "vet", "-vettool="+tool, pattern)
-		cmd.Dir = root
-		var buf bytes.Buffer
-		cmd.Stdout = &buf
-		cmd.Stderr = &buf
-		err := cmd.Run()
-		return buf.String(), err
-	}
-
-	if out, err := vet("./internal/simclock"); err != nil {
-		t.Errorf("go vet -vettool on a clean package failed: %v\n%s", err, out)
-	}
-	out, err := vet("./internal/analysis/testdata/src/wallclock")
-	if err == nil {
-		t.Errorf("go vet -vettool passed the seeded wallclock fixture:\n%s", out)
-	}
-	if !strings.Contains(out, "wall-clock time.Now") {
-		t.Errorf("seeded fixture output missing wallclock finding:\n%s", out)
 	}
 }
 

@@ -1,8 +1,9 @@
-// Package a seeds both locksafe hazards — lock copies and blocking under
-// a held mutex — next to the sanctioned shapes: pointer receivers,
-// release-before-block, select with default, goroutines launched under a
-// lock (which do not hold it), Cond.Wait, and the mutexed file fsync the
-// journal relies on.
+// Package a seeds locksafe's hazard — blocking under a held mutex — next
+// to the sanctioned shapes: release-before-block, select with default,
+// goroutines launched under a lock (which do not hold it), Cond.Wait, and
+// the mutexed file fsync the journal relies on. The three lock copies at
+// the top are stock `go vet` copylocks findings, not locksafe's: the
+// analyzer must stay silent on them.
 package a
 
 import (
@@ -17,21 +18,20 @@ type registry struct {
 	subs  chan string
 }
 
-// Snapshot copies the lock with every call; the finding lands on the
-// receiver type.
-func (r registry) Snapshot() int { // want `method Snapshot has a value receiver containing sync\.Mutex`
+// Snapshot copies the lock with every call.
+func (r registry) Snapshot() int {
 	return len(r.cells)
 }
 
 // Merge copies the lock through a parameter.
-func Merge(dst *registry, src registry) { // want `function Merge takes a parameter by value containing sync\.Mutex`
+func Merge(dst *registry, src registry) {
 	_ = src
 }
 
 // Wrapped locks nested one struct deep still count.
 type wrapped struct{ inner registry }
 
-func (w wrapped) Count() int { // want `method Count has a value receiver containing sync\.Mutex`
+func (w wrapped) Count() int {
 	return len(w.inner.cells)
 }
 

@@ -66,7 +66,7 @@ func TestPerAppWearAttribution(t *testing.T) {
 			// Identity against ground truth: the ledger must account for
 			// exactly the operations the device's chips counted.
 			f := p.Device().FTL()
-			snap := tr.Ledger().Snapshot()
+			snap := tr.Snapshot()
 			tot := snap.Totals()
 			if got, want := tot.HostPages, f.Stats().HostPagesWritten; got != want {
 				t.Errorf("ledger host pages = %d, FTL counted %d", got, want)

@@ -303,6 +303,33 @@ func TestFleetFaultPlanFirstBootDeath(t *testing.T) {
 	}
 }
 
+// TestFleetSeriesAgreesWithTotalUnderFaults pins that the series and the
+// aggregate read one definition of a dead phone. Under a fault plan most
+// phones die without the device failing — a read the journal needs is
+// uncorrectable, every boot attempt is cut — and those deaths must show in
+// the series' frozen tail exactly as they do in Total.
+func TestFleetSeriesAgreesWithTotalUnderFaults(t *testing.T) {
+	for _, faults := range []string{"read=0.3", "cut-every=200"} {
+		plan, err := faultinject.ParsePlan(faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := testSpec(2)
+		spec.Devices = 16
+		spec.MetricsEvery = 48 * time.Hour
+		spec.Faults = &plan
+		res, err := Run(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("%s: %v", faults, err)
+		}
+		last := res.Metrics.Rows[len(res.Metrics.Rows)-1]
+		if last[ColBricked] != res.Total.Bricked || res.Total.Bricked == 0 {
+			t.Errorf("%s: last series row has %d bricked, Total.Bricked = %d; want equal and > 0",
+				faults, last[ColBricked], res.Total.Bricked)
+		}
+	}
+}
+
 func TestSamplerIsPure(t *testing.T) {
 	spec := testSpec(0).Defaults()
 	for i := 0; i < 128; i++ {

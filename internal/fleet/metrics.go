@@ -7,46 +7,51 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"strings"
 	"time"
-
-	"flashwear/internal/telemetry"
 )
 
-// Column layout of one MetricsSeries row. Every column is an integer sum
-// over devices — full-scale (capacity scaling multiplied back) and, for the
-// wear/error gauges, fixed-point — so that merging per-worker series is
-// exactly associative and commutative, like the rest of the Accumulator.
-// Derived floating-point columns (write amplification, population means)
-// are computed only at render time, from identical integer sums, so the CSV
-// is byte-identical across worker counts.
+// Column layout of one day row — what Phone.DayRow returns and what both
+// engines' series sum: fleet.Run's MetricsSeries and fleetd's DaySeries,
+// whose checkpoint cell footers store rows in this order. Every column is
+// an integer sum over devices — full-scale (capacity scaling multiplied
+// back) and, for the wear/error gauges, fixed-point — so that merging
+// per-worker, per-shard or per-epoch series is exactly associative and
+// commutative, like the rest of the aggregates. Derived floating-point
+// columns (write amplification, population means) are computed only at
+// render time, from identical integer sums, so the CSV is byte-identical
+// across worker counts.
 const (
-	// mDevices counts contributing devices (constant down the series:
-	// bricked devices freeze at their final snapshot, they do not drop out).
-	mDevices = iota
-	// mBricked counts devices dead at this instant.
-	mBricked
-	// mHostBytes is full-scale host data absorbed.
-	mHostBytes
-	// mFlashBytes is full-scale data physically programmed into NAND
-	// (main + cache chips); mFlashBytes/mHostBytes is the population WA.
-	mFlashBytes
-	// mFlashErases is full-scale block erases (main + cache).
-	mFlashErases
-	// mBadBlocks is full-scale blocks retired (main + cache).
-	mBadBlocks
-	// mWearAvgMicro sums per-device average wear in micro-units (x1e6);
-	// divide by mDevices for the population mean.
-	mWearAvgMicro
-	// mWearMaxMicro sums per-device maximum wear in micro-units; divide by
-	// mDevices for the mean per-device hottest block.
-	mWearMaxMicro
-	// mRawBERFemto sums per-device expected raw bit error rate in
+	// ColDevices counts contributing devices (constant down a series:
+	// bricked devices freeze at their final row, they do not drop out).
+	ColDevices = iota
+	// ColBricked counts devices dead at this instant.
+	ColBricked
+	// ColReadOnly counts devices retired read-only (a subset of dead).
+	ColReadOnly
+	// ColHostBytes is full-scale host data absorbed.
+	ColHostBytes
+	// ColFlashBytes is full-scale data physically programmed into NAND
+	// (main + cache chips); ColFlashBytes/ColHostBytes is the population WA.
+	ColFlashBytes
+	// ColFlashErases is full-scale block erases (main + cache).
+	ColFlashErases
+	// ColBadBlocks is full-scale blocks retired (main + cache).
+	ColBadBlocks
+	// ColWearAvgMicro sums per-device average wear in micro-units (x1e6);
+	// divide by ColDevices for the population mean.
+	ColWearAvgMicro
+	// ColWearMaxMicro sums per-device maximum wear in micro-units; divide by
+	// ColDevices for the mean per-device hottest block.
+	ColWearMaxMicro
+	// ColRawBERFemto sums per-device expected raw bit error rate in
 	// femto-units (x1e15).
-	mRawBERFemto
-	// mWearLevel sums per-device JEDEC Type B wear-indicator levels.
-	mWearLevel
+	ColRawBERFemto
+	// ColWearLevel sums per-device JEDEC Type B wear-indicator levels.
+	ColWearLevel
 
-	metricCols
+	// DayCols is the row width.
+	DayCols
 )
 
 // MetricsSeries is the population wear trajectory: row k holds the
@@ -54,7 +59,7 @@ const (
 type MetricsSeries struct {
 	// Every is the full-scale sampling cadence.
 	Every time.Duration
-	// Rows is the series; each row has metricCols entries.
+	// Rows is the series; each row has DayCols entries.
 	Rows [][]int64
 }
 
@@ -71,7 +76,7 @@ func newMetricsSeries(spec Spec) *MetricsSeries {
 	n := metricRowCount(spec)
 	m := &MetricsSeries{Every: spec.MetricsEvery, Rows: make([][]int64, n)}
 	for i := range m.Rows {
-		m.Rows[i] = make([]int64, metricCols)
+		m.Rows[i] = make([]int64, DayCols)
 	}
 	return m
 }
@@ -105,62 +110,64 @@ func (m *MetricsSeries) merge(o *MetricsSeries) error {
 	return nil
 }
 
-// WriteCSV renders the series with derived per-day population columns:
+// WriteDayRowsCSV renders day rows with the derived population columns,
+// one CSV line per row, labelled by day(k):
 //
-//	day, devices, bricked, host_gib, write_amp, wear_avg, wear_max,
-//	raw_ber, wear_level, bad_blocks, flash_erases
+//	day, devices, bricked, [read_only,] host_gib, write_amp, wear_avg,
+//	wear_max, raw_ber, wear_level, bad_blocks, flash_erases
 //
 // wear_avg/wear_max/raw_ber/wear_level are means over the population
 // (wear_max is the mean of per-device hottest-block wear — a true
 // population max would not merge additively). All floats derive from the
-// series' integer sums, so output is byte-identical across worker counts.
-func (m *MetricsSeries) WriteCSV(w io.Writer) error {
+// rows' integer sums, so output is byte-identical across worker counts.
+// readOnly selects fleetd's layout, which has the read_only column.
+func WriteDayRowsCSV(w io.Writer, rows [][]int64, day func(k int) string, readOnly bool) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("day,devices,bricked,host_gib,write_amp,wear_avg,wear_max,raw_ber,wear_level,bad_blocks,flash_erases\n"); err != nil {
-		return err
+	ro := ""
+	if readOnly {
+		ro = "read_only,"
 	}
+	bw.WriteString("day,devices,bricked," + ro + "host_gib,write_amp,wear_avg,wear_max,raw_ber,wear_level,bad_blocks,flash_erases\n")
 	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	for k, r := range m.Rows {
-		devices := r[mDevices]
-		ratio := func(numer int64, scale float64) float64 {
+	n := func(v int64) string { return strconv.FormatInt(v, 10) }
+	for k, r := range rows {
+		devices := r[ColDevices]
+		mean := func(sum int64, scale float64) string {
 			if devices == 0 {
-				return 0
+				return "0"
 			}
-			return float64(numer) / scale / float64(devices)
+			return f(float64(sum) / scale / float64(devices))
 		}
 		wa := 0.0
-		if r[mHostBytes] > 0 {
-			wa = float64(r[mFlashBytes]) / float64(r[mHostBytes])
+		if r[ColHostBytes] > 0 {
+			wa = float64(r[ColFlashBytes]) / float64(r[ColHostBytes])
 		}
-		day := time.Duration(k+1) * m.Every
-		cols := []string{
-			f(day.Hours() / 24),
-			strconv.FormatInt(devices, 10),
-			strconv.FormatInt(r[mBricked], 10),
-			f(float64(r[mHostBytes]) / (1 << 30)),
+		cols := []string{day(k), n(devices), n(r[ColBricked])}
+		if readOnly {
+			cols = append(cols, n(r[ColReadOnly]))
+		}
+		cols = append(cols,
+			f(float64(r[ColHostBytes])/(1<<30)),
 			f(wa),
-			f(ratio(r[mWearAvgMicro], 1e6)),
-			f(ratio(r[mWearMaxMicro], 1e6)),
-			f(ratio(r[mRawBERFemto], 1e15)),
-			f(ratio(r[mWearLevel], 1)),
-			strconv.FormatInt(r[mBadBlocks], 10),
-			strconv.FormatInt(r[mFlashErases], 10),
-		}
-		for i, c := range cols {
-			if i > 0 {
-				if err := bw.WriteByte(','); err != nil {
-					return err
-				}
-			}
-			if _, err := bw.WriteString(c); err != nil {
-				return err
-			}
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
+			mean(r[ColWearAvgMicro], 1e6),
+			mean(r[ColWearMaxMicro], 1e6),
+			mean(r[ColRawBERFemto], 1e15),
+			mean(r[ColWearLevel], 1),
+			n(r[ColBadBlocks]),
+			n(r[ColFlashErases]))
+		bw.WriteString(strings.Join(cols, ","))
+		bw.WriteByte('\n')
 	}
 	return bw.Flush()
+}
+
+// WriteCSV renders the series in WriteDayRowsCSV's layout without the
+// read_only column; the day label is the row's full-scale age in days.
+func (m *MetricsSeries) WriteCSV(w io.Writer) error {
+	return WriteDayRowsCSV(w, m.Rows, func(k int) string {
+		age := time.Duration(k+1) * m.Every
+		return strconv.FormatFloat(age.Hours()/24, 'g', -1, 64)
+	}, false)
 }
 
 // WriteMetricsCSV renders the run's population time series, or fails if the
@@ -172,110 +179,11 @@ func (r *Result) WriteMetricsCSV(w io.Writer) error {
 	return r.Metrics.WriteCSV(w)
 }
 
-// metricCollector samples one device's registry on the scaled cadence and
-// converts each snapshot into one full-scale integer row.
-type metricCollector struct {
-	reg *telemetry.Registry
-	eff int64
-
-	rows     [][]int64
-	resolved bool
-	src      struct {
-		hostBytes, bricked, wearLevel     int
-		mainBytes, mainErases, mainBad    int
-		mainAvg, mainMax, mainBER         int
-		cacheBytes, cacheErases, cacheBad int // -1 without a cache chip
-	}
-}
-
-func newMetricCollector(reg *telemetry.Registry, eff int64) *metricCollector {
-	return &metricCollector{reg: reg, eff: eff}
-}
-
-func (c *metricCollector) observe(s telemetry.Snapshot) {
-	c.rows = append(c.rows, c.row(s))
-}
-
-// resolve caches snapshot point indices; registration order is fixed at
-// device birth, so one resolution serves the whole run.
-func (c *metricCollector) resolve(s telemetry.Snapshot) {
-	must := func(name string) int {
-		i := s.Index(name)
-		if i < 0 {
-			panic(fmt.Sprintf("fleet: instrument %q missing from device registry", name))
-		}
-		return i
-	}
-	c.src.hostBytes = must("device.bytes_written")
-	// "Failed" covers both hard bricks and read-only EOL retirement, the
-	// same definition the aggregate's Bricked counter uses.
-	c.src.bricked = must("device.failed")
-	c.src.wearLevel = must(telemetry.Name("device.wear_level", "pool", "b"))
-	c.src.mainBytes = must(telemetry.Name("nand.bytes_programmed", "chip", "main"))
-	c.src.mainErases = must(telemetry.Name("nand.erases", "chip", "main"))
-	c.src.mainBad = must(telemetry.Name("nand.bad_blocks", "chip", "main"))
-	c.src.mainAvg = must(telemetry.Name("nand.avg_wear", "chip", "main"))
-	c.src.mainMax = must(telemetry.Name("nand.max_wear", "chip", "main"))
-	c.src.mainBER = must(telemetry.Name("nand.raw_ber", "chip", "main"))
-	c.src.cacheBytes = s.Index(telemetry.Name("nand.bytes_programmed", "chip", "cache"))
-	c.src.cacheErases = s.Index(telemetry.Name("nand.erases", "chip", "cache"))
-	c.src.cacheBad = s.Index(telemetry.Name("nand.bad_blocks", "chip", "cache"))
-	c.resolved = true
-}
-
-func (c *metricCollector) row(s telemetry.Snapshot) []int64 {
-	if !c.resolved {
-		c.resolve(s)
-	}
-	pt := s.Points
-	row := make([]int64, metricCols)
-	row[mDevices] = 1
-	if pt[c.src.bricked].Float != 0 {
-		row[mBricked] = 1
-	}
-	row[mHostBytes] = pt[c.src.hostBytes].Int * c.eff
-	flashBytes := pt[c.src.mainBytes].Int
-	erases := pt[c.src.mainErases].Int
-	bad := pt[c.src.mainBad].Int
-	if c.src.cacheBytes >= 0 {
-		flashBytes += pt[c.src.cacheBytes].Int
-		erases += pt[c.src.cacheErases].Int
-		bad += pt[c.src.cacheBad].Int
-	}
-	row[mFlashBytes] = flashBytes * c.eff
-	row[mFlashErases] = erases * c.eff
-	row[mBadBlocks] = bad * c.eff
-	row[mWearAvgMicro] = FixedPoint(pt[c.src.mainAvg].Float, 1e6)
-	row[mWearMaxMicro] = FixedPoint(pt[c.src.mainMax].Float, 1e6)
-	row[mRawBERFemto] = FixedPoint(pt[c.src.mainBER].Float, 1e15)
-	row[mWearLevel] = int64(pt[c.src.wearLevel].Float)
-	return row
-}
-
 // FixedPoint converts a gauge to integer fixed point, mapping the
-// non-finite values a fully-dead chip can report to zero. fleetd's day rows
-// use it too, so both series round a gauge the same way.
+// non-finite values a fully-dead chip can report to zero.
 func FixedPoint(v float64, scale float64) int64 {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return 0
 	}
 	return int64(math.Round(v * scale))
-}
-
-// finish pads (or truncates) the collected rows to exactly n: a device
-// that bricked early freezes at its final snapshot for the remaining
-// intervals; a survivor that overshot the horizon by part of a step is
-// clipped back to it.
-func (c *metricCollector) finish(n int, at time.Duration) [][]int64 {
-	rows := c.rows
-	if len(rows) > n {
-		rows = rows[:n]
-	}
-	if len(rows) < n {
-		final := c.row(c.reg.Snapshot(at))
-		for len(rows) < n {
-			rows = append(rows, final)
-		}
-	}
-	return rows
 }

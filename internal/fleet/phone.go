@@ -289,7 +289,45 @@ func (ph *Phone) Ledger() wtrace.Snapshot {
 	if tr == nil {
 		return wtrace.Snapshot{}
 	}
-	return tr.Ledger().Snapshot()
+	return tr.Snapshot()
+}
+
+// DayRow reads the phone's observable state as one day row (the Col*
+// layout) plus its JEDEC Type B wear level — the one reading both engines'
+// series are built from. Pure reads of device, FTL and chip state at full
+// scale, valid on a dead stack too (a bricked chip still reports wear).
+// died is the caller's verdict from FirstBoot, Reboot or RunUntil: a phone
+// can be dead (an unreadable journal, rotted metadata, a boot that is cut
+// every time) while its device has not failed.
+func (ph *Phone) DayRow(died bool) (row []int64, wearLevel int) {
+	f := ph.Dev.FTL()
+	main := f.MainChip()
+	row = make([]int64, DayCols)
+	row[ColDevices] = 1
+	if died || ph.Dev.Failed() {
+		row[ColBricked] = 1
+	}
+	if ph.Dev.ReadOnly() {
+		row[ColReadOnly] = 1
+	}
+	row[ColHostBytes] = ph.Dev.BytesWritten() * ph.Scale
+	ms := main.Stats()
+	flashBytes, erases, bad := ms.BytesProgrammed, ms.Erases, int64(ms.BadBlocks)
+	if cc := f.CacheChip(); cc != nil {
+		cs := cc.Stats()
+		flashBytes += cs.BytesProgrammed
+		erases += cs.Erases
+		bad += int64(cs.BadBlocks)
+	}
+	row[ColFlashBytes] = flashBytes * ph.Scale
+	row[ColFlashErases] = erases * ph.Scale
+	row[ColBadBlocks] = bad * ph.Scale
+	row[ColWearAvgMicro] = FixedPoint(main.AvgWear(), 1e6)
+	row[ColWearMaxMicro] = FixedPoint(main.MaxWear(), 1e6)
+	row[ColRawBERFemto] = FixedPoint(main.ExpectedRBER(), 1e15)
+	wearLevel = f.WearIndicator(ftl.PoolB)
+	row[ColWearLevel] = int64(wearLevel)
+	return row, wearLevel
 }
 
 // Result reads the phone's terminal outcome off its lifetime counters, so

@@ -7,7 +7,6 @@ import (
 
 	"flashwear/internal/faultinject"
 	"flashwear/internal/simclock"
-	"flashwear/internal/telemetry"
 	"flashwear/internal/wtrace"
 )
 
@@ -36,7 +35,7 @@ type DeviceResult struct {
 	// WA is the device's cumulative write amplification.
 	WA float64
 
-	// metrics is the device's padded telemetry row set (nil unless
+	// metrics is the device's padded day-row set (nil unless
 	// Spec.MetricsEvery is set); see metrics.go.
 	metrics [][]int64
 	// wear is the device's full-scale wear ledger (zero-value unless
@@ -60,24 +59,22 @@ func simulateDevice(ctx context.Context, spec Spec, p Params) (DeviceResult, err
 		return DeviceResult{}, err
 	}
 
-	// Telemetry attaches at device birth — before mkfs, so the file-system
-	// fill is part of the trajectory — and samples at the scaled cadence:
-	// full-scale MetricsEvery divides by the effective scale exactly as the
-	// horizon does, so row k is the device at full-scale age (k+1)*Every.
-	var coll *metricCollector
-	var sampler *telemetry.Sampler
+	// Sampling starts at device birth — before mkfs, so the file-system
+	// fill is part of the trajectory — on the scaled cadence: full-scale
+	// MetricsEvery divides by the effective scale exactly as the horizon
+	// does, so row k is the device at full-scale age (k+1)*Every. The
+	// samples ride the phone's own clock and only read (DESIGN.md §7).
+	var rows [][]int64
 	if spec.MetricsEvery > 0 {
 		scaledEvery := spec.MetricsEvery / time.Duration(ph.Scale)
 		if scaledEvery <= 0 {
 			return DeviceResult{}, fmt.Errorf("fleet: device %d (%s): MetricsEvery %v vanishes at scale %d",
 				p.Index, ph.ProfileName, spec.MetricsEvery, ph.Scale)
 		}
-		reg := telemetry.NewRegistry()
-		ph.Dev.Instrument(reg)
-		coll = newMetricCollector(reg, ph.Scale)
-		sampler = telemetry.NewSampler(reg, ph.Clock, scaledEvery)
-		sampler.Collect = false
-		sampler.OnSample = coll.observe
+		ph.Clock.Every(scaledEvery, func() {
+			row, _ := ph.DayRow(false)
+			rows = append(rows, row)
+		})
 	}
 
 	died, err := ph.FirstBoot()
@@ -97,9 +94,19 @@ func simulateDevice(ctx context.Context, spec Spec, p Params) (DeviceResult, err
 		return DeviceResult{}, err
 	}
 	res := ph.Result(died)
-	if coll != nil {
-		sampler.Stop()
-		res.metrics = coll.finish(metricRowCount(spec), ph.Clock.Now())
+	if spec.MetricsEvery > 0 {
+		// Exactly one row per whole interval: a phone that died early
+		// freezes at its final state for the remaining intervals; a
+		// survivor that overshot the horizon by part of a step is clipped
+		// back to it.
+		n := metricRowCount(spec)
+		if len(rows) < n {
+			final, _ := ph.DayRow(died)
+			for len(rows) < n {
+				rows = append(rows, final)
+			}
+		}
+		res.metrics = rows[:n]
 	}
 	if spec.WearTrace {
 		// Scale each integer count back to full scale before aggregation,

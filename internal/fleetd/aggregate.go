@@ -1,7 +1,6 @@
 package fleetd
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strconv"
@@ -11,39 +10,18 @@ import (
 	"flashwear/internal/wtrace"
 )
 
-// Column layout of one day row. Every column is an integer sum over
-// devices — full-scale, fixed-point for the wear gauges — so shard and
-// epoch merging is exactly associative and commutative, the same algebra
-// internal/fleet's metrics series uses (its column set, plus a read-only
-// count). Derived floats (write amplification, population means) appear
-// only at render time.
-const (
-	dDevices = iota
-	dBricked
-	dReadOnly
-	dHostBytes
-	dFlashBytes
-	dFlashErases
-	dBadBlocks
-	dWearAvgMicro // per-device average wear x1e6
-	dWearMaxMicro // per-device max wear x1e6
-	dRawBERFemto  // expected raw BER x1e15
-	dWearLevel    // JEDEC Type B level sum
-
-	dayCols
-)
-
 // wearLevels is the bucket count of the per-day wear-level sketch: JEDEC
 // Type B levels 0..11.
 const wearLevels = 12
 
 // DaySeries is the campaign's streaming aggregate: one row of integer
-// sums per completed simulated day, plus a per-day wear-level sketch.
+// sums per completed simulated day (fleet's Col* layout, summed over
+// Phone.DayRow), plus a per-day wear-level sketch.
 // Row k is the population at the end of day k; devices that brick freeze
 // at their final sample and keep contributing it (fleet's convention, so
-// dDevices stays constant down the series).
+// fleet.ColDevices stays constant down the series).
 type DaySeries struct {
-	// Rows has dayCols entries per row.
+	// Rows has fleet.DayCols entries per row.
 	Rows [][]int64 `json:"rows"`
 	// Wear[k] distributes the population over wear levels at day k.
 	Wear []report.Sketch `json:"wear"`
@@ -52,7 +30,7 @@ type DaySeries struct {
 func newDaySeries(days int) *DaySeries {
 	s := &DaySeries{Rows: make([][]int64, days), Wear: make([]report.Sketch, days)}
 	for i := range s.Rows {
-		s.Rows[i] = make([]int64, dayCols)
+		s.Rows[i] = make([]int64, fleet.DayCols)
 		s.Wear[i] = report.NewSketch(wearLevels)
 	}
 	return s
@@ -92,59 +70,13 @@ func (s *DaySeries) clone() *DaySeries {
 	return c
 }
 
-// WriteCSV renders the series with fleet's derived-column conventions
-// (means from integer sums; write amplification as a byte ratio), one row
-// per completed simulated day:
+// WriteCSV renders the series through fleet.WriteDayRowsCSV with the
+// read_only column, one row per completed simulated day:
 //
 //	day,devices,bricked,read_only,host_gib,write_amp,wear_avg,wear_max,
 //	raw_ber,wear_level,bad_blocks,flash_erases
 func (s *DaySeries) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("day,devices,bricked,read_only,host_gib,write_amp,wear_avg,wear_max,raw_ber,wear_level,bad_blocks,flash_erases\n"); err != nil {
-		return err
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	for k, r := range s.Rows {
-		devices := r[dDevices]
-		ratio := func(numer int64, scale float64) float64 {
-			if devices == 0 {
-				return 0
-			}
-			return float64(numer) / scale / float64(devices)
-		}
-		wa := 0.0
-		if r[dHostBytes] > 0 {
-			wa = float64(r[dFlashBytes]) / float64(r[dHostBytes])
-		}
-		cols := []string{
-			strconv.Itoa(k + 1),
-			strconv.FormatInt(devices, 10),
-			strconv.FormatInt(r[dBricked], 10),
-			strconv.FormatInt(r[dReadOnly], 10),
-			f(float64(r[dHostBytes]) / (1 << 30)),
-			f(wa),
-			f(ratio(r[dWearAvgMicro], 1e6)),
-			f(ratio(r[dWearMaxMicro], 1e6)),
-			f(ratio(r[dRawBERFemto], 1e15)),
-			f(ratio(r[dWearLevel], 1)),
-			strconv.FormatInt(r[dBadBlocks], 10),
-			strconv.FormatInt(r[dFlashErases], 10),
-		}
-		for i, c := range cols {
-			if i > 0 {
-				if err := bw.WriteByte(','); err != nil {
-					return err
-				}
-			}
-			if _, err := bw.WriteString(c); err != nil {
-				return err
-			}
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return fleet.WriteDayRowsCSV(w, s.Rows, func(k int) string { return strconv.Itoa(k + 1) }, true)
 }
 
 // Group aggregates terminal outcomes for a population slice — fleet's

@@ -3,6 +3,7 @@ package fleetd
 import (
 	"fmt"
 
+	"flashwear/internal/fleet"
 	"flashwear/internal/obs"
 )
 
@@ -50,17 +51,17 @@ type alertRule struct {
 // newBricks is the day-over-day brick delta.
 func newBricks(rows [][]int64, d int) int64 {
 	if d == 0 {
-		return rows[0][dBricked]
+		return rows[0][fleet.ColBricked]
 	}
-	return rows[d][dBricked] - rows[d-1][dBricked]
+	return rows[d][fleet.ColBricked] - rows[d-1][fleet.ColBricked]
 }
 
 // deltas for the write-amplification spike rule.
 func hostFlashDelta(rows [][]int64, d int) (host, flash int64) {
 	if d == 0 {
-		return rows[0][dHostBytes], rows[0][dFlashBytes]
+		return rows[0][fleet.ColHostBytes], rows[0][fleet.ColFlashBytes]
 	}
-	return rows[d][dHostBytes] - rows[d-1][dHostBytes], rows[d][dFlashBytes] - rows[d-1][dFlashBytes]
+	return rows[d][fleet.ColHostBytes] - rows[d-1][fleet.ColHostBytes], rows[d][fleet.ColFlashBytes] - rows[d-1][fleet.ColFlashBytes]
 }
 
 // alertRules is the fixed rule table. Thresholds are per-mille / percent
@@ -81,11 +82,11 @@ var alertRules = []alertRule{
 		name:   "pre_eol_pct",
 		detail: "read-only (PRE_EOL) devices at or above 5% of the fleet",
 		cond: func(rows [][]int64, d int, devices int64) bool {
-			ro := rows[d][dReadOnly]
+			ro := rows[d][fleet.ColReadOnly]
 			return ro > 0 && ro*100 >= devices*5
 		},
 		value: func(rows [][]int64, d int, devices int64) string {
-			return fmt.Sprintf("%d/%d", rows[d][dReadOnly], devices)
+			return fmt.Sprintf("%d/%d", rows[d][fleet.ColReadOnly], devices)
 		},
 	},
 	{
@@ -107,12 +108,12 @@ var alertRules = []alertRule{
 			if d == 0 {
 				return false
 			}
-			cur := rows[d][dRawBERFemto]
+			cur := rows[d][fleet.ColRawBERFemto]
 			// 1e-6 mean RBER = 1e9 femto units per device.
-			return cur >= 2*rows[0][dRawBERFemto] && cur >= devices*1_000_000_000
+			return cur >= 2*rows[0][fleet.ColRawBERFemto] && cur >= devices*1_000_000_000
 		},
 		value: func(rows [][]int64, d int, devices int64) string {
-			return fmt.Sprintf("%d/%d", rows[d][dRawBERFemto], rows[0][dRawBERFemto])
+			return fmt.Sprintf("%d/%d", rows[d][fleet.ColRawBERFemto], rows[0][fleet.ColRawBERFemto])
 		},
 	},
 }
@@ -164,10 +165,10 @@ func (a *alertState) scan(rows [][]int64, devices int64) []alertEvent {
 					value: r.value(rows, d, devices), detail: r.detail})
 			}
 		}
-		bricked := rows[d][dBricked]
+		bricked := rows[d][fleet.ColBricked]
 		prev := int64(0)
 		if d > 0 {
-			prev = rows[d-1][dBricked]
+			prev = rows[d-1][fleet.ColBricked]
 		}
 		for _, n := range brickCountMilestones {
 			if bricked >= n && prev < n {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"flashwear/internal/fleet"
 	"flashwear/internal/obs"
 )
 
@@ -141,13 +142,13 @@ func TestAlertEventsSurviveResume(t *testing.T) {
 // edge triggering, milestone crossings, and fired-set dedup.
 func TestAlertScanRules(t *testing.T) {
 	row := func(bricked, readOnly, host, flash, rber int64) []int64 {
-		r := make([]int64, dayCols)
-		r[dDevices] = 1000
-		r[dBricked] = bricked
-		r[dReadOnly] = readOnly
-		r[dHostBytes] = host
-		r[dFlashBytes] = flash
-		r[dRawBERFemto] = rber
+		r := make([]int64, fleet.DayCols)
+		r[fleet.ColDevices] = 1000
+		r[fleet.ColBricked] = bricked
+		r[fleet.ColReadOnly] = readOnly
+		r[fleet.ColHostBytes] = host
+		r[fleet.ColFlashBytes] = flash
+		r[fleet.ColRawBERFemto] = rber
 		return r
 	}
 	const dev = 1000

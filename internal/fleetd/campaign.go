@@ -672,8 +672,8 @@ func (c *Campaign) Status() Status {
 	st.CheckpointPaused = c.ckptPaused
 	st.DaysDone = len(c.series.Rows)
 	if n := len(c.series.Rows); n > 0 {
-		st.Bricked = c.series.Rows[n-1][dBricked]
-		st.ReadOnly = c.series.Rows[n-1][dReadOnly]
+		st.Bricked = c.series.Rows[n-1][fleet.ColBricked]
+		st.ReadOnly = c.series.Rows[n-1][fleet.ColReadOnly]
 	}
 	st.LastSeq = c.journal.LastSeq()
 	return st
@@ -1079,8 +1079,8 @@ func (c *Campaign) commitEpoch(footers []*epochFooter, final bool) error {
 	daysDone := len(rows)
 	var bricked, readOnly int64
 	if daysDone > 0 {
-		bricked = rows[daysDone-1][dBricked]
-		readOnly = rows[daysDone-1][dReadOnly]
+		bricked = rows[daysDone-1][fleet.ColBricked]
+		readOnly = rows[daysDone-1][fleet.ColReadOnly]
 	}
 	c.mu.Unlock()
 

@@ -8,6 +8,7 @@ import (
 	"math/bits"
 	"time"
 
+	"flashwear/internal/fleet"
 	"flashwear/internal/ftl"
 	"flashwear/internal/nand"
 	"flashwear/internal/report"
@@ -616,7 +617,7 @@ func (e *enc) footer(ft *epochFooter) {
 	e.i64(int64(ft.DayHi))
 	e.i64(int64(ft.Live))
 	e.u32(uint32(len(ft.Rows)))
-	e.u32(dayCols)
+	e.u32(fleet.DayCols)
 	for _, r := range ft.Rows {
 		for _, v := range r {
 			e.i64(v)
@@ -645,13 +646,13 @@ func (d *dec) footer() *epochFooter {
 	ft.DayHi = int(d.i64())
 	ft.Live = int(d.i64())
 	rows := d.count(8)
-	if cols := d.u32(); cols != dayCols {
+	if cols := d.u32(); cols != fleet.DayCols {
 		d.bad = true
 		return ft
 	}
 	ft.Rows = make([][]int64, rows)
 	for i := range ft.Rows {
-		r := make([]int64, dayCols)
+		r := make([]int64, fleet.DayCols)
 		for j := range r {
 			r[j] = d.i64()
 		}
@@ -661,7 +662,7 @@ func (d *dec) footer() *epochFooter {
 	for i := range ft.Wear {
 		ft.Wear[i] = d.sketch()
 	}
-	ft.FrozenRows = make([]int64, dayCols)
+	ft.FrozenRows = make([]int64, fleet.DayCols)
 	for j := range ft.FrozenRows {
 		ft.FrozenRows[j] = d.i64()
 	}

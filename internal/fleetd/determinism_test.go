@@ -96,6 +96,35 @@ func TestSchedulingInvariance(t *testing.T) {
 	}
 }
 
+// TestSeriesAgreesWithAggregateUnderFaults is fleet's
+// TestFleetSeriesAgreesWithTotalUnderFaults for this engine: the last day
+// row and the final aggregate count the same dead phones, including those
+// that die without the device failing. The seed-7 plan of
+// TestSchedulingInvariance cuts mid-day and kills nobody within the
+// horizon; cut-every=200 cuts every boot attempt, so every phone dies in
+// first boot.
+func TestSeriesAgreesWithAggregateUnderFaults(t *testing.T) {
+	for _, tc := range []struct {
+		faults string
+		deaths bool
+	}{
+		{"read=2e-4,cut-every=20000", false},
+		{"cut-every=200", true},
+	} {
+		spec := tinySpec()
+		spec.Seed = 7
+		spec.Faults = tc.faults
+		c := runToEnd(t, "", spec)
+		rows := c.Series().Rows
+		agg, _ := c.Aggregate()
+		got := rows[len(rows)-1][fleet.ColBricked]
+		if got != agg.Total.Bricked || (tc.deaths && got == 0) {
+			t.Errorf("%s: last series row has %d bricked, final aggregate %d; want equal (deaths expected: %v)",
+				tc.faults, got, agg.Total.Bricked, tc.deaths)
+		}
+	}
+}
+
 // interrupt pauses the campaign as soon as any progress exists, then
 // abandons the manager entirely — the in-process equivalent of kill -9
 // between epoch commits (the on-disk story for kills mid-write is pinned

@@ -129,39 +129,6 @@ func (ld *liveDev) runDay(day int) (died bool, err error) {
 	return ld.RunUntil(dayEnd, nil)
 }
 
-// sample reads the device's day row — pure reads of device, FTL, and chip
-// state, valid on dead stacks too (a bricked chip still reports wear).
-func (ld *liveDev) sample(died bool) (row []int64, wearLevel int) {
-	f := ld.Dev.FTL()
-	main := f.MainChip()
-	row = make([]int64, dayCols)
-	row[dDevices] = 1
-	if died || ld.Dev.Failed() {
-		row[dBricked] = 1
-	}
-	if ld.Dev.ReadOnly() {
-		row[dReadOnly] = 1
-	}
-	row[dHostBytes] = ld.Dev.BytesWritten() * ld.Scale
-	ms := main.Stats()
-	flashBytes, erases, bad := ms.BytesProgrammed, ms.Erases, int64(ms.BadBlocks)
-	if cc := f.CacheChip(); cc != nil {
-		cs := cc.Stats()
-		flashBytes += cs.BytesProgrammed
-		erases += cs.Erases
-		bad += int64(cs.BadBlocks)
-	}
-	row[dFlashBytes] = flashBytes * ld.Scale
-	row[dFlashErases] = erases * ld.Scale
-	row[dBadBlocks] = bad * ld.Scale
-	row[dWearAvgMicro] = fleet.FixedPoint(main.AvgWear(), 1e6)
-	row[dWearMaxMicro] = fleet.FixedPoint(main.MaxWear(), 1e6)
-	row[dRawBERFemto] = fleet.FixedPoint(main.ExpectedRBER(), 1e15)
-	wearLevel = f.WearIndicator(ftl.PoolB)
-	row[dWearLevel] = int64(wearLevel)
-	return row, wearLevel
-}
-
 // cumLedger is the device's lifetime unscaled ledger: everything captured
 // before this boot plus this boot's tracer.
 func (ld *liveDev) cumLedger() wtrace.Snapshot {
@@ -230,7 +197,7 @@ func newEpochAcc(days, dayLo, dayHi int, prev *epochFooter) *epochAcc {
 		dayHi:      dayHi,
 		finalEpoch: dayHi == days,
 		series:     newDaySeries(dayHi - dayLo),
-		frozenRow:  make([]int64, dayCols),
+		frozenRow:  make([]int64, fleet.DayCols),
 		frozenWear: report.NewSketch(wearLevels),
 		agg:        newAggregate(),
 		survivors:  newAggregate(),
@@ -345,7 +312,7 @@ func runDeviceEpoch(spec fleet.Spec, p fleet.Params, st *deviceState, acc *epoch
 		if err != nil {
 			return nil, err
 		}
-		row, level := ld.sample(died)
+		row, level := ld.DayRow(died)
 		if died {
 			acc.foldDeath(day, row, level, ld.Result(true), ld.scaledLedger())
 			return nil, nil

@@ -3,6 +3,8 @@ package fleetd
 import (
 	"bytes"
 	"testing"
+
+	"flashwear/internal/fleet"
 )
 
 // tinySpec is the shared test campaign: small population, short horizon,
@@ -48,8 +50,8 @@ func TestCampaignInMemory(t *testing.T) {
 		t.Fatalf("series has %d rows, want %d", got, want)
 	}
 	for k, r := range series.Rows {
-		if r[dDevices] != 4 {
-			t.Errorf("day %d: devices = %d, want 4", k, r[dDevices])
+		if r[fleet.ColDevices] != 4 {
+			t.Errorf("day %d: devices = %d, want 4", k, r[fleet.ColDevices])
 		}
 	}
 	agg, final := c.Aggregate()

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"flashwear/internal/fleet"
 	"flashwear/internal/hostio"
 	"flashwear/internal/nand"
 	"flashwear/internal/report"
@@ -115,13 +116,13 @@ func buildSeedCell(tamper func([]byte) []byte) []byte {
 		Shard: 0, Epoch: 1, DayLo: 0, DayHi: days, Live: 1,
 		Rows:       make([][]int64, days),
 		Wear:       make([]report.Sketch, days),
-		FrozenRows: make([]int64, dayCols),
+		FrozenRows: make([]int64, fleet.DayCols),
 		FrozenWear: report.NewSketch(wearLevels),
 		Agg:        newAggregate(),
 		Ledger:     wtrace.Snapshot{PageSize: 16, Rows: []wtrace.Row{{Origin: "os", HostPages: 4}}},
 	}
 	for i := range ft.Rows {
-		ft.Rows[i] = make([]int64, dayCols)
+		ft.Rows[i] = make([]int64, fleet.DayCols)
 		ft.Wear[i] = report.NewSketch(wearLevels)
 	}
 	e = enc{}

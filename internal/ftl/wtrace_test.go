@@ -19,7 +19,7 @@ import (
 // breaks the write-amplification decomposition.
 func checkWearIdentity(t *testing.T, f *FTL) wtrace.Snapshot {
 	t.Helper()
-	snap := f.Tracer().Ledger().Snapshot()
+	snap := f.Tracer().Snapshot()
 	tot := snap.Totals()
 	if got, want := tot.HostPages, f.Stats().HostPagesWritten; got != want {
 		t.Errorf("ledger host pages = %d, FTL counted %d", got, want)
@@ -279,14 +279,14 @@ func TestWearTracerDetach(t *testing.T) {
 	if f.Tracer() != nil {
 		t.Fatal("Tracer() non-nil after detach")
 	}
-	before := tr.Ledger().Snapshot().Totals()
+	before := tr.Snapshot().Totals()
 	n := f.LogicalPages()
 	for i := 0; i < 3*n; i++ {
 		if _, err := f.WritePage(i%n, nil, 4096); err != nil {
 			t.Fatalf("write with tracing off: %v", err)
 		}
 	}
-	after := tr.Ledger().Snapshot().Totals()
+	after := tr.Snapshot().Totals()
 	if after != before {
 		t.Fatalf("detached ledger moved: %+v -> %+v", before, after)
 	}

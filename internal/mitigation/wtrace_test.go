@@ -105,7 +105,7 @@ func TestClassifierAgreesWithWearGroundTruth(t *testing.T) {
 		}
 	}
 	// The ground truth: who actually wore the flash the most.
-	snap := tr.Ledger().Snapshot()
+	snap := tr.Snapshot()
 	truth := snap.Top()
 
 	if truth != "wear-attack" {

@@ -1,11 +1,11 @@
 package runtrace
 
 import (
-	"bufio"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
+
+	"flashwear/internal/report"
 )
 
 // Chrome trace layout: each shard is a process (plus one "campaign"
@@ -18,11 +18,9 @@ const (
 )
 
 // WriteChrome renders the buffered spans of the current (or last)
-// recording window as a Chrome trace-event JSON object — load it in
-// chrome://tracing, https://ui.perfetto.dev or speedscope. ts/dur are
-// wall-clock microseconds relative to the window start. The writer
-// emits by hand like wtrace's (span volume makes reflective encoding
-// the dominant cost), but the output is plain standard JSON.
+// recording window as a Chrome trace-event JSON object through
+// report.ChromeTrace. ts/dur are wall-clock microseconds relative to the
+// window start.
 func (t *Tracer) WriteChrome(w io.Writer) error {
 	t.mu.Lock()
 	spans := append([]Span(nil), t.spans...)
@@ -47,55 +45,26 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 		return int(shard) + pidShard0
 	}
 
-	bw := bufio.NewWriter(w)
-	bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
-	first := true
-	comma := func() {
-		if !first {
-			bw.WriteByte(',')
-		}
-		first = false
-	}
-	meta := func(pid int, name, value string, tid int) {
-		comma()
-		fmt.Fprintf(bw, `{"name":%q,"ph":"M","pid":%d,"tid":%d,"args":{"name":%q}}`,
-			name, pid, tid, value)
-	}
+	ct := report.NewChromeTrace(w)
 	for _, s := range shards {
 		procName := "campaign"
 		if s >= 0 {
 			procName = "shard " + strconv.Itoa(int(s))
 		}
-		meta(pid(s), "process_name", procName, 0)
+		ct.ProcessName(pid(s), procName)
 		for p := Phase(0); p < NumPhases; p++ {
-			meta(pid(s), "thread_name", p.String(), int(p)+1)
+			ct.ThreadName(pid(s), int(p)+1, p.String())
 		}
 	}
 	for _, s := range spans {
-		comma()
-		bw.WriteString(`{"name":`)
-		bw.WriteString(strconv.Quote(s.Phase.String()))
-		bw.WriteString(`,"ph":"X","pid":`)
-		bw.WriteString(strconv.Itoa(pid(s.Shard)))
-		bw.WriteString(`,"tid":`)
-		bw.WriteString(strconv.Itoa(int(s.Phase) + 1))
-		bw.WriteString(`,"ts":`)
-		bw.WriteString(strconv.FormatInt(s.Start.Microseconds(), 10))
-		bw.WriteString(`,"dur":`)
-		bw.WriteString(strconv.FormatInt(s.Dur.Microseconds(), 10))
-		bw.WriteString(`,"args":{"epoch":`)
-		bw.WriteString(strconv.Itoa(int(s.Epoch)))
+		ct.Event(s.Phase.String(), 'X', pid(s.Shard), int(s.Phase)+1,
+			s.Start.Microseconds(), s.Dur.Microseconds())
+		ct.Int("epoch", int64(s.Epoch))
 		if s.Device >= 0 {
-			bw.WriteString(`,"device":`)
-			bw.WriteString(strconv.Itoa(int(s.Device)))
+			ct.Int("device", int64(s.Device))
 		}
-		bw.WriteString(`}}`)
+		ct.EndEvent()
 	}
-	if dropped > 0 {
-		comma()
-		fmt.Fprintf(bw, `{"name":"spans dropped: %d","ph":"i","s":"g","pid":%d,"tid":0,"ts":0,"args":{}}`,
-			dropped, pidCampaign)
-	}
-	bw.WriteString("]}\n")
-	return bw.Flush()
+	ct.Dropped(pidCampaign, "spans", dropped)
+	return ct.Close()
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"flashwear/internal/telemetry"
-	"flashwear/internal/wtrace"
 )
 
 // TestRegistryConcurrentRegistrationAndEmission hammers one registry from
@@ -71,80 +70,5 @@ func TestRegistryConcurrentRegistrationAndEmission(t *testing.T) {
 	}
 	if total != workers*incs {
 		t.Fatalf("counters sum to %d, want %d (lost updates)", total, workers*incs)
-	}
-}
-
-// TestWtraceCollectorConcurrentEmission attaches a wear tracer's pull
-// metrics to a registry and then drives the shared ledger from many
-// goroutines while snapshots are being taken. The collector callbacks must
-// be pure atomic readers, so the final snapshot equals the exact emitted
-// counts.
-func TestWtraceCollectorConcurrentEmission(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	led := wtrace.NewLedger()
-	wtrace.NewWithLedger(led).Attach(reg)
-
-	const workers = 8
-	const ops = 4000
-	const erasesEach = 8
-
-	var emitters, readers sync.WaitGroup
-	stop := make(chan struct{})
-	readers.Add(1)
-	go func() {
-		defer readers.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			snap := reg.Snapshot(0)
-			i := snap.Index("wtrace.phys_pages")
-			j := snap.Index("wtrace.erases")
-			if i < 0 || j < 0 {
-				t.Error("wtrace instruments missing from snapshot")
-				return
-			}
-			if snap.Points[i].Int < 0 || snap.Points[j].Int < 0 {
-				t.Errorf("negative wtrace counters: %d, %d", snap.Points[i].Int, snap.Points[j].Int)
-				return
-			}
-		}
-	}()
-	for w := 0; w < workers; w++ {
-		emitters.Add(1)
-		go func(w int) {
-			defer emitters.Done()
-			tr := wtrace.NewWithLedger(led) // per-goroutine tracer, shared ledger
-			org := tr.Origin(fmt.Sprintf("app.%d", w))
-			for i := 0; i < ops; i++ {
-				tr.NoteProgram(org, wtrace.CauseHost)
-			}
-			for i := 0; i < erasesEach; i++ {
-				tr.EraseBlockAttrib(w, []wtrace.Origin{org})
-			}
-		}(w)
-	}
-	emitters.Wait()
-	close(stop)
-	readers.Wait()
-
-	snap := reg.Snapshot(0)
-	want := map[string]int64{
-		"wtrace.origins":        workers + 1, // + "os"
-		"wtrace.events":         0,           // events never enabled
-		"wtrace.events_dropped": 0,
-		"wtrace.phys_pages":     workers * ops,
-		"wtrace.erases":         workers * erasesEach,
-	}
-	for name, w := range want {
-		i := snap.Index(name)
-		if i < 0 {
-			t.Fatalf("instrument %s missing", name)
-		}
-		if got := snap.Points[i].Int; got != w {
-			t.Errorf("%s = %d, want %d", name, got, w)
-		}
 	}
 }

@@ -1,10 +1,10 @@
 package wtrace
 
 import (
-	"bufio"
-	"fmt"
 	"io"
 	"strconv"
+
+	"flashwear/internal/report"
 )
 
 // Event is one trace record in a compact typed form (no per-event maps or
@@ -53,89 +53,46 @@ type ProcessTrace struct {
 func (t *Tracer) Process(name string) ProcessTrace {
 	return ProcessTrace{
 		Name:        name,
-		OriginNames: t.led.Origins(),
+		OriginNames: t.Origins(),
 		Events:      t.events,
 		Dropped:     t.dropped,
 	}
 }
 
 // WriteChrome renders processes as a Chrome trace-event JSON object
-// (load the file in chrome://tracing or https://ui.perfetto.dev). The
-// writer emits by hand — the event volume makes reflective JSON encoding
-// the dominant cost otherwise — but the output is plain standard JSON.
+// through report.ChromeTrace; this function is the track layout and the
+// per-event args.
 func WriteChrome(w io.Writer, procs ...ProcessTrace) error {
-	bw := bufio.NewWriter(w)
-	bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
-	first := true
-	comma := func() {
-		if !first {
-			bw.WriteByte(',')
-		}
-		first = false
-	}
-	meta := func(pid int, name, key, value string, tid int) {
-		comma()
-		fmt.Fprintf(bw, `{"name":%q,"ph":"M","pid":%d,"tid":%d,"args":{%q:%q}}`,
-			name, pid, tid, key, value)
-	}
+	ct := report.NewChromeTrace(w)
 	for i, p := range procs {
 		pid := p.Pid
 		if pid == 0 {
 			pid = i + 1
 		}
-		meta(pid, "process_name", "name", p.Name, 0)
-		meta(pid, "thread_name", "name", "ftl:gc", tidGC)
-		meta(pid, "thread_name", "name", "ftl:wl", tidWL)
-		meta(pid, "thread_name", "name", "nand:erase", tidErase)
+		ct.ProcessName(pid, p.Name)
+		ct.ThreadName(pid, tidGC, "ftl:gc")
+		ct.ThreadName(pid, tidWL, "ftl:wl")
+		ct.ThreadName(pid, tidErase, "nand:erase")
 		for org, name := range p.OriginNames {
-			meta(pid, "thread_name", "name", "host:"+name, tidHostBase+org)
-		}
-		orgName := func(o Origin) string {
-			if int(o) < len(p.OriginNames) {
-				return p.OriginNames[o]
-			}
-			return "origin-" + strconv.Itoa(int(o))
+			ct.ThreadName(pid, tidHostBase+org, "host:"+name)
 		}
 		for _, e := range p.Events {
-			comma()
-			bw.WriteString(`{"name":`)
-			bw.WriteString(strconv.Quote(e.Name))
-			bw.WriteString(`,"ph":"`)
-			bw.WriteByte(e.Ph)
-			bw.WriteString(`","pid":`)
-			bw.WriteString(strconv.Itoa(pid))
-			bw.WriteString(`,"tid":`)
-			bw.WriteString(strconv.FormatInt(int64(e.Tid), 10))
-			bw.WriteString(`,"ts":`)
-			bw.WriteString(strconv.FormatInt(e.Ts, 10))
-			if e.Ph == 'X' {
-				bw.WriteString(`,"dur":`)
-				bw.WriteString(strconv.FormatInt(e.Dur, 10))
-			}
-			if e.Ph == 'i' {
-				bw.WriteString(`,"s":"t"`)
-			}
-			bw.WriteString(`,"args":{"origin":`)
-			bw.WriteString(strconv.Quote(orgName(e.Origin)))
-			if e.Ph == 'X' {
-				bw.WriteString(`,"off":`)
-				bw.WriteString(strconv.FormatInt(e.Off, 10))
-				bw.WriteString(`,"bytes":`)
-				bw.WriteString(strconv.FormatInt(e.Bytes, 10))
+			ct.Event(e.Name, e.Ph, pid, int(e.Tid), e.Ts, e.Dur)
+			if int(e.Origin) < len(p.OriginNames) {
+				ct.Str("origin", p.OriginNames[e.Origin])
 			} else {
-				bw.WriteString(`,"block":`)
-				bw.WriteString(strconv.FormatInt(int64(e.Block), 10))
-				bw.WriteString(`,"pages":`)
-				bw.WriteString(strconv.FormatInt(int64(e.Pages), 10))
+				ct.Str("origin", "origin-"+strconv.Itoa(int(e.Origin)))
 			}
-			bw.WriteString(`}}`)
+			if e.Ph == 'X' {
+				ct.Int("off", e.Off)
+				ct.Int("bytes", e.Bytes)
+			} else {
+				ct.Int("block", int64(e.Block))
+				ct.Int("pages", int64(e.Pages))
+			}
+			ct.EndEvent()
 		}
-		if p.Dropped > 0 {
-			comma()
-			fmt.Fprintf(bw, `{"name":"events dropped: %d","ph":"i","s":"g","pid":%d,"tid":0,"ts":0,"args":{}}`,
-				p.Dropped, pid)
-		}
+		ct.Dropped(pid, "events", p.Dropped)
 	}
-	bw.WriteString("]}\n")
-	return bw.Flush()
+	return ct.Close()
 }

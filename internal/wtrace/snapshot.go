@@ -44,7 +44,7 @@ func (r *Row) addFrom(o Row) {
 	r.ErasePages += o.ErasePages
 }
 
-// Snapshot is a point-in-time copy of a ledger, rows sorted by origin
+// Snapshot is a point-in-time copy of a tracer's ledger, rows sorted by origin
 // name. Snapshots support the same integer algebra as fleet metrics:
 // Scale multiplies, Merge adds by origin name, so fleet aggregation is
 // order-independent and byte-identical across worker counts.
@@ -55,29 +55,25 @@ type Snapshot struct {
 	Rows     []Row `json:"rows"`
 }
 
-// Snapshot captures the ledger. Rows come out sorted by origin name.
-func (l *Ledger) Snapshot() Snapshot {
-	l.mu.Lock()
-	names := append([]string(nil), l.names...)
-	l.mu.Unlock()
-	rows := l.loadRows()
-	ps := l.pageSize.Load()
-	s := Snapshot{PageSize: ps, Rows: make([]Row, len(names))}
-	for i, name := range names {
-		r := rows[i]
+// Snapshot captures the tracer's ledger. Rows come out sorted by origin
+// name.
+func (t *Tracer) Snapshot() Snapshot {
+	s := Snapshot{PageSize: t.pageSize, Rows: make([]Row, len(t.names))}
+	for i, name := range t.names {
+		r := &t.rows[i]
 		out := Row{
 			Origin:        name,
-			HostPages:     r.hostPages.Load(),
-			HostBytes:     r.hostBytes.Load(),
-			HostPrograms:  r.programs[CauseHost].Load(),
-			GCPrograms:    r.programs[CauseGC].Load(),
-			WLPrograms:    r.programs[CauseWL].Load(),
-			CachePrograms: r.programs[CauseCache].Load(),
-			Erases:        r.erases.Load(),
-			ErasePages:    r.erasePages.Load(),
+			HostPages:     r.hostPages,
+			HostBytes:     r.hostBytes,
+			HostPrograms:  r.programs[CauseHost],
+			GCPrograms:    r.programs[CauseGC],
+			WLPrograms:    r.programs[CauseWL],
+			CachePrograms: r.programs[CauseCache],
+			Erases:        r.erases,
+			ErasePages:    r.erasePages,
 		}
 		out.PhysPages = out.HostPrograms + out.GCPrograms + out.WLPrograms + out.CachePrograms
-		out.PhysBytes = out.PhysPages * ps
+		out.PhysBytes = out.PhysPages * t.pageSize
 		s.Rows[i] = out
 	}
 	sort.Slice(s.Rows, func(i, j int) bool { return s.Rows[i].Origin < s.Rows[j].Origin })

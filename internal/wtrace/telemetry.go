@@ -11,11 +11,11 @@ import "flashwear/internal/telemetry"
 //	wtrace.phys_pages       total attributed physical programs
 //	wtrace.erases           total attributed erases
 //
-// The callbacks only read (atomics and lens), as the registry's pull
-// contract requires.
+// The callbacks only read, as the registry's pull contract requires; like
+// every device instrument they are sampled on the stack's own goroutine.
 func (t *Tracer) Attach(reg *telemetry.Registry) {
 	reg.CounterFunc("wtrace.origins", func() int64 {
-		return int64(len(t.led.loadRows()))
+		return int64(len(t.rows))
 	})
 	reg.CounterFunc("wtrace.events", func() int64 {
 		return int64(len(t.events))
@@ -25,17 +25,17 @@ func (t *Tracer) Attach(reg *telemetry.Registry) {
 	})
 	reg.CounterFunc("wtrace.phys_pages", func() int64 {
 		var n int64
-		for _, r := range t.led.loadRows() {
-			for c := range r.programs {
-				n += r.programs[c].Load()
+		for i := range t.rows {
+			for _, c := range t.rows[i].programs {
+				n += c
 			}
 		}
 		return n
 	})
 	reg.CounterFunc("wtrace.erases", func() int64 {
 		var n int64
-		for _, r := range t.led.loadRows() {
-			n += r.erases.Load()
+		for i := range t.rows {
+			n += t.rows[i].erases
 		}
 		return n
 	})

@@ -42,19 +42,18 @@
 //
 // With no tracer attached the hot path costs one nil pointer compare per
 // FTL program (pinned by BenchmarkFTLWrite, <2% like the idle fault
-// plans). With a tracer attached, notes are single atomic adds; Chrome
-// trace events are recorded only after EnableEvents and are capped.
+// plans). With a tracer attached, a note is one plain integer add on the
+// origin's row; Chrome trace events are recorded only after EnableEvents
+// and are capped.
 package wtrace
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // Origin identifies one writer (an app, a workload class, a stream). It
-// indexes the Ledger's origin table. Origin 0 is always "os": writes
+// indexes the Tracer's ledger rows. Origin 0 is always "os": writes
 // issued while no origin is set — mkfs, mount, FS background work not
 // caused by any app write.
 type Origin uint16
@@ -96,115 +95,28 @@ func (c Cause) String() string {
 	}
 }
 
-// row is one origin's live counters. All fields are atomics so emission
-// and snapshotting are safe under concurrency (the fleet snapshots worker
-// ledgers while devices run; see the -race tests).
+// row is one origin's live counters.
 type row struct {
-	hostPages  atomic.Int64
-	hostBytes  atomic.Int64
-	programs   [NumCauses]atomic.Int64
-	erases     atomic.Int64
-	erasePages atomic.Int64
-}
-
-// Ledger is the per-origin wear account. Registration takes a mutex;
-// counting is lock-free (atomic adds on a copy-on-write row slice), so
-// concurrent registration, emission, and snapshotting are all safe.
-type Ledger struct {
-	mu     sync.Mutex
-	byName map[string]Origin
-	names  []string
-	rows   atomic.Pointer[[]*row]
-
-	pageSize atomic.Int64
-}
-
-// NewLedger returns a ledger with origin 0 ("os") pre-registered.
-func NewLedger() *Ledger {
-	l := &Ledger{byName: make(map[string]Origin)}
-	l.byName["os"] = OriginOS
-	l.names = []string{"os"}
-	rows := []*row{new(row)}
-	l.rows.Store(&rows)
-	return l
-}
-
-// SetPageSize records the device page size, which converts page counts to
-// bytes in snapshots. Safe to call at any time.
-func (l *Ledger) SetPageSize(n int) { l.pageSize.Store(int64(n)) }
-
-// PageSize returns the recorded page size.
-func (l *Ledger) PageSize() int64 { return l.pageSize.Load() }
-
-// Origin registers (or finds) an origin by name and returns its id. Names
-// must be non-empty and must not contain commas, quotes, or newlines
-// (they appear verbatim in CSV output).
-func (l *Ledger) Origin(name string) Origin {
-	if name == "" {
-		panic("wtrace: empty origin name")
-	}
-	for _, r := range name {
-		if r == ',' || r == '"' || r == '\n' || r == '\r' {
-			panic(fmt.Sprintf("wtrace: origin name %q contains CSV-hostile characters", name))
-		}
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if o, ok := l.byName[name]; ok {
-		return o
-	}
-	o := Origin(len(l.names))
-	l.byName[name] = o
-	l.names = append(l.names, name)
-	// Copy-on-write so concurrent counters never observe a torn slice.
-	old := *l.rows.Load()
-	rows := make([]*row, len(old)+1)
-	copy(rows, old)
-	rows[len(old)] = new(row)
-	l.rows.Store(&rows)
-	return o
-}
-
-// Origins returns the registered origin names, indexed by Origin id.
-func (l *Ledger) Origins() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]string(nil), l.names...)
-}
-
-func (l *Ledger) loadRows() []*row { return *l.rows.Load() }
-
-// addHostPage counts one host page written against org.
-func (l *Ledger) addHostPage(org Origin) {
-	r := l.loadRows()[org]
-	r.hostPages.Add(1)
-	r.hostBytes.Add(l.pageSize.Load())
-}
-
-// addProgram counts one physical NAND program against org under cause.
-func (l *Ledger) addProgram(org Origin, cause Cause) {
-	l.loadRows()[org].programs[cause].Add(1)
-}
-
-// addErase counts one block erase against org (plurality attribution).
-func (l *Ledger) addErase(org Origin) { l.loadRows()[org].erases.Add(1) }
-
-// addErasePages counts n page-units of an erased block against org — the
-// proportional (page-weighted) erase share, alongside the exact plurality
-// count.
-func (l *Ledger) addErasePages(org Origin, n int64) {
-	l.loadRows()[org].erasePages.Add(n)
+	hostPages  int64
+	hostBytes  int64
+	programs   [NumCauses]int64
+	erases     int64
+	erasePages int64
 }
 
 // Tracer is one device stack's tracing handle: the ambient current
-// origin, the event buffer, and a reference to the ledger it counts into.
-// A Tracer is single-threaded like the device stack it instruments; only
-// the Ledger behind it is concurrency-safe. Several tracers may share one
-// ledger (each fleet device gets its own tracer; the experiments harness
-// reuses one across sequential runs).
+// origin, the per-origin wear ledger and the event buffer. It is
+// single-threaded like the device stack it instruments: plain counters,
+// no locks. Concurrent stacks (fleet workers) each own a Tracer and share
+// nothing; their Snapshots merge by origin name afterwards.
 type Tracer struct {
-	led *Ledger
 	cur Origin
+
+	// The ledger: rows[o] is origin o's account, names[o] its name.
+	byName   map[string]Origin
+	names    []string
+	rows     []row
+	pageSize int64
 
 	// Now supplies event timestamps (the device's simulated clock). Nil
 	// means all events stamp zero.
@@ -218,17 +130,44 @@ type Tracer struct {
 	tally []int32 // scratch for erase attribution
 }
 
-// New returns a tracer with its own fresh ledger.
-func New() *Tracer { return NewWithLedger(NewLedger()) }
+// New returns a tracer with an empty ledger: origin 0 ("os") registered,
+// nothing counted.
+func New() *Tracer {
+	return &Tracer{
+		byName: map[string]Origin{"os": OriginOS},
+		names:  []string{"os"},
+		rows:   make([]row, 1),
+	}
+}
 
-// NewWithLedger returns a tracer counting into a shared ledger.
-func NewWithLedger(l *Ledger) *Tracer { return &Tracer{led: l} }
+// SetPageSize records the device page size, which converts page counts to
+// bytes in snapshots.
+func (t *Tracer) SetPageSize(n int) { t.pageSize = int64(n) }
 
-// Ledger returns the tracer's ledger.
-func (t *Tracer) Ledger() *Ledger { return t.led }
+// Origin registers (or finds) an origin by name and returns its id. Names
+// must be non-empty and must not contain commas, quotes, or newlines
+// (they appear verbatim in CSV output).
+func (t *Tracer) Origin(name string) Origin {
+	if name == "" {
+		panic("wtrace: empty origin name")
+	}
+	for _, r := range name {
+		if r == ',' || r == '"' || r == '\n' || r == '\r' {
+			panic(fmt.Sprintf("wtrace: origin name %q contains CSV-hostile characters", name))
+		}
+	}
+	if o, ok := t.byName[name]; ok {
+		return o
+	}
+	o := Origin(len(t.names))
+	t.byName[name] = o
+	t.names = append(t.names, name)
+	t.rows = append(t.rows, row{})
+	return o
+}
 
-// Origin registers (or finds) an origin by name.
-func (t *Tracer) Origin(name string) Origin { return t.led.Origin(name) }
+// Origins returns the registered origin names, indexed by Origin id.
+func (t *Tracer) Origins() []string { return append([]string(nil), t.names...) }
 
 // SetOrigin makes org the ambient origin for subsequent host writes and
 // returns the previous one, so callers can nest tag scopes.
@@ -240,14 +179,15 @@ func (t *Tracer) SetOrigin(org Origin) (prev Origin) {
 // Current returns the ambient origin.
 func (t *Tracer) Current() Origin { return t.cur }
 
-// SetPageSize forwards to the ledger.
-func (t *Tracer) SetPageSize(n int) { t.led.SetPageSize(n) }
-
 // NoteHostPage counts one host page written by the current origin.
-func (t *Tracer) NoteHostPage() { t.led.addHostPage(t.cur) }
+func (t *Tracer) NoteHostPage() {
+	r := &t.rows[t.cur]
+	r.hostPages++
+	r.hostBytes += t.pageSize
+}
 
 // NoteProgram counts one physical NAND program for org under cause.
-func (t *Tracer) NoteProgram(org Origin, cause Cause) { t.led.addProgram(org, cause) }
+func (t *Tracer) NoteProgram(org Origin, cause Cause) { t.rows[org].programs[cause]++ }
 
 // EraseBlockAttrib attributes one block erase. pageOrgs holds the origin
 // of every page programmed into the block since its last erase; the erase
@@ -258,7 +198,7 @@ func (t *Tracer) NoteProgram(org Origin, cause Cause) { t.led.addProgram(org, ca
 func (t *Tracer) EraseBlockAttrib(block int, pageOrgs []Origin) {
 	winner := OriginOS
 	if len(pageOrgs) > 0 {
-		n := len(t.led.loadRows())
+		n := len(t.rows)
 		if cap(t.tally) < n {
 			t.tally = make([]int32, n)
 		}
@@ -275,11 +215,11 @@ func (t *Tracer) EraseBlockAttrib(block int, pageOrgs []Origin) {
 		}
 		for i, c := range tally {
 			if c > 0 {
-				t.led.addErasePages(Origin(i), int64(c))
+				t.rows[i].erasePages += int64(c)
 			}
 		}
 	}
-	t.led.addErase(winner)
+	t.rows[winner].erases++
 	t.emit(Event{Name: "erase", Ph: 'i', Tid: tidErase, Ts: t.now(), Origin: winner,
 		Block: int32(block), Pages: int32(len(pageOrgs))})
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -13,7 +12,7 @@ import (
 )
 
 func TestOriginRegistration(t *testing.T) {
-	l := NewLedger()
+	l := New()
 	if got := l.Origin("os"); got != OriginOS {
 		t.Fatalf(`Origin("os") = %d, want 0`, got)
 	}
@@ -31,7 +30,7 @@ func TestOriginRegistration(t *testing.T) {
 }
 
 func TestOriginNameValidation(t *testing.T) {
-	l := NewLedger()
+	l := New()
 	for _, bad := range []string{"", "a,b", `a"b`, "a\nb", "a\rb"} {
 		func() {
 			defer func() {
@@ -56,7 +55,7 @@ func TestErasePlurality(t *testing.T) {
 	tr.EraseBlockAttrib(2, nil)                             // empty -> os
 	tr.EraseBlockAttrib(3, []Origin{b, b, b, a, Origin(0)}) // b wins
 
-	snap := tr.Ledger().Snapshot()
+	snap := tr.Snapshot()
 	rows := map[string]Row{}
 	for _, r := range snap.Rows {
 		rows[r.Origin] = r
@@ -109,7 +108,7 @@ func TestSnapshotAlgebra(t *testing.T) {
 		tr.NoteProgram(a, CauseHost)
 	}
 	tr.NoteProgram(a, CauseGC)
-	s1 := tr.Ledger().Snapshot()
+	s1 := tr.Snapshot()
 	if got := s1.Totals().PhysPages; got != 4 {
 		t.Fatalf("phys pages = %d, want 4", got)
 	}
@@ -129,7 +128,7 @@ func TestSnapshotAlgebra(t *testing.T) {
 	y := tr2.Origin("zz")
 	tr2.NoteProgram(x, CauseHost)
 	tr2.NoteProgram(y, CauseWL)
-	s2 := tr2.Ledger().Snapshot()
+	s2 := tr2.Snapshot()
 
 	merged := Snapshot{}
 	merged.Merge(s1)
@@ -182,7 +181,7 @@ func TestWriteCSVTotals(t *testing.T) {
 	tr.EraseBlockAttrib(0, []Origin{a, b, b})
 
 	var buf bytes.Buffer
-	if err := tr.Ledger().Snapshot().WriteCSV(&buf); err != nil {
+	if err := tr.Snapshot().WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -222,7 +221,7 @@ func TestWriteCSVTotals(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := tr.Ledger().Snapshot().WriteJSON(&buf); err != nil {
+	if err := tr.Snapshot().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -242,7 +241,7 @@ func TestWriteLabeledCSV(t *testing.T) {
 	tr := New()
 	a := tr.Origin("a")
 	tr.NoteProgram(a, CauseHost)
-	snap := tr.Ledger().Snapshot()
+	snap := tr.Snapshot()
 	var buf bytes.Buffer
 	if err := snap.WriteLabeledCSV(&buf, "run1", true); err != nil {
 		t.Fatal(err)
@@ -356,83 +355,6 @@ func TestAttachTelemetry(t *testing.T) {
 	check("wtrace.erases", 1)
 	check("wtrace.events", 0)
 	check("wtrace.events_dropped", 0)
-}
-
-// TestConcurrentLedger is the -race half of the concurrency contract
-// (DESIGN.md §9): one shared Ledger, many goroutines registering origins,
-// counting through their own Tracers, and snapshotting — all at once. The
-// final snapshot must account every emission exactly.
-func TestConcurrentLedger(t *testing.T) {
-	led := NewLedger()
-	led.SetPageSize(4096)
-	const (
-		workers = 8
-		perW    = 2000
-	)
-	var workersWG, readerWG sync.WaitGroup
-	stop := make(chan struct{})
-	// Concurrent snapshot reader: must never see torn state (the -race
-	// detector and the row invariant below are the assertions).
-	readerWG.Add(1)
-	go func() {
-		defer readerWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			snap := led.Snapshot()
-			for _, r := range snap.Rows {
-				if r.PhysPages != r.HostPrograms+r.GCPrograms+r.WLPrograms+r.CachePrograms {
-					t.Errorf("torn snapshot row: %+v", r)
-					return
-				}
-			}
-		}
-	}()
-	for w := 0; w < workers; w++ {
-		workersWG.Add(1)
-		go func(w int) {
-			defer workersWG.Done()
-			tr := NewWithLedger(led) // tracer per goroutine, ledger shared
-			mine := tr.Origin(fmt.Sprintf("app.%d", w))
-			shared := tr.Origin("shared") // every worker races to register this
-			tr.SetOrigin(mine)
-			for i := 0; i < perW; i++ {
-				tr.NoteHostPage()
-				tr.NoteProgram(mine, CauseHost)
-				tr.NoteProgram(shared, CauseGC)
-				if i%100 == 0 {
-					tr.EraseBlockAttrib(i, []Origin{mine, mine, shared})
-				}
-			}
-		}(w)
-	}
-	workersWG.Wait()
-	close(stop)
-	readerWG.Wait()
-
-	snap := led.Snapshot()
-	rows := map[string]Row{}
-	for _, r := range snap.Rows {
-		rows[r.Origin] = r
-	}
-	for w := 0; w < workers; w++ {
-		r := rows[fmt.Sprintf("app.%d", w)]
-		if r.HostPages != perW || r.HostPrograms != perW {
-			t.Errorf("worker %d: host pages %d, host programs %d, want %d", w, r.HostPages, r.HostPrograms, perW)
-		}
-		if r.Erases != perW/100 {
-			t.Errorf("worker %d: erases %d, want %d", w, r.Erases, perW/100)
-		}
-	}
-	if r := rows["shared"]; r.GCPrograms != workers*perW {
-		t.Errorf("shared gc programs = %d, want %d", r.GCPrograms, workers*perW)
-	}
-	if tot := snap.Totals().Erases; tot != workers*(perW/100) {
-		t.Errorf("total erases = %d, want %d", tot, workers*(perW/100))
-	}
 }
 
 // TestWriteChromeGolden pins WriteChrome's bytes over one small fixed
