@@ -20,7 +20,7 @@ type FS struct {
 	sb   *superblock
 
 	nat       []uint32
-	natDirty  map[uint32]bool
+	natDirty  []bool // per NAT block
 	nodes     map[uint32]*node
 	nodeRotor uint32
 	ver       uint64
@@ -108,7 +108,7 @@ func Mount(dev blockdev.Device, opts fs.Options) (*FS, error) {
 	}
 	v := &FS{
 		dev: dev, opts: opts, sb: sb,
-		natDirty:  make(map[uint32]bool),
+		natDirty:  make([]bool, sb.natBlks),
 		nodes:     make(map[uint32]*node),
 		nodeRotor: 1,
 		dataLog:   logState{seg: ^uint32(0)},
@@ -211,7 +211,10 @@ func (v *FS) checkpointLocked() error {
 	if err := v.flushDirtyNodes(); err != nil {
 		return err
 	}
-	for blkIdx := range v.natDirty {
+	for blkIdx := uint32(0); blkIdx < v.sb.natBlks; blkIdx++ {
+		if !v.natDirty[blkIdx] {
+			continue
+		}
 		nb := make([]byte, BlockSize)
 		base := int(blkIdx) * natEntriesPerBlock
 		for e := 0; e < natEntriesPerBlock; e++ {
@@ -221,7 +224,7 @@ func (v *FS) checkpointLocked() error {
 			return err
 		}
 	}
-	v.natDirty = make(map[uint32]bool)
+	clear(v.natDirty)
 	if err := v.dev.Flush(); err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package f2fs
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"flashwear/internal/fs"
 )
@@ -206,13 +207,20 @@ func (v *FS) writeNode(n *node, fsync bool) error {
 	return nil
 }
 
-// flushDirtyNodes writes every dirty cached node (checkpoint path).
+// flushDirtyNodes writes every dirty cached node (checkpoint path), in
+// ascending node ID: each write takes the next node-log address, so map
+// order here would be on-flash layout.
 func (v *FS) flushDirtyNodes() error {
-	for _, n := range v.nodes {
+	var dirty []uint32
+	for id, n := range v.nodes {
 		if n != nil && n.dirty {
-			if err := v.writeNode(n, false); err != nil {
-				return err
-			}
+			dirty = append(dirty, id)
+		}
+	}
+	slices.Sort(dirty)
+	for _, id := range dirty {
+		if err := v.writeNode(v.nodes[id], false); err != nil {
+			return err
 		}
 	}
 	return nil
