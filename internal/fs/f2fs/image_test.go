@@ -2,11 +2,15 @@ package f2fs
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"slices"
 	"testing"
 
 	"flashwear/internal/blockdev"
+	"flashwear/internal/device"
 	"flashwear/internal/fs"
+	"flashwear/internal/simclock"
 )
 
 // recordingDevice notes the offset of every WriteAt, in order.
@@ -87,6 +91,190 @@ func TestCheckpointWriteOrderDeterministic(t *testing.T) {
 		}
 		if !bytes.Equal(b, wantBytes) {
 			t.Fatalf("run %d: device bytes differ from the first run", i)
+		}
+	}
+}
+
+// pattern fills p with bytes that depend on the file offset and a tag, so
+// a misplaced or stale block changes the image.
+func pattern(p []byte, off int64, tag byte) {
+	for i := range p {
+		x := off + int64(i)
+		p[i] = byte(x) ^ byte(x>>8) ^ byte(x>>16) ^ tag
+	}
+}
+
+// TestNodeImagePinned pins the bytes f2fs leaves on a device after a fixed
+// script that reaches every writer of a node's pointer area: direct and
+// indirect slots, truncation inside and below the indirect range, removal,
+// cleaning, roll-forward recovery and a clean remount.
+func TestNodeImagePinned(t *testing.T) {
+	const want = "4b44852abd5bdbe5493646a81a03ee90920e00113110d43aa1e4b82c7b836149"
+	dev, err := blockdev.NewMem(16<<20, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Mkfs(dev); err != nil {
+		t.Fatal(err)
+	}
+	mount := func() *FS {
+		t.Helper()
+		v, err := Mount(dev, fs.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	create := func(v *FS, path string) fs.File {
+		t.Helper()
+		f, err := v.Create(path)
+		must(err)
+		return f
+	}
+	write := func(f fs.File, off int64, n int, tag byte) {
+		t.Helper()
+		p := make([]byte, n)
+		pattern(p, off, tag)
+		_, err := f.WriteAt(p, off)
+		must(err)
+	}
+
+	v := mount()
+	big := create(v, "/big")
+	const bigBlocks = NDirect + 256 // 3 MiB: a quarter of the way into the first indirect node
+	for off := int64(0); off < bigBlocks*BlockSize; off += 64 << 10 {
+		write(big, off, 64<<10, 1)
+	}
+	must(big.Sync())
+	// Ballast that stays valid, so reclaiming space means relocating blocks.
+	ballast := create(v, "/ballast")
+	for off := int64(0); off < 9<<20; off += 64 << 10 {
+		write(ballast, off, 64<<10, 8)
+	}
+	must(ballast.Sync())
+	small := create(v, "/small")
+	write(small, 0, 10<<10, 2)
+	must(small.Sync())
+	must(v.Mkdir("/d"))
+	x := create(v, "/d/x")
+	write(x, 100, 5000, 3)
+	must(x.Sync())
+
+	// Strided sync rewrites of /big until the log has wrapped and cleaned.
+	for i := 0; i < 3000; i++ {
+		blk := int64(i*37) % bigBlocks
+		write(big, blk*BlockSize, BlockSize, byte(i))
+		if i%8 == 7 {
+			must(big.Sync())
+		}
+	}
+	must(big.Sync())
+	if v.Stats().CleanedSegments == 0 {
+		t.Fatal("script never cleaned a segment")
+	}
+
+	must(big.Truncate((NDirect + 100) * BlockSize))         // inside the indirect range
+	write(big, (NDirect+IndirectPtrs+5)*BlockSize, 3000, 4) // sparse, second indirect node
+	must(big.Sync())
+	must(big.Truncate(NDirect / 2 * BlockSize)) // releases both indirect nodes
+	must(v.Remove("/small"))
+
+	// Fsynced but not checkpointed, then a crash: roll-forward re-applies it.
+	write(big, (NDirect+7)*BlockSize, BlockSize, 5)
+	must(big.Sync())
+	v.SimulateCrash()
+	v = mount()
+	if v.Stats().RolledForward == 0 {
+		t.Fatal("script's crash rolled nothing forward")
+	}
+	big, err = v.Open("/big")
+	must(err)
+	write(big, (NDirect+8)*BlockSize, 2*BlockSize, 6)
+	must(big.Sync())
+	write(create(v, "/after"), 0, 777, 7)
+	must(v.Unmount())
+	v = mount()
+	must(v.Unmount())
+
+	rep, err := Check(dev)
+	must(err)
+	if !rep.Clean() {
+		t.Fatalf("check: %v", rep.Corruptions)
+	}
+	sum := sha256.Sum256(deviceBytes(t, dev))
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("device image sha256 = %s, want %s", got, want)
+	}
+}
+
+// TestSyncedNodeBlockIsPrivate: once a node block has been written, later
+// in-memory changes to the node must not reach the device's copy — neither
+// a RAM device's nor a full hybrid flash stack's (cache pool, FTL, NAND).
+func TestSyncedNodeBlockIsPrivate(t *testing.T) {
+	flash, err := device.New(device.ProfileEMMC16().Scaled(256), simclock.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, err := blockdev.NewMem(64<<20, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, dev := range map[string]blockdev.Device{"mem": mem, "hybrid flash": flash} {
+		if err := Mkfs(dev); err != nil {
+			t.Fatal(err)
+		}
+		v, err := Mount(dev, fs.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := v.Create("/a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		blk := bytes.Repeat([]byte{0x5A}, BlockSize)
+		for _, fileBlk := range []int64{3, NDirect + 3} {
+			if _, err := f.WriteAt(blk, fileBlk*BlockSize); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		in := f.(*file).n
+		ind, _, err := v.mapSlot(in, NDirect+3, false)
+		if err != nil || ind == nil {
+			t.Fatalf("%s: no indirect node: %v", name, err)
+		}
+		addrs := []uint32{v.natLookup(in.id), v.natLookup(ind.id)}
+		var synced [][]byte
+		for _, a := range addrs {
+			b, err := readBlock(dev, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			synced = append(synced, b)
+		}
+		// Move both pointers, grow the file and take a new mtime, in
+		// memory only.
+		for _, fileBlk := range []int64{3, 4, NDirect + 3, NDirect + 4, NDirect + IndirectPtrs} {
+			if _, err := f.WriteAt(blk, fileBlk*BlockSize); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, a := range addrs {
+			b, err := readBlock(dev, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(b, synced[i]) {
+				t.Errorf("%s: node block %d changed on the device without a write", name, a)
+			}
 		}
 	}
 }
