@@ -113,28 +113,23 @@ func Check(dev blockdev.Device) (CheckReport, error) {
 		}
 		rep.LiveNodes++
 		claim(addr, id, "node block")
+		for s := uint32(0); s < n.nptrs(); s++ {
+			if p := n.ptr(s); p != 0 {
+				rep.LiveDataBlocks++
+				claim(p, id, "data pointer")
+			}
+		}
 		if n.isIndirect() {
-			for _, p := range n.ptrs {
-				if p != 0 {
-					rep.LiveDataBlocks++
-					claim(p, id, "data pointer")
-				}
+			continue
+		}
+		for w := int64(0); w < NIndirectIDs; w++ {
+			indirID := n.indirectID(w)
+			if indirID == 0 {
+				continue
 			}
-		} else {
-			for _, p := range n.direct {
-				if p != 0 {
-					rep.LiveDataBlocks++
-					claim(p, id, "data pointer")
-				}
-			}
-			for _, indirID := range n.indirect {
-				if indirID == 0 {
-					continue
-				}
-				if indirID >= uint32(len(nat)) || nat[indirID] == 0 {
-					rep.Corruptions = append(rep.Corruptions,
-						fmt.Sprintf("inode %d references missing indirect node %d", id, indirID))
-				}
+			if indirID >= uint32(len(nat)) || nat[indirID] == 0 {
+				rep.Corruptions = append(rep.Corruptions,
+					fmt.Sprintf("inode %d references missing indirect node %d", id, indirID))
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package f2fs
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"flashwear/internal/fs"
@@ -41,7 +42,7 @@ func (v *FS) mapSlot(in *node, fileBlk int64, alloc bool) (holder *node, slot ui
 	rest := fileBlk - NDirect
 	which := rest / IndirectPtrs
 	slot = uint32(rest % IndirectPtrs)
-	indirID := in.indirect[which]
+	indirID := in.indirectID(which)
 	if indirID == 0 {
 		if !alloc {
 			return nil, 0, nil
@@ -52,7 +53,7 @@ func (v *FS) mapSlot(in *node, fileBlk int64, alloc bool) (holder *node, slot ui
 		}
 		ind := newIndirect(id)
 		v.nodes[id] = ind
-		in.indirect[which] = id
+		in.setIndirectID(which, id)
 		in.dirty = true
 		return ind, slot, nil
 	}
@@ -158,7 +159,7 @@ func (v *FS) writeNodeData(in *node, p []byte, off int64) (int, error) {
 		if oldAddr != 0 {
 			v.invalidateBlock(oldAddr)
 		}
-		v.setPtrOf(holder, slot, newAddr)
+		holder.setPtr(slot, newAddr)
 		holder.dirty = true
 		v.markValid(newAddr, holder.id, slot)
 		n += chunk
@@ -210,8 +211,10 @@ func (f *file) Sync() error {
 	if err := v.dev.Flush(); err != nil {
 		return err
 	}
-	// Dirty indirect nodes first, then the inode (which references them).
-	for _, id := range f.n.indirect {
+	// Dirty indirect nodes first, in slot order, then the inode (which
+	// references them).
+	for ids := f.n.blk[indirBase : indirBase+4*NIndirectIDs]; len(ids) >= 4; ids = ids[4:] {
+		id := binary.LittleEndian.Uint32(ids)
 		if id == 0 {
 			continue
 		}
@@ -259,14 +262,14 @@ func (v *FS) truncateNode(in *node, size int64) error {
 		return nil
 	}
 	firstDead := (size + BlockSize - 1) / BlockSize
-	for i := firstDead; i < NDirect; i++ {
-		if in.direct[i] != 0 {
-			v.invalidateBlock(in.direct[i])
-			in.direct[i] = 0
+	for s := uint32(firstDead); s < NDirect; s++ {
+		if p := in.ptr(s); p != 0 {
+			v.invalidateBlock(p)
+			in.setPtr(s, 0)
 		}
 	}
 	for w := int64(0); w < NIndirectIDs; w++ {
-		id := in.indirect[w]
+		id := in.indirectID(w)
 		if id == 0 {
 			continue
 		}
@@ -282,13 +285,14 @@ func (v *FS) truncateNode(in *node, size int64) error {
 			return err
 		}
 		empty := true
-		for s := int64(0); s < IndirectPtrs; s++ {
-			if ind.ptrs[s] == 0 {
+		for s := uint32(0); s < IndirectPtrs; s++ {
+			p := ind.ptr(s)
+			if p == 0 {
 				continue
 			}
-			if s >= lo {
-				v.invalidateBlock(ind.ptrs[s])
-				ind.ptrs[s] = 0
+			if int64(s) >= lo {
+				v.invalidateBlock(p)
+				ind.setPtr(s, 0)
 				ind.dirty = true
 			} else {
 				empty = false
@@ -300,7 +304,7 @@ func (v *FS) truncateNode(in *node, size int64) error {
 			}
 			v.natSet(id, 0)
 			delete(v.nodes, id)
-			in.indirect[w] = 0
+			in.setIndirectID(w, 0)
 		}
 	}
 	in.size = size

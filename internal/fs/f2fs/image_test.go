@@ -278,3 +278,59 @@ func TestSyncedNodeBlockIsPrivate(t *testing.T) {
 		}
 	}
 }
+
+// residentDevice is a RAM device whose every sector is allocated up front
+// and never dropped, so it allocates nothing itself and AllocsPerRun sees
+// only the file system's allocations.
+type residentDevice struct{ *blockdev.MemDevice }
+
+func (residentDevice) Discard(off, length int64) error        { return nil }
+func (residentDevice) WriteAccounted(off, length int64) error { return nil }
+
+// TestSyncRewriteDoesNotAllocate: the attack app's inner loop — a 4 KiB
+// synchronous rewrite under data accounting — appends the inode's own block
+// image to the node log, so f2fs allocates nothing per write. The bound is
+// an average: a checkpoint every checkpointInterval syncs stages NAT and
+// checkpoint blocks.
+func TestSyncRewriteDoesNotAllocate(t *testing.T) {
+	mem, err := blockdev.NewMem(16<<20, BlockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero := make([]byte, BlockSize)
+	for off := int64(0); off < mem.Size(); off += BlockSize {
+		if err := mem.WriteAt(zero, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dev := residentDevice{mem}
+	if err := Mkfs(dev); err != nil {
+		t.Fatal(err)
+	}
+	v, err := Mount(dev, fs.Options{SyncEveryWrite: true, DataAccounting: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := v.Create("/victim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fileBlocks = 64
+	payload := make([]byte, BlockSize)
+	i := int64(0)
+	rewrite := func() {
+		if _, err := f.WriteAt(payload, i%fileBlocks*BlockSize); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for range fileBlocks {
+		rewrite()
+	}
+	if n := testing.AllocsPerRun(4*checkpointInterval, rewrite); n != 0 {
+		t.Fatalf("a 4 KiB sync rewrite allocates %v times on average, want 0", n)
+	}
+	if v.Stats().Checkpoints == 0 {
+		t.Fatalf("run too short to checkpoint: %+v", v.Stats())
+	}
+}

@@ -23,6 +23,16 @@ const (
 
 const nodeMagic = 0x46324E44 // "F2ND"
 
+// Node block layout: a 40-byte header (magic, id, version, flags, mode,
+// links, size, mtime), then from ptrBase a table of little-endian uint32s —
+// an inode's NDirect data pointers followed by its NIndirectIDs node IDs, or
+// an indirect node's IndirectPtrs data pointers. Data-pointer slot s sits at
+// the same offset in both kinds.
+const (
+	ptrBase   = 64
+	indirBase = ptrBase + 4*NDirect
+)
+
 // node is the in-memory form of a node block: either an inode (file/dir
 // metadata plus direct pointers and indirect-node IDs) or an indirect node
 // (a run of data-block pointers).
@@ -34,35 +44,55 @@ type node struct {
 	size  int64
 	mtime int64
 
-	direct   []uint32 // inode: NDirect data pointers
-	indirect []uint32 // inode: NIndirectIDs node IDs
-	ptrs     []uint32 // indirect node: IndirectPtrs data pointers
+	// blk is the node's block image and the only copy of its pointer
+	// table: a sync rewrite changes one slot of ~1000, so the table is kept
+	// encoded and updated in place. The header fields above are patched in
+	// by encode.
+	blk []byte
 
 	dirty bool
 }
 
 func newInode(id uint32, mode uint16) *node {
-	return &node{
-		id: id, mode: mode, links: 1,
-		direct:   make([]uint32, NDirect),
-		indirect: make([]uint32, NIndirectIDs),
-		dirty:    true,
-	}
+	return &node{id: id, mode: mode, links: 1, blk: make([]byte, BlockSize), dirty: true}
 }
 
 func newIndirect(id uint32) *node {
-	return &node{
-		id: id, flags: nodeIndirect,
-		ptrs:  make([]uint32, IndirectPtrs),
-		dirty: true,
-	}
+	return &node{id: id, flags: nodeIndirect, blk: make([]byte, BlockSize), dirty: true}
 }
 
 func (n *node) isIndirect() bool { return n.flags&nodeIndirect != 0 }
 
-// encode serialises a node with the given version and fsync flag.
+// nptrs is the number of data-pointer slots the node holds.
+func (n *node) nptrs() uint32 {
+	if n.isIndirect() {
+		return IndirectPtrs
+	}
+	return NDirect
+}
+
+func (n *node) ptr(slot uint32) uint32 {
+	return binary.LittleEndian.Uint32(n.blk[ptrBase+4*slot:])
+}
+
+func (n *node) setPtr(slot, addr uint32) {
+	binary.LittleEndian.PutUint32(n.blk[ptrBase+4*slot:], addr)
+}
+
+// indirectID returns the ID of an inode's which-th indirect node, 0 if none.
+func (n *node) indirectID(which int64) uint32 {
+	return binary.LittleEndian.Uint32(n.blk[indirBase+4*which:])
+}
+
+func (n *node) setIndirectID(which int64, id uint32) {
+	binary.LittleEndian.PutUint32(n.blk[indirBase+4*which:], id)
+}
+
+// encode patches the header, with the given version and fsync flag, into the
+// node's block image and returns the image itself: the caller hands it to
+// the device, which stores a copy, and must not keep or change it.
 func (n *node) encode(ver uint64, fsync bool) []byte {
-	b := make([]byte, BlockSize)
+	b := n.blk
 	le := binary.LittleEndian
 	flags := n.flags &^ nodeFsync
 	if fsync {
@@ -71,29 +101,18 @@ func (n *node) encode(ver uint64, fsync bool) []byte {
 	le.PutUint32(b[0:], nodeMagic)
 	le.PutUint32(b[4:], n.id)
 	le.PutUint64(b[8:], ver)
-	b[16] = flags
+	b[16], b[17] = flags, 0 // b[17] is reserved
 	le.PutUint16(b[18:], n.mode)
 	le.PutUint16(b[20:], n.links)
+	le.PutUint16(b[22:], 0) // reserved
 	le.PutUint64(b[24:], uint64(n.size))
 	le.PutUint64(b[32:], uint64(n.mtime))
-	if n.isIndirect() {
-		for i, p := range n.ptrs {
-			le.PutUint32(b[64+4*i:], p)
-		}
-	} else {
-		for i, p := range n.direct {
-			le.PutUint32(b[64+4*i:], p)
-		}
-		base := 64 + 4*NDirect
-		for i, p := range n.indirect {
-			le.PutUint32(b[base+4*i:], p)
-		}
-	}
 	return b
 }
 
 // decodeNode parses a node block, returning the node, its version, and its
-// fsync marker.
+// fsync marker. The node adopts b as its image, so b must be the caller's to
+// give away (readBlock's fresh buffer).
 func decodeNode(b []byte) (*node, uint64, bool, error) {
 	le := binary.LittleEndian
 	if le.Uint32(b[0:]) != nodeMagic {
@@ -106,26 +125,9 @@ func decodeNode(b []byte) (*node, uint64, bool, error) {
 		links: le.Uint16(b[20:]),
 		size:  int64(le.Uint64(b[24:])),
 		mtime: int64(le.Uint64(b[32:])),
+		blk:   b,
 	}
-	ver := le.Uint64(b[8:])
-	fsync := b[16]&nodeFsync != 0
-	if n.flags&nodeIndirect != 0 {
-		n.ptrs = make([]uint32, IndirectPtrs)
-		for i := range n.ptrs {
-			n.ptrs[i] = le.Uint32(b[64+4*i:])
-		}
-	} else {
-		n.direct = make([]uint32, NDirect)
-		for i := range n.direct {
-			n.direct[i] = le.Uint32(b[64+4*i:])
-		}
-		n.indirect = make([]uint32, NIndirectIDs)
-		base := 64 + 4*NDirect
-		for i := range n.indirect {
-			n.indirect[i] = le.Uint32(b[base+4*i:])
-		}
-	}
-	return n, ver, fsync, nil
+	return n, le.Uint64(b[8:]), b[16]&nodeFsync != 0, nil
 }
 
 // --- NAT ---

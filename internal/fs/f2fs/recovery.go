@@ -75,17 +75,9 @@ func (v *FS) rebuild() error {
 			return fmt.Errorf("%w: NAT[%d] points at node %d", ErrCorrupt, id, n.id)
 		}
 		v.markValid(addr, id, ownerIsNode)
-		if n.isIndirect() {
-			for s, p := range n.ptrs {
-				if p != 0 && v.inMain(p) {
-					v.markValid(p, id, uint32(s))
-				}
-			}
-		} else {
-			for s, p := range n.direct {
-				if p != 0 && v.inMain(p) {
-					v.markValid(p, id, uint32(s))
-				}
+		for s := uint32(0); s < n.nptrs(); s++ {
+			if p := n.ptr(s); p != 0 && v.inMain(p) {
+				v.markValid(p, id, s)
 			}
 		}
 	}

@@ -225,7 +225,7 @@ func (v *FS) relocateSegment(seg uint32) error {
 		if err := v.copyDataBlock(addr, newAddr, n); err != nil {
 			return err
 		}
-		v.setPtrOf(n, ofs, newAddr)
+		n.setPtr(ofs, newAddr)
 		n.dirty = true
 		v.invalidateBlock(addr)
 		v.markValid(newAddr, owner, ofs)
@@ -233,27 +233,13 @@ func (v *FS) relocateSegment(seg uint32) error {
 	return nil
 }
 
-// ptrOf reads a node's data pointer at slot ofs (direct slot for inodes,
-// ptrs slot for indirect nodes).
+// ptrOf reads a node's data pointer at slot ofs, which may come from the SSA
+// and is checked against the node's kind.
 func (v *FS) ptrOf(n *node, ofs uint32) (uint32, error) {
-	if n.isIndirect() {
-		if int(ofs) >= len(n.ptrs) {
-			return 0, fmt.Errorf("%w: ptr slot %d", ErrCorrupt, ofs)
-		}
-		return n.ptrs[ofs], nil
+	if ofs >= n.nptrs() {
+		return 0, fmt.Errorf("%w: node %d: pointer slot %d", ErrCorrupt, n.id, ofs)
 	}
-	if int(ofs) >= len(n.direct) {
-		return 0, fmt.Errorf("%w: direct slot %d", ErrCorrupt, ofs)
-	}
-	return n.direct[ofs], nil
-}
-
-func (v *FS) setPtrOf(n *node, ofs uint32, addr uint32) {
-	if n.isIndirect() {
-		n.ptrs[ofs] = addr
-	} else {
-		n.direct[ofs] = addr
-	}
+	return n.ptr(ofs), nil
 }
 
 // copyDataBlock copies a data block during cleaning, honouring data
