@@ -97,6 +97,14 @@ type block struct {
 	reads      int64          // reads since last erase (read disturb)
 	data       map[int][]byte // page payloads, present only for data-bearing writes
 	meta       []OOB          // per-page spare-area metadata, lazily allocated
+
+	// The error model at the block's current Wear, filled by atWear on
+	// first use. Wear moves only in EraseBlock and ImportState; both clear
+	// memoOK.
+	memoOK    bool
+	failProb  float64 // emodel.FailProb(w)
+	rber      float64 // emodel.RBER(w)
+	retGrowth float64 // emodel.retentionGrowth(w)
 }
 
 // Stats counts raw chip activity since creation.
@@ -217,6 +225,20 @@ func (c *Chip) Wear(blockIdx int) float64 {
 	return eff / float64(c.ratedPE)
 }
 
+// atWear returns the block with its error-model memo valid: every program
+// and read needs an exponential of Wear, which changes once per erase.
+func (c *Chip) atWear(blockIdx int) *block {
+	b := &c.blocks[blockIdx]
+	if !b.memoOK {
+		w := c.Wear(blockIdx)
+		b.failProb = c.emodel.FailProb(w)
+		b.rber = c.emodel.RBER(w)
+		b.retGrowth = c.emodel.retentionGrowth(w)
+		b.memoOK = true
+	}
+	return b
+}
+
 // EraseCount returns a block's raw erase count.
 func (c *Chip) EraseCount(blockIdx int) int { return c.blocks[blockIdx].eraseCount }
 
@@ -297,7 +319,7 @@ func (c *Chip) ExpectedRBER() float64 { return c.emodel.RBER(c.AvgWear()) }
 // ExpectedCodewordErrors returns the expected raw bit errors per ECC
 // codeword for freshly written data in a block at its current wear.
 func (c *Chip) ExpectedCodewordErrors(blockIdx int) float64 {
-	return c.emodel.RBER(c.Wear(blockIdx)) * float64(codewordBytes*8)
+	return c.atWear(blockIdx).rber * float64(codewordBytes*8)
 }
 
 // ShouldRetire reports whether firmware read-scrub policy would retire the
@@ -331,7 +353,7 @@ func (c *Chip) ProgramPageOOB(a PageAddr, data []byte, oob OOB) (OpResult, error
 	if err := c.checkAddr(a); err != nil {
 		return OpResult{}, err
 	}
-	b := &c.blocks[a.Block]
+	b := c.atWear(a.Block)
 	res := OpResult{Latency: c.timing.ProgramPage}
 	if b.bad {
 		return res, fmt.Errorf("%w: %v", ErrBadBlock, a)
@@ -358,7 +380,7 @@ func (c *Chip) ProgramPageOOB(a PageAddr, data []byte, oob OOB) (OpResult, error
 		b.firstProg = c.simNow()
 	}
 	b.nextPage++
-	if injected == FaultProgram || c.rng.Float64() < c.emodel.FailProb(c.Wear(a.Block)) {
+	if injected == FaultProgram || c.rng.Float64() < b.failProb {
 		c.stats.ProgramFails++
 		return res, fmt.Errorf("%w: %v", ErrProgramFail, a)
 	}
@@ -411,7 +433,7 @@ func (c *Chip) ReadPage(a PageAddr) ([]byte, OpResult, error) {
 	if err := c.checkAddr(a); err != nil {
 		return nil, OpResult{}, err
 	}
-	b := &c.blocks[a.Block]
+	b := c.atWear(a.Block)
 	res := OpResult{Latency: c.timing.ReadPage}
 	if b.bad {
 		return nil, res, fmt.Errorf("%w: %v", ErrBadBlock, a)
@@ -437,7 +459,7 @@ func (c *Chip) ReadPage(a PageAddr) ([]byte, OpResult, error) {
 	if storedHours < 0 {
 		storedHours = 0
 	}
-	rber := c.emodel.RBERWithRetention(c.Wear(a.Block), storedHours)
+	rber := c.emodel.withRetention(b.rber, b.retGrowth, storedHours)
 	rber += c.emodel.ReadDisturbRBER * float64(b.reads)
 	res.BitErrors = c.worstCodewordErrors(rber)
 	if res.BitErrors > c.tcorr {
@@ -483,12 +505,13 @@ func (c *Chip) EraseBlock(blockIdx int) (OpResult, error) {
 		}
 	}
 	b.eraseCount++
+	b.memoOK = false
 	b.lastErase = now
 	b.nextPage = 0
 	b.reads = 0
 	b.data = nil
 	b.meta = nil
-	if injected == FaultErase || c.rng.Float64() < c.emodel.FailProb(c.Wear(blockIdx)) {
+	if injected == FaultErase || c.rng.Float64() < c.atWear(blockIdx).failProb {
 		c.stats.EraseFails++
 		return res, fmt.Errorf("%w: block %d", ErrEraseFail, blockIdx)
 	}
@@ -503,19 +526,21 @@ func (c *Chip) worstCodewordErrors(rber float64) int {
 		ncw = 1
 	}
 	mean := rber * float64(codewordBytes*8)
+	l := math.Exp(-mean)
 	worst := 0
 	for i := 0; i < ncw; i++ {
-		if k := c.poisson(mean); k > worst {
+		if k := c.poisson(mean, l); k > worst {
 			worst = k
 		}
 	}
 	return worst
 }
 
-// poisson samples a Poisson-distributed count with the given mean. For the
-// small means typical of healthy blocks it uses Knuth's method; for large
-// means (dying blocks) it falls back to a normal approximation.
-func (c *Chip) poisson(mean float64) int {
+// poisson samples a Poisson-distributed count with the given mean; l is
+// exp(-mean), which a page's codewords share. For the small means typical of
+// healthy blocks it uses Knuth's method; for large means (dying blocks) it
+// falls back to a normal approximation.
+func (c *Chip) poisson(mean, l float64) int {
 	if mean <= 0 {
 		return 0
 	}
@@ -526,7 +551,6 @@ func (c *Chip) poisson(mean float64) int {
 		}
 		return k
 	}
-	l := math.Exp(-mean)
 	k := 0
 	p := 1.0
 	for {

@@ -93,7 +93,19 @@ func (m ErrorModel) RBER(w float64) float64 {
 // RBERWithRetention returns RBER at wear w for data that has been stored for
 // storedHours of simulated time.
 func (m ErrorModel) RBERWithRetention(w, storedHours float64) float64 {
-	return clampProb(m.RBER(w) + m.RetentionRBERPerHour*storedHours*math.Exp(m.RBERGrowth*w*0.5))
+	return m.withRetention(m.RBER(w), m.retentionGrowth(w), storedHours)
+}
+
+// retentionGrowth is how much faster charge leaks at wear w than from a
+// fresh block.
+func (m ErrorModel) retentionGrowth(w float64) float64 {
+	return math.Exp(m.RBERGrowth * w * 0.5)
+}
+
+// withRetention is RBERWithRetention over the two wear-dependent terms, for
+// a caller (Chip) that keeps them per block between erases.
+func (m ErrorModel) withRetention(rber, growth, storedHours float64) float64 {
+	return clampProb(rber + m.RetentionRBERPerHour*storedHours*growth)
 }
 
 // FailProb returns the probability a program or erase operation fails at

@@ -109,6 +109,7 @@ func (c *Chip) ImportState(st *ChipState) error {
 		b.eraseCount = bs.EraseCount
 		b.healed = bs.Healed
 		b.stress = bs.Stress
+		b.memoOK = false
 		b.bad = bs.Bad
 		b.nextPage = bs.NextPage
 		b.firstProg = bs.FirstProg

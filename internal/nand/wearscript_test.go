@@ -27,7 +27,8 @@ func (e *everyNth) Down() bool { return false }
 // moves the state into a second chip half-way, and pins everything the
 // error model decides: the counters, the erase counts and where the chip's
 // rng stream stands afterwards. Any change to the value, number or order of
-// the model's probability draws moves at least the last of these.
+// the model's probability draws moves at least the last of these. Along the
+// way every block's memo of the model is compared with the model itself.
 func TestWearScriptPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -42,13 +43,17 @@ func TestWearScriptPinned(t *testing.T) {
 			em := DefaultErrorModel()
 			em.HealPerIdleHour = tc.heal
 			newChip := func(seed int64) *Chip {
-				return newTestChip(t, func(cfg *Config) {
+				c := newTestChip(t, func(cfg *Config) {
 					cfg.RatedPE = 300
 					cfg.Errors = &em
 					cfg.Seed = seed
 					cfg.Now = func() time.Duration { return now }
 					cfg.Inject = &everyNth{n: 97}
 				})
+				for i := range c.blocks {
+					c.ShouldRetire(i) // asks the model about a fresh block; ImportState must forget the answer
+				}
+				return c
 			}
 			c := newChip(42)
 			st := c.ExportState()
@@ -87,6 +92,19 @@ func TestWearScriptPinned(t *testing.T) {
 					bitErrors += res.BitErrors
 				default:
 					c.EraseBlock(b)
+				}
+				// Every memo in force equals the reference methods at the
+				// block's wear as it stands now.
+				for i := range c.blocks {
+					blk, w := &c.blocks[i], c.Wear(i)
+					if !blk.memoOK {
+						continue
+					}
+					hours := (now - blk.firstProg).Hours()
+					if blk.failProb != em.FailProb(w) || blk.rber != em.RBER(w) ||
+						em.withRetention(blk.rber, blk.retGrowth, hours) != em.RBERWithRetention(w, hours) {
+						t.Fatalf("step %d: block %d memo {%v %v %v} is stale at wear %v", step, i, blk.failProb, blk.rber, blk.retGrowth, w)
+					}
 				}
 			}
 
