@@ -3,14 +3,18 @@
 // Invariant: everything the simulator emits — device state, journal and
 // checkpoint writes, CSV ledgers, merged aggregates — must be a pure
 // function of the Spec. Go randomizes map iteration order per run, so a
-// `range` over a map may not, in its body, write to an io.Writer, build a
-// string, or append to a slice that outlives the loop unless that slice is
-// sorted afterwards. This is the exact bug class PR 3 shipped in extfs:
-// journal/checkpoint/bitmap blocks were written home in map order, so two
-// runs of the same workload produced different on-flash histories and the
-// crash/remount suite could not replay. The sanctioned idiom is
-// collect-keys / sort / iterate (extfs's sortedKeys), which this analyzer
-// recognizes and leaves alone.
+// `range` over a map may not, in its body, write to an io.Writer or a block
+// device, build a string, or append to a slice that outlives the loop unless
+// that slice is sorted afterwards. This is the exact bug class PR 3 shipped
+// in extfs: journal/checkpoint/bitmap blocks were written home in map order,
+// so two runs of the same workload produced different on-flash histories and
+// the crash/remount suite could not replay — and that f2fs carried until PR
+// 23, because its loops reached the device four package-local calls down
+// (flushDirtyNodes → writeNode → writeMetaBlock → writeBlock → WriteAt). A
+// call to a function of the package under analysis that reaches a device
+// write through such calls is therefore an emission too. The sanctioned
+// idiom is collect-keys / sort / iterate (extfs's sortedKeys), which this
+// analyzer recognizes and leaves alone.
 package maporder
 
 import (
@@ -24,9 +28,9 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "maporder",
 	Doc: "flag map-range bodies whose iteration order escapes\n\n" +
-		"Writing to an io.Writer, building a string, or growing an escaping\n" +
-		"unsorted slice inside `range someMap` makes output depend on Go's\n" +
-		"randomized map order (the PR 3 extfs journal bug).",
+		"Writing to an io.Writer or a block device, building a string, or\n" +
+		"growing an escaping unsorted slice inside `range someMap` makes output\n" +
+		"depend on Go's randomized map order (the PR 3 extfs journal bug).",
 	Run: run,
 }
 
@@ -44,22 +48,122 @@ var ioWriter = func() *types.Interface {
 	return iface
 }()
 
+// devWriter is the write half of blockdev.Device, handmade like ioWriter:
+// the interface itself and every device and wrapper in the tree satisfy it.
+var devWriter = func() *types.Interface {
+	errT := types.Universe.Lookup("error").Type()
+	method := func(name string, params ...types.Type) *types.Func {
+		vars := make([]*types.Var, len(params))
+		for i, t := range params {
+			vars[i] = types.NewVar(token.NoPos, nil, "", t)
+		}
+		sig := types.NewSignatureType(nil, nil, nil, types.NewTuple(vars...),
+			types.NewTuple(types.NewVar(token.NoPos, nil, "", errT)), false)
+		return types.NewFunc(token.NoPos, nil, name, sig)
+	}
+	i64 := types.Typ[types.Int64]
+	iface := types.NewInterfaceType([]*types.Func{
+		method("WriteAt", types.NewSlice(types.Typ[types.Byte]), i64),
+		method("WriteAccounted", i64, i64),
+		method("Discard", i64, i64),
+	}, nil)
+	iface.Complete()
+	return iface
+}()
+
+// checker is one package's run: the pass plus the package's own functions
+// that reach a block-device write.
+type checker struct {
+	*analysis.Pass
+	devWrites map[*types.Func]bool
+}
+
 func run(pass *analysis.Pass) error {
+	c := &checker{Pass: pass, devWrites: deviceWriters(pass)}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if ok && fn.Body != nil {
-				checkFunc(pass, fn.Body)
+				checkFunc(c, fn.Body)
 			}
 		}
 	}
 	return nil
 }
 
+// deviceWriters returns the functions declared in this package that call a
+// device's WriteAt, WriteAccounted or Discard, directly or through other
+// functions of the package: the closure of the package's static call graph
+// over the direct callers. Calls through interfaces and function values
+// are not followed, and a function literal's calls count as its enclosing
+// declaration's.
+func deviceWriters(pass *analysis.Pass) map[*types.Func]bool {
+	writes := map[*types.Func]bool{}
+	callers := map[*types.Func][]*types.Func{} // callee -> package-local callers
+	var work []*types.Func
+	for _, file := range pass.Files {
+		for _, decl := range file.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			self, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+			if !ok {
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				callee := pass.FuncOf(call)
+				switch {
+				case callee == nil:
+				case isDeviceWrite(callee):
+					if !writes[self] {
+						writes[self] = true
+						work = append(work, self)
+					}
+				case callee.Pkg() == pass.Pkg:
+					callers[callee.Origin()] = append(callers[callee.Origin()], self)
+				}
+				return true
+			})
+		}
+	}
+	for len(work) > 0 {
+		fn := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, caller := range callers[fn] {
+			if !writes[caller] {
+				writes[caller] = true
+				work = append(work, caller)
+			}
+		}
+	}
+	return writes
+}
+
+// isDeviceWrite reports whether fn is WriteAt, WriteAccounted or Discard on
+// a block device.
+func isDeviceWrite(fn *types.Func) bool {
+	switch fn.Name() {
+	case "WriteAt", "WriteAccounted", "Discard":
+	default:
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	t := recv.Type()
+	return types.Implements(t, devWriter) || types.Implements(types.NewPointer(t), devWriter)
+}
+
 // checkFunc inspects one function body for map ranges whose iteration
 // order escapes. fnBody is also the scan range for the sorted-afterwards
 // exemption.
-func checkFunc(pass *analysis.Pass, fnBody *ast.BlockStmt) {
+func checkFunc(pass *checker, fnBody *ast.BlockStmt) {
 	ast.Inspect(fnBody, func(n ast.Node) bool {
 		rng, ok := n.(*ast.RangeStmt)
 		if !ok {
@@ -78,7 +182,7 @@ func isMap(t types.Type) bool {
 	return ok
 }
 
-func checkRangeBody(pass *analysis.Pass, fnBody *ast.BlockStmt, rng *ast.RangeStmt) {
+func checkRangeBody(pass *checker, fnBody *ast.BlockStmt, rng *ast.RangeStmt) {
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
@@ -86,7 +190,7 @@ func checkRangeBody(pass *analysis.Pass, fnBody *ast.BlockStmt, rng *ast.RangeSt
 				pass.Reportf(n.Pos(), "%s inside range over map: iteration order is randomized, so the output differs run to run — iterate sorted keys instead", name)
 			}
 		case *ast.AssignStmt:
-			checkAssign(pass, fnBody, rng, n)
+			checkAssign(pass.Pass, fnBody, rng, n)
 		}
 		return true
 	})
@@ -94,13 +198,20 @@ func checkRangeBody(pass *analysis.Pass, fnBody *ast.BlockStmt, rng *ast.RangeSt
 
 // emissionCall reports a non-empty description if the call writes
 // order-dependent bytes to a sink: fmt.Fprint*, io.WriteString, a Write*/
-// Print* method on an io.Writer implementation, or encoding/csv output.
-func emissionCall(pass *analysis.Pass, call *ast.CallExpr) string {
+// Print* method on an io.Writer implementation, encoding/csv output, or a
+// block-device write, made here or inside a function of this package.
+func emissionCall(pass *checker, call *ast.CallExpr) string {
 	fn := pass.FuncOf(call)
 	if fn == nil || fn.Pkg() == nil {
 		return ""
 	}
 	name := fn.Name()
+	if pass.devWrites[fn.Origin()] {
+		return "call to " + name + ", which writes to a block device,"
+	}
+	if isDeviceWrite(fn) {
+		return "block-device " + name
+	}
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok {
 		return ""

@@ -60,3 +60,64 @@ func waived(w io.Writer, m map[string]int) {
 		fmt.Fprintln(w, k)
 	}
 }
+
+// blockDev is the write half of blockdev.Device; maporder recognizes the
+// shape, not the import path.
+type blockDev interface {
+	WriteAt(p []byte, off int64) error
+	WriteAccounted(off, length int64) error
+	Discard(off, length int64) error
+}
+
+type vol struct {
+	dev   blockDev
+	dirty map[uint32][]byte
+	stale map[uint32]bool
+}
+
+func (v *vol) writeBlock(blk uint32, b []byte) error { return v.dev.WriteAt(b, int64(blk)*4096) }
+
+// writeMeta reaches the device only through writeBlock.
+func (v *vol) writeMeta(blk uint32, b []byte) error { return v.writeBlock(blk, b) }
+
+func (v *vol) seen(blk uint32) bool { return v.stale[blk] }
+
+func (v *vol) flushInMapOrder() error {
+	for blk, b := range v.dirty {
+		if err := v.writeMeta(blk, b); err != nil { // want `call to writeMeta, which writes to a block device, inside range over map`
+			return err
+		}
+	}
+	for blk := range v.stale {
+		_ = v.dev.Discard(int64(blk)*4096, 4096)        // want `block-device Discard inside range over map`
+		_ = v.dev.WriteAccounted(int64(blk)*4096, 4096) // want `block-device WriteAccounted inside range over map`
+	}
+	return nil
+}
+
+func (v *vol) flushSorted() error {
+	blks := make([]uint32, 0, len(v.dirty))
+	for blk := range v.dirty {
+		if !v.seen(blk) { // ok: seen never reaches the device
+			blks = append(blks, blk)
+		}
+	}
+	sort.Slice(blks, func(i, j int) bool { return blks[i] < blks[j] })
+	for _, blk := range blks {
+		if err := v.writeMeta(blk, v.dirty[blk]); err != nil { // ok: slice order
+			return err
+		}
+	}
+	return nil
+}
+
+// notADevice has a WriteAt, but not a block device's.
+type notADevice struct{}
+
+func (notADevice) WriteAt(p []byte, off int64) (int, error) { return len(p), nil }
+
+func scatter(f notADevice, m map[int64][]byte) {
+	for off, p := range m {
+		f.WriteAt(p, off) // ok: io.WriterAt's shape, not a block device's
+	}
+}
