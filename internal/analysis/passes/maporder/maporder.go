@@ -8,13 +8,13 @@
 // that slice is sorted afterwards. This is the exact bug class PR 3 shipped
 // in extfs: journal/checkpoint/bitmap blocks were written home in map order,
 // so two runs of the same workload produced different on-flash histories and
-// the crash/remount suite could not replay — and that f2fs carried until PR
-// 23, because its loops reached the device four package-local calls down
-// (flushDirtyNodes → writeNode → writeMetaBlock → writeBlock → WriteAt). A
-// call to a function of the package under analysis that reaches a device
-// write through such calls is therefore an emission too. The sanctioned
-// idiom is collect-keys / sort / iterate (extfs's sortedKeys), which this
-// analyzer recognizes and leaves alone.
+// the crash/remount suite could not replay. A file system's path from such a
+// loop to the device stays inside its package but can be several calls long
+// (f2fs: flushDirtyNodes → writeNode → writeMetaBlock → writeBlock →
+// WriteAt), so a call to a function of the package under analysis that
+// reaches a device write through package-local calls is an emission too. The
+// sanctioned idiom is collect-keys / sort / iterate (extfs's sortedKeys),
+// which this analyzer recognizes and leaves alone.
 package maporder
 
 import (

@@ -31,7 +31,7 @@ var ErrPowerLoss = errors.New("device: power lost")
 // moved gives the bandwidths of Figure 1 and the hours of Figure 3/Table 1.
 type Device struct {
 	prof  Profile
-	t     nand.Timing // prof.timing(), which serviceTime needs per request
+	tm    nand.Timing // prof.timing(), which serviceTime needs per request
 	f     *ftl.FTL
 	clock *simclock.Clock
 	rng   *rand.Rand
@@ -117,7 +117,7 @@ func New(prof Profile, clock *simclock.Clock) (*Device, error) {
 	}
 	return &Device{
 		prof:     prof,
-		t:        t,
+		tm:       t,
 		f:        f,
 		clock:    clock,
 		rng:      rand.New(rand.NewSource(prof.Seed + 7)),
@@ -273,7 +273,7 @@ func (d *Device) PreEOLInfo() int {
 // dominates — which is what lets Figure 1's curves plateau at
 // min(interface, array) bandwidth.
 func (d *Device) serviceTime(cost ftl.Cost, transfer int64) time.Duration {
-	t := &d.t
+	t := &d.tm
 	w := time.Duration(d.prof.Parallelism)
 	xfer := time.Duration(float64(transfer) / (d.prof.InterfaceMBps * 1e6) * float64(time.Second))
 	flash := time.Duration(cost.Programs)*t.ProgramPage/w +

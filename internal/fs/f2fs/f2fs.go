@@ -211,16 +211,16 @@ func (v *FS) checkpointLocked() error {
 	if err := v.flushDirtyNodes(); err != nil {
 		return err
 	}
-	for blkIdx := uint32(0); blkIdx < v.sb.natBlks; blkIdx++ {
-		if !v.natDirty[blkIdx] {
+	for blkIdx, dirty := range v.natDirty {
+		if !dirty {
 			continue
 		}
 		nb := make([]byte, BlockSize)
-		base := int(blkIdx) * natEntriesPerBlock
+		base := blkIdx * natEntriesPerBlock
 		for e := 0; e < natEntriesPerBlock; e++ {
 			binary.LittleEndian.PutUint32(nb[e*4:], v.nat[base+e])
 		}
-		if err := writeBlock(v.dev, v.sb.natStart+blkIdx, nb); err != nil {
+		if err := writeBlock(v.dev, v.sb.natStart+uint32(blkIdx), nb); err != nil {
 			return err
 		}
 	}

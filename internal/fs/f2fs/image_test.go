@@ -225,7 +225,11 @@ func TestSyncedNodeBlockIsPrivate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, dev := range map[string]blockdev.Device{"mem": mem, "hybrid flash": flash} {
+	for _, tc := range []struct {
+		name string
+		dev  blockdev.Device
+	}{{"mem", mem}, {"hybrid flash", flash}} {
+		name, dev := tc.name, tc.dev
 		if err := Mkfs(dev); err != nil {
 			t.Fatal(err)
 		}
