@@ -54,14 +54,12 @@ fuzz:
 # A short -race pass over the concurrent subsystems: the fleet
 # determinism tests run the same 64-device population at 4 workers and at
 # 1 and require byte-identical aggregates — including the merged wear
-# ledger (DESIGN.md §6, §9; per-device tracers share nothing) — plus
-# the telemetry registry under concurrent registration/emission; and the
-# NAND snapshot's shared page payloads, with two chips running from one
-# state.
+# ledger (DESIGN.md §6, §9; per-device tracers share nothing) — and the
+# Progress callback the workers call concurrently; and the NAND
+# snapshot's shared page payloads, with two chips running from one state.
 race:
 	$(GO) test -race -count=1 -run TestSnapshotSharesWriteOncePages ./internal/nand/
 	$(GO) test -race -count=1 -run TestFleet ./internal/fleet/
-	$(GO) test -race -count=1 -run TestRegistryConcurrent ./internal/telemetry/
 	$(GO) test -race -count=1 -run TestConcurrentSpans ./internal/runtrace/
 	$(GO) test -race -count=1 -run 'TestCampaignInMemory|TestServerAPI|TestResumeAfterTruncatedCell' ./internal/fleetd/
 

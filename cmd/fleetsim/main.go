@@ -24,13 +24,13 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"flashwear/internal/fleet"
 	"flashwear/internal/fleetd"
 	"flashwear/internal/profiling"
 	"flashwear/internal/report"
-	"flashwear/internal/telemetry"
 	"flashwear/internal/wtrace"
 )
 
@@ -124,32 +124,35 @@ func main() {
 // batchRun is fleetsim's default mode: one fleet.Run call, rendered to
 // stdout. failed reports that some device simulation panicked.
 func batchRun(spec fleet.Spec, quiet bool, progress time.Duration, csvPath, metricsCSV, wearTrace string) (failed bool, err error) {
-	if !quiet {
-		var mu sync.Mutex
-		step := spec.Devices / 100
-		if step == 0 {
-			step = 1
+	// Both progress displays read these counters, which the callback
+	// fills. They depend on the schedule, so they go to stderr only; the
+	// deterministic results never pass through them.
+	var done, bricked, readOnly atomic.Int64
+	var mu sync.Mutex
+	step := int64(max(spec.Devices/100, 1))
+	spec.Progress = func(_, total int, r fleet.DeviceResult) {
+		if r.Bricked {
+			bricked.Add(1)
 		}
-		spec.Progress = func(done, total int) {
-			if done%step != 0 && done != total {
-				return
-			}
-			mu.Lock()
-			fmt.Fprintf(os.Stderr, "\rfleetsim: %d/%d devices", done, total)
-			if done == total {
-				fmt.Fprintln(os.Stderr)
-			}
-			mu.Unlock()
+		if r.ReadOnly {
+			readOnly.Add(1)
 		}
+		n := done.Add(1)
+		if quiet || (n%step != 0 && n != int64(total)) {
+			return
+		}
+		mu.Lock()
+		fmt.Fprintf(os.Stderr, "\rfleetsim: %d/%d devices", n, total)
+		if n == int64(total) {
+			fmt.Fprintln(os.Stderr)
+		}
+		mu.Unlock()
 	}
 
-	// -progress: a wall-clock ticker over the live per-worker counters.
-	// These are schedule-dependent monitoring output (stderr only); the
-	// deterministic results never pass through this registry.
+	// -progress: a wall-clock heartbeat. One attack phone costs as much as
+	// hundreds of benign ones, so the 1% line above can stall for minutes.
 	stopProgress := func() {}
 	if progress > 0 {
-		reg := telemetry.NewRegistry()
-		spec.Telemetry = reg
 		//flashvet:ignore wallclock operator progress display on stderr; deterministic results never flow through it
 		ticker := time.NewTicker(progress)
 		quitCh := make(chan struct{})
@@ -159,9 +162,8 @@ func batchRun(spec fleet.Spec, quiet bool, progress time.Duration, csvPath, metr
 				case <-quitCh:
 					return
 				case <-ticker.C:
-					done, bricked, ro := sumProgress(reg)
 					fmt.Fprintf(os.Stderr, "fleetsim: progress: %d/%d done, %d bricked, %d read-only\n",
-						done, spec.Devices, bricked, ro)
+						done.Load(), spec.Devices, bricked.Load(), readOnly.Load())
 				}
 			}
 		}()
@@ -193,21 +195,6 @@ func batchRun(spec fleet.Spec, quiet bool, progress time.Duration, csvPath, metr
 		err = writeLedger(wearTrace, *res.Wear)
 	}
 	return res.Failed > 0, err
-}
-
-// sumProgress totals the live per-worker counters in reg.
-func sumProgress(reg *telemetry.Registry) (done, bricked, readOnly int64) {
-	for _, p := range reg.Snapshot(0).Points {
-		switch {
-		case strings.HasPrefix(p.Name, "fleet.devices_done"):
-			done += p.Int
-		case strings.HasPrefix(p.Name, "fleet.bricks"):
-			bricked += p.Int
-		case strings.HasPrefix(p.Name, "fleet.read_only"):
-			readOnly += p.Int
-		}
-	}
-	return done, bricked, readOnly
 }
 
 // writeLedger writes a wear ledger as CSV, or as JSON to a .json path.

@@ -33,7 +33,7 @@ func main() {
 			{Class: fleet.ClassBuggy, Weight: 0.06},
 			{Class: fleet.ClassAttack, Weight: 0.02},
 		},
-		Progress: func(done, total int) {
+		Progress: func(done, total int, _ fleet.DeviceResult) {
 			if done%50 == 0 || done == total {
 				fmt.Fprintf(os.Stderr, "simulated %d/%d phones\n", done, total)
 			}

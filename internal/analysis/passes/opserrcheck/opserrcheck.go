@@ -26,7 +26,7 @@ import (
 // Packages scopes the check by the import-path base name of the package
 // that DECLARES the method; call sites anywhere are checked. These are the
 // layers whose errors encode storage-state transitions.
-var Packages = "nand,ftl,device,blockdev,emmc,ufs"
+var Packages = "nand,ftl,device,blockdev"
 
 // opName matches the mutation operations whose errors may not be lost.
 var opName = regexp.MustCompile(`^(Program|Erase|Write|Recover)`)

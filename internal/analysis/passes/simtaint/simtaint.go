@@ -21,7 +21,7 @@
 // Taint kinds and their sources:
 //
 //   - wallclock: time.Now/Since/Until/After/Tick, plus the ops-plane
-//     readbacks wallclock bans (obs.WallNow, runtrace.Totals/Snapshot)
+//     readbacks wallclock bans (obs.WallNow, runtrace.Totals)
 //   - rand: the global math/rand and math/rand/v2 draw functions
 //     (globalrand.GlobalFuncs — the two analyzers share one table)
 //   - hostenv: os.Getenv and friends — process environment, pid, host name

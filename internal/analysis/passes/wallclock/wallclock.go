@@ -22,8 +22,8 @@
 //
 // To stop sim code laundering host time through the ops plane, the
 // analyzer also bans the ops plane's exported raw clock readbacks —
-// obs.WallNow, and runtrace's Totals/Snapshot accessors (which return
-// measured wall-clock durations) — outside ops-domain packages, with the
+// obs.WallNow, and runtrace's Totals accessor (which returns measured
+// wall-clock durations) — outside ops-domain packages, with the
 // same severity as time.Now itself. Emitting spans (runtrace.Begin/End)
 // stays legal everywhere: a span records where time went without letting
 // the caller read it back.
@@ -60,7 +60,7 @@ var banned = map[string]bool{
 // channels; the two must agree on what a source is.
 var OpsSources = map[string]map[string]bool{
 	"flashwear/internal/obs":      {"WallNow": true},
-	"flashwear/internal/runtrace": {"Totals": true, "Snapshot": true},
+	"flashwear/internal/runtrace": {"Totals": true},
 }
 
 var Analyzer = &analysis.Analyzer{

@@ -46,6 +46,5 @@ func spans(tr *runtrace.Tracer) {
 	sp := tr.Begin(runtrace.PhaseSimulate, 0, 1, 2)
 	sp.End()
 	// Reading the measured wall time back is laundering, same as WallNow.
-	_ = tr.Totals()   // want `ops-plane clock source runtrace\.Totals`
-	_ = tr.Snapshot() // want `ops-plane clock source runtrace\.Snapshot`
+	_ = tr.Totals() // want `ops-plane clock source runtrace\.Totals`
 }

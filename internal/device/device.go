@@ -49,7 +49,6 @@ type Device struct {
 
 	bytesWritten int64
 	bytesRead    int64
-	extCSDReads  int64
 }
 
 // New builds a device from a profile on the given clock.
@@ -264,6 +263,33 @@ func (d *Device) PreEOLInfo() int {
 		return 0 // out-of-spec "not defined"
 	}
 	return d.f.PreEOLInfo()
+}
+
+// WearHistogram buckets the main pool's per-block wear into the given
+// number of equal-width bins over [0, maxWear], with maxWear the worst
+// block observed. It is the analysis view behind the wear-leveling
+// ablation: a healthy FTL concentrates blocks near the top bin (everyone
+// equally worn); a broken one spreads them out.
+func (d *Device) WearHistogram(bins int) []int {
+	if bins < 1 {
+		bins = 1
+	}
+	chip := d.f.MainChip()
+	blocks := chip.Geometry().Blocks()
+	maxW := chip.MaxWear()
+	h := make([]int, bins)
+	if maxW <= 0 {
+		h[0] = blocks
+		return h
+	}
+	for b := 0; b < blocks; b++ {
+		idx := int(chip.Wear(b) / maxW * float64(bins))
+		if idx >= bins {
+			idx = bins - 1
+		}
+		h[idx]++
+	}
+	return h
 }
 
 // serviceTime converts raw flash work plus a transfer into request latency.

@@ -254,8 +254,11 @@ func TestWearIndicatorProgresses(t *testing.T) {
 	p := testProfile()
 	p.RatedPE = 200
 	d := newTestDevice(t, p)
-	if d.WearIndicator(ftl.PoolB) != 1 {
-		t.Fatal("fresh device indicator != 1")
+	if d.WearIndicator(ftl.PoolA) != 1 || d.WearIndicator(ftl.PoolB) != 1 {
+		t.Fatal("fresh device life-time estimates != 1")
+	}
+	if d.PreEOLInfo() != 1 {
+		t.Fatalf("fresh PreEOLInfo = %d, want 1 (normal)", d.PreEOLInfo())
 	}
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 300_000 && d.WearIndicator(ftl.PoolB) < 3; i++ {
@@ -358,25 +361,6 @@ func TestEffectiveScale(t *testing.T) {
 	}
 	if eff >= 1<<20 {
 		t.Fatal("clamp not reflected in effective scale")
-	}
-}
-
-func TestExtCSDRegisters(t *testing.T) {
-	d := newTestDevice(t, testProfile())
-	csd := d.ExtCSD()
-	if csd[ExtCSDRev] != 8 {
-		t.Fatalf("EXT_CSD_REV = %d, want 8 (v5.1)", csd[ExtCSDRev])
-	}
-	if csd[ExtCSDPreEOLInfo] != 1 {
-		t.Fatalf("PRE_EOL_INFO = %d, want 1", csd[ExtCSDPreEOLInfo])
-	}
-	if csd[ExtCSDLifeTimeEstA] != 1 || csd[ExtCSDLifeTimeEstB] != 1 {
-		t.Fatal("fresh life-time estimates != 1")
-	}
-	sectors := uint32(csd[ExtCSDSecCount]) | uint32(csd[ExtCSDSecCount+1])<<8 |
-		uint32(csd[ExtCSDSecCount+2])<<16 | uint32(csd[ExtCSDSecCount+3])<<24
-	if int64(sectors)*512 != d.Size() {
-		t.Fatalf("SEC_COUNT = %d sectors, want %d", sectors, d.Size()/512)
 	}
 }
 

@@ -7,14 +7,15 @@ import (
 
 // Instrument registers the device's host-side counters and JEDEC health
 // gauges with reg, and recursively attaches the FTL and its chips. Call it
-// at device birth, before any host I/O, so push and pull counters agree.
+// at device birth, before any host I/O, so the sampled series accounts
+// for every host byte from the first.
 //
 // The wear-level gauges deliberately read the FTL's ground-truth estimate,
 // NOT Device.WearIndicator: on UnreliableIndicator profiles the register
 // read draws from the device RNG (garbage values, like the real BLU
 // parts), and telemetry must never perturb the simulation it observes
-// (DESIGN.md §7). The register's lies remain observable through the
-// emmc/ExtCSD path, which models an actual host read.
+// (DESIGN.md §7). The register's lies stay visible through
+// Device.WearIndicator, which models an actual host read.
 func (d *Device) Instrument(reg *telemetry.Registry) {
 	d.f.Attach(reg)
 	d.f.MainChip().Instrument(reg, "main")
@@ -23,7 +24,6 @@ func (d *Device) Instrument(reg *telemetry.Registry) {
 	}
 	reg.CounterFunc("device.bytes_written", func() int64 { return d.bytesWritten })
 	reg.CounterFunc("device.bytes_read", func() int64 { return d.bytesRead })
-	reg.CounterFunc("device.ext_csd_reads", func() int64 { return d.extCSDReads })
 	reg.GaugeFunc("device.busy_hours", func() float64 { return d.busy.Hours() })
 	reg.GaugeFunc("device.bricked", func() float64 {
 		if d.f.Bricked() {

@@ -44,7 +44,6 @@ package fleet
 
 import (
 	"fmt"
-	"io"
 
 	"flashwear/internal/report"
 	"flashwear/internal/wtrace"
@@ -221,15 +220,4 @@ type Result struct {
 	// Spec echoes the run's (defaulted) specification.
 	Spec Spec
 	*Accumulator
-}
-
-// WriteWearCSV writes the population wear-attribution ledger as CSV
-// (wtrace.Snapshot.WriteCSV). The output is a pure function of the Spec —
-// byte-identical across worker counts — because the merged snapshot is.
-// It errors if the run was not traced (Spec.WearTrace unset).
-func (r *Result) WriteWearCSV(w io.Writer) error {
-	if r.Accumulator == nil || r.Wear == nil {
-		return fmt.Errorf("fleet: run has no wear ledger (Spec.WearTrace not set)")
-	}
-	return r.Wear.WriteCSV(w)
 }

@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -183,10 +185,62 @@ func TestFleetMetricsDeterminism(t *testing.T) {
 	}
 }
 
+// progressLog records what Spec.Progress reports. Calls arrive
+// concurrently from the workers.
+type progressLog struct {
+	mu       sync.Mutex
+	calls    int
+	maxDone  int
+	total    int
+	bricked  int64
+	readOnly int64
+	bare     []int // indices reported as DeviceResult{Index: i} and nothing else
+}
+
+func (l *progressLog) record(done, total int, r DeviceResult) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.calls++
+	l.maxDone = max(l.maxDone, done)
+	l.total = total
+	if r.Bricked {
+		l.bricked++
+	}
+	if r.ReadOnly {
+		l.readOnly++
+	}
+	if reflect.DeepEqual(r, DeviceResult{Index: r.Index}) {
+		l.bare = append(l.bare, r.Index)
+	}
+}
+
+// check requires what fleetsim's progress displays rely on: one call per
+// device with done reaching the population, exactly the panicked devices
+// (ascending) reported bare, and brick tallies that agree with the
+// deterministic aggregate.
+func (l *progressLog) check(t *testing.T, res *Result, devices int, panicked ...int) {
+	t.Helper()
+	if l.calls != devices || l.maxDone != devices || l.total != devices {
+		t.Errorf("Progress: %d calls, done reached %d of %d; want %d calls reaching %d of %d",
+			l.calls, l.maxDone, l.total, devices, devices, devices)
+	}
+	slices.Sort(l.bare)
+	if !slices.Equal(l.bare, panicked) {
+		t.Errorf("Progress reported %v as DeviceResult{Index: i}, want %v", l.bare, panicked)
+	}
+	if l.bricked != res.Total.Bricked {
+		t.Errorf("Progress counted %d bricked, Total.Bricked = %d", l.bricked, res.Total.Bricked)
+	}
+	if l.readOnly > l.bricked {
+		t.Errorf("Progress counted %d read-only of %d bricked; read-only is a kind of death", l.readOnly, l.bricked)
+	}
+}
+
 // TestFleetPanicContainment pins the worker containment contract: a
 // panicking per-device simulation is recorded as a failed device — with its
 // seed, so the failure can be reproduced in isolation — and the rest of the
-// fleet still runs to completion.
+// fleet still runs to completion. Progress still counts the failed device,
+// so both of fleetsim's displays reach N/N.
 func TestFleetPanicContainment(t *testing.T) {
 	spec := testSpec(2)
 	spec.Devices = 8
@@ -198,11 +252,14 @@ func TestFleetPanicContainment(t *testing.T) {
 		}
 	}
 	defer func() { panicHook = nil }()
+	var progress progressLog
+	spec.Progress = progress.record
 
 	res, err := Run(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("a contained panic must not abort the run: %v", err)
 	}
+	progress.check(t, res, 8, 2, 5)
 	if res.Failed != 2 {
 		t.Errorf("Failed = %d, want 2", res.Failed)
 	}
@@ -353,7 +410,7 @@ func TestFleetProgressAndCancellation(t *testing.T) {
 	spec := testSpec(2)
 	spec.Devices = 8
 	spec.Classes = []ClassWeight{{ClassBenign, 1}}
-	spec.Progress = func(done, total int) {
+	spec.Progress = func(done, total int, _ DeviceResult) {
 		calls.Add(1)
 		if total != 8 || done < 1 || done > 8 {
 			t.Errorf("Progress(%d, %d) out of range", done, total)

@@ -3,11 +3,8 @@ package fleet
 import (
 	"context"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
-
-	"flashwear/internal/telemetry"
 )
 
 // panicHook, when non-nil, runs before every device simulation; tests use
@@ -63,16 +60,6 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	for w := 0; w < workers; w++ {
 		acc := newAccumulator(spec)
 		accs[w] = acc
-		// Live per-worker progress counters: schedule-dependent by nature
-		// (which worker draws which device is a race), so they go to the
-		// caller's monitoring registry, never into the deterministic Result.
-		var doneCtr, brickCtr, roCtr *telemetry.Counter
-		if spec.Telemetry != nil {
-			worker := strconv.Itoa(w)
-			doneCtr = spec.Telemetry.Counter(telemetry.Name("fleet.devices_done", "worker", worker))
-			brickCtr = spec.Telemetry.Counter(telemetry.Name("fleet.bricks", "worker", worker))
-			roCtr = spec.Telemetry.Counter(telemetry.Name("fleet.read_only", "worker", worker))
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -88,7 +75,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 					// reproduces it and move on to the next device.
 					acc.noteFailed(p.Seed)
 					if spec.Progress != nil {
-						spec.Progress(int(done.Add(1)), spec.Devices)
+						spec.Progress(int(done.Add(1)), spec.Devices, DeviceResult{Index: i})
 					}
 					continue
 				}
@@ -100,17 +87,8 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 					return
 				}
 				acc.add(res)
-				if doneCtr != nil {
-					doneCtr.Inc()
-					if res.Bricked {
-						brickCtr.Inc()
-					}
-					if res.ReadOnly {
-						roCtr.Inc()
-					}
-				}
 				if spec.Progress != nil {
-					spec.Progress(int(done.Add(1)), spec.Devices)
+					spec.Progress(int(done.Add(1)), spec.Devices, res)
 				}
 			}
 		}()

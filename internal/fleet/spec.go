@@ -7,7 +7,6 @@ import (
 
 	"flashwear/internal/device"
 	"flashwear/internal/faultinject"
-	"flashwear/internal/telemetry"
 )
 
 // Class is the workload class a simulated phone's app population falls
@@ -81,28 +80,25 @@ type Spec struct {
 	Profiles []ProfileWeight
 	// Classes is the workload mix; default DefaultClassMix.
 	Classes []ClassWeight
-	// Progress, if non-nil, is called after each completed device with
-	// (done, total). It is called concurrently from worker goroutines and
-	// must be safe for concurrent use.
-	Progress func(done, total int)
-	// MetricsEvery, when positive, samples every device's telemetry
-	// registry at this full-scale cadence (e.g. 24h for a daily series)
-	// and merges the samples into Result.Metrics. The merged series is a
-	// pure function of the Spec — byte-identical across worker counts —
-	// because every per-device sample is converted to full-scale integer
-	// (or fixed-point) sums before aggregation. See DESIGN.md §7.
+	// Progress, if non-nil, is called after each finished device with
+	// (done, total) and the device's result; a device whose simulation
+	// panicked is reported as DeviceResult{Index: i}. It is called
+	// concurrently from worker goroutines and must be safe for concurrent
+	// use. The order of the calls depends on the schedule; the Result
+	// does not.
+	Progress func(done, total int, r DeviceResult)
+	// MetricsEvery, when positive, samples every device's Phone.DayRow at
+	// this full-scale cadence (e.g. 24h for a daily series) and merges the
+	// samples into Result.Metrics. The merged series is a pure function of
+	// the Spec — byte-identical across worker counts — because every
+	// per-device sample is converted to full-scale integer (or fixed-point)
+	// sums before aggregation. See DESIGN.md §7.
 	MetricsEvery time.Duration
 	// Faults, if non-nil and non-empty, injects hardware faults into every
 	// device. Each device runs the plan re-seeded from (plan seed, device
 	// seed), so fault schedules are independent across the population yet
 	// a pure function of the Spec — determinism is preserved.
 	Faults *faultinject.Plan
-	// Telemetry, if non-nil, receives live per-worker progress counters
-	// (fleet.devices_done{worker=N}, fleet.bricks{worker=N},
-	// fleet.read_only{worker=N}). Unlike Result.Metrics these depend on
-	// the schedule; they exist for monitoring a run, not for reproducible
-	// output.
-	Telemetry *telemetry.Registry
 	// WearTrace, when true, attaches a wear-attribution tracer to every
 	// device: setup (mkfs/mount/initial fill) runs as origin "os", the
 	// workload as its class name, and the per-origin ledgers — scaled to

@@ -3,10 +3,8 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"strings"
 	"testing"
 
-	"flashwear/internal/telemetry"
 	"flashwear/internal/wtrace"
 )
 
@@ -15,35 +13,38 @@ import (
 // is byte-identical across worker counts, every workload class shows up as
 // an origin with real wear, and write amplification is visible in the
 // totals (phys >= host). The merge is integer-additive by origin name, so
-// scheduling must not leak into the CSV.
+// scheduling must not leak into the CSV. Both runs also pin the Progress
+// callback fleetsim's displays read: every device reported once, brick
+// tallies equal to the aggregate's.
 func TestFleetWearDeterminism(t *testing.T) {
 	ctx := context.Background()
-	run := func(workers int, reg *telemetry.Registry) (*Result, string) {
+	run := func(workers int) (*Result, string) {
 		t.Helper()
 		spec := testSpec(workers)
 		spec.WearTrace = true
-		spec.Telemetry = reg
+		var progress progressLog
+		spec.Progress = progress.record
 		res, err := Run(ctx, spec)
 		if err != nil {
 			t.Fatalf("Run(workers=%d): %v", workers, err)
 		}
+		progress.check(t, res, 64)
+		if res.Wear == nil {
+			t.Fatalf("Run(workers=%d): traced run has nil Wear snapshot", workers)
+		}
 		var buf bytes.Buffer
-		if err := res.WriteWearCSV(&buf); err != nil {
-			t.Fatalf("WriteWearCSV: %v", err)
+		if err := res.Wear.WriteCSV(&buf); err != nil {
+			t.Fatalf("WriteCSV: %v", err)
 		}
 		return res, buf.String()
 	}
 
-	reg := telemetry.NewRegistry()
-	res1, csv1 := run(1, reg)
-	_, csv4 := run(4, nil)
+	res1, csv1 := run(1)
+	_, csv4 := run(4)
 	if csv1 != csv4 {
 		t.Fatalf("wear CSV differs between 1 and 4 workers:\n--- workers=1\n%s\n--- workers=4\n%s", csv1, csv4)
 	}
 
-	if res1.Wear == nil {
-		t.Fatal("traced run has nil Wear snapshot")
-	}
 	rows := map[string]wtrace.Row{}
 	for _, r := range res1.Wear.Rows {
 		rows[r.Origin] = r
@@ -65,38 +66,5 @@ func TestFleetWearDeterminism(t *testing.T) {
 		if causes := r.HostPrograms + r.GCPrograms + r.WLPrograms + r.CachePrograms; r.PhysPages != causes {
 			t.Errorf("origin %q: phys_pages %d != cause sum %d", r.Origin, r.PhysPages, causes)
 		}
-	}
-
-	// The per-worker progress counters (fleetsim -progress reads these)
-	// must account for every device, and brick/read-only tallies must
-	// match the deterministic aggregates.
-	var done, bricked, readOnly int64
-	for _, p := range reg.Snapshot(0).Points {
-		switch {
-		case strings.HasPrefix(p.Name, "fleet.devices_done"):
-			done += p.Int
-		case strings.HasPrefix(p.Name, "fleet.bricks"):
-			bricked += p.Int
-		case strings.HasPrefix(p.Name, "fleet.read_only"):
-			readOnly += p.Int
-		}
-	}
-	if done != int64(res1.Total.Devices) {
-		t.Errorf("fleet.devices_done sums to %d, want %d", done, res1.Total.Devices)
-	}
-	if bricked != res1.Total.Bricked {
-		t.Errorf("fleet.bricks sums to %d, want %d", bricked, res1.Total.Bricked)
-	}
-	if readOnly < 0 || readOnly > int64(res1.Total.Devices) {
-		t.Errorf("fleet.read_only sums to %d, outside [0, %d]", readOnly, res1.Total.Devices)
-	}
-}
-
-// TestWriteWearCSVRequiresTracing pins the error path: asking an untraced
-// result for its wear ledger must fail loudly, not emit an empty file.
-func TestWriteWearCSVRequiresTracing(t *testing.T) {
-	var res Result
-	if err := res.WriteWearCSV(&bytes.Buffer{}); err == nil {
-		t.Fatal("WriteWearCSV on an untraced run succeeded")
 	}
 }

@@ -214,7 +214,7 @@ func (t *Tracer) StartRecording() {
 }
 
 // StopRecording closes the window; buffered spans stay available to
-// Snapshot/WriteChrome until the next StartRecording.
+// WriteChrome until the next StartRecording.
 func (t *Tracer) StopRecording() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -241,13 +241,6 @@ func (t *Tracer) Dropped() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.dropped
-}
-
-// Snapshot copies out the buffered spans.
-func (t *Tracer) Snapshot() []Span {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Span(nil), t.spans...)
 }
 
 // Totals returns the since-process-start per-phase wall-time sums,

@@ -20,15 +20,7 @@ import (
 type Sampler struct {
 	reg    *Registry
 	clock  *simclock.Clock
-	every  time.Duration
 	cancel func()
-
-	// Collect controls whether snapshots accumulate into Series (on by
-	// default). Callers that only want the OnSample callback — the fleet
-	// does its own integer aggregation — turn it off to save memory.
-	Collect bool
-	// OnSample, when non-nil, receives every snapshot as it is taken.
-	OnSample func(Snapshot)
 
 	series  Series
 	lastAt  time.Duration
@@ -41,7 +33,7 @@ func NewSampler(reg *Registry, clock *simclock.Clock, every time.Duration) *Samp
 	if every <= 0 {
 		panic(fmt.Sprintf("telemetry: NewSampler: cadence %v, want > 0", every))
 	}
-	s := &Sampler{reg: reg, clock: clock, every: every, Collect: true}
+	s := &Sampler{reg: reg, clock: clock}
 	s.cancel = clock.Every(every, s.sample)
 	return s
 }
@@ -49,12 +41,7 @@ func NewSampler(reg *Registry, clock *simclock.Clock, every time.Duration) *Samp
 func (s *Sampler) sample() {
 	snap := s.reg.Snapshot(s.clock.Now())
 	s.lastAt, s.sampled = snap.At, true
-	if s.Collect {
-		s.series.add(snap)
-	}
-	if s.OnSample != nil {
-		s.OnSample(snap)
-	}
+	s.series.add(snap)
 }
 
 // Stop cancels future scheduled samples.

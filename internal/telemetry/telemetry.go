@@ -1,17 +1,15 @@
 // Package telemetry is the measurement substrate for the whole stack: a
-// dependency-free metrics registry (counters, gauges, histograms) with
-// named, labeled instruments and cheap atomic updates, plus a Sampler
-// (sampler.go) that snapshots the registry on a fixed simclock cadence
-// into an in-memory time series rendered as CSV or JSON.
+// dependency-free, pull-only metrics registry of named, labeled counters
+// and gauges, plus a Sampler (sampler.go) that snapshots the registry on
+// a fixed simclock cadence into an in-memory time series rendered as CSV
+// or JSON.
 //
 // Design rules, in the spirit of Flashmon's in-kernel counters:
 //
-//   - Updates on hot paths are a single atomic add — no locks, no
-//     allocation, no map lookups. Name resolution happens once, at
+//   - Instruments (CounterFunc, GaugeFunc) read existing layer state at
+//     snapshot time, where the layer already keeps it, so hot paths pay
+//     nothing between samples. Name resolution happens once, at
 //     registration.
-//   - Pull instruments (CounterFunc, GaugeFunc) read existing layer state
-//     at snapshot time, so layers that already keep Stats structs pay
-//     nothing between samples.
 //   - Instrument callbacks MUST be pure observers: reading a metric must
 //     never mutate simulation state (no RNG draws, no cache refreshes),
 //     or sampled runs would diverge from unsampled ones. See DESIGN.md §7.
@@ -24,14 +22,10 @@ package telemetry
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"flashwear/internal/report"
 )
 
 // Kind distinguishes monotonic counts from point-in-time levels.
@@ -56,71 +50,17 @@ func (k Kind) String() string {
 	}
 }
 
-// Counter is a push-updated monotonic count. The zero value is ready to
-// use; Inc/Add are a single atomic add, safe for concurrent use.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n (n must be >= 0 for the counter to stay monotonic).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a push-updated level, stored as atomic float64 bits.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current level.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Histogram is a push-updated distribution over a fixed-geometry
-// report.Histogram. Snapshots expand it into derived points
-// (.count, .mean, .p50, .p99) rather than dumping every bucket.
-type Histogram struct {
-	mu sync.Mutex
-	h  *report.Histogram
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	h.h.Add(v)
-	h.mu.Unlock()
-}
-
-// Snapshot returns a copy of the underlying histogram.
-func (h *Histogram) Snapshot() *report.Histogram {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	cp := *h.h
-	cp.Counts = append([]int64(nil), h.h.Counts...)
-	return &cp
-}
-
 // instrument is one registered metric source.
+// Exactly one of counterFn and gaugeFn is set.
 type instrument struct {
 	name      string
-	kind      Kind
-	counter   *Counter
 	counterFn func() int64
-	gauge     *Gauge
 	gaugeFn   func() float64
-	hist      *Histogram
 }
 
 // Registry holds named instruments. Registration is not on any hot path
-// and panics on invalid or duplicate names (programming errors, like a
-// malformed histogram geometry). Updates to registered Counters/Gauges
-// are concurrency-safe; registration and Snapshot take the registry lock.
+// and panics on invalid or duplicate names (programming errors).
+// Registration and Snapshot take the registry lock.
 type Registry struct {
 	mu    sync.Mutex
 	insts []instrument
@@ -197,38 +137,16 @@ func (r *Registry) register(inst instrument) {
 	r.insts = append(r.insts, inst)
 }
 
-// Counter registers and returns a push-updated counter.
-func (r *Registry) Counter(name string) *Counter {
-	c := &Counter{}
-	r.register(instrument{name: name, kind: KindCounter, counter: c})
-	return c
-}
-
 // CounterFunc registers a pull counter: fn is called at snapshot time and
 // must be a pure observer of simulation state.
 func (r *Registry) CounterFunc(name string, fn func() int64) {
-	r.register(instrument{name: name, kind: KindCounter, counterFn: fn})
-}
-
-// Gauge registers and returns a push-updated gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	g := &Gauge{}
-	r.register(instrument{name: name, kind: KindGauge, gauge: g})
-	return g
+	r.register(instrument{name: name, counterFn: fn})
 }
 
 // GaugeFunc registers a pull gauge: fn is called at snapshot time and
 // must be a pure observer of simulation state.
 func (r *Registry) GaugeFunc(name string, fn func() float64) {
-	r.register(instrument{name: name, kind: KindGauge, gaugeFn: fn})
-}
-
-// Histogram registers a push-updated distribution with the given bucket
-// geometry (see report.NewHistogram).
-func (r *Registry) Histogram(name string, min, max float64, buckets int) *Histogram {
-	h := &Histogram{h: report.NewHistogram(min, max, buckets)}
-	r.register(instrument{name: name, kind: KindGauge, hist: h})
-	return h
+	r.register(instrument{name: name, gaugeFn: fn})
 }
 
 // Point is one sampled value. Counters carry Int, gauges carry Float.
@@ -248,8 +166,7 @@ func (p Point) Value() float64 {
 }
 
 // Snapshot is the registry's state at one instant of simulated time.
-// Points appear in registration order; histograms expand into derived
-// points (name.count, name.mean, name.p50, name.p99).
+// Points appear in registration order.
 type Snapshot struct {
 	At     time.Duration
 	Points []Point
@@ -270,49 +187,13 @@ func (s Snapshot) Index(name string) int {
 func (r *Registry) Snapshot(at time.Duration) Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	pts := make([]Point, 0, len(r.insts)+3*countHists(r.insts))
-	for _, in := range r.insts {
-		switch {
-		case in.counter != nil:
-			pts = append(pts, Point{Name: in.name, Kind: KindCounter, Int: in.counter.Value()})
-		case in.counterFn != nil:
-			pts = append(pts, Point{Name: in.name, Kind: KindCounter, Int: in.counterFn()})
-		case in.gauge != nil:
-			pts = append(pts, Point{Name: in.name, Kind: KindGauge, Float: in.gauge.Value()})
-		case in.gaugeFn != nil:
-			pts = append(pts, Point{Name: in.name, Kind: KindGauge, Float: in.gaugeFn()})
-		case in.hist != nil:
-			pts = append(pts, histPoints(in.name, in.hist)...)
+	pts := make([]Point, len(r.insts))
+	for i, in := range r.insts {
+		if in.counterFn != nil {
+			pts[i] = Point{Name: in.name, Kind: KindCounter, Int: in.counterFn()}
+		} else {
+			pts[i] = Point{Name: in.name, Kind: KindGauge, Float: in.gaugeFn()}
 		}
 	}
 	return Snapshot{At: at, Points: pts}
-}
-
-func countHists(insts []instrument) int {
-	n := 0
-	for _, in := range insts {
-		if in.hist != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// histPoints derives the summary points of one histogram. An empty
-// histogram reports zeroes (report.Histogram.Percentile already returns 0
-// on empty; the mean is guarded here because it is NaN on empty).
-func histPoints(name string, h *Histogram) []Point {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	total := h.h.Total()
-	mean := 0.0
-	if total > 0 {
-		mean = h.h.Mean()
-	}
-	return []Point{
-		{Name: name + ".count", Kind: KindCounter, Int: total},
-		{Name: name + ".mean", Kind: KindGauge, Float: mean},
-		{Name: name + ".p50", Kind: KindGauge, Float: h.h.Percentile(0.50)},
-		{Name: name + ".p99", Kind: KindGauge, Float: h.h.Percentile(0.99)},
-	}
 }

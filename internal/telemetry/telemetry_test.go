@@ -34,7 +34,7 @@ func TestValidName(t *testing.T) {
 		"bad.label{k}":                  false,
 		"unterminated{k=v":              false,
 		"device.wear_level{pool=b}":     true,
-		"fleet.devices_done{worker=12}": true,
+		"nand.program_fails{chip=main}": true,
 	} {
 		if got := validName(name); got != want {
 			t.Errorf("validName(%q) = %v, want %v", name, got, want)
@@ -53,22 +53,23 @@ func TestRegistryPanics(t *testing.T) {
 		fn()
 	}
 	reg := NewRegistry()
-	reg.Counter("dup.name")
-	mustPanic("duplicate", func() { reg.Counter("dup.name") })
-	mustPanic("invalid", func() { reg.Gauge("NOT VALID") })
+	reg.CounterFunc("dup.name", func() int64 { return 0 })
+	mustPanic("duplicate", func() { reg.GaugeFunc("dup.name", func() float64 { return 0 }) })
+	mustPanic("invalid", func() { reg.GaugeFunc("NOT VALID", func() float64 { return 0 }) })
 	mustPanic("odd labels", func() { Name("x", "k") })
 }
 
 func TestSnapshotOrderAndValues(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("a.count")
+	var count int64
+	level := 0.0
+	reg.CounterFunc("a.count", func() int64 { return count })
 	reg.CounterFunc("b.pulled", func() int64 { return 7 })
-	g := reg.Gauge("c.level")
+	reg.GaugeFunc("c.level", func() float64 { return level })
 	reg.GaugeFunc("d.pulled", func() float64 { return 2.5 })
 
-	c.Inc()
-	c.Add(2)
-	g.Set(1.25)
+	// Instruments read their source at snapshot time, not at registration.
+	count, level = 3, 1.25
 
 	snap := reg.Snapshot(time.Hour)
 	if snap.At != time.Hour {
@@ -100,47 +101,6 @@ func TestSnapshotOrderAndValues(t *testing.T) {
 	}
 	if i := snap.Index("missing"); i != -1 {
 		t.Errorf("Index(missing) = %d, want -1", i)
-	}
-}
-
-func TestHistogramExpansion(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("lat.write", 0, 100, 100)
-
-	// Empty histogram: all derived points are 0, never NaN.
-	for _, p := range reg.Snapshot(0).Points {
-		if math.IsNaN(p.Value()) {
-			t.Errorf("empty histogram point %s is NaN", p.Name)
-		}
-		if p.Value() != 0 {
-			t.Errorf("empty histogram point %s = %g, want 0", p.Name, p.Value())
-		}
-	}
-
-	for v := 0; v < 100; v++ {
-		h.Observe(float64(v) + 0.5)
-	}
-	snap := reg.Snapshot(0)
-	want := []string{"lat.write.count", "lat.write.mean", "lat.write.p50", "lat.write.p99"}
-	for i, name := range want {
-		if snap.Points[i].Name != name {
-			t.Fatalf("point %d = %q, want %q", i, snap.Points[i].Name, name)
-		}
-	}
-	if n := snap.Points[0].Int; n != 100 {
-		t.Errorf("count = %d, want 100", n)
-	}
-	if m := snap.Points[1].Float; math.Abs(m-50) > 1 {
-		t.Errorf("mean = %g, want ~50", m)
-	}
-	if p50 := snap.Points[2].Float; math.Abs(p50-50) > 1.5 {
-		t.Errorf("p50 = %g, want ~50", p50)
-	}
-	if p99 := snap.Points[3].Float; math.Abs(p99-99) > 1.5 {
-		t.Errorf("p99 = %g, want ~99", p99)
-	}
-	if cp := h.Snapshot(); cp.Total() != 100 {
-		t.Errorf("histogram copy Total = %d, want 100", cp.Total())
 	}
 }
 
@@ -188,28 +148,6 @@ func TestSamplerCadence(t *testing.T) {
 	clock.Advance(5 * time.Hour)
 	if len(s.Series().Rows) != 5 {
 		t.Errorf("sampler kept sampling after Stop")
-	}
-}
-
-func TestSamplerOnSampleAndCollect(t *testing.T) {
-	clock := simclock.New()
-	reg := NewRegistry()
-	reg.CounterFunc("x.n", func() int64 { return 1 })
-	s := NewSampler(reg, clock, time.Minute)
-	s.Collect = false
-	var calls int
-	s.OnSample = func(snap Snapshot) {
-		calls++
-		if len(snap.Points) != 1 || snap.Points[0].Int != 1 {
-			t.Errorf("bad snapshot in OnSample: %+v", snap)
-		}
-	}
-	clock.Advance(3 * time.Minute)
-	if calls != 3 {
-		t.Errorf("OnSample called %d times, want 3", calls)
-	}
-	if len(s.Series().Rows) != 0 {
-		t.Errorf("Collect=false still accumulated rows")
 	}
 }
 

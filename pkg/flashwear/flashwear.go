@@ -14,13 +14,11 @@ import (
 	"flashwear/internal/appmodel"
 	"flashwear/internal/core"
 	"flashwear/internal/device"
-	"flashwear/internal/emmc"
 	"flashwear/internal/experiments"
 	"flashwear/internal/ftl"
 	"flashwear/internal/mitigation"
 	"flashwear/internal/simclock"
 	"flashwear/internal/trace"
-	"flashwear/internal/ufs"
 	"flashwear/internal/workload"
 )
 
@@ -236,21 +234,6 @@ type (
 	// AppModel is a synthetic application whose storage behaviour unfolds
 	// over simulated time.
 	AppModel = appmodel.Model
-)
-
-// Wire-level transports, for tooling-style access to the health registers.
-type (
-	// EMMCController speaks the JEDEC eMMC 5.1 command set over a device.
-	EMMCController = emmc.Controller
-	// UFSLogicalUnit speaks SCSI-style UFS CDBs over a device.
-	UFSLogicalUnit = ufs.LU
-)
-
-var (
-	// NewEMMCController wraps a device as an eMMC card.
-	NewEMMCController = emmc.New
-	// NewUFSLogicalUnit wraps a device as a UFS logical unit.
-	NewUFSLogicalUnit = ufs.New
 )
 
 var (
