@@ -56,9 +56,10 @@ fuzz:
 # 1 and require byte-identical aggregates — including the merged wear
 # ledger (DESIGN.md §6, §9; per-device tracers share nothing) — and the
 # Progress callback the workers call concurrently; and the NAND
-# snapshot's shared page payloads, with two chips running from one state.
+# snapshot's shared page payloads, with two chips running from one state
+# while erases recycle every page buffer no snapshot holds.
 race:
-	$(GO) test -race -count=1 -run TestSnapshotSharesWriteOncePages ./internal/nand/
+	$(GO) test -race -count=1 -run 'TestSnapshotSharesWriteOncePages|TestSnapshotMissesRecycledBuffers|TestSnapshotKeepsNoMetadataState' ./internal/nand/
 	$(GO) test -race -count=1 -run TestFleet ./internal/fleet/
 	$(GO) test -race -count=1 -run TestConcurrentSpans ./internal/runtrace/
 	$(GO) test -race -count=1 -run 'TestCampaignInMemory|TestServerAPI|TestResumeAfterTruncatedCell' ./internal/fleetd/

@@ -148,8 +148,10 @@ type dec struct {
 	// zero is the one all-zero page every zero-flagged page of the frame
 	// decodes to: the flag costs one input byte but claims PageSize, and a
 	// hostile frame could otherwise multiply a small payload into an
-	// arbitrarily large allocation. Safe to alias because NAND pages are
-	// write-once (nand.ExportState).
+	// arbitrarily large allocation. Safe to alias across the entries of
+	// the page-indexed BlockState.Data because NAND pages are write-once
+	// and an imported block's erase drops its pages, never recycles them
+	// (nand.ExportState).
 	zero []byte
 }
 
@@ -407,12 +409,17 @@ func (e *enc) chipState(st *nand.ChipState) {
 				e.u16(m.Org)
 			}
 		}
-		// Page payloads in page order: a block programs pages 0..NextPage
-		// in sequence, so walking that prefix visits every payload and map
-		// iteration order never reaches the bytes.
-		e.u32(uint32(len(b.Data)))
-		for pg := 0; pg < b.NextPage; pg++ {
-			if data, ok := b.Data[pg]; ok {
+		// The page-indexed Data: the count of pages with a payload, then
+		// each as its page number and bytes, in ascending page order.
+		np := 0
+		for _, data := range b.Data {
+			if data != nil {
+				np++
+			}
+		}
+		e.u32(uint32(np))
+		for pg, data := range b.Data {
+			if data != nil {
 				e.u32(uint32(pg))
 				e.page(data)
 			}
@@ -420,9 +427,11 @@ func (e *enc) chipState(st *nand.ChipState) {
 	}
 }
 
-// chipState decodes a chip's state. Its page slices are the only copy the
-// resume path makes: ImportState shares them with the booted chip, which
-// never writes through them (NAND pages are write-once).
+// chipState decodes a chip's state into page-indexed Data (NextPage
+// entries, nil where a page has no payload, or nil when none has). Its
+// page slices are the only copy the resume path makes: ImportState shares
+// them with the booted chip, which never writes through them and drops
+// them at erase rather than recycling them (nand.ExportState).
 func (d *dec) chipState() *nand.ChipState {
 	st := &nand.ChipState{Geometry: d.geometry(), Stats: d.nandStats()}
 	g := st.Geometry
@@ -469,7 +478,7 @@ func (d *dec) chipState() *nand.ChipState {
 			return st
 		}
 		if np > 0 {
-			b.Data = make(map[int][]byte, np)
+			b.Data = make([][]byte, b.NextPage)
 		}
 		// Strictly ascending page numbers inside the programmed prefix:
 		// the only order the encoder writes.

@@ -99,7 +99,7 @@ func buildSeedCell(tamper func([]byte) []byte) []byte {
 			Geometry: geo,
 			Blocks: []nand.BlockState{
 				{EraseCount: 2, NextPage: 2, Meta: []nand.OOB{{LP: 0, Seq: 1, Org: 0}, {LP: 1, Seq: 2, Org: 1}},
-					Data: map[int][]byte{0: page, 1: make([]byte, geo.PageSize)}},
+					Data: [][]byte{page, make([]byte, geo.PageSize)}},
 				{Bad: true},
 			},
 		},

@@ -22,6 +22,38 @@ var (
 	ErrAddr          = errors.New("nand: address out of range")
 )
 
+// OpError is how a chip operation reports one of the sentinels above or
+// ErrPowerLoss: what was attempted where, wrapping the sentinel so
+// errors.Is sees through it. Failures are organic events in a wear run,
+// so the text is built only when someone asks for it.
+type OpError struct {
+	Op   Op
+	Addr PageAddr // an erase uses only Addr.Block
+	// Bits and T are the worst codeword's raw bit errors and the ECC
+	// capability they exceeded, for an uncorrectable read the error model
+	// decided; both are zero for an injected transient.
+	Bits, T int
+	Err     error
+}
+
+func (e *OpError) Unwrap() error { return e.Err }
+
+func (e *OpError) Error() string {
+	where := e.Addr.String()
+	if e.Op == OpErase {
+		where = fmt.Sprintf("block %d", e.Addr.Block)
+	}
+	switch {
+	case e.Err == ErrPowerLoss:
+		where = [...]string{OpRead: "read ", OpProgram: "program ", OpErase: "erase "}[e.Op] + where
+	case e.Err == ErrUncorrectable && e.T == 0:
+		where += " (injected transient)"
+	case e.Err == ErrUncorrectable:
+		where += fmt.Sprintf(" (%d bit errors > t=%d)", e.Bits, e.T)
+	}
+	return e.Err.Error() + ": " + where
+}
+
 // Config assembles everything needed to instantiate a chip. Zero-valued
 // fields fall back to sensible defaults in New.
 type Config struct {
@@ -74,6 +106,9 @@ type Chip struct {
 	inject  FaultInjector
 	blocks  []block
 	stats   Stats
+	// free holds erased page buffers no snapshot can reach; payload
+	// programs take from it before allocating.
+	free [][]byte
 }
 
 // OOB is the spare-area metadata firmware stores alongside each page: the
@@ -94,9 +129,17 @@ type block struct {
 	nextPage   int           // next programmable page (in-order constraint)
 	firstProg  time.Duration // time the oldest live page was programmed
 	lastErase  time.Duration
-	reads      int64          // reads since last erase (read disturb)
-	data       map[int][]byte // page payloads, present only for data-bearing writes
-	meta       []OOB          // per-page spare-area metadata, lazily allocated
+	reads      int64 // reads since last erase (read disturb)
+
+	// pages and meta are the block's rows of the chip-wide page index and
+	// OOB array. A page has a payload only if it was programmed with one;
+	// past the programmed prefix every entry is nil and {LP: -1}.
+	pages   [][]byte
+	meta    []OOB
+	hasMeta bool // a program since the erase stored metadata, or ImportState's Meta did
+	// shared marks a block whose payloads a snapshot may hold: its next
+	// erase drops them instead of putting them on the free list.
+	shared bool
 
 	// The error model at the block's current Wear, filled by atWear on
 	// first use. Wear moves only in EraseBlock and ImportState; both clear
@@ -175,8 +218,17 @@ func New(cfg Config) (*Chip, error) {
 		inject:  cfg.Inject,
 		blocks:  make([]block, cfg.Geometry.Blocks()),
 	}
+	ppb := cfg.Geometry.PagesPerBlock
+	pages := make([][]byte, len(c.blocks)*ppb)
+	meta := make([]OOB, len(c.blocks)*ppb)
+	for i := range meta {
+		meta[i].LP = -1
+	}
 	for i := range c.blocks {
-		c.blocks[i].stress = 1 - spread + 2*spread*c.rng.Float64()
+		b := &c.blocks[i]
+		b.stress = 1 - spread + 2*spread*c.rng.Float64()
+		b.pages = pages[i*ppb : (i+1)*ppb]
+		b.meta = meta[i*ppb : (i+1)*ppb]
 	}
 	return c, nil
 }
@@ -206,11 +258,8 @@ func (c *Chip) simNow() time.Duration {
 	return c.now()
 }
 
-func (c *Chip) checkAddr(a PageAddr) error {
-	if a.Block < 0 || a.Block >= len(c.blocks) || a.Page < 0 || a.Page >= c.geo.PagesPerBlock {
-		return fmt.Errorf("%w: %v", ErrAddr, a)
-	}
-	return nil
+func (c *Chip) inRange(a PageAddr) bool {
+	return a.Block >= 0 && a.Block < len(c.blocks) && a.Page >= 0 && a.Page < c.geo.PagesPerBlock
 }
 
 // Wear returns a block's effective relative wear: stress-adjusted erase
@@ -350,16 +399,16 @@ func (c *Chip) ProgramPage(a PageAddr, data []byte) (OpResult, error) {
 // with the page on success and is readable back via ReadOOB without any
 // error sampling — it is what power-loss recovery scans.
 func (c *Chip) ProgramPageOOB(a PageAddr, data []byte, oob OOB) (OpResult, error) {
-	if err := c.checkAddr(a); err != nil {
-		return OpResult{}, err
+	if !c.inRange(a) {
+		return OpResult{}, &OpError{Op: OpProgram, Addr: a, Err: ErrAddr}
 	}
 	b := c.atWear(a.Block)
 	res := OpResult{Latency: c.timing.ProgramPage}
 	if b.bad {
-		return res, fmt.Errorf("%w: %v", ErrBadBlock, a)
+		return res, &OpError{Op: OpProgram, Addr: a, Err: ErrBadBlock}
 	}
 	if a.Page < b.nextPage {
-		return res, fmt.Errorf("%w: %v", ErrNotErased, a)
+		return res, &OpError{Op: OpProgram, Addr: a, Err: ErrNotErased}
 	}
 	if a.Page > b.nextPage {
 		return res, fmt.Errorf("%w: %v (next programmable page %d)", ErrOutOfOrder, a, b.nextPage)
@@ -371,7 +420,7 @@ func (c *Chip) ProgramPageOOB(a PageAddr, data []byte, oob OOB) (OpResult, error
 	if c.inject != nil {
 		injected = c.inject.Inject(OpProgram)
 		if injected == FaultPowerCut {
-			return res, fmt.Errorf("%w: program %v", ErrPowerLoss, a)
+			return res, &OpError{Op: OpProgram, Addr: a, Err: ErrPowerLoss}
 		}
 	}
 	c.stats.Programs++
@@ -382,24 +431,29 @@ func (c *Chip) ProgramPageOOB(a PageAddr, data []byte, oob OOB) (OpResult, error
 	b.nextPage++
 	if injected == FaultProgram || c.rng.Float64() < b.failProb {
 		c.stats.ProgramFails++
-		return res, fmt.Errorf("%w: %v", ErrProgramFail, a)
+		return res, &OpError{Op: OpProgram, Addr: a, Err: ErrProgramFail}
 	}
 	if data != nil {
-		if b.data == nil {
-			b.data = make(map[int][]byte)
-		}
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		b.data[a.Page] = cp
-	}
-	if b.meta == nil {
-		b.meta = make([]OOB, c.geo.PagesPerBlock)
-		for i := range b.meta {
-			b.meta[i].LP = -1
-		}
+		buf := c.pageBuf()
+		copy(buf, data)
+		b.pages[a.Page] = buf
 	}
 	b.meta[a.Page] = oob
+	b.hasMeta = true
 	return res, nil
+}
+
+// pageBuf returns a page-sized buffer for a payload: the last one erased
+// onto the free list, or a new one.
+func (c *Chip) pageBuf() []byte {
+	n := len(c.free)
+	if n == 0 {
+		return make([]byte, c.geo.PageSize)
+	}
+	buf := c.free[n-1]
+	c.free[n-1] = nil
+	c.free = c.free[:n-1]
+	return buf
 }
 
 // ReadOOB returns the spare-area metadata of a page and whether any was
@@ -407,11 +461,11 @@ func (c *Chip) ProgramPageOOB(a PageAddr, data []byte, oob OOB) (OpResult, error
 // a recovery-scan primitive: no error sampling, no read-disturb, no stats —
 // the FTL accounts the scan's flash work itself.
 func (c *Chip) ReadOOB(a PageAddr) (OOB, bool) {
-	if c.checkAddr(a) != nil {
+	if !c.inRange(a) {
 		return OOB{LP: -1}, false
 	}
 	b := &c.blocks[a.Block]
-	if a.Page >= b.nextPage || b.meta == nil {
+	if a.Page >= b.nextPage || !b.hasMeta {
 		return OOB{LP: -1}, false
 	}
 	m := b.meta[a.Page]
@@ -430,27 +484,27 @@ func (c *Chip) ProgrammedPages(blockIdx int) int {
 // capability, it returns ErrUncorrectable. Data is returned only if the page
 // was programmed with a payload.
 func (c *Chip) ReadPage(a PageAddr) ([]byte, OpResult, error) {
-	if err := c.checkAddr(a); err != nil {
-		return nil, OpResult{}, err
+	if !c.inRange(a) {
+		return nil, OpResult{}, &OpError{Op: OpRead, Addr: a, Err: ErrAddr}
 	}
 	b := c.atWear(a.Block)
 	res := OpResult{Latency: c.timing.ReadPage}
 	if b.bad {
-		return nil, res, fmt.Errorf("%w: %v", ErrBadBlock, a)
+		return nil, res, &OpError{Op: OpRead, Addr: a, Err: ErrBadBlock}
 	}
 	if a.Page >= b.nextPage {
-		return nil, res, fmt.Errorf("%w: %v", ErrNotProgrammed, a)
+		return nil, res, &OpError{Op: OpRead, Addr: a, Err: ErrNotProgrammed}
 	}
 	if c.inject != nil {
 		switch c.inject.Inject(OpRead) {
 		case FaultPowerCut:
-			return nil, res, fmt.Errorf("%w: read %v", ErrPowerLoss, a)
+			return nil, res, &OpError{Op: OpRead, Addr: a, Err: ErrPowerLoss}
 		case FaultRead:
 			c.stats.Reads++
 			b.reads++
 			c.stats.UncorrectableReads++
 			res.BitErrors = c.tcorr + 1
-			return nil, res, fmt.Errorf("%w: %v (injected transient)", ErrUncorrectable, a)
+			return nil, res, &OpError{Op: OpRead, Addr: a, Err: ErrUncorrectable}
 		}
 	}
 	c.stats.Reads++
@@ -464,10 +518,10 @@ func (c *Chip) ReadPage(a PageAddr) ([]byte, OpResult, error) {
 	res.BitErrors = c.worstCodewordErrors(rber)
 	if res.BitErrors > c.tcorr {
 		c.stats.UncorrectableReads++
-		return nil, res, fmt.Errorf("%w: %v (%d bit errors > t=%d)", ErrUncorrectable, a, res.BitErrors, c.tcorr)
+		return nil, res, &OpError{Op: OpRead, Addr: a, Bits: res.BitErrors, T: c.tcorr, Err: ErrUncorrectable}
 	}
 	var data []byte
-	if p, ok := b.data[a.Page]; ok {
+	if p := b.pages[a.Page]; p != nil {
 		data = make([]byte, len(p))
 		copy(data, p)
 	}
@@ -475,21 +529,23 @@ func (c *Chip) ReadPage(a PageAddr) ([]byte, OpResult, error) {
 }
 
 // EraseBlock erases a block, consuming one P/E cycle. On failure the block
-// should be marked bad by the caller.
+// should be marked bad by the caller. The block's page buffers go back on
+// the free list unless it is shared, in which case a snapshot may still
+// hold them and they are dropped.
 func (c *Chip) EraseBlock(blockIdx int) (OpResult, error) {
 	if blockIdx < 0 || blockIdx >= len(c.blocks) {
-		return OpResult{}, fmt.Errorf("%w: block %d", ErrAddr, blockIdx)
+		return OpResult{}, &OpError{Op: OpErase, Addr: PageAddr{Block: blockIdx}, Err: ErrAddr}
 	}
 	b := &c.blocks[blockIdx]
 	res := OpResult{Latency: c.timing.EraseBlock}
 	if b.bad {
-		return res, fmt.Errorf("%w: block %d", ErrBadBlock, blockIdx)
+		return res, &OpError{Op: OpErase, Addr: PageAddr{Block: blockIdx}, Err: ErrBadBlock}
 	}
 	injected := FaultNone
 	if c.inject != nil {
 		injected = c.inject.Inject(OpErase)
 		if injected == FaultPowerCut {
-			return res, fmt.Errorf("%w: erase block %d", ErrPowerLoss, blockIdx)
+			return res, &OpError{Op: OpErase, Addr: PageAddr{Block: blockIdx}, Err: ErrPowerLoss}
 		}
 	}
 	c.stats.Erases++
@@ -507,13 +563,22 @@ func (c *Chip) EraseBlock(blockIdx int) (OpResult, error) {
 	b.eraseCount++
 	b.memoOK = false
 	b.lastErase = now
+	for p := 0; p < b.nextPage; p++ {
+		if buf := b.pages[p]; buf != nil {
+			if !b.shared {
+				c.free = append(c.free, buf)
+			}
+			b.pages[p] = nil
+		}
+		b.meta[p] = OOB{LP: -1}
+	}
 	b.nextPage = 0
+	b.hasMeta = false
+	b.shared = false
 	b.reads = 0
-	b.data = nil
-	b.meta = nil
 	if injected == FaultErase || c.rng.Float64() < c.atWear(blockIdx).failProb {
 		c.stats.EraseFails++
-		return res, fmt.Errorf("%w: block %d", ErrEraseFail, blockIdx)
+		return res, &OpError{Op: OpErase, Addr: PageAddr{Block: blockIdx}, Err: ErrEraseFail}
 	}
 	return res, nil
 }

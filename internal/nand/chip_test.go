@@ -2,6 +2,7 @@ package nand
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -186,6 +187,94 @@ func TestAddressBounds(t *testing.T) {
 	}
 	if _, err := c.EraseBlock(99); !errors.Is(err, ErrAddr) {
 		t.Errorf("EraseBlock(99) err = %v, want ErrAddr", err)
+	}
+}
+
+// forced injects fault f into every operation of kind op.
+type forced struct {
+	op Op
+	f  Fault
+}
+
+func (f *forced) Inject(op Op) Fault {
+	if op == f.op {
+		return f.f
+	}
+	return FaultNone
+}
+
+func (f *forced) Down() bool { return false }
+
+// TestErrorTextPinned spells out every failing operation's message, so the
+// error values behind them can change without any text changing.
+func TestErrorTextPinned(t *testing.T) {
+	inj := &forced{}
+	c := newTestChip(t, func(cfg *Config) { cfg.Inject = inj })
+	c.MarkBad(3)
+	if _, err := c.ProgramPage(PageAddr{0, 0}, nil); err != nil {
+		t.Fatal(err)
+	}
+	prog := func(_ OpResult, err error) string { return fmt.Sprint(err) }
+	read := func(_ []byte, _ OpResult, err error) string { return fmt.Sprint(err) }
+	with := func(op Op, f Fault, text func() string) string {
+		inj.op, inj.f = op, f
+		defer func() { inj.f = FaultNone }()
+		return text()
+	}
+	got := []string{
+		prog(c.ProgramPage(PageAddr{16, 0}, nil)),
+		read(c.ReadPage(PageAddr{0, -1})),
+		prog(c.EraseBlock(99)),
+		prog(c.ProgramPage(PageAddr{3, 0}, nil)),
+		read(c.ReadPage(PageAddr{3, 0})),
+		prog(c.EraseBlock(3)),
+		prog(c.ProgramPage(PageAddr{0, 0}, nil)),
+		prog(c.ProgramPage(PageAddr{0, 2}, nil)),
+		prog(c.ProgramPage(PageAddr{0, 1}, make([]byte, 100))),
+		read(c.ReadPage(PageAddr{0, 5})),
+		with(OpProgram, FaultPowerCut, func() string { return prog(c.ProgramPage(PageAddr{0, 1}, nil)) }),
+		with(OpRead, FaultPowerCut, func() string { return read(c.ReadPage(PageAddr{0, 0})) }),
+		with(OpErase, FaultPowerCut, func() string { return prog(c.EraseBlock(1)) }),
+		with(OpRead, FaultRead, func() string { return read(c.ReadPage(PageAddr{0, 0})) }),
+		with(OpProgram, FaultProgram, func() string { return prog(c.ProgramPage(PageAddr{0, 1}, nil)) }),
+		with(OpErase, FaultErase, func() string { return prog(c.EraseBlock(1)) }),
+	}
+	want := []string{
+		"nand: address out of range: blk16/pg0",
+		"nand: address out of range: blk0/pg-1",
+		"nand: address out of range: block 99",
+		"nand: block is marked bad: blk3/pg0",
+		"nand: block is marked bad: blk3/pg0",
+		"nand: block is marked bad: block 3",
+		"nand: page already programmed since last erase: blk0/pg0",
+		"nand: pages must be programmed sequentially within a block: blk0/pg2 (next programmable page 1)",
+		"nand: program blk0/pg1: data length 100 != page size 4096",
+		"nand: reading an unprogrammed page: blk0/pg5",
+		"nand: power lost: program blk0/pg1",
+		"nand: power lost: read blk0/pg0",
+		"nand: power lost: erase block 1",
+		"nand: raw bit errors exceed ECC capability: blk0/pg0 (injected transient)",
+		"nand: program operation failed: blk0/pg1",
+		"nand: erase operation failed: block 1",
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("case %d: got %q, want %q", i, got[i], want[i])
+		}
+	}
+
+	em := DefaultErrorModel()
+	em.BaseRBER = 0.01 // ~82 raw bit errors per codeword
+	c = newTestChip(t, func(cfg *Config) { cfg.Errors = &em })
+	if _, err := c.ProgramPage(PageAddr{0, 0}, nil); err != nil {
+		t.Fatal(err)
+	}
+	_, res, err := c.ReadPage(PageAddr{0, 0})
+	if want := fmt.Sprintf("nand: raw bit errors exceed ECC capability: blk0/pg0 (%d bit errors > t=8)", res.BitErrors); fmt.Sprint(err) != want {
+		t.Errorf("organic uncorrectable read: got %q, want %q", err, want)
+	}
+	if !errors.Is(err, ErrUncorrectable) {
+		t.Errorf("organic uncorrectable read %v is not ErrUncorrectable", err)
 	}
 }
 

@@ -2,16 +2,16 @@ package nand
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
+	"slices"
 	"time"
 )
 
 // BlockState is the persistent state of one block: everything a power cut
 // cannot erase. It mirrors the chip's internal block bookkeeping with
 // exported fields so a snapshot codec outside this package can serialise
-// it. Meta holds only the programmed prefix (NextPage entries); pages past
-// the prefix carry no metadata by construction.
+// it. Meta and Data hold only the programmed prefix; pages past the prefix
+// carry nothing by construction.
 type BlockState struct {
 	EraseCount int
 	Healed     float64
@@ -21,8 +21,8 @@ type BlockState struct {
 	FirstProg  time.Duration
 	LastErase  time.Duration
 	Reads      int64
-	Meta       []OOB          // nil, or exactly NextPage entries
-	Data       map[int][]byte // page payloads: own map, slices shared with the chip, read-only
+	Meta       []OOB    // nil, or exactly NextPage entries
+	Data       [][]byte // nil, or exactly NextPage entries, nil where a page has no payload; read-only, shared with the chip
 }
 
 // ChipState is a chip's complete persistent state: per-block state plus
@@ -37,13 +37,14 @@ type ChipState struct {
 }
 
 // ExportState captures the chip's persistent state. The caller may keep
-// using the chip: counters, Meta and the per-block page maps are copies,
-// and the page payloads are shared rather than copied, which is safe
-// because a NAND page is write-once — ProgramPageOOB stores a private copy
-// that nothing writes again, ReadPage copies out, and EraseBlock drops the
-// block's map without touching the slices. The snapshot therefore never
-// changes under later programs and erases; its holder must not write
-// through Data either.
+// using the chip: counters, Meta and the Data page indexes are copies, and
+// the page payloads are shared rather than copied, which is safe because a
+// NAND page is write-once — ProgramPageOOB stores a private copy that
+// nothing writes again and ReadPage copies out. Erased buffers are reused,
+// so ExportState marks every block whose payloads it shares, and the next
+// erase of such a block drops its buffers instead of recycling them. The
+// snapshot therefore never changes under later programs and erases; its
+// holder must not write through Data either.
 func (c *Chip) ExportState() *ChipState {
 	st := &ChipState{
 		Geometry: c.geo,
@@ -62,10 +63,13 @@ func (c *Chip) ExportState() *ChipState {
 			LastErase:  b.lastErase,
 			Reads:      b.reads,
 		}
-		if b.meta != nil {
+		if b.hasMeta {
 			bs.Meta = append([]OOB(nil), b.meta[:b.nextPage]...)
 		}
-		bs.Data = maps.Clone(b.data)
+		if pages := b.pages[:b.nextPage]; slices.ContainsFunc(pages, func(p []byte) bool { return p != nil }) {
+			bs.Data = slices.Clone(pages)
+			b.shared = true
+		}
 		st.Blocks[i] = bs
 	}
 	return st
@@ -74,10 +78,11 @@ func (c *Chip) ExportState() *ChipState {
 // ImportState replaces the chip's persistent state with st. The chip must
 // have been built with the same geometry (same profile, same scale); the
 // RNG is left untouched — callers that need deterministic post-import
-// behaviour should Reseed. Counters, Meta and the page maps are copied in
-// and the page payloads shared (see ExportState), so the caller may import
-// st into any number of chips, or discard it, but must not write through
-// its Data.
+// behaviour should Reseed. Counters, Meta and the page indexes are copied
+// in and the page payloads shared (see ExportState): an imported block is
+// marked so that erasing it drops the state's buffers, never recycles
+// them. The caller may import st into any number of chips, or discard it,
+// but must not write through its Data.
 func (c *Chip) ImportState(st *ChipState) error {
 	if st.Geometry != c.geo {
 		return fmt.Errorf("nand: ImportState: geometry mismatch: chip %+v, state %+v", c.geo, st.Geometry)
@@ -93,11 +98,11 @@ func (c *Chip) ImportState(st *ChipState) error {
 		if bs.Meta != nil && len(bs.Meta) != bs.NextPage {
 			return fmt.Errorf("nand: ImportState: block %d: %d meta entries, want %d", i, len(bs.Meta), bs.NextPage)
 		}
+		if bs.Data != nil && len(bs.Data) != bs.NextPage {
+			return fmt.Errorf("nand: ImportState: block %d: %d data entries, want %d", i, len(bs.Data), bs.NextPage)
+		}
 		for pg, d := range bs.Data {
-			if pg < 0 || pg >= bs.NextPage {
-				return fmt.Errorf("nand: ImportState: block %d: data for unprogrammed page %d", i, pg)
-			}
-			if len(d) != c.geo.PageSize {
+			if d != nil && len(d) != c.geo.PageSize {
 				return fmt.Errorf("nand: ImportState: block %d page %d: %d data bytes, want %d", i, pg, len(d), c.geo.PageSize)
 			}
 		}
@@ -115,15 +120,14 @@ func (c *Chip) ImportState(st *ChipState) error {
 		b.firstProg = bs.FirstProg
 		b.lastErase = bs.LastErase
 		b.reads = bs.Reads
-		b.meta = nil
-		if bs.Meta != nil {
-			b.meta = make([]OOB, c.geo.PagesPerBlock)
-			for p := range b.meta {
-				b.meta[p].LP = -1
-			}
-			copy(b.meta, bs.Meta)
+		for p := range b.meta {
+			b.meta[p] = OOB{LP: -1}
 		}
-		b.data = maps.Clone(bs.Data)
+		copy(b.meta, bs.Meta)
+		b.hasMeta = bs.Meta != nil
+		clear(b.pages)
+		copy(b.pages, bs.Data)
+		b.shared = bs.Data != nil
 	}
 	return nil
 }

@@ -121,19 +121,40 @@ func TestWearScriptPinned(t *testing.T) {
 	}
 }
 
-// TestProgramWithoutPayloadDoesNotAllocate: an accounting-only program into
-// a block that already holds a page is the inner loop of every wear
-// experiment and must stay off the heap.
-func TestProgramWithoutPayloadDoesNotAllocate(t *testing.T) {
+// TestProgramEraseAllocatesNothing: programs and erases are the inner loop
+// of every wear experiment and stay off the heap. An accounting-only
+// program allocates nothing even as a block's first program on a fresh
+// chip, and a payload program reuses a buffer an earlier erase freed.
+func TestProgramEraseAllocatesNothing(t *testing.T) {
 	c := newTestChip(t, nil)
-	mustProgram(t, c, 0, 0xEE) // the block's first program allocates its OOB array
-	const runs = 10            // plus AllocsPerRun's warm-up call: pages 1..11 of 16
-	if n := testing.AllocsPerRun(runs, func() {
-		a := PageAddr{0, c.ProgrammedPages(0)}
-		if _, err := c.ProgramPageOOB(a, nil, OOB{LP: 1, Seq: 1}); err != nil {
-			t.Fatal(err)
+	blocks := c.geo.Blocks()
+	// AllocsPerRun's warm-up call takes block 0; the runs are the first
+	// programs of blocks 1..15.
+	if n := testing.AllocsPerRun(blocks-1, func() {
+		for b := range blocks {
+			if c.ProgrammedPages(b) == 0 {
+				if _, err := c.ProgramPageOOB(PageAddr{b, 0}, nil, OOB{LP: 1, Seq: 1}); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
 		}
 	}); n != 0 {
-		t.Fatalf("ProgramPageOOB(nil payload) allocates %v times per call, want 0", n)
+		t.Fatalf("ProgramPageOOB(nil payload) allocates %v times per call on a fresh chip, want 0", n)
+	}
+
+	page := filled(0x5A)
+	cycle := func() {
+		mustErase(t, c, 0)
+		for pg := range c.geo.PagesPerBlock {
+			if _, err := c.ProgramPage(PageAddr{0, pg}, page); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustErase(t, c, 0)
+	}
+	cycle() // fills the free list
+	if n := testing.AllocsPerRun(10, cycle); n != 0 {
+		t.Fatalf("erase, payload program-all, erase allocates %v times on a warmed chip, want 0", n)
 	}
 }
