@@ -10,22 +10,25 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The project's own analyzers (DESIGN.md §10, §15): the five syntactic
-# invariants (wall-clock time, global math/rand, unsorted map emission,
-# float accumulation in merge paths, discarded NAND/FTL errors), the
-# cross-package simtaint data-flow analysis, and the fleetd blocking-
-# under-a-held-lock check (copied locks are `make vet`'s copylocks).
+# The project's own analyzers (DESIGN.md §10, §15): the five determinism
+# and safety invariants (wall-clock time and host state, global math/rand,
+# unsorted map emission, float accumulation in merge paths, discarded
+# NAND/FTL errors) and the fleetd blocking-under-a-held-lock check (copied
+# locks are `make vet`'s copylocks).
 # Builds cmd/flashvet and runs the suite over the whole
 # module; exits non-zero on any finding or unused ignore directive. The
 # waiver audit then re-lists every ignore directive and ops-domain opt-out
 # and diffs it against the committed baseline, so a new waiver is a
-# reviewed diff of lint_waivers.txt, never a silent addition.
+# reviewed diff of lint_waivers.txt, never a silent addition. Last, the
+# mutation table proves every pass still fires: each one must report its
+# own one-line break of a copy of the real tree, and nothing else.
 lint:
 	@mkdir -p bin
 	$(GO) build -o bin/flashvet ./cmd/flashvet
 	./bin/flashvet ./...
 	./bin/flashvet -waivers ./... >bin/lint_waivers.txt
 	diff -u lint_waivers.txt bin/lint_waivers.txt
+	$(GO) test -count=1 -run 'TestEachPassCatchesARealMutation|TestRealTreeClean' ./internal/analysis
 
 test:
 	$(GO) test ./...

@@ -2,7 +2,7 @@
 // flashwear tree, mirroring the shape of golang.org/x/tools/go/analysis
 // (Analyzer / Pass / Diagnostic) but built on the standard library alone:
 // packages are enumerated with `go list -export`, dependencies are imported
-// from compiler export data, and only the packages under analysis are
+// from compiler export data, and only the packages matching the pattern are
 // type-checked from source. The x/tools module is deliberately not a
 // dependency — the simulator builds offline with a bare toolchain, and its
 // vet suite must too.
@@ -21,10 +21,8 @@ import (
 	"strings"
 )
 
-// An Analyzer describes one invariant check. Most flashwear analyzers are
-// pure per-package syntax+types passes; analyzers that need to see across
-// package boundaries (simtaint) declare FactTypes and exchange per-object
-// summaries through the Pass's fact API instead of re-analyzing callees.
+// An Analyzer describes one invariant check: a per-package syntax+types
+// pass that sees one package at a time.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //flashvet:ignore directives. Lower-case, no spaces.
@@ -32,18 +30,9 @@ type Analyzer struct {
 	// Doc is a one-paragraph description: first line is a summary, the
 	// rest states the invariant the analyzer guards.
 	Doc string
-	// FactTypes lists prototype values of every Fact type the analyzer
-	// exports or imports. An analyzer with no FactTypes neither reads
-	// nor writes facts, and the driver may skip fact plumbing for it
-	// entirely (in particular, it is never run over facts-only
-	// dependency packages).
-	FactTypes []Fact
 	// Run reports diagnostics for one package via pass.Reportf.
 	Run func(*Pass) error
 }
-
-// UsesFacts reports whether the analyzer participates in fact exchange.
-func (a *Analyzer) UsesFacts() bool { return len(a.FactTypes) > 0 }
 
 // A Pass provides one analyzer with one type-checked package.
 type Pass struct {
@@ -52,12 +41,7 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// FactsOnly marks a dependency package visited solely to compute
-	// facts for downstream packages under analysis: diagnostics are
-	// discarded, so analyzers may skip their reporting work.
-	FactsOnly bool
 
-	facts  *FactStore
 	report func(Diagnostic)
 }
 

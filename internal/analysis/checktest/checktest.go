@@ -38,7 +38,7 @@ func Run(t *testing.T, pattern string, analyzers ...*analysis.Analyzer) {
 	if len(pkgs) == 0 {
 		t.Fatalf("checktest: no packages match %q", pattern)
 	}
-	findings, err := analysis.Run(fset, pkgs, analyzers, true)
+	findings, err := analysis.Run(fset, pkgs, analyzers, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

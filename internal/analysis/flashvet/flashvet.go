@@ -17,13 +17,11 @@ import (
 	"flashwear/internal/analysis/passes/locksafe"
 	"flashwear/internal/analysis/passes/maporder"
 	"flashwear/internal/analysis/passes/opserrcheck"
-	"flashwear/internal/analysis/passes/simtaint"
 	"flashwear/internal/analysis/passes/wallclock"
 )
 
-// All returns the full suite: the five syntactic invariants DESIGN.md
-// §10 documents, the cross-package taint analysis that backs them with
-// data flow (§15), and the fleetd lock-discipline check.
+// All returns the full suite: the five determinism and safety invariants
+// DESIGN.md §10 documents and the fleetd lock-discipline check.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		wallclock.Analyzer,
@@ -31,7 +29,6 @@ func All() []*analysis.Analyzer {
 		maporder.Analyzer,
 		floataccum.Analyzer,
 		opserrcheck.Analyzer,
-		simtaint.Analyzer,
 		locksafe.Analyzer,
 	}
 }
@@ -57,19 +54,13 @@ func Main(args []string) int {
 		return 1
 	}
 
-	// Naming any analyzer runs just those; naming none runs the whole
-	// suite (go vet's convention). The unused-ignore check needs the full
-	// suite (a directive for a disabled analyzer would look unused), so it
-	// is on only then.
+	// Naming any analyzer runs just those; naming none (run stays nil)
+	// runs the whole suite, go vet's convention.
 	var run []*analysis.Analyzer
 	for _, a := range suite {
 		if *enabled[a.Name] {
 			run = append(run, a)
 		}
-	}
-	checkUnusedIgnores := len(run) == 0
-	if len(run) == 0 {
-		run = suite
 	}
 
 	patterns := fs.Args()
@@ -84,7 +75,7 @@ func Main(args []string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	findings, err := analysis.Run(fset, pkgs, run, checkUnusedIgnores)
+	findings, err := analysis.Run(fset, pkgs, suite, run)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -112,6 +103,7 @@ func auditWaivers(patterns []string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
+	//flashvet:ignore wallclock the linter relativises its own output paths; no simulation runs here
 	cwd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

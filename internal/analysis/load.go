@@ -25,10 +25,6 @@ type Package struct {
 	Sources map[string][]byte
 	Types   *types.Package
 	Info    *types.Info
-	// FactsOnly marks an in-module dependency of the packages matching
-	// the load patterns: it is analyzed only so fact-exporting analyzers
-	// can summarize it for its dependents; its diagnostics are discarded.
-	FactsOnly bool
 }
 
 // listedPackage is the subset of `go list -json` output the loader needs.
@@ -37,7 +33,6 @@ type listedPackage struct {
 	Dir        string
 	Export     string
 	GoFiles    []string
-	Standard   bool
 	DepOnly    bool
 	Error      *struct{ Err string }
 }
@@ -48,13 +43,6 @@ type listedPackage struct {
 // — stdlib and in-module alike — from the compiler export data the go
 // command just produced. This works fully offline: nothing is fetched, and
 // only the packages under analysis pay source type-checking cost.
-//
-// In-module dependencies of the matched packages are loaded too, marked
-// FactsOnly: fact-exporting analyzers (simtaint) summarize them so their
-// dependents see callee behavior even under a narrow pattern, but they
-// produce no diagnostics. The returned slice is in dependency order —
-// `go list -deps` emits a package only after everything it imports — so a
-// single in-order sweep sees every callee's facts before its callers.
 //
 // Test files are not loaded; the suite's invariants bind shipped
 // simulation code (see DESIGN.md §10).
@@ -85,10 +73,9 @@ func Load(dir string, patterns ...string) ([]*Package, *token.FileSet, error) {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		// Standard-library deps are never re-analyzed (their behavior is
-		// captured in the analyzers' intrinsic tables); in-module deps
-		// are, facts-only, so summaries exist for narrow patterns.
-		if !p.Standard && len(p.GoFiles) > 0 {
+		// -deps lists every dependency, for its export data; only the
+		// packages the patterns matched are type-checked from source.
+		if !p.DepOnly && len(p.GoFiles) > 0 {
 			targets = append(targets, p)
 		}
 	}
@@ -101,7 +88,6 @@ func Load(dir string, patterns ...string) ([]*Package, *token.FileSet, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		pkg.FactsOnly = t.DepOnly
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, fset, nil

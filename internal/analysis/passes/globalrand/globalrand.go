@@ -30,9 +30,7 @@ import (
 // globalFuncs are the package-level functions drawing from the shared
 // source, for both math/rand and math/rand/v2. Constructors (New,
 // NewSource, NewZipf, NewPCG, NewChaCha8) are the sanctioned alternative.
-// GlobalFuncs is exported for reuse by simtaint, whose rand taint source
-// is exactly this set: the two tables must never drift apart.
-var GlobalFuncs = map[string]bool{
+var globalFuncs = map[string]bool{
 	// math/rand
 	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
 	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
@@ -63,9 +61,8 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// IsRandPkg reports the two math/rand package paths (exported for
-// simtaint, same reasoning as GlobalFuncs).
-func IsRandPkg(pkg *types.Package) bool {
+// isRandPkg reports the two math/rand package paths.
+func isRandPkg(pkg *types.Package) bool {
 	return pkg != nil && (pkg.Path() == "math/rand" || pkg.Path() == "math/rand/v2")
 }
 
@@ -77,12 +74,12 @@ func run(pass *analysis.Pass) error {
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
 			fn, ok := pass.TypesInfo.Uses[n.Sel].(*types.Func)
-			if ok && IsRandPkg(fn.Pkg()) && GlobalFuncs[fn.Name()] && fn.Type().(*types.Signature).Recv() == nil {
+			if ok && isRandPkg(fn.Pkg()) && globalFuncs[fn.Name()] && fn.Type().(*types.Signature).Recv() == nil {
 				pass.Reportf(n.Pos(), "global rand.%s draws from the shared process-wide source: use an injected seeded *rand.Rand", fn.Name())
 			}
 		case *ast.CallExpr:
 			fn := pass.FuncOf(n)
-			if fn == nil || !IsRandPkg(fn.Pkg()) || !seeders[fn.Name()] || pass.IsTestFile(n.Pos()) {
+			if fn == nil || !isRandPkg(fn.Pkg()) || !seeders[fn.Name()] || pass.IsTestFile(n.Pos()) {
 				return true
 			}
 			if len(n.Args) == 0 {

@@ -23,48 +23,28 @@ func (f Finding) String() string {
 // suppressible — a waiver cannot waive itself.
 const FrameworkName = "flashvet"
 
-// Run executes every analyzer over every package, applies
-// //flashvet:ignore directives, and returns the surviving findings sorted
-// by position (so output is deterministic, as this suite itself demands of
-// the simulator). When checkUnusedIgnores is set — the right mode whenever
-// the full suite runs — valid directives that suppressed nothing are
-// reported too, so waivers die with the code they excused.
+// Run executes analyzers over every package, applies //flashvet:ignore
+// directives, and returns the surviving findings sorted by position (so
+// output is deterministic, as this suite itself demands of the simulator).
 //
-// Facts flow through a fresh store: pkgs is in dependency order (Load
-// guarantees it), so each fact-exporting analyzer sees its dependencies'
-// summaries before analyzing a dependent.
-func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, checkUnusedIgnores bool) ([]Finding, error) {
-	facts := NewFactStore()
-	known := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
+// suite is every analyzer a directive may name; analyzers is the subset to
+// run, or nil for all of suite. Directives are validated against the suite,
+// so running one analyzer never rejects a waiver for another. Only a run of
+// the whole suite reports valid directives that suppressed nothing — a
+// directive for a skipped analyzer would look unused — so waivers die with
+// the code they excused.
+func Run(fset *token.FileSet, pkgs []*Package, suite, analyzers []*Analyzer) ([]Finding, error) {
+	checkUnusedIgnores := analyzers == nil
+	if checkUnusedIgnores {
+		analyzers = suite
+	}
+	known := make(map[string]bool, len(suite))
+	for _, a := range suite {
 		known[a.Name] = true
 	}
 
 	var findings []Finding
 	for _, pkg := range pkgs {
-		if pkg.FactsOnly {
-			// A dependency visited only for its summaries: run just the
-			// fact-exporting analyzers and drop whatever they report.
-			for _, a := range analyzers {
-				if !a.UsesFacts() {
-					continue
-				}
-				pass := &Pass{
-					Analyzer:  a,
-					Fset:      fset,
-					Files:     pkg.Files,
-					Pkg:       pkg.Types,
-					TypesInfo: pkg.Info,
-					FactsOnly: true,
-					facts:     facts,
-					report:    func(Diagnostic) {},
-				}
-				if err := a.Run(pass); err != nil {
-					return nil, fmt.Errorf("analysis: %s on %s: %v", a.Name, pkg.ImportPath, err)
-				}
-			}
-			continue
-		}
 		dirs := collectDirectives(fset, pkg.Files, pkg.Sources, known)
 		for _, d := range dirs {
 			if d.problem != "" {
@@ -82,7 +62,6 @@ func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, checkUnuse
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
-				facts:     facts,
 			}
 			var diags []Diagnostic
 			pass.report = func(d Diagnostic) { diags = append(diags, d) }

@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"go/token"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,7 +14,6 @@ import (
 	"flashwear/internal/analysis/passes/locksafe"
 	"flashwear/internal/analysis/passes/maporder"
 	"flashwear/internal/analysis/passes/opserrcheck"
-	"flashwear/internal/analysis/passes/simtaint"
 	"flashwear/internal/analysis/passes/wallclock"
 )
 
@@ -75,16 +75,6 @@ func TestLocksafeFixture(t *testing.T) {
 	checktest.Run(t, "./testdata/src/locksafe", locksafe.Analyzer)
 }
 
-// TestSimtaintFixture is the cross-package laundering suite: the sim
-// package contains no banned call at all — taint arrives from the ops
-// package purely through exported facts, and flows through struct
-// fields, closures, channels, generics, and fmt before hitting declared
-// sinks. Loading only ./sim forces ops through the facts-only path, so
-// this test exercises the whole summary pipeline, not just the walker.
-func TestSimtaintFixture(t *testing.T) {
-	checktest.Run(t, "./testdata/src/simtaint/sim", simtaint.Analyzer)
-}
-
 // TestIgnoreFixture pins the directive grammar itself: both waiver forms,
 // the mandatory reason, unknown-analyzer rejection, and the stale-waiver
 // check, under the full suite.
@@ -97,21 +87,44 @@ func TestIgnoreFixture(t *testing.T) {
 // safety invariant regressed (or a waiver went stale) — fix it or justify
 // it with //flashvet:ignore, never by loosening the analyzer.
 func TestRealTreeClean(t *testing.T) {
-	root := moduleRoot(t)
-	pkgs, fset, err := analysis.Load(root, "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) == 0 {
-		t.Fatal("no packages loaded from module root")
-	}
-	findings, err := analysis.Run(fset, pkgs, flashvet.All(), true)
+	fset, pkgs := loadRealTree(t)
+	findings, err := analysis.Run(fset, pkgs, flashvet.All(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range findings {
 		t.Errorf("%s", f)
 	}
+}
+
+// TestOneAnalyzerRunIsClean pins `flashvet -<analyzer> ./...`: a run of
+// one analyzer over the clean tree reports nothing. Waivers naming the
+// analyzers it skips are valid directives, not "unknown analyzer"
+// findings, and are not unused ones either.
+func TestOneAnalyzerRunIsClean(t *testing.T) {
+	fset, pkgs := loadRealTree(t)
+	suite := flashvet.All()
+	for _, a := range suite {
+		findings, err := analysis.Run(fset, pkgs, suite, []*analysis.Analyzer{a})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range findings {
+			t.Errorf("-%s alone: %s", a.Name, f)
+		}
+	}
+}
+
+func loadRealTree(t *testing.T) (*token.FileSet, []*analysis.Package) {
+	t.Helper()
+	pkgs, fset, err := analysis.Load(moduleRoot(t), "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) == 0 {
+		t.Fatal("no packages loaded from module root")
+	}
+	return fset, pkgs
 }
 
 func moduleRoot(t *testing.T) string {

@@ -1,10 +1,15 @@
-// Package a exercises the wallclock analyzer: wall-clock reads and timers
-// are banned in simulation code; duration arithmetic is not.
+// Package a exercises the wallclock analyzer: wall-clock reads, timers and
+// host-state reads are banned in simulation code; duration arithmetic and
+// the simulated file systems are not.
 package a
 
 import (
+	iofs "io/fs"
+	"os"
 	"time"
 
+	"flashwear/internal/fs"
+	"flashwear/internal/hostio"
 	"flashwear/internal/obs"
 	"flashwear/internal/runtrace"
 )
@@ -47,4 +52,18 @@ func spans(tr *runtrace.Tracer) {
 	sp.End()
 	// Reading the measured wall time back is laundering, same as WallNow.
 	_ = tr.Totals() // want `ops-plane clock source runtrace\.Totals`
+}
+
+func hostState(h hostio.FS, info iofs.FileInfo) {
+	_ = os.Getenv("FLASHWEAR_DEVICES") // want `host state os\.Getenv`
+	_, _ = os.Stat("/data")            // want `host state os\.Stat`
+	_, _ = h.ReadDir("/data")          // want `host state hostio\.ReadDir`
+	_ = info.ModTime()                 // want `host state fs\.FileInfo\.ModTime`
+}
+
+func simulated(v fs.FileSystem) {
+	// ok: the simulated file system's listings and metadata are simulation
+	// state (the android sandbox's ReadDir shape).
+	_, _ = v.ReadDir("/data")
+	_, _ = v.Stat("/data")
 }

@@ -1,11 +1,13 @@
 // Package a exercises the //flashvet:ops-domain opt-out: a package with a
 // well-formed declaration may read the host clock (directly or via
-// obs.WallNow) with no findings at all.
+// obs.WallNow) and host state with no findings at all.
 package a
 
 import (
+	"os"
 	"time"
 
+	"flashwear/internal/hostio"
 	"flashwear/internal/obs"
 	"flashwear/internal/runtrace"
 )
@@ -19,4 +21,9 @@ func measure() time.Duration {
 	tr := runtrace.New(0, nil)
 	_ = tr.Totals() // ok: ops-domain packages may read measured wall time back
 	return time.Since(start)
+}
+
+func listing(h hostio.FS) {
+	_ = os.Getenv("FLASHWEAR_DEVICES") // ok: ops-domain packages may read host state
+	_, _ = h.ReadDir("/data")          // ok
 }

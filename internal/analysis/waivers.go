@@ -29,16 +29,10 @@ func (w Waiver) String() string {
 }
 
 // Waivers scans the loaded packages for every suppression directive,
-// sorted by file then line. FactsOnly packages are skipped: under a
-// narrow pattern they were loaded only for summaries, and under ./...
-// every package is matched directly anyway, so including them would
-// double-count.
+// sorted by file then line.
 func Waivers(fset *token.FileSet, pkgs []*Package) []Waiver {
 	var out []Waiver
 	for _, pkg := range pkgs {
-		if pkg.FactsOnly {
-			continue
-		}
 		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {

@@ -71,7 +71,6 @@ func (g *Group) add(r DeviceResult) {
 	}
 }
 
-//flashvet:sim-sink fleet group aggregate
 func (g *Group) merge(o *Group) {
 	g.Devices += o.Devices
 	g.Bricked += o.Bricked
@@ -183,7 +182,6 @@ func (a *Accumulator) noteFailed(seed int64) {
 	a.FailedSeeds = append(a.FailedSeeds, seed)
 }
 
-//flashvet:sim-sink fleet run accumulator
 func (a *Accumulator) merge(o *Accumulator) error {
 	a.Total.merge(&o.Total)
 	a.Failed += o.Failed

@@ -93,7 +93,6 @@ func (m *MetricsSeries) addDevice(rows [][]int64) {
 	}
 }
 
-//flashvet:sim-sink fleet metrics series
 func (m *MetricsSeries) merge(o *MetricsSeries) error {
 	if o == nil {
 		return nil

@@ -37,8 +37,6 @@ func newDaySeries(days int) *DaySeries {
 }
 
 // merge adds o into s row-wise. Lengths must match.
-//
-//flashvet:sim-sink campaign day-series aggregate
 func (s *DaySeries) merge(o *DaySeries) error {
 	if len(o.Rows) != len(s.Rows) {
 		return fmt.Errorf("fleetd: merging day series of %d vs %d rows", len(s.Rows), len(o.Rows))
@@ -104,7 +102,6 @@ func (g *Group) add(o fleet.DeviceResult) {
 	}
 }
 
-//flashvet:sim-sink campaign group aggregate
 func (g *Group) merge(o Group) {
 	g.Devices += o.Devices
 	g.Bricked += o.Bricked
@@ -188,8 +185,6 @@ func (a *Aggregate) add(o fleet.DeviceResult, wear wtrace.Snapshot) {
 }
 
 // merge adds o into a.
-//
-//flashvet:sim-sink campaign aggregate
 func (a *Aggregate) merge(o *Aggregate) error {
 	a.Total.merge(o.Total)
 	for _, g := range o.ByProfile {

@@ -32,7 +32,6 @@ type alertEvent struct {
 	detail string
 }
 
-//flashvet:sim-sink deterministic alert emission
 func (a alertEvent) event() obs.Event {
 	return obs.Event{Type: a.typ, Sim: true, Day: a.day, Rule: a.rule, Value: a.value, Detail: a.detail}
 }
@@ -146,8 +145,6 @@ func (a *alertState) seed(events []obs.Event) {
 // findings in deterministic order (day-major, then rule table order,
 // then milestones), marking them fired. rows is the full committed
 // series so edge detection sees day d-1 even across epoch boundaries.
-//
-//flashvet:sim-sink fleet-health alert evaluation
 func (a *alertState) scan(rows [][]int64, devices int64) []alertEvent {
 	var out []alertEvent
 	emit := func(ev alertEvent) {

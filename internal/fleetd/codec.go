@@ -98,26 +98,16 @@ type epochFooter struct {
 // order- or history-dependent.
 type enc struct{ b []byte }
 
-// The primitives below are simtaint root sinks: every byte of a
-// checkpoint must be a pure function of the campaign Spec, or resumed
-// runs diverge from fresh ones. i32 and bool inherit the sink property
-// transitively through u32/u8, so they carry no directive of their own.
-
-//flashvet:sim-sink checkpoint frame bytes
 func (e *enc) u8(v byte) { e.b = append(e.b, v) }
 
-//flashvet:sim-sink checkpoint frame bytes
 func (e *enc) u16(v uint16) { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
 
-//flashvet:sim-sink checkpoint frame bytes
 func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
 
 func (e *enc) i32(v int32) { e.u32(uint32(v)) }
 
-//flashvet:sim-sink checkpoint frame bytes
 func (e *enc) i64(v int64) { e.b = binary.LittleEndian.AppendUint64(e.b, uint64(v)) }
 
-//flashvet:sim-sink checkpoint frame bytes
 func (e *enc) f64(v float64) { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v)) }
 
 func (e *enc) bool(v bool) {
@@ -128,13 +118,11 @@ func (e *enc) bool(v bool) {
 	}
 }
 
-//flashvet:sim-sink checkpoint frame bytes
 func (e *enc) str(s string) {
 	e.u32(uint32(len(s)))
 	e.b = append(e.b, s...)
 }
 
-//flashvet:sim-sink checkpoint frame bytes
 func (e *enc) raw(p []byte) { e.b = append(e.b, p...) }
 
 // dec consumes a frame payload. Overruns latch bad instead of panicking;

@@ -16,7 +16,9 @@
 // through ordinary error returns (wrapping ErrInjectedNoSpace /
 // ErrInjectedIO) and leaves retry, degrade, and recovery decisions to
 // the callers. It never reads the wall clock and never touches global
-// randomness, so it needs no flashvet waivers.
+// randomness, but its ReadDir and Stat read host-filesystem metadata, so
+// it is declared ops-domain: it is the seam, and each caller that lists a
+// host directory says why with its own waiver.
 package hostio
 
 import (
@@ -26,6 +28,8 @@ import (
 	"path/filepath"
 	"strings"
 )
+
+//flashvet:ops-domain hostio is the host-I/O seam: its directory listings and file metadata serve the services' bookkeeping and never reach simulation results
 
 // File is the handle surface the services use. *os.File implements it.
 type File interface {
