@@ -9,12 +9,16 @@ import (
 	"log"
 	"time"
 
-	"flashwear/pkg/flashwear"
+	"flashwear/internal/android"
+	"flashwear/internal/core"
+	"flashwear/internal/device"
+	"flashwear/internal/mitigation"
+	"flashwear/internal/simclock"
 )
 
 func main() {
 	const scale = 1024
-	prof := flashwear.ProfileMotoE8()
+	prof := device.ProfileMotoE8()
 	prof.RatedPE = 200 // a short-lived variant keeps the demo quick
 	prof.FirmwareRatedPE = 200
 	eff := prof.EffectiveScale(scale)
@@ -22,7 +26,7 @@ func main() {
 
 	// The defensive inverse of §2.3's estimate: for this device to last 3
 	// (scaled) years, apps may collectively write only so much per day.
-	budget := flashwear.LifespanBudget{
+	budget := mitigation.LifespanBudget{
 		CapacityBytes: scaled.CapacityBytes,
 		RatedPE:       scaled.RatedPE,
 		TargetYears:   3.0 / float64(eff),
@@ -33,16 +37,16 @@ func main() {
 	fmt.Printf("Lifespan budget: %.1f MiB/day sustains a 3-year life\n",
 		budget.BytesPerDay()/(1<<20))
 
-	throttler, err := flashwear.NewSelectiveThrottler(budget)
+	throttler, err := mitigation.NewSelectiveThrottler(budget)
 	if err != nil {
 		log.Fatal(err)
 	}
-	clock := flashwear.NewClock()
-	phone, err := flashwear.NewPhone(flashwear.PhoneConfig{
+	clock := simclock.New()
+	phone, err := android.NewPhone(android.Config{
 		Profile:  scaled,
-		FS:       flashwear.FSExt4,
-		Charging: flashwear.AlwaysOn(), // isolate the throttling effect
-		Screen:   flashwear.Never(),
+		FS:       android.FSExt4,
+		Charging: android.AlwaysOn(), // isolate the throttling effect
+		Screen:   android.Never(),
 		Throttle: throttler.Throttle,
 	}, clock)
 	if err != nil {
@@ -51,13 +55,13 @@ func main() {
 
 	attacker, _ := phone.InstallApp("com.evil.wear")
 	benign, _ := phone.InstallApp("com.good.camera")
-	watch := flashwear.NewWearWatch(phone.Device())
+	watch := mitigation.NewWearWatch(phone.Device())
 
 	// The attack: sustained 4 KiB synchronous rewrites, for half a
 	// (scaled) simulated day. Unthrottled it would consume most of this
 	// short-lived device's endurance; under the throttle it is pinned to
 	// the lifespan budget.
-	atk := flashwear.NewAttack(attacker, flashwear.Continuous, eff)
+	atk := core.NewAttack(attacker, core.Continuous, eff)
 	atk.FileSize = phone.Device().Size() / 40
 	rep, err := atk.Run(phone, 12*time.Hour)
 	if err != nil {

@@ -9,15 +9,18 @@ import (
 	"log"
 	"time"
 
-	"flashwear/pkg/flashwear"
+	"flashwear/internal/android"
+	"flashwear/internal/core"
+	"flashwear/internal/device"
+	"flashwear/internal/simclock"
 )
 
-func runAttack(mode flashwear.AttackMode) flashwear.AttackReport {
+func runAttack(mode core.AttackMode) core.AttackReport {
 	const scale = 512
-	clock := flashwear.NewClock()
-	phone, err := flashwear.NewPhone(flashwear.PhoneConfig{
-		Profile: flashwear.ProfileMotoE8().Scaled(scale),
-		FS:      flashwear.FSExt4,
+	clock := simclock.New()
+	phone, err := android.NewPhone(android.Config{
+		Profile: device.ProfileMotoE8().Scaled(scale),
+		FS:      android.FSExt4,
 	}, clock)
 	if err != nil {
 		log.Fatal(err)
@@ -29,7 +32,7 @@ func runAttack(mode flashwear.AttackMode) flashwear.AttackReport {
 	}
 	clock.AdvanceTo(10 * time.Hour) // installed mid-morning
 
-	atk := flashwear.NewAttack(app, mode, flashwear.ProfileMotoE8().EffectiveScale(scale))
+	atk := core.NewAttack(app, mode, device.ProfileMotoE8().EffectiveScale(scale))
 	rep, err := atk.Run(phone, 10*365*24*time.Hour)
 	if err != nil {
 		log.Fatal(err)
@@ -38,7 +41,7 @@ func runAttack(mode flashwear.AttackMode) flashwear.AttackReport {
 }
 
 func main() {
-	for _, mode := range []flashwear.AttackMode{flashwear.Continuous, flashwear.Stealth} {
+	for _, mode := range []core.AttackMode{core.Continuous, core.Stealth} {
 		rep := runAttack(mode)
 		fmt.Printf("=== %v attack on Moto E 8GB ===\n", mode)
 		fmt.Printf("  phone bricked:        %v\n", rep.Bricked)

@@ -36,6 +36,10 @@ func newTestDevice(t *testing.T, p Profile) *Device {
 }
 
 func TestProfilesValidate(t *testing.T) {
+	// The paper's seven §4.1 evaluation devices.
+	if n := len(AllProfiles()); n != 7 {
+		t.Fatalf("AllProfiles() = %d profiles, want 7", n)
+	}
 	for _, p := range AllProfiles() {
 		if err := p.Validate(); err != nil {
 			t.Errorf("%s: %v", p.Name, err)

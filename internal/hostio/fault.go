@@ -24,11 +24,6 @@ var (
 	ErrInjectedIO = errors.New("hostio: injected fault: input/output error")
 )
 
-// IsInjected reports whether err came from a FaultFS.
-func IsInjected(err error) bool {
-	return errors.Is(err, ErrInjectedNoSpace) || errors.Is(err, ErrInjectedIO)
-}
-
 // Fault kinds.
 const (
 	FaultNoSpace = "enospc" // the op fails with ErrInjectedNoSpace, nothing written

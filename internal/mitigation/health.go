@@ -1,7 +1,6 @@
 package mitigation
 
 import (
-	"sort"
 	"time"
 
 	"flashwear/internal/device"
@@ -98,43 +97,6 @@ func (w *WearWatch) FirstAlertAt(level AlertLevel) (time.Duration, bool) {
 		}
 	}
 	return 0, false
-}
-
-// WearShare is one app's slice of the device's consumed life.
-type WearShare struct {
-	App   string
-	Bytes int64
-	// LifePct is the estimated share of total device lifetime this app's
-	// writes consumed, assuming wear is proportional to bytes written.
-	LifePct float64
-}
-
-// AttributeWear splits a device's consumed life across apps in proportion
-// to their written bytes — the pinpointing §4.5 notes the bare indicator
-// cannot do ("it would not help pinpoint the application which is harming
-// the device"), but the OS can, because it owns per-app I/O accounting.
-// consumedLife is the device's LifeConsumed fraction; perApp maps app name
-// to bytes written. Results are sorted by share, largest first.
-func AttributeWear(consumedLife float64, perApp map[string]int64) []WearShare {
-	var total int64
-	for _, b := range perApp {
-		total += b
-	}
-	out := make([]WearShare, 0, len(perApp))
-	for app, b := range perApp {
-		share := WearShare{App: app, Bytes: b}
-		if total > 0 {
-			share.LifePct = consumedLife * 100 * float64(b) / float64(total)
-		}
-		out = append(out, share)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].LifePct != out[j].LifePct {
-			return out[i].LifePct > out[j].LifePct
-		}
-		return out[i].App < out[j].App
-	})
-	return out
 }
 
 // ProjectedEOL extrapolates the time remaining until estimated end of life

@@ -19,8 +19,7 @@ type RateLimiter struct {
 	// PerApp switches from one shared bucket to per-app buckets.
 	PerApp bool
 
-	throttledBytes int64
-	throttledTime  time.Duration
+	throttledTime time.Duration
 }
 
 // NewRateLimiter builds a limiter from a budget. Buckets materialise on
@@ -35,9 +34,6 @@ func NewRateLimiter(budget LifespanBudget) (*RateLimiter, error) {
 		perApp:     make(map[string]*TokenBucket),
 	}, nil
 }
-
-// Budget returns the limiter's budget.
-func (l *RateLimiter) Budget() LifespanBudget { return l.budget }
 
 // ThrottledTime reports the total stall imposed so far.
 func (l *RateLimiter) ThrottledTime() time.Duration { return l.throttledTime }
@@ -59,7 +55,6 @@ func (l *RateLimiter) Throttle(app string, bytes int64, now time.Duration) time.
 	}
 	d := tb.Take(bytes, now)
 	if d > 0 {
-		l.throttledBytes += bytes
 		l.throttledTime += d
 	}
 	return d

@@ -24,10 +24,10 @@ func TestBudgetMath(t *testing.T) {
 	if err := b.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// 8 GiB * 1400 / 2 = 5.6 TiB total; /1095 days ≈ 5.24 GiB/day.
+	// 8 GiB * 1400 / 2 = 5 600 GiB total; /1095 days ≈ 5.11 GiB/day.
 	perDay := b.BytesPerDay() / (1 << 30)
-	if perDay < 5 || perDay > 5.5 {
-		t.Fatalf("budget = %.2f GiB/day, want ~5.2", perDay)
+	if perDay < 5.05 || perDay >= 5.15 {
+		t.Fatalf("budget = %.2f GiB/day, want 5.1", perDay)
 	}
 	if b.BytesPerSecond() <= 0 {
 		t.Fatal("zero rate")
@@ -256,33 +256,5 @@ func TestProjectedEOL(t *testing.T) {
 	elapsed := clock.Now()
 	if remaining < elapsed/4 || remaining > elapsed*4 {
 		t.Fatalf("projection %v implausible vs elapsed %v", remaining, elapsed)
-	}
-}
-
-func TestAttributeWear(t *testing.T) {
-	shares := AttributeWear(0.40, map[string]int64{
-		"attacker": 900 << 20,
-		"camera":   90 << 20,
-		"chat":     10 << 20,
-	})
-	if len(shares) != 3 {
-		t.Fatalf("shares = %d", len(shares))
-	}
-	if shares[0].App != "attacker" {
-		t.Fatalf("top consumer = %s", shares[0].App)
-	}
-	if shares[0].LifePct < 35 || shares[0].LifePct > 37 {
-		t.Fatalf("attacker share = %.1f%%, want ~36%%", shares[0].LifePct)
-	}
-	var sum float64
-	for _, s := range shares {
-		sum += s.LifePct
-	}
-	if sum < 39.9 || sum > 40.1 {
-		t.Fatalf("shares sum to %.2f%%, want 40%%", sum)
-	}
-	// Degenerate: no bytes at all.
-	if got := AttributeWear(0.5, map[string]int64{"idle": 0}); got[0].LifePct != 0 {
-		t.Fatal("zero-byte app attributed wear")
 	}
 }

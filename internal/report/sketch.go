@@ -30,9 +30,6 @@ func NewSketch(buckets int) Sketch {
 	return Sketch{Counts: make([]int64, buckets)}
 }
 
-// Buckets returns the bucket count.
-func (s *Sketch) Buckets() int { return len(s.Counts) }
-
 // AddBucket records n observations in bucket i; a negative i lands in
 // Under, i past the last bucket in Over.
 func (s *Sketch) AddBucket(i int, n int64) {
