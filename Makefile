@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test benchtest fuzz race bench faults torture wtrace fleetd-smoke fleetd-bigsmoke check
+.PHONY: all build vet lint test benchtest examples fuzz race bench faults torture wtrace fleetd-smoke fleetd-bigsmoke check
 
 all: build
 
@@ -41,6 +41,15 @@ benchtest:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 
+# Run every example end to end (about 22 s on two cores, most of it
+# appzoo and fleet): `go build` only proves they compile, this proves they
+# still finish. Output is discarded; a non-zero exit fails the target.
+examples:
+	@for e in examples/*/; do \
+		echo "go run ./$$e"; \
+		$(GO) run ./$$e >/dev/null || exit 1; \
+	done
+
 # Native fuzz smoke (DESIGN.md §15): the two fault-plan grammars and the
 # checkpoint cell decoder, each seeded from its committed corpus
 # (testdata/fuzz/) and run briefly under coverage guidance. The pinned
@@ -69,12 +78,12 @@ race:
 
 # The fault matrix under -race: randomized power-cut/remount recovery,
 # program/erase-failure handling, graceful EOL, the faulty-flash crash
-# suites for both file systems, and the fleet's fault-plan/panic paths
-# (DESIGN.md §8).
+# suites for both file systems, the fleet's fault-plan/panic paths, and
+# fleetd's panicking-device containment (DESIGN.md §8).
 faults:
 	$(GO) test -race -count=1 \
-		-run 'TestRecover|TestProgramFailures|TestGraceful|TestBrickAtEOL|TestEOLSpare|TestQuickRemount|TestCrashConformanceOnFaultyFlash|TestFleetFaultPlan|TestFleetPanic|TestInjector' \
-		./internal/ftl/ ./internal/faultinject/ ./internal/fleet/ \
+		-run 'TestRecover|TestProgramFailures|TestGraceful|TestBrickAtEOL|TestEOLSpare|TestQuickRemount|TestCrashConformanceOnFaultyFlash|TestFleetFaultPlan|TestFleetPanic|TestCampaignPanic|TestInjector' \
+		./internal/ftl/ ./internal/faultinject/ ./internal/fleet/ ./internal/fleetd/ \
 		./internal/fs/extfs/ ./internal/fs/f2fs/
 
 # The host-fault torture matrix under -race (DESIGN.md §13): campaigns
@@ -139,4 +148,4 @@ fleetd-bigsmoke:
 		-metrics-csv fleetd-big-out/series.csv
 
 # The verification entrypoint: everything CI (or a reviewer) should run.
-check: vet lint build test benchtest fuzz race faults torture wtrace fleetd-smoke
+check: vet lint build test benchtest examples fuzz race faults torture wtrace fleetd-smoke

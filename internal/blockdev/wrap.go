@@ -2,9 +2,8 @@ package blockdev
 
 import "errors"
 
-// Counting wraps a Device and counts traffic through it. It is how the
-// experiments measure the I/O volume *reaching the storage device* — the
-// quantity Figure 4 compares across file systems.
+// Counting wraps a Device and counts traffic through it: the I/O volume
+// *reaching the storage device*. Only tests use it.
 type Counting struct {
 	Inner Device
 

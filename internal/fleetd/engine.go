@@ -291,12 +291,26 @@ func (a *epochAcc) footer(shard, epoch int) (*epochFooter, error) {
 	return ft, nil
 }
 
+// panicHook, when non-nil, runs before every device-epoch; tests use it
+// to inject a panic and pin the worker containment behaviour.
+var panicHook func(p fleet.Params)
+
 // runDeviceEpoch advances one device across the accumulator's day range,
 // canonicalising (capture + reboot) at every day boundary. A nil st means
 // the device is born at the epoch's first day. It returns the device's
 // end-of-epoch state, or nil if the device died (the death is folded into
-// acc; dead devices carry no further state).
-func runDeviceEpoch(spec fleet.Spec, p fleet.Params, st *deviceState, acc *epochAcc) (*deviceState, error) {
+// acc; dead devices carry no further state). A panicking device becomes
+// the returned error, naming the device and the seed that reproduces it:
+// it fails its campaign, not the daemon.
+func runDeviceEpoch(spec fleet.Spec, p fleet.Params, st *deviceState, acc *epochAcc) (_ *deviceState, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("fleetd: device %d (seed %d) panicked: %v", p.Index, p.Seed, r)
+		}
+	}()
+	if panicHook != nil {
+		panicHook(p)
+	}
 	var ld *liveDev
 	for day := acc.dayLo; day < acc.dayHi; day++ {
 		var died bool

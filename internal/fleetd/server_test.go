@@ -9,8 +9,68 @@ import (
 	"strings"
 	"testing"
 
+	"flashwear/internal/fleet"
 	"flashwear/internal/obs"
 )
+
+// TestCampaignPanicContainment pins fleetd's worker containment: a
+// panicking device fails its own campaign — StateFailed, an Err naming the
+// device and its seed, a "failed" journal event — while the server keeps
+// answering and a sibling campaign runs to completion.
+func TestCampaignPanicContainment(t *testing.T) {
+	victim := tinySpec()
+	other := tinySpec()
+	other.Seed = victim.Seed + 1
+	fs, err := victim.FleetSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := fs.Sample(2)
+	panicHook = func(p fleet.Params) {
+		if p.Seed == bad.Seed {
+			panic("injected device panic")
+		}
+	}
+	defer func() { panicHook = nil }()
+
+	m, err := NewManager(t.TempDir())
+	if err != nil {
+		t.Fatalf("NewManager: %v", err)
+	}
+	srv := httptest.NewServer(NewServer(m))
+	defer srv.Close()
+	cl := &Client{BaseURL: srv.URL}
+
+	var ids []string
+	for _, spec := range []CampaignSpec{victim, other} {
+		st, err := cl.Submit(spec)
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		ids = append(ids, st.ID)
+	}
+	for _, id := range ids {
+		c, _ := m.Get(id)
+		c.Wait()
+	}
+
+	want := fmt.Sprintf("device 2 (seed %d) panicked: injected device panic", bad.Seed)
+	st, err := cl.Status(ids[0])
+	if err != nil {
+		t.Fatalf("Status after a device panic: %v", err)
+	}
+	if st.State != StateFailed || !strings.Contains(st.Error, want) {
+		t.Fatalf("panicked campaign status = %+v, want failed with %q", st, want)
+	}
+	c, _ := m.Get(ids[0])
+	evs := c.Events(0)
+	if last := evs[len(evs)-1]; last.Type != "failed" || !strings.Contains(last.Detail, want) {
+		t.Errorf("last journal event = %+v, want failed with %q", last, want)
+	}
+	if st, err := cl.Status(ids[1]); err != nil || st.State != StateDone {
+		t.Fatalf("sibling campaign = %+v, %v; want done", st, err)
+	}
+}
 
 // TestServerAPI drives the full control/query surface through a real
 // HTTP round trip: submit, poll, series, ledger, result, pause/resume
