@@ -69,9 +69,11 @@ fuzz:
 # ledger (DESIGN.md §6, §9; per-device tracers share nothing) — and the
 # Progress callback the workers call concurrently; and the NAND
 # snapshot's shared page payloads, with two chips running from one state
-# while erases recycle every page buffer no snapshot holds.
+# while erases recycle every page buffer no snapshot holds; and a payload
+# a read lent, held while GC and drains recycle other blocks' buffers.
 race:
 	$(GO) test -race -count=1 -run 'TestSnapshotSharesWriteOncePages|TestSnapshotMissesRecycledBuffers|TestSnapshotKeepsNoMetadataState' ./internal/nand/
+	$(GO) test -race -count=1 -run TestLentPayloadSurvivesOtherBlocks ./internal/ftl/
 	$(GO) test -race -count=1 -run TestFleet ./internal/fleet/
 	$(GO) test -race -count=1 -run TestConcurrentSpans ./internal/runtrace/
 	$(GO) test -race -count=1 -run 'TestCampaignInMemory|TestServerAPI|TestResumeAfterTruncatedCell' ./internal/fleetd/

@@ -11,6 +11,14 @@
 package flashwear_bench
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"flashwear/internal/experiments"
@@ -33,6 +41,133 @@ func BenchmarkExhibit(b *testing.B) {
 			}
 		})
 	}
+}
+
+// benchRecord is one paired A/B run of a bench/ workload, committed at the
+// root as a point of the workload's trajectory: BENCH_<workload>.json is a
+// JSON array of them, appended to and never rewritten. Pair i ran the side
+// named First[i] first, then the other, on one host at one seed.
+type benchRecord struct {
+	Refs        struct{ Parent, Change string }
+	Workload    string
+	Seed        int64
+	Seconds     float64
+	Host        string
+	First       []string
+	RefKernelMs struct{ Parent, Change []float64 } `json:"ref_kernel_ms"`
+	Metrics     map[string]benchMetric
+}
+
+// benchMetric is one end-to-end metric's values, pair by pair. Ratio
+// summarises the per-pair improvement factors (change/parent when higher is
+// better, parent/change when lower is), and Wins counts the pairs whose
+// factor exceeds 1.
+type benchMetric struct {
+	Better         string
+	Parent, Change []float64
+	ParentSummary  benchSummary `json:"parent_summary"`
+	ChangeSummary  benchSummary `json:"change_summary"`
+	Ratio          benchSummary
+	Wins           int
+}
+
+type benchSummary struct{ Q1, Median, Q3 float64 }
+
+// TestBenchRecords checks every committed trajectory file: the fields a
+// reader needs are present, every per-pair array has one entry per pair,
+// and the medians and wins agree with the values they summarise.
+func TestBenchRecords(t *testing.T) {
+	files, err := filepath.Glob("BENCH_*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no BENCH_*.json at the root (%v)", err)
+	}
+	for _, name := range files {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		var recs []benchRecord
+		if err := dec.Decode(&recs); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(recs) == 0 {
+			t.Fatalf("%s: no records", name)
+		}
+		for i, r := range recs {
+			where := fmt.Sprintf("%s[%d]", name, i)
+			if want := strings.TrimSuffix(strings.TrimPrefix(name, "BENCH_"), ".json"); r.Workload != want {
+				t.Errorf("%s: workload %q, want %q", where, r.Workload, want)
+			}
+			if r.Refs.Parent == "" || r.Refs.Change == "" || r.Host == "" || r.Seconds <= 0 || len(r.Metrics) == 0 {
+				t.Errorf("%s: refs, host, seconds and metrics are required: %+v", where, r)
+			}
+			n := len(r.First)
+			if n == 0 {
+				t.Errorf("%s: no pairs", where)
+			}
+			for _, side := range r.First {
+				if side != "parent" && side != "change" {
+					t.Errorf("%s: first %q, want parent or change", where, side)
+				}
+			}
+			if len(r.RefKernelMs.Parent) != n || len(r.RefKernelMs.Change) != n {
+				t.Errorf("%s: ref_kernel_ms has %d/%d values for %d pairs", where, len(r.RefKernelMs.Parent), len(r.RefKernelMs.Change), n)
+			}
+			for m, v := range r.Metrics {
+				checkBenchMetric(t, where+" "+m, v, n)
+			}
+		}
+	}
+}
+
+func checkBenchMetric(t *testing.T, where string, v benchMetric, pairs int) {
+	t.Helper()
+	if pairs == 0 || len(v.Parent) != pairs || len(v.Change) != pairs {
+		t.Errorf("%s: %d parent and %d change values for %d pairs", where, len(v.Parent), len(v.Change), pairs)
+		return
+	}
+	ratios := make([]float64, pairs)
+	wins := 0
+	for i := range ratios {
+		switch v.Better {
+		case "higher":
+			ratios[i] = v.Change[i] / v.Parent[i]
+		case "lower":
+			ratios[i] = v.Parent[i] / v.Change[i]
+		default:
+			t.Errorf("%s: better %q, want higher or lower", where, v.Better)
+			return
+		}
+		if ratios[i] > 1 {
+			wins++
+		}
+	}
+	if v.Wins != wins {
+		t.Errorf("%s: wins %d, the values give %d", where, v.Wins, wins)
+	}
+	for _, s := range []struct {
+		name string
+		sum  benchSummary
+		xs   []float64
+	}{{"parent", v.ParentSummary, v.Parent}, {"change", v.ChangeSummary, v.Change}, {"ratio", v.Ratio, ratios}} {
+		if med := median(s.xs); math.Abs(s.sum.Median-med) > 1e-9*math.Abs(med) {
+			t.Errorf("%s: %s median %g, the values give %g", where, s.name, s.sum.Median, med)
+		}
+		if !(s.sum.Q1 <= s.sum.Median && s.sum.Median <= s.sum.Q3) {
+			t.Errorf("%s: %s quartiles out of order: %+v", where, s.name, s.sum)
+		}
+	}
+}
+
+func median(xs []float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	if n := len(s); n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[len(s)/2-1] + s[len(s)/2]) / 2
 }
 
 // BenchmarkTelemetryOverhead measures the cost instrumentation adds to the

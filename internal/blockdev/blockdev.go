@@ -25,7 +25,8 @@ type Device interface {
 	// ReadAt fills p from the device at off. Unwritten areas read as
 	// zeroes.
 	ReadAt(p []byte, off int64) error
-	// WriteAt stores p at off.
+	// WriteAt stores p at off. It must not retain or modify p: callers
+	// reuse one scratch buffer across writes.
 	WriteAt(p []byte, off int64) error
 	// WriteAccounted performs an accounting-only write of length bytes at
 	// off: same wear and timing as WriteAt, no payload retained. Reading
@@ -47,7 +48,8 @@ func CheckRange(d Device, off, length int64) error {
 	if off%ss != 0 || length%ss != 0 {
 		return fmt.Errorf("%w: off=%d len=%d sector=%d", ErrAlignment, off, length, ss)
 	}
-	if off < 0 || length < 0 || off+length > d.Size() {
+	// length > Size-off, not off+length > Size: the sum can overflow.
+	if off < 0 || length < 0 || length > d.Size()-off {
 		return fmt.Errorf("%w: off=%d len=%d size=%d", ErrBounds, off, length, d.Size())
 	}
 	return nil

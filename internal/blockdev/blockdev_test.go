@@ -3,6 +3,7 @@ package blockdev
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -64,6 +65,34 @@ func TestMemAlignmentAndBounds(t *testing.T) {
 	}
 	if err := m.ReadAt(make([]byte, 1024), 1<<20-512); !errors.Is(err, ErrBounds) {
 		t.Errorf("straddling read err = %v", err)
+	}
+}
+
+// TestCheckRange pins the bounds arithmetic: an off+length that overflows
+// int64 must not wrap into an accepted range.
+func TestCheckRange(t *testing.T) {
+	m, _ := NewMem(1<<20, 512)
+	for _, tc := range []struct {
+		off, length int64
+		want        error
+	}{
+		{0, 0, nil},
+		{0, 1 << 20, nil},
+		{1<<20 - 512, 512, nil},
+		{1 << 20, 0, nil},
+		{1 << 20, 512, ErrBounds},
+		{1<<20 - 512, 1024, ErrBounds},
+		{2 << 20, 0, ErrBounds},
+		{-512, 512, ErrBounds},
+		{0, -512, ErrBounds},
+		{512, math.MaxInt64 - 511, ErrBounds},
+		{math.MaxInt64 - 511, 512, ErrBounds},
+		{100, 512, ErrAlignment},
+		{0, 100, ErrAlignment},
+	} {
+		if err := CheckRange(m, tc.off, tc.length); !errors.Is(err, tc.want) {
+			t.Errorf("CheckRange(off=%d, len=%d) = %v, want %v", tc.off, tc.length, err, tc.want)
+		}
 	}
 }
 

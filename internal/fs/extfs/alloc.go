@@ -99,14 +99,16 @@ func (v *FS) drainQuarantine() error {
 	if len(v.quarantine) == 0 {
 		return nil
 	}
-	for _, blk := range sortedKeys(v.quarantine) {
+	v.keys = sortedKeys(v.keys, v.quarantine)
+	for _, blk := range v.keys {
 		v.setBit(blk, false)
 		v.freeBlocks++
 		// Best-effort TRIM; ignore errors (the device may be dying).
 		_ = v.dev.Discard(int64(blk)*BlockSize, BlockSize)
 	}
-	v.quarantine = make(map[uint32]bool)
-	for _, idx := range sortedKeys(v.dirtyBitmapBlocks) {
+	clear(v.quarantine)
+	v.keys = sortedKeys(v.keys, v.dirtyBitmapBlocks)
+	for _, idx := range v.keys {
 		b := make([]byte, BlockSize)
 		base := int(idx) * BlockSize / 8
 		for w := 0; w < BlockSize/8; w++ {
@@ -117,7 +119,7 @@ func (v *FS) drainQuarantine() error {
 			return err
 		}
 	}
-	v.dirtyBitmapBlocks = make(map[uint32]bool)
+	clear(v.dirtyBitmapBlocks)
 	return nil
 }
 
@@ -143,5 +145,5 @@ func (v *FS) stageBitmap() {
 		}
 		v.stageMeta(v.sb.bitmapStart+idx, b)
 	}
-	v.dirtyBitmapBlocks = make(map[uint32]bool)
+	clear(v.dirtyBitmapBlocks)
 }

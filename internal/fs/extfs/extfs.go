@@ -32,6 +32,11 @@ type FS struct {
 	txn     map[uint32][]byte
 	pending map[uint32][]byte
 
+	// scratch is one block for the journal's descriptor, commit record and
+	// superblock; keys holds the sorted homes of a commit or checkpoint.
+	scratch []byte
+	keys    []uint32
+
 	jHead uint32
 	jSeq  uint64
 
@@ -99,7 +104,7 @@ func Mkfs(dev blockdev.Device) error {
 		return err
 	}
 	// Journal superblock.
-	if err := writeBlock(dev, sb.jStart, journalSuper{seq: 1}.encode()); err != nil {
+	if err := writeBlock(dev, sb.jStart, journalSuper{seq: 1}.encode(buf)); err != nil {
 		return err
 	}
 	if err := writeBlock(dev, 0, sb.encode()); err != nil {
@@ -127,6 +132,7 @@ func Mount(dev blockdev.Device, opts fs.Options) (*FS, error) {
 		meta:              make(map[uint32][]byte),
 		txn:               make(map[uint32][]byte),
 		pending:           make(map[uint32][]byte),
+		scratch:           make([]byte, BlockSize),
 	}
 	if sb.state != stateClean {
 		n, err := v.replay()
@@ -618,7 +624,7 @@ func (v *FS) Sync() error {
 	}
 	// Sorted order: flushInode reads the inode's table block on a cache
 	// miss, and device operations must happen in a reproducible sequence.
-	for _, ino := range sortedKeys(v.inodes) {
+	for _, ino := range sortedKeys(nil, v.inodes) {
 		if in := v.inodes[ino]; in.hardDirty || in.softDirty {
 			if err := v.flushInode(in); err != nil {
 				return err

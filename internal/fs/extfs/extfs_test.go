@@ -318,6 +318,71 @@ func TestLazytimeAvoidsJournalPerOverwrite(t *testing.T) {
 	}
 }
 
+// residentDevice is a RAM device whose every sector is written up front and
+// never dropped, so it allocates nothing itself and AllocsPerRun sees only
+// the file system's allocations.
+type residentDevice struct{ *blockdev.MemDevice }
+
+func (residentDevice) Discard(off, length int64) error        { return nil }
+func (residentDevice) WriteAccounted(off, length int64) error { return nil }
+
+// TestSyncRewriteDoesNotAllocate: the attack app's inner loop — a 4 KiB
+// rewrite and fsync under data accounting — stages nothing fresh: lazytime
+// journals the inode every lazyFlushInterval syncs, and the journal builds
+// its descriptor, commit record and superblock in one scratch block. On a
+// 1 MiB volume's 8-block journal the runs commit and checkpoint.
+func TestSyncRewriteDoesNotAllocate(t *testing.T) {
+	mem, err := blockdev.NewMem(1<<20, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero := make([]byte, BlockSize)
+	for off := int64(0); off < mem.Size(); off += BlockSize {
+		if err := mem.WriteAt(zero, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dev := residentDevice{mem}
+	if err := Mkfs(dev); err != nil {
+		t.Fatal(err)
+	}
+	v, err := Mount(dev, fs.Options{DataAccounting: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := v.Create("/victim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fileBlocks = 64
+	payload := make([]byte, BlockSize)
+	i := int64(0)
+	rewrite := func() {
+		if _, err := f.WriteAt(payload, i%fileBlocks*BlockSize); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	// One run is lazyFlushInterval rewrites, so each journals the inode once.
+	interval := func() {
+		for range lazyFlushInterval {
+			rewrite()
+		}
+	}
+	interval()
+	interval()
+	before := v.Stats()
+	if n := testing.AllocsPerRun(8, interval); n != 0 {
+		t.Fatalf("%d 4 KiB rewrites and Syncs allocate %v times, want 0", lazyFlushInterval, n)
+	}
+	if after := v.Stats(); after.JournalCommits-before.JournalCommits != 9 || after.CheckpointWrites == before.CheckpointWrites {
+		t.Fatalf("want 9 commits and a checkpoint in the runs: %+v -> %+v", before, after)
+	}
+}
+
 func TestCrashRecoveryReplaysJournal(t *testing.T) {
 	v, dev := newVolume(t, 8, fs.Options{})
 	f, _ := v.Create("/important")
@@ -405,6 +470,71 @@ func TestJournalWrapsViaCheckpoint(t *testing.T) {
 	}
 	if v.Stats().CheckpointWrites == 0 {
 		t.Fatal("journal never checkpointed despite heavy metadata traffic")
+	}
+}
+
+// TestTransactionLargerThanJournal: a 1 MiB volume has an 8-block journal,
+// and a Sync over seven files that each just grew an indirect block is a
+// 9-block transaction. It must go home directly, not run past the journal
+// over the root directory, and the bitmap block the previous Sync journaled
+// must not be checkpointed over it afterwards.
+func TestTransactionLargerThanJournal(t *testing.T) {
+	v, dev := newVolume(t, 1, fs.Options{})
+	if v.sb.jBlks != 8 {
+		t.Fatalf("jBlks = %d, want 8", v.sb.jBlks)
+	}
+	const files, blocks = 8, NDirect + 1
+	content := func(i int) []byte { return bytes.Repeat([]byte{byte(0xA0 + i)}, blocks*BlockSize) }
+	var open []fs.File
+	for i := range files {
+		f, err := v.Create(fmt.Sprintf("/f%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		open = append(open, f)
+	}
+	for i, f := range open {
+		if _, err := f.WriteAt(content(i), 0); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 || i == files-1 {
+			if i == files-1 && len(v.txn) != files-1 {
+				t.Fatalf("staged %d indirect blocks, want %d", len(v.txn), files-1)
+			}
+			if err := v.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := v.Unmount(); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := Mount(dev, fs.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range files {
+		f, err := v2.Open(fmt.Sprintf("/f%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, blocks*BlockSize)
+		if n, err := f.ReadAt(got, 0); err != nil || n != len(got) {
+			t.Fatalf("/f%d: ReadAt = (%d, %v)", i, n, err)
+		}
+		if !bytes.Equal(got, content(i)) {
+			t.Fatalf("/f%d: content changed", i)
+		}
+	}
+	if err := v2.Unmount(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Fsck(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean() {
+		t.Fatalf("corruption: %v", rep.Corruptions)
 	}
 }
 

@@ -123,8 +123,7 @@ func (v *FS) ptrAt(blk uint32, idx int64, alloc bool, in *inode) (uint32, error)
 		if err != nil {
 			return 0, err
 		}
-		nb2 := make([]byte, BlockSize)
-		copy(nb2, b)
+		nb2 := v.writable(blk, b)
 		binary.LittleEndian.PutUint32(nb2[idx*PtrSize:], nb)
 		v.stageMeta(blk, nb2)
 		in.hardDirty = true
@@ -146,8 +145,7 @@ func (v *FS) ptrAtData(blk uint32, idx int64, alloc bool, in *inode) (uint32, er
 		if err != nil {
 			return 0, err
 		}
-		nb2 := make([]byte, BlockSize)
-		copy(nb2, b)
+		nb2 := v.writable(blk, b)
 		binary.LittleEndian.PutUint32(nb2[idx*PtrSize:], nb)
 		v.stageMeta(blk, nb2)
 		in.hardDirty = true
@@ -334,8 +332,7 @@ func (v *FS) truncateInode(in *inode, size int64) error {
 		if err != nil {
 			return err
 		}
-		modified := make([]byte, BlockSize)
-		copy(modified, b)
+		modified := v.writable(in.dindirect, b)
 		anyLeft := false
 		for l1 := int64(0); l1 < PtrsPerBlk; l1++ {
 			p := binary.LittleEndian.Uint32(modified[l1*PtrSize:])
@@ -385,8 +382,7 @@ func (v *FS) freeIndirectRange(blk uint32, start int64) (empty bool, err error) 
 	if err != nil {
 		return false, err
 	}
-	modified := make([]byte, BlockSize)
-	copy(modified, b)
+	modified := v.writable(blk, b)
 	empty = true
 	changed := false
 	for i := int64(0); i < PtrsPerBlk; i++ {

@@ -1,9 +1,10 @@
 package extfs
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Physical-block journaling, jbd2-style: each transaction is a descriptor
@@ -27,8 +28,10 @@ type journalSuper struct {
 	seq uint64 // sequence number of the first transaction in the log
 }
 
-func (j journalSuper) encode() []byte {
-	b := make([]byte, BlockSize)
+// encode renders the journal superblock into b, a BlockSize buffer, and
+// returns it.
+func (j journalSuper) encode(b []byte) []byte {
+	clear(b)
 	binary.LittleEndian.PutUint32(b[0:], jsupMagic)
 	binary.LittleEndian.PutUint64(b[8:], j.seq)
 	return b
@@ -46,6 +49,18 @@ func decodeJournalSuper(b []byte) (journalSuper, error) {
 func (v *FS) stageMeta(blk uint32, b []byte) {
 	v.meta[blk] = b
 	v.txn[blk] = b
+}
+
+// writable returns blk's content cur in a buffer the caller may modify and
+// then stage. When the running transaction already holds blk, that block
+// is its private copy (readMeta returned it as cur) and is modified in
+// place; otherwise cur may be journaled, uncheckpointed state, which is
+// never modified, and the buffer is a fresh copy.
+func (v *FS) writable(blk uint32, cur []byte) []byte {
+	if b, ok := v.txn[blk]; ok {
+		return b
+	}
+	return bytes.Clone(cur)
 }
 
 // readMeta returns the current content of a metadata block, preferring the
@@ -79,16 +94,22 @@ func (v *FS) commit() error {
 	if len(v.txn) == 0 {
 		return v.dev.Flush()
 	}
-	if len(v.txn) > maxTxnBlocks {
-		// Absurdly large transaction; split by checkpointing directly.
-		// (Cannot happen with the small metadata footprint of this FS,
-		// but stay safe.)
-		for _, blk := range sortedKeys(v.txn) {
+	// The journal superblock takes one of the region's blocks, and the
+	// transaction needs a descriptor and a commit record besides its
+	// bodies. One that does not fit is written home directly, after the
+	// journaled blocks: left in pending, their older copies would go home
+	// at the next checkpoint, over these.
+	if len(v.txn) > maxTxnBlocks || len(v.txn)+2 > int(v.sb.jBlks)-1 {
+		if err := v.checkpoint(); err != nil {
+			return err
+		}
+		v.keys = sortedKeys(v.keys, v.txn)
+		for _, blk := range v.keys {
 			if err := writeBlock(v.dev, blk, v.txn[blk]); err != nil {
 				return err
 			}
-			delete(v.txn, blk)
 		}
+		clear(v.txn)
 		return v.dev.Flush()
 	}
 	need := uint32(len(v.txn) + 2)
@@ -101,13 +122,16 @@ func (v *FS) commit() error {
 	// would permute the journal bodies, and a power cut landing inside the
 	// transaction would then make which blocks survived a function of that
 	// permutation — the one thing a deterministic simulation cannot have.
-	desc := make([]byte, BlockSize)
+	// The descriptor and the commit record are built in the FS's scratch
+	// block, which WriteAt does not retain.
+	desc := v.scratch
+	clear(desc)
 	le := binary.LittleEndian
 	le.PutUint32(desc[0:], jdscMagic)
 	le.PutUint64(desc[4:], v.jSeq)
 	le.PutUint32(desc[12:], uint32(len(v.txn)))
-	homes := sortedKeys(v.txn)
-	for i, h := range homes {
+	v.keys = sortedKeys(v.keys, v.txn)
+	for i, h := range v.keys {
 		le.PutUint32(desc[16+4*i:], h)
 	}
 	if err := writeBlock(v.dev, v.jHead, desc); err != nil {
@@ -115,14 +139,15 @@ func (v *FS) commit() error {
 	}
 	v.jHead++
 	// Block copies.
-	for _, h := range homes {
+	for _, h := range v.keys {
 		if err := writeBlock(v.dev, v.jHead, v.txn[h]); err != nil {
 			return err
 		}
 		v.jHead++
 	}
 	// Commit record.
-	cmt := make([]byte, BlockSize)
+	cmt := v.scratch
+	clear(cmt)
 	le.PutUint32(cmt[0:], jcmtMagic)
 	le.PutUint64(cmt[4:], v.jSeq)
 	if err := writeBlock(v.dev, v.jHead, cmt); err != nil {
@@ -131,7 +156,7 @@ func (v *FS) commit() error {
 	v.jHead++
 	v.jSeq++
 	v.statJournalCommits++
-	v.statJournalBlocks += int64(len(homes)) + 2 // descriptor + bodies + commit
+	v.statJournalBlocks += int64(len(v.keys)) + 2 // descriptor + bodies + commit
 	if err := v.dev.Flush(); err != nil {
 		return err
 	}
@@ -139,26 +164,28 @@ func (v *FS) commit() error {
 	for blk, b := range v.txn {
 		v.pending[blk] = b
 	}
-	v.txn = make(map[uint32][]byte)
+	clear(v.txn)
 	return nil
 }
 
-// sortedKeys returns a map's keys in ascending order — every loop that
-// turns journaled state into device operations iterates in this order, so
-// the on-flash history is a pure function of the workload (see commit).
-func sortedKeys[V any](m map[uint32]V) []uint32 {
-	keys := make([]uint32, 0, len(m))
+// sortedKeys returns a map's keys in ascending order, in keys' storage —
+// every loop that turns journaled state into device operations iterates in
+// this order, so the on-flash history is a pure function of the workload
+// (see commit).
+func sortedKeys[V any](keys []uint32, m map[uint32]V) []uint32 {
+	keys = keys[:0]
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
+	slices.Sort(keys)
 	return keys
 }
 
 // checkpoint writes all journaled blocks to their home locations and resets
 // the journal head.
 func (v *FS) checkpoint() error {
-	for _, blk := range sortedKeys(v.pending) {
+	v.keys = sortedKeys(v.keys, v.pending)
+	for _, blk := range v.keys {
 		if err := writeBlock(v.dev, blk, v.pending[blk]); err != nil {
 			return err
 		}
@@ -167,13 +194,13 @@ func (v *FS) checkpoint() error {
 	if err := v.dev.Flush(); err != nil {
 		return err
 	}
-	v.pending = make(map[uint32][]byte)
+	clear(v.pending)
 	if err := v.drainQuarantine(); err != nil {
 		return err
 	}
 	v.jHead = v.sb.jStart + 1
 	jsb := journalSuper{seq: v.jSeq}
-	if err := writeBlock(v.dev, v.sb.jStart, jsb.encode()); err != nil {
+	if err := writeBlock(v.dev, v.sb.jStart, jsb.encode(v.scratch)); err != nil {
 		return err
 	}
 	return v.dev.Flush()
@@ -236,7 +263,7 @@ func (v *FS) replay() (int, error) {
 	}
 	v.jSeq = seq
 	v.jHead = v.sb.jStart + 1
-	if err := writeBlock(v.dev, v.sb.jStart, journalSuper{seq: seq}.encode()); err != nil {
+	if err := writeBlock(v.dev, v.sb.jStart, journalSuper{seq: seq}.encode(v.scratch)); err != nil {
 		return applied, err
 	}
 	return applied, v.dev.Flush()

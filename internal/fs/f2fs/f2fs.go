@@ -21,6 +21,7 @@ type FS struct {
 
 	nat       []uint32
 	natDirty  []bool // per NAT block
+	scratch   []byte // one block for the checkpoint's NAT and cp images
 	nodes     map[uint32]*node
 	nodeRotor uint32
 	ver       uint64
@@ -86,7 +87,7 @@ func Mkfs(dev blockdev.Device) error {
 	}
 	// Checkpoint: logs positioned after the root node.
 	cp := checkpoint{ver: 1, dataSeg: 1, dataOff: 0, nodeSeg: 0, nodeOff: 1}
-	if err := writeBlock(dev, sb.cpStart, cp.encode()); err != nil {
+	if err := writeBlock(dev, sb.cpStart, cp.encode(make([]byte, BlockSize))); err != nil {
 		return err
 	}
 	if err := writeBlock(dev, 0, sb.encode()); err != nil {
@@ -109,6 +110,7 @@ func Mount(dev blockdev.Device, opts fs.Options) (*FS, error) {
 	v := &FS{
 		dev: dev, opts: opts, sb: sb,
 		natDirty:  make([]bool, sb.natBlks),
+		scratch:   make([]byte, BlockSize),
 		nodes:     make(map[uint32]*node),
 		nodeRotor: 1,
 		dataLog:   logState{seg: ^uint32(0)},
@@ -211,11 +213,13 @@ func (v *FS) checkpointLocked() error {
 	if err := v.flushDirtyNodes(); err != nil {
 		return err
 	}
+	// Every NAT image and the checkpoint block are built in one scratch
+	// block: WriteAt does not retain it.
+	nb := v.scratch
 	for blkIdx, dirty := range v.natDirty {
 		if !dirty {
 			continue
 		}
-		nb := make([]byte, BlockSize)
 		base := blkIdx * natEntriesPerBlock
 		for e := 0; e < natEntriesPerBlock; e++ {
 			binary.LittleEndian.PutUint32(nb[e*4:], v.nat[base+e])
@@ -234,7 +238,7 @@ func (v *FS) checkpointLocked() error {
 		dataSeg: v.dataLog.seg, dataOff: v.dataLog.off,
 		nodeSeg: v.nodeLog.seg, nodeOff: v.nodeLog.off,
 	}
-	if err := writeBlock(v.dev, v.sb.cpStart+uint32(v.cpIndex), cp.encode()); err != nil {
+	if err := writeBlock(v.dev, v.sb.cpStart+uint32(v.cpIndex), cp.encode(nb)); err != nil {
 		return err
 	}
 	v.cpIndex = 1 - v.cpIndex

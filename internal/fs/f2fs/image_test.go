@@ -338,3 +338,36 @@ func TestSyncRewriteDoesNotAllocate(t *testing.T) {
 		t.Fatalf("run too short to checkpoint: %+v", v.Stats())
 	}
 }
+
+// TestCheckpointAllocatesNothing: a checkpoint builds every dirty NAT block
+// image and the checkpoint block in one scratch block, so its cost on the
+// heap does not grow with the NAT blocks it writes.
+func TestCheckpointAllocatesNothing(t *testing.T) {
+	// 64 MiB has four NAT blocks. The device is sparse: only the sectors
+	// written are held, and AllocsPerRun's warm-up run writes all of those
+	// the measured runs write.
+	dev, err := blockdev.NewMem(64<<20, BlockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Mkfs(dev); err != nil {
+		t.Fatal(err)
+	}
+	v, err := Mount(dev, fs.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v.natDirty) != 4 {
+		t.Fatalf("%d NAT blocks, want 4", len(v.natDirty))
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		for i := range v.natDirty {
+			v.natDirty[i] = true
+		}
+		if err := v.checkpointLocked(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("a checkpoint writing all %d NAT blocks allocates %v times, want 0", len(v.natDirty), n)
+	}
+}

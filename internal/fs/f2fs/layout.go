@@ -108,8 +108,10 @@ type checkpoint struct {
 
 const cpMagic = 0x43504B54 // "CPKT"
 
-func (cp checkpoint) encode() []byte {
-	b := make([]byte, BlockSize)
+// encode renders the checkpoint block into b, a BlockSize buffer, and
+// returns it.
+func (cp checkpoint) encode(b []byte) []byte {
+	clear(b)
 	le := binary.LittleEndian
 	le.PutUint32(b[0:], cpMagic)
 	le.PutUint64(b[8:], cp.ver)

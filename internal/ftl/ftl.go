@@ -577,7 +577,9 @@ func (f *FTL) invalidateLoc(l loc) {
 
 // ReadPage reads one logical page. Unmapped pages read as nil data with no
 // flash work (the device returns zeroes). Accounting-only pages return nil
-// data too.
+// data too. Data is lent by the chip (nand.Chip.ReadPage): it is read-only
+// and valid until the next write or Sanitize, either of which may erase its
+// block.
 func (f *FTL) ReadPage(lp int) ([]byte, Cost, error) {
 	var cost Cost
 	if f.powerLost {

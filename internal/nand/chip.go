@@ -483,6 +483,11 @@ func (c *Chip) ProgrammedPages(blockIdx int) int {
 // error rate. If the worst codeword's error count exceeds the ECC
 // capability, it returns ErrUncorrectable. Data is returned only if the page
 // was programmed with a payload.
+//
+// The payload is lent, not copied: the slice is the chip's own buffer. It
+// is read-only, and it stays valid until the block is next erased, when the
+// buffer may be recycled for another program. A caller that keeps the bytes
+// longer copies them out; handing them to a program is such a copy.
 func (c *Chip) ReadPage(a PageAddr) ([]byte, OpResult, error) {
 	if !c.inRange(a) {
 		return nil, OpResult{}, &OpError{Op: OpRead, Addr: a, Err: ErrAddr}
@@ -520,12 +525,7 @@ func (c *Chip) ReadPage(a PageAddr) ([]byte, OpResult, error) {
 		c.stats.UncorrectableReads++
 		return nil, res, &OpError{Op: OpRead, Addr: a, Bits: res.BitErrors, T: c.tcorr, Err: ErrUncorrectable}
 	}
-	var data []byte
-	if p := b.pages[a.Page]; p != nil {
-		data = make([]byte, len(p))
-		copy(data, p)
-	}
-	return data, res, nil
+	return b.pages[a.Page], res, nil
 }
 
 // EraseBlock erases a block, consuming one P/E cycle. On failure the block

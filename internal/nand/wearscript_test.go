@@ -1,6 +1,7 @@
 package nand
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -156,5 +157,27 @@ func TestProgramEraseAllocatesNothing(t *testing.T) {
 	cycle() // fills the free list
 	if n := testing.AllocsPerRun(10, cycle); n != 0 {
 		t.Fatalf("erase, payload program-all, erase allocates %v times on a warmed chip, want 0", n)
+	}
+}
+
+// TestReadPageAllocatesNothing: a read lends the page's own buffer instead
+// of copying it, so reading a payload page stays off the heap.
+func TestReadPageAllocatesNothing(t *testing.T) {
+	c := newTestChip(t, nil)
+	page := filled(0x5A)
+	if _, err := c.ProgramPage(PageAddr{0, 0}, page); err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	if n := testing.AllocsPerRun(100, func() {
+		var err error
+		if got, _, err = c.ReadPage(PageAddr{0, 0}); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("ReadPage of a payload page allocates %v times per call, want 0", n)
+	}
+	if !bytes.Equal(got, page) {
+		t.Fatal("ReadPage returned the wrong payload")
 	}
 }

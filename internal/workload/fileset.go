@@ -51,13 +51,14 @@ func (s *FileSet) Setup() error {
 		}
 	}
 	s.buf = make([]byte, s.ReqBytes)
+	// Fill sequentially in 256 KiB chunks of zeroes, one for every file:
+	// a file system's WriteAt does not modify p.
+	chunk := make([]byte, 256<<10)
 	for i := 0; i < s.NumFiles; i++ {
 		f, err := s.FS.Create(fmt.Sprintf("%s/wear%02d.dat", s.Dir, i))
 		if err != nil {
 			return err
 		}
-		// Fill sequentially in 256 KiB chunks.
-		chunk := make([]byte, 256<<10)
 		for off := int64(0); off < s.FileSize; off += int64(len(chunk)) {
 			n := int64(len(chunk))
 			if off+n > s.FileSize {
