@@ -84,7 +84,7 @@ race:
 # fleetd's panicking-device containment (DESIGN.md §8).
 faults:
 	$(GO) test -race -count=1 \
-		-run 'TestRecover|TestProgramFailures|TestGraceful|TestBrickAtEOL|TestEOLSpare|TestQuickRemount|TestCrashConformanceOnFaultyFlash|TestFleetFaultPlan|TestFleetPanic|TestCampaignPanic|TestInjector' \
+		-run 'TestRecover|TestProgramFailures|TestGraceful|TestBrickAtEOL|TestQuickRemount|TestCrashConformanceOnFaultyFlash|TestFleetFaultPlan|TestFleetPanic|TestCampaignPanic|TestInjector' \
 		./internal/ftl/ ./internal/faultinject/ ./internal/fleet/ ./internal/fleetd/ \
 		./internal/fs/extfs/ ./internal/fs/f2fs/
 

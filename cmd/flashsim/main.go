@@ -234,10 +234,7 @@ func runDevice(args []string) {
 		if err != nil {
 			fail(exitError, fmt.Errorf("replay: %w", err))
 		}
-		st, err := trace.Replay(target, clock, events, trace.ReplayOptions{})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "flashsim: replay:", err)
-		}
+		st := trace.Replay(target, clock, events)
 		written = st.BytesWritten
 		fmt.Printf("Replayed %d events (%d errors)\n", st.Events, st.Errors)
 	} else {

@@ -298,40 +298,42 @@ func specFlags(fs *flagSet) func() (fleetd.CampaignSpec, error) {
 				return spec, fmt.Errorf("-spec: %w", err)
 			}
 		}
-		if *name != "" {
+		// An explicitly set flag overrides the file even when it sets a
+		// zero value (-buggy 0, -faults "", -wear-trace=false).
+		if fs.changed("name") {
 			spec.Name = *name
 		}
-		if *devices != 0 {
+		if fs.changed("devices") {
 			spec.Devices = *devices
 		}
-		if *days != 0 {
+		if fs.changed("days") {
 			spec.Days = *days
 		}
 		if fs.changed("seed") || spec.Seed == 0 {
 			spec.Seed = *seed
 		}
-		if *scale != 0 {
+		if fs.changed("scale") {
 			spec.Scale = *scale
 		}
-		if *buggy != 0 {
+		if fs.changed("buggy") {
 			spec.Buggy = *buggy
 		}
-		if *attack != 0 {
+		if fs.changed("attack") {
 			spec.Attack = *attack
 		}
-		if *faults != "" {
+		if fs.changed("faults") {
 			spec.Faults = *faults
 		}
-		if *wearTrace {
-			spec.WearTrace = true
+		if fs.changed("wear-trace") {
+			spec.WearTrace = *wearTrace
 		}
-		if *shards != 0 {
+		if fs.changed("shards") {
 			spec.Shards = *shards
 		}
-		if *workers != 0 {
+		if fs.changed("workers") {
 			spec.Workers = *workers
 		}
-		if *every != 0 {
+		if fs.changed("checkpoint-every") {
 			spec.CheckpointEvery = *every
 		}
 		return spec, nil

@@ -18,7 +18,7 @@ func measure() time.Duration {
 	start := time.Now() // ok: ops-domain package
 	time.Sleep(0)       // ok
 	_ = obs.WallNow()   // ok: ops-domain packages may use the ops clock source
-	tr := runtrace.New(0, nil)
+	tr := runtrace.New(nil)
 	_ = tr.Totals() // ok: ops-domain packages may read measured wall time back
 	return time.Since(start)
 }

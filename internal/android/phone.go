@@ -29,9 +29,6 @@ type Config struct {
 	FS       FSKind
 	Charging Schedule
 	Screen   Schedule
-	// DataAccounting passes through to the FS mount so device-scale runs
-	// stay in bounded memory. Defaults to true.
-	RetainData bool
 	// Throttle, when non-nil, rate-limits app writes (a §4.5 mitigation
 	// installed at the OS layer). It is consulted with the app name and
 	// byte count before each write reaches the FS.
@@ -86,7 +83,7 @@ func NewPhone(cfg Config, clock *simclock.Clock) (*Phone, error) {
 		// the format itself runs untagged (origin 0, "os").
 		dev.EnableWearTrace(cfg.WearTrace)
 	}
-	opts := fs.Options{DataAccounting: !cfg.RetainData}
+	opts := fs.Options{DataAccounting: true}
 	var fsys fs.FileSystem
 	switch cfg.FS {
 	case FSF2FS:

@@ -85,10 +85,8 @@ func New(prof Profile, clock *simclock.Clock) (*Device, error) {
 		MainChip:        mainCfg,
 		OverProvision:   prof.OverProvision,
 		FirmwareRatedPE: prof.FirmwareRatedPE,
+		NoWearLeveling:  !prof.WearLeveling,
 		BrickAtEOL:      prof.BrickAtEOL,
-	}
-	if !prof.WearLeveling {
-		fcfg.Wear = &ftl.WearLeveling{Dynamic: false, Static: false, StaticThreshold: 1 << 30, StaticInterval: 1 << 30}
 	}
 	if prof.Hybrid != nil {
 		h := prof.Hybrid
@@ -102,7 +100,6 @@ func New(prof Profile, clock *simclock.Clock) (*Device, error) {
 				Now:      now,
 				Timing:   &cacheTiming,
 			},
-			RouteMaxBytes:    h.RouteMaxBytes,
 			DrainRatio:       h.DrainRatio,
 			MergeUtilisation: h.MergeUtilisation,
 		}

@@ -47,8 +47,6 @@ type HybridProfile struct {
 	// page under sustained load; it sets the fraction of traffic the
 	// cache absorbs before the pools merge (Table 1's ~6x wear ratio).
 	DrainRatio float64
-	// RouteMaxBytes: larger host writes bypass the cache entirely.
-	RouteMaxBytes int
 	// MergeUtilisation is the exported-space utilisation beyond which the
 	// firmware merges the pools (§4.3).
 	MergeUtilisation float64
@@ -78,8 +76,6 @@ type Profile struct {
 	CmdOverhead   time.Duration // per-request controller/command latency
 	InterfaceMBps float64       // host interface bandwidth
 	ProgramTime   time.Duration // per-page program (0 = cell default)
-	ReadTime      time.Duration // per-page read (0 = cell default)
-	EraseTime     time.Duration // per-block erase (0 = cell default)
 
 	// Block-mapped quirks (MicroSD): a non-append write inside an
 	// allocation unit forces the controller to copy the whole AU.
@@ -200,17 +196,12 @@ func (p Profile) geometry(capacity int64) nand.Geometry {
 	}
 }
 
-// timing returns the chip timing, applying profile overrides.
+// timing returns the cell's default chip timing with the profile's
+// program time.
 func (p Profile) timing() nand.Timing {
 	t := nand.DefaultTiming(p.Cell)
 	if p.ProgramTime > 0 {
 		t.ProgramPage = p.ProgramTime
-	}
-	if p.ReadTime > 0 {
-		t.ReadPage = p.ReadTime
-	}
-	if p.EraseTime > 0 {
-		t.EraseBlock = p.EraseTime
 	}
 	return t
 }

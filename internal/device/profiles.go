@@ -82,7 +82,6 @@ func ProfileEMMC16() Profile {
 			CacheBytes:       512 * MiB,
 			CacheRatedPE:     5000,
 			DrainRatio:       0.021,
-			RouteMaxBytes:    64 << 10,
 			MergeUtilisation: 0.85,
 		},
 		CmdOverhead:   80 * time.Microsecond,

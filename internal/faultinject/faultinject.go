@@ -199,7 +199,8 @@ type Injector struct {
 	idle    bool // plan injects nothing: count the op and get out
 	rng     *rand.Rand
 	now     func() time.Duration
-	cutOps  []int64 // sorted copy of plan.PowerCutOps
+	cutOps  []int64         // sorted copy of plan.PowerCutOps
+	cutAt   []time.Duration // sorted copy of plan.PowerCutAt
 	cutIdx  int
 	timeIdx int
 	down    bool
@@ -220,6 +221,8 @@ func New(plan Plan, now func() time.Duration) *Injector {
 	}
 	j.cutOps = append(j.cutOps, plan.PowerCutOps...)
 	sort.Slice(j.cutOps, func(a, b int) bool { return j.cutOps[a] < j.cutOps[b] })
+	j.cutAt = append(j.cutAt, plan.PowerCutAt...)
+	sort.Slice(j.cutAt, func(a, b int) bool { return j.cutAt[a] < j.cutAt[b] })
 	return j
 }
 
@@ -244,7 +247,7 @@ func (j *Injector) Inject(op nand.Op) nand.Fault {
 	}
 	if j.now != nil {
 		now := j.now()
-		for j.timeIdx < len(j.plan.PowerCutAt) && now >= j.plan.PowerCutAt[j.timeIdx] {
+		for j.timeIdx < len(j.cutAt) && now >= j.cutAt[j.timeIdx] {
 			cut = true
 			j.timeIdx++
 		}

@@ -213,6 +213,34 @@ func TestInjectorPowerCutAtTime(t *testing.T) {
 	}
 }
 
+// TestInjectorUnsortedCutTime: cut-time marks fire in time order whatever
+// order the plan lists them in, so an earlier mark listed last is not
+// held back behind a later one.
+func TestInjectorUnsortedCutTime(t *testing.T) {
+	p, err := ParsePlan("cut-time=240h;24h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Duration(0)
+	j := New(p, func() time.Duration { return now })
+	for _, step := range []struct {
+		at   time.Duration
+		want nand.Fault
+	}{
+		{12 * time.Hour, nand.FaultNone},
+		{25 * time.Hour, nand.FaultPowerCut}, // the 24h mark
+		{100 * time.Hour, nand.FaultNone},
+		{241 * time.Hour, nand.FaultPowerCut}, // the 240h mark
+		{300 * time.Hour, nand.FaultNone},
+	} {
+		now = step.at
+		if f := j.Inject(nand.OpRead); f != step.want {
+			t.Fatalf("at %v: %v, want %v", step.at, f, step.want)
+		}
+		j.PowerRestored()
+	}
+}
+
 func TestInjectorCutNow(t *testing.T) {
 	j := New(Plan{}, nil)
 	j.CutNow()

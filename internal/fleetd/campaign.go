@@ -75,8 +75,7 @@ type Options struct {
 	// install a hostio.FaultFS here.
 	FS hostio.FS
 	// CheckpointRetry paces checkpoint-write retries before a shard
-	// degrades to in-memory carry. The zero value defaults to 3 attempts
-	// at the obs.Backoff default delays.
+	// degrades to in-memory carry. The zero value defaults to 3 attempts.
 	CheckpointRetry obs.Backoff
 }
 
@@ -106,7 +105,7 @@ func NewManagerOpts(opts Options) (*Manager, error) {
 	// The tracer is always on for phase totals (its observer feeds the
 	// fleetd_phase_seconds histograms); span recording is opt-in via
 	// /v1/trace/start or the -trace flag.
-	m.trace = runtrace.New(0, m.metrics.ObservePhase)
+	m.trace = runtrace.New(m.metrics.ObservePhase)
 	if m.dataDir == "" {
 		return m, nil
 	}

@@ -36,8 +36,8 @@ type Client struct {
 	// Timeout bounds each attempt (not the whole retry loop). Zero means
 	// 60s; the streaming Watch is exempt.
 	Timeout time.Duration
-	// Retry paces re-attempts. The zero value means 3 attempts at the
-	// obs.Backoff default delays; set Attempts to 1 to disable retries.
+	// Retry paces re-attempts. The zero value means 3 attempts; set
+	// Attempts to 1 to disable retries.
 	Retry obs.Backoff
 }
 

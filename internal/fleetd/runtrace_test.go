@@ -79,7 +79,7 @@ func TestTracingInvisibleUnderHostFaults(t *testing.T) {
 	spec := tortureSpec()
 	ref := fingerprint(t, runToEnd(t, t.TempDir(), spec))
 
-	m := tortureManager(t, t.TempDir(), "seed=7,class=checkpoint,fault=enospc,on=write,p=0.3|class=journal,fault=torn,on=write,p=0.3")
+	m, _ := tortureManager(t, t.TempDir(), "seed=7,class=checkpoint,fault=enospc,on=write,p=0.3|class=journal,fault=torn,on=write,p=0.3")
 	m.Trace().StartRecording()
 	c, err := m.Submit(spec)
 	if err != nil {

@@ -24,16 +24,19 @@ import (
 func noPause(time.Duration) {}
 
 // tortureManager builds a manager over dir with the given fault plan and
-// a fast retry policy.
-func tortureManager(t *testing.T, dir, plan string) *Manager {
+// a fast retry policy. It also returns the fault-injecting filesystem, nil
+// for an empty plan, so a test can check that its plan fired.
+func tortureManager(t *testing.T, dir, plan string) (*Manager, *hostio.FaultFS) {
 	t.Helper()
 	fsys := hostio.FS(hostio.OS{})
+	var ffs *hostio.FaultFS
 	if plan != "" {
 		p, err := hostio.ParsePlan(plan)
 		if err != nil {
 			t.Fatalf("ParsePlan(%q): %v", plan, err)
 		}
-		fsys = hostio.NewFaultFS(hostio.OS{}, p)
+		ffs = hostio.NewFaultFS(hostio.OS{}, p)
+		fsys = ffs
 	}
 	m, err := NewManagerOpts(Options{
 		DataDir:         dir,
@@ -43,7 +46,7 @@ func tortureManager(t *testing.T, dir, plan string) *Manager {
 	if err != nil {
 		t.Fatalf("NewManagerOpts: %v", err)
 	}
-	return m
+	return m, ffs
 }
 
 // tortureSpec is the shared campaign: 2 shards x 3 epochs = 6 cells, so
@@ -97,7 +100,8 @@ func eventTypes(c *Campaign) map[string]int {
 // TestTortureFaultMatrix is the headline pin: every fault schedule ×
 // kill-9-style interrupt × adopt × resume must converge to results
 // byte-identical to a clean run, with no acknowledged campaign lost and
-// no stray .tmp files left behind.
+// no stray .tmp files left behind. Every row must also inject at least
+// one fault, or it proves nothing.
 func TestTortureFaultMatrix(t *testing.T) {
 	spec := tortureSpec()
 	ref := fingerprint(t, runToEnd(t, t.TempDir(), spec))
@@ -119,7 +123,7 @@ func TestTortureFaultMatrix(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			m1 := tortureManager(t, dir, tc.plan)
+			m1, ffs1 := tortureManager(t, dir, tc.plan)
 			c1, err := m1.Submit(spec)
 			if err != nil {
 				t.Fatalf("Submit under faults: %v", err)
@@ -128,7 +132,7 @@ func TestTortureFaultMatrix(t *testing.T) {
 			// The first process is gone (its in-memory state, including any
 			// degraded-mode carry and parked journal events, with it). A
 			// fresh process adopts the directory — under the same bad disk.
-			m2 := tortureManager(t, dir, tc.plan)
+			m2, ffs2 := tortureManager(t, dir, tc.plan)
 			c2, ok := m2.Get(c1.ID())
 			if !ok {
 				t.Fatalf("acknowledged campaign %s lost across restart", c1.ID())
@@ -143,6 +147,10 @@ func TestTortureFaultMatrix(t *testing.T) {
 				t.Errorf("results under faults differ from clean run\nref:\n%s\ngot:\n%s", ref, got)
 			}
 			assertNoStrayTmp(t, dir)
+			s1, s2 := ffs1.Stats(), ffs2.Stats()
+			if injected := s1.NoSpace + s1.IO + s1.Torn + s2.NoSpace + s2.IO + s2.Torn; injected == 0 {
+				t.Errorf("plan %q injected no fault (%+v, %+v)", tc.plan, s1, s2)
+			}
 		})
 	}
 }
@@ -157,7 +165,7 @@ func TestTorturePersistentENOSPC(t *testing.T) {
 	ref := fingerprint(t, runToEnd(t, t.TempDir(), spec))
 
 	dir := t.TempDir()
-	m := tortureManager(t, dir, "class=checkpoint,fault=enospc,on=create,from=1,until=0")
+	m, _ := tortureManager(t, dir, "class=checkpoint,fault=enospc,on=create,from=1,until=0")
 	c, err := m.Submit(spec)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -185,7 +193,7 @@ func TestTorturePersistentENOSPC(t *testing.T) {
 
 	// The degraded run left durable state behind only up to the outage; a
 	// restart on a healed disk must recompute the gap and converge.
-	m2 := tortureManager(t, dir, "")
+	m2, _ := tortureManager(t, dir, "")
 	c2, ok := m2.Get(c.ID())
 	if !ok {
 		t.Fatal("campaign not adopted after degraded run")
@@ -212,7 +220,7 @@ func TestTortureENOSPCWindowAutoResumes(t *testing.T) {
 	dir := t.TempDir()
 	// Ops 1..4 on checkpoint create fail: epoch 1's cells burn through the
 	// retry budget and degrade; from epoch 2 on the disk is healthy again.
-	m := tortureManager(t, dir, "class=checkpoint,fault=enospc,on=create,from=1,until=5")
+	m, _ := tortureManager(t, dir, "class=checkpoint,fault=enospc,on=create,from=1,until=5")
 	c, err := m.Submit(spec)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -312,7 +320,7 @@ func TestTortureAdoptionSkipsHalfSubmittedDir(t *testing.T) {
 func TestTortureJournalContiguousAcrossFaults(t *testing.T) {
 	spec := tortureSpec()
 	dir := t.TempDir()
-	m := tortureManager(t, dir, "class=journal,fault=enospc,on=write,from=3,until=9")
+	m, _ := tortureManager(t, dir, "class=journal,fault=enospc,on=write,from=3,until=9")
 	c, err := m.Submit(spec)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -346,7 +354,7 @@ func TestTortureFork(t *testing.T) {
 	spec := tortureSpec()
 	dir := t.TempDir()
 	// Epoch 1 degrades; epochs 2-3 persist.
-	m := tortureManager(t, dir, "class=checkpoint,fault=enospc,on=create,from=1,until=5")
+	m, _ := tortureManager(t, dir, "class=checkpoint,fault=enospc,on=create,from=1,until=5")
 	c, err := m.Submit(spec)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -410,7 +418,7 @@ func TestTortureRepeatedInterruptsUnderFaults(t *testing.T) {
 
 	const plan = "seed=1337,class=checkpoint,fault=eio,on=sync,p=0.4|class=journal,fault=enospc,on=write,p=0.25"
 	dir := t.TempDir()
-	m := tortureManager(t, dir, plan)
+	m, _ := tortureManager(t, dir, plan)
 	c, err := m.Submit(spec)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -418,7 +426,7 @@ func TestTortureRepeatedInterruptsUnderFaults(t *testing.T) {
 	id := c.ID()
 	interrupt(c)
 	for round := 0; round < 3; round++ {
-		m = tortureManager(t, dir, plan)
+		m, _ = tortureManager(t, dir, plan)
 		c, ok := m.Get(id)
 		if !ok {
 			t.Fatalf("round %d: campaign lost", round)

@@ -279,20 +279,6 @@ func TestUnalignedIO(t *testing.T) {
 	}
 }
 
-func TestSyncEveryWriteOption(t *testing.T) {
-	v, dev := newVolume(t, 8, fs.Options{SyncEveryWrite: true})
-	f, _ := v.Create("/f")
-	flushesBefore := dev.Flushes()
-	for i := 0; i < 5; i++ {
-		if _, err := f.WriteAt(make([]byte, BlockSize), int64(i)*BlockSize); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if dev.Flushes()-flushesBefore < 5 {
-		t.Fatalf("SyncEveryWrite issued %d barriers, want >= 5", dev.Flushes()-flushesBefore)
-	}
-}
-
 func TestLazytimeAvoidsJournalPerOverwrite(t *testing.T) {
 	v, _ := newVolume(t, 8, fs.Options{})
 	f, _ := v.Create("/f")

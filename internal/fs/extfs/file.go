@@ -251,11 +251,6 @@ func (f *file) WriteAt(p []byte, off int64) (int, error) {
 	}
 	f.in.mtime = f.fs.nowNanos()
 	f.in.softDirty = true
-	if f.fs.opts.SyncEveryWrite {
-		if err := f.Sync(); err != nil {
-			return n, err
-		}
-	}
 	return n, nil
 }
 

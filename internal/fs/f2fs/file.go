@@ -185,16 +185,7 @@ func (f *file) WriteAt(p []byte, off int64) (int, error) {
 	if err := f.alive(); err != nil {
 		return 0, err
 	}
-	n, err := f.fs.writeNodeData(f.n, p, off)
-	if err != nil {
-		return n, err
-	}
-	if f.fs.opts.SyncEveryWrite {
-		if err := f.Sync(); err != nil {
-			return n, err
-		}
-	}
-	return n, nil
+	return f.fs.writeNodeData(f.n, p, off)
 }
 
 // Sync implements fs.File: write the file's dirty node chain with the

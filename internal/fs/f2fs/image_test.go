@@ -311,7 +311,7 @@ func TestSyncRewriteDoesNotAllocate(t *testing.T) {
 	if err := Mkfs(dev); err != nil {
 		t.Fatal(err)
 	}
-	v, err := Mount(dev, fs.Options{SyncEveryWrite: true, DataAccounting: true})
+	v, err := Mount(dev, fs.Options{DataAccounting: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,6 +324,9 @@ func TestSyncRewriteDoesNotAllocate(t *testing.T) {
 	i := int64(0)
 	rewrite := func() {
 		if _, err := f.WriteAt(payload, i%fileBlocks*BlockSize); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil {
 			t.Fatal(err)
 		}
 		i++

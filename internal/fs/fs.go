@@ -85,7 +85,4 @@ type Options struct {
 	// real. The device-scale wear experiments mount with this on so
 	// simulating terabytes of writes does not hold terabytes of RAM.
 	DataAccounting bool
-	// SyncEveryWrite makes every WriteAt behave as if followed by fsync
-	// (O_SYNC), the "synchronous writes" mode §4.4 discusses.
-	SyncEveryWrite bool
 }

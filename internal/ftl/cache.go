@@ -32,9 +32,8 @@ type cachePool struct {
 
 	// gseq / stats point at the owning FTL's sequence counter and Stats
 	// block (dummies when the pool is tested standalone).
-	gseq        *int64
-	stats       *Stats
-	readRetries int
+	gseq  *int64
+	stats *Stats
 
 	// tr/orgs: wear attribution, as in gcPool. orgs mirrors rmap with
 	// each physical page's writing origin; nil when tracing is off.
@@ -136,7 +135,7 @@ func (c *cachePool) read(l loc, cost *Cost) ([]byte, error) {
 	a := nand.PageAddr{Block: l.block(), Page: l.page()}
 	data, _, err := c.chip.ReadPage(a)
 	cost.Reads++
-	for r := 0; r < c.readRetries && errors.Is(err, nand.ErrUncorrectable); r++ {
+	for r := 0; r < readRetries && errors.Is(err, nand.ErrUncorrectable); r++ {
 		c.stats.ReadRetries++
 		data, _, err = c.chip.ReadPage(a)
 		cost.Reads++

@@ -30,54 +30,45 @@ func (p GCPolicy) String() string {
 	}
 }
 
-// WearLeveling configures the two wear-leveling mechanisms (§2.2's primary
-// lifetime-extension direction).
-type WearLeveling struct {
-	// Dynamic allocation picks the least-worn free block for new writes.
-	Dynamic bool
-	// Static periodically relocates cold data out of barely-worn blocks so
-	// they rejoin the hot rotation.
-	Static bool
-	// StaticThreshold triggers static wear-leveling when the spread
-	// between the most- and least-erased blocks exceeds this many cycles.
-	// Defaults to 64.
-	StaticThreshold int
-	// StaticInterval is the number of erases between static-WL checks.
-	// Defaults to 256.
-	StaticInterval int
-}
-
-// DefaultWearLeveling enables both mechanisms with typical parameters.
-func DefaultWearLeveling() WearLeveling {
-	return WearLeveling{Dynamic: true, Static: true, StaticThreshold: 64, StaticInterval: 256}
-}
+// Firmware constants: one value each in every device the stack models.
+const (
+	// gcHighWater is the free-block count per pool a collection restores.
+	gcHighWater = 8
+	// readRetries is how many times the firmware re-reads a page after an
+	// uncorrectable result before giving up — real controllers step
+	// through read-retry voltage tables the same way.
+	readRetries = 2
+	// Static wear-leveling runs every staticWLInterval erases and relocates
+	// the coldest block's data when the spread between the most- and
+	// least-erased blocks exceeds staticWLThreshold cycles.
+	staticWLThreshold = 64
+	staticWLInterval  = 256
+	// routeMaxBytes: only host writes of at most this many bytes are routed
+	// through the cache pool; larger writes stream directly to Type B.
+	routeMaxBytes = 64 << 10
+	// drainWatermark is the cache utilisation above which draining starts.
+	drainWatermark = 0.7
+	// mergeFragmentation is the second merge condition (§4.3: "highly
+	// utilized and fragmented"): the fraction of live main-pool data that
+	// shares a block with dead pages.
+	mergeFragmentation = 0.4
+)
 
 // HybridConfig describes the two-pool layout of hybrid devices.
 type HybridConfig struct {
 	// CacheChip is the Type A chip configuration (small, high-endurance).
 	CacheChip nand.Config
-	// RouteMaxBytes: only host writes of at most this many bytes are
-	// routed through the cache pool; larger writes stream directly to
-	// Type B. Defaults to 64 KiB.
-	RouteMaxBytes int
 	// DrainRatio is the number of cache pages migrated to Type B per host
 	// page written while the cache is under pressure. Under sustained
 	// load, this is the fraction of host traffic the cache absorbs (the
 	// rest bypasses to Type B). Defaults to 0.08, calibrated to Table 1's
 	// ~6x Type A / Type B wear ratio before merging.
 	DrainRatio float64
-	// DrainWatermark is the cache utilisation above which draining starts.
-	// Defaults to 0.7.
-	DrainWatermark float64
 	// MergeUtilisation: when the exported logical space is this utilised,
 	// the firmware merges the pools — Type A stops bypassing and absorbs
 	// all routed writes as ordinary storage (§4.3's inference). Defaults
 	// to 0.85. Set above 1 to disable merging (ablation).
 	MergeUtilisation float64
-	// MergeFragmentation is the second merge condition (§4.3: "highly
-	// utilized and fragmented"): the fraction of full main-pool blocks
-	// holding at least one dead page. Defaults to 0.4.
-	MergeFragmentation float64
 }
 
 // Config assembles an FTL instance.
@@ -92,73 +83,32 @@ type Config struct {
 	OverProvision float64
 	// GC selects the victim policy.
 	GC GCPolicy
-	// GCLowWater / GCHighWater are free-block thresholds per pool:
-	// allocation triggers collection below low water and collects until
-	// high water. Default 4 and 8.
-	GCLowWater  int
-	GCHighWater int
-	// Wear configures wear-leveling. Defaults to DefaultWearLeveling.
-	Wear *WearLeveling
+	// NoWearLeveling turns off both wear-leveling mechanisms (§2.2's
+	// primary lifetime-extension direction): dynamic allocation of the
+	// least-worn free block, and static relocation of cold data out of
+	// barely-worn blocks.
+	NoWearLeveling bool
 	// FirmwareRatedPE, when > 0, overrides the per-chip rated endurance
 	// used as the *denominator of the life-time estimate* (vendors apply
 	// margins; the cells and the indicator need not agree). Zero means
 	// use each chip's rated P/E.
 	FirmwareRatedPE int
-	// ReadRetries is how many times the firmware re-reads a page after an
-	// uncorrectable result before giving up — real controllers step
-	// through read-retry voltage tables the same way. 0 means the default
-	// (2); -1 disables retries.
-	ReadRetries int
 	// BrickAtEOL restores the legacy behaviour the paper describes for the
 	// BLU phones: when space is exhausted the device hard-bricks
 	// (ErrBricked) instead of degrading to JEDEC-style read-only mode.
 	BrickAtEOL bool
-	// EOLSpareBlocks, when > 0, retires the device into read-only mode
-	// proactively once the main pool's spare blocks (good blocks beyond
-	// those needed for the exported capacity) drop below this count,
-	// instead of waiting for allocation to fail outright. Zero disables
-	// the proactive check (small simulated chips have very few spares).
-	EOLSpareBlocks int
 }
 
 func (c *Config) setDefaults() {
 	if c.OverProvision == 0 {
 		c.OverProvision = 0.07
 	}
-	if c.GCLowWater == 0 {
-		c.GCLowWater = 4
-	}
-	if c.GCHighWater == 0 {
-		c.GCHighWater = 8
-	}
-	if c.Wear == nil {
-		w := DefaultWearLeveling()
-		c.Wear = &w
-	}
-	if c.ReadRetries == 0 {
-		c.ReadRetries = 2
-	}
-	if c.Wear.StaticThreshold == 0 {
-		c.Wear.StaticThreshold = 64
-	}
-	if c.Wear.StaticInterval == 0 {
-		c.Wear.StaticInterval = 256
-	}
 	if c.Hybrid != nil {
-		if c.Hybrid.RouteMaxBytes == 0 {
-			c.Hybrid.RouteMaxBytes = 64 << 10
-		}
 		if c.Hybrid.DrainRatio == 0 {
 			c.Hybrid.DrainRatio = 0.08
 		}
-		if c.Hybrid.DrainWatermark == 0 {
-			c.Hybrid.DrainWatermark = 0.7
-		}
 		if c.Hybrid.MergeUtilisation == 0 {
 			c.Hybrid.MergeUtilisation = 0.85
-		}
-		if c.Hybrid.MergeFragmentation == 0 {
-			c.Hybrid.MergeFragmentation = 0.4
 		}
 	}
 }
@@ -167,30 +117,16 @@ func (c *Config) validate() error {
 	switch {
 	case c.OverProvision < 0 || c.OverProvision >= 0.5:
 		return fmt.Errorf("ftl: OverProvision = %g, want [0, 0.5)", c.OverProvision)
-	case c.GCLowWater < 2:
-		return fmt.Errorf("ftl: GCLowWater = %d, want >= 2", c.GCLowWater)
-	case c.GCHighWater <= c.GCLowWater:
-		return fmt.Errorf("ftl: GCHighWater = %d, want > GCLowWater (%d)", c.GCHighWater, c.GCLowWater)
 	case c.GC != GCGreedy && c.GC != GCCostBenefit:
 		return fmt.Errorf("ftl: unknown GC policy %d", c.GC)
-	case c.ReadRetries < -1:
-		return fmt.Errorf("ftl: ReadRetries = %d, want >= -1", c.ReadRetries)
-	case c.EOLSpareBlocks < 0:
-		return fmt.Errorf("ftl: EOLSpareBlocks = %d, want >= 0", c.EOLSpareBlocks)
 	}
 	if c.Hybrid != nil {
 		h := c.Hybrid
 		switch {
-		case h.RouteMaxBytes < 0:
-			return fmt.Errorf("ftl: hybrid RouteMaxBytes = %d, want >= 0", h.RouteMaxBytes)
 		case h.DrainRatio <= 0 || h.DrainRatio > 1:
 			return fmt.Errorf("ftl: hybrid DrainRatio = %g, want (0, 1]", h.DrainRatio)
-		case h.DrainWatermark <= 0 || h.DrainWatermark >= 1:
-			return fmt.Errorf("ftl: hybrid DrainWatermark = %g, want (0, 1)", h.DrainWatermark)
 		case h.MergeUtilisation <= 0:
 			return fmt.Errorf("ftl: hybrid MergeUtilisation = %g, want > 0", h.MergeUtilisation)
-		case h.MergeFragmentation < 0 || h.MergeFragmentation > 1:
-			return fmt.Errorf("ftl: hybrid MergeFragmentation = %g, want [0,1]", h.MergeFragmentation)
 		}
 	}
 	return nil

@@ -70,7 +70,6 @@ type FTL struct {
 
 	pageSize     int
 	logicalPages int
-	userBlocks   int
 
 	l2p          []loc
 	validLogical int64
@@ -114,7 +113,6 @@ func New(cfg Config) (*FTL, error) {
 	if userBlocks < 1 {
 		return nil, fmt.Errorf("ftl: geometry too small: %d user blocks", userBlocks)
 	}
-	f.userBlocks = userBlocks
 	f.logicalPages = userBlocks * mainChip.Geometry().PagesPerBlock
 	f.l2p = make([]loc, f.logicalPages)
 	for i := range f.l2p {
@@ -123,7 +121,6 @@ func New(cfg Config) (*FTL, error) {
 	f.main = newGCPool(PoolB, mainChip, &cfg, f.remap)
 	f.main.gseq = &f.gseq
 	f.main.stats = &f.stats
-	f.main.readRetries = retries(cfg.ReadRetries)
 
 	if cfg.Hybrid != nil {
 		cacheChip, err := nand.New(cfg.Hybrid.CacheChip)
@@ -138,7 +135,6 @@ func New(cfg Config) (*FTL, error) {
 		f.cache = newCachePool(cacheChip)
 		f.cache.gseq = &f.gseq
 		f.cache.stats = &f.stats
-		f.cache.readRetries = retries(cfg.ReadRetries)
 	}
 	return f, nil
 }
@@ -177,14 +173,6 @@ func (f *FTL) origin() wtrace.Origin {
 		return wtrace.OriginOS
 	}
 	return f.tr.Current()
-}
-
-// retries maps the Config.ReadRetries encoding (-1 = off) to a count.
-func retries(cfg int) int {
-	if cfg < 0 {
-		return 0
-	}
-	return cfg
 }
 
 // remap records a relocation decided inside a pool (GC, wear-leveling).
@@ -245,12 +233,6 @@ func (f *FTL) enterEOL(cause error) error {
 func (f *FTL) notePowerLoss(cause error) error {
 	f.powerLost = true
 	return fmt.Errorf("%w: %w", ErrPowerLoss, cause)
-}
-
-// spareLow reports whether the proactive EOL threshold has been crossed.
-func (f *FTL) spareLow() bool {
-	n := f.cfg.EOLSpareBlocks
-	return n > 0 && f.main.goodBlocks()-f.userBlocks < n
 }
 
 // Merged reports whether the hybrid pools are operating as one (§4.3).
@@ -400,7 +382,7 @@ func (f *FTL) WritePage(lp int, data []byte, reqBytes int) (Cost, error) {
 
 	var newLoc loc
 	var err error
-	if f.cache != nil && f.cache.alive() && reqBytes <= f.cfg.Hybrid.RouteMaxBytes {
+	if f.cache != nil && f.cache.alive() && reqBytes <= routeMaxBytes {
 		newLoc, err = f.writeViaCache(lp, data, &cost, org)
 	} else {
 		newLoc, err = f.main.program(int32(lp), data, &cost, false, streamHost, org, wtrace.CauseHost)
@@ -424,11 +406,6 @@ func (f *FTL) WritePage(lp int, data []byte, reqBytes int) (Cost, error) {
 	}
 	f.l2p[lp] = newLoc
 	f.main.maybeStaticWL(&cost)
-	if f.spareLow() {
-		// Proactive retirement: the write that consumed the spare margin
-		// still succeeded; the *next* one sees ErrReadOnly.
-		f.readOnly = true
-	}
 	return cost, nil
 }
 
@@ -470,7 +447,7 @@ func (f *FTL) writeViaCache(lp int, data []byte, cost *Cost, org wtrace.Origin) 
 	h := f.cfg.Hybrid
 	wasMerged := f.merged
 	f.merged = f.Utilisation() >= h.MergeUtilisation &&
-		f.Fragmentation() >= h.MergeFragmentation
+		f.Fragmentation() >= mergeFragmentation
 	if f.merged && !wasMerged {
 		f.stats.MergeEvents++
 	}
@@ -504,7 +481,7 @@ func (f *FTL) writeViaCache(lp int, data []byte, cost *Cost, org wtrace.Origin) 
 	// Unmerged: background drain proceeds at the migration budget; the
 	// cache absorbs the write only if it has room, else the write
 	// bypasses straight to the main pool.
-	if f.cache.utilisation() > h.DrainWatermark {
+	if f.cache.utilisation() > drainWatermark {
 		f.drainDebt += h.DrainRatio
 		for f.drainDebt >= 1 && f.cache.content() {
 			f.drainDebt--

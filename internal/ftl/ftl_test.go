@@ -46,8 +46,6 @@ func page(b byte, size int) []byte {
 func TestConfigValidation(t *testing.T) {
 	cases := []func(*Config){
 		func(c *Config) { c.OverProvision = 0.9 },
-		func(c *Config) { c.GCLowWater = 1 },
-		func(c *Config) { c.GCHighWater = 2; c.GCLowWater = 4 },
 		func(c *Config) { c.GC = GCPolicy(9) },
 	}
 	for i, mutate := range cases {
@@ -63,9 +61,7 @@ func TestConfigValidation(t *testing.T) {
 func TestHybridConfigValidation(t *testing.T) {
 	bad := []HybridConfig{
 		{DrainRatio: -1},
-		{DrainRatio: 0.1, DrainWatermark: 2},
-		{DrainRatio: 0.1, DrainWatermark: 0.5, MergeUtilisation: -1},
-		{DrainRatio: 0.1, RouteMaxBytes: -1},
+		{DrainRatio: 0.1, MergeUtilisation: -1},
 	}
 	for i := range bad {
 		cfg := Config{MainChip: testChipCfg(1000), Hybrid: &bad[i]}
@@ -230,8 +226,8 @@ func TestWAIncreasesWithUtilisation(t *testing.T) {
 // TestWearLevelingSpreadsErases compares the erase-count spread with and
 // without wear-leveling under a hot-spot workload.
 func TestWearLevelingSpreadsErases(t *testing.T) {
-	spread := func(wl WearLeveling) float64 {
-		f := newTestFTL(t, func(c *Config) { c.Wear = &wl })
+	spread := func(noWL bool) float64 {
+		f := newTestFTL(t, func(c *Config) { c.NoWearLeveling = noWL })
 		// Static cold data fills most of the space...
 		n := f.LogicalPages()
 		for lp := 0; lp < n*3/4; lp++ {
@@ -259,8 +255,7 @@ func TestWearLevelingSpreadsErases(t *testing.T) {
 		}
 		return float64(max - min)
 	}
-	with := spread(WearLeveling{Dynamic: true, Static: true, StaticThreshold: 8, StaticInterval: 32})
-	without := spread(WearLeveling{Dynamic: false, Static: false, StaticThreshold: 1 << 30, StaticInterval: 1 << 30})
+	with, without := spread(false), spread(true)
 	if with >= without {
 		t.Fatalf("erase spread with WL (%v) should be below without (%v)", with, without)
 	}

@@ -39,7 +39,7 @@ func TestGCRelocationAllocatesNothing(t *testing.T) {
 // those recycle only their own buffers.
 func TestLentPayloadSurvivesOtherBlocks(t *testing.T) {
 	f := hybridFTL(t, 0.2, 10)
-	f.main.wl.Static = false // static WL would move the cold block itself
+	f.main.noWL = true // static WL would move the cold block itself
 	ppb := f.main.ppb
 	// One main-pool block of cold pages, written past the cache and never
 	// rewritten: with no garbage it is never a GC victim.

@@ -49,10 +49,8 @@ type gcPool struct {
 	seq      int64
 
 	policy        GCPolicy
-	wl            WearLeveling
-	lowWater      int
-	highWater     int
-	reserve       int // free blocks GC relocation may dip into
+	noWL          bool // wear-leveling off: no dynamic allocation, no static relocation
+	reserve       int  // free blocks GC relocation may dip into
 	erasesSinceWL int
 	collecting    bool // re-entrancy guard: GC must not recurse into GC
 	relocating    int  // block currently being relocated, -1 if none
@@ -68,8 +66,6 @@ type gcPool struct {
 	// Stats block (both owned by the FTL, dummies when tested standalone).
 	gseq  *int64
 	stats *Stats
-	// readRetries is how many re-reads follow an uncorrectable result.
-	readRetries int
 	// lostPower is set when an internal operation (GC read/erase) saw
 	// power drop, for paths that cannot propagate an error.
 	lostPower bool
@@ -97,9 +93,7 @@ func newGCPool(id PoolID, chip *nand.Chip, cfg *Config, remap func(int32, loc)) 
 		free:       make([]int, 0, nb),
 		openBlk:    [3]int{-1, -1, -1},
 		policy:     cfg.GC,
-		wl:         *cfg.Wear,
-		lowWater:   cfg.GCLowWater,
-		highWater:  cfg.GCHighWater,
+		noWL:       cfg.NoWearLeveling,
 		reserve:    2,
 		relocating: -1,
 		remap:      remap,
@@ -113,16 +107,6 @@ func newGCPool(id PoolID, chip *nand.Chip, cfg *Config, remap func(int32, loc)) 
 		p.free = append(p.free, b)
 	}
 	return p
-}
-
-func (p *gcPool) goodBlocks() int {
-	n := 0
-	for _, s := range p.state {
-		if s != sBad {
-			n++
-		}
-	}
-	return n
 }
 
 func (p *gcPool) freeCount() int { return len(p.free) }
@@ -143,7 +127,7 @@ func (p *gcPool) takeFree() int {
 		return -1
 	}
 	pick := len(p.free) - 1
-	if p.wl.Dynamic {
+	if !p.noWL {
 		for i, b := range p.free {
 			if p.chip.EraseCount(b) < p.chip.EraseCount(p.free[pick]) {
 				pick = i
@@ -307,7 +291,7 @@ func (p *gcPool) read(l loc, cost *Cost) ([]byte, error) {
 	a := nand.PageAddr{Block: l.block(), Page: l.page()}
 	data, _, err := p.chip.ReadPage(a)
 	cost.Reads++
-	for r := 0; r < p.readRetries && errors.Is(err, nand.ErrUncorrectable); r++ {
+	for r := 0; r < readRetries && errors.Is(err, nand.ErrUncorrectable); r++ {
 		p.stats.ReadRetries++
 		data, _, err = p.chip.ReadPage(a)
 		cost.Reads++
@@ -325,7 +309,7 @@ func (p *gcPool) collect(cost *Cost) error {
 	p.collecting = true
 	p.collects++
 	defer func() { p.collecting = false }()
-	for len(p.free) < p.highWater {
+	for len(p.free) < gcHighWater {
 		v := p.victim()
 		if v < 0 {
 			if len(p.free) == 0 {
@@ -506,7 +490,7 @@ func (p *gcPool) eraseToFree(b int, cost *Cost) {
 // so the block rejoins the rotation. The FTL calls this from the host write
 // path only, never from GC, so it cannot re-enter relocation.
 func (p *gcPool) maybeStaticWL(cost *Cost) {
-	if !p.wl.Static || p.erasesSinceWL < p.wl.StaticInterval {
+	if p.noWL || p.erasesSinceWL < staticWLInterval {
 		return
 	}
 	p.erasesSinceWL = 0
@@ -527,7 +511,7 @@ func (p *gcPool) maybeStaticWL(cost *Cost) {
 	if cold < 0 || hot < 0 {
 		return
 	}
-	if p.chip.EraseCount(hot)-p.chip.EraseCount(cold) <= p.wl.StaticThreshold {
+	if p.chip.EraseCount(hot)-p.chip.EraseCount(cold) <= staticWLThreshold {
 		return
 	}
 	p.relocateTo(cold, cost, streamWL)

@@ -79,9 +79,6 @@ func (f *FTL) Recover() (Cost, error) {
 
 	f.powerLost = false
 	f.stats.Recoveries++
-	if f.spareLow() {
-		f.readOnly = true
-	}
 	return cost, nil
 }
 

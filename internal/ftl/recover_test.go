@@ -440,29 +440,6 @@ func TestBrickAtEOL(t *testing.T) {
 	}
 }
 
-// TestEOLSpareBlocksProactive pins the proactive retirement knob: with the
-// threshold set above the chip's real spare margin, the very first write
-// consumes the margin and the second is refused read-only — before any
-// allocation ever fails outright.
-func TestEOLSpareBlocksProactive(t *testing.T) {
-	f := newTestFTL(t, func(c *Config) { c.EOLSpareBlocks = 64 })
-	if _, err := f.WritePage(0, page(1, 4096), 4096); err != nil {
-		t.Fatalf("the write that trips the threshold must itself succeed: %v", err)
-	}
-	if !f.ReadOnly() {
-		t.Fatal("spare margin below threshold but device not read-only")
-	}
-	if _, err := f.WritePage(1, page(2, 4096), 4096); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("write after proactive retirement: %v, want ErrReadOnly", err)
-	}
-	if data, _, err := f.ReadPage(0); err != nil || data == nil || data[0] != 1 {
-		t.Fatalf("proactively retired device lost data: %v (%v)", data, err)
-	}
-	if got := f.PreEOLInfo(); got != 3 {
-		t.Fatalf("PreEOLInfo = %d, want 3", got)
-	}
-}
-
 // BenchmarkWritePathFaultOverhead measures the cost of the fault hook on
 // the FTL write path: baseline (no injector) versus an attached injector
 // with an empty plan. The acceptance bar is <2% — the hook is a nil check

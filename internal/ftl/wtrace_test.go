@@ -134,9 +134,7 @@ func TestWearIdentityHybrid(t *testing.T) {
 // that WL relocations are attributed (to the cold data's owner) while the
 // identity still holds.
 func TestWearIdentityWearLeveling(t *testing.T) {
-	f, tr, orgs := tracedFTL(t, func(c *Config) {
-		c.Wear = &WearLeveling{Dynamic: true, Static: true, StaticThreshold: 4, StaticInterval: 8}
-	})
+	f, tr, orgs := tracedFTL(t, nil)
 	n := f.LogicalPages()
 	// Cold origin writes the bottom half once and never touches it again.
 	tr.SetOrigin(orgs[1])
@@ -149,7 +147,7 @@ func TestWearIdentityWearLeveling(t *testing.T) {
 	// erase-count spread past the threshold.
 	tr.SetOrigin(orgs[0])
 	rng := rand.New(rand.NewSource(23))
-	for i := 0; i < 12*n; i++ {
+	for i := 0; i < 60*n; i++ {
 		lp := n/2 + rng.Intn(n/8)
 		if _, err := f.WritePage(lp, nil, 4096); err != nil {
 			t.Fatalf("write %d: %v", i, err)

@@ -71,10 +71,6 @@ type Config struct {
 	// Now supplies simulated time for retention and healing effects.
 	// A nil Now disables time-dependent effects.
 	Now func() time.Duration
-	// StressSpread is the half-width of the uniform per-block endurance
-	// variation: each block's wear accrues stress in [1-s, 1+s].
-	// Defaults to 0.08 (±8%), per observed die-to-die variation.
-	StressSpread float64
 	// CorrectableBits is the ECC capability (max correctable bit errors
 	// per 1 KiB codeword) the chip's reads are judged against. It lives
 	// here rather than in the FTL so ReadPage can report uncorrectable
@@ -87,7 +83,10 @@ type Config struct {
 }
 
 const (
-	defaultStressSpread    = 0.08
+	// stressSpread is the half-width of the uniform per-block endurance
+	// variation: each block's wear accrues stress in [1-s, 1+s] (±8%, per
+	// observed die-to-die variation).
+	stressSpread           = 0.08
 	defaultCorrectableBits = 8
 	codewordBytes          = 1024
 )
@@ -192,13 +191,6 @@ func New(cfg Config) (*Chip, error) {
 	if err := tm.Validate(); err != nil {
 		return nil, err
 	}
-	spread := cfg.StressSpread
-	if spread == 0 {
-		spread = defaultStressSpread
-	}
-	if spread < 0 || spread >= 1 {
-		return nil, fmt.Errorf("nand: StressSpread = %g, want [0,1)", spread)
-	}
 	tcorr := cfg.CorrectableBits
 	if tcorr == 0 {
 		tcorr = defaultCorrectableBits
@@ -226,7 +218,7 @@ func New(cfg Config) (*Chip, error) {
 	}
 	for i := range c.blocks {
 		b := &c.blocks[i]
-		b.stress = 1 - spread + 2*spread*c.rng.Float64()
+		b.stress = 1 - stressSpread + 2*stressSpread*c.rng.Float64()
 		b.pages = pages[i*ppb : (i+1)*ppb]
 		b.meta = meta[i*ppb : (i+1)*ppb]
 	}

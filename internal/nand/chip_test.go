@@ -69,9 +69,6 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{Geometry: testGeometry(), Cell: MLC, RatedPE: -5}); err == nil {
 		t.Error("negative RatedPE accepted")
 	}
-	if _, err := New(Config{Geometry: testGeometry(), Cell: MLC, StressSpread: 1.5}); err == nil {
-		t.Error("StressSpread >= 1 accepted")
-	}
 	bad := ErrorModel{BaseRBER: 2}
 	if _, err := New(Config{Geometry: testGeometry(), Cell: MLC, Errors: &bad}); err == nil {
 		t.Error("invalid error model accepted")
@@ -303,7 +300,7 @@ func TestBadBlockRejectsOps(t *testing.T) {
 }
 
 func TestWearGrowsWithErases(t *testing.T) {
-	c := newTestChip(t, func(cfg *Config) { cfg.RatedPE = 100; cfg.StressSpread = 0.0001 })
+	c := newTestChip(t, func(cfg *Config) { cfg.RatedPE = 100 })
 	for i := 0; i < 50; i++ {
 		if _, err := c.EraseBlock(0); err != nil {
 			t.Fatalf("erase %d: %v", i, err)
@@ -388,7 +385,6 @@ func TestHealingReducesWear(t *testing.T) {
 		cfg.RatedPE = 100
 		cfg.Errors = &em
 		cfg.Now = func() time.Duration { return now }
-		cfg.StressSpread = 0.0001
 	})
 	for i := 0; i < 40; i++ {
 		if _, err := c.EraseBlock(0); err != nil {

@@ -88,7 +88,7 @@ func TestQuickChipInvariants(t *testing.T) {
 // Property: ShouldRetire is monotone in wear: once a block qualifies for
 // retirement, more erases cannot un-qualify it.
 func TestQuickRetirementMonotone(t *testing.T) {
-	c, err := New(Config{Geometry: testGeometry(), Cell: MLC, RatedPE: 50, Seed: 3, StressSpread: 0.0001})
+	c, err := New(Config{Geometry: testGeometry(), Cell: MLC, RatedPE: 50, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

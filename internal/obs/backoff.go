@@ -19,34 +19,26 @@ type Backoff struct {
 	// Attempts is the total number of tries, including the first
 	// (<= 1 means no retries).
 	Attempts int
-	// Base is the delay before the first retry; it doubles per retry up
-	// to Max. Zero defaults to 50ms (Max: 2s).
-	Base time.Duration
-	Max  time.Duration
 	// Sleep replaces time.Sleep, for tests and for callers that need to
 	// observe cancellation mid-wait. Nil means time.Sleep.
 	Sleep func(time.Duration)
 }
 
+// The delay before the first retry doubles per retry up to the cap.
+const (
+	backoffBase = 50 * time.Millisecond
+	backoffMax  = 2 * time.Second
+)
+
 // Delay returns the pre-jitter delay after failed attempt n (1-based):
-// Base<<(n-1), capped at Max.
+// backoffBase<<(n-1), capped at backoffMax.
 func (b Backoff) Delay(n int) time.Duration {
-	base, max := b.Base, b.Max
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	if max <= 0 {
-		max = 2 * time.Second
-	}
-	d := base
+	d := backoffBase
 	for i := 1; i < n; i++ {
 		d *= 2
-		if d >= max {
-			return max
+		if d >= backoffMax {
+			return backoffMax
 		}
-	}
-	if d > max {
-		return max
 	}
 	return d
 }

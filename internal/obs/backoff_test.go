@@ -7,22 +7,20 @@ import (
 )
 
 func TestBackoffDelayDoublesAndCaps(t *testing.T) {
-	b := Backoff{Base: 10 * time.Millisecond, Max: 45 * time.Millisecond}
 	want := []time.Duration{
-		10 * time.Millisecond, // after attempt 1
-		20 * time.Millisecond,
-		40 * time.Millisecond,
-		45 * time.Millisecond, // capped
-		45 * time.Millisecond,
+		50 * time.Millisecond, // after attempt 1
+		100 * time.Millisecond,
+		200 * time.Millisecond,
+		400 * time.Millisecond,
+		800 * time.Millisecond,
+		1600 * time.Millisecond,
+		2 * time.Second, // capped
+		2 * time.Second,
 	}
 	for i, w := range want {
-		if got := b.Delay(i + 1); got != w {
+		if got := (Backoff{}).Delay(i + 1); got != w {
 			t.Errorf("Delay(%d) = %v, want %v", i+1, got, w)
 		}
-	}
-	// Zero value gets usable defaults.
-	if d := (Backoff{}).Delay(1); d <= 0 {
-		t.Errorf("zero-value Delay(1) = %v", d)
 	}
 }
 
@@ -30,8 +28,6 @@ func TestBackoffRetrySucceedsAfterFailures(t *testing.T) {
 	var sleeps []time.Duration
 	b := Backoff{
 		Attempts: 5,
-		Base:     8 * time.Millisecond,
-		Max:      time.Second,
 		Sleep:    func(d time.Duration) { sleeps = append(sleeps, d) },
 	}
 	calls := 0

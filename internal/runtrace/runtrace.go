@@ -113,15 +113,14 @@ type Span struct {
 	Dur    time.Duration
 }
 
-// DefaultMaxSpans bounds the recording buffer (~48 B/span ≈ 12 MiB).
-const DefaultMaxSpans = 1 << 18
+// maxSpans bounds the recording buffer (~48 B/span ≈ 12 MiB).
+const maxSpans = 1 << 18
 
 // Tracer collects spans. The zero value is not usable; use New. A nil
 // *Tracer is valid and inert: Begin/End on it are no-ops, so call sites
 // never need to guard.
 type Tracer struct {
 	observe Observer // immutable after New
-	max     int
 
 	mu      sync.Mutex
 	rec     bool
@@ -131,13 +130,9 @@ type Tracer struct {
 	totals  [NumPhases]PhaseTotal
 }
 
-// New creates a tracer. maxSpans <= 0 means DefaultMaxSpans; observe
-// may be nil.
-func New(maxSpans int, observe Observer) *Tracer {
-	if maxSpans <= 0 {
-		maxSpans = DefaultMaxSpans
-	}
-	return &Tracer{observe: observe, max: maxSpans, base: time.Now()}
+// New creates a tracer; observe may be nil.
+func New(observe Observer) *Tracer {
+	return &Tracer{observe: observe, base: time.Now()}
 }
 
 // Active is an open span. Its fields are unexported on purpose: the
@@ -182,7 +177,7 @@ func (a Active) End() {
 	t.totals[a.phase].Count++
 	t.totals[a.phase].Nanos += dur.Nanoseconds()
 	if t.rec {
-		if len(t.spans) < t.max {
+		if len(t.spans) < maxSpans {
 			start := a.start.Sub(t.base)
 			if start < 0 {
 				start = 0

@@ -22,7 +22,7 @@ func TestNilTracerIsInert(t *testing.T) {
 func TestTotalsAndObserverAlwaysOn(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[Phase]int{}
-	tr := New(16, func(p Phase, s float64) {
+	tr := New(func(p Phase, s float64) {
 		mu.Lock()
 		seen[p]++
 		mu.Unlock()
@@ -48,17 +48,17 @@ func TestTotalsAndObserverAlwaysOn(t *testing.T) {
 }
 
 func TestRecordingWindowAndCap(t *testing.T) {
-	tr := New(4, nil)
+	tr := New(nil)
 	tr.StartRecording()
 	if !tr.Recording() {
 		t.Fatal("Recording() = false after StartRecording")
 	}
-	for i := 0; i < 6; i++ {
+	for i := 0; i < maxSpans+2; i++ {
 		tr.Begin(PhaseSimulate, 1, 2, i).End()
 	}
 	tr.StopRecording()
-	if got := tr.SpanCount(); got != 4 {
-		t.Fatalf("SpanCount = %d, want cap 4", got)
+	if got := tr.SpanCount(); got != maxSpans {
+		t.Fatalf("SpanCount = %d, want cap %d", got, maxSpans)
 	}
 	if got := tr.Dropped(); got != 2 {
 		t.Fatalf("Dropped = %d, want 2", got)
@@ -69,8 +69,8 @@ func TestRecordingWindowAndCap(t *testing.T) {
 		t.Fatalf("StartRecording did not reset: %d spans, %d dropped", tr.SpanCount(), tr.Dropped())
 	}
 	// Spans still count toward totals even when the buffer overflowed.
-	if tot := tr.Totals(); tot[PhaseSimulate].Count != 6 {
-		t.Fatalf("simulate total count = %d, want 6", tot[PhaseSimulate].Count)
+	if tot := tr.Totals(); tot[PhaseSimulate].Count != maxSpans+2 {
+		t.Fatalf("simulate total count = %d, want %d", tot[PhaseSimulate].Count, maxSpans+2)
 	}
 }
 
@@ -93,7 +93,7 @@ type chromeDoc struct {
 }
 
 func TestWriteChromeIsValidJSON(t *testing.T) {
-	tr := New(0, nil)
+	tr := New(nil)
 	tr.StartRecording()
 	sp := tr.Begin(PhaseSimulate, 0, 3, 11)
 	time.Sleep(2 * time.Millisecond)
@@ -153,7 +153,7 @@ func TestWriteChromeIsValidJSON(t *testing.T) {
 }
 
 func TestConcurrentSpans(t *testing.T) {
-	tr := New(1024, func(Phase, float64) {})
+	tr := New(func(Phase, float64) {})
 	tr.StartRecording()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -243,7 +243,7 @@ func TestPhaseStrings(t *testing.T) {
 // shards with two phases each, one campaign-level span and a dropped
 // count — so the encoder can move without the trace format moving with it.
 func TestWriteChromeGolden(t *testing.T) {
-	tr := New(0, nil)
+	tr := New(nil)
 	us := time.Microsecond
 	tr.spans = []Span{
 		{Phase: PhaseSimulate, Shard: 0, Epoch: 1, Device: 7, Start: 10 * us, Dur: 200 * us},

@@ -217,33 +217,16 @@ type ReplayStats struct {
 	Elapsed      time.Duration
 }
 
-// ReplayOptions tune a replay.
-type ReplayOptions struct {
-	// PreserveTiming advances the clock to each event's original
-	// timestamp (offset to the replay's start) before issuing it, so
-	// idle gaps are preserved. Without it, requests run back to back at
-	// the target device's own speed.
-	PreserveTiming bool
-	// StopOnError aborts at the first failing request; otherwise errors
-	// are counted and the replay continues (a dying target device is an
-	// expected outcome in wear studies).
-	StopOnError bool
-}
-
-// Replay issues a trace against a device. Offsets beyond the target's size
-// wrap around, so traces recorded on larger devices remain usable.
-func Replay(dev blockdev.Device, clock *simclock.Clock, events []Event, opts ReplayOptions) (ReplayStats, error) {
+// Replay issues a trace against a device, request after request at the
+// target device's own speed. Offsets beyond the target's size wrap around,
+// so traces recorded on larger devices remain usable. A failing request is
+// counted in ReplayStats.Errors and the replay continues: a dying target
+// device is an expected outcome in wear studies.
+func Replay(dev blockdev.Device, clock *simclock.Clock, events []Event) ReplayStats {
 	var st ReplayStats
-	if len(events) == 0 {
-		return st, nil
-	}
 	start := clock.Now()
-	base := events[0].At
 	buf := make([]byte, 0)
 	for _, e := range events {
-		if opts.PreserveTiming {
-			clock.AdvanceTo(start + (e.At - base))
-		}
 		off, length := e.Off, e.Len
 		if dev.Size() > 0 && off+length > dev.Size() {
 			off = off % dev.Size()
@@ -275,12 +258,8 @@ func Replay(dev blockdev.Device, clock *simclock.Clock, events []Event, opts Rep
 		st.Events++
 		if err != nil {
 			st.Errors++
-			if opts.StopOnError {
-				st.Elapsed = clock.Now() - start
-				return st, err
-			}
 		}
 	}
 	st.Elapsed = clock.Now() - start
-	return st, nil
+	return st
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-	"time"
 
 	"flashwear/internal/blockdev"
 	"flashwear/internal/device"
@@ -164,10 +163,7 @@ func TestReplayAcrossDevices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Replay(target, clock, events, ReplayOptions{StopOnError: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := Replay(target, clock, events)
 	if st.Events != len(events) || st.Errors != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -182,34 +178,6 @@ func TestReplayAcrossDevices(t *testing.T) {
 	}
 }
 
-func TestReplayPreservesTiming(t *testing.T) {
-	// A trace with a long idle gap: timed replay keeps the gap, untimed
-	// collapses it.
-	events := []Event{
-		{At: 0, Op: OpWrite, Off: 0, Len: 4096},
-		{At: time.Hour, Op: OpWrite, Off: 4096, Len: 4096},
-	}
-	run := func(preserve bool) time.Duration {
-		clock := simclock.New()
-		dev, err := device.New(device.ProfileEMMC8().Scaled(512), clock)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := Replay(dev, clock, events, ReplayOptions{PreserveTiming: preserve})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st.Elapsed
-	}
-	timed, untimed := run(true), run(false)
-	if timed < time.Hour {
-		t.Fatalf("timed replay took %v, want >= 1h", timed)
-	}
-	if untimed > time.Minute {
-		t.Fatalf("untimed replay took %v, want ~instant", untimed)
-	}
-}
-
 func TestReplayWrapsOversizedOffsets(t *testing.T) {
 	events := []Event{{Op: OpWrite, Off: 1 << 40, Len: 4096}}
 	clock := simclock.New()
@@ -217,12 +185,8 @@ func TestReplayWrapsOversizedOffsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Replay(dev, clock, events, ReplayOptions{StopOnError: true})
-	if err != nil {
-		t.Fatalf("oversized offset not wrapped: %v", err)
-	}
-	if st.Errors != 0 {
-		t.Fatal("errors counted")
+	if st := Replay(dev, clock, events); st.Errors != 0 {
+		t.Fatalf("oversized offset not wrapped: %d errors", st.Errors)
 	}
 }
 
@@ -235,15 +199,8 @@ func TestReplayContinuesPastErrors(t *testing.T) {
 		{Op: OpWrite, Off: 4096, Len: 4096},
 		{Op: OpWrite, Off: 8192, Len: 4096},
 	}
-	st, err := Replay(faulty, clock, events, ReplayOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Errors != 1 || st.Events != 3 {
+	if st := Replay(faulty, clock, events); st.Errors != 1 || st.Events != 3 {
 		t.Fatalf("stats = %+v, want 1 error of 3 events", st)
-	}
-	if _, err := Replay(faulty, clock, events, ReplayOptions{StopOnError: true}); err == nil {
-		t.Fatal("StopOnError did not stop")
 	}
 }
 

@@ -122,7 +122,7 @@ func TestFileSetRewrites(t *testing.T) {
 	if err := extfs.Mkfs(d); err != nil {
 		t.Fatal(err)
 	}
-	v, err := extfs.Mount(d, fs.Options{DataAccounting: true, SyncEveryWrite: false})
+	v, err := extfs.Mount(d, fs.Options{DataAccounting: true})
 	if err != nil {
 		t.Fatal(err)
 	}
