@@ -140,14 +140,22 @@ fleetd-smoke:
 
 # Opt-in scale check (not part of check): a large sharded campaign
 # through the service path, for watching steady-state memory stay
-# O(workers) while the population grows. Tune FLEETD_BIG_* to taste.
+# O(workers) while the population grows. Tune FLEETD_BIG_* to taste. The
+# server runs in the background for the campaign's lifetime and is
+# stopped (SIGTERM, a graceful drain) however the recipe ends; its log is
+# fleetd-big-out/server.log, the day series fleetd-big-out/series.csv.
 fleetd-bigsmoke:
 	rm -rf fleetd-big-out && mkdir -p fleetd-big-out
-	$(GO) build -o fleetd-big-out/fleetsim ./cmd/fleetsim
-	./fleetd-big-out/fleetsim -devices $${FLEETD_BIG_DEVICES:-2000} \
-		-days $${FLEETD_BIG_DAYS:-30} -scale 65536 -seed 42 -quiet \
-		-shards 8 -checkpoint fleetd-big-out/data -checkpoint-every 5 \
-		-metrics-csv fleetd-big-out/series.csv
+	$(GO) build -o fleetd-big-out/fleetd ./cmd/fleetd
+	cli=./fleetd-big-out/fleetd; base=http://127.0.0.1:17072; \
+	$$cli serve -addr 127.0.0.1:17072 -data fleetd-big-out/data 2>fleetd-big-out/server.log & \
+	pid=$$!; trap 'kill $$pid; wait $$pid' EXIT; \
+	for i in $$(seq 50); do $$cli list -addr $$base >/dev/null 2>&1 && break; sleep 0.2; done; \
+	id=$$($$cli submit -addr $$base -devices $${FLEETD_BIG_DEVICES:-2000} \
+		-days $${FLEETD_BIG_DAYS:-30} -scale 65536 -seed 42 -buggy 0.07 -attack 0.03 \
+		-shards 8 -checkpoint-every 5 | sed -n 's/.*"id": "\([^"]*\)".*/\1/p'); \
+	[ -n "$$id" ] && $$cli wait -addr $$base -every 5s $$id >/dev/null && \
+	$$cli series -addr $$base $$id >fleetd-big-out/series.csv
 
 # The verification entrypoint: everything CI (or a reviewer) should run.
 check: vet lint build test benchtest examples fuzz race faults torture wtrace fleetd-smoke

@@ -31,7 +31,6 @@ import (
 	"flashwear/internal/fleetd"
 	"flashwear/internal/profiling"
 	"flashwear/internal/report"
-	"flashwear/internal/wtrace"
 )
 
 func main() {
@@ -50,11 +49,6 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress progress output on stderr")
 	wearTrace := flag.String("wear-trace", "", "write the merged per-origin wear ledger to this path (\"-\" = stdout, .json for JSON); byte-identical across -workers")
 	progress := flag.Duration("progress", 0, "print a done/bricked/read-only line to stderr at this wall-clock interval")
-	checkpointDir := flag.String("checkpoint", "", "run through the fleetd engine, checkpointing shards into this directory (survives kill -9; resume with -resume)")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint cadence in simulated days for -checkpoint (0 = only at the end)")
-	shards := flag.Int("shards", 0, "shard count for -checkpoint mode (scheduling only, never visible in results)")
-	resumeDir := flag.String("resume", "", "resume the campaign checkpointed in this directory (its spec comes from campaign.json; population flags are ignored)")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event file of the campaign's wall-clock execution (requires -checkpoint/-resume mode)")
 	startProfiles, stopProfiles := profiling.Flags(flag.CommandLine)
 	flag.Parse()
 
@@ -62,53 +56,36 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fleetsim:", msg)
 		os.Exit(2)
 	}
-	service := *checkpointDir != "" || *resumeDir != ""
-	switch {
-	case *buggy < 0 || *attack < 0 || *buggy+*attack > 1:
+	if *buggy < 0 || *attack < 0 || *buggy+*attack > 1 {
 		usage("-buggy and -attack must be non-negative and sum to at most 1")
-	case *checkpointDir != "" && *resumeDir != "":
-		usage("-checkpoint and -resume are mutually exclusive")
-	case service && *days != float64(int(*days)):
-		usage("-checkpoint/-resume mode advances whole days; -days must be an integer")
-	case !service && *tracePath != "":
-		usage("-trace requires -checkpoint/-resume mode (the execution tracer lives in the fleetd engine)")
 	}
-	// One population description for both modes: the campaign spec, whose
-	// derived fleet.Spec is also what batch mode runs.
-	cspec := fleetd.CampaignSpec{
-		Devices:         *devices,
-		Days:            int(*days),
-		Seed:            *seed,
-		Scale:           *scale,
-		ReqBytes:        *req,
-		Buggy:           *buggy,
-		Attack:          *attack,
-		Faults:          *faultPlan,
-		WearTrace:       *wearTrace != "",
-		Shards:          *shards,
-		Workers:         *workers,
-		CheckpointEvery: *checkpointEvery,
-	}
-	// In service mode Submit validates the spec, and -resume ignores it.
-	spec, err := cspec.FleetSpec()
-	if err != nil && !service {
+	// The population is described once, as a campaign spec: fleetd derives
+	// the same fleet.Spec from the same fields.
+	spec, err := fleetd.CampaignSpec{
+		Devices:   *devices,
+		Days:      int(*days),
+		Seed:      *seed,
+		Scale:     *scale,
+		ReqBytes:  *req,
+		Buggy:     *buggy,
+		Attack:    *attack,
+		Faults:    *faultPlan,
+		WearTrace: *wearTrace != "",
+		Workers:   *workers,
+	}.FleetSpec()
+	if err != nil {
 		usage(err.Error())
+	}
+	spec.Days = *days // batch horizons may be fractional; 0 means the default
+	if *metricsCSV != "" {
+		spec.MetricsEvery = *metricsEvery
 	}
 
 	if err := startProfiles(); err != nil {
 		fmt.Fprintln(os.Stderr, "fleetsim:", err)
 		os.Exit(1)
 	}
-	failed := false
-	if service {
-		err = serviceRun(*checkpointDir, *resumeDir, cspec, *metricsCSV, *wearTrace, *tracePath)
-	} else {
-		spec.Days = *days // batch horizons may be fractional; 0 means the default
-		if *metricsCSV != "" {
-			spec.MetricsEvery = *metricsEvery
-		}
-		failed, err = batchRun(spec, *quiet, *progress, *csvPath, *metricsCSV, *wearTrace)
-	}
+	failed, err := run(spec, *quiet, *progress, *csvPath, *metricsCSV, *wearTrace)
 	if perr := stopProfiles(); err == nil {
 		err = perr
 	}
@@ -121,9 +98,9 @@ func main() {
 	}
 }
 
-// batchRun is fleetsim's default mode: one fleet.Run call, rendered to
-// stdout. failed reports that some device simulation panicked.
-func batchRun(spec fleet.Spec, quiet bool, progress time.Duration, csvPath, metricsCSV, wearTrace string) (failed bool, err error) {
+// run is one fleet.Run call, rendered to stdout. failed reports that some
+// device simulation panicked.
+func run(spec fleet.Spec, quiet bool, progress time.Duration, csvPath, metricsCSV, wearTrace string) (failed bool, err error) {
 	// Both progress displays read these counters, which the callback
 	// fills. They depend on the schedule, so they go to stderr only; the
 	// deterministic results never pass through them.
@@ -192,17 +169,14 @@ func batchRun(spec fleet.Spec, quiet bool, progress time.Duration, csvPath, metr
 		err = report.WriteTo(metricsCSV, res.WriteMetricsCSV)
 	}
 	if err == nil && wearTrace != "" {
-		err = writeLedger(wearTrace, *res.Wear)
+		// The ledger is CSV, or JSON to a .json path.
+		write := res.Wear.WriteCSV
+		if strings.HasSuffix(wearTrace, ".json") {
+			write = res.Wear.WriteJSON
+		}
+		err = report.WriteTo(wearTrace, write)
 	}
 	return res.Failed > 0, err
-}
-
-// writeLedger writes a wear ledger as CSV, or as JSON to a .json path.
-func writeLedger(path string, ledger wtrace.Snapshot) error {
-	if strings.HasSuffix(path, ".json") {
-		return report.WriteTo(path, ledger.WriteJSON)
-	}
-	return report.WriteTo(path, ledger.WriteCSV)
 }
 
 func render(w io.Writer, res *fleet.Result) {
@@ -234,8 +208,8 @@ func render(w io.Writer, res *fleet.Result) {
 		fmt.Fprintln(w)
 	}
 
-	groupTable(w, "By workload class", sortedRows(res.ByClass))
-	groupTable(w, "By device model", sortedRows(res.ByProfile))
+	groupTable(w, "By workload class", res.ByClass)
+	groupTable(w, "By device model", res.ByProfile)
 
 	if n := t.Devices - t.Bricked; n > 0 {
 		chart := report.NewBarChart(
@@ -251,29 +225,18 @@ func render(w io.Writer, res *fleet.Result) {
 	fmt.Fprintf(w, "write amplification: p50 %.2f  p90 %.2f  p99 %.2f\n", wa[0], wa[1], wa[2])
 }
 
-// groupRow is one named line of a per-group breakdown.
-type groupRow struct {
-	name string
-	fleet.Group
-}
-
-// sortedRows orders a batch result's groups by name, so the output is
-// deterministic (map iteration order is not).
-func sortedRows(groups map[string]*fleet.Group) []groupRow {
-	rows := make([]groupRow, 0, len(groups))
-	for name, g := range groups {
-		rows = append(rows, groupRow{name, *g})
+// groupTable renders a per-group breakdown, one line per group in name
+// order, so the output is deterministic (map iteration order is not).
+func groupTable(w io.Writer, title string, groups map[string]*fleet.Group) {
+	names := make([]string, 0, len(groups))
+	for name := range groups {
+		names = append(names, name)
 	}
-	sort.Slice(rows, func(a, b int) bool { return rows[a].name < rows[b].name })
-	return rows
-}
-
-// groupTable renders a per-group breakdown for either mode, one line per
-// row in the order given.
-func groupTable(w io.Writer, title string, rows []groupRow) {
+	sort.Strings(names)
 	tbl := report.NewTable(title, "group", "devices", "bricked", "brick%", "mean-days", "host-data")
-	for _, g := range rows {
-		tbl.AddRow(g.name, g.Devices, g.Bricked,
+	for _, name := range names {
+		g := groups[name]
+		tbl.AddRow(name, g.Devices, g.Bricked,
 			fmt.Sprintf("%.2f", g.BrickFraction()*100),
 			fmt.Sprintf("%.1f", g.MeanDaysToBrick()),
 			report.HumanBytes(g.HostMiB<<20))

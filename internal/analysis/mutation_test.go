@@ -28,8 +28,8 @@ type mutation struct {
 var mutations = []mutation{
 	{
 		name: "wallclock", pass: "wallclock", file: "internal/fleet/phone.go",
-		old: "ph.runner.StepBytes = ph.stepBytes",
-		new: "ph.runner.StepBytes = ph.stepBytes\n\t_ = time.Now() // mutation:wallclock",
+		old: "ph.runner.Pattern = ph.Params.Class.String()",
+		new: "ph.runner.Pattern = ph.Params.Class.String()\n\t_ = time.Now() // mutation:wallclock",
 	},
 	{
 		name: "globalrand", pass: "globalrand", file: "internal/nand/chip.go",

@@ -164,17 +164,17 @@ func (p *Phone) InstallApp(name string) (*App, error) {
 	if _, ok := p.apps[name]; ok {
 		return nil, fmt.Errorf("android: app %q already installed", name)
 	}
-	var org wtrace.Origin
+	// With wear tracing on, the app's view tags every mutating operation
+	// with the app's origin, so the wear it causes is attributed to it.
+	view := p.fsys
 	if tr := p.cfg.WearTrace; tr != nil {
-		org = tr.Origin(name)
-		prev := tr.SetOrigin(org)
-		defer tr.SetOrigin(prev)
+		view = wtrace.TagFS(p.fsys, tr, tr.Origin(name))
 	}
 	root := "/data/" + name
-	if err := p.fsys.Mkdir(root); err != nil {
+	if err := view.Mkdir(root); err != nil {
 		return nil, err
 	}
-	app := &App{name: name, phone: p, storage: &sandboxFS{phone: p, app: name, root: root, org: org}}
+	app := &App{name: name, phone: p, storage: &sandboxFS{phone: p, app: name, root: root, fsys: view}}
 	p.apps[name] = app
 	p.stats[name] = &IOStats{}
 	return app, nil
@@ -195,23 +195,6 @@ func (p *Phone) Shutdown() error {
 		p.stopMon = nil
 	}
 	return p.fsys.Unmount()
-}
-
-// orgEnter/orgExit bracket a sandbox operation with the app's wear-trace
-// origin (no-ops when tracing is off). Everything the operation causes
-// below the FS inherits the tag ambiently.
-
-func (p *Phone) orgEnter(org wtrace.Origin) wtrace.Origin {
-	if p.cfg.WearTrace == nil {
-		return 0
-	}
-	return p.cfg.WearTrace.SetOrigin(org)
-}
-
-func (p *Phone) orgExit(prev wtrace.Origin) {
-	if p.cfg.WearTrace != nil {
-		p.cfg.WearTrace.SetOrigin(prev)
-	}
 }
 
 // accounting hooks called by the sandbox.

@@ -1,21 +1,17 @@
 package android
 
-import (
-	"flashwear/internal/fs"
-	"flashwear/internal/wtrace"
-)
+import "flashwear/internal/fs"
 
 // sandboxFS is the view an app gets of storage: its private directory,
 // reachable with no permissions at all (§4.4: "our application required no
 // special permissions"), with every operation accounted to the app. When
-// wear tracing is on, every mutating operation also runs under the app's
-// origin tag, so the wear it causes is attributed to the app. Read paths
-// are left untagged — reads cannot program NAND.
+// wear tracing is on, fsys is a wtrace.TagFS under the app's origin, so
+// the wear its mutating operations cause is attributed to the app.
 type sandboxFS struct {
 	phone *Phone
 	app   string
 	root  string        // e.g. "/data/com.example.wear"
-	org   wtrace.Origin // the app's wear-trace origin (0 when tracing off)
+	fsys  fs.FileSystem // the phone's file system, as the app writes to it
 }
 
 func (s *sandboxFS) path(p string) string { return s.root + "/" + trimSlashes(p) }
@@ -28,89 +24,67 @@ func trimSlashes(p string) string {
 }
 
 // Name implements fs.FileSystem.
-func (s *sandboxFS) Name() string { return s.phone.fsys.Name() }
+func (s *sandboxFS) Name() string { return s.fsys.Name() }
 
 // Create implements fs.FileSystem.
 func (s *sandboxFS) Create(path string) (fs.File, error) {
-	prev := s.phone.orgEnter(s.org)
-	f, err := s.phone.fsys.Create(s.path(path))
-	s.phone.orgExit(prev)
+	f, err := s.fsys.Create(s.path(path))
 	if err != nil {
 		return nil, err
 	}
-	return &sandboxFile{File: f, phone: s.phone, app: s.app, org: s.org}, nil
+	return &sandboxFile{File: f, phone: s.phone, app: s.app}, nil
 }
 
 // Open implements fs.FileSystem.
 func (s *sandboxFS) Open(path string) (fs.File, error) {
-	f, err := s.phone.fsys.Open(s.path(path))
+	f, err := s.fsys.Open(s.path(path))
 	if err != nil {
 		return nil, err
 	}
-	return &sandboxFile{File: f, phone: s.phone, app: s.app, org: s.org}, nil
+	return &sandboxFile{File: f, phone: s.phone, app: s.app}, nil
 }
 
 // Remove implements fs.FileSystem.
-func (s *sandboxFS) Remove(path string) error {
-	prev := s.phone.orgEnter(s.org)
-	err := s.phone.fsys.Remove(s.path(path))
-	s.phone.orgExit(prev)
-	return err
-}
+func (s *sandboxFS) Remove(path string) error { return s.fsys.Remove(s.path(path)) }
 
 // Rename implements fs.FileSystem; both paths are confined to the sandbox.
 func (s *sandboxFS) Rename(oldPath, newPath string) error {
-	prev := s.phone.orgEnter(s.org)
-	err := s.phone.fsys.Rename(s.path(oldPath), s.path(newPath))
-	s.phone.orgExit(prev)
-	return err
+	return s.fsys.Rename(s.path(oldPath), s.path(newPath))
 }
 
 // Mkdir implements fs.FileSystem.
-func (s *sandboxFS) Mkdir(path string) error {
-	prev := s.phone.orgEnter(s.org)
-	err := s.phone.fsys.Mkdir(s.path(path))
-	s.phone.orgExit(prev)
-	return err
-}
+func (s *sandboxFS) Mkdir(path string) error { return s.fsys.Mkdir(s.path(path)) }
 
 // ReadDir implements fs.FileSystem.
 func (s *sandboxFS) ReadDir(path string) ([]fs.DirEntry, error) {
-	return s.phone.fsys.ReadDir(s.path(path))
+	return s.fsys.ReadDir(s.path(path))
 }
 
 // Stat implements fs.FileSystem.
 func (s *sandboxFS) Stat(path string) (fs.FileInfo, error) {
-	return s.phone.fsys.Stat(s.path(path))
+	return s.fsys.Stat(s.path(path))
 }
 
 // Sync implements fs.FileSystem. The whole-FS sync flushes metadata the
-// app dirtied, so it runs under the app's tag.
+// app dirtied, so it is charged to the app.
 func (s *sandboxFS) Sync() error {
 	s.phone.accountSync(s.app)
-	prev := s.phone.orgEnter(s.org)
-	err := s.phone.fsys.Sync()
-	s.phone.orgExit(prev)
-	return err
+	return s.fsys.Sync()
 }
 
 // Unmount is not permitted from a sandbox.
 func (s *sandboxFS) Unmount() error { return fs.ErrReadOnly }
 
-// sandboxFile wraps a file with per-app accounting, monitor hooks, and
-// wear-trace origin tagging.
+// sandboxFile wraps a file with per-app accounting and monitor hooks.
 type sandboxFile struct {
 	fs.File
 	phone *Phone
 	app   string
-	org   wtrace.Origin
 }
 
 // WriteAt implements fs.File.
 func (f *sandboxFile) WriteAt(p []byte, off int64) (int, error) {
-	prev := f.phone.orgEnter(f.org)
 	n, err := f.File.WriteAt(p, off)
-	f.phone.orgExit(prev)
 	if n > 0 {
 		f.phone.accountWrite(f.app, int64(n))
 	}
@@ -126,29 +100,10 @@ func (f *sandboxFile) ReadAt(p []byte, off int64) (int, error) {
 	return n, err
 }
 
-// Truncate implements fs.File.
-func (f *sandboxFile) Truncate(size int64) error {
-	prev := f.phone.orgEnter(f.org)
-	err := f.File.Truncate(size)
-	f.phone.orgExit(prev)
-	return err
-}
-
 // Sync implements fs.File.
 func (f *sandboxFile) Sync() error {
 	f.phone.accountSync(f.app)
-	prev := f.phone.orgEnter(f.org)
-	err := f.File.Sync()
-	f.phone.orgExit(prev)
-	return err
-}
-
-// Close implements fs.File; closing can flush dirty state.
-func (f *sandboxFile) Close() error {
-	prev := f.phone.orgEnter(f.org)
-	err := f.File.Close()
-	f.phone.orgExit(prev)
-	return err
+	return f.File.Sync()
 }
 
 var _ fs.FileSystem = (*sandboxFS)(nil)

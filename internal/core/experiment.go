@@ -74,6 +74,9 @@ func (r RunReport) MeanHostGiBPerIncrement(pool ftl.PoolID) float64 {
 // file-system workloads.
 type StepFunc func(budget int64) (int64, error)
 
+// stepBytes is the workload granularity between indicator polls.
+const stepBytes = 4 << 20
+
 // Runner drives a workload against a device while watching the JEDEC wear
 // indicators, emitting an Increment per level change — the §4.3
 // measurement loop.
@@ -83,9 +86,6 @@ type Runner struct {
 	// Scale is the profile's capacity divisor; volumes and times are
 	// multiplied back by it. Zero means 1.
 	Scale int64
-	// StepBytes is the workload granularity between indicator polls.
-	// Zero means 4 MiB.
-	StepBytes int64
 	// Pattern and SpaceUtil label emitted increments (Table 1 columns).
 	Pattern   string
 	SpaceUtil float64
@@ -116,9 +116,6 @@ func (r *Runner) init() {
 		return
 	}
 	r.started = true
-	if r.StepBytes == 0 {
-		r.StepBytes = 4 << 20
-	}
 	r.report.DeviceName = r.Dev.Profile().Name
 	r.report.Scale = r.Scale
 	// Baseline from the FTL (ground truth), not the possibly-garbage
@@ -187,7 +184,7 @@ func (r *Runner) RunPhase(step StepFunc, maxHostBytes int64, stop func() bool) e
 		if maxHostBytes > 0 && phaseBytes >= maxHostBytes {
 			return nil
 		}
-		n, err := step(r.StepBytes)
+		n, err := step(stepBytes)
 		r.hostBytes += n
 		phaseBytes += n
 		r.poll()

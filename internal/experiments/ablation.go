@@ -18,8 +18,6 @@ type AblationRow struct {
 	// EraseSpread is max-min erase count across blocks (wear-leveling
 	// quality; lower is better).
 	EraseSpread int
-	// HostGiBPerIncrement is the full-scale wear efficiency.
-	HostGiBPerIncrement float64
 	// Extra holds a study-specific metric (documented per study).
 	Extra float64
 }
@@ -239,9 +237,8 @@ func AblationPoolMerge(cfg Config) ([]AblationRow, error) {
 // per host volume (DESIGN.md ablation 5).
 func AblationSLCCache(cfg Config) ([]AblationRow, error) {
 	cfg = cfg.Defaults()
-	for cfg.Scale > 64 {
+	if cfg.Scale > 64 {
 		cfg.Scale /= 2 // cache sizes need headroom at tiny scales
-		break
 	}
 	var out []AblationRow
 	for _, cacheMiB := range []int64{128, 512, 2048} {

@@ -39,7 +39,7 @@ type Phone struct {
 	Clock *simclock.Clock
 	Dev   *device.Device
 
-	reqBytes, stepBytes int64
+	reqBytes int64
 	// clsOrg is the wear-trace origin the workload's operations are charged
 	// to, when the spec traces wear (Dev.WearTracer is then non-nil).
 	clsOrg wtrace.Origin
@@ -64,7 +64,7 @@ func Remounts() int64 { return remounts.Load() }
 // clock, injecting plan if non-nil. The device is blank and powered; the
 // caller may attach instruments or import chip state before booting it.
 func NewPhone(spec Spec, p Params, plan *faultinject.Plan, clock *simclock.Clock) (*Phone, error) {
-	prof := spec.Profiles[p.profile.idx].Profile
+	prof := spec.Profiles[p.profile].Profile
 	prof.Seed = p.Seed
 	if plan != nil {
 		prof.Faults = plan
@@ -75,7 +75,6 @@ func NewPhone(spec Spec, p Params, plan *faultinject.Plan, clock *simclock.Clock
 		Scale:       prof.EffectiveScale(spec.Scale),
 		Clock:       clock,
 		reqBytes:    spec.ReqBytes,
-		stepBytes:   spec.StepBytes,
 	}
 	dev, err := device.New(prof.Scaled(spec.Scale), clock)
 	if err != nil {
@@ -151,7 +150,6 @@ func (ph *Phone) newFileSet(fsys fs.FileSystem) *workload.FileSet {
 // pacer, so its rate is held from this boot on.
 func (ph *Phone) arm() {
 	ph.runner = core.NewRunner(ph.Dev, ph.Clock, ph.Scale)
-	ph.runner.StepBytes = ph.stepBytes
 	ph.runner.Pattern = ph.Params.Class.String()
 	ph.step = ph.set.Step
 	if ph.Params.DailyBytes > 0 {

@@ -26,21 +26,14 @@ type Params struct {
 	// DailyBytes is the paced full-scale write rate; 0 means unpaced
 	// (ClassAttack writes at device speed).
 	DailyBytes int64
-	// profile is the sampled (unscaled) device profile with Seed applied.
-	profile profileSample
-}
-
-// profileSample carries the picked profile plus its mix index, so results
-// can be grouped without re-deriving names.
-type profileSample struct {
-	idx  int
-	name string
+	// profile is the index of the sampled device model in Spec.Profiles.
+	profile int
 }
 
 // ProfileIndex returns the index of the sampled profile in the spec's
 // Profiles mix — exported so internal/fleetd can re-derive the same device
 // stack from the same Spec.
-func (p Params) ProfileIndex() int { return p.profile.idx }
+func (p Params) ProfileIndex() int { return p.profile }
 
 // Sample derives device i's parameters. It draws from an RNG seeded by
 // MixSeed alone, so it is a pure function of (Spec.Seed, i) — the heart
@@ -65,7 +58,7 @@ func (s Spec) Sample(i int) Params {
 		Seed:       seed,
 		Class:      class,
 		DailyBytes: daily,
-		profile:    profileSample{idx: pIdx, name: s.Profiles[pIdx].Profile.Name},
+		profile:    pIdx,
 	}
 }
 

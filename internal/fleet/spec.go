@@ -74,8 +74,6 @@ type Spec struct {
 	// run-to-brick device costs ~5M simulated page programs, not ~80M,
 	// with write amplification within a few percent of the 4 KiB run.
 	ReqBytes int64
-	// StepBytes is the wear-indicator poll granularity (core.Runner).
-	StepBytes int64
 	// Profiles is the device-model mix; default DefaultProfileMix.
 	Profiles []ProfileWeight
 	// Classes is the workload mix; default DefaultClassMix.
@@ -148,9 +146,6 @@ func (s Spec) Defaults() Spec {
 	}
 	if s.ReqBytes == 0 {
 		s.ReqBytes = 64 << 10
-	}
-	if s.StepBytes == 0 {
-		s.StepBytes = 4 << 20
 	}
 	if s.Profiles == nil {
 		s.Profiles = DefaultProfileMix()

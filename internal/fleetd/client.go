@@ -31,8 +31,6 @@ import (
 type Client struct {
 	// BaseURL is the server root, e.g. "http://localhost:7070".
 	BaseURL string
-	// HTTPClient defaults to http.DefaultClient.
-	HTTPClient *http.Client
 	// Timeout bounds each attempt (not the whole retry loop). Zero means
 	// 60s; the streaming Watch is exempt.
 	Timeout time.Duration
@@ -49,13 +47,6 @@ type APIError struct {
 
 func (e *APIError) Error() string {
 	return fmt.Sprintf("fleetd: server: %s (HTTP %d)", e.Message, e.StatusCode)
-}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return http.DefaultClient
 }
 
 func (c *Client) timeout() time.Duration {
@@ -136,7 +127,7 @@ func (c *Client) attempt(method, path string, body []byte, hasBody bool, idemKey
 	if idemKey != "" {
 		req.Header.Set("Idempotency-Key", idemKey)
 	}
-	resp, err := c.httpClient().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		// Transport failure or timeout: ambiguous, safe to retry thanks to
 		// the idempotency key.
@@ -287,7 +278,7 @@ func (c *Client) Watch(id string, since uint64, fn func(obs.Event) error) error 
 	if err != nil {
 		return err
 	}
-	resp, err := c.httpClient().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}

@@ -83,8 +83,6 @@ type CampaignSpec struct {
 	Scale int64 `json:"scale,omitempty"`
 	// ReqBytes is the workload rewrite request size. Default 64 KiB.
 	ReqBytes int64 `json:"req_bytes,omitempty"`
-	// StepBytes is the wear-indicator poll granularity. Default 4 MiB.
-	StepBytes int64 `json:"step_bytes,omitempty"`
 	// Buggy and Attack are the workload class-mix fractions; the rest of
 	// the population is benign.
 	Buggy  float64 `json:"buggy,omitempty"`
@@ -164,7 +162,6 @@ func (s CampaignSpec) FleetSpec() (fleet.Spec, error) {
 		Days:      float64(s.Days),
 		Scale:     s.Scale,
 		ReqBytes:  s.ReqBytes,
-		StepBytes: s.StepBytes,
 		Faults:    plan,
 		WearTrace: s.WearTrace,
 		Classes: []fleet.ClassWeight{

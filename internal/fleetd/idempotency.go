@@ -27,7 +27,6 @@ import (
 // pause/resume are naturally idempotent.
 type idemStore struct {
 	mu    sync.Mutex
-	cap   int
 	byKey map[string]*idemEntry
 	order []string // recorded keys, oldest first
 }
@@ -41,11 +40,11 @@ type idemEntry struct {
 	body     []byte
 }
 
-func newIdemStore(capacity int) *idemStore {
-	if capacity <= 0 {
-		capacity = 1024
-	}
-	return &idemStore{cap: capacity, byKey: make(map[string]*idemEntry)}
+// idemCapacity bounds how many recorded keys the store keeps.
+const idemCapacity = 1024
+
+func newIdemStore() *idemStore {
+	return &idemStore{byKey: make(map[string]*idemEntry)}
 }
 
 // begin claims key. It returns (entry, true) when the caller is the first
@@ -74,7 +73,7 @@ func (s *idemStore) finish(key string, e *idemEntry, code int, header http.Heade
 		e.header = header
 		e.body = body
 		s.order = append(s.order, key)
-		for len(s.order) > s.cap {
+		for len(s.order) > idemCapacity {
 			delete(s.byKey, s.order[0])
 			s.order = s.order[1:]
 		}

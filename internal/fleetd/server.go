@@ -52,7 +52,7 @@ type Server struct {
 
 // NewServer wraps a manager in an HTTP handler.
 func NewServer(mgr *Manager) *Server {
-	s := &Server{mgr: mgr, mux: http.NewServeMux(), idem: newIdemStore(0), shutdown: make(chan struct{})}
+	s := &Server{mgr: mgr, mux: http.NewServeMux(), idem: newIdemStore(), shutdown: make(chan struct{})}
 	handle := func(pattern string, h http.HandlerFunc) {
 		// The mux pattern doubles as the route label so metric cardinality
 		// stays fixed no matter what IDs clients request.

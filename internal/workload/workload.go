@@ -25,14 +25,8 @@ type DeviceWriter struct {
 	// RegionOff/RegionLen restrict the pattern to a slice of the device;
 	// a zero RegionLen means the whole device.
 	RegionOff, RegionLen int64
-	// ZipfSkew, when > 1, draws random offsets from a Zipf distribution
-	// instead of uniformly: a small set of "hot" addresses take most of
-	// the writes, the skew real application traffic shows. Ignored for
-	// sequential patterns.
-	ZipfSkew float64
 
 	rng    *rand.Rand
-	zipf   *rand.Zipf
 	cursor int64
 	inited bool
 }
@@ -70,12 +64,6 @@ func (w *DeviceWriter) init() error {
 		return fmt.Errorf("workload: region [%d,+%d) invalid for device of %d bytes and %d-byte requests",
 			w.RegionOff, w.RegionLen, w.Dev.Size(), w.ReqBytes)
 	}
-	if w.ZipfSkew > 1 && !w.Sequential {
-		slots := uint64((w.RegionLen - w.ReqBytes) / w.alignUnit())
-		if slots > 0 {
-			w.zipf = rand.NewZipf(w.rng, w.ZipfSkew, 1, slots)
-		}
-	}
 	w.cursor = w.RegionOff
 	w.inited = true
 	return nil
@@ -112,8 +100,6 @@ func (w *DeviceWriter) Step(budget int64) (int64, error) {
 			if w.cursor+w.ReqBytes > w.RegionOff+w.RegionLen {
 				w.cursor = w.RegionOff
 			}
-		} else if w.zipf != nil {
-			off = w.RegionOff + int64(w.zipf.Uint64())*w.alignUnit()
 		} else {
 			span := w.RegionLen - w.ReqBytes
 			off = w.RegionOff

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math/rand"
 	"testing"
 
 	"flashwear/internal/device"
@@ -157,30 +156,5 @@ func TestFileSetValidation(t *testing.T) {
 	s := NewFileSet(v, "/x", 1024, 1) // smaller than ReqBytes
 	if err := s.Setup(); err == nil {
 		t.Fatal("file smaller than request size accepted")
-	}
-}
-
-func TestZipfSkewConcentratesWrites(t *testing.T) {
-	// With strong skew, a handful of offsets should take most writes.
-	d := testDev(t)
-	counts := map[int64]int{}
-	w := NewDeviceWriter(d, 4096, false, 5)
-	w.ZipfSkew = 2.0
-	w.RegionLen = 1 << 20
-	// Intercept via a counting pass: drive Step and read chip stats is
-	// awkward; instead sample the generator's behaviour through a stub
-	// device. Simpler: run on the real device and verify it works, then
-	// sample the distribution directly with a second writer over a stub.
-	if _, err := w.Step(1 << 20); err != nil {
-		t.Fatal(err)
-	}
-	// Distribution check against the zipf source itself.
-	rng := rand.New(rand.NewSource(5))
-	z := rand.NewZipf(rng, 2.0, 1, 255)
-	for i := 0; i < 10000; i++ {
-		counts[int64(z.Uint64())]++
-	}
-	if counts[0] < 3000 {
-		t.Fatalf("hottest slot got %d of 10000, want skew", counts[0])
 	}
 }

@@ -8,9 +8,9 @@ import "flashwear/internal/fs"
 // (FS journaling, FTL relocations triggered mid-write) inherit the tag.
 // Read-only operations pass through untouched — they cannot program NAND.
 //
-// The android sandbox does its own tagging per app; TagFS is for the
-// other write paths (workload file sets, appmodel writers, experiments)
-// that talk to an fs.FileSystem directly.
+// Every tagged write path goes through it: the android sandbox (one view
+// per app), fleet phones (the workload class) and the experiments'
+// workload file sets.
 func TagFS(inner fs.FileSystem, tr *Tracer, org Origin) fs.FileSystem {
 	return &tagFS{inner: inner, tr: tr, org: org}
 }
