@@ -15,6 +15,34 @@ type IOStats struct {
 	SyncOps      int64
 }
 
+// appRecord is everything the OS tracks about one installed app: its I/O
+// accounting and what each monitor has seen of it. The app's sandbox holds
+// a pointer to it, so accounting an operation is a few field updates.
+type appRecord struct {
+	name      string
+	io        IOStats
+	joules    float64       // energy the power monitor attributes
+	lastIO    time.Duration // simulated time of the most recent I/O
+	didIO     bool          // lastIO is set
+	sightings int64         // screen-on samples that caught the app active
+}
+
+// appTable holds a phone's app records in install order, indexed by name
+// for the accessors.
+type appTable struct {
+	order  []*appRecord
+	byName map[string]*appRecord
+}
+
+// get returns the named app's record; an app that is not installed reads
+// as zero.
+func (t *appTable) get(name string) appRecord {
+	if r := t.byName[name]; r != nil {
+		return *r
+	}
+	return appRecord{}
+}
+
 // PowerMonitor models Android's battery accounting: it attributes energy to
 // apps for their I/O, but — as §4.4 observes — only while the phone is on
 // battery. Running I/O while charging is therefore invisible to it.
@@ -22,35 +50,35 @@ type PowerMonitor struct {
 	// JoulesPerGiB is the marginal energy the monitor attributes per GiB
 	// of app I/O while discharging.
 	JoulesPerGiB float64
-	onBattery    map[string]float64 // app -> joules attributed
+	apps         *appTable
 }
 
-// NewPowerMonitor returns a monitor with a typical eMMC energy cost.
-func NewPowerMonitor() *PowerMonitor {
-	return &PowerMonitor{JoulesPerGiB: 40, onBattery: make(map[string]float64)}
-}
-
-// RecordIO attributes I/O to an app; charging I/O is not recorded.
-func (m *PowerMonitor) RecordIO(app string, bytes int64, charging bool) {
+// record attributes an app's I/O; charging I/O is not recorded.
+func (m *PowerMonitor) record(r *appRecord, bytes int64, charging bool) {
 	if charging {
 		return
 	}
-	m.onBattery[app] += m.JoulesPerGiB * float64(bytes) / float64(1<<30)
+	r.joules += m.JoulesPerGiB * float64(bytes) / float64(1<<30)
 }
 
 // AttributedJoules returns the energy the monitor shows for an app.
-func (m *PowerMonitor) AttributedJoules(app string) float64 { return m.onBattery[app] }
+func (m *PowerMonitor) AttributedJoules(app string) float64 { return m.apps.get(app).joules }
 
-// TopConsumers returns apps exceeding the threshold, most expensive first —
+// TopConsumers returns the apps with energy attributed at or above the
+// threshold, most expensive first and, among equals, in install order —
 // the battery-stats screen a user would check.
 func (m *PowerMonitor) TopConsumers(thresholdJoules float64) []string {
-	var out []string
-	for app, j := range m.onBattery {
-		if j >= thresholdJoules {
-			out = append(out, app)
+	var top []*appRecord
+	for _, r := range m.apps.order {
+		if r.joules > 0 && r.joules >= thresholdJoules {
+			top = append(top, r)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return m.onBattery[out[i]] > m.onBattery[out[j]] })
+	sort.SliceStable(top, func(i, j int) bool { return top[i].joules > top[j].joules })
+	var out []string
+	for _, r := range top {
+		out = append(out, r.name)
+	}
 	return out
 }
 
@@ -60,25 +88,10 @@ func (m *PowerMonitor) TopConsumers(thresholdJoules float64) []string {
 // evades it (§4.4).
 type ProcessMonitor struct {
 	// Window is the refresh interval (the paper observed ~1 second).
-	Window time.Duration
-	// lastIO tracks each app's most recent I/O timestamp.
-	lastIO map[string]time.Duration
-	// observed counts samples in which the app was visibly active.
-	observed map[string]int64
-	samples  int64
+	Window  time.Duration
+	apps    *appTable
+	samples int64
 }
-
-// NewProcessMonitor returns a monitor with the observed 1-second refresh.
-func NewProcessMonitor() *ProcessMonitor {
-	return &ProcessMonitor{
-		Window:   time.Second,
-		lastIO:   make(map[string]time.Duration),
-		observed: make(map[string]int64),
-	}
-}
-
-// NoteIO records that an app performed I/O at simulated time t.
-func (m *ProcessMonitor) NoteIO(app string, t time.Duration) { m.lastIO[app] = t }
 
 // Sample takes one refresh at simulated time t with the given screen state.
 func (m *ProcessMonitor) Sample(t time.Duration, screenOn bool) {
@@ -86,15 +99,15 @@ func (m *ProcessMonitor) Sample(t time.Duration, screenOn bool) {
 		return
 	}
 	m.samples++
-	for app, last := range m.lastIO {
-		if t-last <= m.Window {
-			m.observed[app]++
+	for _, r := range m.apps.order {
+		if r.didIO && t-r.lastIO <= m.Window {
+			r.sightings++
 		}
 	}
 }
 
 // ObservedCount returns how many screen-on samples caught the app active.
-func (m *ProcessMonitor) ObservedCount(app string) int64 { return m.observed[app] }
+func (m *ProcessMonitor) ObservedCount(app string) int64 { return m.apps.get(app).sightings }
 
 // Samples returns the number of screen-on refreshes taken.
 func (m *ProcessMonitor) Samples() int64 { return m.samples }
@@ -105,5 +118,5 @@ func (m *ProcessMonitor) ObservedFraction(app string) float64 {
 	if m.samples == 0 {
 		return 0
 	}
-	return float64(m.observed[app]) / float64(m.samples)
+	return float64(m.apps.get(app).sightings) / float64(m.samples)
 }

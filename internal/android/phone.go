@@ -49,8 +49,7 @@ type Phone struct {
 	dev   *device.Device
 	fsys  fs.FileSystem
 
-	apps     map[string]*App
-	stats    map[string]*IOStats
+	apps     appTable
 	powerMon *PowerMonitor
 	procMon  *ProcessMonitor
 	stopMon  func()
@@ -104,15 +103,15 @@ func NewPhone(cfg Config, clock *simclock.Clock) (*Phone, error) {
 		return nil, fmt.Errorf("android: unknown FS kind %q", cfg.FS)
 	}
 	p := &Phone{
-		cfg:      cfg,
-		clock:    clock,
-		dev:      dev,
-		fsys:     fsys,
-		apps:     make(map[string]*App),
-		stats:    make(map[string]*IOStats),
-		powerMon: NewPowerMonitor(),
-		procMon:  NewProcessMonitor(),
+		cfg:   cfg,
+		clock: clock,
+		dev:   dev,
+		fsys:  fsys,
+		apps:  appTable{byName: make(map[string]*appRecord)},
 	}
+	// A typical eMMC energy cost, and the observed 1-second refresh.
+	p.powerMon = &PowerMonitor{JoulesPerGiB: 40, apps: &p.apps}
+	p.procMon = &ProcessMonitor{Window: time.Second, apps: &p.apps}
 	if err := fsys.Mkdir("/data"); err != nil && !errors.Is(err, fs.ErrExist) {
 		return nil, err
 	}
@@ -161,7 +160,7 @@ func (p *Phone) InstallApp(name string) (*App, error) {
 	if err := fs.CheckName(name); err != nil {
 		return nil, err
 	}
-	if _, ok := p.apps[name]; ok {
+	if _, ok := p.apps.byName[name]; ok {
 		return nil, fmt.Errorf("android: app %q already installed", name)
 	}
 	// With wear tracing on, the app's view tags every mutating operation
@@ -174,19 +173,14 @@ func (p *Phone) InstallApp(name string) (*App, error) {
 	if err := view.Mkdir(root); err != nil {
 		return nil, err
 	}
-	app := &App{name: name, phone: p, storage: &sandboxFS{phone: p, app: name, root: root, fsys: view}}
-	p.apps[name] = app
-	p.stats[name] = &IOStats{}
-	return app, nil
+	rec := &appRecord{name: name}
+	p.apps.order = append(p.apps.order, rec)
+	p.apps.byName[name] = rec
+	return &App{rec: rec, phone: p, storage: &sandboxFS{phone: p, rec: rec, root: root, fsys: view}}, nil
 }
 
 // AppIOStats returns the OS's per-app I/O accounting (§4.5).
-func (p *Phone) AppIOStats(name string) IOStats {
-	if s, ok := p.stats[name]; ok {
-		return *s
-	}
-	return IOStats{}
-}
+func (p *Phone) AppIOStats(name string) IOStats { return p.apps.get(name).io }
 
 // Shutdown unmounts cleanly and stops the monitors.
 func (p *Phone) Shutdown() error {
@@ -199,43 +193,42 @@ func (p *Phone) Shutdown() error {
 
 // accounting hooks called by the sandbox.
 
-func (p *Phone) accountWrite(app string, n int64) {
-	s := p.stats[app]
-	s.BytesWritten += n
-	s.WriteOps++
+func (p *Phone) accountWrite(r *appRecord, n int64) {
+	r.io.BytesWritten += n
+	r.io.WriteOps++
 	now := p.clock.Now()
-	p.powerMon.RecordIO(app, n, p.Charging())
-	p.procMon.NoteIO(app, now)
+	p.noteIO(r, n, now)
 	if p.cfg.Throttle != nil {
-		if delay := p.cfg.Throttle(app, n, now); delay > 0 {
+		if delay := p.cfg.Throttle(r.name, n, now); delay > 0 {
 			p.clock.Advance(delay)
 		}
 	}
 }
 
-func (p *Phone) accountRead(app string, n int64) {
-	s := p.stats[app]
-	s.BytesRead += n
-	s.ReadOps++
-	p.powerMon.RecordIO(app, n, p.Charging())
-	p.procMon.NoteIO(app, p.clock.Now())
+func (p *Phone) accountRead(r *appRecord, n int64) {
+	r.io.BytesRead += n
+	r.io.ReadOps++
+	p.noteIO(r, n, p.clock.Now())
 }
 
-func (p *Phone) accountSync(app string) {
-	if s, ok := p.stats[app]; ok {
-		s.SyncOps++
-	}
+func (p *Phone) accountSync(r *appRecord) { r.io.SyncOps++ }
+
+// noteIO shows an app's I/O of n bytes at simulated time now to both
+// monitors.
+func (p *Phone) noteIO(r *appRecord, n int64, now time.Duration) {
+	p.powerMon.record(r, n, p.ChargingAt(now))
+	r.lastIO, r.didIO = now, true // what the process monitor samples
 }
 
 // App is an installed application with access to its private storage only.
 type App struct {
-	name    string
+	rec     *appRecord
 	phone   *Phone
 	storage fs.FileSystem
 }
 
 // Name returns the app's package name.
-func (a *App) Name() string { return a.name }
+func (a *App) Name() string { return a.rec.name }
 
 // Storage returns the app's private file-system view.
 func (a *App) Storage() fs.FileSystem { return a.storage }

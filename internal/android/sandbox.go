@@ -9,7 +9,7 @@ import "flashwear/internal/fs"
 // the wear its mutating operations cause is attributed to the app.
 type sandboxFS struct {
 	phone *Phone
-	app   string
+	rec   *appRecord
 	root  string        // e.g. "/data/com.example.wear"
 	fsys  fs.FileSystem // the phone's file system, as the app writes to it
 }
@@ -32,7 +32,7 @@ func (s *sandboxFS) Create(path string) (fs.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &sandboxFile{File: f, phone: s.phone, app: s.app}, nil
+	return &sandboxFile{File: f, phone: s.phone, rec: s.rec}, nil
 }
 
 // Open implements fs.FileSystem.
@@ -41,7 +41,7 @@ func (s *sandboxFS) Open(path string) (fs.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &sandboxFile{File: f, phone: s.phone, app: s.app}, nil
+	return &sandboxFile{File: f, phone: s.phone, rec: s.rec}, nil
 }
 
 // Remove implements fs.FileSystem.
@@ -68,7 +68,7 @@ func (s *sandboxFS) Stat(path string) (fs.FileInfo, error) {
 // Sync implements fs.FileSystem. The whole-FS sync flushes metadata the
 // app dirtied, so it is charged to the app.
 func (s *sandboxFS) Sync() error {
-	s.phone.accountSync(s.app)
+	s.phone.accountSync(s.rec)
 	return s.fsys.Sync()
 }
 
@@ -79,14 +79,14 @@ func (s *sandboxFS) Unmount() error { return fs.ErrReadOnly }
 type sandboxFile struct {
 	fs.File
 	phone *Phone
-	app   string
+	rec   *appRecord
 }
 
 // WriteAt implements fs.File.
 func (f *sandboxFile) WriteAt(p []byte, off int64) (int, error) {
 	n, err := f.File.WriteAt(p, off)
 	if n > 0 {
-		f.phone.accountWrite(f.app, int64(n))
+		f.phone.accountWrite(f.rec, int64(n))
 	}
 	return n, err
 }
@@ -95,14 +95,14 @@ func (f *sandboxFile) WriteAt(p []byte, off int64) (int, error) {
 func (f *sandboxFile) ReadAt(p []byte, off int64) (int, error) {
 	n, err := f.File.ReadAt(p, off)
 	if n > 0 {
-		f.phone.accountRead(f.app, int64(n))
+		f.phone.accountRead(f.rec, int64(n))
 	}
 	return n, err
 }
 
 // Sync implements fs.File.
 func (f *sandboxFile) Sync() error {
-	f.phone.accountSync(f.app)
+	f.phone.accountSync(f.rec)
 	return f.File.Sync()
 }
 

@@ -22,6 +22,7 @@ func testProfile() Profile {
 		OverProvision: 0.1, WearLeveling: true,
 		CmdOverhead:   50 * time.Microsecond,
 		InterfaceMBps: 100,
+		ProgramTime:   900 * time.Microsecond, // MLC's default
 		Seed:          7,
 	}
 }
@@ -47,6 +48,12 @@ func TestProfilesValidate(t *testing.T) {
 	}
 	if err := ProfileEMMC8TLC().Validate(); err != nil {
 		t.Errorf("TLC variant: %v", err)
+	}
+	// A profile states its program time; there is no cell default.
+	noProgram := testProfile()
+	noProgram.ProgramTime = 0
+	if err := noProgram.Validate(); err == nil {
+		t.Error("profile without ProgramTime accepted")
 	}
 }
 

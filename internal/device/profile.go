@@ -75,7 +75,7 @@ type Profile struct {
 	// Controller and interface timing.
 	CmdOverhead   time.Duration // per-request controller/command latency
 	InterfaceMBps float64       // host interface bandwidth
-	ProgramTime   time.Duration // per-page program (0 = cell default)
+	ProgramTime   time.Duration // per-page program
 
 	// Block-mapped quirks (MicroSD): a non-append write inside an
 	// allocation unit forces the controller to copy the whole AU.
@@ -123,6 +123,8 @@ func (p Profile) Validate() error {
 		return fmt.Errorf("device: %s: Parallelism = %d", p.Name, p.Parallelism)
 	case p.InterfaceMBps <= 0:
 		return fmt.Errorf("device: %s: InterfaceMBps = %g", p.Name, p.InterfaceMBps)
+	case p.ProgramTime <= 0:
+		return fmt.Errorf("device: %s: ProgramTime = %v", p.Name, p.ProgramTime)
 	case p.CmdOverhead < 0:
 		return fmt.Errorf("device: %s: CmdOverhead = %v", p.Name, p.CmdOverhead)
 	case p.OverProvision < 0 || p.OverProvision >= 0.5:
@@ -200,8 +202,6 @@ func (p Profile) geometry(capacity int64) nand.Geometry {
 // program time.
 func (p Profile) timing() nand.Timing {
 	t := nand.DefaultTiming(p.Cell)
-	if p.ProgramTime > 0 {
-		t.ProgramPage = p.ProgramTime
-	}
+	t.ProgramPage = p.ProgramTime
 	return t
 }

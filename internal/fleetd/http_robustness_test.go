@@ -25,10 +25,22 @@ func newTestServer(t *testing.T) (*Manager, *Server, *httptest.Server) {
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
+	pauseAllAtCleanup(t, m)
 	h := NewServer(m)
 	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
 	return m, h, srv
+}
+
+// pauseAllAtCleanup stops every campaign m holds when the test ends, so a
+// test that submits without waiting leaves no sweep writing into the
+// directory TempDir's cleanup (registered earlier, so run later) removes.
+func pauseAllAtCleanup(t *testing.T, m *Manager) {
+	t.Cleanup(func() {
+		for _, c := range m.List() {
+			c.Pause()
+		}
+	})
 }
 
 // fastClient retries immediately and times out quickly, so failure-path
@@ -181,6 +193,7 @@ func TestClientRetriesAfter5xx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pauseAllAtCleanup(t, m)
 	inner := NewServer(m)
 	var calls atomic.Int64
 	var keys sync.Map

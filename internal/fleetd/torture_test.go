@@ -308,6 +308,9 @@ func TestTortureAdoptionSkipsHalfSubmittedDir(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit after skip: %v", err)
 	}
+	// Stop the sweep before TempDir's cleanup removes the directory it
+	// is still writing.
+	c2.Pause()
 	if c2.ID() == "c000002" {
 		t.Error("retired ID c000002 reused by a fresh submit")
 	}

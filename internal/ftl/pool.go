@@ -347,7 +347,31 @@ func (p *gcPool) collect(cost *Cost) error {
 // victim picks the next GC victim among full blocks, or -1 if none is
 // reclaimable. Ties break toward the least-worn block, so greedy selection
 // does not keep resurrecting the same blocks and silently concentrate wear.
+//
+// Greedy's score, 1 - valid/ppb, falls strictly as valid rises, so its scan
+// compares valid counts directly: fewest valid pages, then fewest erases,
+// then lowest index — the block the score would pick.
 func (p *gcPool) victim() int {
+	if p.policy == GCCostBenefit {
+		return p.costBenefitVictim()
+	}
+	best := -1
+	bestValid := int32(p.ppb)
+	for b, s := range p.state {
+		if s != sFull || b == p.relocating {
+			continue
+		}
+		v := p.valid[b]
+		if v < bestValid || (v == bestValid && best >= 0 && p.chip.EraseCount(b) < p.chip.EraseCount(best)) {
+			best, bestValid = b, v
+		}
+	}
+	return best
+}
+
+// costBenefitVictim is victim under GCCostBenefit: the highest
+// (1-u)/(1+u)·(1+age), where u is the block's valid fraction.
+func (p *gcPool) costBenefitVictim() int {
 	best := -1
 	var bestScore float64
 	for b, s := range p.state {
@@ -358,14 +382,8 @@ func (p *gcPool) victim() int {
 		if u >= 1 {
 			continue // nothing reclaimable
 		}
-		var score float64
-		switch p.policy {
-		case GCCostBenefit:
-			age := float64(p.seq - p.seqNo[b])
-			score = (1 - u) / (1 + u) * (1 + age)
-		default: // greedy: fewer valid pages first
-			score = 1 - u
-		}
+		age := float64(p.seq - p.seqNo[b])
+		score := (1 - u) / (1 + u) * (1 + age)
 		if best < 0 || score > bestScore ||
 			(score == bestScore && p.chip.EraseCount(b) < p.chip.EraseCount(best)) {
 			best, bestScore = b, score

@@ -89,6 +89,9 @@ const (
 	stressSpread           = 0.08
 	defaultCorrectableBits = 8
 	codewordBytes          = 1024
+	// expMargin widens worstCodewordErrors' exp(-x) >= 1-x bound past
+	// math.Exp's error and the bound's own rounding.
+	expMargin = 0x1p-40
 )
 
 // Chip simulates a single NAND package. It is not safe for concurrent use;
@@ -590,44 +593,52 @@ func (c *Chip) EraseBlock(blockIdx int) (OpResult, error) {
 
 // worstCodewordErrors samples per-codeword raw bit error counts at rate rber
 // and returns the maximum — the codeword that decides correctability.
+//
+// Each count is Poisson(mean). Large means (dying blocks) use a normal
+// approximation. Small means — the healthy blocks — use Knuth's method,
+// which returns 0 when the first uniform draw u is at most exp(-mean).
+// Since exp(-x) >= 1-x, a draw u <= 1-mean-2⁻⁴⁰ already settles that; the
+// 2⁻⁴⁰ margin is thousands of ulps wider than math.Exp's error and the
+// bound's own rounding. So exp is computed, once per page, only when a draw
+// lands above the bound, which at a healthy block's mean of about 1e-4 is
+// one codeword in ten thousand. The draws, their number and order, and
+// every count are those of the plain method.
 func (c *Chip) worstCodewordErrors(rber float64) int {
 	ncw := c.geo.PageSize / codewordBytes
 	if ncw < 1 {
 		ncw = 1
 	}
 	mean := rber * float64(codewordBytes*8)
-	l := math.Exp(-mean)
+	if mean <= 0 {
+		return 0
+	}
 	worst := 0
+	if mean > 30 {
+		for i := 0; i < ncw; i++ {
+			if k := int(mean + math.Sqrt(mean)*c.rng.NormFloat64() + 0.5); k > worst {
+				worst = k
+			}
+		}
+		return worst
+	}
+	sure := 1 - mean - expMargin // u <= sure implies u <= exp(-mean)
+	l := -1.0                    // exp(-mean), computed on first need
 	for i := 0; i < ncw; i++ {
-		if k := c.poisson(mean, l); k > worst {
+		p := c.rng.Float64()
+		if p <= sure {
+			continue
+		}
+		if l < 0 {
+			l = math.Exp(-mean)
+		}
+		k := 0
+		for p > l {
+			p *= c.rng.Float64()
+			k++
+		}
+		if k > worst {
 			worst = k
 		}
 	}
 	return worst
-}
-
-// poisson samples a Poisson-distributed count with the given mean; l is
-// exp(-mean), which a page's codewords share. For the small means typical of
-// healthy blocks it uses Knuth's method; for large means (dying blocks) it
-// falls back to a normal approximation.
-func (c *Chip) poisson(mean, l float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 30 {
-		k := int(mean + math.Sqrt(mean)*c.rng.NormFloat64() + 0.5)
-		if k < 0 {
-			k = 0
-		}
-		return k
-	}
-	k := 0
-	p := 1.0
-	for {
-		p *= c.rng.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
 }

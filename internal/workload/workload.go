@@ -28,6 +28,7 @@ type DeviceWriter struct {
 
 	rng    *rand.Rand
 	cursor int64
+	unit   int64 // request alignment unit, set by init
 	inited bool
 }
 
@@ -49,9 +50,15 @@ func (w *DeviceWriter) init() error {
 	if w.ReqBytes <= 0 {
 		return fmt.Errorf("workload: ReqBytes = %d", w.ReqBytes)
 	}
+	// Random offsets are aligned to the request size (like fio's
+	// bs-aligned offsets), or to the sector for odd request sizes.
+	w.unit = w.ReqBytes
+	if sector := int64(w.Dev.SectorSize()); w.unit%sector != 0 {
+		w.unit = sector
+	}
 	// Align the region to the request unit so generated offsets are valid.
-	if unit := w.alignUnit(); w.RegionOff%unit != 0 {
-		delta := unit - w.RegionOff%unit
+	if w.RegionOff%w.unit != 0 {
+		delta := w.unit - w.RegionOff%w.unit
 		w.RegionOff += delta
 		if w.RegionLen > delta {
 			w.RegionLen -= delta
@@ -69,21 +76,8 @@ func (w *DeviceWriter) init() error {
 	return nil
 }
 
-// alignUnit is the request alignment unit (like fio's bs-aligned random
-// offsets), falling back to sector alignment for odd request sizes.
-func (w *DeviceWriter) alignUnit() int64 {
-	unit := w.ReqBytes
-	if unit <= 0 || unit%int64(w.Dev.SectorSize()) != 0 {
-		unit = int64(w.Dev.SectorSize())
-	}
-	return unit
-}
-
 // alignOff rounds an offset down to the alignment unit.
-func (w *DeviceWriter) alignOff(off int64) int64 {
-	unit := w.alignUnit()
-	return off - off%unit
-}
+func (w *DeviceWriter) alignOff(off int64) int64 { return off - off%w.unit }
 
 // Step writes approximately budget bytes (a whole number of requests, at
 // least one) and returns the bytes actually written.
