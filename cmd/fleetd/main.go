@@ -460,6 +460,7 @@ func watch(args []string) error {
 	for {
 		err := cl.Watch(id, last, func(e obs.Event) error {
 			last = e.Seq
+			//flashvet:ignore wallclock watch output shows the operator when each event was journaled; the stamp only reaches the terminal
 			line := fmt.Sprintf("%s  #%d %s", time.UnixMilli(e.WallMs).UTC().Format("15:04:05"), e.Seq, e.Type)
 			if e.Day > 0 {
 				line += fmt.Sprintf(" day=%d", e.Day)

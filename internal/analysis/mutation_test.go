@@ -34,7 +34,7 @@ var mutations = []mutation{
 	{
 		name: "globalrand", pass: "globalrand", file: "internal/nand/chip.go",
 		old: "c.stats.Erases++",
-		new: "c.stats.Erases++\n\t_ = rand.Intn(2) // mutation:globalrand",
+		new: "c.stats.Erases++\n\t_ = simrand.New(1) // mutation:globalrand",
 	},
 	{
 		name: "opserrcheck", pass: "opserrcheck", file: "internal/ftl/pool.go",
@@ -66,6 +66,18 @@ var mutations = []mutation{
 		name: "readdir", pass: "wallclock", file: "internal/fleetd/campaign.go",
 		old: "dd := int64(len(es.Rows)) * devices",
 		new: "if ents, err := c.mgr.fs.ReadDir(c.dir); err == nil { devices += int64(len(ents)) } // mutation:readdir\n\tdd := int64(len(es.Rows)) * devices",
+	},
+	{
+		// A journal event's host stamp read back into the same count.
+		name: "wallms", pass: "wallclock", file: "internal/fleetd/campaign.go",
+		old: "alerts := c.alerts.scan(rows, devices)",
+		new: "if e, err := c.journal.Append(obs.Event{}); err == nil { devices += e.WallMs } // mutation:wallms\n\talerts := c.alerts.scan(rows, devices)",
+	},
+	{
+		// Measured fsync time read back out of an ops histogram.
+		name: "histsum", pass: "wallclock", file: "internal/fleetd/campaign.go",
+		old: "c.mgr.metrics.DeviceDays.Add(dd)",
+		new: "devices += int64(c.mgr.metrics.FsyncSeconds.Sum()) // mutation:histsum\n\tc.mgr.metrics.DeviceDays.Add(dd)",
 	},
 }
 

@@ -1,15 +1,19 @@
-// Package globalrand forbids the process-global math/rand source and
-// hard-coded RNG seeds in simulation code.
+// Package globalrand keeps every simulation stream on simrand and off
+// hard-coded seeds.
 //
-// Invariant: every random draw must come from a *rand.Rand that was seeded
-// from the Spec (directly, or derived per-device as in fleet's
-// splitmix64 scheme). The package-level rand functions share one global
-// source — auto-seeded since Go 1.20 — so any call makes the run
-// unrepeatable and couples concurrent devices through a mutex. A source
-// constructed from a constant (rand.NewSource(1)) is the quieter cousin:
+// Invariant: every random draw must come from a *simrand.Rand that was
+// seeded from the Spec (directly, or derived per-device as in fleet's
+// splitmix64 scheme). simrand is the one source: a reference to
+// math/rand or math/rand/v2 anywhere else in simulation code is a
+// finding, so a change of generator stays a one-package edit and no
+// stream escapes the fingerprints' exactness argument (DESIGN.md §6).
+// The package-level rand functions get a sharper message: they share one
+// global source — auto-seeded since Go 1.20 — so any call makes the run
+// unrepeatable and couples concurrent devices through a mutex. A stream
+// constructed from a constant (simrand.New(1)) is the quieter cousin:
 // repeatable, but it silently correlates every caller that "picked" the
-// same literal, instead of deriving from the Spec. Constant seeds are
-// allowed in test files, where pinning a fixture is the point.
+// same literal, instead of deriving from the Spec. Test files are not
+// analysed; pinning a fixture's seed is their point.
 //
 // Ops-plane packages — declared with //flashvet:ops-domain <reason>,
 // exactly as for the wallclock analyzer — are exempt: retry-backoff
@@ -27,9 +31,12 @@ import (
 	"flashwear/internal/analysis"
 )
 
+// simrandPath is the one package allowed to import math/rand outside the
+// ops plane.
+const simrandPath = "flashwear/internal/simrand"
+
 // globalFuncs are the package-level functions drawing from the shared
-// source, for both math/rand and math/rand/v2. Constructors (New,
-// NewSource, NewZipf, NewPCG, NewChaCha8) are the sanctioned alternative.
+// source, for both math/rand and math/rand/v2.
 var globalFuncs = map[string]bool{
 	// math/rand
 	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
@@ -43,19 +50,13 @@ var globalFuncs = map[string]bool{
 	"Uint64N": true, "N": true,
 }
 
-// seeders are constructors whose all-constant arguments indicate a
-// hard-coded seed.
-var seeders = map[string]bool{
-	"NewSource": true, // math/rand
-	"NewPCG":    true, // math/rand/v2
-}
-
 var Analyzer = &analysis.Analyzer{
 	Name: "globalrand",
-	Doc: "forbid global math/rand functions and hard-coded RNG seeds\n\n" +
-		"Randomness must flow from an injected *rand.Rand seeded from the\n" +
-		"Spec; the global source and literal seeds both break the\n" +
-		"run-is-a-pure-function-of-its-Spec contract. Ops-plane packages\n" +
+	Doc: "keep simulation randomness on simrand, seeded from the Spec\n\n" +
+		"Randomness must flow from a *simrand.Rand seeded from the Spec;\n" +
+		"math/rand outside simrand, the global source and literal seeds\n" +
+		"all break the run-is-a-pure-function-of-its-Spec contract or its\n" +
+		"exactness argument. Ops-plane packages\n" +
 		"(//flashvet:ops-domain) are exempt: backoff jitter is wall-clock\n" +
 		"policy, not simulation.",
 	Run: run,
@@ -67,30 +68,32 @@ func isRandPkg(pkg *types.Package) bool {
 }
 
 func run(pass *analysis.Pass) error {
-	if analysis.OpsDomain(pass, false) {
+	if analysis.OpsDomain(pass, false) || pass.Pkg.Path() == simrandPath {
 		return nil
 	}
 	pass.Inspect(func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
-			fn, ok := pass.TypesInfo.Uses[n.Sel].(*types.Func)
-			if ok && isRandPkg(fn.Pkg()) && globalFuncs[fn.Name()] && fn.Type().(*types.Signature).Recv() == nil {
-				pass.Reportf(n.Pos(), "global rand.%s draws from the shared process-wide source: use an injected seeded *rand.Rand", fn.Name())
+			obj := pass.TypesInfo.Uses[n.Sel]
+			if obj == nil || !isRandPkg(obj.Pkg()) {
+				return true
+			}
+			if fn, ok := obj.(*types.Func); ok && globalFuncs[fn.Name()] && fn.Type().(*types.Signature).Recv() == nil {
+				pass.Reportf(n.Pos(), "global rand.%s draws from the shared process-wide source: use a simrand.Rand seeded from the Spec", fn.Name())
+			} else {
+				pass.Reportf(n.Pos(), "rand.%s outside simrand: simulation streams come from simrand.New(seed)", obj.Name())
 			}
 		case *ast.CallExpr:
 			fn := pass.FuncOf(n)
-			if fn == nil || !isRandPkg(fn.Pkg()) || !seeders[fn.Name()] || pass.IsTestFile(n.Pos()) {
-				return true
-			}
-			if len(n.Args) == 0 {
+			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != simrandPath || fn.Name() != "New" || pass.IsTestFile(n.Pos()) {
 				return true
 			}
 			for _, arg := range n.Args {
 				if tv, ok := pass.TypesInfo.Types[arg]; !ok || tv.Value == nil {
-					return true // at least one runtime-derived argument
+					return true // a runtime-derived seed
 				}
 			}
-			pass.Reportf(n.Pos(), "hard-coded seed in rand.%s: derive the seed from the Spec so the run stays a pure function of it", fn.Name())
+			pass.Reportf(n.Pos(), "hard-coded seed in simrand.New: derive the seed from the Spec so the run stays a pure function of it")
 		}
 		return true
 	})

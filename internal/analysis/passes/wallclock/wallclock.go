@@ -27,13 +27,13 @@
 //
 // To stop sim code laundering host time through the ops plane, the
 // analyzer also bans the ops plane's exported raw clock readbacks —
-// obs.WallNow, and runtrace's Totals accessor (which returns measured
-// wall-clock durations) — outside ops-domain packages, with the
-// same severity as time.Now itself. Emitting spans (runtrace.Begin/End)
-// stays legal everywhere: a span records where time went without letting
-// the caller read it back. Values read back out of the ops plane in other
-// ways (a journal entry's WallMs, a histogram's Sum) are not call sites
-// this ban can see; DESIGN.md §10 records that gap.
+// obs.WallNow, a journal event's WallMs stamp, a histogram's Sum (the
+// ops histograms time host work), and runtrace's Totals accessor (which
+// returns measured wall-clock durations) — outside ops-domain packages,
+// with the same severity as time.Now itself. Emitting spans
+// (runtrace.Begin/End) and observing into a histogram stay legal
+// everywhere: they record where time went without letting the caller
+// read it back.
 package wallclock
 
 import (
@@ -58,12 +58,52 @@ var banned = map[string]bool{
 	"NewTicker": true,
 }
 
-// opsSources are clock sources exported by ops-plane packages: calling
-// one from a non-ops-domain package smuggles wall-clock time into
-// simulation code just as surely as time.Now does.
+// opsSources are clock readbacks exported by ops-plane packages, named
+// as functions, Type.Method or Type.Field: reading one from a
+// non-ops-domain package smuggles wall-clock time into simulation code
+// just as surely as time.Now does.
 var opsSources = map[string]map[string]bool{
-	"flashwear/internal/obs":      {"WallNow": true},
-	"flashwear/internal/runtrace": {"Totals": true},
+	"flashwear/internal/obs":      {"WallNow": true, "Event.WallMs": true, "Histogram.Sum": true},
+	"flashwear/internal/runtrace": {"Tracer.Totals": true},
+}
+
+// qualifiedName names obj as opsSources does: a method or a field is
+// prefixed with the type that declares it.
+func qualifiedName(obj types.Object) string {
+	switch obj := obj.(type) {
+	case *types.Func:
+		if recv := obj.Type().(*types.Signature).Recv(); recv != nil {
+			return typeName(recv.Type()) + "." + obj.Name()
+		}
+	case *types.Var:
+		if !obj.IsField() {
+			break
+		}
+		scope := obj.Pkg().Scope()
+		for _, name := range scope.Names() {
+			st, ok := scope.Lookup(name).Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := range st.NumFields() {
+				if st.Field(i) == obj {
+					return name + "." + obj.Name()
+				}
+			}
+		}
+	}
+	return obj.Name()
+}
+
+// typeName returns the name of t's named type, through one pointer.
+func typeName(t types.Type) string {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name()
+	}
+	return ""
 }
 
 // osState lists the os functions that read the process environment or
@@ -121,22 +161,27 @@ func run(pass *analysis.Pass) error {
 		if !ok {
 			return true
 		}
-		fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-		if !ok || fn.Pkg() == nil {
+		obj := pass.TypesInfo.Uses[sel.Sel]
+		if obj == nil || obj.Pkg() == nil {
 			return true
 		}
 		if exempt || pass.IsTestFile(sel.Pos()) {
 			return true
 		}
-		switch {
-		case fn.Pkg().Path() == "time" && banned[fn.Name()]:
-			pass.Reportf(sel.Pos(), "wall-clock time.%s in simulation code: use the injected simclock.Clock", fn.Name())
-		case opsSources[fn.Pkg().Path()][fn.Name()]:
-			pass.Reportf(sel.Pos(), "ops-plane clock source %s.%s in simulation code: only //flashvet:ops-domain packages may read host time", fn.Pkg().Name(), fn.Name())
-		default:
-			if src := hostState(fn); src != "" {
-				pass.Reportf(sel.Pos(), "host state %s in simulation code: a run must be a pure function of its Spec; only //flashvet:ops-domain packages may read it", src)
+		if srcs := opsSources[obj.Pkg().Path()]; srcs != nil {
+			if name := qualifiedName(obj); srcs[name] {
+				pass.Reportf(sel.Pos(), "ops-plane clock source %s.%s in simulation code: only //flashvet:ops-domain packages may read host time", obj.Pkg().Name(), name)
 			}
+			return true
+		}
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			return true
+		}
+		if fn.Pkg().Path() == "time" && banned[fn.Name()] {
+			pass.Reportf(sel.Pos(), "wall-clock time.%s in simulation code: use the injected simclock.Clock", fn.Name())
+		} else if src := hostState(fn); src != "" {
+			pass.Reportf(sel.Pos(), "host state %s in simulation code: a run must be a pure function of its Spec; only //flashvet:ops-domain packages may read it", src)
 		}
 		return true
 	})

@@ -51,7 +51,17 @@ func spans(tr *runtrace.Tracer) {
 	sp := tr.Begin(runtrace.PhaseSimulate, 0, 1, 2)
 	sp.End()
 	// Reading the measured wall time back is laundering, same as WallNow.
-	_ = tr.Totals() // want `ops-plane clock source runtrace\.Totals`
+	_ = tr.Totals() // want `ops-plane clock source runtrace\.Tracer\.Totals`
+}
+
+func readbacks(e obs.Event, h *obs.Histogram) int64 {
+	// ok: observing into a histogram records host time without reading
+	// it back.
+	h.Observe(0.5)
+	// A journal event's stamp and a histogram's sum are host time read
+	// back out of the ops plane.
+	_ = h.Sum()     // want `ops-plane clock source obs\.Histogram\.Sum`
+	return e.WallMs // want `ops-plane clock source obs\.Event\.WallMs`
 }
 
 func hostState(h hostio.FS, info iofs.FileInfo) {

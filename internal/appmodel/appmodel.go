@@ -10,11 +10,11 @@ package appmodel
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"flashwear/internal/fs"
 	"flashwear/internal/simclock"
+	"flashwear/internal/simrand"
 )
 
 // Model is an application whose storage behaviour unfolds over simulated
@@ -30,7 +30,7 @@ type base struct {
 	name    string
 	storage fs.FileSystem
 	clock   *simclock.Clock
-	rng     *rand.Rand
+	rng     *simrand.Rand
 }
 
 func (b *base) Name() string { return b.name }
@@ -67,12 +67,12 @@ type Camera struct {
 // NewCamera builds a camera model with typical defaults (24 MiB bursts of
 // 3 MiB photos every 6 hours).
 func NewCamera(storage fs.FileSystem, clock *simclock.Clock, seed int64) *Camera {
-	return NewCameraRand(storage, clock, rand.New(rand.NewSource(seed)))
+	return NewCameraRand(storage, clock, simrand.New(seed))
 }
 
 // NewCameraRand is NewCamera with an injected random source, for callers
 // (like the fleet sampler) that derive one RNG per simulated device.
-func NewCameraRand(storage fs.FileSystem, clock *simclock.Clock, rng *rand.Rand) *Camera {
+func NewCameraRand(storage fs.FileSystem, clock *simclock.Clock, rng *simrand.Rand) *Camera {
 	return &Camera{
 		base:       base{name: "camera", storage: storage, clock: clock, rng: rng},
 		BurstBytes: 24 << 20,
@@ -155,11 +155,11 @@ type Chat struct {
 
 // NewChat builds a chat model (2 KiB messages every 2 minutes).
 func NewChat(storage fs.FileSystem, clock *simclock.Clock, seed int64) *Chat {
-	return NewChatRand(storage, clock, rand.New(rand.NewSource(seed)))
+	return NewChatRand(storage, clock, simrand.New(seed))
 }
 
 // NewChatRand is NewChat with an injected random source.
-func NewChatRand(storage fs.FileSystem, clock *simclock.Clock, rng *rand.Rand) *Chat {
+func NewChatRand(storage fs.FileSystem, clock *simclock.Clock, rng *simrand.Rand) *Chat {
 	return &Chat{
 		base:           base{name: "chat", storage: storage, clock: clock, rng: rng},
 		MessageBytes:   2 << 10,
@@ -254,11 +254,11 @@ type Updater struct {
 // NewUpdater builds an updater model (128 MiB monthly, scaled down by the
 // caller as needed).
 func NewUpdater(storage fs.FileSystem, clock *simclock.Clock, seed int64) *Updater {
-	return NewUpdaterRand(storage, clock, rand.New(rand.NewSource(seed)))
+	return NewUpdaterRand(storage, clock, simrand.New(seed))
 }
 
 // NewUpdaterRand is NewUpdater with an injected random source.
-func NewUpdaterRand(storage fs.FileSystem, clock *simclock.Clock, rng *rand.Rand) *Updater {
+func NewUpdaterRand(storage fs.FileSystem, clock *simclock.Clock, rng *simrand.Rand) *Updater {
 	return &Updater{
 		base:        base{name: "updater", storage: storage, clock: clock, rng: rng},
 		UpdateBytes: 128 << 20,
@@ -321,11 +321,11 @@ type SpotifyBug struct {
 // NewSpotifyBug builds the buggy cache writer (32 MiB cache rewritten in
 // 128 KiB chunks, continuously).
 func NewSpotifyBug(storage fs.FileSystem, clock *simclock.Clock, seed int64) *SpotifyBug {
-	return NewSpotifyBugRand(storage, clock, rand.New(rand.NewSource(seed)))
+	return NewSpotifyBugRand(storage, clock, simrand.New(seed))
 }
 
 // NewSpotifyBugRand is NewSpotifyBug with an injected random source.
-func NewSpotifyBugRand(storage fs.FileSystem, clock *simclock.Clock, rng *rand.Rand) *SpotifyBug {
+func NewSpotifyBugRand(storage fs.FileSystem, clock *simclock.Clock, rng *simrand.Rand) *SpotifyBug {
 	return &SpotifyBug{
 		base:       base{name: "spotify-bug", storage: storage, clock: clock, rng: rng},
 		CacheBytes: 32 << 20,

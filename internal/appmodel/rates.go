@@ -2,8 +2,9 @@ package appmodel
 
 import (
 	"math"
-	"math/rand"
 	"time"
+
+	"flashwear/internal/simrand"
 )
 
 // This file derives long-run write-rate figures from the bundled app models
@@ -53,7 +54,7 @@ func BenignDailyBytes() int64 {
 // lognormal draws a multiplicative activity factor with median 1 and the
 // given log-scale sigma, clamped to [lo, hi] so one extreme draw cannot
 // dominate an aggregate.
-func lognormal(rng *rand.Rand, sigma, lo, hi float64) float64 {
+func lognormal(rng *simrand.Rand, sigma, lo, hi float64) float64 {
 	f := math.Exp(rng.NormFloat64() * sigma)
 	if f < lo {
 		f = lo
@@ -67,13 +68,13 @@ func lognormal(rng *rand.Rand, sigma, lo, hi float64) float64 {
 // SampleBenignDailyBytes draws one device's benign daily write volume: the
 // nominal benign population scaled by a log-normal user-activity factor
 // (median 1, heavy-ish upper tail — some users shoot far more photos).
-func SampleBenignDailyBytes(rng *rand.Rand) int64 {
+func SampleBenignDailyBytes(rng *simrand.Rand) int64 {
 	return int64(float64(BenignDailyBytes()) * lognormal(rng, 0.6, 0.05, 16))
 }
 
 // SampleBuggyDailyBytes draws one device's daily volume under a
 // misbehaving-app bug: nominally tens of GiB/day with device-to-device
 // spread (cache size, listening hours, and bug trigger rate all vary).
-func SampleBuggyDailyBytes(rng *rand.Rand) int64 {
+func SampleBuggyDailyBytes(rng *simrand.Rand) int64 {
 	return int64(float64(buggyDailyBytes) * lognormal(rng, 0.5, 0.1, 8))
 }

@@ -1,8 +1,9 @@
 package appmodel
 
 import (
-	"math/rand"
 	"testing"
+
+	"flashwear/internal/simrand"
 )
 
 func TestNominalDailyBytes(t *testing.T) {
@@ -28,13 +29,13 @@ func TestNominalDailyBytes(t *testing.T) {
 }
 
 func TestSampleDailyBytesDeterministic(t *testing.T) {
-	a, b := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+	a, b := simrand.New(9), simrand.New(9)
 	for i := 0; i < 32; i++ {
 		if x, y := SampleBenignDailyBytes(a), SampleBenignDailyBytes(b); x != y {
 			t.Fatalf("benign draw %d: %d != %d with equal seeds", i, x, y)
 		}
 	}
-	a, b = rand.New(rand.NewSource(10)), rand.New(rand.NewSource(10))
+	a, b = simrand.New(10), simrand.New(10)
 	for i := 0; i < 32; i++ {
 		if x, y := SampleBuggyDailyBytes(a), SampleBuggyDailyBytes(b); x != y {
 			t.Fatalf("buggy draw %d: %d != %d with equal seeds", i, x, y)
@@ -43,7 +44,7 @@ func TestSampleDailyBytesDeterministic(t *testing.T) {
 }
 
 func TestSampleDailyBytesRanges(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
+	rng := simrand.New(11)
 	for i := 0; i < 1000; i++ {
 		if v := SampleBenignDailyBytes(rng); v < BenignDailyBytes()/32 || v > 20*BenignDailyBytes() {
 			t.Fatalf("benign sample %d out of clamped range", v)

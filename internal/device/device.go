@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"math/rand"
 	"time"
 
 	"flashwear/internal/blockdev"
@@ -12,6 +11,7 @@ import (
 	"flashwear/internal/ftl"
 	"flashwear/internal/nand"
 	"flashwear/internal/simclock"
+	"flashwear/internal/simrand"
 	"flashwear/internal/wtrace"
 )
 
@@ -37,7 +37,7 @@ type Device struct {
 	clock *simclock.Clock
 	// rng draws the garbage an unreliable indicator reads; nil until the
 	// first such read, since most devices never make one.
-	rng *rand.Rand
+	rng *simrand.Rand
 	inj *faultinject.Injector // nil unless the profile carries a fault plan
 
 	pageSize  int
@@ -282,7 +282,7 @@ func (d *Device) WearIndicator(pool ftl.PoolID) int {
 	if d.prof.UnreliableIndicator {
 		// Garbage: some parts return 0, some a random constant.
 		if d.rng == nil {
-			d.rng = rand.New(rand.NewSource(d.prof.Seed + 7))
+			d.rng = simrand.New(d.prof.Seed + 7)
 		}
 		return int(d.rng.Int31n(13)) // 0..12, often out of spec
 	}

@@ -13,13 +13,13 @@ package faultinject
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"flashwear/internal/nand"
+	"flashwear/internal/simrand"
 	"flashwear/internal/telemetry"
 )
 
@@ -197,7 +197,7 @@ type Stats struct {
 type Injector struct {
 	plan    Plan
 	idle    bool // plan injects nothing: count the op and get out
-	rng     *rand.Rand
+	rng     *simrand.Rand
 	clock   func() time.Duration // the device's, as New got it
 	now     func() time.Duration // clock, or nil when the plan cuts at no time
 	cutOps  []int64              // sorted copy of plan.PowerCutOps
@@ -211,7 +211,7 @@ type Injector struct {
 // New builds an injector from a plan. now supplies simulated time for
 // PowerCutAt scheduling; nil disables time-based cuts.
 func New(plan Plan, now func() time.Duration) *Injector {
-	j := &Injector{rng: rand.New(rand.NewSource(plan.Seed)), clock: now}
+	j := &Injector{rng: simrand.New(plan.Seed), clock: now}
 	j.reset(plan)
 	return j
 }

@@ -302,6 +302,7 @@ func TestFleetFaultPlanDeterminism(t *testing.T) {
 		return spec
 	}
 	before := remounts.Load()
+	reads, programs := readFaults.Load(), programFaults.Load()
 	first, err := Run(context.Background(), build(3))
 	if err != nil {
 		t.Fatal(err)
@@ -311,6 +312,12 @@ func TestFleetFaultPlanDeterminism(t *testing.T) {
 	}
 	if remounts.Load() == before {
 		t.Error("no device power-cycled; the plan's cuts never fired — tighten PowerCutEvery")
+	}
+	if readFaults.Load() == reads {
+		t.Error("no read fault injected — tighten ReadFaultProb")
+	}
+	if programFaults.Load() == programs {
+		t.Error("no program fault injected — tighten ProgramFaultProb")
 	}
 	raw, err := json.Marshal(first.Accumulator)
 	if err != nil {

@@ -62,7 +62,9 @@ type Phone struct {
 // remounts counts successful power-loss recoveries across all phones of
 // all runs — schedule-independent in total, never part of a result; tests
 // read it to prove a fault plan actually exercised the recovery path.
-var remounts atomic.Int64
+// readFaults and programFaults likewise sum the faults the injectors of
+// Run's finished devices injected.
+var remounts, readFaults, programFaults atomic.Int64
 
 // Remounts returns the process-wide count of successful remounts, for
 // tests outside this package.

@@ -1,9 +1,8 @@
 package fleet
 
 import (
-	"math/rand"
-
 	"flashwear/internal/appmodel"
+	"flashwear/internal/simrand"
 )
 
 // MixSeed derives sub-seed n of root with a splitmix64 finalizer: device
@@ -42,7 +41,7 @@ func (p Params) ProfileIndex() int { return p.profile }
 // identical population for any shard count.
 func (s Spec) Sample(i int) Params {
 	seed := MixSeed(s.Seed, int64(i))
-	rng := rand.New(rand.NewSource(seed))
+	rng := simrand.New(seed)
 	pIdx := pickWeighted(rng, weightsOf(s.Profiles))
 	cIdx := pickWeighted(rng, classWeightsOf(s.Classes))
 	class := s.Classes[cIdx].Class
@@ -64,7 +63,7 @@ func (s Spec) Sample(i int) Params {
 
 // pickWeighted draws an index proportionally to ws (validated non-negative
 // with a positive sum).
-func pickWeighted(rng *rand.Rand, ws []float64) int {
+func pickWeighted(rng *simrand.Rand, ws []float64) int {
 	var total float64
 	for _, w := range ws {
 		//flashvet:ignore floataccum fixed-order sum over one device's config slice, never merged across workers

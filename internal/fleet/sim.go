@@ -94,6 +94,11 @@ func simulateDevice(ctx context.Context, spec Spec, p Params) (DeviceResult, err
 		return DeviceResult{}, err
 	}
 	res := ph.Result(died)
+	if inj := ph.Dev.Injector(); inj != nil {
+		st := inj.Stats()
+		readFaults.Add(st.ReadFaults)
+		programFaults.Add(st.ProgramFaults)
+	}
 	if spec.MetricsEvery > 0 {
 		// Exactly one row per whole interval: a phone that died early
 		// freezes at its final state for the remaining intervals; a

@@ -80,14 +80,19 @@ func (f faultyCrashFS) SimulateCrash() {
 // program failures firing underneath the journal — with every crash also
 // cutting device power. Everything the FS synced must still survive, and
 // fsck must stay clean, through FTL recovery plus journal replay combined.
+//
+// FaultsFired proves the read and program faults fired. Erase faults
+// cannot: the scripts never fill a volume far enough to garbage-collect,
+// so no block is erased (none was even at EraseFaultProb 1).
 func TestCrashConformanceOnFaultyFlash(t *testing.T) {
 	var dev *device.Device
+	var injs []*faultinject.Injector // every volume's, for the fault tally
 	fstest.RunCrash(t, func(t *testing.T) (fstest.CrashFS, func(t *testing.T) fstest.CrashFS) {
 		prof := device.ProfileEMMC8().Scaled(256)
 		prof.Faults = &faultinject.Plan{
 			Seed:             17,
-			ReadFaultProb:    2e-3,
-			ProgramFaultProb: 1e-3,
+			ReadFaultProb:    2e-2,
+			ProgramFaultProb: 1e-2,
 			EraseFaultProb:   1e-4,
 		}
 		d, err := device.New(prof, simclock.New())
@@ -95,6 +100,7 @@ func TestCrashConformanceOnFaultyFlash(t *testing.T) {
 			t.Fatal(err)
 		}
 		dev = d
+		injs = append(injs, d.Injector())
 		if err := Mkfs(dev); err != nil {
 			t.Fatal(err)
 		}
@@ -120,6 +126,7 @@ func TestCrashConformanceOnFaultyFlash(t *testing.T) {
 			t.Fatalf("fsck after faulty-flash recovery: %v", rep.Corruptions)
 		}
 	})
+	fstest.FaultsFired(t, injs)
 }
 
 // TestConformanceOnFlash runs the same contract suite with extfs mounted on

@@ -63,16 +63,14 @@ func (v *FS) writable(blk uint32, cur []byte) []byte {
 	return bytes.Clone(cur)
 }
 
-// readMeta returns the current content of a metadata block, preferring the
-// running transaction, then journaled-uncheckpointed state, then the cache,
-// then the device.
+// readMeta returns the current content of a metadata block: the cache, or
+// else the device. The cache already holds the newest image of every block
+// readMeta serves — stageMeta puts each image there as well as in the
+// running transaction, commit moves that same slice to pending, and
+// freeBlock drops a block from all three at once. (Bitmap blocks, which
+// drainQuarantine rewrites behind the transaction's back, never come
+// through here.)
 func (v *FS) readMeta(blk uint32) ([]byte, error) {
-	if b, ok := v.txn[blk]; ok {
-		return b, nil
-	}
-	if b, ok := v.pending[blk]; ok {
-		return b, nil
-	}
 	if b, ok := v.meta[blk]; ok {
 		return b, nil
 	}

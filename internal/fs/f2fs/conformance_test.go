@@ -78,14 +78,19 @@ func (f faultyCrashFS) SimulateCrash() {
 // flash device under an injected fault plan, with every crash also cutting
 // device power — the log-on-log recovery stack (f2fs roll-forward over FTL
 // OOB-scan rebuild) with transient faults firing underneath.
+//
+// FaultsFired proves the read and program faults fired. Erase faults
+// cannot: the scripts never fill a volume far enough to garbage-collect,
+// so no block is erased (none was even at EraseFaultProb 1).
 func TestCrashConformanceOnFaultyFlash(t *testing.T) {
 	var dev *device.Device
+	var injs []*faultinject.Injector // every volume's, for the fault tally
 	fstest.RunCrash(t, func(t *testing.T) (fstest.CrashFS, func(t *testing.T) fstest.CrashFS) {
 		prof := device.ProfileMotoE8().Scaled(256)
 		prof.Faults = &faultinject.Plan{
 			Seed:             23,
-			ReadFaultProb:    2e-3,
-			ProgramFaultProb: 1e-3,
+			ReadFaultProb:    2e-2,
+			ProgramFaultProb: 1e-2,
 			EraseFaultProb:   1e-4,
 		}
 		d, err := device.New(prof, simclock.New())
@@ -93,6 +98,7 @@ func TestCrashConformanceOnFaultyFlash(t *testing.T) {
 			t.Fatal(err)
 		}
 		dev = d
+		injs = append(injs, d.Injector())
 		if err := Mkfs(dev); err != nil {
 			t.Fatal(err)
 		}
@@ -118,6 +124,7 @@ func TestCrashConformanceOnFaultyFlash(t *testing.T) {
 			t.Fatalf("check after faulty-flash recovery: %v", rep.Corruptions)
 		}
 	})
+	fstest.FaultsFired(t, injs)
 }
 
 // TestConformanceOnFlash runs the contract suite with f2fs mounted on a

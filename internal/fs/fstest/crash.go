@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
 	"testing"
 
+	"flashwear/internal/faultinject"
 	"flashwear/internal/fs"
+	"flashwear/internal/simrand"
 )
 
 // CrashFS is a file system that can simulate a power cut and be remounted.
@@ -36,6 +37,22 @@ func RunCrash(t *testing.T, mk CrashFactory, verify ...Verifier) {
 	t.Run("RepeatedCrashesStayMountable", func(t *testing.T) { repeatedCrashes(t, mk, verify) })
 }
 
+// FaultsFired fails the test unless the injectors, together, injected at
+// least one read fault and one program fault: a crash suite run under a
+// fault plan proves nothing about faults that never fired.
+func FaultsFired(t *testing.T, injs []*faultinject.Injector) {
+	t.Helper()
+	var reads, programs int64
+	for _, j := range injs {
+		st := j.Stats()
+		reads += st.ReadFaults
+		programs += st.ProgramFaults
+	}
+	if reads == 0 || programs == 0 {
+		t.Errorf("injected %d read and %d program faults over %d volumes, want both > 0: tighten the plan", reads, programs, len(injs))
+	}
+}
+
 func runVerifiers(t *testing.T, verify []Verifier) {
 	for _, v := range verify {
 		v(t)
@@ -47,7 +64,7 @@ func runVerifiers(t *testing.T, verify []Verifier) {
 func crashLoop(t *testing.T, mk CrashFactory, verify []Verifier) {
 	for seed := int64(1); seed <= 6; seed++ {
 		v, remount := mk(t)
-		rng := rand.New(rand.NewSource(seed))
+		rng := simrand.New(seed)
 
 		// synced holds, per file, the content as of its last fsync.
 		synced := map[string][]byte{}

@@ -7,10 +7,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"flashwear/internal/fs"
+	"flashwear/internal/simrand"
 )
 
 // Factory creates a fresh, empty, mounted file system for one test.
@@ -276,7 +276,7 @@ func testRandomized(t *testing.T, v fs.FileSystem) {
 	const span = 200_000
 	model := make([]byte, span)
 	//flashvet:ignore globalrand conformance corpus is pinned so every file system replays the identical history
-	rng := rand.New(rand.NewSource(77))
+	rng := simrand.New(77)
 	var size int64
 	for op := 0; op < 300; op++ {
 		off := int64(rng.Intn(span - 5000))

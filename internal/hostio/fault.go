@@ -4,11 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"math/rand"
 	"os"
 	"strconv"
 	"strings"
 	"sync"
+
+	"flashwear/internal/simrand"
 )
 
 // Injected fault sentinels. Callers distinguish "the disk is full" from
@@ -214,7 +215,7 @@ type FaultFS struct {
 	plan  Plan
 
 	mu    sync.Mutex
-	rng   *rand.Rand
+	rng   *simrand.Rand
 	ops   map[string]int64 // per (class, op-kind) and per ("all", op-kind)
 	stats Stats
 }
@@ -227,7 +228,7 @@ func NewFaultFS(inner FS, plan Plan) *FaultFS {
 	return &FaultFS{
 		inner: inner,
 		plan:  plan,
-		rng:   rand.New(rand.NewSource(plan.Seed)),
+		rng:   simrand.New(plan.Seed),
 		ops:   make(map[string]int64),
 	}
 }

@@ -4,8 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
+
+	"flashwear/internal/simrand"
 )
 
 // Operation errors returned by Chip. A failed program or erase leaves the
@@ -103,7 +104,7 @@ type Chip struct {
 	emodel  ErrorModel
 	timing  Timing
 	now     func() time.Duration
-	rng     *rand.Rand
+	rng     *simrand.Rand
 	tcorr   int
 	inject  FaultInjector
 	blocks  []block
@@ -210,7 +211,7 @@ func New(cfg Config) (*Chip, error) {
 		emodel:  em,
 		timing:  tm,
 		now:     cfg.Now,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		rng:     simrand.New(cfg.Seed),
 		tcorr:   tcorr,
 		inject:  cfg.Inject,
 		blocks:  make([]block, cfg.Geometry.Blocks()),

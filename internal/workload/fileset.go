@@ -3,9 +3,9 @@ package workload
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"flashwear/internal/fs"
+	"flashwear/internal/simrand"
 )
 
 // FileSet is the paper's attack workload: a handful of files in a private
@@ -24,7 +24,7 @@ type FileSet struct {
 
 	files  []fs.File
 	paths  []string // the files' names, built by the first Reattach
-	rng    *rand.Rand
+	rng    *simrand.Rand
 	writes int
 	buf    []byte
 }
@@ -38,7 +38,7 @@ func NewFileSet(fsys fs.FileSystem, dir string, fileSize int64, seed int64) *Fil
 	return &FileSet{
 		FS: fsys, Dir: dir, NumFiles: 4, FileSize: fileSize,
 		ReqBytes: 4096, SyncEvery: 1,
-		rng: rand.New(rand.NewSource(seed)),
+		rng: simrand.New(seed),
 	}
 }
 

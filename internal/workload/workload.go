@@ -7,9 +7,9 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
 	"flashwear/internal/blockdev"
+	"flashwear/internal/simrand"
 )
 
 // DeviceWriter issues a raw write pattern against a block device in
@@ -26,7 +26,7 @@ type DeviceWriter struct {
 	// a zero RegionLen means the whole device.
 	RegionOff, RegionLen int64
 
-	rng    *rand.Rand
+	rng    *simrand.Rand
 	cursor int64
 	unit   int64 // request alignment unit, set by init
 	inited bool
@@ -34,7 +34,7 @@ type DeviceWriter struct {
 
 // NewDeviceWriter builds a writer with a deterministic seed.
 func NewDeviceWriter(dev blockdev.Device, reqBytes int64, sequential bool, seed int64) *DeviceWriter {
-	return &DeviceWriter{Dev: dev, ReqBytes: reqBytes, Sequential: sequential, rng: rand.New(rand.NewSource(seed))}
+	return &DeviceWriter{Dev: dev, ReqBytes: reqBytes, Sequential: sequential, rng: simrand.New(seed)}
 }
 
 func (w *DeviceWriter) init() error {
