@@ -72,11 +72,12 @@ fuzz:
 # while erases recycle every page buffer no snapshot holds; and a payload
 # a read lent, held while GC and drains recycle other blocks' buffers; and
 # a campaign worker's degraded-carry states, which own their pages while
-# the worker decodes the next device into its arena.
+# the worker decodes the next device into its arena; and the births on a
+# worker's device stacks, per-goroutine state that lives across devices.
 race:
 	$(GO) test -race -count=1 -run 'TestSnapshotSharesWriteOncePages|TestSnapshotMissesRecycledBuffers|TestSnapshotKeepsNoMetadataState' ./internal/nand/
 	$(GO) test -race -count=1 -run TestLentPayloadSurvivesOtherBlocks ./internal/ftl/
-	$(GO) test -race -count=1 -run TestFleet ./internal/fleet/
+	$(GO) test -race -count=1 -run 'TestFleet|TestRebirthEqualsNewPhone' ./internal/fleet/
 	$(GO) test -race -count=1 -run TestConcurrentSpans ./internal/runtrace/
 	$(GO) test -race -count=1 -run 'TestCampaignInMemory|TestServerAPI|TestResumeAfterTruncatedCell|TestCarryOwnsItsPages' ./internal/fleetd/
 

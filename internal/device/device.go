@@ -151,9 +151,27 @@ func cacheGeometry(p Profile, capBytes int64) nand.Geometry {
 // device is left as New leaves it, apart from what its chips store, which
 // the caller replaces (ftl.FTL.Reset).
 func (d *Device) Retarget(seed int64, plan *faultinject.Plan) {
+	d.f.Reset(d.retarget(seed, plan))
+}
+
+// Rebirth hands the device to another device of the same model, as
+// Retarget does, and formats its chips with the seeds New gives them:
+// the device is then as New leaves it for a profile with this Seed and
+// Faults, blank flash included.
+func (d *Device) Rebirth(seed int64, plan *faultinject.Plan) {
+	inj := d.retarget(seed, plan)
+	d.f.MainChip().Format(seed)
+	if cc := d.f.CacheChip(); cc != nil {
+		cc.Format(seed + 1)
+	}
+	d.f.Format(inj)
+}
+
+// retarget is Retarget above the FTL. It returns the injector the chips
+// take.
+func (d *Device) retarget(seed int64, plan *faultinject.Plan) nand.FaultInjector {
 	d.prof.Seed, d.prof.Faults = seed, plan
 	d.rng = nil
-	var inj nand.FaultInjector // a nil *Injector would not be a nil interface
 	switch {
 	case plan == nil || plan.Empty():
 		d.inj = nil
@@ -162,12 +180,12 @@ func (d *Device) Retarget(seed int64, plan *faultinject.Plan) {
 	default:
 		d.inj.Reset(*plan)
 	}
-	if d.inj != nil {
-		inj = d.inj
-	}
-	d.f.Reset(inj)
 	d.busy, d.bytesWritten, d.bytesRead = 0, 0, 0
 	clear(d.auAppend)
+	if d.inj == nil {
+		return nil // a nil *Injector would not be a nil interface
+	}
+	return d.inj
 }
 
 // Profile returns the device's profile.

@@ -15,8 +15,9 @@
 // kill/resume byte-identical, re-keys every RNG stream per day and so
 // cannot produce Run's always-on phones (DESIGN.md §6, §11).
 //
-// Run's engine is a worker pool. Each worker owns a private Phone per
-// device, so no shared mutable state ever crosses a goroutine boundary.
+// Run's engine is a worker pool. Each worker owns one Phone per device
+// model (Stacks) and bears every device it is handed on it, so no shared
+// mutable state ever crosses a goroutine boundary.
 // Work is distributed by an atomic cursor (dynamic load balancing: a
 // worker that drew a cheap benign phone immediately picks up the next
 // index), and results stream into a lock-free per-worker Accumulator that
@@ -32,8 +33,10 @@
 //     profile, workload class, daily write rate, the NAND/FTL/workload
 //     seeds — is sampled from an RNG seeded by MixSeed(Spec.Seed, i).
 //     Nothing depends on which worker runs the device or when.
-//  2. Isolated simulation: each device runs on its own clock against its
-//     own stack; the simulation itself is deterministic given its seeds.
+//  2. Isolated simulation: each device is born on a stack formatted to
+//     the state a new one has (Phone.Rebirth), runs on its own clock, and
+//     shares nothing while it runs; the simulation itself is deterministic
+//     given its seeds.
 //  3. Additive aggregation: accumulators hold only integer counters and
 //     integer-count histograms, so merging is exactly associative and
 //     commutative — any partition of devices over workers merges to the

@@ -28,10 +28,14 @@ import (
 //
 // A Phone is used in order: NewPhone, then whatever the caller attaches to
 // Dev (telemetry, imported chip state), then FirstBoot or Reboot, then
-// RunUntil as often as the schedule wants, then Result. Retarget then hands
-// the stack to another device of the same model, which boots it with
-// Reboot. Nothing is shared between Phones, so concurrent ones need no
-// locking.
+// RunUntil as often as the schedule wants, then Result. Rebirth then
+// hands the stack to another device of the same model, formatted to the
+// state NewPhone builds, to boot with FirstBoot; Retarget hands it to one
+// whose flash the caller imports, to boot with Reboot. Either way nothing
+// is rebuilt, not even the file system's tables: every mount remounts the
+// previous volume in place. Both engines keep one stack per model per
+// worker (Stacks). Nothing is shared between Phones, so concurrent ones
+// need no locking.
 type Phone struct {
 	Params      Params
 	ProfileName string
@@ -57,6 +61,8 @@ type Phone struct {
 	// workStart is the clock when first-boot setup finished: the zero point
 	// of the phone's age and of fleetd's day grid.
 	workStart time.Duration
+	// vol is the last volume mounted, which the next mount reuses.
+	vol *extfs.FS
 }
 
 // remounts counts successful power-loss recoveries across all phones of
@@ -105,6 +111,36 @@ func NewPhone(spec Spec, p Params, plan *faultinject.Plan, clock *simclock.Clock
 	return ph, nil
 }
 
+// Stacks is one worker's device stacks, one per profile of a Spec: each
+// is built by NewPhone on first use and then handed from device to device
+// of its model (Rebirth, Retarget). Only the worker's goroutine touches
+// it.
+type Stacks []*Phone
+
+// Get returns the stack for p's model, building it if need be. The stack
+// is some device's, born or booted; the caller hands it to p.
+func (s *Stacks) Get(spec Spec, p Params) (*Phone, error) {
+	if *s == nil {
+		*s = make(Stacks, len(spec.Profiles))
+	}
+	if (*s)[p.profile] == nil {
+		ph, err := NewPhone(spec, p, nil, simclock.New())
+		if err != nil {
+			return nil, err
+		}
+		(*s)[p.profile] = ph
+	}
+	return (*s)[p.profile], nil
+}
+
+// Drop forgets the stack for p's model — after a panic, which may leave
+// it in any state — so that the next Get builds a new one.
+func (s Stacks) Drop(p Params) {
+	if s != nil {
+		s[p.profile] = nil
+	}
+}
+
 // Retarget hands the phone's stack to device p, which must be of the
 // model the phone was built for, at simulated time now and under fault
 // plan (nil for the profile's own): the clock, device, injector and wear
@@ -114,6 +150,26 @@ func NewPhone(spec Spec, p Params, plan *faultinject.Plan, clock *simclock.Clock
 // chips and restores the counters, then boots it with Reboot — a nightly
 // reboot that rebuilds nothing.
 func (ph *Phone) Retarget(p Params, plan *faultinject.Plan, now time.Duration) error {
+	return ph.handTo(p, plan, now, false)
+}
+
+// Rebirth hands the phone's stack to device p, which must be of the model
+// the phone was built for, under fault plan (nil for the profile's own),
+// to be born: the stack is then as NewPhone(spec, p, plan, simclock.New())
+// builds it, blank flash included, and FirstBoot boots it — a birth that
+// builds nothing.
+func (ph *Phone) Rebirth(p Params, plan *faultinject.Plan) error {
+	if err := ph.handTo(p, plan, 0, true); err != nil {
+		return err
+	}
+	// FirstBoot installs a new file set, and arm binds its step afresh.
+	ph.set = nil
+	ph.setStep, ph.paceStep = nil, nil
+	return nil
+}
+
+// handTo is Retarget, and with birth set Rebirth's device half.
+func (ph *Phone) handTo(p Params, plan *faultinject.Plan, now time.Duration, birth bool) error {
 	if p.profile != ph.Params.profile {
 		return ph.fail(fmt.Errorf("retarget to device %d of another model", p.Index))
 	}
@@ -122,7 +178,11 @@ func (ph *Phone) Retarget(p Params, plan *faultinject.Plan, now time.Duration) e
 	}
 	ph.Params = p
 	ph.Clock.Reset(now)
-	ph.Dev.Retarget(p.Seed, plan)
+	if birth {
+		ph.Dev.Rebirth(p.Seed, plan)
+	} else {
+		ph.Dev.Retarget(p.Seed, plan)
+	}
 	if tr := ph.Dev.WearTracer(); tr != nil {
 		tr.Reset()
 		ph.clsOrg = tr.Origin(p.Class.String())
@@ -157,12 +217,14 @@ func isDeath(err error) bool {
 // that counts as dead.
 const maxBootCuts = 8
 
-// mount mounts the device's file system as the workload sees it.
+// mount mounts the device's file system as the workload sees it, into
+// the phone's previous volume: the mount rebuilds nothing either.
 func (ph *Phone) mount() (fs.FileSystem, error) {
-	mounted, err := extfs.Mount(ph.Dev, fs.Options{DataAccounting: true})
+	mounted, err := extfs.Remount(ph.vol, ph.Dev, fs.Options{DataAccounting: true})
 	if err != nil {
 		return nil, err
 	}
+	ph.vol = mounted
 	if tr := ph.Dev.WearTracer(); tr != nil {
 		return wtrace.TagFS(mounted, tr, ph.clsOrg), nil
 	}

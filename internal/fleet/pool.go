@@ -14,7 +14,7 @@ var panicHook func(p Params)
 // runDevice invokes one device simulation with panic containment: a
 // panicking device is reported as failed (panicked=true) rather than
 // crashing the worker goroutine and aborting the whole fleet run.
-func runDevice(ctx context.Context, spec Spec, p Params) (res DeviceResult, err error, panicked bool) {
+func runDevice(ctx context.Context, spec Spec, p Params, stacks *Stacks) (res DeviceResult, err error, panicked bool) {
 	defer func() {
 		if recover() != nil {
 			panicked = true
@@ -23,7 +23,7 @@ func runDevice(ctx context.Context, spec Spec, p Params) (res DeviceResult, err 
 	if panicHook != nil {
 		panicHook(p)
 	}
-	res, err = simulateDevice(ctx, spec, p)
+	res, err = simulateDevice(ctx, spec, p, stacks)
 	return
 }
 
@@ -34,8 +34,9 @@ func runDevice(ctx context.Context, spec Spec, p Params) (res DeviceResult, err 
 // Scheduling is dynamic — an atomic cursor hands the next device index to
 // whichever worker frees up first — but the Result is independent of both
 // the schedule and Workers: device parameters derive from (Seed, index)
-// alone, each device simulates on a private stack, and accumulator merging
-// is integer-additive. See the package documentation.
+// alone, each device is born on its worker's stack for its model formatted
+// to the state a new stack has, and accumulator merging is
+// integer-additive. See the package documentation.
 func Run(ctx context.Context, spec Spec) (*Result, error) {
 	spec = spec.Defaults()
 	if err := spec.Validate(); err != nil {
@@ -63,16 +64,19 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var stacks Stacks
 			for ctx.Err() == nil {
 				i := int(cursor.Add(1) - 1)
 				if i >= spec.Devices {
 					return
 				}
 				p := spec.Sample(i)
-				res, err, panicked := runDevice(ctx, spec, p)
+				res, err, panicked := runDevice(ctx, spec, p, &stacks)
 				if panicked {
 					// Contained: record the failure with the seed that
-					// reproduces it and move on to the next device.
+					// reproduces it and move on to the next device, on a
+					// new stack for its model.
+					stacks.Drop(p)
 					acc.noteFailed(p.Seed)
 					if spec.Progress != nil {
 						spec.Progress(int(done.Add(1)), spec.Devices, DeviceResult{Index: i})

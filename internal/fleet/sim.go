@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"flashwear/internal/faultinject"
-	"flashwear/internal/simclock"
 	"flashwear/internal/wtrace"
 )
 
@@ -43,22 +42,36 @@ type DeviceResult struct {
 	wear wtrace.Snapshot
 }
 
-// simulateDevice is fleet.Run's schedule over a Phone: first boot, then run
-// to the horizon. It is self-contained: everything it touches is built
-// here, so concurrent calls share no mutable state.
-func simulateDevice(ctx context.Context, spec Spec, p Params) (DeviceResult, error) {
-	var plan *faultinject.Plan
-	if spec.Faults != nil && !spec.Faults.Empty() {
-		// Re-seed the plan per device: fault schedules stay independent
-		// across the population but are a pure function of the Spec.
-		seeded := spec.Faults.WithSeed(spec.Faults.Seed + p.Seed)
-		plan = &seeded
-	}
-	ph, err := NewPhone(spec, p, plan, simclock.New())
+// simulateDevice runs device p on the worker's stack for its model, reborn
+// as p: formatted to the state NewPhone builds, so the device's outcome
+// does not depend on which devices the stack carried before (DESIGN.md
+// §6).
+func simulateDevice(ctx context.Context, spec Spec, p Params, stacks *Stacks) (DeviceResult, error) {
+	ph, err := stacks.Get(spec, p)
 	if err != nil {
 		return DeviceResult{}, err
 	}
+	if err := ph.Rebirth(p, devicePlan(spec, p)); err != nil {
+		return DeviceResult{}, err
+	}
+	return simulate(ctx, spec, ph)
+}
 
+// devicePlan is the fault plan device p runs under, nil when the spec
+// injects nothing: re-seeded per device, so fault schedules stay
+// independent across the population but are a pure function of the Spec.
+func devicePlan(spec Spec, p Params) *faultinject.Plan {
+	if spec.Faults == nil || spec.Faults.Empty() {
+		return nil
+	}
+	seeded := spec.Faults.WithSeed(spec.Faults.Seed + p.Seed)
+	return &seeded
+}
+
+// simulate is fleet.Run's schedule over a blank Phone: first boot, then run
+// to the horizon.
+func simulate(ctx context.Context, spec Spec, ph *Phone) (DeviceResult, error) {
+	p := ph.Params
 	// Sampling starts at device birth — before mkfs, so the file-system
 	// fill is part of the trajectory — on the scaled cadence: full-scale
 	// MetricsEvery divides by the effective scale exactly as the horizon

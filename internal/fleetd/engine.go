@@ -11,7 +11,6 @@ import (
 	"flashwear/internal/ftl"
 	"flashwear/internal/nand"
 	"flashwear/internal/report"
-	"flashwear/internal/simclock"
 	"flashwear/internal/wtrace"
 )
 
@@ -71,13 +70,13 @@ func dayPlan(spec fleet.Spec, p fleet.Params, day int, after time.Duration) *fau
 	return &plan
 }
 
-// birth runs a device's first boot on day 0's plan, on a stack of its own.
-// The clock after setup anchors the device's day grid. The second return
-// is true when wear or faults kill the device before setup completes (a
-// death, not an error).
-func birth(spec fleet.Spec, p fleet.Params) (*liveDev, bool, error) {
-	ph, err := fleet.NewPhone(spec, p, dayPlan(spec, p, 0, 0), simclock.New())
-	if err != nil {
+// bear runs device p's first boot on stack ph, reborn as p under day 0's
+// plan: formatted to the state a new stack has, so the birth does not
+// depend on which devices ph carried before. The clock after setup
+// anchors the device's day grid. The second return is true when wear or
+// faults kill the device before setup completes (a death, not an error).
+func bear(ph *fleet.Phone, spec fleet.Spec, p fleet.Params) (*liveDev, bool, error) {
+	if err := ph.Rebirth(p, dayPlan(spec, p, 0, 0)); err != nil {
 		return nil, false, err
 	}
 	died, err := ph.FirstBoot()
@@ -90,7 +89,7 @@ func birth(spec fleet.Spec, p fleet.Params) (*liveDev, bool, error) {
 // into, and the state and buffer it encodes end-of-epoch frames from.
 // Only its own goroutine touches it.
 type worker struct {
-	stacks      []*fleet.Phone // by profile index, built on first use
+	stacks      fleet.Stacks
 	arena       arena
 	out         deviceState
 	main, cache nand.ChipState // out's chips, viewing the stack
@@ -136,22 +135,6 @@ func (cr *crew) recycle(b []byte) {
 	case cr.frames <- b:
 	default:
 	}
-}
-
-// stack returns the worker's device stack for p's model.
-func (w *worker) stack(spec fleet.Spec, p fleet.Params) (*fleet.Phone, error) {
-	if w.stacks == nil {
-		w.stacks = make([]*fleet.Phone, len(spec.Profiles))
-	}
-	i := p.ProfileIndex()
-	if w.stacks[i] == nil {
-		ph, err := fleet.NewPhone(spec, p, nil, simclock.New())
-		if err != nil {
-			return nil, err
-		}
-		w.stacks[i] = ph
-	}
-	return w.stacks[i], nil
 }
 
 // boot reboots stack ph as device p from the day-boundary state st:
@@ -409,9 +392,9 @@ func (a *epochAcc) footer(shard, epoch int) (*epochFooter, error) {
 var panicHook func(p fleet.Params)
 
 // runDeviceEpoch advances one device across the accumulator's day range,
-// rebooting it at every day boundary. A nil st means the device is born
-// at the epoch's first day; otherwise it boots on the worker's stack for
-// its model, from st. It returns the device alive at the end of the epoch
+// rebooting it at every day boundary. It starts on the worker's stack for
+// its model: born there at the epoch's first day when st is nil, booted
+// from st otherwise. It returns the device alive at the end of the epoch
 // — for the caller to capture from before the worker runs another device
 // — or nil if the device died (the death is folded into acc; dead devices
 // carry no further state). A panicking device becomes the returned error,
@@ -420,6 +403,7 @@ var panicHook func(p fleet.Params)
 func (w *worker) runDeviceEpoch(spec fleet.Spec, p fleet.Params, st *deviceState, acc *epochAcc) (_ *liveDev, err error) {
 	defer func() {
 		if r := recover(); r != nil {
+			w.stacks.Drop(p)
 			err = fmt.Errorf("fleetd: device %d (seed %d) panicked: %v", p.Index, p.Seed, r)
 		}
 	}()
@@ -436,12 +420,15 @@ func (w *worker) runDeviceEpoch(spec fleet.Spec, p fleet.Params, st *deviceState
 			// own stack, whose flash already holds its state.
 			c := ld.counters(day)
 			ld, died, err = boot(ld.Phone, spec, p, &c)
-		case st == nil:
-			ld, died, err = birth(spec, p)
 		default:
+			// Born or booted from st on the worker's stack for its model.
 			var ph *fleet.Phone
-			if ph, err = w.stack(spec, p); err == nil {
-				ld, died, err = boot(ph, spec, p, st)
+			if ph, err = w.stacks.Get(spec, p); err == nil {
+				if st == nil {
+					ld, died, err = bear(ph, spec, p)
+				} else {
+					ld, died, err = boot(ph, spec, p, st)
+				}
 			}
 		}
 		if err == nil && !died {

@@ -12,6 +12,22 @@ import (
 	"flashwear/internal/simclock"
 )
 
+// freshBirth is a device's first boot on a stack of its own — NewPhone
+// under day 0's plan, then FirstBoot — the reference a birth on a reused
+// worker stack must be indistinguishable from.
+func freshBirth(t *testing.T, spec fleet.Spec, p fleet.Params) (*liveDev, bool) {
+	t.Helper()
+	ph, err := fleet.NewPhone(spec, p, dayPlan(spec, p, 0, 0), simclock.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	died, err := ph.FirstBoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &liveDev{Phone: ph}, died
+}
+
 // freshBoot is the nightly reboot on a stack of its own — NewPhone,
 // import, reseed, restore, Reboot — the reference a reused worker stack
 // must be indistinguishable from.
@@ -84,9 +100,10 @@ func pick(t *testing.T, spec fleet.Spec, model string, class fleet.Class, skip i
 // device-days on different models and classes — a hybrid eMMC 16GB, a BLU
 // 4GB attack phone that dies, and two Moto Es (benign and attacking) that
 // take turns on one stack — booting each from the frame the worker
-// encoded the night before, decoded into its arena. Every day row, ledger
-// and end-of-day frame must be byte-identical to fresh boots from durable
-// states.
+// encoded the night before, decoded into its arena. Every device is born
+// on a stack another device of its model has already run a day on. Every
+// day row, ledger and end-of-day frame must be byte-identical to fresh
+// births and fresh boots from durable states.
 func TestReusedStackEqualsFresh(t *testing.T) {
 	spec := reuseSpec(t)
 	type dev struct {
@@ -103,6 +120,22 @@ func TestReusedStackEqualsFresh(t *testing.T) {
 		{p: pick(t, spec, device.ProfileMotoE8().Name, fleet.ClassAttack, 0)},
 	}
 	w := &worker{}
+	// Dirty every model's stack first: an attack phone's day leaves worn
+	// and written flash, a tracer ledger and, under the plan, power cuts.
+	for _, model := range []string{device.ProfileEMMC16().Name, device.ProfileBLU4().Name, device.ProfileMotoE8().Name} {
+		p := pick(t, spec, model, fleet.ClassAttack, 1)
+		ph, err := w.stacks.Get(spec, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ld, died, err := bear(ph, spec, p)
+		if err == nil && !died {
+			_, err = ld.runDay(0)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	const days = 12
 	for day := 0; day < days; day++ {
 		for _, d := range devs {
@@ -113,10 +146,12 @@ func TestReusedStackEqualsFresh(t *testing.T) {
 			var refDied, reuDied bool
 			var err error
 			if day == 0 {
-				if d.ref, refDied, err = birth(spec, d.p); err != nil {
+				d.ref, refDied = freshBirth(t, spec, d.p)
+				ph, err := w.stacks.Get(spec, d.p)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if d.reu, reuDied, err = birth(spec, d.p); err != nil {
+				if d.reu, reuDied, err = bear(ph, spec, d.p); err != nil {
 					t.Fatal(err)
 				}
 			} else {
@@ -125,7 +160,7 @@ func TestReusedStackEqualsFresh(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ph, err := w.stack(spec, d.p)
+				ph, err := w.stacks.Get(spec, d.p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -184,9 +219,9 @@ func TestNightAllocations(t *testing.T) {
 	spec := reuseSpec(t)
 	spec.Faults = nil
 	p := pick(t, spec, device.ProfileMotoE8().Name, fleet.ClassBenign, 0)
-	ld, died, err := birth(spec, p)
-	if err != nil || died {
-		t.Fatalf("birth: died %v, %v", died, err)
+	ld, died := freshBirth(t, spec, p)
+	if died {
+		t.Fatal("died at birth")
 	}
 	if _, err := ld.runDay(0); err != nil {
 		t.Fatal(err)
@@ -199,7 +234,7 @@ func TestNightAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ph, err := w.stack(spec, p)
+		ph, err := w.stacks.Get(spec, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,8 +276,9 @@ func TestCarryOwnsItsPages(t *testing.T) {
 		pick(t, spec, device.ProfileMotoE8().Name, fleet.ClassAttack, 0),
 	}
 	for i, p := range ps {
-		ld, died, err := birth(spec, p)
-		if err == nil && !died {
+		ld, died := freshBirth(t, spec, p)
+		var err error
+		if !died {
 			died, err = ld.runDay(0)
 		}
 		if err != nil || died {
@@ -257,7 +293,7 @@ func TestCarryOwnsItsPages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ph, err := w.stack(spec, ps[i])
+		ph, err := w.stacks.Get(spec, ps[i])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,9 +11,13 @@ import (
 
 // loadBitmap reads the bitmap region into memory at mount.
 func (v *FS) loadBitmap() error {
-	words := make([]uint64, int(v.sb.bitmapBlks)*BlockSize/8)
+	n := int(v.sb.bitmapBlks) * BlockSize / 8
+	if cap(v.bitmap) < n {
+		v.bitmap = make([]uint64, n)
+	}
+	words := v.bitmap[:n]
 	for i := uint32(0); i < v.sb.bitmapBlks; i++ {
-		b, err := readBlock(v.dev, v.sb.bitmapStart+i)
+		b, err := readBlockInto(v.dev, v.sb.bitmapStart+i, v.scratch)
 		if err != nil {
 			return err
 		}
@@ -85,7 +89,7 @@ func (v *FS) freeBlock(blk uint32) {
 	if !v.bitSet(blk) || v.quarantine[blk] {
 		return
 	}
-	delete(v.meta, blk)
+	v.meta[blk] = nil
 	delete(v.txn, blk)
 	delete(v.pending, blk)
 	v.quarantine[blk] = true

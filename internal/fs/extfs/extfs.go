@@ -27,8 +27,10 @@ type FS struct {
 	freeBlocks        int64
 	allocRotor        uint32
 
-	inodes  map[uint32]*inode
-	meta    map[uint32][]byte
+	inodes map[uint32]*inode
+	// meta is the metadata cache, indexed by block and totalBlocks long:
+	// the newest image of a block readMeta has served, or nil.
+	meta    [][]byte
 	txn     map[uint32][]byte
 	pending map[uint32][]byte
 
@@ -42,6 +44,9 @@ type FS struct {
 	jHead uint32
 	jSeq  uint64
 
+	// gen numbers the mounts an FS has been through; a file handle works
+	// only in the mount that opened it.
+	gen        uint32
 	unmounted  bool
 	nowCounter int64
 
@@ -109,7 +114,7 @@ func Mkfs(dev blockdev.Device) error {
 	if err := writeBlock(dev, sb.jStart, journalSuper{seq: 1}.encode(buf)); err != nil {
 		return err
 	}
-	if err := writeBlock(dev, 0, sb.encode()); err != nil {
+	if err := writeBlock(dev, 0, sb.encode(buf)); err != nil {
 		return err
 	}
 	return dev.Flush()
@@ -118,55 +123,113 @@ func Mkfs(dev blockdev.Device) error {
 // Mount opens an extfs volume, replaying the journal after an unclean
 // shutdown.
 func Mount(dev blockdev.Device, opts fs.Options) (*FS, error) {
-	b, err := readBlock(dev, 0)
-	if err != nil {
+	return Remount(nil, dev, opts)
+}
+
+// Remount opens the extfs volume on dev in prev, reusing its tables and
+// buffers, and returns prev; a nil prev is Mount. Whatever prev held is
+// dropped unwritten, as SimulateCrash drops it, and the files prev's
+// earlier mounts opened fail with fs.ErrUnmounted from then on. The
+// mounted volume is as Mount would have mounted it. On an error, prev is
+// left unmounted, to be remounted again.
+func Remount(prev *FS, dev blockdev.Device, opts fs.Options) (*FS, error) {
+	v := prev
+	if v == nil {
+		v = &FS{}
+	}
+	if err := v.mount(dev, opts); err != nil {
 		return nil, err
+	}
+	return v, nil
+}
+
+// reset readies v to mount dev: every field as in a new FS, with v's
+// maps, metadata table and buffers emptied for reuse, a new generation,
+// and v unmounted until the mount succeeds.
+func (v *FS) reset(dev blockdev.Device, opts fs.Options) {
+	clear(v.meta[:cap(v.meta)])
+	clear(v.dirBlks)
+	scratch := v.scratch
+	if scratch == nil {
+		scratch = make([]byte, BlockSize)
+	}
+	*v = FS{
+		dev: dev, opts: opts,
+		bitmap:            v.bitmap,
+		dirtyBitmapBlocks: emptied(v.dirtyBitmapBlocks),
+		quarantine:        emptied(v.quarantine),
+		inodes:            emptied(v.inodes),
+		meta:              v.meta[:0],
+		txn:               emptied(v.txn),
+		pending:           emptied(v.pending),
+		scratch:           scratch,
+		keys:              v.keys[:0],
+		dirBlks:           v.dirBlks[:0],
+		gen:               v.gen + 1,
+		unmounted:         true,
+	}
+}
+
+// emptied returns m cleared, or a new map if m is nil.
+func emptied[V any](m map[uint32]V) map[uint32]V {
+	if m == nil {
+		return make(map[uint32]V)
+	}
+	clear(m)
+	return m
+}
+
+func (v *FS) mount(dev blockdev.Device, opts fs.Options) error {
+	v.reset(dev, opts)
+	b, err := readBlockInto(dev, 0, v.scratch)
+	if err != nil {
+		return err
 	}
 	sb, err := decodeSuperblock(b)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	v := &FS{
-		dev: dev, opts: opts, sb: sb,
-		dirtyBitmapBlocks: make(map[uint32]bool),
-		quarantine:        make(map[uint32]bool),
-		inodes:            make(map[uint32]*inode),
-		meta:              make(map[uint32][]byte),
-		txn:               make(map[uint32][]byte),
-		pending:           make(map[uint32][]byte),
-		scratch:           make([]byte, BlockSize),
+	if int64(sb.totalBlocks)*BlockSize > dev.Size() {
+		return fmt.Errorf("%w: %d blocks on a %d-byte device", ErrCorrupt, sb.totalBlocks, dev.Size())
+	}
+	v.sb = sb
+	if n := int(sb.totalBlocks); cap(v.meta) < n {
+		v.meta = make([][]byte, n)
+	} else {
+		v.meta = v.meta[:n]
 	}
 	if sb.state != stateClean {
 		n, err := v.replay()
 		if err != nil {
-			return nil, fmt.Errorf("extfs: journal replay: %w", err)
+			return fmt.Errorf("extfs: journal replay: %w", err)
 		}
 		v.statReplayedTxns = n
 	} else {
-		jb, err := readBlock(dev, sb.jStart)
+		jb, err := readBlockInto(dev, sb.jStart, v.scratch)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		jsb, err := decodeJournalSuper(jb)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		v.jSeq = jsb.seq
 		v.jHead = sb.jStart + 1
 	}
 	if err := v.loadBitmap(); err != nil {
-		return nil, err
+		return err
 	}
 	v.countFree()
 	// Mark mounted (dirty) so a crash triggers replay next time.
 	sb.state = stateMounted
-	if err := writeBlock(dev, 0, sb.encode()); err != nil {
-		return nil, err
+	if err := writeBlock(dev, 0, sb.encode(v.scratch)); err != nil {
+		return err
 	}
 	if err := dev.Flush(); err != nil {
-		return nil, err
+		return err
 	}
-	return v, nil
+	v.unmounted = false
+	return nil
 }
 
 // Name implements fs.FileSystem.
@@ -412,7 +475,7 @@ func (v *FS) Create(path string) (fs.File, error) {
 		if in.mode == modeDir {
 			return nil, fs.ErrIsDir
 		}
-		f := &file{fs: v, in: in}
+		f := &file{fs: v, in: in, gen: v.gen}
 		if err := f.Truncate(0); err != nil {
 			return nil, err
 		}
@@ -431,7 +494,7 @@ func (v *FS) Create(path string) (fs.File, error) {
 	if err := v.commit(); err != nil {
 		return nil, err
 	}
-	return &file{fs: v, in: in}, nil
+	return &file{fs: v, in: in, gen: v.gen}, nil
 }
 
 // Open implements fs.FileSystem.
@@ -446,7 +509,7 @@ func (v *FS) Open(path string) (fs.File, error) {
 	if in.mode == modeDir {
 		return nil, fs.ErrIsDir
 	}
-	return &file{fs: v, in: in}, nil
+	return &file{fs: v, in: in, gen: v.gen}, nil
 }
 
 // Mkdir implements fs.FileSystem.
@@ -675,7 +738,7 @@ func (v *FS) Unmount() error {
 		return err
 	}
 	v.sb.state = stateClean
-	if err := writeBlock(v.dev, 0, v.sb.encode()); err != nil {
+	if err := writeBlock(v.dev, 0, v.sb.encode(v.scratch)); err != nil {
 		return err
 	}
 	if err := v.dev.Flush(); err != nil {

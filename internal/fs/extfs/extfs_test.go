@@ -42,6 +42,26 @@ func TestMountRejectsBlankDevice(t *testing.T) {
 	}
 }
 
+// TestMountRejectsVolumeLargerThanDevice: a superblock claiming more
+// blocks than the device holds is corrupt, not a table to allocate.
+func TestMountRejectsVolumeLargerThanDevice(t *testing.T) {
+	big, _ := newVolume(t, 8, fs.Options{})
+	if err := big.Unmount(); err != nil {
+		t.Fatal(err)
+	}
+	sb, err := readBlock(big.dev, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, _ := blockdev.NewMem(4<<20, 512)
+	if err := writeBlock(small, 0, sb); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Mount(small, fs.Options{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Mount of an 8 MiB volume on a 4 MiB device: %v, want ErrCorrupt", err)
+	}
+}
+
 func TestCreateWriteReadBack(t *testing.T) {
 	v, _ := newVolume(t, 8, fs.Options{})
 	f, err := v.Create("/hello.txt")

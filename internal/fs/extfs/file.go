@@ -11,12 +11,15 @@ import (
 type file struct {
 	fs     *FS
 	in     *inode
+	gen    uint32 // the mount of fs that opened the file
 	closed bool
 	syncs  int // fsyncs since the inode was last journaled (lazytime)
 }
 
+// alive fails a closed file, and one whose mount has ended: its inode is
+// that mount's, even if fs has since been remounted in place.
 func (f *file) alive() error {
-	if f.closed {
+	if f.closed || f.gen != f.fs.gen {
 		return fs.ErrUnmounted
 	}
 	return f.fs.alive()

@@ -69,9 +69,13 @@ func (v *FS) writable(blk uint32, cur []byte) []byte {
 // running transaction, commit moves that same slice to pending, and
 // freeBlock drops a block from all three at once. (Bitmap blocks, which
 // drainQuarantine rewrites behind the transaction's back, never come
-// through here.)
+// through here.) The cache is a table indexed by block, so a hit is one
+// nil check; a block past the volume is a corrupt pointer.
 func (v *FS) readMeta(blk uint32) ([]byte, error) {
-	if b, ok := v.meta[blk]; ok {
+	if blk >= uint32(len(v.meta)) {
+		return nil, fmt.Errorf("%w: block %d past the volume", ErrCorrupt, blk)
+	}
+	if b := v.meta[blk]; b != nil {
 		return b, nil
 	}
 	b, err := readBlock(v.dev, blk)

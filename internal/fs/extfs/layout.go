@@ -70,8 +70,10 @@ type superblock struct {
 	state       uint32
 }
 
-func (sb *superblock) encode() []byte {
-	b := make([]byte, BlockSize)
+// encode renders the superblock into b, a BlockSize buffer, and returns
+// it.
+func (sb *superblock) encode(b []byte) []byte {
+	clear(b)
 	le := binary.LittleEndian
 	le.PutUint32(b[0:], sb.magic)
 	le.PutUint32(b[4:], sb.version)

@@ -104,7 +104,7 @@ func checkMetaCache(t *testing.T, v *FS, after string) {
 			if _, ok := skip[blk]; ok || blk >= v.sb.bitmapStart && blk < v.sb.bitmapStart+v.sb.bitmapBlks {
 				continue
 			}
-			if c, ok := v.meta[blk]; !ok || len(c) != len(b) || &c[0] != &b[0] {
+			if c := v.meta[blk]; c == nil || len(c) != len(b) || &c[0] != &b[0] {
 				t.Fatalf("after %s: meta[%d] is not the slice in %s", after, blk, where)
 			}
 		}

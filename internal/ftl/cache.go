@@ -29,6 +29,8 @@ type cachePool struct {
 
 	rmap  []int32 // physical page -> logical page, -1 if dead
 	valid []int32
+	// filled is rebuildFromChip's scratch: which ring positions hold data.
+	filled []bool
 
 	// gseq / stats point at the owning FTL's sequence counter and Stats
 	// block (dummies when the pool is tested standalone).
@@ -46,17 +48,13 @@ func newCachePool(chip *nand.Chip) *cachePool {
 	c := &cachePool{
 		chip:  chip,
 		ppb:   g.PagesPerBlock,
+		ring:  make([]int, 0, g.Blocks()),
 		rmap:  make([]int32, g.Blocks()*g.PagesPerBlock),
 		valid: make([]int32, g.Blocks()),
 		gseq:  new(int64),
 		stats: new(Stats),
 	}
-	for i := range c.rmap {
-		c.rmap[i] = -1
-	}
-	for b := 0; b < g.Blocks(); b++ {
-		c.ring = append(c.ring, b)
-	}
+	c.rebuildFromChip()
 	return c
 }
 

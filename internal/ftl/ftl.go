@@ -119,9 +119,6 @@ func New(cfg Config) (*FTL, error) {
 	}
 	f.logicalPages = userBlocks * mainChip.Geometry().PagesPerBlock
 	f.l2p = make([]loc, f.logicalPages)
-	for i := range f.l2p {
-		f.l2p[i] = noLoc
-	}
 	f.main = newGCPool(PoolB, mainChip, &cfg, f.remap)
 	f.main.gseq = &f.gseq
 	f.main.stats = &f.stats
@@ -140,6 +137,7 @@ func New(cfg Config) (*FTL, error) {
 		f.cache.gseq = &f.gseq
 		f.cache.stats = &f.stats
 	}
+	f.format()
 	return f, nil
 }
 
@@ -150,17 +148,44 @@ func New(cfg Config) (*FTL, error) {
 // ImportState and Reseed, and Recover, which the caller must run next,
 // rebuilds the mapping from them.
 func (f *FTL) Reset(inj nand.FaultInjector) {
+	f.setInjector(inj)
+	f.zeroCounters()
+	f.powerLost = true
+}
+
+// Format prepares the FTL to be born again on its chips, which the caller
+// has formatted (nand.Chip.Format): the fault injector becomes inj (nil
+// for none), and the FTL is then as New leaves it over blank chips. It
+// charges no scan and counts no recovery, unlike Recover. New runs the
+// same initialisation.
+func (f *FTL) Format(inj nand.FaultInjector) {
+	f.setInjector(inj)
+	f.format()
+}
+
+// format is New's initialisation over the chips as they stand, which on
+// blank chips is a blank FTL.
+func (f *FTL) format() {
+	f.zeroCounters()
+	f.dropVolatile()
+	f.powerLost = false
+}
+
+func (f *FTL) setInjector(inj nand.FaultInjector) {
 	f.main.chip.SetInjector(inj)
 	if f.cacheChip != nil {
 		f.cacheChip.SetInjector(inj)
 	}
+}
+
+// zeroCounters zeroes the statistics and the attribution tags.
+func (f *FTL) zeroCounters() {
 	f.stats = Stats{}
 	f.main.gcCopies, f.main.collects = 0, 0
 	clear(f.main.orgs)
 	if f.cache != nil {
 		clear(f.cache.orgs)
 	}
-	f.powerLost = true
 }
 
 // SetTracer attaches (or, with nil, detaches) the wear-attribution

@@ -82,30 +82,23 @@ func newGCPool(id PoolID, chip *nand.Chip, cfg *Config, remap func(int32, loc)) 
 	g := chip.Geometry()
 	nb := g.Blocks()
 	p := &gcPool{
-		id:         id,
-		chip:       chip,
-		ppb:        g.PagesPerBlock,
-		state:      make([]blockState, nb),
-		valid:      make([]int32, nb),
-		fill:       make([]int32, nb),
-		seqNo:      make([]int64, nb),
-		rmap:       make([]int32, nb*g.PagesPerBlock),
-		free:       make([]int, 0, nb),
-		openBlk:    [3]int{-1, -1, -1},
-		policy:     cfg.GC,
-		noWL:       cfg.NoWearLeveling,
-		reserve:    2,
-		relocating: -1,
-		remap:      remap,
-		gseq:       new(int64),
-		stats:      new(Stats),
+		id:      id,
+		chip:    chip,
+		ppb:     g.PagesPerBlock,
+		state:   make([]blockState, nb),
+		valid:   make([]int32, nb),
+		fill:    make([]int32, nb),
+		seqNo:   make([]int64, nb),
+		rmap:    make([]int32, nb*g.PagesPerBlock),
+		free:    make([]int, 0, nb),
+		policy:  cfg.GC,
+		noWL:    cfg.NoWearLeveling,
+		reserve: 2,
+		remap:   remap,
+		gseq:    new(int64),
+		stats:   new(Stats),
 	}
-	for i := range p.rmap {
-		p.rmap[i] = -1
-	}
-	for b := 0; b < nb; b++ {
-		p.free = append(p.free, b)
-	}
+	p.rebuildFromChip()
 	return p
 }
 

@@ -28,24 +28,7 @@ func (f *FTL) CutPower() {
 // pages whose program was interrupted carry no metadata and are skipped.
 func (f *FTL) Recover() (Cost, error) {
 	var cost Cost
-
-	// Drop every volatile structure.
-	for i := range f.l2p {
-		f.l2p[i] = noLoc
-	}
-	f.validLogical = 0
-	f.drainDebt = 0
-	f.merged = false
-	f.fragCached = 0
-	f.fragCountdown = 0
-	f.bricked = false
-	f.readOnly = false
-	f.gseq = 0
-
-	f.main.rebuildFromChip()
-	if f.cache != nil {
-		f.cache.rebuildFromChip()
-	}
+	f.dropVolatile()
 
 	// Scan both chips' OOB metadata and pick the highest-sequence copy of
 	// each logical page.
@@ -84,6 +67,27 @@ func (f *FTL) Recover() (Cost, error) {
 	f.powerLost = false
 	f.stats.Recoveries++
 	return cost, nil
+}
+
+// dropVolatile drops every volatile structure: the mapping and the mode
+// flags are cleared, and the pools' tables rebuilt from what the chips
+// record, for an OOB scan to repopulate.
+func (f *FTL) dropVolatile() {
+	for i := range f.l2p {
+		f.l2p[i] = noLoc
+	}
+	f.validLogical = 0
+	f.drainDebt = 0
+	f.merged = false
+	f.fragCached = 0
+	f.fragCountdown = 0
+	f.bricked = false
+	f.readOnly = false
+	f.gseq = 0
+	f.main.rebuildFromChip()
+	if f.cache != nil {
+		f.cache.rebuildFromChip()
+	}
 }
 
 // scanPool walks every programmed page of a chip, reading OOB metadata and
@@ -211,7 +215,11 @@ func (c *cachePool) rebuildFromChip() {
 	if n == 0 {
 		return
 	}
-	filled := make([]bool, n)
+	if cap(c.filled) < n {
+		c.filled = make([]bool, n)
+	}
+	filled := c.filled[:n]
+	clear(filled)
 	arcLen := 0
 	for i, b := range c.ring {
 		if c.chip.ProgrammedPages(b) > 0 {

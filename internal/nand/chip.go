@@ -211,7 +211,7 @@ func New(cfg Config) (*Chip, error) {
 		emodel:  em,
 		timing:  tm,
 		now:     cfg.Now,
-		rng:     simrand.New(cfg.Seed),
+		rng:     new(simrand.Rand),
 		tcorr:   tcorr,
 		inject:  cfg.Inject,
 		blocks:  make([]block, cfg.Geometry.Blocks()),
@@ -219,16 +219,45 @@ func New(cfg Config) (*Chip, error) {
 	ppb := cfg.Geometry.PagesPerBlock
 	pages := make([][]byte, len(c.blocks)*ppb)
 	meta := make([]OOB, len(c.blocks)*ppb)
-	for i := range meta {
-		meta[i].LP = -1
-	}
 	for i := range c.blocks {
 		b := &c.blocks[i]
-		b.stress = 1 - stressSpread + 2*stressSpread*c.rng.Float64()
 		b.pages = pages[i*ppb : (i+1)*ppb]
 		b.meta = meta[i*ppb : (i+1)*ppb]
 	}
+	c.Format(cfg.Seed)
 	return c, nil
+}
+
+// Format returns the chip to the state New leaves it in with Config.Seed
+// = seed: the RNG restarts at seed, the counters are zero, and every block
+// is erased, unworn and good, with its endurance variation drawn afresh in
+// block order. The configuration and the fault injector are kept, and so
+// is the storage: the payload buffers of blocks no snapshot shares go back
+// on the free list, as ImportState recycles them. New runs this too, so a
+// field a later change adds to block is zero after Format as after New.
+func (c *Chip) Format(seed int64) {
+	c.rng.Seed(seed)
+	c.stats = Stats{}
+	for i := range c.blocks {
+		b := &c.blocks[i]
+		pages, meta := b.pages, b.meta
+		if !b.shared {
+			for _, buf := range pages[:b.nextPage] {
+				if buf != nil {
+					c.free = append(c.free, buf)
+				}
+			}
+		}
+		clear(pages)
+		for p := range meta {
+			meta[p] = OOB{LP: -1}
+		}
+		*b = block{
+			pages:  pages,
+			meta:   meta,
+			stress: 1 - stressSpread + 2*stressSpread*c.rng.Float64(),
+		}
+	}
 }
 
 // Geometry returns the chip's layout.
