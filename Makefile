@@ -71,15 +71,15 @@ fuzz:
 # snapshot's shared page payloads, with two chips running from one state
 # while erases recycle every page buffer no snapshot holds; and a payload
 # a read lent, held while GC and drains recycle other blocks' buffers; and
-# a campaign worker's degraded-carry states, which own their pages while
-# the worker decodes the next device into its arena; and the births on a
+# a campaign's degraded in-memory carry of device frames, which workers
+# encode into and a retry feeds again; and the births on a
 # worker's device stacks, per-goroutine state that lives across devices.
 race:
 	$(GO) test -race -count=1 -run 'TestSnapshotSharesWriteOncePages|TestSnapshotMissesRecycledBuffers|TestSnapshotKeepsNoMetadataState' ./internal/nand/
 	$(GO) test -race -count=1 -run TestLentPayloadSurvivesOtherBlocks ./internal/ftl/
 	$(GO) test -race -count=1 -run 'TestFleet|TestRebirthEqualsNewPhone' ./internal/fleet/
 	$(GO) test -race -count=1 -run TestConcurrentSpans ./internal/runtrace/
-	$(GO) test -race -count=1 -run 'TestCampaignInMemory|TestServerAPI|TestResumeAfterTruncatedCell|TestCarryOwnsItsPages' ./internal/fleetd/
+	$(GO) test -race -count=1 -run 'TestCampaignInMemory|TestServerAPI|TestResumeAfterTruncatedCell|TestDegradedCarryEqualsClean' ./internal/fleetd/
 
 # The fault matrix under -race: randomized power-cut/remount recovery,
 # program/erase-failure handling, graceful EOL, the faulty-flash crash

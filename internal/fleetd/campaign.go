@@ -1,6 +1,7 @@
 package fleetd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -442,7 +443,11 @@ func restampCell(src, dst *Campaign, shard, epoch int, final bool, bufs *cellBuf
 		return err
 	}
 	var e enc
-	ft, err := r.scan(func(st *deviceState) error { return w.writeDevice(&e, st) })
+	ft, err := r.scan(func(st *deviceState) error {
+		e.b = e.b[:0]
+		e.deviceState(st)
+		return w.writeDevice(e.b)
+	})
 	if err != nil {
 		w.abort()
 		return err
@@ -718,7 +723,7 @@ func (c *Campaign) Ledger() wtrace.Snapshot {
 //
 // Checkpoint host-I/O failures never stop the sweep: a cell whose write
 // keeps failing after the retry budget is computed anyway with its
-// end-of-epoch device states carried in memory (degraded,
+// end-of-epoch device frames carried in memory (degraded,
 // "checkpointing-paused" mode), and every subsequent epoch tries to
 // persist again, so the campaign heals itself the moment the disk does.
 // The memory carry lives only within one sweep — after a crash or pause
@@ -748,13 +753,13 @@ func (c *Campaign) sweep(ctx context.Context) error {
 		cr.bufs = newCellBufs()
 	}
 	var prev []*epochFooter
-	// prevMem holds, per shard, the device states at the end of epoch e-1
-	// for shards whose cell write failed there; curMem collects the same
-	// for the epoch in flight.
-	var prevMem map[int][]*deviceState
+	// prevMem holds, per shard, the encoded device frames at the end of
+	// epoch e-1 for shards whose cell write failed there; curMem collects
+	// the same for the epoch in flight.
+	var prevMem map[int][][]byte
 	for e := 1; e <= epochs; e++ {
 		cur := make([]*epochFooter, shards)
-		curMem := make(map[int][]*deviceState)
+		curMem := make(map[int][][]byte)
 		for s := 0; s < shards; s++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -839,59 +844,65 @@ func (c *Campaign) setCheckpointPaused(v bool) {
 // with capped, jittered backoff (each attempt recomputes the cell — a
 // failed attempt has no complete accumulator to salvage), and when the
 // budget is exhausted the cell is computed one final time with no writer
-// at all, its end states parked in mem for the next epoch's producer.
-// Simulation errors, corruption, and cancellation are never retried.
-func (c *Campaign) durableShardEpoch(ctx context.Context, cr *crew, shard, epoch int, prevFt *epochFooter, prevStates []*deviceState, mem map[int][]*deviceState) (*epochFooter, error) {
-	persist := c.dir != ""
-	var ft *epochFooter
-	if persist {
-		err := c.mgr.ckptRetry.Retry(func(attempt int) (bool, error) {
-			var err error
-			ft, _, err = c.runShardEpoch(ctx, cr, shard, epoch, prevFt, prevStates, true, false)
-			if err != nil && errors.Is(err, errCheckpointIO) && ctx.Err() == nil {
-				c.mgr.metrics.CheckpointRetries.Inc()
-				return true, err
-			}
-			return false, err
-		})
-		if err == nil {
-			return ft, nil
-		}
-		if !errors.Is(err, errCheckpointIO) || ctx.Err() != nil {
-			return nil, err
-		}
-		// Retry budget exhausted: degrade. Compute the cell in memory and
-		// alert once per outage, not once per cell.
-		if !c.checkpointPaused() {
-			c.setCheckpointPaused(true)
-			if _, aerr := c.appendEvent(obs.Event{Type: "checkpoint_paused", Shard: shard, Epoch: epoch,
-				Detail: "checkpoint writes failing after retries; campaign continues in memory: " + err.Error()}); aerr != nil {
-				return nil, aerr
-			}
-		}
+// at all, its end-of-epoch frames parked in mem for the next epoch's
+// producer. Simulation errors, corruption, and cancellation are never
+// retried.
+func (c *Campaign) durableShardEpoch(ctx context.Context, cr *crew, shard, epoch int, prevFt *epochFooter, carried [][]byte, mem map[int][][]byte) (*epochFooter, error) {
+	if c.dir == "" {
+		ft, _, err := c.runShardEpoch(ctx, cr, shard, epoch, prevFt, carried, toNowhere)
+		return ft, err
 	}
-	ft, states, err := c.runShardEpoch(ctx, cr, shard, epoch, prevFt, prevStates, false, persist)
-	if err != nil {
+	var ft *epochFooter
+	err := c.mgr.ckptRetry.Retry(func(attempt int) (bool, error) {
+		var err error
+		ft, _, err = c.runShardEpoch(ctx, cr, shard, epoch, prevFt, carried, toCell)
+		if err != nil && errors.Is(err, errCheckpointIO) && ctx.Err() == nil {
+			c.mgr.metrics.CheckpointRetries.Inc()
+			return true, err
+		}
+		return false, err
+	})
+	if err == nil {
+		return ft, nil
+	}
+	if !errors.Is(err, errCheckpointIO) || ctx.Err() != nil {
 		return nil, err
 	}
-	if persist {
-		mem[shard] = states
+	// Retry budget exhausted: degrade. Compute the cell in memory and
+	// alert once per outage, not once per cell.
+	if !c.checkpointPaused() {
+		c.setCheckpointPaused(true)
+		if _, aerr := c.appendEvent(obs.Event{Type: "checkpoint_paused", Shard: shard, Epoch: epoch,
+			Detail: "checkpoint writes failing after retries; campaign continues in memory: " + err.Error()}); aerr != nil {
+			return nil, aerr
+		}
 	}
-	return ft, nil
+	ft, mem[shard], err = c.runShardEpoch(ctx, cr, shard, epoch, prevFt, carried, toCarry)
+	return ft, err
 }
+
+// frameDst is where a computed cell's end-of-epoch device frames go.
+type frameDst int
+
+const (
+	toNowhere frameDst = iota // an in-memory campaign keeps no states
+	toCell                    // the cell's checkpoint file
+	toCarry                   // the degraded in-memory carry, returned
+)
 
 // loadFooter's identity header for cell (s, e) needs the day range; the
 // sweep computes it inline above. runShardEpoch computes one cell: it
-// streams the shard's device states from prevStates (a degraded prior
-// epoch's in-memory carry), or the previous epoch's checkpoint, or births
-// the population for epoch 1, through the crew's workers into the cell's
-// accumulator and — when persist is set — its checkpoint file. A cell's
-// device frames travel to the workers undecoded; each worker decodes the
-// ones it takes into its own arena. With capture set, every surviving
-// device's end-of-epoch state is collected and returned so a degraded
-// epoch can seed the next one from memory; runDeviceEpoch never mutates
-// its input state, so a retry may feed the same prevStates again.
-func (c *Campaign) runShardEpoch(ctx context.Context, cr *crew, shard, epoch int, prevFt *epochFooter, prevStates []*deviceState, persist, capture bool) (*epochFooter, []*deviceState, error) {
+// streams the shard's device frames from carried (a degraded prior
+// epoch's in-memory carry, when non-nil), or the previous epoch's
+// checkpoint, or births the population for epoch 1, through the crew's
+// workers into the cell's accumulator. Frames travel to the workers
+// undecoded, each in a crew buffer of its own; each worker decodes the
+// ones it takes into its own arena, and encodes every surviving device's
+// end-of-epoch frame once for dst. For toCarry those frames are copied
+// out and returned, so a degraded epoch seeds the next one from memory;
+// carried's bytes are never handed to a worker, so a retry may feed the
+// same carry again.
+func (c *Campaign) runShardEpoch(ctx context.Context, cr *crew, shard, epoch int, prevFt *epochFooter, carried [][]byte, dst frameDst) (*epochFooter, [][]byte, error) {
 	spec := c.fspec
 	days := c.spec.Days
 	lo, hi := epochDays(epoch, c.epochLen(), days)
@@ -900,7 +911,7 @@ func (c *Campaign) runShardEpoch(ctx context.Context, cr *crew, shard, epoch int
 	params := cr.population(spec)
 
 	var w *ckptWriter
-	if persist {
+	if dst == toCell {
 		hdr := fileHeader{
 			Seed: spec.Seed, Devices: spec.Devices, Days: days,
 			Shard: shard, Epoch: epoch,
@@ -916,11 +927,10 @@ func (c *Campaign) runShardEpoch(ctx context.Context, cr *crew, shard, epoch int
 		w.shard, w.epoch = shard, epoch
 	}
 
-	// A job is a device born here (idx alone), a state from the in-memory
-	// carry (st), or an undecoded device frame (frame).
+	// A job is a device born here (idx alone) or an undecoded device
+	// frame.
 	type job struct {
 		idx   int
-		st    *deviceState
 		frame []byte
 	}
 	workers := spec.Workers
@@ -929,10 +939,10 @@ func (c *Campaign) runShardEpoch(ctx context.Context, cr *crew, shard, epoch int
 	go func() {
 		defer close(jobs)
 		switch {
-		case prevStates != nil:
-			for _, st := range prevStates {
+		case carried != nil:
+			for _, f := range carried {
 				select {
-				case jobs <- job{idx: st.Index, st: st}:
+				case jobs <- job{frame: append(cr.frame(), f...)}:
 				case <-ctx.Done():
 					return
 				}
@@ -970,7 +980,10 @@ func (c *Campaign) runShardEpoch(ctx context.Context, cr *crew, shard, epoch int
 	var wg sync.WaitGroup
 	var errMu sync.Mutex
 	var workErr error
-	var captured []*deviceState
+	var out [][]byte
+	if dst == toCarry {
+		out = [][]byte{} // non-nil even if every device dies: still the shard's carry
+	}
 	tr := c.mgr.trace
 	shardLabel := strconv.Itoa(shard)
 	for k := 0; k < workers; k++ {
@@ -991,7 +1004,8 @@ func (c *Campaign) runShardEpoch(ctx context.Context, cr *crew, shard, epoch int
 				if failed {
 					continue
 				}
-				st, err := jb.st, error(nil)
+				var st *deviceState
+				var err error
 				if jb.frame != nil {
 					st, err = decodeDevice(jb.frame, &wk.arena)
 					cr.recycle(jb.frame)
@@ -1008,18 +1022,20 @@ func (c *Campaign) runShardEpoch(ctx context.Context, cr *crew, shard, epoch int
 					ld, err = wk.runDeviceEpoch(spec, params[jb.idx], st, acc)
 					sp.End()
 				}
-				if err == nil && ld != nil && w != nil {
+				if err == nil && ld != nil && dst != toNowhere {
 					runtrace.Relabel(encCtx)
 					sp := tr.Begin(runtrace.PhaseCheckpointEncode, shard, epoch, jb.idx)
-					err = w.writeDevice(&wk.e, wk.view(ld, hi))
+					wk.e.b = wk.e.b[:0]
+					wk.e.deviceState(wk.view(ld, hi))
+					if dst == toCell {
+						err = w.writeDevice(wk.e.b)
+					} else {
+						errMu.Lock()
+						out = append(out, bytes.Clone(wk.e.b))
+						errMu.Unlock()
+					}
 					sp.End()
 					runtrace.Relabel(ctx)
-				}
-				if err == nil && ld != nil && capture {
-					st := ld.keep(hi)
-					errMu.Lock()
-					captured = append(captured, st)
-					errMu.Unlock()
 				}
 				if err != nil {
 					errMu.Lock()
@@ -1062,7 +1078,7 @@ func (c *Campaign) runShardEpoch(ctx context.Context, cr *crew, shard, epoch int
 			return nil, nil, err
 		}
 	}
-	return ft, captured, nil
+	return ft, out, nil
 }
 
 // commitEpoch merges the epoch's shard footers and publishes them: the

@@ -155,16 +155,14 @@ func (w *ckptWriter) frameLocked(typ byte, payload []byte) {
 	w.bytes += int64(len(hdr)) + int64(len(payload)) + int64(len(crc))
 }
 
-// writeDevice encodes st in e and appends it as a device-state frame.
-// Safe for concurrent use with one e per caller; the record order in the
-// file is whatever order workers finish in, which is fine because every
-// consumer folds records commutatively.
-func (w *ckptWriter) writeDevice(e *enc, st *deviceState) error {
-	e.b = e.b[:0]
-	e.deviceState(st)
+// writeDevice appends an encoded device state as a device-state frame.
+// Safe for concurrent use; the record order in the file is whatever order
+// workers finish in, which is fine because every consumer folds records
+// commutatively.
+func (w *ckptWriter) writeDevice(payload []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.frameLocked(frameDevice, e.b)
+	w.frameLocked(frameDevice, payload)
 	return w.err
 }
 

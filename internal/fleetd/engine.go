@@ -2,7 +2,6 @@ package fleetd
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -237,32 +236,6 @@ func (w *worker) view(ld *liveDev, daysDone int) *deviceState {
 		w.out.Cache = &w.cache
 	}
 	return &w.out
-}
-
-// keep is the device's state at a day boundary as a value that outlives
-// the stack: the degraded in-memory carry holds it while the worker
-// decodes and boots other devices, so its chip states own their pages —
-// the stack may hold pages of the worker's arena (DESIGN.md §11).
-func (ld *liveDev) keep(daysDone int) *deviceState {
-	f := ld.Dev.FTL()
-	st := ld.counters(daysDone)
-	st.Main = ownedState(f.MainChip())
-	if cc := f.CacheChip(); cc != nil {
-		st.Cache = ownedState(cc)
-	}
-	return &st
-}
-
-func ownedState(c *nand.Chip) *nand.ChipState {
-	st := c.ExportState()
-	for i := range st.Blocks {
-		for pg, data := range st.Blocks[i].Data {
-			if data != nil {
-				st.Blocks[i].Data[pg] = slices.Clone(data)
-			}
-		}
-	}
-	return st
 }
 
 // epochAcc accumulates one (shard, epoch) cell: the epoch's day rows, the

@@ -193,9 +193,11 @@ func TestReusedStackEqualsFresh(t *testing.T) {
 				d.dead = true
 				continue
 			}
-			d.refState = d.ref.keep(day + 1)
 			var re enc
-			re.deviceState(d.refState)
+			re.deviceState(w.view(d.ref, day+1))
+			if d.refState, err = decodeDevice(re.b, new(arena)); err != nil {
+				t.Fatal(err)
+			}
 			w.e.b = w.e.b[:0]
 			w.e.deviceState(w.view(d.reu, day+1))
 			if !bytes.Equal(re.b, w.e.b) {
@@ -259,90 +261,63 @@ func TestNightAllocations(t *testing.T) {
 	}
 }
 
-// TestCarryOwnsItsPages pins the arena's lifetime against the degraded
-// in-memory carry. A state kept for the carry must own its pages: the
-// worker goes on to decode the next device into the same arena and boot
-// it on the same stack, and the kept state must not change under it.
-// Then a 2-worker campaign whose middle epoch runs degraded — cells
-// decoded into arenas before it, carried states imported after it — must
-// match a clean run. make race runs this under the race detector.
-func TestCarryOwnsItsPages(t *testing.T) {
-	spec := reuseSpec(t)
-	spec.Faults = nil
-	w := &worker{}
-	var frames [2][]byte
-	ps := []fleet.Params{
-		pick(t, spec, device.ProfileMotoE8().Name, fleet.ClassBenign, 0),
-		pick(t, spec, device.ProfileMotoE8().Name, fleet.ClassAttack, 0),
-	}
-	for i, p := range ps {
-		ld, died := freshBirth(t, spec, p)
-		var err error
-		if !died {
-			died, err = ld.runDay(0)
-		}
-		if err != nil || died {
-			t.Fatalf("device %d day 0: died %v, %v", p.Index, died, err)
-		}
-		w.e.b = w.e.b[:0]
-		w.e.deviceState(w.view(ld, 1))
-		frames[i] = bytes.Clone(w.e.b)
-	}
-	dayOne := func(i int) *liveDev {
-		st, err := decodeDevice(frames[i], &w.arena)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ph, err := w.stacks.Get(spec, ps[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		ld, died, err := boot(ph, spec, ps[i], st)
-		if err == nil && !died {
-			died, err = ld.runDay(1)
-		}
-		if err != nil || died {
-			t.Fatalf("device %d day 1: died %v, %v", ps[i].Index, died, err)
-		}
-		return ld
-	}
-	carried := dayOne(0).keep(2)
-	var before enc
-	before.deviceState(carried)
-	dayOne(1)
-	var after enc
-	after.deviceState(carried)
-	if !bytes.Equal(before.b, after.b) {
-		t.Fatal("a carried state changed when its worker decoded and booted the next device")
-	}
-	for _, b := range carried.Main.Blocks {
-		for _, pg := range b.Data {
-			for _, ap := range w.arena.pages {
-				if len(pg) > 0 && len(ap) > 0 && &pg[0] == &ap[0] {
-					t.Fatal("a carried state shares a page with the worker's arena")
-				}
+// TestDegradedCarryEqualsClean pins the degraded in-memory carry: a
+// 2-worker campaign whose checkpoint creates fail past the retry budget
+// carries its shards' end-of-epoch frames in memory, and must match a
+// clean run and journal exactly one outage. The rows run one degraded
+// epoch, one whose successor's first attempt fails too (at create, and
+// at fsync after it streamed the carry, so the retry feeds the same
+// carry again), two degraded epochs in a row, one of two shards
+// degraded while the other writes, and a degraded shard with no device
+// left alive, whose carry is empty. make race runs this under the race
+// detector.
+func TestDegradedCarryEqualsClean(t *testing.T) {
+	// With three attempts per cell, failing creates from..until-1 land
+	// on the cells in order: epoch 1 of shard 0 is create 1.
+	for _, tc := range []struct {
+		name   string
+		shards int
+		faults string
+		plan   string
+	}{
+		// Epoch 2 spends creates 2..4 and runs degraded; epoch 3 writes
+		// from the carry.
+		{"middle-epoch", 1, "", "class=checkpoint,fault=enospc,on=create,from=2,until=5"},
+		// Epoch 3's first create fails too, before its producer reads the
+		// carry; the retry reads it.
+		{"retry-at-create", 1, "", "class=checkpoint,fault=enospc,on=create,from=2,until=6"},
+		// Epoch 3's first attempt streams the carry, then its fsync fails:
+		// the retry feeds the same carry again.
+		{"retry-refeeds-carry", 1, "", "class=checkpoint,fault=enospc,on=create,from=2,until=5|class=checkpoint,fault=eio,on=sync,at=2"},
+		// Epochs 2 and 3 both degrade; epoch 4 writes from a carry made
+		// from a carry.
+		{"two-degraded-epochs", 1, "", "class=checkpoint,fault=enospc,on=create,from=2,until=8"},
+		// Epoch 2: shard 0 degrades, shard 1 writes its cell.
+		{"one-of-two-shards", 2, "", "class=checkpoint,fault=enospc,on=create,from=3,until=6"},
+		// Every device dies on day 0, so epoch 2 carries no frames.
+		{"empty-carry", 1, "cut-every=200", "class=checkpoint,fault=enospc,on=create,from=2,until=5"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := tinySpec()
+			spec.Shards, spec.Workers, spec.CheckpointEvery, spec.Days = tc.shards, 2, 1, 4
+			if tc.faults != "" {
+				spec.Seed, spec.Faults = 1, tc.faults
 			}
-		}
-	}
-
-	cs := tinySpec()
-	cs.Shards, cs.Workers, cs.CheckpointEvery, cs.Days = 1, 2, 1, 4
-	ref := fingerprint(t, runToEnd(t, t.TempDir(), cs))
-	// Checkpoint creates 2..4 fail: epoch 1's cell is written, epoch 2
-	// spends its three attempts and runs degraded, epoch 3 writes again
-	// from the carry.
-	m, _ := tortureManager(t, t.TempDir(), "class=checkpoint,fault=enospc,on=create,from=2,until=5")
-	c, err := m.Submit(cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if got := fingerprint(t, c); !bytes.Equal(got, ref) {
-		t.Errorf("results with a degraded middle epoch differ from a clean run\nref:\n%s\ngot:\n%s", ref, got)
-	}
-	if types := eventTypes(c); types["checkpoint_paused"] == 0 || types["checkpoint_resumed"] == 0 {
-		t.Errorf("events %v: want the middle epoch paused and the next resumed", types)
+			ref := fingerprint(t, runToEnd(t, t.TempDir(), spec))
+			m, _ := tortureManager(t, t.TempDir(), tc.plan)
+			c, err := m.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if got := fingerprint(t, c); !bytes.Equal(got, ref) {
+				t.Errorf("results with a degraded epoch differ from a clean run\nref:\n%s\ngot:\n%s", ref, got)
+			}
+			if types := eventTypes(c); types["checkpoint_paused"] != 1 || types["checkpoint_resumed"] != 1 {
+				t.Errorf("events %v: want one checkpoint_paused and one checkpoint_resumed", types)
+			}
+		})
 	}
 }

@@ -3,7 +3,10 @@
 # server mid-run, restart it, resume, and require the final artifacts —
 # day series, wear ledger, final aggregate, and the sim-domain journal
 # events — to be byte-identical to an uninterrupted run of the same
-# campaign. Also exercises the ops plane: /metrics must serve non-empty
+# campaign. A last leg runs the campaign to the end on a disk whose
+# checkpoint creates fail past the retry budget, so one cell is carried in
+# memory (checkpointing paused, DESIGN.md §13) and its results must match
+# too. Also exercises the ops plane: /metrics must serve non-empty
 # Prometheus output and the crash-surviving event journal must keep its
 # sequence numbers contiguous across the kill. This is the ISSUE's
 # kill-and-resume acceptance check at CI scale; the in-process
@@ -146,6 +149,21 @@ fetch_artifacts "$FAULT_ID" fault
 check_journal fault
 kill -9 "$SERVER_PID"; wait "$SERVER_PID" 2>/dev/null || true; SERVER_PID=""
 
+echo "fleetd_smoke: degraded run (checkpoint creates fail past the retry budget, no kill)"
+# Creates 3..5 are the three attempts at shard 0's epoch 2: that cell is
+# computed with its end-of-epoch frames carried in memory, and every later
+# cell is written again, the next epoch from the carry.
+start_server "$OUT/data-degraded" -host-fault-plan 'class=checkpoint,fault=enospc,on=create,from=3,until=6'
+DEG_ID=$(curl -sf -X POST -d "$SPEC" "$BASE/v1/campaigns" | sed -n 's/.*"id": "\([^"]*\)".*/\1/p')
+"$OUT/fleetd" wait -addr "$BASE" -every 500ms "$DEG_ID" >/dev/null
+fetch_artifacts "$DEG_ID" degraded
+check_journal degraded
+for ev in checkpoint_paused checkpoint_resumed; do
+    N=$(grep -c "\"type\":\"$ev\"" "$OUT/degraded-events.jsonl" || true)
+    [ "$N" = 1 ] || { echo "fleetd_smoke: degraded journal has $N $ev events, want 1" >&2; exit 1; }
+done
+kill -9 "$SERVER_PID"; wait "$SERVER_PID" 2>/dev/null || true; SERVER_PID=""
+
 cmp "$OUT/ref-series.csv" "$OUT/crash-series.csv"
 cmp "$OUT/ref-ledger.csv" "$OUT/crash-ledger.csv"
 cmp "$OUT/ref-result.json" "$OUT/crash-result.json"
@@ -154,4 +172,8 @@ cmp "$OUT/ref-series.csv" "$OUT/fault-series.csv"
 cmp "$OUT/ref-ledger.csv" "$OUT/fault-ledger.csv"
 cmp "$OUT/ref-result.json" "$OUT/fault-result.json"
 cmp "$OUT/ref-sim-events.jsonl" "$OUT/fault-sim-events.jsonl"
-echo "fleetd_smoke: OK — kill -9 + resume (clean and faulty disk) is byte-identical to the uninterrupted run (series, ledger, result, sim events)"
+cmp "$OUT/ref-series.csv" "$OUT/degraded-series.csv"
+cmp "$OUT/ref-ledger.csv" "$OUT/degraded-ledger.csv"
+cmp "$OUT/ref-result.json" "$OUT/degraded-result.json"
+cmp "$OUT/ref-sim-events.jsonl" "$OUT/degraded-sim-events.jsonl"
+echo "fleetd_smoke: OK — kill -9 + resume (clean and faulty disk) and a degraded run are byte-identical to the uninterrupted run (series, ledger, result, sim events)"
