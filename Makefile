@@ -50,18 +50,22 @@ examples:
 		$(GO) run ./$$e >/dev/null || exit 1; \
 	done
 
-# Native fuzz smoke (DESIGN.md §15): the two fault-plan grammars and the
-# checkpoint cell decoder, each seeded from its committed corpus
-# (testdata/fuzz/) and run briefly under coverage guidance. The pinned
-# properties live in the Fuzz* doc comments: parsers never panic, accept
-# only what Validate accepts, and are deterministic; the cell decoder
-# never panics, never trusts a lying length field, and maps every failure
-# to the three-way checkpoint error policy. -run=NONE skips the unit
-# tests, so this stacks on `test` without re-running them.
+# Native fuzz smoke (DESIGN.md §15): the two fault-plan grammars, the
+# checkpoint cell decoder and the file systems' directory slot decoder,
+# each seeded from its committed corpus (testdata/fuzz/) or its f.Add
+# seeds and run briefly under coverage guidance. The pinned properties
+# live in the Fuzz* doc comments: parsers never panic, accept only what
+# Validate accepts, and are deterministic; the cell decoder never panics,
+# never trusts a lying length field, and maps every failure to the
+# three-way checkpoint error policy; the slot decoder never panics, fails
+# exactly the slots whose name runs past them, and round-trips every
+# valid name. -run=NONE skips the unit tests, so this stacks on `test`
+# without re-running them.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParsePlan -fuzztime=10s ./internal/faultinject/
 	$(GO) test -run=NONE -fuzz=FuzzParsePlan -fuzztime=10s ./internal/hostio/
 	$(GO) test -run=NONE -fuzz=FuzzCellDecode -fuzztime=15s ./internal/fleetd/
+	$(GO) test -run=NONE -fuzz=FuzzParseDirent -fuzztime=10s ./internal/fs/
 
 # A short -race pass over the concurrent subsystems: the fleet
 # determinism tests run the same 64-device population at 4 workers and at

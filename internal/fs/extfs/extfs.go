@@ -3,7 +3,6 @@ package extfs
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
 
 	"flashwear/internal/blockdev"
 	"flashwear/internal/fs"
@@ -38,7 +37,7 @@ type FS struct {
 	// superblock; keys holds the sorted homes of a commit or checkpoint.
 	scratch []byte
 	keys    []uint32
-	// dirBlks holds a directory's blocks while dirFind looks through them.
+	// dirBlks holds the blocks of the directory names.Scan read last.
 	dirBlks [][]byte
 
 	jHead uint32
@@ -259,315 +258,79 @@ func (v *FS) alive() error {
 	return nil
 }
 
-// --- directories ---
+// --- the namespace ---
 
-// Directory entries are fixed 256-byte slots: ino u32, nameLen u8, name.
-const (
-	dirEntSize    = 256
-	dirEntNameOff = 5
-)
+// names is the FS as the shared namespace (fs.Nodes) sees it: inodes,
+// and directory slots in blocks read through the metadata cache.
+type names FS
 
-// dirBlocks reads a directory's content blocks (journal-aware).
-func (v *FS) dirContent(in *inode) ([]byte, error) {
-	if in.mode != modeDir {
-		return nil, fs.ErrNotDir
-	}
-	nblk := (in.size + BlockSize - 1) / BlockSize
-	out := make([]byte, 0, in.size)
-	for i := int64(0); i < nblk; i++ {
-		blk, err := v.bmap(in, i, false)
-		if err != nil {
-			return nil, err
-		}
-		if blk == 0 {
-			return nil, fmt.Errorf("%w: hole in directory %d", ErrCorrupt, in.ino)
-		}
-		b, err := v.readMeta(blk)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, b...)
-	}
-	return out[:in.size], nil
-}
+func (h *names) Alive() error                    { return (*FS)(h).alive() }
+func (h *names) Root() (*inode, error)           { return (*FS)(h).loadInode(RootIno) }
+func (h *names) Load(ino uint32) (*inode, error) { return (*FS)(h).loadInode(ino) }
+func (*names) IsDir(in *inode) bool              { return in.mode == modeDir }
+func (*names) Size(in *inode) int64              { return in.size }
+func (h *names) File(in *inode) fs.File          { return &file{fs: (*FS)(h), in: in, gen: h.gen} }
+func (h *names) Done() error                     { return (*FS)(h).commit() }
+func (*names) Corrupt() error                    { return ErrCorrupt }
 
-// dirFind looks a name up, returning the entry's byte offset and the target
-// inode, or off = -1. Like dirContent it reads every block of the
-// directory before it looks at any entry, but it looks at them where
-// they are instead of in a copy: entries never straddle a block.
-func (v *FS) dirFind(in *inode, name string) (off int64, ino uint32, err error) {
-	if in.mode != modeDir {
-		return -1, 0, fs.ErrNotDir
-	}
-	nblk := (in.size + BlockSize - 1) / BlockSize
+// Scan reads every block of dir, before any of its slots is looked at.
+func (h *names) Scan(dir *inode) error {
+	v := (*FS)(h)
+	nblk := (dir.size + BlockSize - 1) / BlockSize
 	v.dirBlks = v.dirBlks[:0]
 	for i := int64(0); i < nblk; i++ {
-		blk, err := v.bmap(in, i, false)
+		blk, err := v.bmap(dir, i, false)
 		if err != nil {
-			return -1, 0, err
+			return err
 		}
 		if blk == 0 {
-			return -1, 0, fmt.Errorf("%w: hole in directory %d", ErrCorrupt, in.ino)
+			return fmt.Errorf("%w: hole in directory %d", ErrCorrupt, dir.ino)
 		}
 		b, err := v.readMeta(blk)
 		if err != nil {
-			return -1, 0, err
+			return err
 		}
 		v.dirBlks = append(v.dirBlks, b)
 	}
-	for i, b := range v.dirBlks {
-		base := int64(i) * BlockSize
-		for o := 0; o+dirEntSize <= BlockSize && base+int64(o)+dirEntSize <= in.size; o += dirEntSize {
-			e := b[o : o+dirEntSize]
-			target := binary.LittleEndian.Uint32(e[0:])
-			if target == 0 {
-				continue
-			}
-			nl := int(e[4])
-			if nl > dirEntSize-dirEntNameOff {
-				return -1, 0, fmt.Errorf("%w: dirent name length %d", ErrCorrupt, nl)
-			}
-			if string(e[dirEntNameOff:dirEntNameOff+nl]) == name {
-				return base + int64(o), target, nil
-			}
-		}
-	}
-	return -1, 0, nil
+	return nil
 }
 
-// dirSet writes one 256-byte entry at off (which must be slot-aligned and
-// within or exactly at the end of the directory), growing it if needed.
-func (v *FS) dirSet(in *inode, off int64, ino uint32, name string) error {
-	e := make([]byte, dirEntSize)
-	binary.LittleEndian.PutUint32(e[0:], ino)
-	e[4] = byte(len(name))
-	copy(e[dirEntNameOff:], name)
+// Slot returns the slot at off where Scan's blocks hold it: slots never
+// straddle a block.
+func (h *names) Slot(_ *inode, off int64) ([]byte, error) {
+	return h.dirBlks[off/BlockSize][off%BlockSize:], nil
+}
 
-	blkIdx := off / BlockSize
-	blk, err := v.bmap(in, blkIdx, true)
-	if err != nil {
+func (h *names) Set(dir *inode, off int64, in *inode, name string) error {
+	return (*FS)(h).dirSet(dir, off, in.ino, name)
+}
+
+// Unlink frees the slot and stages the bitmap, which Remove and Rename
+// may have freed blocks in.
+func (h *names) Unlink(dir *inode, off int64) error {
+	v := (*FS)(h)
+	if err := v.dirSet(dir, off, 0, ""); err != nil {
 		return err
 	}
-	var b []byte
-	if off < in.size || off%BlockSize != 0 {
-		cur, err := v.readMeta(blk)
-		if err != nil {
-			return err
-		}
-		b = make([]byte, BlockSize)
-		copy(b, cur)
-	} else {
-		b = make([]byte, BlockSize)
-	}
-	copy(b[off%BlockSize:], e)
-	v.stageMeta(blk, b)
-	if off+dirEntSize > in.size {
-		in.size = off + dirEntSize
-		in.hardDirty = true
-	}
-	in.mtime = v.nowNanos()
-	return v.flushInode(in)
+	v.stageBitmap()
+	return nil
 }
 
-// dirAdd appends (or reuses a tombstone slot for) a new entry.
-func (v *FS) dirAdd(in *inode, ino uint32, name string) error {
-	content, err := v.dirContent(in)
-	if err != nil {
-		return err
+func (h *names) Alloc(dir bool) (*inode, error) {
+	v := (*FS)(h)
+	mode := uint16(modeFile)
+	if dir {
+		mode = modeDir
 	}
-	slot := int64(len(content))
-	for o := 0; o+dirEntSize <= len(content); o += dirEntSize {
-		if binary.LittleEndian.Uint32(content[o:]) == 0 {
-			slot = int64(o)
-			break
-		}
-	}
-	return v.dirSet(in, slot, ino, name)
-}
-
-// dirDelete tombstones the entry at off.
-func (v *FS) dirDelete(in *inode, off int64) error {
-	return v.dirSet(in, off, 0, "")
-}
-
-// dirEmpty reports whether the directory has no live entries.
-func (v *FS) dirEmpty(in *inode) (bool, error) {
-	content, err := v.dirContent(in)
-	if err != nil {
-		return false, err
-	}
-	for o := 0; o+dirEntSize <= len(content); o += dirEntSize {
-		if binary.LittleEndian.Uint32(content[o:]) != 0 {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// resolve walks a path to its inode.
-func (v *FS) resolve(path string) (*inode, error) {
-	path = strings.Trim(path, "/")
-	for rest := path; rest != ""; {
-		var name string
-		name, rest, _ = strings.Cut(rest, "/")
-		if err := fs.CheckName(name); err != nil {
-			return nil, err
-		}
-	}
-	in, err := v.loadInode(RootIno)
+	in, err := v.allocInode(mode)
 	if err != nil {
 		return nil, err
 	}
-	for rest := path; rest != ""; {
-		var name string
-		name, rest, _ = strings.Cut(rest, "/")
-		if in.mode != modeDir {
-			return nil, fs.ErrNotDir
-		}
-		_, ino, err := v.dirFind(in, name)
-		if err != nil {
-			return nil, err
-		}
-		if ino == 0 {
-			return nil, fs.ErrNotExist
-		}
-		if in, err = v.loadInode(ino); err != nil {
-			return nil, err
-		}
-	}
-	return in, nil
+	return in, v.flushInode(in)
 }
 
-// resolveParent returns the parent directory inode and the final name.
-func (v *FS) resolveParent(path string) (*inode, string, error) {
-	dir, base, err := fs.DirBase(path)
-	if err != nil {
-		return nil, "", err
-	}
-	parent, err := v.resolve(dir)
-	if err != nil {
-		return nil, "", err
-	}
-	if parent.mode != modeDir {
-		return nil, "", fs.ErrNotDir
-	}
-	return parent, base, nil
-}
-
-// --- fs.FileSystem ---
-
-// Create implements fs.FileSystem.
-func (v *FS) Create(path string) (fs.File, error) {
-	if err := v.alive(); err != nil {
-		return nil, err
-	}
-	parent, name, err := v.resolveParent(path)
-	if err != nil {
-		return nil, err
-	}
-	if _, existing, err := v.dirFind(parent, name); err != nil {
-		return nil, err
-	} else if existing != 0 {
-		in, err := v.loadInode(existing)
-		if err != nil {
-			return nil, err
-		}
-		if in.mode == modeDir {
-			return nil, fs.ErrIsDir
-		}
-		f := &file{fs: v, in: in, gen: v.gen}
-		if err := f.Truncate(0); err != nil {
-			return nil, err
-		}
-		return f, nil
-	}
-	in, err := v.allocInode(modeFile)
-	if err != nil {
-		return nil, err
-	}
-	if err := v.flushInode(in); err != nil {
-		return nil, err
-	}
-	if err := v.dirAdd(parent, in.ino, name); err != nil {
-		return nil, err
-	}
-	if err := v.commit(); err != nil {
-		return nil, err
-	}
-	return &file{fs: v, in: in, gen: v.gen}, nil
-}
-
-// Open implements fs.FileSystem.
-func (v *FS) Open(path string) (fs.File, error) {
-	if err := v.alive(); err != nil {
-		return nil, err
-	}
-	in, err := v.resolve(path)
-	if err != nil {
-		return nil, err
-	}
-	if in.mode == modeDir {
-		return nil, fs.ErrIsDir
-	}
-	return &file{fs: v, in: in, gen: v.gen}, nil
-}
-
-// Mkdir implements fs.FileSystem.
-func (v *FS) Mkdir(path string) error {
-	if err := v.alive(); err != nil {
-		return err
-	}
-	parent, name, err := v.resolveParent(path)
-	if err != nil {
-		return err
-	}
-	if _, existing, err := v.dirFind(parent, name); err != nil {
-		return err
-	} else if existing != 0 {
-		return fs.ErrExist
-	}
-	in, err := v.allocInode(modeDir)
-	if err != nil {
-		return err
-	}
-	if err := v.flushInode(in); err != nil {
-		return err
-	}
-	if err := v.dirAdd(parent, in.ino, name); err != nil {
-		return err
-	}
-	return v.commit()
-}
-
-// Remove implements fs.FileSystem.
-func (v *FS) Remove(path string) error {
-	if err := v.alive(); err != nil {
-		return err
-	}
-	parent, name, err := v.resolveParent(path)
-	if err != nil {
-		return err
-	}
-	off, ino, err := v.dirFind(parent, name)
-	if err != nil {
-		return err
-	}
-	if ino == 0 {
-		return fs.ErrNotExist
-	}
-	in, err := v.loadInode(ino)
-	if err != nil {
-		return err
-	}
-	if in.mode == modeDir {
-		empty, err := v.dirEmpty(in)
-		if err != nil {
-			return err
-		}
-		if !empty {
-			return fs.ErrNotEmpty
-		}
-	}
+func (h *names) Release(in *inode) error {
+	v := (*FS)(h)
 	if err := v.truncateInode(in, 0); err != nil {
 		return err
 	}
@@ -576,137 +339,59 @@ func (v *FS) Remove(path string) error {
 	if err := v.flushInode(in); err != nil {
 		return err
 	}
-	delete(v.inodes, ino)
-	if err := v.dirDelete(parent, off); err != nil {
-		return err
-	}
-	v.stageBitmap()
-	return v.commit()
+	delete(v.inodes, in.ino)
+	return nil
 }
 
-// Rename implements fs.FileSystem: the entry moves in one journal
-// transaction, replacing a regular file at the target if present.
-func (v *FS) Rename(oldPath, newPath string) error {
-	if err := v.alive(); err != nil {
-		return err
-	}
-	oldParent, oldName, err := v.resolveParent(oldPath)
+// dirSet writes one slot at off (which must be slot-aligned and within or
+// exactly at the end of the directory), growing it if needed.
+func (v *FS) dirSet(in *inode, off int64, ino uint32, name string) error {
+	blk, err := v.bmap(in, off/BlockSize, true)
 	if err != nil {
 		return err
 	}
-	oldOff, ino, err := v.dirFind(oldParent, oldName)
-	if err != nil {
-		return err
-	}
-	if ino == 0 {
-		return fs.ErrNotExist
-	}
-	moving, err := v.loadInode(ino)
-	if err != nil {
-		return err
-	}
-	newParent, newName, err := v.resolveParent(newPath)
-	if err != nil {
-		return err
-	}
-	newOff, existing, err := v.dirFind(newParent, newName)
-	if err != nil {
-		return err
-	}
-	if existing == ino {
-		return nil // rename onto itself
-	}
-	if existing != 0 {
-		target, err := v.loadInode(existing)
+	b := make([]byte, BlockSize)
+	if off < in.size || off%BlockSize != 0 {
+		cur, err := v.readMeta(blk)
 		if err != nil {
 			return err
 		}
-		if target.mode == modeDir {
-			return fs.ErrIsDir
-		}
-		if moving.mode == modeDir {
-			return fs.ErrNotDir
-		}
-		// Replace: the old target's storage is released.
-		if err := v.truncateInode(target, 0); err != nil {
-			return err
-		}
-		target.mode = modeFree
-		target.hardDirty = true
-		if err := v.flushInode(target); err != nil {
-			return err
-		}
-		delete(v.inodes, existing)
-		if err := v.dirSet(newParent, newOff, ino, newName); err != nil {
-			return err
-		}
-	} else {
-		if err := v.dirAdd(newParent, ino, newName); err != nil {
-			return err
-		}
-		// dirAdd may have grown/changed the parent; refresh old offset if
-		// both paths share a parent directory.
-		if newParent == oldParent {
-			if oldOff, ino, err = v.dirFind(oldParent, oldName); err != nil || ino == 0 {
-				return fmt.Errorf("%w: rename lost source entry", ErrCorrupt)
-			}
-		}
+		copy(b, cur)
 	}
-	if err := v.dirDelete(oldParent, oldOff); err != nil {
-		return err
+	e := fs.Dirent(ino, name)
+	copy(b[off%BlockSize:], e[:])
+	v.stageMeta(blk, b)
+	if off+fs.DirentSize > in.size {
+		in.size = off + fs.DirentSize
+		in.hardDirty = true
 	}
-	v.stageBitmap()
-	return v.commit()
+	in.mtime = v.nowNanos()
+	return v.flushInode(in)
+}
+
+// Create implements fs.FileSystem.
+func (v *FS) Create(path string) (fs.File, error) { return fs.Create((*names)(v), path) }
+
+// Open implements fs.FileSystem.
+func (v *FS) Open(path string) (fs.File, error) { return fs.Open((*names)(v), path) }
+
+// Mkdir implements fs.FileSystem.
+func (v *FS) Mkdir(path string) error { return fs.Mkdir((*names)(v), path) }
+
+// Remove implements fs.FileSystem.
+func (v *FS) Remove(path string) error { return fs.Remove((*names)(v), path) }
+
+// Rename implements fs.FileSystem: the entry moves in one journal
+// transaction.
+func (v *FS) Rename(oldPath, newPath string) error {
+	return fs.Rename((*names)(v), oldPath, newPath)
 }
 
 // ReadDir implements fs.FileSystem.
-func (v *FS) ReadDir(path string) ([]fs.DirEntry, error) {
-	if err := v.alive(); err != nil {
-		return nil, err
-	}
-	in, err := v.resolve(path)
-	if err != nil {
-		return nil, err
-	}
-	content, err := v.dirContent(in)
-	if err != nil {
-		return nil, err
-	}
-	var out []fs.DirEntry
-	for o := 0; o+dirEntSize <= len(content); o += dirEntSize {
-		e := content[o : o+dirEntSize]
-		ino := binary.LittleEndian.Uint32(e[0:])
-		if ino == 0 {
-			continue
-		}
-		child, err := v.loadInode(ino)
-		if err != nil {
-			return nil, err
-		}
-		nl := int(e[4])
-		out = append(out, fs.DirEntry{
-			Name:  string(e[dirEntNameOff : dirEntNameOff+nl]),
-			IsDir: child.mode == modeDir,
-		})
-	}
-	return out, nil
-}
+func (v *FS) ReadDir(path string) ([]fs.DirEntry, error) { return fs.ReadDir((*names)(v), path) }
 
 // Stat implements fs.FileSystem.
-func (v *FS) Stat(path string) (fs.FileInfo, error) {
-	if err := v.alive(); err != nil {
-		return fs.FileInfo{}, err
-	}
-	in, err := v.resolve(path)
-	if err != nil {
-		return fs.FileInfo{}, err
-	}
-	name := path
-	if i := strings.LastIndexByte(strings.TrimRight(path, "/"), '/'); i >= 0 {
-		name = strings.TrimRight(path, "/")[i+1:]
-	}
-	return fs.FileInfo{Name: name, Size: in.size, IsDir: in.mode == modeDir}, nil
-}
+func (v *FS) Stat(path string) (fs.FileInfo, error) { return fs.Stat((*names)(v), path) }
 
 // Sync implements fs.FileSystem: flush all dirty inodes and commit.
 func (v *FS) Sync() error {

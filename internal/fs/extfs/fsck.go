@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"flashwear/internal/blockdev"
+	"flashwear/internal/fs"
 )
 
 // FsckReport is the outcome of an offline consistency check.
@@ -178,7 +179,7 @@ func Fsck(dev blockdev.Device) (FsckReport, error) {
 				return err
 			}
 			limit := in.size - i*BlockSize
-			for off := 0; off+dirEntSize <= BlockSize && int64(off) < limit; off += dirEntSize {
+			for off := 0; off+fs.DirentSize <= BlockSize && int64(off) < limit; off += fs.DirentSize {
 				child := binary.LittleEndian.Uint32(b[off:])
 				if child == 0 {
 					continue

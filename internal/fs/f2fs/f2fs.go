@@ -3,7 +3,6 @@ package f2fs
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
 
 	"flashwear/internal/blockdev"
 	"flashwear/internal/fs"
@@ -20,8 +19,9 @@ type FS struct {
 	sb   *superblock
 
 	nat       []uint32
-	natDirty  []bool // per NAT block
-	scratch   []byte // one block for the checkpoint's NAT and cp images
+	natDirty  []bool              // per NAT block
+	scratch   []byte              // one block for the checkpoint's NAT and cp images
+	slot      [fs.DirentSize]byte // the directory slot names.Slot read last
 	nodes     map[uint32]*node
 	nodeRotor uint32
 	ver       uint64
@@ -259,381 +259,102 @@ func (v *FS) checkpointLocked() error {
 	return nil
 }
 
-// --- directories (256-byte entries, stored as directory file content) ---
+// --- the namespace ---
 
-const (
-	dirEntSize    = 256
-	dirEntNameOff = 5
-)
+// names is the FS as the shared namespace (fs.Nodes) sees it: nodes, and
+// directory slots read one at a time through the directory's mapping.
+type names FS
 
-func (v *FS) dirFind(dir *node, name string) (off int64, id uint32, err error) {
-	buf := make([]byte, dirEntSize)
-	for o := int64(0); o+dirEntSize <= dir.size; o += dirEntSize {
-		if _, err := v.readNodeData(dir, buf, o); err != nil {
-			return -1, 0, err
-		}
-		target := binary.LittleEndian.Uint32(buf[0:])
-		if target == 0 {
-			continue
-		}
-		nl := int(buf[4])
-		if nl > dirEntSize-dirEntNameOff {
-			return -1, 0, fmt.Errorf("%w: dirent name length %d", ErrCorrupt, nl)
-		}
-		if string(buf[dirEntNameOff:dirEntNameOff+nl]) == name {
-			return o, target, nil
-		}
-	}
-	return -1, 0, nil
+func (h *names) Alive() error                  { return (*FS)(h).alive() }
+func (h *names) Root() (*node, error)          { return (*FS)(h).loadNode(RootNode) }
+func (h *names) Load(id uint32) (*node, error) { return (*FS)(h).loadNode(id) }
+func (*names) IsDir(n *node) bool              { return n.mode == modeDir }
+func (*names) Size(n *node) int64              { return n.size }
+func (h *names) File(n *node) fs.File          { return &file{fs: (*FS)(h), n: n} }
+func (*names) Scan(*node) error                { return nil }
+func (h *names) Done() error                   { return h.dev.Flush() }
+func (*names) Corrupt() error                  { return ErrCorrupt }
+
+// Slot reads the slot at off from the device.
+func (h *names) Slot(dir *node, off int64) ([]byte, error) {
+	_, err := (*FS)(h).readNodeData(dir, h.slot[:], off)
+	return h.slot[:], err
 }
 
+func (h *names) Set(dir *node, off int64, n *node, name string) error {
+	return (*FS)(h).dirSet(dir, off, n.id, name)
+}
+
+func (h *names) Unlink(dir *node, off int64) error { return (*FS)(h).dirSet(dir, off, 0, "") }
+
+func (h *names) Alloc(dir bool) (*node, error) {
+	v := (*FS)(h)
+	id, err := v.allocNodeID()
+	if err != nil {
+		return nil, err
+	}
+	mode := uint16(modeFile)
+	if dir {
+		mode = modeDir
+	}
+	n := newInode(id, mode)
+	n.mtime = v.nowNanos()
+	v.nodes[id] = n
+	return n, v.writeNode(n, true)
+}
+
+// Release writes a dead-node marker, so roll-forward does not resurrect
+// the node, then drops its mapping entirely.
+func (h *names) Release(n *node) error {
+	v := (*FS)(h)
+	if err := v.truncateNode(n, 0); err != nil {
+		return err
+	}
+	n.flags |= nodeDead
+	if err := v.writeNode(n, true); err != nil {
+		return err
+	}
+	if addr := v.natLookup(n.id); addr != 0 {
+		v.invalidateBlock(addr)
+	}
+	v.natSet(n.id, 0)
+	delete(v.nodes, n.id)
+	return nil
+}
+
+// dirSet writes one slot at off and the directory's node, fsync-marked so
+// the change survives a crash via roll-forward.
 func (v *FS) dirSet(dir *node, off int64, id uint32, name string) error {
-	e := make([]byte, dirEntSize)
-	binary.LittleEndian.PutUint32(e[0:], id)
-	e[4] = byte(len(name))
-	copy(e[dirEntNameOff:], name)
-	if _, err := v.writeNodeData(dir, e, off); err != nil {
+	e := fs.Dirent(id, name)
+	if _, err := v.writeNodeData(dir, e[:], off); err != nil {
 		return err
 	}
 	return v.writeNode(dir, true)
 }
 
-func (v *FS) dirAdd(dir *node, id uint32, name string) error {
-	slot := dir.size
-	buf := make([]byte, dirEntSize)
-	for o := int64(0); o+dirEntSize <= dir.size; o += dirEntSize {
-		if _, err := v.readNodeData(dir, buf, o); err != nil {
-			return err
-		}
-		if binary.LittleEndian.Uint32(buf[0:]) == 0 {
-			slot = o
-			break
-		}
-	}
-	return v.dirSet(dir, slot, id, name)
-}
-
-func (v *FS) dirEmpty(dir *node) (bool, error) {
-	buf := make([]byte, dirEntSize)
-	for o := int64(0); o+dirEntSize <= dir.size; o += dirEntSize {
-		if _, err := v.readNodeData(dir, buf, o); err != nil {
-			return false, err
-		}
-		if binary.LittleEndian.Uint32(buf[0:]) != 0 {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// resolve walks a path to its inode.
-func (v *FS) resolve(path string) (*node, error) {
-	parts, err := fs.SplitPath(path)
-	if err != nil {
-		return nil, err
-	}
-	n, err := v.loadNode(RootNode)
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range parts {
-		if n.mode != modeDir {
-			return nil, fs.ErrNotDir
-		}
-		_, id, err := v.dirFind(n, name)
-		if err != nil {
-			return nil, err
-		}
-		if id == 0 {
-			return nil, fs.ErrNotExist
-		}
-		if n, err = v.loadNode(id); err != nil {
-			return nil, err
-		}
-	}
-	return n, nil
-}
-
-func (v *FS) resolveParent(path string) (*node, string, error) {
-	dir, base, err := fs.DirBase(path)
-	if err != nil {
-		return nil, "", err
-	}
-	parent, err := v.resolve(dir)
-	if err != nil {
-		return nil, "", err
-	}
-	if parent.mode != modeDir {
-		return nil, "", fs.ErrNotDir
-	}
-	return parent, base, nil
-}
-
-// --- fs.FileSystem ---
-
 // Create implements fs.FileSystem.
-func (v *FS) Create(path string) (fs.File, error) {
-	if err := v.alive(); err != nil {
-		return nil, err
-	}
-	parent, name, err := v.resolveParent(path)
-	if err != nil {
-		return nil, err
-	}
-	if _, existing, err := v.dirFind(parent, name); err != nil {
-		return nil, err
-	} else if existing != 0 {
-		n, err := v.loadNode(existing)
-		if err != nil {
-			return nil, err
-		}
-		if n.mode == modeDir {
-			return nil, fs.ErrIsDir
-		}
-		f := &file{fs: v, n: n}
-		if err := f.Truncate(0); err != nil {
-			return nil, err
-		}
-		return f, nil
-	}
-	id, err := v.allocNodeID()
-	if err != nil {
-		return nil, err
-	}
-	n := newInode(id, modeFile)
-	n.mtime = v.nowNanos()
-	v.nodes[id] = n
-	if err := v.writeNode(n, true); err != nil {
-		return nil, err
-	}
-	if err := v.dirAdd(parent, id, name); err != nil {
-		return nil, err
-	}
-	if err := v.dev.Flush(); err != nil {
-		return nil, err
-	}
-	return &file{fs: v, n: n}, nil
-}
+func (v *FS) Create(path string) (fs.File, error) { return fs.Create((*names)(v), path) }
 
 // Open implements fs.FileSystem.
-func (v *FS) Open(path string) (fs.File, error) {
-	if err := v.alive(); err != nil {
-		return nil, err
-	}
-	n, err := v.resolve(path)
-	if err != nil {
-		return nil, err
-	}
-	if n.mode == modeDir {
-		return nil, fs.ErrIsDir
-	}
-	return &file{fs: v, n: n}, nil
-}
+func (v *FS) Open(path string) (fs.File, error) { return fs.Open((*names)(v), path) }
 
 // Mkdir implements fs.FileSystem.
-func (v *FS) Mkdir(path string) error {
-	if err := v.alive(); err != nil {
-		return err
-	}
-	parent, name, err := v.resolveParent(path)
-	if err != nil {
-		return err
-	}
-	if _, existing, err := v.dirFind(parent, name); err != nil {
-		return err
-	} else if existing != 0 {
-		return fs.ErrExist
-	}
-	id, err := v.allocNodeID()
-	if err != nil {
-		return err
-	}
-	n := newInode(id, modeDir)
-	n.mtime = v.nowNanos()
-	v.nodes[id] = n
-	if err := v.writeNode(n, true); err != nil {
-		return err
-	}
-	if err := v.dirAdd(parent, id, name); err != nil {
-		return err
-	}
-	return v.dev.Flush()
-}
+func (v *FS) Mkdir(path string) error { return fs.Mkdir((*names)(v), path) }
 
 // Remove implements fs.FileSystem.
-func (v *FS) Remove(path string) error {
-	if err := v.alive(); err != nil {
-		return err
-	}
-	parent, name, err := v.resolveParent(path)
-	if err != nil {
-		return err
-	}
-	off, id, err := v.dirFind(parent, name)
-	if err != nil {
-		return err
-	}
-	if id == 0 {
-		return fs.ErrNotExist
-	}
-	n, err := v.loadNode(id)
-	if err != nil {
-		return err
-	}
-	if n.mode == modeDir {
-		empty, err := v.dirEmpty(n)
-		if err != nil {
-			return err
-		}
-		if !empty {
-			return fs.ErrNotEmpty
-		}
-	}
-	if err := v.truncateNode(n, 0); err != nil {
-		return err
-	}
-	// Write a dead-node marker so roll-forward does not resurrect the
-	// file, then drop the mapping entirely.
-	n.flags |= nodeDead
-	if err := v.writeNode(n, true); err != nil {
-		return err
-	}
-	if addr := v.natLookup(id); addr != 0 {
-		v.invalidateBlock(addr)
-	}
-	v.natSet(id, 0)
-	delete(v.nodes, id)
-	if err := v.dirSet(parent, off, 0, ""); err != nil {
-		return err
-	}
-	return v.dev.Flush()
-}
+func (v *FS) Remove(path string) error { return fs.Remove((*names)(v), path) }
 
 // Rename implements fs.FileSystem: both directory updates are fsync-marked
-// so the move survives a crash via roll-forward, replacing a regular file
-// at the target if present.
+// so the move survives a crash via roll-forward.
 func (v *FS) Rename(oldPath, newPath string) error {
-	if err := v.alive(); err != nil {
-		return err
-	}
-	oldParent, oldName, err := v.resolveParent(oldPath)
-	if err != nil {
-		return err
-	}
-	oldOff, id, err := v.dirFind(oldParent, oldName)
-	if err != nil {
-		return err
-	}
-	if id == 0 {
-		return fs.ErrNotExist
-	}
-	moving, err := v.loadNode(id)
-	if err != nil {
-		return err
-	}
-	newParent, newName, err := v.resolveParent(newPath)
-	if err != nil {
-		return err
-	}
-	newOff, existing, err := v.dirFind(newParent, newName)
-	if err != nil {
-		return err
-	}
-	if existing == id {
-		return nil
-	}
-	if existing != 0 {
-		target, err := v.loadNode(existing)
-		if err != nil {
-			return err
-		}
-		if target.mode == modeDir {
-			return fs.ErrIsDir
-		}
-		if moving.mode == modeDir {
-			return fs.ErrNotDir
-		}
-		if err := v.truncateNode(target, 0); err != nil {
-			return err
-		}
-		target.flags |= nodeDead
-		if err := v.writeNode(target, true); err != nil {
-			return err
-		}
-		if addr := v.natLookup(existing); addr != 0 {
-			v.invalidateBlock(addr)
-		}
-		v.natSet(existing, 0)
-		delete(v.nodes, existing)
-		if err := v.dirSet(newParent, newOff, id, newName); err != nil {
-			return err
-		}
-	} else {
-		if err := v.dirAdd(newParent, id, newName); err != nil {
-			return err
-		}
-		if newParent == oldParent {
-			if oldOff, id, err = v.dirFind(oldParent, oldName); err != nil || id == 0 {
-				return fmt.Errorf("%w: rename lost source entry", ErrCorrupt)
-			}
-		}
-	}
-	if err := v.dirSet(oldParent, oldOff, 0, ""); err != nil {
-		return err
-	}
-	return v.dev.Flush()
+	return fs.Rename((*names)(v), oldPath, newPath)
 }
 
 // ReadDir implements fs.FileSystem.
-func (v *FS) ReadDir(path string) ([]fs.DirEntry, error) {
-	if err := v.alive(); err != nil {
-		return nil, err
-	}
-	n, err := v.resolve(path)
-	if err != nil {
-		return nil, err
-	}
-	if n.mode != modeDir {
-		return nil, fs.ErrNotDir
-	}
-	var out []fs.DirEntry
-	buf := make([]byte, dirEntSize)
-	for o := int64(0); o+dirEntSize <= n.size; o += dirEntSize {
-		if _, err := v.readNodeData(n, buf, o); err != nil {
-			return nil, err
-		}
-		id := binary.LittleEndian.Uint32(buf[0:])
-		if id == 0 {
-			continue
-		}
-		child, err := v.loadNode(id)
-		if err != nil {
-			return nil, err
-		}
-		nl := int(buf[4])
-		out = append(out, fs.DirEntry{
-			Name:  string(buf[dirEntNameOff : dirEntNameOff+nl]),
-			IsDir: child.mode == modeDir,
-		})
-	}
-	return out, nil
-}
+func (v *FS) ReadDir(path string) ([]fs.DirEntry, error) { return fs.ReadDir((*names)(v), path) }
 
 // Stat implements fs.FileSystem.
-func (v *FS) Stat(path string) (fs.FileInfo, error) {
-	if err := v.alive(); err != nil {
-		return fs.FileInfo{}, err
-	}
-	n, err := v.resolve(path)
-	if err != nil {
-		return fs.FileInfo{}, err
-	}
-	name := path
-	if i := strings.LastIndexByte(strings.TrimRight(path, "/"), '/'); i >= 0 {
-		name = strings.TrimRight(path, "/")[i+1:]
-	}
-	return fs.FileInfo{Name: name, Size: n.size, IsDir: n.mode == modeDir}, nil
-}
+func (v *FS) Stat(path string) (fs.FileInfo, error) { return fs.Stat((*names)(v), path) }
 
 // Sync implements fs.FileSystem: full checkpoint.
 func (v *FS) Sync() error {

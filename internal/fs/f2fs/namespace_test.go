@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -124,4 +125,54 @@ func listing(t *testing.T, v fs.FileSystem) string {
 	}
 	walk("/")
 	return out.String()
+}
+
+// TestCorruptSlotIsErrCorrupt: an in-use directory slot whose name length
+// runs past the slot is corruption to every operation that reads it, not
+// a name to trust.
+func TestCorruptSlotIsErrCorrupt(t *testing.T) {
+	v, dev := newVolume(t, 16, fs.Options{})
+	for _, p := range []string{"/x", "/y"} {
+		if _, err := v.Create(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root, err := v.loadNode(RootNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk := root.ptr(0)
+	if err := v.Unmount(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := readBlock(dev, blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[4] = 255 // /x's slot, the first
+	if err := writeBlock(dev, blk, b); err != nil {
+		t.Fatal(err)
+	}
+	if v, err = Mount(dev, fs.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	corruptSlotContract(t, v, "/x", ErrCorrupt)
+}
+
+// corruptSlotContract checks that every namespace operation reaching the
+// corrupt slot of name fails with corrupt.
+func corruptSlotContract(t *testing.T, v fs.FileSystem, name string, corrupt error) {
+	t.Helper()
+	dir, _, _ := fs.DirBase(name)
+	_, errReadDir := v.ReadDir(dir)
+	_, errStat := v.Stat(name)
+	_, errOpen := v.Open(name)
+	errRemove := v.Remove(name)
+	_, errCreate := v.Create(strings.TrimSuffix(dir, "/") + "/new")
+	for i, err := range []error{errReadDir, errStat, errOpen, errRemove, errCreate} {
+		if !errors.Is(err, corrupt) {
+			op := []string{"ReadDir", "Stat", "Open", "Remove", "Create"}[i]
+			t.Errorf("%s: err = %v, want %v", op, err, corrupt)
+		}
+	}
 }

@@ -2,23 +2,6 @@ package fs
 
 import "strings"
 
-// SplitPath normalises an absolute slash-separated path into components.
-// "/" and "" yield an empty slice (the root). It returns ErrBadName for
-// components that are empty, ".", "..", or overlong.
-func SplitPath(path string) ([]string, error) {
-	path = strings.Trim(path, "/")
-	if path == "" {
-		return nil, nil
-	}
-	parts := strings.Split(path, "/")
-	for _, c := range parts {
-		if err := CheckName(c); err != nil {
-			return nil, err
-		}
-	}
-	return parts, nil
-}
-
 // MaxNameLen is the longest permitted path component.
 const MaxNameLen = 200
 
@@ -31,14 +14,31 @@ func CheckName(name string) error {
 	return nil
 }
 
-// Dir and Base split a path into its parent and final component.
+// cleanPath trims an absolute slash-separated path's outer slashes and
+// checks each of its components; "/" and "" clean to "", the root.
+func cleanPath(path string) (string, error) {
+	path = strings.Trim(path, "/")
+	for rest := path; rest != ""; {
+		var name string
+		name, rest, _ = strings.Cut(rest, "/")
+		if err := CheckName(name); err != nil {
+			return "", err
+		}
+	}
+	return path, nil
+}
+
+// DirBase splits a path into its parent, normalised to "/a/b", and its
+// final component. It returns ErrBadName for the root and for a
+// component that CheckName rejects.
 func DirBase(path string) (dir string, base string, err error) {
-	parts, err := SplitPath(path)
+	path, err = cleanPath(path)
 	if err != nil {
 		return "", "", err
 	}
-	if len(parts) == 0 {
+	if path == "" {
 		return "", "", ErrBadName
 	}
-	return "/" + strings.Join(parts[:len(parts)-1], "/"), parts[len(parts)-1], nil
+	i := strings.LastIndexByte(path, '/')
+	return "/" + path[:max(i, 0)], path[i+1:], nil
 }

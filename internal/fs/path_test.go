@@ -5,42 +5,6 @@ import (
 	"testing"
 )
 
-func TestSplitPath(t *testing.T) {
-	cases := []struct {
-		in   string
-		want []string
-		err  bool
-	}{
-		{"/", nil, false},
-		{"", nil, false},
-		{"/a", []string{"a"}, false},
-		{"/a/b/c", []string{"a", "b", "c"}, false},
-		{"a/b", []string{"a", "b"}, false},
-		{"/a//b", nil, true},
-		{"/a/./b", nil, true},
-		{"/a/../b", nil, true},
-	}
-	for _, c := range cases {
-		got, err := SplitPath(c.in)
-		if c.err != (err != nil) {
-			t.Errorf("SplitPath(%q) err = %v, want err=%v", c.in, err, c.err)
-			continue
-		}
-		if err != nil {
-			continue
-		}
-		if len(got) != len(c.want) {
-			t.Errorf("SplitPath(%q) = %v, want %v", c.in, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("SplitPath(%q) = %v, want %v", c.in, got, c.want)
-			}
-		}
-	}
-}
-
 func TestCheckName(t *testing.T) {
 	bad := []string{"", ".", "..", "a/b", "nul\x00", strings.Repeat("x", MaxNameLen+1)}
 	for _, n := range bad {
@@ -54,15 +18,25 @@ func TestCheckName(t *testing.T) {
 }
 
 func TestDirBase(t *testing.T) {
-	dir, base, err := DirBase("/a/b/c")
-	if err != nil || dir != "/a/b" || base != "c" {
-		t.Fatalf("DirBase = (%q, %q, %v)", dir, base, err)
+	cases := []struct {
+		in, dir, base string
+		err           bool
+	}{
+		{"/a/b/c", "/a/b", "c", false},
+		{"/top", "/", "top", false},
+		{"a/b", "/a", "b", false},
+		{"/a/b/", "/a", "b", false},
+		{"/", "", "", true},
+		{"", "", "", true},
+		{"/a//b", "", "", true},
+		{"/a/./b", "", "", true},
+		{"/a/../b", "", "", true},
+		{"/a/" + strings.Repeat("x", MaxNameLen+1) + "/b", "", "", true},
 	}
-	dir, base, err = DirBase("/top")
-	if err != nil || dir != "/" || base != "top" {
-		t.Fatalf("DirBase(/top) = (%q, %q, %v)", dir, base, err)
-	}
-	if _, _, err := DirBase("/"); err == nil {
-		t.Fatal("DirBase(/) accepted")
+	for _, c := range cases {
+		dir, base, err := DirBase(c.in)
+		if c.err != (err != nil) || dir != c.dir || base != c.base {
+			t.Errorf("DirBase(%q) = (%q, %q, %v), want (%q, %q, err=%v)", c.in, dir, base, err, c.dir, c.base, c.err)
+		}
 	}
 }
