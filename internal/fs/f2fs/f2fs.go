@@ -19,9 +19,8 @@ type FS struct {
 	sb   *superblock
 
 	nat       []uint32
-	natDirty  []bool              // per NAT block
-	scratch   []byte              // one block for the checkpoint's NAT and cp images
-	slot      [fs.DirentSize]byte // the directory slot names.Slot read last
+	natDirty  []bool // per NAT block
+	scratch   []byte // one block for the checkpoint's NAT and cp images, and the slot names.Slot read
 	nodes     map[uint32]*node
 	nodeRotor uint32
 	ver       uint64
@@ -275,10 +274,12 @@ func (*names) Scan(*node) error                { return nil }
 func (h *names) Done() error                   { return h.dev.Flush() }
 func (*names) Corrupt() error                  { return ErrCorrupt }
 
-// Slot reads the slot at off from the device.
+// Slot reads the slot at off from the device, into the scratch block: a
+// checkpoint, the scratch block's other user, comes only with a write.
 func (h *names) Slot(dir *node, off int64) ([]byte, error) {
-	_, err := (*FS)(h).readNodeData(dir, h.slot[:], off)
-	return h.slot[:], err
+	slot := h.scratch[:fs.DirentSize]
+	_, err := (*FS)(h).readNodeData(dir, slot, off)
+	return slot, err
 }
 
 func (h *names) Set(dir *node, off int64, n *node, name string) error {
