@@ -2,10 +2,13 @@ package fleetd
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"flashwear/internal/hostio"
@@ -293,28 +296,37 @@ func TestNonZeroSpanEveryEndpoint(t *testing.T) {
 	}
 }
 
-// TestCellBytesPinned is the tier-1 guard on checkpoint volume: the exact
-// size of one cell of a fixed-seed campaign, and a floor on what span
-// encoding saves over writing every non-zero page whole. A codec or
-// file-system change that grows the cell fails here, not only in a traced
-// bench run (hostio.ckpt_kib_per_device_day).
+// TestCellBytesPinned is the tier-1 guard on checkpoint volume and layout:
+// the exact size and payload digest of one cell of a fixed-seed campaign,
+// and a floor on what span encoding saves over writing every non-zero page
+// whole. A codec or file-system change that grows the cell fails here, not
+// only in a traced bench run (hostio.ckpt_kib_per_device_day), and one that
+// moves a byte of a frame fails on the digest.
 func TestCellBytesPinned(t *testing.T) {
-	const golden = 120747 // bytes in cell (shard 0, epoch 1) of realCell's campaign
+	// The size and the digest of cell (shard 0, epoch 1) of realCell's
+	// campaign.
+	const (
+		golden = 120747
+		digest = "ef66ce6a95b04f7b9ce34729a12c43e4c07c6e09c2d503761e5c5b4ff2c07792"
+	)
 	path := realCell(t)
-	fi, err := os.Stat(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	size := fi.Size()
+	size := int64(len(raw))
 	if size != golden {
 		t.Errorf("cell is %d bytes, golden %d", size, golden)
+	}
+	if got := cellDigest(t, raw); got != digest {
+		t.Errorf("cell digest %s, golden %s", got, digest)
 	}
 	r, err := openCell(hostio.OS{}, path, newCellBufs())
 	if err != nil {
 		t.Fatalf("openCell: %v", err)
 	}
 	defer r.Close()
-	raw := size
+	whole := size
 	_, err = r.scan(func(st *deviceState) error {
 		for _, chip := range []*nand.ChipState{st.Main, st.Cache} {
 			if chip == nil {
@@ -323,7 +335,7 @@ func TestCellBytesPinned(t *testing.T) {
 			for i := range chip.Blocks {
 				for _, data := range chip.Blocks[i].Data {
 					if lo, hi := nonZeroSpan(data); lo != hi {
-						raw += int64(len(data) - (4 + hi - lo))
+						whole += int64(len(data) - (4 + hi - lo))
 					}
 				}
 			}
@@ -333,8 +345,44 @@ func TestCellBytesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatalf("scan: %v", err)
 	}
-	t.Logf("cell %d bytes, %d with raw pages", size, raw)
-	if size*3 > raw {
-		t.Errorf("cell is %d bytes, more than a third of the %d it costs with raw pages", size, raw)
+	t.Logf("cell %d bytes, %d with raw pages", size, whole)
+	if size*3 > whole {
+		t.Errorf("cell is %d bytes, more than a third of the %d it costs with raw pages", size, whole)
 	}
+}
+
+// cellDigest is the hex sha256 of a cell's frame payloads: the header's,
+// then the device frames' sorted bytewise, then the footer's. Workers
+// write device frames in the order they finish, so the digest sorts them;
+// every byte of every payload still counts, so two fields swapped in both
+// encoder and decoder move it where the cell's size would not.
+func cellDigest(t *testing.T, raw []byte) string {
+	t.Helper()
+	off := len(fileMagic) + 4
+	var header, footer []byte
+	var devices [][]byte
+	for footer == nil {
+		if off+5 > len(raw) {
+			t.Fatal("cell ends before its footer")
+		}
+		typ, n := raw[off], int(binary.LittleEndian.Uint32(raw[off+1:]))
+		payload := raw[off+5 : off+5+n]
+		off += 5 + n + 4
+		switch typ {
+		case frameHeader:
+			header = payload
+		case frameDevice:
+			devices = append(devices, payload)
+		case frameFooter:
+			footer = payload
+		}
+	}
+	slices.SortFunc(devices, bytes.Compare)
+	h := sha256.New()
+	h.Write(header)
+	for _, d := range devices {
+		h.Write(d)
+	}
+	h.Write(footer)
+	return hex.EncodeToString(h.Sum(nil))
 }
