@@ -442,11 +442,11 @@ func restampCell(src, dst *Campaign, shard, epoch int, final bool, bufs *cellBuf
 	if err != nil {
 		return err
 	}
-	var e enc
+	var c codec
 	ft, err := r.scan(func(st *deviceState) error {
-		e.b = e.b[:0]
-		e.deviceState(st)
-		return w.writeDevice(e.b)
+		c.b = c.b[:0]
+		c.deviceState(st)
+		return w.writeDevice(c.b)
 	})
 	if err != nil {
 		w.abort()

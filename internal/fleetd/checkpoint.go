@@ -106,13 +106,10 @@ func newCkptWriter(fsys hostio.FS, path string, hdr fileHeader, bufs *cellBufs) 
 	bw.Reset(f)
 	w := &ckptWriter{fsys: fsys, f: f, bw: bw, path: path, tmp: tmp}
 	w.bytes += int64(len(fileMagic)) + 4
-	var e enc
-	e.raw([]byte(fileMagic))
-	e.u32(ckptVersion)
-	w.bw.Write(e.b)
-	e.b = e.b[:0]
-	e.fileHeader(hdr)
-	w.frameLocked(frameHeader, e.b)
+	w.bw.Write(binary.LittleEndian.AppendUint32([]byte(fileMagic), ckptVersion))
+	var c codec
+	c.fileHeader(&hdr)
+	w.frameLocked(frameHeader, c.b)
 	if w.err != nil {
 		w.abort()
 		return nil, w.err
@@ -173,9 +170,9 @@ func (w *ckptWriter) writeDevice(payload []byte) error {
 func (w *ckptWriter) finish(ft *epochFooter) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var e enc
-	e.footer(ft)
-	w.frameLocked(frameFooter, e.b)
+	var c codec
+	c.footer(ft)
+	w.frameLocked(frameFooter, c.b)
 	if w.err == nil {
 		if _, err := w.bw.WriteString(endMagic); err != nil {
 			w.err = ckptIOErr(err)
@@ -283,9 +280,9 @@ func (r *ckptReader) readPreamble() error {
 	if typ != frameHeader {
 		return fmt.Errorf("%w: first frame type %d, want header", ErrCheckpointCorrupt, typ)
 	}
-	d := dec{b: payload}
-	r.Header = d.fileHeader()
-	return d.done()
+	c := codec{b: payload, dec: true}
+	c.fileHeader(&r.Header)
+	return c.done()
 }
 
 // Close closes the file and lets go of the read buffer; the reader must
@@ -352,9 +349,9 @@ func (r *ckptReader) scan(dev func(*deviceState) error) (*epochFooter, error) {
 // a's until a's next decode.
 func decodeDevice(payload []byte, a *arena) (*deviceState, error) {
 	a.reset()
-	d := dec{b: payload, a: a}
-	st := d.deviceState()
-	return st, d.done()
+	c := codec{b: payload, dec: true, a: a}
+	c.deviceState(&a.dev)
+	return &a.dev, c.done()
 }
 
 // frames is scan without the decoding: each device frame's CRC-checked
@@ -374,9 +371,10 @@ func (r *ckptReader) frames(dev func(payload []byte) error) (*epochFooter, error
 				return nil, err
 			}
 		case frameFooter:
-			d := dec{b: payload}
-			ft := d.footer()
-			if err := d.done(); err != nil {
+			ft := new(epochFooter)
+			c := codec{b: payload, dec: true}
+			c.footer(ft)
+			if err := c.done(); err != nil {
 				return nil, err
 			}
 			end := make([]byte, len(endMagic))

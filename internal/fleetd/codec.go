@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"time"
 
 	"flashwear/internal/fleet"
 	"flashwear/internal/ftl"
@@ -91,50 +90,143 @@ type epochFooter struct {
 	Ledger     wtrace.Snapshot
 }
 
-// enc builds a frame payload. All integers are little-endian and
-// fixed-width: the format trades compactness for a codec whose output is
-// byte-identical for equal states — re-encoding a decoded state must
-// reproduce the input exactly (pinned by tests), which rules out anything
-// order- or history-dependent.
-type enc struct{ b []byte }
-
-func (e *enc) u8(v byte) { e.b = append(e.b, v) }
-
-func (e *enc) u16(v uint16) { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
-
-func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-
-func (e *enc) i32(v int32) { e.u32(uint32(v)) }
-
-func (e *enc) i64(v int64) { e.b = binary.LittleEndian.AppendUint64(e.b, uint64(v)) }
-
-func (e *enc) f64(v float64) { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v)) }
-
-func (e *enc) bool(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-
-func (e *enc) str(s string) {
-	e.u32(uint32(len(s)))
-	e.b = append(e.b, s...)
-}
-
-func (e *enc) raw(p []byte) { e.b = append(e.b, p...) }
-
-// dec consumes a frame payload. Overruns latch bad instead of panicking;
-// the caller checks done() once at the end, and any inconsistency maps to
-// ErrCheckpointCorrupt (the CRC already passed, so a malformed payload
-// means a codec mismatch, not bit rot — still not restorable).
-type dec struct {
+// codec walks a frame payload's layout in one direction: an encode (dec
+// unset) appends each field to b, and a decode (dec set) reads the same
+// field back from b through the same pointer, so each layout is written
+// once. All integers are little-endian and fixed-width: the format trades
+// compactness for output that is byte-identical for equal states —
+// re-encoding a decoded state must reproduce the input exactly (pinned by
+// tests), which rules out anything order- or history-dependent.
+//
+// A decode never panics on a short or malformed payload: it latches bad,
+// reads zeros from then on, and the caller checks done() once at the end.
+// Any inconsistency maps to ErrCheckpointCorrupt (the CRC already passed,
+// so a malformed payload means a codec mismatch, not bit rot — still not
+// restorable). Only a decode validates: an encode writes what it is given.
+type codec struct {
 	b   []byte
-	off int
+	off int // a decode's read position in b
+	dec bool
 	bad bool
 	// a is where a decoded device state goes; only device frames need one.
 	a *arena
+}
+
+// zeros is what a decode reads once it has gone bad.
+var zeros [8]byte
+
+// take returns a decode's next n bytes, or nil and latches bad when the
+// payload has fewer left.
+func (c *codec) take(n int) []byte {
+	if c.bad || n < 0 || c.off+n > len(c.b) {
+		c.bad = true
+		return nil
+	}
+	p := c.b[c.off : c.off+n]
+	c.off += n
+	return p
+}
+
+// next is take for a fixed-width field: zeros in place of a short read.
+func (c *codec) next(n int) []byte {
+	if p := c.take(n); p != nil {
+		return p
+	}
+	return zeros[:n]
+}
+
+// want latches bad when a decode finds ok false, and reports whether the
+// walk may go on.
+func (c *codec) want(ok bool) bool {
+	if c.dec && !ok {
+		c.bad = true
+	}
+	return !c.bad
+}
+
+// word carries an integer in 8 bytes.
+func word[T ~int | ~int64 | ~uint64](c *codec, v *T) {
+	if c.dec {
+		*v = T(binary.LittleEndian.Uint64(c.next(8)))
+	} else {
+		c.b = binary.LittleEndian.AppendUint64(c.b, uint64(*v))
+	}
+}
+
+// half carries an integer in 4 bytes.
+func half[T ~int32 | ~uint32](c *codec, v *T) {
+	if c.dec {
+		*v = T(binary.LittleEndian.Uint32(c.next(4)))
+	} else {
+		c.b = binary.LittleEndian.AppendUint32(c.b, uint32(*v))
+	}
+}
+
+func (c *codec) u16(v *uint16) {
+	if c.dec {
+		*v = binary.LittleEndian.Uint16(c.next(2))
+	} else {
+		c.b = binary.LittleEndian.AppendUint16(c.b, *v)
+	}
+}
+
+func (c *codec) f64(v *float64) {
+	u := math.Float64bits(*v)
+	word(c, &u)
+	if c.dec {
+		*v = math.Float64frombits(u)
+	}
+}
+
+// bool carries a flag in one byte and returns it. A decode accepts only
+// the two bytes an encode writes: a decoded frame must re-encode to
+// itself, so a third spelling of true is a malformed frame.
+func (c *codec) bool(v *bool) bool {
+	if c.dec {
+		u := c.next(1)[0]
+		c.want(u <= 1)
+		*v = u == 1
+	} else if *v {
+		c.b = append(c.b, 1)
+	} else {
+		c.b = append(c.b, 0)
+	}
+	return *v
+}
+
+// count carries a length n in 4 bytes and returns it. A decode caps it
+// against the bytes left, so a garbage length cannot drive a giant
+// allocation.
+func (c *codec) count(n, perItem int) int {
+	u := uint32(n)
+	half(c, &u)
+	if !c.want(perItem <= 0 || int(u) <= len(c.b)-c.off) {
+		return 0
+	}
+	return int(u)
+}
+
+// str carries a string as its length and bytes. A decode keeps *v when
+// the bytes match it, so decoding into last night's rows allocates no
+// strings.
+func (c *codec) str(v *string) {
+	n := c.count(len(*v), 1)
+	if !c.dec {
+		c.b = append(c.b, *v...)
+	} else if b := c.take(n); string(b) != *v {
+		*v = string(b)
+	}
+}
+
+// done reports whether the payload decoded cleanly and completely.
+func (c *codec) done() error {
+	if c.bad {
+		return fmt.Errorf("%w: malformed frame payload", ErrCheckpointCorrupt)
+	}
+	if c.off != len(c.b) {
+		return fmt.Errorf("%w: %d trailing bytes in frame payload", ErrCheckpointCorrupt, len(c.b)-c.off)
+	}
+	return nil
 }
 
 // arena is the storage one worker decodes the device states it is handed
@@ -168,14 +260,10 @@ type arena struct {
 
 func (a *arena) reset() { a.nchips, a.nOOB, a.nIndex, a.nPages = 0, 0, 0, 0 }
 
-// chip returns the next chip state, its Blocks array n long.
-func (a *arena) chip(n int) *nand.ChipState {
+// chip returns the next chip state; chipState sizes its Blocks.
+func (a *arena) chip() *nand.ChipState {
 	st := &a.chips[a.nchips]
 	a.nchips++
-	if cap(st.Blocks) < n {
-		st.Blocks = make([]nand.BlockState, n)
-	}
-	st.Blocks = st.Blocks[:n]
 	return st
 }
 
@@ -209,125 +297,19 @@ func (a *arena) page(pageSize int) []byte {
 	return p
 }
 
-func (d *dec) take(n int) []byte {
-	if d.bad || n < 0 || d.off+n > len(d.b) {
-		d.bad = true
-		return nil
-	}
-	p := d.b[d.off : d.off+n]
-	d.off += n
-	return p
-}
+// ---- layouts ----
 
-func (d *dec) u8() byte {
-	p := d.take(1)
-	if p == nil {
-		return 0
-	}
-	return p[0]
-}
-
-func (d *dec) u16() uint16 {
-	p := d.take(2)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(p)
-}
-
-func (d *dec) u32() uint32 {
-	p := d.take(4)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(p)
-}
-
-func (d *dec) i32() int32 { return int32(d.u32()) }
-
-func (d *dec) i64() int64 {
-	p := d.take(8)
-	if p == nil {
-		return 0
-	}
-	return int64(binary.LittleEndian.Uint64(p))
-}
-
-func (d *dec) f64() float64 {
-	p := d.take(8)
-	if p == nil {
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(p))
-}
-
-// bool accepts only the two bytes the encoder writes: a decoded frame must
-// re-encode to itself, so a third spelling of true is a malformed frame.
-func (d *dec) bool() bool {
-	v := d.u8()
-	if v > 1 {
-		d.bad = true
-	}
-	return v == 1
-}
-
-// count reads a u32 length and sanity-caps it against the bytes left, so
-// a garbage length cannot drive a giant allocation.
-func (d *dec) count(perItem int) int {
-	n := int(d.u32())
-	if perItem > 0 && n > len(d.b)-d.off {
-		d.bad = true
-		return 0
-	}
-	return n
-}
-
-func (d *dec) str() string {
-	n := d.count(1)
-	return string(d.take(n))
-}
-
-// done reports whether the payload decoded cleanly and completely.
-func (d *dec) done() error {
-	if d.bad {
-		return fmt.Errorf("%w: malformed frame payload", ErrCheckpointCorrupt)
-	}
-	if d.off != len(d.b) {
-		return fmt.Errorf("%w: %d trailing bytes in frame payload", ErrCheckpointCorrupt, len(d.b)-d.off)
-	}
-	return nil
-}
-
-// ---- sub-codecs ----
-
-func (e *enc) fileHeader(h fileHeader) {
-	e.i64(h.Seed)
-	for _, v := range []int{h.Devices, h.Days, h.Shard, h.Epoch, h.DevLo, h.DevHi, h.DayLo, h.DayHi} {
-		e.i64(int64(v))
-	}
-}
-
-func (d *dec) fileHeader() fileHeader {
-	var h fileHeader
-	h.Seed = d.i64()
+func (c *codec) fileHeader(h *fileHeader) {
+	word(c, &h.Seed)
 	for _, p := range []*int{&h.Devices, &h.Days, &h.Shard, &h.Epoch, &h.DevLo, &h.DevHi, &h.DayLo, &h.DayHi} {
-		*p = int(d.i64())
-	}
-	return h
-}
-
-func (e *enc) geometry(g nand.Geometry) {
-	for _, v := range []int{g.Dies, g.PlanesPerDie, g.BlocksPerPlane, g.PagesPerBlock, g.PageSize, g.SpareSize} {
-		e.i64(int64(v))
+		word(c, p)
 	}
 }
 
-func (d *dec) geometry() nand.Geometry {
-	var g nand.Geometry
+func (c *codec) geometry(g *nand.Geometry) {
 	for _, p := range []*int{&g.Dies, &g.PlanesPerDie, &g.BlocksPerPlane, &g.PagesPerBlock, &g.PageSize, &g.SpareSize} {
-		*p = int(d.i64())
+		word(c, p)
 	}
-	return g
 }
 
 // geometrySane caps a decoded geometry against resource exhaustion: a
@@ -346,28 +328,12 @@ func geometrySane(g nand.Geometry) bool {
 		g.SpareSize >= 0 && g.SpareSize <= 1<<16
 }
 
-func (e *enc) nandStats(s nand.Stats) {
-	e.i64(s.Programs)
-	e.i64(s.Reads)
-	e.i64(s.Erases)
-	e.i64(s.ProgramFails)
-	e.i64(s.EraseFails)
-	e.i64(s.UncorrectableReads)
-	e.i64(s.BytesProgrammed)
-	e.i64(int64(s.BadBlocks))
-}
-
-func (d *dec) nandStats() nand.Stats {
-	var s nand.Stats
-	s.Programs = d.i64()
-	s.Reads = d.i64()
-	s.Erases = d.i64()
-	s.ProgramFails = d.i64()
-	s.EraseFails = d.i64()
-	s.UncorrectableReads = d.i64()
-	s.BytesProgrammed = d.i64()
-	s.BadBlocks = int(d.i64())
-	return s
+func (c *codec) nandStats(s *nand.Stats) {
+	for _, p := range []*int64{&s.Programs, &s.Reads, &s.Erases, &s.ProgramFails,
+		&s.EraseFails, &s.UncorrectableReads, &s.BytesProgrammed} {
+		word(c, p)
+	}
+	word(c, &s.BadBlocks)
 }
 
 // nonZeroSpan returns the half-open range [lo, hi) from a page's first
@@ -420,409 +386,284 @@ func orWords(b []byte) uint64 {
 		binary.LittleEndian.Uint64(b[48:]) | binary.LittleEndian.Uint64(b[56:])
 }
 
-// page writes one payload: flag 1 for an all-zero page, else flag 0 and
-// [u16 offset][u16 len-1][the bytes from first to last non-zero].
-func (e *enc) page(data []byte) {
-	lo, hi := nonZeroSpan(data)
-	if lo == hi {
-		e.bool(true)
+// page carries one payload: flag 1 for an all-zero page, else flag 0 and
+// [u16 offset][u16 len-1][the bytes from first to last non-zero]. A decode
+// gives the shared zero page, or a fresh pageSize slice around the span.
+// The span must be the canonical one — inside the page, non-zero at both
+// ends — because fork restamps cells by decode and re-encode, and that
+// must reproduce the bytes.
+func (c *codec) page(p *[]byte, pageSize int) {
+	var lo, hi int
+	if !c.dec {
+		lo, hi = nonZeroSpan(*p)
+	}
+	if zero := lo == hi; c.bool(&zero) {
+		if c.dec {
+			if len(c.a.zero) != pageSize {
+				c.a.zero = make([]byte, pageSize)
+			}
+			*p = c.a.zero
+		}
 		return
 	}
-	e.bool(false)
-	e.u16(uint16(lo))
-	e.u16(uint16(hi - lo - 1))
-	e.raw(data[lo:hi])
+	off, last := uint16(lo), uint16(hi-lo-1)
+	c.u16(&off)
+	c.u16(&last)
+	if !c.dec {
+		c.b = append(c.b, (*p)[lo:hi]...)
+		return
+	}
+	lo = int(off)
+	span := c.take(int(last) + 1)
+	if !c.want(span != nil && lo+len(span) <= pageSize && span[0] != 0 && span[len(span)-1] != 0) {
+		*p = nil
+		return
+	}
+	pg := c.a.page(pageSize)
+	clear(pg[:lo])
+	clear(pg[lo+copy(pg[lo:], span):])
+	*p = pg
 }
 
-// page reads one payload: the shared zero page, or a fresh PageSize slice
-// around the span. The span must be the canonical one — inside the page,
-// non-zero at both ends — because fork restamps cells by decode and
-// re-encode, and that must reproduce the bytes.
-func (d *dec) page(pageSize int) []byte {
-	if d.bool() {
-		if len(d.a.zero) != pageSize {
-			d.a.zero = make([]byte, pageSize)
+// chipState carries a chip's state. A decode sizes st.Blocks and fills
+// each block's page-indexed Data (NextPage entries, nil where a page has
+// no payload, or nil when none has). Its page slices are the only copy
+// the resume path makes: ImportState shares them with the booted chip,
+// which never writes through them and drops them at erase rather than
+// recycling them (nand.ExportState).
+func (c *codec) chipState(st *nand.ChipState) {
+	c.geometry(&st.Geometry)
+	c.nandStats(&st.Stats)
+	g := st.Geometry
+	if !c.want(geometrySane(g)) {
+		return
+	}
+	nb := c.count(len(st.Blocks), 8)
+	if !c.want(nb <= g.Dies*g.PlanesPerDie*g.BlocksPerPlane) {
+		return
+	}
+	if c.dec {
+		if cap(st.Blocks) < nb {
+			st.Blocks = make([]nand.BlockState, nb)
 		}
-		return d.a.zero
+		st.Blocks = st.Blocks[:nb]
 	}
-	lo := int(d.u16())
-	span := d.take(int(d.u16()) + 1)
-	if span == nil || lo+len(span) > pageSize || span[0] == 0 || span[len(span)-1] == 0 {
-		d.bad = true
-		return nil
-	}
-	p := d.a.page(pageSize)
-	clear(p[:lo])
-	clear(p[lo+copy(p[lo:], span):])
-	return p
-}
-
-func (e *enc) chipState(st *nand.ChipState) {
-	e.geometry(st.Geometry)
-	e.nandStats(st.Stats)
-	e.u32(uint32(len(st.Blocks)))
-	for i := range st.Blocks {
+	for i := 0; i < nb && !c.bad; i++ {
 		b := &st.Blocks[i]
-		e.i64(int64(b.EraseCount))
-		e.f64(b.Healed)
-		e.f64(b.Stress)
-		e.bool(b.Bad)
-		e.i64(int64(b.NextPage))
-		e.i64(int64(b.FirstProg))
-		e.i64(int64(b.LastErase))
-		e.i64(b.Reads)
-		e.bool(b.Meta != nil)
-		if b.Meta != nil {
-			e.u32(uint32(len(b.Meta)))
-			for _, m := range b.Meta {
-				e.i32(m.LP)
-				e.i64(m.Seq)
-				e.u16(m.Org)
+		if c.dec {
+			*b = nand.BlockState{}
+		}
+		word(c, &b.EraseCount)
+		c.f64(&b.Healed)
+		c.f64(&b.Stress)
+		c.bool(&b.Bad)
+		word(c, &b.NextPage)
+		word(c, &b.FirstProg)
+		word(c, &b.LastErase)
+		word(c, &b.Reads)
+		if !c.want(b.NextPage >= 0 && b.NextPage <= g.PagesPerBlock) {
+			return
+		}
+		if meta := b.Meta != nil; c.bool(&meta) {
+			nm := c.count(len(b.Meta), 14)
+			if !c.want(nm <= g.PagesPerBlock) {
+				return
+			}
+			if c.dec {
+				b.Meta = carve(&c.a.oob, &c.a.nOOB, nm)
+			}
+			for j := 0; j < nm && !c.bad; j++ {
+				m := &b.Meta[j]
+				half(c, &m.LP)
+				word(c, &m.Seq)
+				c.u16(&m.Org)
 			}
 		}
 		// The page-indexed Data: the count of pages with a payload, then
-		// each as its page number and bytes, in ascending page order.
+		// each as its page number and bytes, in strictly ascending page
+		// order inside the programmed prefix — the only order a decode
+		// accepts.
 		np := 0
 		for _, data := range b.Data {
 			if data != nil {
 				np++
 			}
 		}
-		e.u32(uint32(np))
-		for pg, data := range b.Data {
-			if data != nil {
-				e.u32(uint32(pg))
-				e.page(data)
-			}
+		np = c.count(np, 5)
+		if !c.want(np <= b.NextPage) {
+			return
 		}
-	}
-}
-
-// chipState decodes a chip's state into page-indexed Data (NextPage
-// entries, nil where a page has no payload, or nil when none has). Its
-// page slices are the only copy the resume path makes: ImportState shares
-// them with the booted chip, which never writes through them and drops
-// them at erase rather than recycling them (nand.ExportState).
-func (d *dec) chipState() *nand.ChipState {
-	g, stats := d.geometry(), d.nandStats()
-	if d.bad || !geometrySane(g) {
-		d.bad = true
-		return nil
-	}
-	nb := d.count(8)
-	if nb > g.Dies*g.PlanesPerDie*g.BlocksPerPlane {
-		d.bad = true
-		return nil
-	}
-	st := d.a.chip(nb)
-	st.Geometry, st.Stats = g, stats
-	for i := 0; i < nb && !d.bad; i++ {
-		b := &st.Blocks[i]
-		*b = nand.BlockState{}
-		b.EraseCount = int(d.i64())
-		b.Healed = d.f64()
-		b.Stress = d.f64()
-		b.Bad = d.bool()
-		b.NextPage = int(d.i64())
-		b.FirstProg = time.Duration(d.i64())
-		b.LastErase = time.Duration(d.i64())
-		b.Reads = d.i64()
-		if b.NextPage < 0 || b.NextPage > g.PagesPerBlock {
-			d.bad = true
-			return st
-		}
-		if d.bool() {
-			nm := d.count(14)
-			if nm > g.PagesPerBlock {
-				d.bad = true
-				return st
-			}
-			b.Meta = carve(&d.a.oob, &d.a.nOOB, nm)
-			for j := 0; j < nm && !d.bad; j++ {
-				b.Meta[j].LP = d.i32()
-				b.Meta[j].Seq = d.i64()
-				b.Meta[j].Org = d.u16()
-			}
-		}
-		np := d.count(5)
-		if np > b.NextPage {
-			d.bad = true
-			return st
-		}
-		if np > 0 {
-			b.Data = carve(&d.a.index, &d.a.nIndex, b.NextPage)
+		if c.dec && np > 0 {
+			b.Data = carve(&c.a.index, &c.a.nIndex, b.NextPage)
 			clear(b.Data)
 		}
-		// Strictly ascending page numbers inside the programmed prefix:
-		// the only order the encoder writes.
-		next := 0
-		for j := 0; j < np && !d.bad; j++ {
-			pg := int(d.u32())
-			if pg < next || pg >= b.NextPage {
-				d.bad = true
-				return st
+		for j, next := 0, 0; j < np && !c.bad; j++ {
+			pg := uint32(next)
+			for !c.dec && b.Data[pg] == nil {
+				pg++
 			}
-			next = pg + 1
-			b.Data[pg] = d.page(g.PageSize)
+			half(c, &pg)
+			if !c.want(int(pg) >= next && int(pg) < b.NextPage) {
+				return
+			}
+			next = int(pg) + 1
+			c.page(&b.Data[pg], g.PageSize)
 		}
 	}
-	return st
 }
 
-func (e *enc) sketch(s report.Sketch) {
-	e.u32(uint32(len(s.Counts)))
-	e.i64(s.Under)
-	e.i64(s.Over)
-	for _, c := range s.Counts {
-		e.i64(c)
+// sketch decodes Counts as a non-nil slice, even an empty one.
+func (c *codec) sketch(s *report.Sketch) {
+	n := c.count(len(s.Counts), 8)
+	word(c, &s.Under)
+	word(c, &s.Over)
+	if c.dec {
+		s.Counts = make([]int64, n)
 	}
-}
-
-func (d *dec) sketch() report.Sketch {
-	n := d.count(8)
-	s := report.Sketch{Counts: make([]int64, n)}
-	s.Under = d.i64()
-	s.Over = d.i64()
 	for i := range s.Counts {
-		s.Counts[i] = d.i64()
+		word(c, &s.Counts[i])
 	}
-	return s
 }
 
-func (e *enc) histogram(h *report.Histogram) {
-	e.f64(h.Min)
-	e.f64(h.Max)
-	e.sketch(h.Sketch)
+func (c *codec) histogram(h *report.Histogram) {
+	c.f64(&h.Min)
+	c.f64(&h.Max)
+	c.sketch(&h.Sketch)
 }
 
-func (d *dec) histogram() *report.Histogram {
-	h := &report.Histogram{}
-	h.Min = d.f64()
-	h.Max = d.f64()
-	h.Sketch = d.sketch()
-	return h
-}
-
-func (e *enc) snapshot(s wtrace.Snapshot) {
-	e.i64(s.PageSize)
-	e.u32(uint32(len(s.Rows)))
-	for _, r := range s.Rows {
-		e.str(r.Origin)
-		for _, v := range []int64{r.HostPages, r.HostBytes, r.HostPrograms, r.GCPrograms,
-			r.WLPrograms, r.CachePrograms, r.PhysPages, r.PhysBytes, r.Erases, r.ErasePages} {
-			e.i64(v)
+// snapshot decodes into s.Rows' storage when it is large enough, keeping
+// each row's origin string when the decoded name is the same, so a
+// worker's nightly decode of a ledger allocates no strings.
+func (c *codec) snapshot(s *wtrace.Snapshot) {
+	word(c, &s.PageSize)
+	n := c.count(len(s.Rows), 8)
+	if c.dec {
+		rows := s.Rows
+		if n > cap(rows) {
+			rows = make([]wtrace.Row, n)
+		}
+		s.Rows = nil
+		if n > 0 {
+			s.Rows = rows[:n]
 		}
 	}
-}
-
-func (d *dec) snapshot() wtrace.Snapshot { return d.snapshotInto(nil) }
-
-// snapshotInto decodes a snapshot into rows' storage when it is large
-// enough, keeping each row's origin string when the decoded name is the
-// same, so a worker's nightly decode of a ledger allocates no strings.
-func (d *dec) snapshotInto(rows []wtrace.Row) wtrace.Snapshot {
-	var s wtrace.Snapshot
-	s.PageSize = d.i64()
-	n := d.count(8)
-	if n > cap(rows) {
-		rows = make([]wtrace.Row, n)
-	}
-	if n > 0 {
-		s.Rows = rows[:n]
-	}
-	for i := 0; i < n && !d.bad; i++ {
+	for i := 0; i < n && !c.bad; i++ {
 		r := &s.Rows[i]
-		if b := d.take(d.count(1)); string(b) != r.Origin {
-			r.Origin = string(b)
-		}
+		c.str(&r.Origin)
 		for _, p := range []*int64{&r.HostPages, &r.HostBytes, &r.HostPrograms, &r.GCPrograms,
 			&r.WLPrograms, &r.CachePrograms, &r.PhysPages, &r.PhysBytes, &r.Erases, &r.ErasePages} {
-			*p = d.i64()
+			word(c, p)
 		}
 	}
-	return s
 }
 
-func (e *enc) group(g Group) {
-	e.i64(g.Devices)
-	e.i64(g.Bricked)
-	e.i64(g.ReadOnly)
-	e.i64(g.HostMiB)
-	e.i64(g.BrickDayMilli)
-}
-
-func (d *dec) group() Group {
-	var g Group
-	g.Devices = d.i64()
-	g.Bricked = d.i64()
-	g.ReadOnly = d.i64()
-	g.HostMiB = d.i64()
-	g.BrickDayMilli = d.i64()
-	return g
-}
-
-func (e *enc) namedGroups(gs []NamedGroup) {
-	e.u32(uint32(len(gs)))
-	for _, g := range gs {
-		e.str(g.Name)
-		e.group(g.Group)
+func (c *codec) group(g *Group) {
+	for _, p := range []*int64{&g.Devices, &g.Bricked, &g.ReadOnly, &g.HostMiB, &g.BrickDayMilli} {
+		word(c, p)
 	}
 }
 
-func (d *dec) namedGroups() []NamedGroup {
-	n := d.count(5)
-	var gs []NamedGroup
-	for i := 0; i < n && !d.bad; i++ {
-		gs = append(gs, NamedGroup{Name: d.str(), Group: d.group()})
+// namedGroups decodes into a nil *gs, and leaves an empty breakdown nil:
+// the campaign fingerprint hashes the aggregate's JSON, where null and []
+// differ.
+func (c *codec) namedGroups(gs *[]NamedGroup) {
+	n := c.count(len(*gs), 5)
+	for i := 0; i < n && !c.bad; i++ {
+		if c.dec {
+			*gs = append(*gs, NamedGroup{})
+		}
+		c.str(&(*gs)[i].Name)
+		c.group(&(*gs)[i].Group)
 	}
-	return gs
 }
 
-func (e *enc) aggregate(a *Aggregate) {
-	e.group(a.Total)
-	e.namedGroups(a.ByProfile)
-	e.namedGroups(a.ByClass)
-	e.histogram(a.TimeToBrick)
-	e.histogram(a.DeathGiB)
-	e.histogram(a.SurvivorWear)
-	e.histogram(a.WriteAmp)
-	e.snapshot(a.Ledger)
+// aggregate decodes into a zero *a.
+func (c *codec) aggregate(a *Aggregate) {
+	c.group(&a.Total)
+	c.namedGroups(&a.ByProfile)
+	c.namedGroups(&a.ByClass)
+	for _, h := range []**report.Histogram{&a.TimeToBrick, &a.DeathGiB, &a.SurvivorWear, &a.WriteAmp} {
+		if c.dec {
+			*h = new(report.Histogram)
+		}
+		c.histogram(*h)
+	}
+	c.snapshot(&a.Ledger)
 }
 
-func (d *dec) aggregate() *Aggregate {
-	a := &Aggregate{}
-	a.Total = d.group()
-	a.ByProfile = d.namedGroups()
-	a.ByClass = d.namedGroups()
-	a.TimeToBrick = d.histogram()
-	a.DeathGiB = d.histogram()
-	a.SurvivorWear = d.histogram()
-	a.WriteAmp = d.histogram()
-	a.Ledger = d.snapshot()
-	return a
-}
-
-func (e *enc) footer(ft *epochFooter) {
-	e.i64(int64(ft.Shard))
-	e.i64(int64(ft.Epoch))
-	e.i64(int64(ft.DayLo))
-	e.i64(int64(ft.DayHi))
-	e.i64(int64(ft.Live))
-	e.u32(uint32(len(ft.Rows)))
-	e.u32(fleet.DayCols)
+// footer decodes into a zero *ft.
+func (c *codec) footer(ft *epochFooter) {
+	for _, p := range []*int{&ft.Shard, &ft.Epoch, &ft.DayLo, &ft.DayHi, &ft.Live} {
+		word(c, p)
+	}
+	rows := c.count(len(ft.Rows), 8)
+	cols := uint32(fleet.DayCols)
+	if half(c, &cols); !c.want(cols == fleet.DayCols) {
+		return
+	}
+	if c.dec {
+		ft.Rows = make([][]int64, rows)
+		for i := range ft.Rows {
+			ft.Rows[i] = make([]int64, fleet.DayCols)
+		}
+		ft.Wear = make([]report.Sketch, rows)
+		ft.FrozenRows = make([]int64, fleet.DayCols)
+		ft.Agg = new(Aggregate)
+	}
 	for _, r := range ft.Rows {
-		for _, v := range r {
-			e.i64(v)
-		}
-	}
-	for _, s := range ft.Wear {
-		e.sketch(s)
-	}
-	for _, v := range ft.FrozenRows {
-		e.i64(v)
-	}
-	e.sketch(ft.FrozenWear)
-	e.aggregate(ft.Agg)
-	e.bool(ft.Final != nil)
-	if ft.Final != nil {
-		e.aggregate(ft.Final)
-	}
-	e.snapshot(ft.Ledger)
-}
-
-func (d *dec) footer() *epochFooter {
-	ft := &epochFooter{}
-	ft.Shard = int(d.i64())
-	ft.Epoch = int(d.i64())
-	ft.DayLo = int(d.i64())
-	ft.DayHi = int(d.i64())
-	ft.Live = int(d.i64())
-	rows := d.count(8)
-	if cols := d.u32(); cols != fleet.DayCols {
-		d.bad = true
-		return ft
-	}
-	ft.Rows = make([][]int64, rows)
-	for i := range ft.Rows {
-		r := make([]int64, fleet.DayCols)
 		for j := range r {
-			r[j] = d.i64()
+			word(c, &r[j])
 		}
-		ft.Rows[i] = r
 	}
-	ft.Wear = make([]report.Sketch, rows)
 	for i := range ft.Wear {
-		ft.Wear[i] = d.sketch()
+		c.sketch(&ft.Wear[i])
 	}
-	ft.FrozenRows = make([]int64, fleet.DayCols)
 	for j := range ft.FrozenRows {
-		ft.FrozenRows[j] = d.i64()
+		word(c, &ft.FrozenRows[j])
 	}
-	ft.FrozenWear = d.sketch()
-	ft.Agg = d.aggregate()
-	if d.bool() {
-		ft.Final = d.aggregate()
+	c.sketch(&ft.FrozenWear)
+	c.aggregate(ft.Agg)
+	if final := ft.Final != nil; c.bool(&final) {
+		if c.dec {
+			ft.Final = new(Aggregate)
+		}
+		c.aggregate(ft.Final)
 	}
-	ft.Ledger = d.snapshot()
-	return ft
+	c.snapshot(&ft.Ledger)
 }
 
 // ftlStats carries every ftl.Stats field but GCCopies, which the FTL never
 // fills in: the live counter sits next to the pool and travels as
 // deviceState.GCCopies.
-func (e *enc) ftlStats(s ftl.Stats) {
-	for _, v := range []int64{s.HostPagesWritten, s.HostPagesRead, s.HostBytesWritten,
-		s.DrainMigrations, s.CacheAbsorbed, s.CacheBypassed,
-		s.LostPages, s.MergeEvents, s.ReadRetries, s.ProgramRetries, s.Recoveries} {
-		e.i64(v)
-	}
-}
-
-func (d *dec) ftlStats() ftl.Stats {
-	var s ftl.Stats
+func (c *codec) ftlStats(s *ftl.Stats) {
 	for _, p := range []*int64{&s.HostPagesWritten, &s.HostPagesRead, &s.HostBytesWritten,
 		&s.DrainMigrations, &s.CacheAbsorbed, &s.CacheBypassed,
 		&s.LostPages, &s.MergeEvents, &s.ReadRetries, &s.ProgramRetries, &s.Recoveries} {
-		*p = d.i64()
-	}
-	return s
-}
-
-func (e *enc) deviceState(st *deviceState) {
-	e.i64(int64(st.Index))
-	e.i64(int64(st.DaysDone))
-	e.i64(int64(st.Now))
-	e.i64(int64(st.WorkStart))
-	e.i64(st.BytesWritten)
-	e.i64(st.BytesRead)
-	e.i64(int64(st.Busy))
-	e.i64(int64(st.FSWrites))
-	e.ftlStats(st.FTLStats)
-	e.i64(st.GCCopies)
-	e.snapshot(st.Ledger)
-	e.chipState(st.Main)
-	e.bool(st.Cache != nil)
-	if st.Cache != nil {
-		e.chipState(st.Cache)
+		word(c, p)
 	}
 }
 
-func (d *dec) deviceState() *deviceState {
-	st := &d.a.dev
-	st.Index = int(d.i64())
-	st.DaysDone = int(d.i64())
-	st.Now = time.Duration(d.i64())
-	st.WorkStart = time.Duration(d.i64())
-	st.BytesWritten = d.i64()
-	st.BytesRead = d.i64()
-	st.Busy = time.Duration(d.i64())
-	st.FSWrites = int(d.i64())
-	st.FTLStats = d.ftlStats()
-	st.GCCopies = d.i64()
-	st.Ledger = d.snapshotInto(st.Ledger.Rows)
-	st.Main, st.Cache = d.chipState(), nil
-	if d.bool() {
-		st.Cache = d.chipState()
+// deviceState decodes into c.a's device, whose chips come from c.a.
+func (c *codec) deviceState(st *deviceState) {
+	word(c, &st.Index)
+	word(c, &st.DaysDone)
+	word(c, &st.Now)
+	word(c, &st.WorkStart)
+	word(c, &st.BytesWritten)
+	word(c, &st.BytesRead)
+	word(c, &st.Busy)
+	word(c, &st.FSWrites)
+	c.ftlStats(&st.FTLStats)
+	word(c, &st.GCCopies)
+	c.snapshot(&st.Ledger)
+	if c.dec {
+		st.Main, st.Cache = c.a.chip(), nil
 	}
-	return st
+	c.chipState(st.Main)
+	if cache := st.Cache != nil; c.bool(&cache) {
+		if c.dec {
+			st.Cache = c.a.chip()
+		}
+		c.chipState(st.Cache)
+	}
 }

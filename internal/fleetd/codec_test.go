@@ -41,10 +41,11 @@ func TestCodecReencodeIdentity(t *testing.T) {
 	}
 	defer r.Close()
 
-	var he enc
-	he.fileHeader(r.Header)
-	hd := dec{b: he.b}
-	if got := hd.fileHeader(); got != r.Header || hd.done() != nil {
+	var he codec
+	he.fileHeader(&r.Header)
+	hd := codec{b: he.b, dec: true}
+	var got fileHeader
+	if hd.fileHeader(&got); got != r.Header || hd.done() != nil {
 		t.Errorf("file header round-trip: got %+v, want %+v", got, r.Header)
 	}
 
@@ -54,7 +55,7 @@ func TestCodecReencodeIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame: %v", err)
 		}
-		var re enc
+		var re codec
 		switch typ {
 		case frameDevice:
 			devices++
@@ -64,10 +65,10 @@ func TestCodecReencodeIdentity(t *testing.T) {
 			}
 			re.deviceState(st)
 		case frameFooter:
-			d := dec{b: payload}
-			ft := d.footer()
-			if err := d.done(); err != nil {
-				t.Fatalf("footer decode: %v", err)
+			ft := new(epochFooter)
+			d := codec{b: payload, dec: true}
+			if d.footer(ft); d.done() != nil {
+				t.Fatalf("footer decode: %v", d.done())
 			}
 			re.footer(ft)
 			if !bytes.Equal(re.b, payload) {
@@ -196,13 +197,14 @@ func TestPageSpanCodec(t *testing.T) {
 		{"run across the word scan's seams", page(7, 8, 56), 1 + 4 + 50},
 		{"fully non-zero", full, 1 + 4 + pageSize},
 	} {
-		var e enc
-		e.page(tc.data)
+		var e codec
+		e.page(&tc.data, pageSize)
 		if len(e.b) != tc.want {
 			t.Errorf("%s: encoded %d bytes, want %d", tc.name, len(e.b), tc.want)
 		}
-		d := dec{b: e.b, a: new(arena)}
-		got := d.page(pageSize)
+		d := codec{b: e.b, dec: true, a: new(arena)}
+		var got []byte
+		d.page(&got, pageSize)
 		if err := d.done(); err != nil {
 			t.Errorf("%s: decode: %v", tc.name, err)
 			continue
@@ -210,20 +212,19 @@ func TestPageSpanCodec(t *testing.T) {
 		if !bytes.Equal(got, tc.data) {
 			t.Errorf("%s: round trip changed the page", tc.name)
 		}
-		var re enc
-		re.page(got)
+		var re codec
+		re.page(&got, pageSize)
 		if !bytes.Equal(re.b, e.b) {
 			t.Errorf("%s: re-encode differs", tc.name)
 		}
 	}
 
 	span := func(off, lenMinus1 uint16, body ...byte) []byte {
-		var e enc
-		e.bool(false)
-		e.u16(off)
-		e.u16(lenMinus1)
-		e.raw(body)
-		return e.b
+		var e codec
+		e.bool(new(bool))
+		e.u16(&off)
+		e.u16(&lenMinus1)
+		return append(e.b, body...)
 	}
 	for _, tc := range []struct {
 		name string
@@ -236,8 +237,9 @@ func TestPageSpanCodec(t *testing.T) {
 		{"span header cut short", span(4, 0)[:3]},
 		{"flag neither 0 nor 1", []byte{2}},
 	} {
-		d := dec{b: tc.raw, a: new(arena)}
-		if p := d.page(pageSize); p != nil {
+		d := codec{b: tc.raw, dec: true, a: new(arena)}
+		var p []byte
+		if d.page(&p, pageSize); p != nil {
 			t.Errorf("%s: decoded a page", tc.name)
 		}
 		if err := d.done(); !errors.Is(err, ErrCheckpointCorrupt) {

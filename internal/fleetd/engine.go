@@ -92,7 +92,7 @@ type worker struct {
 	arena       arena
 	out         deviceState
 	main, cache nand.ChipState // out's chips, viewing the stack
-	e           enc
+	e           codec
 }
 
 // crew is what one sweep keeps from cell to cell: the cell buffers (nil

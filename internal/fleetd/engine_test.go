@@ -193,7 +193,7 @@ func TestReusedStackEqualsFresh(t *testing.T) {
 				d.dead = true
 				continue
 			}
-			var re enc
+			var re codec
 			re.deviceState(w.view(d.ref, day+1))
 			if d.refState, err = decodeDevice(re.b, new(arena)); err != nil {
 				t.Fatal(err)

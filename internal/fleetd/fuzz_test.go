@@ -83,8 +83,8 @@ func buildSeedCell(tamper func([]byte) []byte) []byte {
 		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
 	}
 
-	var e enc
-	e.fileHeader(fileHeader{Seed: 7, Devices: 2, Days: 3, Shard: 0, Epoch: 1, DevLo: 0, DevHi: 2, DayLo: 0, DayHi: 3})
+	var e codec
+	e.fileHeader(&fileHeader{Seed: 7, Devices: 2, Days: 3, Shard: 0, Epoch: 1, DevLo: 0, DevHi: 2, DayLo: 0, DayHi: 3})
 	frame(frameHeader, e.b)
 
 	geo := nand.Geometry{Dies: 1, PlanesPerDie: 1, BlocksPerPlane: 2, PagesPerBlock: 4, PageSize: 16, SpareSize: 0}
@@ -104,7 +104,7 @@ func buildSeedCell(tamper func([]byte) []byte) []byte {
 			},
 		},
 	}
-	e = enc{}
+	e = codec{}
 	e.deviceState(st)
 	if tamper != nil {
 		e.b = tamper(e.b)
@@ -125,7 +125,7 @@ func buildSeedCell(tamper func([]byte) []byte) []byte {
 		ft.Rows[i] = make([]int64, fleet.DayCols)
 		ft.Wear[i] = report.NewSketch(wearLevels)
 	}
-	e = enc{}
+	e = codec{}
 	e.footer(ft)
 	frame(frameFooter, e.b)
 
@@ -331,7 +331,7 @@ func FuzzCellDecode(f *testing.F) {
 			if st == nil {
 				t.Fatal("scan delivered a nil device state without an error")
 			}
-			var re enc
+			var re codec
 			re.deviceState(st)
 			if !bytes.Equal(re.b, r.buf.Bytes()) {
 				t.Fatal("a device frame decoded but does not re-encode to its payload")
