@@ -110,6 +110,8 @@ type codec struct {
 	bad bool
 	// a is where a decoded device state goes; only device frames need one.
 	a *arena
+	// index counts the page-index entries a decode has carved.
+	index int
 }
 
 // zeros is what a decode reads once it has gone bad.
@@ -194,13 +196,15 @@ func (c *codec) bool(v *bool) bool {
 	return *v
 }
 
-// count carries a length n in 4 bytes and returns it. A decode caps it
-// against the bytes left, so a garbage length cannot drive a giant
-// allocation.
+// count carries a length n in 4 bytes and returns it. perItem is the
+// least one item encodes to, and a decode refuses a length whose items
+// could not fit in the bytes left, so a lying length cannot drive an
+// allocation larger than the frame by more than an item's struct-to-wire
+// ratio.
 func (c *codec) count(n, perItem int) int {
 	u := uint32(n)
 	half(c, &u)
-	if !c.want(perItem <= 0 || int(u) <= len(c.b)-c.off) {
+	if !c.want(int(u)*perItem <= len(c.b)-c.off) {
 		return 0
 	}
 	return int(u)
@@ -438,7 +442,7 @@ func (c *codec) chipState(st *nand.ChipState) {
 	if !c.want(geometrySane(g)) {
 		return
 	}
-	nb := c.count(len(st.Blocks), 8)
+	nb := c.count(len(st.Blocks), 7*8+2+4) // seven words, two flags, a page count
 	if !c.want(nb <= g.Dies*g.PlanesPerDie*g.BlocksPerPlane) {
 		return
 	}
@@ -489,11 +493,18 @@ func (c *codec) chipState(st *nand.ChipState) {
 				np++
 			}
 		}
-		np = c.count(np, 5)
+		np = c.count(np, 4+1)
 		if !c.want(np <= b.NextPage) {
 			return
 		}
+		// One payload page claims NextPage index entries, so a block's
+		// own bytes cannot bound them: the frame's whole length does. A
+		// real frame carries 14 bytes of Meta per programmed page and so
+		// reads fewer than one entry per 14 bytes.
 		if c.dec && np > 0 {
+			if c.index += b.NextPage; !c.want(c.index <= len(c.b)/8) {
+				return
+			}
 			b.Data = carve(&c.a.index, &c.a.nIndex, b.NextPage)
 			clear(b.Data)
 		}
@@ -536,7 +547,7 @@ func (c *codec) histogram(h *report.Histogram) {
 // worker's nightly decode of a ledger allocates no strings.
 func (c *codec) snapshot(s *wtrace.Snapshot) {
 	word(c, &s.PageSize)
-	n := c.count(len(s.Rows), 8)
+	n := c.count(len(s.Rows), 4+10*8)
 	if c.dec {
 		rows := s.Rows
 		if n > cap(rows) {
@@ -567,7 +578,7 @@ func (c *codec) group(g *Group) {
 // the campaign fingerprint hashes the aggregate's JSON, where null and []
 // differ.
 func (c *codec) namedGroups(gs *[]NamedGroup) {
-	n := c.count(len(*gs), 5)
+	n := c.count(len(*gs), 4+5*8)
 	for i := 0; i < n && !c.bad; i++ {
 		if c.dec {
 			*gs = append(*gs, NamedGroup{})
@@ -596,7 +607,7 @@ func (c *codec) footer(ft *epochFooter) {
 	for _, p := range []*int{&ft.Shard, &ft.Epoch, &ft.DayLo, &ft.DayHi, &ft.Live} {
 		word(c, p)
 	}
-	rows := c.count(len(ft.Rows), 8)
+	rows := c.count(len(ft.Rows), fleet.DayCols*8+4+2*8) // a row and an empty sketch
 	cols := uint32(fleet.DayCols)
 	if half(c, &cols); !c.want(cols == fleet.DayCols) {
 		return

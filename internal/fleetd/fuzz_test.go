@@ -66,31 +66,13 @@ func (m fuzzFS) Stat(string) (fs.FileInfo, error)            { return nil, error
 // frame: flag 0, offset 3, length-1 2, three bytes.
 var seedSpan = []byte{0, 3, 0, 2, 0, 0xA5, 0xA5, 0xA5}
 
-// buildSeedCell assembles a small, fully valid checkpoint cell by hand:
-// file magic and version, a header frame, one device frame (two blocks,
-// one span page, one zero page), and a footer frame with the end marker.
-// It decodes cleanly, so mutations of it explore the deep paths. tamper,
-// when not nil, rewrites the device frame's payload before it is framed,
-// so the damage sits under a valid CRC.
-func buildSeedCell(tamper func([]byte) []byte) []byte {
-	var out []byte
-	out = append(out, fileMagic...)
-	out = binary.LittleEndian.AppendUint32(out, ckptVersion)
-	frame := func(typ byte, payload []byte) {
-		out = append(out, typ)
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-		out = append(out, payload...)
-		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-	}
-
-	var e codec
-	e.fileHeader(&fileHeader{Seed: 7, Devices: 2, Days: 3, Shard: 0, Epoch: 1, DevLo: 0, DevHi: 2, DayLo: 0, DayHi: 3})
-	frame(frameHeader, e.b)
-
+// seedDevice is the seed cell's one device: two blocks, one span page and
+// one zero page.
+func seedDevice() *deviceState {
 	geo := nand.Geometry{Dies: 1, PlanesPerDie: 1, BlocksPerPlane: 2, PagesPerBlock: 4, PageSize: 16, SpareSize: 0}
 	page := make([]byte, geo.PageSize)
 	copy(page[3:], seedSpan[5:])
-	st := &deviceState{
+	return &deviceState{
 		Index:        1,
 		DaysDone:     3,
 		BytesWritten: 1 << 20,
@@ -104,13 +86,11 @@ func buildSeedCell(tamper func([]byte) []byte) []byte {
 			},
 		},
 	}
-	e = codec{}
-	e.deviceState(st)
-	if tamper != nil {
-		e.b = tamper(e.b)
-	}
-	frame(frameDevice, e.b)
+}
 
+// seedFooter is the seed cell's footer: three days, one live device, no
+// death yet and no final aggregate.
+func seedFooter() *epochFooter {
 	days := 3
 	ft := &epochFooter{
 		Shard: 0, Epoch: 1, DayLo: 0, DayHi: days, Live: 1,
@@ -125,12 +105,65 @@ func buildSeedCell(tamper func([]byte) []byte) []byte {
 		ft.Rows[i] = make([]int64, fleet.DayCols)
 		ft.Wear[i] = report.NewSketch(wearLevels)
 	}
+	return ft
+}
+
+// buildCell assembles a small checkpoint cell by hand: file magic and
+// version, a header frame, one device frame holding st, and a footer frame
+// holding ft with the end marker. tamper, when not nil, rewrites the device
+// frame's payload before it is framed, so the damage sits under a valid
+// CRC.
+func buildCell(st *deviceState, ft *epochFooter, tamper func([]byte) []byte) []byte {
+	var out []byte
+	out = append(out, fileMagic...)
+	out = binary.LittleEndian.AppendUint32(out, ckptVersion)
+	frame := func(typ byte, payload []byte) {
+		out = append(out, typ)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
+		out = append(out, payload...)
+		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+	}
+
+	var e codec
+	e.fileHeader(&fileHeader{Seed: 7, Devices: 2, Days: 3, Shard: 0, Epoch: 1, DevLo: 0, DevHi: 2, DayLo: 0, DayHi: 3})
+	frame(frameHeader, e.b)
+	e = codec{}
+	e.deviceState(st)
+	if tamper != nil {
+		e.b = tamper(e.b)
+	}
+	frame(frameDevice, e.b)
 	e = codec{}
 	e.footer(ft)
 	frame(frameFooter, e.b)
 
 	out = append(out, endMagic...)
 	return out
+}
+
+// buildSeedCell is the fully valid seed cell: it decodes cleanly, so
+// mutations of it explore the deep paths.
+func buildSeedCell(tamper func([]byte) []byte) []byte {
+	return buildCell(seedDevice(), seedFooter(), tamper)
+}
+
+// hostileDevice passes every per-field check yet claims far more than its
+// frame carries: each of its 20 blocks holds one zero page (5 frame bytes)
+// and NextPage 65 536, which a decode that trusted NextPage would carve
+// into 1.3 million page-index entries (31 MiB) for a 1.6 KB frame.
+func hostileDevice() *deviceState {
+	const blocks, pages = 20, 1 << 16
+	data := make([][]byte, pages) // every block's; the encoder only reads it
+	data[0] = make([]byte, 16)
+	st := seedDevice()
+	st.Main = &nand.ChipState{
+		Geometry: nand.Geometry{Dies: 1, PlanesPerDie: 1, BlocksPerPlane: blocks, PagesPerBlock: pages, PageSize: 16},
+		Blocks:   make([]nand.BlockState, blocks),
+	}
+	for i := range st.Main.Blocks {
+		st.Main.Blocks[i] = nand.BlockState{NextPage: pages, Data: data}
+	}
+	return st
 }
 
 // rewrite returns a tamper that replaces old, which must occur, with repl.
@@ -156,7 +189,9 @@ type corpusSeed struct {
 
 // corpusSeeds is the committed corpus, testdata/fuzz/FuzzCellDecode/
 // seed-NN in this order: the valid cell, the spellings of a page list the
-// decoder must refuse under a valid CRC, and damage at the file layer.
+// decoder must refuse under a valid CRC, damage at the file layer, and
+// then the seeds added since, each at the end so that no committed seed
+// moves.
 // Wrong-version cells are absent on purpose (FuzzCellDecode adds one
 // itself): TestFuzzCorpusCurrent treats any committed one as stale.
 func corpusSeeds() []corpusSeed {
@@ -187,6 +222,7 @@ func corpusSeeds() []corpusSeed {
 		{"footer frame first", footerFirst, ErrCheckpointCorrupt},
 		{"magic and version only", seed[:len(fileMagic)+4], ErrCheckpointTruncated},
 		{"no magic", []byte("00000000"), ErrCheckpointCorrupt},
+		{"page index larger than the frame", buildCell(hostileDevice(), seedFooter(), nil), ErrCheckpointCorrupt},
 	}
 }
 
@@ -277,10 +313,14 @@ func TestFuzzCorpusCurrent(t *testing.T) {
 // exactly the three-way error policy — ErrCheckpointTruncated,
 // ErrCheckpointCorrupt, or ErrCheckpointVersion — so the sweep's
 // cellUsable triage (recompute vs refuse) always has a defined answer.
-// And what does decode is canonical: every device frame scan accepts
-// re-encodes to its own payload bytes, which is what lets fork restamp a
-// cell by decode and re-encode — each frame decoded into the arena the
-// cell's earlier frames used, as a worker decodes.
+// Two bounds keep the allocation honest: a count's items must fit in the
+// bytes left at their least encoded size, and a device frame carves at
+// most one page-index entry per 8 of its bytes, however large the NextPage
+// its blocks claim (seed-16 is a frame that only the second bound
+// refuses). And what does decode is canonical: every device frame scan
+// accepts re-encodes to its own payload bytes, which is what lets fork
+// restamp a cell by decode and re-encode — each frame decoded into the
+// arena the cell's earlier frames used, as a worker decodes.
 func FuzzCellDecode(f *testing.F) {
 	seed := buildSeedCell(nil)
 	f.Add(seed)
