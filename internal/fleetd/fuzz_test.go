@@ -166,6 +166,37 @@ func hostileDevice() *deviceState {
 	return st
 }
 
+// hybridDevice is the seed device with an SLC cache chip beside its main
+// one: a block with one span page ending on the page's last byte.
+func hybridDevice() *deviceState {
+	st := seedDevice()
+	geo := nand.Geometry{Dies: 1, PlanesPerDie: 1, BlocksPerPlane: 1, PagesPerBlock: 2, PageSize: 16}
+	page := make([]byte, geo.PageSize)
+	page[12], page[15] = 0x5A, 0x3C
+	st.Cache = &nand.ChipState{
+		Geometry: geo,
+		Stats:    nand.Stats{Programs: 1, Erases: 1, BytesProgrammed: 16},
+		Blocks: []nand.BlockState{{EraseCount: 1, Healed: 0.5, Stress: 1.25, NextPage: 1, FirstProg: 7, Reads: 3,
+			Meta: []nand.OOB{{LP: 2, Seq: 3, Org: 2}}, Data: [][]byte{page}}},
+	}
+	return st
+}
+
+// finalFooter is the seed footer of a horizon's last epoch: a death in Agg,
+// and in Final that death and a survivor, so both carry named groups,
+// non-empty histograms and a ledger.
+func finalFooter() *epochFooter {
+	ft := seedFooter()
+	dead := fleet.DeviceResult{ProfileName: "blu-4gb", Class: fleet.ClassAttack, Bricked: true, Days: 2.5, HostBytes: 3 << 30, WA: 2.25}
+	live := fleet.DeviceResult{ProfileName: "moto-e", Class: fleet.ClassBenign, Days: 3, HostBytes: 1 << 28, WearLevel: 2, WA: 1.5}
+	wear := wtrace.Snapshot{PageSize: 16, Rows: []wtrace.Row{{Origin: "attack", HostPages: 9, PhysPages: 20, Erases: 1}}}
+	ft.Agg.add(dead, wear)
+	ft.Final = ft.Agg.clone()
+	ft.Final.add(live, wtrace.Snapshot{PageSize: 16, Rows: []wtrace.Row{{Origin: "os", HostPages: 4, PhysPages: 5}}})
+	ft.Live = 0
+	return ft
+}
+
 // rewrite returns a tamper that replaces old, which must occur, with repl.
 func rewrite(old, repl []byte) func([]byte) []byte {
 	return func(payload []byte) []byte {
@@ -223,6 +254,8 @@ func corpusSeeds() []corpusSeed {
 		{"magic and version only", seed[:len(fileMagic)+4], ErrCheckpointTruncated},
 		{"no magic", []byte("00000000"), ErrCheckpointCorrupt},
 		{"page index larger than the frame", buildCell(hostileDevice(), seedFooter(), nil), ErrCheckpointCorrupt},
+		{"valid hybrid device", buildCell(hybridDevice(), seedFooter(), nil), nil},
+		{"valid final epoch", buildCell(seedDevice(), finalFooter(), nil), nil},
 	}
 }
 
