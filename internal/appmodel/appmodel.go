@@ -67,14 +67,8 @@ type Camera struct {
 // NewCamera builds a camera model with typical defaults (24 MiB bursts of
 // 3 MiB photos every 6 hours).
 func NewCamera(storage fs.FileSystem, clock *simclock.Clock, seed int64) *Camera {
-	return NewCameraRand(storage, clock, simrand.New(seed))
-}
-
-// NewCameraRand is NewCamera with an injected random source, for callers
-// (like the fleet sampler) that derive one RNG per simulated device.
-func NewCameraRand(storage fs.FileSystem, clock *simclock.Clock, rng *simrand.Rand) *Camera {
 	return &Camera{
-		base:       base{name: "camera", storage: storage, clock: clock, rng: rng},
+		base:       base{name: "camera", storage: storage, clock: clock, rng: simrand.New(seed)},
 		BurstBytes: 24 << 20,
 		PhotoBytes: 3 << 20,
 		Every:      6 * time.Hour,
@@ -155,13 +149,8 @@ type Chat struct {
 
 // NewChat builds a chat model (2 KiB messages every 2 minutes).
 func NewChat(storage fs.FileSystem, clock *simclock.Clock, seed int64) *Chat {
-	return NewChatRand(storage, clock, simrand.New(seed))
-}
-
-// NewChatRand is NewChat with an injected random source.
-func NewChatRand(storage fs.FileSystem, clock *simclock.Clock, rng *simrand.Rand) *Chat {
 	return &Chat{
-		base:           base{name: "chat", storage: storage, clock: clock, rng: rng},
+		base:           base{name: "chat", storage: storage, clock: clock, rng: simrand.New(seed)},
 		MessageBytes:   2 << 10,
 		Every:          2 * time.Minute,
 		LogRotateBytes: 1 << 20,
@@ -254,13 +243,8 @@ type Updater struct {
 // NewUpdater builds an updater model (128 MiB monthly, scaled down by the
 // caller as needed).
 func NewUpdater(storage fs.FileSystem, clock *simclock.Clock, seed int64) *Updater {
-	return NewUpdaterRand(storage, clock, simrand.New(seed))
-}
-
-// NewUpdaterRand is NewUpdater with an injected random source.
-func NewUpdaterRand(storage fs.FileSystem, clock *simclock.Clock, rng *simrand.Rand) *Updater {
 	return &Updater{
-		base:        base{name: "updater", storage: storage, clock: clock, rng: rng},
+		base:        base{name: "updater", storage: storage, clock: clock, rng: simrand.New(seed)},
 		UpdateBytes: 128 << 20,
 		Every:       30 * 24 * time.Hour,
 	}
@@ -321,13 +305,8 @@ type SpotifyBug struct {
 // NewSpotifyBug builds the buggy cache writer (32 MiB cache rewritten in
 // 128 KiB chunks, continuously).
 func NewSpotifyBug(storage fs.FileSystem, clock *simclock.Clock, seed int64) *SpotifyBug {
-	return NewSpotifyBugRand(storage, clock, simrand.New(seed))
-}
-
-// NewSpotifyBugRand is NewSpotifyBug with an injected random source.
-func NewSpotifyBugRand(storage fs.FileSystem, clock *simclock.Clock, rng *simrand.Rand) *SpotifyBug {
 	return &SpotifyBug{
-		base:       base{name: "spotify-bug", storage: storage, clock: clock, rng: rng},
+		base:       base{name: "spotify-bug", storage: storage, clock: clock, rng: simrand.New(seed)},
 		CacheBytes: 32 << 20,
 		ReqBytes:   128 << 10,
 	}
