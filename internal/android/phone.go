@@ -55,6 +55,35 @@ type Phone struct {
 	stopMon  func()
 }
 
+// MkfsMount formats dev with the file system kind names (ext4 when kind
+// is empty) and mounts it in data-accounting mode: the simulation never
+// reads file payloads back.
+func MkfsMount(dev blockdev.Device, kind FSKind) (fs.FileSystem, error) {
+	opts := fs.Options{DataAccounting: true}
+	switch kind {
+	case FSF2FS:
+		if err := f2fs.Mkfs(dev); err != nil {
+			return nil, fmt.Errorf("android: mkfs.f2fs: %w", err)
+		}
+		fsys, err := f2fs.Mount(dev, opts)
+		if err != nil {
+			return nil, fmt.Errorf("android: mount f2fs: %w", err)
+		}
+		return fsys, nil
+	case FSExt4, "":
+		if err := extfs.Mkfs(dev); err != nil {
+			return nil, fmt.Errorf("android: mkfs.ext4: %w", err)
+		}
+		fsys, err := extfs.Mount(dev, opts)
+		if err != nil {
+			return nil, fmt.Errorf("android: mount ext4: %w", err)
+		}
+		return fsys, nil
+	default:
+		return nil, fmt.Errorf("android: unknown FS kind %q", kind)
+	}
+}
+
 // NewPhone boots a phone: builds the device, formats and mounts the FS,
 // and starts the monitors.
 func NewPhone(cfg Config, clock *simclock.Clock) (*Phone, error) {
@@ -82,25 +111,9 @@ func NewPhone(cfg Config, clock *simclock.Clock) (*Phone, error) {
 		// the format itself runs untagged (origin 0, "os").
 		dev.EnableWearTrace(cfg.WearTrace)
 	}
-	opts := fs.Options{DataAccounting: true}
-	var fsys fs.FileSystem
-	switch cfg.FS {
-	case FSF2FS:
-		if err := f2fs.Mkfs(dev); err != nil {
-			return nil, fmt.Errorf("android: mkfs.f2fs: %w", err)
-		}
-		if fsys, err = f2fs.Mount(dev, opts); err != nil {
-			return nil, fmt.Errorf("android: mount f2fs: %w", err)
-		}
-	case FSExt4, "":
-		if err := extfs.Mkfs(dev); err != nil {
-			return nil, fmt.Errorf("android: mkfs.ext4: %w", err)
-		}
-		if fsys, err = extfs.Mount(dev, opts); err != nil {
-			return nil, fmt.Errorf("android: mount ext4: %w", err)
-		}
-	default:
-		return nil, fmt.Errorf("android: unknown FS kind %q", cfg.FS)
+	fsys, err := MkfsMount(dev, cfg.FS)
+	if err != nil {
+		return nil, err
 	}
 	p := &Phone{
 		cfg:   cfg,

@@ -14,12 +14,8 @@ import (
 	"time"
 
 	"flashwear/internal/android"
-	"flashwear/internal/blockdev"
 	"flashwear/internal/core"
 	"flashwear/internal/device"
-	"flashwear/internal/fs"
-	"flashwear/internal/fs/extfs"
-	"flashwear/internal/fs/f2fs"
 	"flashwear/internal/ftl"
 	"flashwear/internal/simclock"
 	"flashwear/internal/telemetry"
@@ -75,24 +71,6 @@ func (c Config) Defaults() Config {
 		c.Progress = func(string, ...any) {}
 	}
 	return c
-}
-
-// mountFS formats and mounts the requested file system on a device in
-// data-accounting mode (wear experiments never read file payloads back).
-func mountFS(dev blockdev.Device, kind android.FSKind) (fs.FileSystem, error) {
-	opts := fs.Options{DataAccounting: true}
-	switch kind {
-	case android.FSF2FS:
-		if err := f2fs.Mkfs(dev); err != nil {
-			return nil, err
-		}
-		return f2fs.Mount(dev, opts)
-	default:
-		if err := extfs.Mkfs(dev); err != nil {
-			return nil, err
-		}
-		return extfs.Mount(dev, opts)
-	}
 }
 
 // newDevice builds a scaled device on a fresh clock, returning the
@@ -156,7 +134,7 @@ func runFileWear(prof device.Profile, kind android.FSKind, cfg Config) (core.Run
 		reg = telemetry.NewRegistry()
 		dev.Instrument(reg)
 	}
-	fsys, err := mountFS(dev, kind)
+	fsys, err := android.MkfsMount(dev, kind)
 	if err != nil {
 		return core.RunReport{}, fmt.Errorf("%s/%s: %w", prof.Name, kind, err)
 	}

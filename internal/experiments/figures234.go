@@ -119,7 +119,7 @@ func BudgetPhones(cfg Config) ([]BrickRun, error) {
 		if err != nil {
 			return nil, err
 		}
-		fsys, err := mountFS(dev, android.FSExt4)
+		fsys, err := android.MkfsMount(dev, android.FSExt4)
 		if err != nil {
 			return nil, err
 		}
