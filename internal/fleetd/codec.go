@@ -129,12 +129,16 @@ func (c *codec) take(n int) []byte {
 	return p
 }
 
-// next is take for a fixed-width field: zeros in place of a short read.
+// next is take for a fixed-width field, zeros in place of a short read. It
+// does not call take, which would put word, half and u16 over the
+// inliner's budget.
 func (c *codec) next(n int) []byte {
-	if p := c.take(n); p != nil {
-		return p
+	if c.bad || c.off+n > len(c.b) {
+		c.bad = true
+		return zeros[:n]
 	}
-	return zeros[:n]
+	c.off += n
+	return c.b[c.off-n : c.off]
 }
 
 // want latches bad when a decode finds ok false, and reports whether the
@@ -173,10 +177,10 @@ func (c *codec) u16(v *uint16) {
 }
 
 func (c *codec) f64(v *float64) {
-	u := math.Float64bits(*v)
-	word(c, &u)
 	if c.dec {
-		*v = math.Float64frombits(u)
+		*v = math.Float64frombits(binary.LittleEndian.Uint64(c.next(8)))
+	} else {
+		c.b = binary.LittleEndian.AppendUint64(c.b, math.Float64bits(*v))
 	}
 }
 
