@@ -456,7 +456,7 @@ func (c *codec) chipState(st *nand.ChipState) {
 		}
 		st.Blocks = st.Blocks[:nb]
 	}
-	for i := 0; i < nb && !c.bad; i++ {
+	for i := range st.Blocks {
 		b := &st.Blocks[i]
 		if c.dec {
 			*b = nand.BlockState{}
@@ -480,7 +480,7 @@ func (c *codec) chipState(st *nand.ChipState) {
 			if c.dec {
 				b.Meta = carve(&c.a.oob, &c.a.nOOB, nm)
 			}
-			for j := 0; j < nm && !c.bad; j++ {
+			for j := range b.Meta {
 				m := &b.Meta[j]
 				half(c, &m.LP)
 				word(c, &m.Seq)
@@ -562,7 +562,7 @@ func (c *codec) snapshot(s *wtrace.Snapshot) {
 			s.Rows = rows[:n]
 		}
 	}
-	for i := 0; i < n && !c.bad; i++ {
+	for i := range s.Rows {
 		r := &s.Rows[i]
 		c.str(&r.Origin)
 		for _, p := range []*int64{&r.HostPages, &r.HostBytes, &r.HostPrograms, &r.GCPrograms,
