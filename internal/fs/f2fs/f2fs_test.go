@@ -28,6 +28,32 @@ func newVolume(t *testing.T, sizeMiB int64, opts fs.Options) (*FS, *blockdev.Mem
 	return v, dev
 }
 
+// nodeOf returns the node of the file name in v's root directory, found
+// through the root's slots.
+func nodeOf(t *testing.T, v *FS, name string) *node {
+	t.Helper()
+	h := (*names)(v)
+	root, err := h.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := int64(0); off+fs.DirentSize <= root.size; off += fs.DirentSize {
+		b, err := h.Slot(root, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id, slotName, _ := fs.ParseDirent(b); id != 0 && string(slotName) == name {
+			n, err := v.loadNode(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("no %s in the root directory", name)
+	return nil
+}
+
 func TestMkfsTooSmall(t *testing.T) {
 	dev, _ := blockdev.NewMem(512<<10, 512)
 	if err := Mkfs(dev); err == nil {
@@ -132,7 +158,7 @@ func TestOverwriteIsOutOfPlace(t *testing.T) {
 	if _, err := f.WriteAt(bytes.Repeat([]byte{1}, BlockSize), 0); err != nil {
 		t.Fatal(err)
 	}
-	holder, slot, err := v.mapSlot(f.(*file).n, 0, false)
+	holder, slot, err := v.mapSlot(nodeOf(t, v, "f"), 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -677,11 +703,7 @@ func TestIndirectSlotBound(t *testing.T) {
 	v, dev := newVolume(t, 32, fs.Options{})
 	check := func(v *FS, when string, want int64) {
 		t.Helper()
-		f, err := v.Open("/big")
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := f.(*file).n
+		n := nodeOf(t, v, "big")
 		var scan int64
 		for w := int64(0); w < NIndirectIDs; w++ {
 			if n.indirectID(w) != 0 {

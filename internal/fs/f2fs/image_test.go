@@ -250,7 +250,7 @@ func TestSyncedNodeBlockIsPrivate(t *testing.T) {
 		if err := f.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		in := f.(*file).n
+		in := nodeOf(t, v, "a")
 		ind, _, err := v.mapSlot(in, NDirect+3, false)
 		if err != nil || ind == nil {
 			t.Fatalf("%s: no indirect node: %v", name, err)

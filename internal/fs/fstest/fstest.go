@@ -26,6 +26,7 @@ func Run(t *testing.T, mk Factory) {
 	t.Run("RenameContract", func(t *testing.T) { testRename(t, mk(t)) })
 	t.Run("TruncateContract", func(t *testing.T) { testTruncate(t, mk(t)) })
 	t.Run("ErrorContract", func(t *testing.T) { testErrors(t, mk(t)) })
+	t.Run("HandleContract", func(t *testing.T) { testHandle(t, mk(t)) })
 	t.Run("ManySmallFiles", func(t *testing.T) { testManyFiles(t, mk(t)) })
 	t.Run("RandomizedAgainstModel", func(t *testing.T) { testRandomized(t, mk(t)) })
 }
@@ -234,6 +235,43 @@ func testErrors(t *testing.T, v fs.FileSystem) {
 	_ = v.Mkdir("/d")
 	if _, err := v.Create("/d"); !errors.Is(err, fs.ErrIsDir) {
 		t.Errorf("Create over dir = %v", err)
+	}
+}
+
+// testHandle checks a file handle's edges: a negative offset fails, an
+// empty write past EOF grows the file over a hole, a read at EOF is
+// (0, nil), and a closed handle fails every operation with ErrUnmounted.
+func testHandle(t *testing.T, v fs.FileSystem) {
+	f, err := v.Create("/h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, 10)
+	if _, err := f.ReadAt(b, -1); err == nil {
+		t.Error("ReadAt at offset -1 succeeded")
+	}
+	if _, err := f.WriteAt(b, -1); err == nil {
+		t.Error("WriteAt at offset -1 succeeded")
+	}
+	if n, err := f.WriteAt(nil, 5000); err != nil || n != 0 || f.Size() != 5000 {
+		t.Errorf("WriteAt(nil, 5000) = (%d, %v) and Size %d, want (0, nil) and 5000", n, err, f.Size())
+	}
+	gap := bytes.Repeat([]byte{1}, 5000)
+	if n, err := f.ReadAt(gap, 0); err != nil || n != len(gap) || !bytes.Equal(gap, make([]byte, len(gap))) {
+		t.Errorf("ReadAt over the gap = (%d, %v), want %d zeros", n, err, len(gap))
+	}
+	if n, err := f.ReadAt(b, 5000); n != 0 || err != nil {
+		t.Errorf("ReadAt at EOF = (%d, %v), want (0, nil)", n, err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, errRead := f.ReadAt(b, 0)
+	_, errWrite := f.WriteAt(b, 0)
+	for i, err := range []error{errRead, errWrite, f.Sync(), f.Truncate(0)} {
+		if !errors.Is(err, fs.ErrUnmounted) {
+			t.Errorf("%s after Close: err = %v, want %v", []string{"ReadAt", "WriteAt", "Sync", "Truncate"}[i], err, fs.ErrUnmounted)
+		}
 	}
 }
 
