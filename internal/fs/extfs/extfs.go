@@ -49,7 +49,6 @@ type FS struct {
 	unmounted  bool
 	nowCounter int64
 
-	lazySyncs            int
 	statJournalCommits   int64
 	statJournalBlocks    int64
 	statCheckpointWrites int64
@@ -260,8 +259,9 @@ func (v *FS) alive() error {
 
 // --- the namespace ---
 
-// names is the FS as the shared namespace (fs.Nodes) sees it: inodes,
-// and directory slots in blocks read through the metadata cache.
+// names is the FS as the shared namespace and file handle (fs.Nodes)
+// see it: inodes, directory slots in blocks read through the metadata
+// cache, and file content in blocks the inode maps (file.go).
 type names FS
 
 func (h *names) Alive() error                    { return (*FS)(h).alive() }
@@ -269,7 +269,6 @@ func (h *names) Root() (*inode, error)           { return (*FS)(h).loadInode(Roo
 func (h *names) Load(ino uint32) (*inode, error) { return (*FS)(h).loadInode(ino) }
 func (*names) IsDir(in *inode) bool              { return in.mode == modeDir }
 func (*names) Size(in *inode) int64              { return in.size }
-func (h *names) File(in *inode) fs.File          { return &file{fs: (*FS)(h), in: in, gen: h.gen} }
 func (h *names) Done() error                     { return (*FS)(h).commit() }
 func (*names) Corrupt() error                    { return ErrCorrupt }
 

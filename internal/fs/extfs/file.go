@@ -7,36 +7,6 @@ import (
 	"flashwear/internal/fs"
 )
 
-// file implements fs.File on an extfs inode.
-type file struct {
-	fs     *FS
-	in     *inode
-	gen    uint32 // the mount of fs that opened the file
-	closed bool
-	syncs  int // fsyncs since the inode was last journaled (lazytime)
-}
-
-// alive fails a closed file, and one whose mount has ended: its inode is
-// that mount's, even if fs has since been remounted in place.
-func (f *file) alive() error {
-	if f.closed || f.gen != f.fs.gen {
-		return fs.ErrUnmounted
-	}
-	return f.fs.alive()
-}
-
-// Size implements fs.File.
-func (f *file) Size() int64 { return f.in.size }
-
-// Close implements fs.File.
-func (f *file) Close() error {
-	if f.closed {
-		return nil
-	}
-	f.closed = true
-	return nil
-}
-
 // --- block mapping ---
 
 // bmap translates a file block index to a device block, optionally
@@ -63,32 +33,22 @@ func (v *FS) bmap(in *inode, fileBlk int64, alloc bool) (uint32, error) {
 	fileBlk -= NDirect
 	// Single indirect.
 	if fileBlk < PtrsPerBlk {
-		return v.mapVia(&in.indirect, in, fileBlk, alloc)
+		return v.mapVia(&in.indirect, in, fileBlk, alloc, false)
 	}
 	fileBlk -= PtrsPerBlk
-	// Double indirect.
-	l1 := fileBlk / PtrsPerBlk
-	l2 := fileBlk % PtrsPerBlk
-	if in.dindirect == 0 {
-		if !alloc {
-			return 0, nil
-		}
-		nb, err := v.allocIndirect()
-		if err != nil {
-			return 0, err
-		}
-		in.dindirect = nb
-		in.hardDirty = true
-	}
-	l1blk, err := v.ptrAt(in.dindirect, l1, alloc, in)
-	if err != nil || l1blk == 0 {
+	// Double indirect: the child indirect block, then its slot.
+	child, err := v.mapVia(&in.dindirect, in, fileBlk/PtrsPerBlk, alloc, true)
+	if err != nil || child == 0 {
 		return 0, err
 	}
-	return v.ptrAtData(l1blk, l2, alloc, in)
+	return v.mapVia(&child, in, fileBlk%PtrsPerBlk, alloc, false)
 }
 
-// mapVia maps through a single indirect pointer field.
-func (v *FS) mapVia(field *uint32, in *inode, idx int64, alloc bool) (uint32, error) {
+// mapVia reads slot idx of the indirect block *field points at. With alloc
+// set it fills what is missing on the way: the indirect block itself (in
+// *field), then the slot's block, an indirect block if indirect is set and
+// a data block if not.
+func (v *FS) mapVia(field *uint32, in *inode, idx int64, alloc, indirect bool) (uint32, error) {
 	if *field == 0 {
 		if !alloc {
 			return 0, nil
@@ -100,7 +60,26 @@ func (v *FS) mapVia(field *uint32, in *inode, idx int64, alloc bool) (uint32, er
 		*field = nb
 		in.hardDirty = true
 	}
-	return v.ptrAtData(*field, idx, alloc, in)
+	b, err := v.readMeta(*field)
+	if err != nil {
+		return 0, err
+	}
+	p := binary.LittleEndian.Uint32(b[idx*PtrSize:])
+	if p == 0 && alloc {
+		if indirect {
+			p, err = v.allocIndirect()
+		} else {
+			p, err = v.allocBlock()
+		}
+		if err != nil {
+			return 0, err
+		}
+		nb := v.writable(*field, b)
+		binary.LittleEndian.PutUint32(nb[idx*PtrSize:], p)
+		v.stageMeta(*field, nb)
+		in.hardDirty = true
+	}
+	return p, nil
 }
 
 // allocIndirect allocates a zeroed indirect block (staged as metadata).
@@ -111,50 +90,6 @@ func (v *FS) allocIndirect() (uint32, error) {
 	}
 	v.stageMeta(nb, make([]byte, BlockSize))
 	return nb, nil
-}
-
-// ptrAt reads slot idx of an indirect block, allocating a child *indirect*
-// block when alloc is set.
-func (v *FS) ptrAt(blk uint32, idx int64, alloc bool, in *inode) (uint32, error) {
-	b, err := v.readMeta(blk)
-	if err != nil {
-		return 0, err
-	}
-	p := binary.LittleEndian.Uint32(b[idx*PtrSize:])
-	if p == 0 && alloc {
-		nb, err := v.allocIndirect()
-		if err != nil {
-			return 0, err
-		}
-		nb2 := v.writable(blk, b)
-		binary.LittleEndian.PutUint32(nb2[idx*PtrSize:], nb)
-		v.stageMeta(blk, nb2)
-		in.hardDirty = true
-		p = nb
-	}
-	return p, nil
-}
-
-// ptrAtData reads slot idx of an indirect block, allocating a *data* block
-// when alloc is set.
-func (v *FS) ptrAtData(blk uint32, idx int64, alloc bool, in *inode) (uint32, error) {
-	b, err := v.readMeta(blk)
-	if err != nil {
-		return 0, err
-	}
-	p := binary.LittleEndian.Uint32(b[idx*PtrSize:])
-	if p == 0 && alloc {
-		nb, err := v.allocBlock()
-		if err != nil {
-			return 0, err
-		}
-		nb2 := v.writable(blk, b)
-		binary.LittleEndian.PutUint32(nb2[idx*PtrSize:], nb)
-		v.stageMeta(blk, nb2)
-		in.hardDirty = true
-		p = nb
-	}
-	return p, nil
 }
 
 // --- data I/O ---
@@ -183,106 +118,65 @@ func (v *FS) writeData(blk uint32, data []byte, blkOff int) error {
 func alignDown(off int64) int64 { return off &^ (BlockSize - 1) }
 func alignUp(n int64) int64     { return (n + BlockSize - 1) &^ (BlockSize - 1) }
 
-// ReadAt implements fs.File.
-func (f *file) ReadAt(p []byte, off int64) (int, error) {
-	if err := f.alive(); err != nil {
-		return 0, err
-	}
-	if off < 0 {
-		return 0, fmt.Errorf("extfs: negative offset %d", off)
-	}
-	if off >= f.in.size {
-		return 0, nil
-	}
-	if max := f.in.size - off; int64(len(p)) > max {
-		p = p[:max]
-	}
-	n := 0
-	for n < len(p) {
-		blkIdx := (off + int64(n)) / BlockSize
-		blkOff := int((off + int64(n)) % BlockSize)
-		chunk := BlockSize - blkOff
-		if chunk > len(p)-n {
-			chunk = len(p) - n
-		}
-		blk, err := f.fs.bmap(f.in, blkIdx, false)
-		if err != nil {
-			return n, err
-		}
-		if blk == 0 {
-			clear(p[n : n+chunk]) // hole
-		} else {
-			buf := make([]byte, BlockSize)
-			if err := f.fs.dev.ReadAt(buf, int64(blk)*BlockSize); err != nil {
-				return n, err
-			}
-			copy(p[n:n+chunk], buf[blkOff:])
-		}
-		n += chunk
-	}
-	return n, nil
-}
+// --- the file content ---
 
-// WriteAt implements fs.File.
-func (f *file) WriteAt(p []byte, off int64) (int, error) {
-	if err := f.alive(); err != nil {
-		return 0, err
-	}
-	if off < 0 {
-		return 0, fmt.Errorf("extfs: negative offset %d", off)
-	}
-	n := 0
-	for n < len(p) {
-		blkIdx := (off + int64(n)) / BlockSize
-		blkOff := int((off + int64(n)) % BlockSize)
-		chunk := BlockSize - blkOff
-		if chunk > len(p)-n {
-			chunk = len(p) - n
-		}
-		blk, err := f.fs.bmap(f.in, blkIdx, true)
-		if err != nil {
-			return n, err
-		}
-		if err := f.fs.writeData(blk, p[n:n+chunk], blkOff); err != nil {
-			return n, err
-		}
-		n += chunk
-	}
-	if off+int64(n) > f.in.size {
-		f.in.size = off + int64(n)
-		f.in.hardDirty = true
-	}
-	f.in.mtime = f.fs.nowNanos()
-	f.in.softDirty = true
-	return n, nil
-}
+// Gen is the mount generation Remount bumps.
+func (h *names) Gen() uint32 { return h.gen }
 
-// Sync implements fs.File (fsync). Data is already in place (ordered,
-// write-through); what remains is journaling the inode — which lazytime
-// defers for timestamp-only changes.
-func (f *file) Sync() error {
-	if err := f.alive(); err != nil {
+// ReadBlock reads the whole device block and copies out p's part.
+func (h *names) ReadBlock(in *inode, idx int64, off int, p []byte) error {
+	v := (*FS)(h)
+	blk, err := v.bmap(in, idx, false)
+	if err != nil {
 		return err
 	}
-	in := f.in
-	f.syncs++
-	needJournal := in.hardDirty || (in.softDirty && f.syncs >= lazyFlushInterval)
-	if needJournal {
-		if err := f.fs.flushInode(in); err != nil {
+	if blk == 0 {
+		clear(p) // hole
+		return nil
+	}
+	buf := make([]byte, BlockSize)
+	if err := v.dev.ReadAt(buf, int64(blk)*BlockSize); err != nil {
+		return err
+	}
+	copy(p, buf[off:])
+	return nil
+}
+
+func (h *names) WriteBlock(in *inode, idx int64, off int, p []byte) error {
+	v := (*FS)(h)
+	blk, err := v.bmap(in, idx, true)
+	if err != nil {
+		return err
+	}
+	return v.writeData(blk, p, off)
+}
+
+func (h *names) Wrote(in *inode, end int64) {
+	if end > in.size {
+		in.size = end
+		in.hardDirty = true
+	}
+	in.mtime = (*FS)(h).nowNanos()
+	in.softDirty = true
+}
+
+func (h *names) Truncate(in *inode, size int64) error { return (*FS)(h).truncateInode(in, size) }
+
+// Fsync journals the inode, unless only its timestamps changed and fewer
+// than lazyFlushInterval of the handle's fsyncs have passed since it was
+// last journaled (lazytime), then commits. Data is already in place
+// (ordered, write-through).
+func (h *names) Fsync(in *inode, syncs *int) error {
+	v := (*FS)(h)
+	*syncs++
+	if in.hardDirty || (in.softDirty && *syncs >= lazyFlushInterval) {
+		if err := v.flushInode(in); err != nil {
 			return err
 		}
-		f.fs.stageBitmap()
-		f.syncs = 0
+		v.stageBitmap()
+		*syncs = 0
 	}
-	return f.fs.commit()
-}
-
-// Truncate implements fs.File.
-func (f *file) Truncate(size int64) error {
-	if err := f.alive(); err != nil {
-		return err
-	}
-	return f.fs.truncateInode(f.in, size)
+	return v.commit()
 }
 
 // truncateInode shrinks (or sparsely grows) an inode to size.
@@ -401,5 +295,3 @@ func (v *FS) freeIndirectRange(blk uint32, start int64) (empty bool, err error) 
 	}
 	return empty, nil
 }
-
-var _ fs.File = (*file)(nil)

@@ -17,11 +17,12 @@ import (
 	"fmt"
 
 	"flashwear/internal/blockdev"
+	"flashwear/internal/fs"
 )
 
 // On-disk constants.
 const (
-	BlockSize = 4096
+	BlockSize = fs.BlockSize
 	Magic     = 0x46574558 // "XEWF"
 	Version   = 1
 

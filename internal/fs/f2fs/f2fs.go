@@ -260,8 +260,9 @@ func (v *FS) checkpointLocked() error {
 
 // --- the namespace ---
 
-// names is the FS as the shared namespace (fs.Nodes) sees it: nodes, and
-// directory slots read one at a time through the directory's mapping.
+// names is the FS as the shared namespace and file handle (fs.Nodes) see
+// it: nodes, directory slots read one at a time through the directory's
+// mapping, and file content in the data log (file.go).
 type names FS
 
 func (h *names) Alive() error                  { return (*FS)(h).alive() }
@@ -269,17 +270,16 @@ func (h *names) Root() (*node, error)          { return (*FS)(h).loadNode(RootNo
 func (h *names) Load(id uint32) (*node, error) { return (*FS)(h).loadNode(id) }
 func (*names) IsDir(n *node) bool              { return n.mode == modeDir }
 func (*names) Size(n *node) int64              { return n.size }
-func (h *names) File(n *node) fs.File          { return &file{fs: (*FS)(h), n: n} }
 func (*names) Scan(*node) error                { return nil }
 func (h *names) Done() error                   { return h.dev.Flush() }
 func (*names) Corrupt() error                  { return ErrCorrupt }
 
 // Slot reads the slot at off from the device, into the scratch block: a
 // checkpoint, the scratch block's other user, comes only with a write.
+// Slots never straddle a block.
 func (h *names) Slot(dir *node, off int64) ([]byte, error) {
 	slot := h.scratch[:fs.DirentSize]
-	_, err := (*FS)(h).readNodeData(dir, slot, off)
-	return slot, err
+	return slot, h.ReadBlock(dir, off/BlockSize, int(off%BlockSize), slot)
 }
 
 func (h *names) Set(dir *node, off int64, n *node, name string) error {
@@ -326,10 +326,12 @@ func (h *names) Release(n *node) error {
 // dirSet writes one slot at off and the directory's node, fsync-marked so
 // the change survives a crash via roll-forward.
 func (v *FS) dirSet(dir *node, off int64, id uint32, name string) error {
+	h := (*names)(v)
 	e := fs.Dirent(id, name)
-	if _, err := v.writeNodeData(dir, e[:], off); err != nil {
+	if err := h.WriteBlock(dir, off/BlockSize, int(off%BlockSize), e[:]); err != nil {
 		return err
 	}
+	h.Wrote(dir, off+fs.DirentSize)
 	return v.writeNode(dir, true)
 }
 

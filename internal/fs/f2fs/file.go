@@ -6,29 +6,6 @@ import (
 	"flashwear/internal/fs"
 )
 
-// file implements fs.File on an f2fs inode.
-type file struct {
-	fs     *FS
-	n      *node
-	closed bool
-}
-
-func (f *file) alive() error {
-	if f.closed {
-		return fs.ErrUnmounted
-	}
-	return f.fs.alive()
-}
-
-// Size implements fs.File.
-func (f *file) Size() int64 { return f.n.size }
-
-// Close implements fs.File.
-func (f *file) Close() error {
-	f.closed = true
-	return nil
-}
-
 // mapSlot resolves a file block index to the node holding its pointer and
 // the slot within that node, allocating indirect nodes as needed.
 func (v *FS) mapSlot(in *node, fileBlk int64, alloc bool) (holder *node, slot uint32, err error) {
@@ -66,135 +43,90 @@ func (v *FS) mapSlot(in *node, fileBlk int64, alloc bool) (holder *node, slot ui
 	return ind, slot, nil
 }
 
-// readNodeData reads file content through a node's mapping.
-func (v *FS) readNodeData(in *node, p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("f2fs: negative offset %d", off)
-	}
-	if off >= in.size {
-		return 0, nil
-	}
-	if max := in.size - off; int64(len(p)) > max {
-		p = p[:max]
-	}
-	n := 0
-	for n < len(p) {
-		blkIdx := (off + int64(n)) / BlockSize
-		blkOff := int((off + int64(n)) % BlockSize)
-		chunk := BlockSize - blkOff
-		if chunk > len(p)-n {
-			chunk = len(p) - n
-		}
-		holder, slot, err := v.mapSlot(in, blkIdx, false)
-		if err != nil {
-			return n, err
-		}
-		var addr uint32
-		if holder != nil {
-			if addr, err = v.ptrOf(holder, slot); err != nil {
-				return n, err
-			}
-		}
-		if addr == 0 {
-			clear(p[n : n+chunk]) // hole
-		} else {
-			buf, err := readBlock(v.dev, addr)
-			if err != nil {
-				return n, err
-			}
-			copy(p[n:n+chunk], buf[blkOff:])
-		}
-		n += chunk
-	}
-	return n, nil
-}
+// --- the file content ---
 
-// writeNodeData writes file content out-of-place through a node's mapping.
-// Every touched block is appended to the data log (copy-on-write, including
-// partial-block updates, which first read the old content).
-func (v *FS) writeNodeData(in *node, p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("f2fs: negative offset %d", off)
-	}
-	n := 0
-	for n < len(p) {
-		blkIdx := (off + int64(n)) / BlockSize
-		blkOff := int((off + int64(n)) % BlockSize)
-		chunk := BlockSize - blkOff
-		if chunk > len(p)-n {
-			chunk = len(p) - n
-		}
-		holder, slot, err := v.mapSlot(in, blkIdx, true)
-		if err != nil {
-			return n, err
-		}
-		oldAddr, err := v.ptrOf(holder, slot)
-		if err != nil {
-			return n, err
-		}
-		newAddr, err := v.allocLog(&v.dataLog)
-		if err != nil {
-			return n, err
-		}
-		if v.opts.DataAccounting && in.mode != modeDir {
-			if err := v.dev.WriteAccounted(int64(newAddr)*BlockSize, BlockSize); err != nil {
-				return n, err
-			}
-		} else {
-			buf := make([]byte, BlockSize)
-			if (blkOff != 0 || chunk != BlockSize) && oldAddr != 0 {
-				old, err := readBlock(v.dev, oldAddr)
-				if err != nil {
-					return n, err
-				}
-				copy(buf, old)
-			}
-			copy(buf[blkOff:], p[n:n+chunk])
-			if err := writeBlock(v.dev, newAddr, buf); err != nil {
-				return n, err
-			}
-		}
-		v.statDataWrites++
-		if oldAddr != 0 {
-			v.invalidateBlock(oldAddr)
-		}
-		holder.setPtr(slot, newAddr)
-		holder.dirty = true
-		v.markValid(newAddr, holder.id, slot)
-		n += chunk
-	}
-	if off+int64(n) > in.size {
-		in.size = off + int64(n)
-	}
-	in.mtime = v.nowNanos()
-	in.dirty = true
-	return n, nil
-}
+// Gen is 0: f2fs mounts only into a new FS.
+func (*names) Gen() uint32 { return 0 }
 
-// ReadAt implements fs.File.
-func (f *file) ReadAt(p []byte, off int64) (int, error) {
-	if err := f.alive(); err != nil {
-		return 0, err
-	}
-	return f.fs.readNodeData(f.n, p, off)
-}
-
-// WriteAt implements fs.File.
-func (f *file) WriteAt(p []byte, off int64) (int, error) {
-	if err := f.alive(); err != nil {
-		return 0, err
-	}
-	return f.fs.writeNodeData(f.n, p, off)
-}
-
-// Sync implements fs.File: write the file's dirty node chain with the
-// roll-forward (fsync) marker — data plus one node block per dirty node,
-// the 2x write path of Figure 4.
-func (f *file) Sync() error {
-	if err := f.alive(); err != nil {
+func (h *names) ReadBlock(n *node, idx int64, off int, p []byte) error {
+	v := (*FS)(h)
+	holder, slot, err := v.mapSlot(n, idx, false)
+	if err != nil {
 		return err
 	}
-	v := f.fs
+	if holder == nil || holder.ptr(slot) == 0 {
+		clear(p) // hole
+		return nil
+	}
+	buf, err := readBlock(v.dev, holder.ptr(slot))
+	if err != nil {
+		return err
+	}
+	copy(p, buf[off:])
+	return nil
+}
+
+// WriteBlock appends the block to the data log: copy-on-write, and a
+// partial-block update first reads the old content.
+func (h *names) WriteBlock(n *node, idx int64, off int, p []byte) error {
+	v := (*FS)(h)
+	holder, slot, err := v.mapSlot(n, idx, true)
+	if err != nil {
+		return err
+	}
+	oldAddr := holder.ptr(slot)
+	newAddr, err := v.allocLog(&v.dataLog)
+	if err != nil {
+		return err
+	}
+	if v.opts.DataAccounting && n.mode != modeDir {
+		if err := v.dev.WriteAccounted(int64(newAddr)*BlockSize, BlockSize); err != nil {
+			return err
+		}
+	} else {
+		buf := make([]byte, BlockSize)
+		if len(p) != BlockSize && oldAddr != 0 {
+			old, err := readBlock(v.dev, oldAddr)
+			if err != nil {
+				return err
+			}
+			copy(buf, old)
+		}
+		copy(buf[off:], p)
+		if err := writeBlock(v.dev, newAddr, buf); err != nil {
+			return err
+		}
+	}
+	v.statDataWrites++
+	if oldAddr != 0 {
+		v.invalidateBlock(oldAddr)
+	}
+	holder.setPtr(slot, newAddr)
+	holder.dirty = true
+	v.markValid(newAddr, holder.id, slot)
+	return nil
+}
+
+func (h *names) Wrote(n *node, end int64) {
+	n.size = max(n.size, end)
+	n.mtime = (*FS)(h).nowNanos()
+	n.dirty = true
+}
+
+// Truncate writes the node fsync-marked.
+func (h *names) Truncate(n *node, size int64) error {
+	v := (*FS)(h)
+	if err := v.truncateNode(n, size); err != nil {
+		return err
+	}
+	return v.writeNode(n, true)
+}
+
+// Fsync writes the file's dirty node chain with the roll-forward (fsync)
+// marker — data plus one node block per dirty node, the 2x write path of
+// Figure 4.
+func (h *names) Fsync(n *node, _ *int) error {
+	v := (*FS)(h)
 	// Ordering barrier: the data this sync covers must be durable before
 	// the fsync-marked nodes that reference it, or roll-forward recovery
 	// could resurrect pointers to unwritten blocks.
@@ -203,8 +135,8 @@ func (f *file) Sync() error {
 	}
 	// Dirty indirect nodes first, in slot order, then the inode (which
 	// references them).
-	for w := int64(0); w < f.n.nIndir; w++ {
-		id := f.n.indirectID(w)
+	for w := int64(0); w < n.nIndir; w++ {
+		id := n.indirectID(w)
 		if id == 0 {
 			continue
 		}
@@ -214,8 +146,8 @@ func (f *file) Sync() error {
 			}
 		}
 	}
-	if f.n.dirty {
-		if err := v.writeNode(f.n, true); err != nil {
+	if n.dirty {
+		if err := v.writeNode(n, true); err != nil {
 			return err
 		}
 	}
@@ -227,17 +159,6 @@ func (f *file) Sync() error {
 		return v.checkpointLocked()
 	}
 	return nil
-}
-
-// Truncate implements fs.File.
-func (f *file) Truncate(size int64) error {
-	if err := f.alive(); err != nil {
-		return err
-	}
-	if err := f.fs.truncateNode(f.n, size); err != nil {
-		return err
-	}
-	return f.fs.writeNode(f.n, true)
 }
 
 // truncateNode shrinks (or sparsely grows) a node to size, invalidating
@@ -302,5 +223,3 @@ func (v *FS) truncateNode(in *node, size int64) error {
 	in.dirty = true
 	return nil
 }
-
-var _ fs.File = (*file)(nil)

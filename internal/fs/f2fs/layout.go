@@ -13,11 +13,12 @@ import (
 	"fmt"
 
 	"flashwear/internal/blockdev"
+	"flashwear/internal/fs"
 )
 
 // On-disk constants.
 const (
-	BlockSize = 4096
+	BlockSize = fs.BlockSize
 	Magic     = 0x46324657 // "F2FW"
 
 	// SegBlocks is the number of 4 KiB blocks per segment (512 KiB

@@ -45,20 +45,17 @@ func ParseDirent(slot []byte) (id uint32, name []byte, ok bool) {
 }
 
 // Nodes is a file system's node and directory-slot I/O, as the namespace
-// uses it. N is its in-memory node; two Ns are equal exactly when they
-// are the same node. The namespace calls the hooks in the order the file
-// system's device I/O must happen in, and passes them no closures.
+// uses it, with the file content I/O its files are opened over. N is its
+// in-memory node; two Ns are equal exactly when they are the same node.
+// The namespace calls the hooks in the order the file system's device I/O
+// must happen in, and passes them no closures.
 type Nodes[N comparable] interface {
-	// Alive fails an unmounted file system.
-	Alive() error
+	Content[N]
 	// Root loads the root directory.
 	Root() (N, error)
 	// Load loads the node with the given id.
 	Load(id uint32) (N, error)
 	IsDir(n N) bool
-	Size(n N) int64
-	// File returns a handle on regular file n.
-	File(n N) File
 	// Scan readies directory dir's slots for Slot.
 	Scan(dir N) error
 	// Slot returns the slot at byte offset off of the directory Scan last
@@ -98,7 +95,7 @@ func Create[N comparable](h Nodes[N], path string) (File, error) {
 		if h.IsDir(n) {
 			return nil, ErrIsDir
 		}
-		f := h.File(n)
+		f := OpenFile(h, n)
 		if err := f.Truncate(0); err != nil {
 			return nil, err
 		}
@@ -108,7 +105,7 @@ func Create[N comparable](h Nodes[N], path string) (File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return h.File(n), nil
+	return OpenFile(h, n), nil
 }
 
 // Open implements FileSystem.Open over h.
@@ -123,7 +120,7 @@ func Open[N comparable](h Nodes[N], path string) (File, error) {
 	if h.IsDir(n) {
 		return nil, ErrIsDir
 	}
-	return h.File(n), nil
+	return OpenFile(h, n), nil
 }
 
 // Mkdir implements FileSystem.Mkdir over h.
