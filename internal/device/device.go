@@ -406,8 +406,8 @@ func (d *Device) ReadAt(p []byte, off int64) error {
 			return d.mapErr(err)
 		}
 		pageStart := pg * int64(d.pageSize)
-		from := max64(off, pageStart)
-		to := min64(off+int64(len(p)), pageStart+int64(d.pageSize))
+		from := max(off, pageStart)
+		to := min(off+int64(len(p)), pageStart+int64(d.pageSize))
 		dst := p[from-off : to-off]
 		if data == nil {
 			clear(dst)
@@ -460,8 +460,8 @@ func (d *Device) write(off, length int64, payload []byte) error {
 	first, last := d.pageRange(off, length)
 	for pg := first; pg <= last; pg++ {
 		pageStart := pg * int64(d.pageSize)
-		from := max64(off, pageStart)
-		to := min64(off+length, pageStart+int64(d.pageSize))
+		from := max(off, pageStart)
+		to := min(off+length, pageStart+int64(d.pageSize))
 		full := from == pageStart && to == pageStart+int64(d.pageSize)
 
 		var data []byte
@@ -510,7 +510,7 @@ func (d *Device) usdPenalty(off, length int64) ftl.Cost {
 		if !seen {
 			expect = auIdx * au // fresh AU: appending from its start
 		}
-		end := min64((auIdx+1)*au, off+length)
+		end := min((auIdx+1)*au, off+length)
 		if cur != expect {
 			extra.Reads += auPages
 			extra.Programs += auPages
@@ -559,18 +559,4 @@ func (d *Device) Flush() error {
 	cost, err := d.f.Flush()
 	d.advance(cost, 0)
 	return d.mapErr(err)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -148,7 +148,7 @@ func runMitigation(policy MitigationPolicy, cfg Config) (MitigationRow, error) {
 	bStart := clock.Now()
 	chunk := make([]byte, 1<<20)
 	for off := int64(0); off < burst; off += int64(len(chunk)) {
-		if _, err := f.WriteAt(chunk[:min64(int64(len(chunk)), burst-off)], off); err != nil {
+		if _, err := f.WriteAt(chunk[:min(int64(len(chunk)), burst-off)], off); err != nil {
 			return MitigationRow{}, err
 		}
 	}
@@ -170,11 +170,4 @@ func runMitigation(policy MitigationPolicy, cfg Config) (MitigationRow, error) {
 		row.WarningRaised = true
 	}
 	return row, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

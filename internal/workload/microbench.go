@@ -41,7 +41,7 @@ func Microbench(dev blockdev.Device, clock *simclock.Clock, reqBytes int64, sequ
 	start := clock.Now()
 	var written int64
 	for written < totalBytes {
-		n, err := w.Step(minI64(totalBytes-written, 4<<20))
+		n, err := w.Step(min(totalBytes-written, 4<<20))
 		if err != nil {
 			return BenchResult{}, err
 		}
@@ -53,11 +53,4 @@ func Microbench(dev blockdev.Device, clock *simclock.Clock, reqBytes int64, sequ
 		Bytes:      written,
 		Elapsed:    clock.Now() - start,
 	}, nil
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
