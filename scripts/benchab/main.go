@@ -5,8 +5,10 @@
 //
 //	go run ./scripts/benchab -ref HEAD~1 -workload campaign_ckpt -pairs 10 -seconds 28
 //
-// It checks the ref out with git worktree add into a temporary directory,
-// builds bench/ in both trees, and runs the pairs ABBA: pair i runs the
+// It extracts the ref's tree into a temporary directory with git archive,
+// which writes nothing under .git, builds bench/ in both trees with
+// -trimpath -buildvcs=false, so neither binary embeds its directory or a
+// VCS stamp, and runs the pairs ABBA: pair i runs the
 // parent first when i is even, the change first when it is odd. Before
 // each timed run, a short traced run of the same binary reads that side's
 // host.ref_kernel_ms, the host's speed at that moment. The record goes to
@@ -119,15 +121,20 @@ func run(ref, workload string, pairs int, seconds float64, seed int64, dataDir s
 		return err
 	}
 	defer os.RemoveAll(tmp)
-	tree := filepath.Join(tmp, "parent")
-	if _, err := git(root, "worktree", "add", "--detach", tree, parentRev); err != nil {
+	tree, tarball := filepath.Join(tmp, "parent"), filepath.Join(tmp, "parent.tar")
+	if _, err := git(root, "archive", "-o", tarball, parentRev); err != nil {
 		return err
 	}
-	defer git(root, "worktree", "remove", "--force", tree)
+	if err := os.Mkdir(tree, 0o755); err != nil {
+		return err
+	}
+	if out, err := exec.Command("tar", "-x", "-f", tarball, "-C", tree).CombinedOutput(); err != nil {
+		return fmt.Errorf("extracting %s: %w: %s", parentRev, err, out)
+	}
 
 	bins := map[string]string{"parent": filepath.Join(tmp, "bench-parent"), "change": filepath.Join(tmp, "bench-change")}
 	for side, src := range map[string]string{"parent": tree, "change": root} {
-		cmd := exec.Command("go", "build", "-C", filepath.Join(src, "bench"), "-o", bins[side], ".")
+		cmd := exec.Command("go", "build", "-C", filepath.Join(src, "bench"), "-trimpath", "-buildvcs=false", "-o", bins[side], ".")
 		cmd.Stderr = os.Stderr
 		if err := cmd.Run(); err != nil {
 			return fmt.Errorf("building %s's bench: %w", side, err)
