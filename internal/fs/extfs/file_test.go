@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"hash"
 	"testing"
 
 	"flashwear/internal/blockdev"
@@ -107,7 +106,13 @@ func fileScript(t *testing.T, v fs.FileSystem) string {
 	}
 	read := func(off int64, n int) {
 		t.Helper()
-		readChecked(t, f, off, n, model[:size], sum)
+		p := make([]byte, n)
+		got, err := f.ReadAt(p, off)
+		want := max(0, min(int64(n), size-off))
+		if err != nil || int64(got) != want || (want > 0 && !bytes.Equal(p[:got], model[off:off+want])) {
+			t.Fatalf("ReadAt(%d bytes, %d) = (%d, %v), want %d bytes of the model", n, off, got, err, want)
+		}
+		sum.Write(p[:got])
 	}
 	// A shrink frees the blocks past the new size but leaves the rest of
 	// the last block as it was: a later growth reads those old bytes
@@ -151,19 +156,6 @@ func fileScript(t *testing.T, v fs.FileSystem) string {
 	must(f.Sync())
 	write(30, 10, 9) // unsynced when the crash comes
 	return hex.EncodeToString(sum.Sum(nil))
-}
-
-// readChecked reads n bytes at off of f, checks them and the count
-// against model, the file's content, and adds them to sum.
-func readChecked(t *testing.T, f fs.File, off int64, n int, model []byte, sum hash.Hash) {
-	t.Helper()
-	p := make([]byte, n)
-	got, err := f.ReadAt(p, off)
-	want := min(n, max(0, len(model)-int(off)))
-	if err != nil || got != want || !bytes.Equal(p[:got], model[off:off+int64(got)]) {
-		t.Fatalf("ReadAt(%d bytes, %d) = (%d, %v), want %d bytes of the model", n, off, got, err, want)
-	}
-	sum.Write(p[:got])
 }
 
 // readBack returns the sha256 of the named files' contents, each read

@@ -238,43 +238,6 @@ func testErrors(t *testing.T, v fs.FileSystem) {
 	}
 }
 
-// testHandle checks a file handle's edges: a negative offset fails, an
-// empty write past EOF grows the file over a hole, a read at EOF is
-// (0, nil), and a closed handle fails every operation with ErrUnmounted.
-func testHandle(t *testing.T, v fs.FileSystem) {
-	f, err := v.Create("/h")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := make([]byte, 10)
-	if _, err := f.ReadAt(b, -1); err == nil {
-		t.Error("ReadAt at offset -1 succeeded")
-	}
-	if _, err := f.WriteAt(b, -1); err == nil {
-		t.Error("WriteAt at offset -1 succeeded")
-	}
-	if n, err := f.WriteAt(nil, 5000); err != nil || n != 0 || f.Size() != 5000 {
-		t.Errorf("WriteAt(nil, 5000) = (%d, %v) and Size %d, want (0, nil) and 5000", n, err, f.Size())
-	}
-	gap := bytes.Repeat([]byte{1}, 5000)
-	if n, err := f.ReadAt(gap, 0); err != nil || n != len(gap) || !bytes.Equal(gap, make([]byte, len(gap))) {
-		t.Errorf("ReadAt over the gap = (%d, %v), want %d zeros", n, err, len(gap))
-	}
-	if n, err := f.ReadAt(b, 5000); n != 0 || err != nil {
-		t.Errorf("ReadAt at EOF = (%d, %v), want (0, nil)", n, err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, errRead := f.ReadAt(b, 0)
-	_, errWrite := f.WriteAt(b, 0)
-	for i, err := range []error{errRead, errWrite, f.Sync(), f.Truncate(0)} {
-		if !errors.Is(err, fs.ErrUnmounted) {
-			t.Errorf("%s after Close: err = %v, want %v", []string{"ReadAt", "WriteAt", "Sync", "Truncate"}[i], err, fs.ErrUnmounted)
-		}
-	}
-}
-
 func testManyFiles(t *testing.T, v fs.FileSystem) {
 	const n = 60
 	for i := 0; i < n; i++ {
@@ -343,5 +306,42 @@ func testRandomized(t *testing.T, v fs.FileSystem) {
 	}
 	if !bytes.Equal(got, model[:size]) {
 		t.Fatal("diverged from model")
+	}
+}
+
+// testHandle checks a file handle's edges: a negative offset fails, an
+// empty write past EOF grows the file over a hole, a read at EOF is
+// (0, nil), and a closed handle fails every operation with ErrUnmounted.
+func testHandle(t *testing.T, v fs.FileSystem) {
+	f, err := v.Create("/h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, 10)
+	if _, err := f.ReadAt(b, -1); err == nil {
+		t.Error("ReadAt at offset -1 succeeded")
+	}
+	if _, err := f.WriteAt(b, -1); err == nil {
+		t.Error("WriteAt at offset -1 succeeded")
+	}
+	if n, err := f.WriteAt(nil, 5000); err != nil || n != 0 || f.Size() != 5000 {
+		t.Errorf("WriteAt(nil, 5000) = (%d, %v) and Size %d, want (0, nil) and 5000", n, err, f.Size())
+	}
+	gap := bytes.Repeat([]byte{1}, 5000)
+	if n, err := f.ReadAt(gap, 0); err != nil || n != len(gap) || !bytes.Equal(gap, make([]byte, len(gap))) {
+		t.Errorf("ReadAt over the gap = (%d, %v), want %d zeros", n, err, len(gap))
+	}
+	if n, err := f.ReadAt(b, 5000); n != 0 || err != nil {
+		t.Errorf("ReadAt at EOF = (%d, %v), want (0, nil)", n, err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, errRead := f.ReadAt(b, 0)
+	_, errWrite := f.WriteAt(b, 0)
+	for i, err := range []error{errRead, errWrite, f.Sync(), f.Truncate(0)} {
+		if !errors.Is(err, fs.ErrUnmounted) {
+			t.Errorf("%s after Close: err = %v, want %v", []string{"ReadAt", "WriteAt", "Sync", "Truncate"}[i], err, fs.ErrUnmounted)
+		}
 	}
 }

@@ -5,16 +5,14 @@
 //
 //	go run ./scripts/benchab -ref HEAD~1 -workload campaign_ckpt -pairs 10 -seconds 28
 //
-// It extracts the ref's tree into a temporary directory with git archive,
-// which writes nothing under .git, builds bench/ in both trees with
-// -trimpath -buildvcs=false, so neither binary embeds its directory or a
-// VCS stamp, and runs the pairs ABBA: pair i runs the
-// parent first when i is even, the change first when it is odd. Before
-// each timed run, a short traced run of the same binary reads that side's
-// host.ref_kernel_ms, the host's speed at that moment. The record goes to
-// stdout; with -append it is also appended to BENCH_<workload>.json. On
-// stderr it prints each metric's sign test and the median ratio over the
-// pairs whose two ref_kernel_ms readings agree within 10%.
+// It extracts the ref into a temporary directory with git archive (no write
+// under .git), builds bench/ in both trees with -trimpath -buildvcs=false (no
+// path or VCS stamp), and runs the pairs ABBA: pair i runs the parent first
+// when i is even, the change first when it is odd. Before each timed run, a
+// short traced run of the same binary reads that side's host.ref_kernel_ms, the
+// host's speed at that moment. The record goes to stdout, and with -append to
+// BENCH_<workload>.json. On stderr it prints each metric's sign test and its
+// median ratio over the pairs whose ref_kernel_ms agree within 10%.
 package main
 
 //flashvet:ops-domain benchab times bench binaries on the host; the wall-clock and CPU figures it reads are its output and feed no simulation
