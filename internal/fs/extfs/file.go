@@ -2,7 +2,6 @@ package extfs
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"flashwear/internal/fs"
 )
@@ -181,9 +180,6 @@ func (h *names) Fsync(in *inode, syncs *int) error {
 
 // truncateInode shrinks (or sparsely grows) an inode to size.
 func (v *FS) truncateInode(in *inode, size int64) error {
-	if size < 0 {
-		return fmt.Errorf("extfs: negative truncate %d", size)
-	}
 	if size >= in.size {
 		if size != in.size {
 			in.size = size

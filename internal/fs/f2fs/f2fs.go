@@ -283,10 +283,10 @@ func (h *names) Slot(dir *node, off int64) ([]byte, error) {
 }
 
 func (h *names) Set(dir *node, off int64, n *node, name string) error {
-	return (*FS)(h).dirSet(dir, off, n.id, name)
+	return h.dirSet(dir, off, n.id, name)
 }
 
-func (h *names) Unlink(dir *node, off int64) error { return (*FS)(h).dirSet(dir, off, 0, "") }
+func (h *names) Unlink(dir *node, off int64) error { return h.dirSet(dir, off, 0, "") }
 
 func (h *names) Alloc(dir bool) (*node, error) {
 	v := (*FS)(h)
@@ -325,14 +325,13 @@ func (h *names) Release(n *node) error {
 
 // dirSet writes one slot at off and the directory's node, fsync-marked so
 // the change survives a crash via roll-forward.
-func (v *FS) dirSet(dir *node, off int64, id uint32, name string) error {
-	h := (*names)(v)
+func (h *names) dirSet(dir *node, off int64, id uint32, name string) error {
 	e := fs.Dirent(id, name)
 	if err := h.WriteBlock(dir, off/BlockSize, int(off%BlockSize), e[:]); err != nil {
 		return err
 	}
 	h.Wrote(dir, off+fs.DirentSize)
-	return v.writeNode(dir, true)
+	return (*FS)(h).writeNode(dir, true)
 }
 
 // Create implements fs.FileSystem.

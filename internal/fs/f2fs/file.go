@@ -164,9 +164,6 @@ func (h *names) Fsync(n *node, _ *int) error {
 // truncateNode shrinks (or sparsely grows) a node to size, invalidating
 // dropped blocks and releasing empty indirect nodes.
 func (v *FS) truncateNode(in *node, size int64) error {
-	if size < 0 {
-		return fmt.Errorf("f2fs: negative truncate %d", size)
-	}
 	if size >= in.size {
 		in.size = size
 		in.dirty = true

@@ -25,7 +25,7 @@ type Content[N comparable] interface {
 	// Wrote records a write that ended at byte end, after each of its
 	// blocks went out: the size grows to end if that is past it.
 	Wrote(n N, end int64)
-	// Truncate sets n's size.
+	// Truncate sets n's size, which is not negative.
 	Truncate(n N, size int64) error
 	// Fsync makes n durable. syncs is the handle's own count, kept from
 	// one Fsync to the next.
@@ -118,6 +118,9 @@ func (f *file[N]) Sync() error {
 func (f *file[N]) Truncate(size int64) error {
 	if err := f.alive(); err != nil {
 		return err
+	}
+	if size < 0 {
+		return fmt.Errorf("fs: negative truncate %d", size)
 	}
 	return f.h.Truncate(f.n, size)
 }
