@@ -408,12 +408,11 @@ func (d *Device) ReadAt(p []byte, off int64) error {
 		pageStart := pg * int64(d.pageSize)
 		from := max(off, pageStart)
 		to := min(off+int64(len(p)), pageStart+int64(d.pageSize))
+		// The chip lends a payload only up to its last non-zero byte (nil
+		// for none): what the range holds of it, then zeros.
 		dst := p[from-off : to-off]
-		if data == nil {
-			clear(dst)
-		} else {
-			copy(dst, data[from-pageStart:to-pageStart])
-		}
+		n := int64(len(data))
+		clear(dst[copy(dst, data[min(from-pageStart, n):min(to-pageStart, n)]):])
 	}
 	d.bytesRead += int64(len(p))
 	d.advance(total, int64(len(p)))
@@ -475,9 +474,7 @@ func (d *Device) write(off, length int64, payload []byte) error {
 			}
 			if payload != nil {
 				data = make([]byte, d.pageSize)
-				if old != nil {
-					copy(data, old)
-				}
+				copy(data, old) // a prefix of the page, or nil
 				copy(data[from-pageStart:], payload[from-off:to-off])
 			}
 		} else if payload != nil {

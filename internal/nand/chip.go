@@ -1,9 +1,12 @@
 package nand
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"flashwear/internal/simrand"
@@ -109,9 +112,17 @@ type Chip struct {
 	inject  FaultInjector
 	blocks  []block
 	stats   Stats
-	// free holds erased page buffers no snapshot can reach; payload
-	// programs take from it before allocating. slab is what is left of the
-	// last allocation of pages, handed out when free is empty.
+	// classes holds the payload buffers, one entry per size class (see
+	// classOf), in the chip itself so a birth allocates nothing for them:
+	// erased buffers no snapshot can reach, which programs take before
+	// allocating, and what is left of the class's last slab. lastClass is
+	// the class of a whole page.
+	classes   [maxClasses]bufClass
+	lastClass int
+}
+
+// bufClass is one payload size class: its free list and its slab.
+type bufClass struct {
 	free [][]byte
 	slab []byte
 }
@@ -138,7 +149,9 @@ type block struct {
 
 	// pages and meta are the block's rows of the chip-wide page index and
 	// OOB array. A page has a payload only if it was programmed with one;
-	// past the programmed prefix every entry is nil and {LP: -1}.
+	// past the programmed prefix every entry is nil and {LP: -1}. A
+	// payload is stored up to its last non-zero byte (an all-zero one as
+	// a non-nil empty slice): the rest of the page is zero.
 	pages   [][]byte
 	meta    []OOB
 	hasMeta bool // a program since the erase stored metadata, or ImportState's Meta did
@@ -216,6 +229,7 @@ func New(cfg Config) (*Chip, error) {
 		inject:  cfg.Inject,
 		blocks:  make([]block, cfg.Geometry.Blocks()),
 	}
+	c.lastClass = min(bits.Len(uint(cfg.Geometry.PageSize-1)/minClass), maxClasses-1)
 	ppb := cfg.Geometry.PagesPerBlock
 	pages := make([][]byte, len(c.blocks)*ppb)
 	meta := make([]OOB, len(c.blocks)*ppb)
@@ -233,7 +247,7 @@ func New(cfg Config) (*Chip, error) {
 // is erased, unworn and good, with its endurance variation drawn afresh in
 // block order. The configuration and the fault injector are kept, and so
 // is the storage: the payload buffers of blocks no snapshot shares go back
-// on the free list, as ImportState recycles them. New runs this too, so a
+// on their free lists, as ImportState recycles them. New runs this too, so a
 // field a later change adds to block is zero after Format as after New.
 func (c *Chip) Format(seed int64) {
 	c.rng.Seed(seed)
@@ -242,11 +256,7 @@ func (c *Chip) Format(seed int64) {
 		b := &c.blocks[i]
 		pages, meta := b.pages, b.meta
 		if !b.shared {
-			for _, buf := range pages[:b.nextPage] {
-				if buf != nil {
-					c.free = append(c.free, buf)
-				}
-			}
+			c.recycle(pages[:b.nextPage])
 		}
 		clear(pages)
 		for p := range meta {
@@ -413,8 +423,8 @@ type OpResult struct {
 }
 
 // ProgramPage writes one page. data may be nil for accounting-only writes
-// (wear experiments at device scale); when non-nil it must be exactly
-// PageSize bytes and is retained for later reads.
+// (wear experiments at device scale); when non-nil it is at most PageSize
+// bytes, zero-extended to a page, and is retained for later reads.
 //
 // NAND constraints are enforced: the block must not be bad, and pages within
 // a block must be programmed in order, each exactly once per erase cycle.
@@ -440,8 +450,8 @@ func (c *Chip) ProgramPageOOB(a PageAddr, data []byte, oob OOB) (OpResult, error
 	if a.Page > b.nextPage {
 		return res, fmt.Errorf("%w: %v (next programmable page %d)", ErrOutOfOrder, a, b.nextPage)
 	}
-	if data != nil && len(data) != c.geo.PageSize {
-		return res, fmt.Errorf("nand: program %v: data length %d != page size %d", a, len(data), c.geo.PageSize)
+	if len(data) > c.geo.PageSize {
+		return res, fmt.Errorf("nand: program %v: data length %d > page size %d", a, len(data), c.geo.PageSize)
 	}
 	injected := FaultNone
 	if c.inject != nil {
@@ -461,8 +471,9 @@ func (c *Chip) ProgramPageOOB(a PageAddr, data []byte, oob OOB) (OpResult, error
 		return res, &OpError{Op: OpProgram, Addr: a, Err: ErrProgramFail}
 	}
 	if data != nil {
-		buf := c.pageBuf()
-		copy(buf, data)
+		n := payloadLen(data)
+		buf := c.pageBuf(n)
+		copy(buf, data[:n])
 		b.pages[a.Page] = buf
 	}
 	b.meta[a.Page] = oob
@@ -470,28 +481,96 @@ func (c *Chip) ProgramPageOOB(a PageAddr, data []byte, oob OOB) (OpResult, error
 	return res, nil
 }
 
-// pageSlab is how many page buffers pageBuf allocates at once when the
-// free list is empty: a fresh chip fills its first blocks with one
-// allocation per slab rather than per page.
-const pageSlab = 8
+// slabPages is how many pages' worth of bytes pageBuf allocates at once
+// when a class's free list is empty: a fresh chip fills its first blocks
+// with one allocation per slab rather than per page.
+const slabPages = 8
 
-// pageBuf returns a page-sized buffer for a payload: the last one erased
-// onto the free list, or the next of the current slab.
-func (c *Chip) pageBuf() []byte {
-	n := len(c.free)
-	if n == 0 {
-		ps := c.geo.PageSize
-		if len(c.slab) < ps {
-			c.slab = make([]byte, pageSlab*ps)
-		}
-		buf := c.slab[:ps:ps]
-		c.slab = c.slab[ps:]
-		return buf
+// minClass is the smallest payload size class; each class doubles the
+// one before, up to maxClasses classes, and the last is PageSize.
+const (
+	minClass   = 64
+	maxClasses = 11 // 64 B to 32 KiB, and then a whole page
+)
+
+// noPayload is the stored form of an all-zero payload: empty, but not
+// nil, so the page still reads as programmed with a payload.
+var noPayload = []byte{}
+
+// zeros is what payloadLen compares a payload's tail against.
+var zeros [2048]byte
+
+// payloadLen returns the length of p up to its last non-zero byte. A
+// payload that ends in a non-zero byte (a dense page, or a lent one that
+// GC or the cache drain programs again) costs one compare. Otherwise it
+// halves the range that holds the last non-zero byte, each step one
+// compare of the upper part against zeros (runtime.memequal), until 64
+// bytes are left, then steps back by word and byte.
+func payloadLen(p []byte) int {
+	n := len(p)
+	if n == 0 || p[n-1] != 0 {
+		return n
 	}
-	buf := c.free[n-1]
-	c.free[n-1] = nil
-	c.free = c.free[:n-1]
+	lo := 0 // the last non-zero byte, if any, is in p[lo:n]
+	for n-lo > 64 {
+		mid := max(lo+(n-lo)/2, n-len(zeros))
+		if bytes.Equal(p[mid:n], zeros[:n-mid]) {
+			n = mid
+		} else {
+			lo = mid
+		}
+	}
+	for n >= 8 && binary.LittleEndian.Uint64(p[n-8:]) == 0 {
+		n -= 8
+	}
+	for n > 0 && p[n-1] == 0 {
+		n--
+	}
+	return n
+}
+
+// classOf returns the size class of a payload buffer of n bytes, 0 < n <=
+// PageSize: class k holds minClass<<k bytes, except the last, which holds
+// PageSize.
+func (c *Chip) classOf(n int) int { return min(bits.Len(uint(n-1)/minClass), c.lastClass) }
+
+// pageBuf returns an n-byte buffer for a payload: empty for n == 0, else
+// the last buffer of n's class erased onto its free list, or the next of
+// the class's slab. Its capacity is its class's size, by which recycle
+// finds the class again.
+func (c *Chip) pageBuf(n int) []byte {
+	if n == 0 {
+		return noPayload
+	}
+	k := c.classOf(n)
+	cl := &c.classes[k]
+	if i := len(cl.free) - 1; i >= 0 {
+		buf := cl.free[i]
+		cl.free[i] = nil
+		cl.free = cl.free[:i]
+		return buf[:n]
+	}
+	size := minClass << k
+	if k == c.lastClass {
+		size = c.geo.PageSize
+	}
+	if len(cl.slab) < size {
+		cl.slab = make([]byte, slabPages*c.geo.PageSize)
+	}
+	buf := cl.slab[:n:size]
+	cl.slab = cl.slab[size:]
 	return buf
+}
+
+// recycle puts the payload buffers of pages on their classes' free lists.
+// Only the chip's own buffers may come here, never a shared block's.
+func (c *Chip) recycle(pages [][]byte) {
+	for _, buf := range pages {
+		if cap(buf) > 0 {
+			cl := &c.classes[c.classOf(cap(buf))]
+			cl.free = append(cl.free, buf)
+		}
+	}
 }
 
 // ReadOOB returns the spare-area metadata of a page and whether any was
@@ -520,12 +599,15 @@ func (c *Chip) ProgrammedPages(blockIdx int) int {
 // ReadPage reads one page, sampling raw bit errors from the block's current
 // error rate. If the worst codeword's error count exceeds the ECC
 // capability, it returns ErrUncorrectable. Data is returned only if the page
-// was programmed with a payload.
+// was programmed with a payload, and only up to its last non-zero byte:
+// the page reads as that prefix followed by zeros, and an all-zero page
+// as a non-nil empty slice.
 //
 // The payload is lent, not copied: the slice is the chip's own buffer. It
 // is read-only, and it stays valid until the block is next erased, when the
 // buffer may be recycled for another program. A caller that keeps the bytes
-// longer copies them out; handing them to a program is such a copy.
+// longer copies them out; handing them to a program, which zero-extends
+// it, is such a copy.
 func (c *Chip) ReadPage(a PageAddr) ([]byte, OpResult, error) {
 	if !c.inRange(a) {
 		return nil, OpResult{}, &OpError{Op: OpRead, Addr: a, Err: ErrAddr}
@@ -568,7 +650,7 @@ func (c *Chip) ReadPage(a PageAddr) ([]byte, OpResult, error) {
 
 // EraseBlock erases a block, consuming one P/E cycle. On failure the block
 // should be marked bad by the caller. The block's page buffers go back on
-// the free list unless it is shared, in which case a snapshot may still
+// their free lists unless it is shared, in which case a snapshot may still
 // hold them and they are dropped.
 func (c *Chip) EraseBlock(blockIdx int) (OpResult, error) {
 	if blockIdx < 0 || blockIdx >= len(c.blocks) {
@@ -601,13 +683,11 @@ func (c *Chip) EraseBlock(blockIdx int) (OpResult, error) {
 	b.eraseCount++
 	b.memoOK = false
 	b.lastErase = now
+	if !b.shared {
+		c.recycle(b.pages[:b.nextPage])
+	}
+	clear(b.pages[:b.nextPage])
 	for p := 0; p < b.nextPage; p++ {
-		if buf := b.pages[p]; buf != nil {
-			if !b.shared {
-				c.free = append(c.free, buf)
-			}
-			b.pages[p] = nil
-		}
 		b.meta[p] = OOB{LP: -1}
 	}
 	b.nextPage = 0

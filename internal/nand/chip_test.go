@@ -1,6 +1,7 @@
 package nand
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -227,7 +228,7 @@ func TestErrorTextPinned(t *testing.T) {
 		prog(c.EraseBlock(3)),
 		prog(c.ProgramPage(PageAddr{0, 0}, nil)),
 		prog(c.ProgramPage(PageAddr{0, 2}, nil)),
-		prog(c.ProgramPage(PageAddr{0, 1}, make([]byte, 100))),
+		prog(c.ProgramPage(PageAddr{0, 1}, make([]byte, 4097))),
 		read(c.ReadPage(PageAddr{0, 5})),
 		with(OpProgram, FaultPowerCut, func() string { return prog(c.ProgramPage(PageAddr{0, 1}, nil)) }),
 		with(OpRead, FaultPowerCut, func() string { return read(c.ReadPage(PageAddr{0, 0})) }),
@@ -245,7 +246,7 @@ func TestErrorTextPinned(t *testing.T) {
 		"nand: block is marked bad: block 3",
 		"nand: page already programmed since last erase: blk0/pg0",
 		"nand: pages must be programmed sequentially within a block: blk0/pg2 (next programmable page 1)",
-		"nand: program blk0/pg1: data length 100 != page size 4096",
+		"nand: program blk0/pg1: data length 4097 > page size 4096",
 		"nand: reading an unprogrammed page: blk0/pg5",
 		"nand: power lost: program blk0/pg1",
 		"nand: power lost: read blk0/pg0",
@@ -370,10 +371,23 @@ func TestStatsCount(t *testing.T) {
 	}
 }
 
+// TestProgramWrongLength: a payload longer than a page is refused, and a
+// shorter one is a page that reads zero past it.
 func TestProgramWrongLength(t *testing.T) {
 	c := newTestChip(t, nil)
-	if _, err := c.ProgramPage(PageAddr{0, 0}, make([]byte, 100)); err == nil {
-		t.Fatal("short payload accepted")
+	if _, err := c.ProgramPage(PageAddr{0, 0}, make([]byte, 4097)); err == nil {
+		t.Fatal("payload longer than a page accepted")
+	}
+	short := []byte{1, 2, 3}
+	if _, err := c.ProgramPage(PageAddr{0, 0}, short); err != nil {
+		t.Fatalf("short payload: %v", err)
+	}
+	got, _, err := c.ReadPage(PageAddr{0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append(short, make([]byte, 4096-len(short))...); !bytes.Equal(zeroExtend(got, 4096), want) {
+		t.Fatalf("short payload reads back as %v, want it zero-extended", got)
 	}
 }
 

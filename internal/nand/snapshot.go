@@ -10,7 +10,9 @@ import (
 // cannot erase. It mirrors the chip's internal block bookkeeping with
 // exported fields so a snapshot codec outside this package can serialise
 // it. Meta and Data hold only the programmed prefix; pages past the prefix
-// carry nothing by construction.
+// carry nothing by construction. A payload in Data is at most PageSize
+// bytes and reads zero-extended to a page; the chip's own end at their
+// last non-zero byte.
 type BlockState struct {
 	EraseCount int
 	Healed     float64
@@ -81,8 +83,10 @@ func (c *Chip) ExportState() *ChipState {
 // in and the page payloads shared (see ExportState): an imported block is
 // marked so that erasing it drops the state's buffers, never recycles
 // them. The caller may import st into any number of chips, or discard it,
-// but must not write through its Data. The payloads of the chip's own that
-// the import replaces go back on its free list, so a chip that imports
+// but must not write through its Data. A payload may be shorter than a
+// page (the rest is zero); the chip keeps it up to its last non-zero byte,
+// by reslicing rather than copying. The payloads of the chip's own that
+// the import replaces go back on its free lists, so a chip that imports
 // state after state stops allocating.
 func (c *Chip) ImportState(st *ChipState) error {
 	if st.Geometry != c.geo {
@@ -103,8 +107,8 @@ func (c *Chip) ImportState(st *ChipState) error {
 			return fmt.Errorf("nand: ImportState: block %d: %d data entries, want %d", i, len(bs.Data), bs.NextPage)
 		}
 		for pg, d := range bs.Data {
-			if d != nil && len(d) != c.geo.PageSize {
-				return fmt.Errorf("nand: ImportState: block %d page %d: %d data bytes, want %d", i, pg, len(d), c.geo.PageSize)
+			if len(d) > c.geo.PageSize {
+				return fmt.Errorf("nand: ImportState: block %d page %d: %d data bytes, more than %d", i, pg, len(d), c.geo.PageSize)
 			}
 		}
 	}
@@ -115,11 +119,7 @@ func (c *Chip) ImportState(st *ChipState) error {
 		if !b.shared {
 			// The chip's own payloads: nothing outside it holds them, so a
 			// chip that takes a new state recycles them.
-			for _, buf := range b.pages[:b.nextPage] {
-				if buf != nil {
-					c.free = append(c.free, buf)
-				}
-			}
+			c.recycle(b.pages[:b.nextPage])
 		}
 		b.eraseCount = bs.EraseCount
 		b.healed = bs.Healed
@@ -136,7 +136,11 @@ func (c *Chip) ImportState(st *ChipState) error {
 		copy(b.meta, bs.Meta)
 		b.hasMeta = bs.Meta != nil
 		clear(b.pages)
-		copy(b.pages, bs.Data)
+		for pg, d := range bs.Data {
+			if d != nil {
+				b.pages[pg] = d[:payloadLen(d)]
+			}
+		}
 		b.shared = bs.Data != nil
 	}
 	return nil

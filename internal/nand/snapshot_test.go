@@ -79,11 +79,16 @@ func matchesChip(t *testing.T, what string, c *Chip, st *ChipState) {
 	}
 }
 
-// freeBuffers fails unless the chip's free list holds exactly n buffers.
+// freeBuffers fails unless the chip's free lists, over every size class,
+// hold exactly n buffers.
 func freeBuffers(t *testing.T, what string, c *Chip, n int) {
 	t.Helper()
-	if len(c.free) != n {
-		t.Errorf("%s: %d buffers on the free list, want %d", what, len(c.free), n)
+	got := 0
+	for _, cl := range c.classes {
+		got += len(cl.free)
+	}
+	if got != n {
+		t.Errorf("%s: %d buffers on the free lists, want %d", what, got, n)
 	}
 }
 

@@ -125,7 +125,8 @@ func TestWearScriptPinned(t *testing.T) {
 // TestProgramEraseAllocatesNothing: programs and erases are the inner loop
 // of every wear experiment and stay off the heap. An accounting-only
 // program allocates nothing even as a block's first program on a fresh
-// chip, and a payload program reuses a buffer an earlier erase freed.
+// chip, and a payload program reuses a buffer an earlier erase freed, in
+// whichever size class its payload falls.
 func TestProgramEraseAllocatesNothing(t *testing.T) {
 	c := newTestChip(t, nil)
 	blocks := c.geo.Blocks()
@@ -144,11 +145,18 @@ func TestProgramEraseAllocatesNothing(t *testing.T) {
 		t.Fatalf("ProgramPageOOB(nil payload) allocates %v times per call on a fresh chip, want 0", n)
 	}
 
-	page := filled(0x5A)
+	// Pages that end at every class edge and between them, all-zero and
+	// full pages included.
+	ends := []int{0, 1, 64, 65, 300, 512, 513, 2048, 4095, 4096}
+	pages := make([][]byte, len(ends))
+	for i, n := range ends {
+		pages[i] = filled(0x5A)
+		clear(pages[i][n:])
+	}
 	cycle := func() {
 		mustErase(t, c, 0)
 		for pg := range c.geo.PagesPerBlock {
-			if _, err := c.ProgramPage(PageAddr{0, pg}, page); err != nil {
+			if _, err := c.ProgramPage(PageAddr{0, pg}, pages[pg%len(pages)]); err != nil {
 				t.Fatal(err)
 			}
 		}
