@@ -253,20 +253,15 @@ type arena struct {
 	nchips int
 	oob    []nand.OOB
 	index  [][]byte
-	pages  [][]byte
-	// zero is the one all-zero page every zero-flagged page decodes to:
-	// the flag costs one input byte but claims PageSize, and a hostile
-	// frame could otherwise multiply a small payload into an arbitrarily
-	// large allocation. Safe to alias across the entries of the
-	// page-indexed BlockState.Data because NAND pages are write-once and
-	// an imported block's erase drops its pages, never recycles them
-	// (nand.ExportState).
-	zero []byte
+	// bytes holds the payloads, each carved only as long as a chip
+	// stores it: the span's offset plus the span. A zero-flagged page
+	// decodes to no bytes at all.
+	bytes []byte
 	// The next free entry of each of the three.
-	nOOB, nIndex, nPages int
+	nOOB, nIndex, nBytes int
 }
 
-func (a *arena) reset() { a.nchips, a.nOOB, a.nIndex, a.nPages = 0, 0, 0, 0 }
+func (a *arena) reset() { a.nchips, a.nOOB, a.nIndex, a.nBytes = 0, 0, 0, 0 }
 
 // chip returns the next chip state; chipState sizes its Blocks.
 func (a *arena) chip() *nand.ChipState {
@@ -291,20 +286,6 @@ func carve[T any](buf *[]T, next *int, n int) []T {
 	return out
 }
 
-// page returns the next pageSize buffer, contents undefined.
-func (a *arena) page(pageSize int) []byte {
-	if a.nPages == len(a.pages) {
-		a.pages = append(a.pages, nil)
-	}
-	p := a.pages[a.nPages]
-	if len(p) != pageSize {
-		p = make([]byte, pageSize)
-		a.pages[a.nPages] = p
-	}
-	a.nPages++
-	return p
-}
-
 // ---- layouts ----
 
 func (c *codec) fileHeader(h *fileHeader) {
@@ -322,8 +303,8 @@ func (c *codec) geometry(g *nand.Geometry) {
 
 // geometrySane caps a decoded geometry against resource exhaustion: a
 // frame that passes its CRC can still carry a hostile or drifted
-// geometry, and the chip-state decode allocates PageSize bytes per span
-// page (at least ten frame bytes each) before done() gets a chance to
+// geometry, and the chip-state decode allocates up to PageSize bytes per
+// span page (at least ten frame bytes each) before done() gets a chance to
 // reject the frame. The caps sit far above any simulated chip, so a
 // genuine state never trips them; PageSize's is also what lets a span's
 // offset and length-1 fit their u16 fields.
@@ -349,8 +330,11 @@ func (c *codec) nandStats(s *nand.Stats) {
 // zeros. The rewrite workloads write zero-filled buffers, so most data
 // pages are all-zero and cost one flag byte; what is left is file-system
 // metadata, a few short runs in a page of zeros, and the span is the part
-// that carries information. Each end skips zeros 64 bytes at a time (the
-// OR of eight words), then a word, then a byte.
+// that carries information. The leading zeros are skipped 64 bytes at a
+// time (the OR of eight words), then a word, then a byte. A chip stores a
+// payload only up to its last non-zero byte (nand.Chip.ReadPage), so the
+// trailing trim is one compare for every page a chip hands over; any
+// other page is trimmed byte by byte.
 func nonZeroSpan(p []byte) (lo, hi int) {
 	for lo+64 <= len(p) && orWords(p[lo:lo+64]) == 0 {
 		lo += 64
@@ -365,21 +349,8 @@ func nonZeroSpan(p []byte) (lo, hi int) {
 	for lo < len(p) && p[lo] == 0 {
 		lo++
 	}
-	if lo == len(p) {
-		return lo, lo
-	}
 	hi = len(p)
-	for hi-64 >= lo && orWords(p[hi-64:hi]) == 0 {
-		hi -= 64
-	}
-	for hi-8 >= lo {
-		if w := binary.LittleEndian.Uint64(p[hi-8:]); w != 0 {
-			hi -= bits.LeadingZeros64(w) / 8
-			break
-		}
-		hi -= 8
-	}
-	for p[hi-1] == 0 {
+	for hi > lo && p[hi-1] == 0 {
 		hi--
 	}
 	return lo, hi
@@ -396,10 +367,10 @@ func orWords(b []byte) uint64 {
 
 // page carries one payload: flag 1 for an all-zero page, else flag 0 and
 // [u16 offset][u16 len-1][the bytes from first to last non-zero]. A decode
-// gives the shared zero page, or a fresh pageSize slice around the span.
-// The span must be the canonical one — inside the page, non-zero at both
-// ends — because fork restamps cells by decode and re-encode, and that
-// must reproduce the bytes.
+// gives a chip's stored form: an empty payload, or the page up to the end
+// of its span, carved from the arena. The span must be the canonical one
+// — inside the page, non-zero at both ends — because fork restamps cells
+// by decode and re-encode, and that must reproduce the bytes.
 func (c *codec) page(p *[]byte, pageSize int) {
 	var lo, hi int
 	if !c.dec {
@@ -407,10 +378,7 @@ func (c *codec) page(p *[]byte, pageSize int) {
 	}
 	if zero := lo == hi; c.bool(&zero) {
 		if c.dec {
-			if len(c.a.zero) != pageSize {
-				c.a.zero = make([]byte, pageSize)
-			}
-			*p = c.a.zero
+			*p = noPayload
 		}
 		return
 	}
@@ -427,11 +395,15 @@ func (c *codec) page(p *[]byte, pageSize int) {
 		*p = nil
 		return
 	}
-	pg := c.a.page(pageSize)
+	pg := carve(&c.a.bytes, &c.a.nBytes, lo+len(span))
 	clear(pg[:lo])
-	clear(pg[lo+copy(pg[lo:], span):])
+	copy(pg[lo:], span)
 	*p = pg
 }
+
+// noPayload is what an all-zero page decodes to: empty, as a chip stores
+// it, but not nil, which would mean no payload at all.
+var noPayload = []byte{}
 
 // chipState carries a chip's state. A decode sizes st.Blocks and fills
 // each block's page-indexed Data (NextPage entries, nil where a page has

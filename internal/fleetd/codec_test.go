@@ -173,8 +173,10 @@ func TestCellIdentityCheck(t *testing.T) {
 // TestPageSpanCodec pins the page encoding byte for byte: an all-zero
 // page costs its flag, any other page costs flag + offset + length + the
 // bytes from its first to its last non-zero one, and every shape
-// round-trips. The decoder takes the canonical span only — a decoded cell
-// must re-encode to itself — so each other spelling is a corrupt frame.
+// round-trips to a chip's stored form (the page up to its last non-zero
+// byte, non-nil). The decoder takes the canonical span only — a decoded
+// cell must re-encode to itself — so each other spelling is a corrupt
+// frame.
 func TestPageSpanCodec(t *testing.T) {
 	const pageSize = 64
 	page := func(set ...int) []byte {
@@ -209,7 +211,10 @@ func TestPageSpanCodec(t *testing.T) {
 			t.Errorf("%s: decode: %v", tc.name, err)
 			continue
 		}
-		if !bytes.Equal(got, tc.data) {
+		if got == nil || len(got) > 0 && got[len(got)-1] == 0 {
+			t.Errorf("%s: decoded %v, not a stored form", tc.name, got)
+		}
+		if ext := append(bytes.Clone(got), make([]byte, pageSize-len(got))...); !bytes.Equal(ext, tc.data) {
 			t.Errorf("%s: round trip changed the page", tc.name)
 		}
 		var re codec
@@ -337,7 +342,7 @@ func TestCellBytesPinned(t *testing.T) {
 			for i := range chip.Blocks {
 				for _, data := range chip.Blocks[i].Data {
 					if lo, hi := nonZeroSpan(data); lo != hi {
-						whole += int64(len(data) - (4 + hi - lo))
+						whole += int64(chip.Geometry.PageSize - (4 + hi - lo))
 					}
 				}
 			}
@@ -387,4 +392,67 @@ func cellDigest(t *testing.T, raw []byte) string {
 	}
 	h.Write(footer)
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestChipPayloadsThroughCodec runs a payload with a trailing-zero run of
+// every length, 0 through PageSize, from a chip's View through the chip
+// codec and into another chip's ImportState: each decodes to the stored
+// form the source holds, byte for byte, and re-encodes to the same frame.
+// nand's TestStoredPayloadForm takes the same payloads through the chip's
+// own paths.
+func TestChipPayloadsThroughCodec(t *testing.T) {
+	geo := nand.Geometry{Dies: 1, PlanesPerDie: 1, BlocksPerPlane: 2, PagesPerBlock: 64, PageSize: 4096}
+	chip := func() *nand.Chip {
+		c, err := nand.New(nand.Config{Geometry: geo, Cell: nand.SLC, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	src, dst := chip(), chip()
+	ps, ppb := geo.PageSize, geo.PagesPerBlock
+	var view nand.ChipState
+	a := new(arena)
+	for z0 := 0; z0 <= ps; z0 += ppb {
+		for pg := 0; pg < ppb && z0+pg <= ps; pg++ {
+			n := ps - (z0 + pg)
+			p := make([]byte, ps)
+			for i := range n {
+				p[i] = byte(i*7 + pg)
+			}
+			if n > 0 {
+				p[n-1] = 0x80
+			}
+			if _, err := src.ProgramPage(nand.PageAddr{Block: 0, Page: pg}, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		src.View(&view)
+		var e codec
+		e.chipState(&view)
+		a.reset()
+		d := codec{b: e.b, dec: true, a: a}
+		var got nand.ChipState
+		d.chipState(&got)
+		if err := d.done(); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		var re codec
+		re.chipState(&got)
+		if !bytes.Equal(re.b, e.b) {
+			t.Errorf("run %d: re-encode differs", z0)
+		}
+		if err := dst.ImportState(&got); err != nil {
+			t.Fatal(err)
+		}
+		for pg, want := range view.Blocks[0].Data {
+			data, _, err := dst.ReadPage(nand.PageAddr{Block: 0, Page: pg})
+			if err != nil || data == nil || !bytes.Equal(data, want) {
+				t.Errorf("trailing run %d: imported %d bytes (err %v), source stores %d", z0+pg, len(data), err, len(want))
+			}
+		}
+		if _, err := src.EraseBlock(0); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
