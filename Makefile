@@ -19,9 +19,13 @@ vet:
 # module; exits non-zero on any finding or unused ignore directive. The
 # waiver audit then re-lists every ignore directive and ops-domain opt-out
 # and diffs it against the committed baseline, so a new waiver is a
-# reviewed diff of lint_waivers.txt, never a silent addition. Last, the
+# reviewed diff of lint_waivers.txt, never a silent addition. Then the
 # mutation table proves every pass still fires: each one must report its
-# own one-line break of a copy of the real tree, and nothing else.
+# own one-line break of a copy of the real tree, and nothing else. Last,
+# TestReachability builds every binary with inlining off and requires the
+# functions under internal/ that none of them links to be exactly
+# test_only_api.txt, each with its reason, so API that only tests reach
+# is a reviewed diff too.
 lint:
 	@mkdir -p bin
 	$(GO) build -o bin/flashvet ./cmd/flashvet
@@ -29,6 +33,7 @@ lint:
 	./bin/flashvet -waivers ./... >bin/lint_waivers.txt
 	diff -u lint_waivers.txt bin/lint_waivers.txt
 	$(GO) test -count=1 -run 'TestEachPassCatchesARealMutation|TestRealTreeClean' ./internal/analysis
+	$(GO) test -count=1 -run TestReachability .
 
 test:
 	$(GO) test ./...

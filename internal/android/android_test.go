@@ -47,7 +47,7 @@ func TestScheduleContains(t *testing.T) {
 func TestPhoneBootsBothFilesystems(t *testing.T) {
 	for _, kind := range []FSKind{FSExt4, FSF2FS} {
 		p := testPhone(t, kind)
-		if p.FS().Name() == "" {
+		if p.fsys.Name() == "" {
 			t.Errorf("%s: empty FS name", kind)
 		}
 		if err := p.Shutdown(); err != nil {
@@ -88,7 +88,7 @@ func TestAppSandboxIsolation(t *testing.T) {
 		t.Fatalf("app B sees %v", ents)
 	}
 	// The real file lives under A's private dir.
-	if _, err := p.FS().Stat("/data/com.example.a/secret.txt"); err != nil {
+	if _, err := p.fsys.Stat("/data/com.example.a/secret.txt"); err != nil {
 		t.Fatalf("file not under private dir: %v", err)
 	}
 	// Sandboxes cannot unmount the volume.
@@ -156,9 +156,6 @@ func TestPowerMonitorOnlyOnBattery(t *testing.T) {
 	if j := p.PowerMonitor().AttributedJoules("com.example.w"); j <= 0 {
 		t.Fatal("on-battery I/O not attributed")
 	}
-	if tops := p.PowerMonitor().TopConsumers(0.000001); len(tops) != 1 || tops[0] != "com.example.w" {
-		t.Fatalf("TopConsumers = %v", tops)
-	}
 }
 
 func TestProcessMonitorSeesScreenOnIO(t *testing.T) {
@@ -206,7 +203,14 @@ func TestProcessMonitorEvadedByScreenOffIO(t *testing.T) {
 	if n := p.ProcessMonitor().ObservedCount("com.example.stealth"); n != 0 {
 		t.Fatalf("stealth app observed %d times", n)
 	}
-	if p.ProcessMonitor().Samples() == 0 {
+	// A control app's screen-on I/O shows the monitor did sample.
+	c, _ := p.InstallApp("com.example.control")
+	g, _ := c.Storage().Create("/g")
+	if _, err := g.WriteAt(make([]byte, 4096), 0); err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(2 * time.Second)
+	if p.ProcessMonitor().ObservedCount("com.example.control") == 0 {
 		t.Fatal("monitor never sampled")
 	}
 }
@@ -291,10 +295,10 @@ func TestSandboxRenameConfined(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The rename happened inside the private dir.
-	if _, err := p.FS().Stat("/data/com.example.r/cfg"); err != nil {
+	if _, err := p.fsys.Stat("/data/com.example.r/cfg"); err != nil {
 		t.Fatalf("renamed file not in sandbox: %v", err)
 	}
-	if _, err := p.FS().Stat("/cfg"); err == nil {
+	if _, err := p.fsys.Stat("/cfg"); err == nil {
 		t.Fatal("rename escaped the sandbox")
 	}
 }

@@ -1,7 +1,6 @@
 package android
 
 import (
-	"sort"
 	"time"
 )
 
@@ -64,33 +63,14 @@ func (m *PowerMonitor) record(r *appRecord, bytes int64, charging bool) {
 // AttributedJoules returns the energy the monitor shows for an app.
 func (m *PowerMonitor) AttributedJoules(app string) float64 { return m.apps.get(app).joules }
 
-// TopConsumers returns the apps with energy attributed at or above the
-// threshold, most expensive first and, among equals, in install order —
-// the battery-stats screen a user would check.
-func (m *PowerMonitor) TopConsumers(thresholdJoules float64) []string {
-	var top []*appRecord
-	for _, r := range m.apps.order {
-		if r.joules > 0 && r.joules >= thresholdJoules {
-			top = append(top, r)
-		}
-	}
-	sort.SliceStable(top, func(i, j int) bool { return top[i].joules > top[j].joules })
-	var out []string
-	for _, r := range top {
-		out = append(out, r.name)
-	}
-	return out
-}
-
 // ProcessMonitor models the running-apps view: it refreshes roughly every
 // second, and only matters while the screen is on (nobody is looking
 // otherwise). An app that suspends its I/O whenever the screen lights up
 // evades it (§4.4).
 type ProcessMonitor struct {
 	// Window is the refresh interval (the paper observed ~1 second).
-	Window  time.Duration
-	apps    *appTable
-	samples int64
+	Window time.Duration
+	apps   *appTable
 }
 
 // Sample takes one refresh at simulated time t with the given screen state.
@@ -98,7 +78,6 @@ func (m *ProcessMonitor) Sample(t time.Duration, screenOn bool) {
 	if !screenOn {
 		return
 	}
-	m.samples++
 	for _, r := range m.apps.order {
 		if r.didIO && t-r.lastIO <= m.Window {
 			r.sightings++
@@ -108,15 +87,3 @@ func (m *ProcessMonitor) Sample(t time.Duration, screenOn bool) {
 
 // ObservedCount returns how many screen-on samples caught the app active.
 func (m *ProcessMonitor) ObservedCount(app string) int64 { return m.apps.get(app).sightings }
-
-// Samples returns the number of screen-on refreshes taken.
-func (m *ProcessMonitor) Samples() int64 { return m.samples }
-
-// ObservedFraction returns the fraction of screen-on samples that caught
-// the app.
-func (m *ProcessMonitor) ObservedFraction(app string) float64 {
-	if m.samples == 0 {
-		return 0
-	}
-	return float64(m.apps.get(app).sightings) / float64(m.samples)
-}

@@ -140,9 +140,6 @@ func (p *Phone) Clock() *simclock.Clock { return p.clock }
 // Device returns the phone's storage device.
 func (p *Phone) Device() *device.Device { return p.dev }
 
-// FS returns the phone's (root) file system.
-func (p *Phone) FS() fs.FileSystem { return p.fsys }
-
 // Charging reports the charger state now — observable by any app, which is
 // what makes the power-monitor evasion possible.
 func (p *Phone) Charging() bool { return p.cfg.Charging.Active(p.clock.Now()) }
@@ -155,11 +152,6 @@ func (p *Phone) ChargingAt(t time.Duration) bool { return p.cfg.Charging.Active(
 
 // ScreenOnAt reports the screen state at an arbitrary simulated time.
 func (p *Phone) ScreenOnAt(t time.Duration) bool { return p.cfg.Screen.Active(t) }
-
-// Bricked reports whether the phone's storage has failed — hard-bricked or
-// retired read-only; the paper equates either with the phone being
-// destroyed ("storage in mobile devices is not user-serviceable").
-func (p *Phone) Bricked() bool { return p.dev.Failed() }
 
 // PowerMonitor exposes the battery-stats view.
 func (p *Phone) PowerMonitor() *PowerMonitor { return p.powerMon }
@@ -252,9 +244,6 @@ func (a *App) Charging() bool { return a.phone.Charging() }
 
 // ScreenOn reports the screen state.
 func (a *App) ScreenOn() bool { return a.phone.ScreenOn() }
-
-// Now returns the app-visible current time.
-func (a *App) Now() time.Duration { return a.phone.clock.Now() }
 
 // Compile-time checks.
 var _ blockdev.Device = (*device.Device)(nil)

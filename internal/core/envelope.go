@@ -4,11 +4,7 @@
 // unprivileged attack app of §4.4 with its detection-evasion policies.
 package core
 
-import (
-	"time"
-
-	"flashwear/internal/device"
-)
+import "flashwear/internal/device"
 
 // Envelope is §2.3's back-of-the-envelope lifetime estimate: "take the
 // expected number of writes for the advertised LBA space ... divide by the
@@ -32,29 +28,3 @@ func (e Envelope) TotalHostBytes() int64 {
 
 // BytesPerIncrement returns the expected host bytes per 10% of lifetime.
 func (e Envelope) BytesPerIncrement() int64 { return e.TotalHostBytes() / 10 }
-
-// Lifetime returns how long the device should last at a sustained write
-// rate, per the estimate. §2.3: "the drive can be completely rewritten
-// three times a day over for three years".
-func (e Envelope) Lifetime(bytesPerSecond float64) time.Duration {
-	if bytesPerSecond <= 0 {
-		return 0
-	}
-	return time.Duration(float64(e.TotalHostBytes()) / bytesPerSecond * float64(time.Second))
-}
-
-// FullRewritesPerDayForYears returns the daily full-device rewrites the
-// estimate permits over a lifespan of the given years.
-func (e Envelope) FullRewritesPerDayForYears(years float64) float64 {
-	return float64(e.AssumedPE) / (years * 365)
-}
-
-// Shortfall compares a measured total host volume against the estimate:
-// the returned factor says how many times *less* the device endured than
-// promised (the paper's "roughly three times lower").
-func (e Envelope) Shortfall(measuredTotalHostBytes int64) float64 {
-	if measuredTotalHostBytes <= 0 {
-		return 0
-	}
-	return float64(e.TotalHostBytes()) / float64(measuredTotalHostBytes)
-}

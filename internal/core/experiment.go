@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"flashwear/internal/device"
@@ -21,12 +20,6 @@ type Increment struct {
 	Hours     float64 // simulated time the increment took
 	Pattern   string  // workload label active during the increment
 	SpaceUtil float64 // utilisation phase active during the increment
-}
-
-// String renders a Table 1-style row.
-func (inc Increment) String() string {
-	return fmt.Sprintf("%-7s %d-%d  %9.2f GiB  %8.2f h  %-22s %3.0f%%",
-		inc.Pool, inc.FromLevel, inc.ToLevel, inc.HostGiB, inc.Hours, inc.Pattern, inc.SpaceUtil*100)
 }
 
 // RunReport is the outcome of a wear run.

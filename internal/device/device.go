@@ -194,9 +194,6 @@ func (d *Device) Profile() Profile { return d.prof }
 // FTL exposes the translation layer for wear inspection.
 func (d *Device) FTL() *ftl.FTL { return d.f }
 
-// Clock returns the device's simulated clock.
-func (d *Device) Clock() *simclock.Clock { return d.clock }
-
 // EnableWearTrace attaches a wear-attribution tracer to the device stack
 // (nil detaches). Like telemetry, it should attach at device birth —
 // before mkfs — so attribution state starts alongside the flash state.
@@ -227,9 +224,6 @@ func (d *Device) ReadOnly() bool { return d.f.ReadOnly() }
 // Failed reports whether the device can no longer accept writes, whether
 // by graceful read-only retirement or a hard brick.
 func (d *Device) Failed() bool { return d.f.Failed() }
-
-// PowerLost reports whether the device is sitting unpowered after a cut.
-func (d *Device) PowerLost() bool { return d.f.PowerLost() }
 
 // Injector exposes the fault injector, or nil when no plan is attached.
 func (d *Device) Injector() *faultinject.Injector { return d.inj }
@@ -314,33 +308,6 @@ func (d *Device) PreEOLInfo() int {
 		return 0 // out-of-spec "not defined"
 	}
 	return d.f.PreEOLInfo()
-}
-
-// WearHistogram buckets the main pool's per-block wear into the given
-// number of equal-width bins over [0, maxWear], with maxWear the worst
-// block observed. It is the analysis view behind the wear-leveling
-// ablation: a healthy FTL concentrates blocks near the top bin (everyone
-// equally worn); a broken one spreads them out.
-func (d *Device) WearHistogram(bins int) []int {
-	if bins < 1 {
-		bins = 1
-	}
-	chip := d.f.MainChip()
-	blocks := chip.Geometry().Blocks()
-	maxW := chip.MaxWear()
-	h := make([]int, bins)
-	if maxW <= 0 {
-		h[0] = blocks
-		return h
-	}
-	for b := 0; b < blocks; b++ {
-		idx := int(chip.Wear(b) / maxW * float64(bins))
-		if idx >= bins {
-			idx = bins - 1
-		}
-		h[idx]++
-	}
-	return h
 }
 
 // serviceTime converts raw flash work plus a transfer into request latency.
@@ -539,16 +506,6 @@ func (d *Device) Discard(off, length int64) error {
 	}
 	d.advance(total, 0)
 	return nil
-}
-
-// Sanitize performs a whole-device secure erase — the factory-reset path.
-// It consumes one P/E cycle per block and, per the paper's argument about
-// permanently-consumable resources, restores none of the device's life.
-func (d *Device) Sanitize() error {
-	cost, err := d.f.Sanitize()
-	d.advance(cost, 0)
-	clear(d.auAppend)
-	return d.mapErr(err)
 }
 
 // Flush implements blockdev.Device.

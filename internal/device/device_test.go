@@ -137,11 +137,11 @@ func TestDeviceUnalignedRejected(t *testing.T) {
 
 func TestDeviceAdvancesClock(t *testing.T) {
 	d := newTestDevice(t, testProfile())
-	before := d.Clock().Now()
+	before := d.clock.Now()
 	if err := d.WriteAccounted(0, 64*1024); err != nil {
 		t.Fatal(err)
 	}
-	if d.Clock().Now() <= before {
+	if d.clock.Now() <= before {
 		t.Fatal("clock did not advance with I/O")
 	}
 	if d.BusyTime() <= 0 {
@@ -154,7 +154,7 @@ func TestBandwidthScalesWithRequestSize(t *testing.T) {
 	// plateau; tiny (sub-page) requests are slow due to RMW.
 	bw := func(reqSize int64) float64 {
 		d := newTestDevice(t, testProfile())
-		start := d.Clock().Now()
+		start := d.clock.Now()
 		var off int64
 		total := int64(4 << 20)
 		for written := int64(0); written < total; written += reqSize {
@@ -166,7 +166,7 @@ func TestBandwidthScalesWithRequestSize(t *testing.T) {
 				off = 0
 			}
 		}
-		elapsed := (d.Clock().Now() - start).Seconds()
+		elapsed := (d.clock.Now() - start).Seconds()
 		return float64(total) / elapsed / (1 << 20) // MiB/s
 	}
 	small, mid, large := bw(512), bw(4096), bw(256<<10)
@@ -181,7 +181,7 @@ func TestUSDRandomWritePenalty(t *testing.T) {
 	run := func(random bool) float64 {
 		d := newTestDevice(t, ProfileUSD16().Scaled(256))
 		rng := rand.New(rand.NewSource(1))
-		start := d.Clock().Now()
+		start := d.clock.Now()
 		total := int64(2 << 20)
 		var off int64
 		for w := int64(0); w < total; w += 4096 {
@@ -198,7 +198,7 @@ func TestUSDRandomWritePenalty(t *testing.T) {
 				}
 			}
 		}
-		return float64(total) / (d.Clock().Now() - start).Seconds() / (1 << 20)
+		return float64(total) / (d.clock.Now() - start).Seconds() / (1 << 20)
 	}
 	seq, rnd := run(false), run(true)
 	if rnd*4 > seq {
@@ -211,7 +211,7 @@ func TestEMMCRandomSimilarToSequential(t *testing.T) {
 	run := func(random bool) float64 {
 		d := newTestDevice(t, ProfileEMMC8().Scaled(256))
 		rng := rand.New(rand.NewSource(2))
-		start := d.Clock().Now()
+		start := d.clock.Now()
 		total := int64(2 << 20)
 		var off int64
 		for w := int64(0); w < total; w += 4096 {
@@ -228,7 +228,7 @@ func TestEMMCRandomSimilarToSequential(t *testing.T) {
 				}
 			}
 		}
-		return float64(total) / (d.Clock().Now() - start).Seconds() / (1 << 20)
+		return float64(total) / (d.clock.Now() - start).Seconds() / (1 << 20)
 	}
 	seq, rnd := run(false), run(true)
 	ratio := rnd / seq
@@ -375,6 +375,9 @@ func TestEffectiveScale(t *testing.T) {
 	}
 }
 
+// TestWearHistogramTight buckets the main pool's per-block wear into ten
+// equal-width bins over [0, maxWear]: with wear-leveling on, the bulk of
+// blocks sit in the top bins (everyone equally worn).
 func TestWearHistogramTight(t *testing.T) {
 	d := newTestDevice(t, testProfile())
 	rng := rand.New(rand.NewSource(9))
@@ -384,21 +387,17 @@ func TestWearHistogramTight(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h := d.WearHistogram(10)
-	blocks := 0
-	for _, c := range h {
-		blocks += c
+	chip := d.FTL().MainChip()
+	blocks, maxW := chip.Geometry().Blocks(), chip.MaxWear()
+	if maxW <= 0 {
+		t.Fatal("no wear accumulated")
 	}
-	if blocks != d.FTL().MainChip().Geometry().Blocks() {
-		t.Fatalf("histogram covers %d blocks", blocks)
+	var h [10]int
+	for b := 0; b < blocks; b++ {
+		h[min(int(chip.Wear(b)/maxW*10), 9)]++
 	}
-	// With wear-leveling on, the bulk of blocks sit in the top bins.
-	top := h[8] + h[9]
-	if top < blocks/2 {
+	if top := h[8] + h[9]; top < blocks/2 {
 		t.Fatalf("wear histogram too spread: top bins hold %d of %d", top, blocks)
-	}
-	if len(d.WearHistogram(0)) != 1 {
-		t.Fatal("bins<1 not clamped")
 	}
 }
 
@@ -406,51 +405,6 @@ func TestHealingProfileBuilds(t *testing.T) {
 	p := testProfile()
 	p.HealPerIdleHour = 5
 	d := newTestDevice(t, p)
-	if err := d.WriteAccounted(0, 4096); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSanitizeErasesButDoesNotHeal(t *testing.T) {
-	p := testProfile()
-	p.RatedPE = 300
-	d := newTestDevice(t, p)
-	// Wear the device partway and store some data.
-	if err := d.WriteAt(bytes.Repeat([]byte{9}, 8192), 0); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(12))
-	for i := 0; i < 120_000; i++ {
-		off := int64(rng.Intn(int(d.Size()/4096/8))) * 4096
-		if err := d.WriteAccounted(off, 4096); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lifeBefore := d.FTL().LifeConsumed(ftl.PoolB)
-	if lifeBefore <= 0 {
-		t.Fatal("no wear accumulated")
-	}
-	if err := d.Sanitize(); err != nil {
-		t.Fatalf("Sanitize: %v", err)
-	}
-	// Data gone...
-	got := make([]byte, 4096)
-	if err := d.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range got {
-		if b != 0 {
-			t.Fatalf("byte %d survived sanitize", i)
-		}
-	}
-	if d.FTL().Utilisation() != 0 {
-		t.Fatal("utilisation nonzero after sanitize")
-	}
-	// ...but the consumed life is not restored; it grew (one more cycle).
-	if life := d.FTL().LifeConsumed(ftl.PoolB); life <= lifeBefore {
-		t.Fatalf("sanitize 'healed' the device: %v -> %v", lifeBefore, life)
-	}
-	// The device still works afterwards.
 	if err := d.WriteAccounted(0, 4096); err != nil {
 		t.Fatal(err)
 	}

@@ -42,8 +42,9 @@ type Config struct {
 	MetricsSink func(label string, eff int64, series *telemetry.Series) error
 	// WearSink, when non-nil, attaches a wtrace tracer to each wear run's
 	// device (at birth, before mkfs) and hands it over when the run ends.
-	// Setup runs as origin "os", the attack workload as "workload"; ledger
-	// counts are device-scale — multiply by eff for full scale.
+	// mkfs and mount run as origin "os", the attack's file-set fill and
+	// rewrites as "workload"; ledger counts are device-scale — multiply by
+	// eff for full scale.
 	WearSink func(label string, eff int64, tr *wtrace.Tracer) error
 	// WearEvents, when positive, also buffers up to this many Chrome trace
 	// events on the tracer handed to WearSink.
@@ -119,8 +120,9 @@ func runFileWear(prof device.Profile, kind android.FSKind, cfg Config) (core.Run
 	// include the file-system fill (DESIGN.md §7). The sampler starts only
 	// after every instrument is registered (a sample firing mid-mkfs would
 	// otherwise freeze the series' column layout too early).
-	// Wear tracing also attaches at birth, so mkfs and the FS fill land on
-	// origin "os" and everything else is attributable from the first write.
+	// Wear tracing also attaches at birth, so mkfs lands on origin "os"
+	// and everything else, the file-set fill included, on "workload" from
+	// the first write.
 	var tr *wtrace.Tracer
 	if cfg.WearSink != nil {
 		tr = wtrace.New()

@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -257,7 +258,7 @@ func TestInjectorInstrument(t *testing.T) {
 	j.Inject(nand.OpRead)
 	snap := reg.Snapshot(0)
 	for name, want := range map[string]int64{"fault.ops": 1, "fault.read_faults": 1, "fault.power_cuts": 0} {
-		i := snap.Index(name)
+		i := slices.IndexFunc(snap.Points, func(p telemetry.Point) bool { return p.Name == name })
 		if i < 0 {
 			t.Fatalf("missing instrument %s", name)
 		}

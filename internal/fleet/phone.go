@@ -98,11 +98,11 @@ func NewPhone(spec Spec, p Params, plan *faultinject.Plan, clock *simclock.Clock
 		return nil, ph.fail(err)
 	}
 	ph.Dev = dev
-	// Wear attribution attaches at device birth: mkfs, mount and the fill
-	// run untagged (origin "os"), and the file system handed to the
-	// workload is wrapped so every operation it issues — and all the GC,
-	// wear-leveling and cache work those writes cause — is charged to the
-	// device's workload class.
+	// Wear attribution attaches at device birth: mkfs and mount run
+	// untagged (origin "os"), and the file system handed to the workload
+	// is wrapped so every operation it issues — the working files' fill
+	// included, and all the GC, wear-leveling and cache work those writes
+	// cause — is charged to the device's workload class.
 	if spec.WearTrace {
 		tr := wtrace.New()
 		dev.EnableWearTrace(tr)

@@ -98,11 +98,12 @@ type Spec struct {
 	// a pure function of the Spec — determinism is preserved.
 	Faults *faultinject.Plan
 	// WearTrace, when true, attaches a wear-attribution tracer to every
-	// device: setup (mkfs/mount/initial fill) runs as origin "os", the
-	// workload as its class name, and the per-origin ledgers — scaled to
-	// full-scale volumes like everything else — merge by origin name into
-	// Result.Wear. Merging is integer-additive, so the ledger is a pure
-	// function of the Spec, byte-identical across Workers (DESIGN.md §6).
+	// device: mkfs and mount run as origin "os", the working files' fill
+	// and the workload as its class name, and the per-origin ledgers —
+	// scaled to full-scale volumes like everything else — merge by origin
+	// name into Result.Wear. Merging is integer-additive, so the ledger is
+	// a pure function of the Spec, byte-identical across Workers
+	// (DESIGN.md §6).
 	WearTrace bool
 }
 

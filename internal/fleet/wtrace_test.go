@@ -5,6 +5,7 @@ import (
 	"context"
 	"testing"
 
+	"flashwear/internal/simclock"
 	"flashwear/internal/wtrace"
 )
 
@@ -66,5 +67,37 @@ func TestFleetWearDeterminism(t *testing.T) {
 		if causes := r.HostPrograms + r.GCPrograms + r.WLPrograms + r.CachePrograms; r.PhysPages != causes {
 			t.Errorf("origin %q: phys_pages %d != cause sum %d", r.Origin, r.PhysPages, causes)
 		}
+	}
+}
+
+// TestFirstBootWearOrigins pins where a first boot's writes are charged
+// with Spec.WearTrace on: mkfs runs untagged, on origin "os", and the
+// working files' fill goes through the workload's tagged file system, so
+// the fill lands on the device's class row, not on "os".
+func TestFirstBootWearOrigins(t *testing.T) {
+	spec := testSpec(1)
+	spec.Seed, spec.Scale, spec.WearTrace = 3, 4096, true
+	spec = spec.Defaults()
+	p := spec.Sample(0)
+	ph, err := NewPhone(spec, p, nil, simclock.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if died, err := ph.FirstBoot(); err != nil || died {
+		t.Fatalf("FirstBoot: died %v, %v", died, err)
+	}
+	rows := map[string]wtrace.Row{}
+	snap := ph.Dev.WearTracer().Snapshot()
+	for _, r := range snap.Rows {
+		rows[r.Origin] = r
+	}
+	class, osRow := rows[p.Class.String()], rows["os"]
+	fill := int64(ph.set.NumFiles) * ph.set.FileSize / snap.PageSize
+	t.Logf("after FirstBoot: %s %d host pages, os %d, fill %d", p.Class, class.HostPages, osRow.HostPages, fill)
+	if class.HostPages < fill {
+		t.Errorf("class %q row has %d host pages, want at least the fill's %d", p.Class, class.HostPages, fill)
+	}
+	if osRow.HostPages == 0 || osRow.HostPages >= fill {
+		t.Errorf("os row has %d host pages, want mkfs's: more than 0, fewer than the fill's %d", osRow.HostPages, fill)
 	}
 }

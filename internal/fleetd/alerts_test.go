@@ -18,8 +18,7 @@ func simFingerprint(c *Campaign) []byte {
 	var buf bytes.Buffer
 	for _, e := range c.Events(0) {
 		if e.Sim {
-			buf.WriteString(e.SimString())
-			buf.WriteByte('\n')
+			fmt.Fprintf(&buf, "%s day=%d rule=%s value=%s detail=%s\n", e.Type, e.Day, e.Rule, e.Value, e.Detail)
 		}
 	}
 	return buf.Bytes()
@@ -87,7 +86,7 @@ func TestAlertEventsSurviveResume(t *testing.T) {
 	ref := simFingerprint(runToEnd(t, t.TempDir(), spec))
 
 	dir := t.TempDir()
-	m1, err := NewManager(dir)
+	m1, err := NewManagerOpts(Options{DataDir: dir})
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
@@ -97,7 +96,7 @@ func TestAlertEventsSurviveResume(t *testing.T) {
 	}
 	c1.Pause()
 
-	m2, err := NewManager(dir)
+	m2, err := NewManagerOpts(Options{DataDir: dir})
 	if err != nil {
 		t.Fatalf("adopting manager: %v", err)
 	}

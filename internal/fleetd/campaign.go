@@ -80,19 +80,14 @@ type Options struct {
 	CheckpointRetry obs.Backoff
 }
 
-// NewManager creates a manager over the real host filesystem. A non-empty
-// dataDir is created if needed and scanned for existing campaigns, which
-// are adopted in StatePaused — restart never silently burns CPU; the
-// operator resumes explicitly.
-func NewManager(dataDir string) (*Manager, error) {
-	return NewManagerOpts(Options{DataDir: dataDir})
-}
-
 // NewManagerOpts creates a manager with explicit host-I/O and retry
-// policy. Adoption is self-healing: orphaned checkpoint .tmp files (a
-// crash mid-write) are swept away, and a campaign directory whose
-// campaign.json is missing or garbled is skipped — its ID is still
-// retired so a later submit can never collide with its leftovers.
+// policy. A non-empty DataDir is created if needed and scanned for
+// existing campaigns, which are adopted in StatePaused — restart never
+// silently burns CPU; the operator resumes explicitly. Adoption is
+// self-healing: orphaned checkpoint .tmp files (a crash mid-write) are
+// swept away, and a campaign directory whose campaign.json is missing or
+// garbled is skipped — its ID is still retired so a later submit can
+// never collide with its leftovers.
 func NewManagerOpts(opts Options) (*Manager, error) {
 	fsys := opts.FS
 	if fsys == nil {
@@ -499,9 +494,6 @@ type Campaign struct {
 
 // ID returns the campaign's identifier.
 func (c *Campaign) ID() string { return c.id }
-
-// Spec returns the submitted (defaulted) spec.
-func (c *Campaign) Spec() CampaignSpec { return c.spec }
 
 // epochLen is the effective epoch length in days: CheckpointEvery when a
 // data directory backs the campaign, otherwise one epoch spans the whole

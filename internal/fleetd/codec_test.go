@@ -423,7 +423,7 @@ func TestChipPayloadsThroughCodec(t *testing.T) {
 			if n > 0 {
 				p[n-1] = 0x80
 			}
-			if _, err := src.ProgramPage(nand.PageAddr{Block: 0, Page: pg}, p); err != nil {
+			if _, err := src.ProgramPageOOB(nand.PageAddr{Block: 0, Page: pg}, p, nand.OOB{LP: -1}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -159,7 +159,7 @@ func TestCrashResumeEquivalence(t *testing.T) {
 			ref := fingerprint(t, runToEnd(t, t.TempDir(), spec))
 
 			dir := t.TempDir()
-			m1, err := NewManager(dir)
+			m1, err := NewManagerOpts(Options{DataDir: dir})
 			if err != nil {
 				t.Fatalf("NewManager: %v", err)
 			}
@@ -170,7 +170,7 @@ func TestCrashResumeEquivalence(t *testing.T) {
 			interrupt(c1)
 			// The first manager is dead. A fresh process adopts the
 			// directory; the campaign comes back paused with its spec.
-			m2, err := NewManager(dir)
+			m2, err := NewManagerOpts(Options{DataDir: dir})
 			if err != nil {
 				t.Fatalf("NewManager (restart): %v", err)
 			}
@@ -214,7 +214,7 @@ func TestResumeAfterTruncatedCell(t *testing.T) {
 		t.Fatalf("truncate cell: %v", err)
 	}
 
-	m, err := NewManager(dir)
+	m, err := NewManagerOpts(Options{DataDir: dir})
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
@@ -250,7 +250,7 @@ func TestFork(t *testing.T) {
 	if err := fk.Wait(); err != nil {
 		t.Fatalf("fork failed: %v", err)
 	}
-	if got := fk.Spec().Days; got != 7 {
+	if got := fk.spec.Days; got != 7 {
 		t.Fatalf("fork days = %d, want 7", got)
 	}
 	srcSeries, fkSeries := src.Series(), fk.Series()

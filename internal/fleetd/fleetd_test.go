@@ -26,7 +26,7 @@ func tinySpec() CampaignSpec {
 // runToEnd submits spec on a fresh manager and waits for completion.
 func runToEnd(t *testing.T, dataDir string, spec CampaignSpec) *Campaign {
 	t.Helper()
-	m, err := NewManager(dataDir)
+	m, err := NewManagerOpts(Options{DataDir: dataDir})
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}

@@ -21,7 +21,7 @@ import (
 
 func newTestServer(t *testing.T) (*Manager, *Server, *httptest.Server) {
 	t.Helper()
-	m, err := NewManager(t.TempDir())
+	m, err := NewManagerOpts(Options{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
@@ -189,7 +189,7 @@ func TestIdempotentConcurrentDuplicates(t *testing.T) {
 // responses are retried (with the same Idempotency-Key) until the server
 // recovers.
 func TestClientRetriesAfter5xx(t *testing.T) {
-	m, err := NewManager(t.TempDir())
+	m, err := NewManagerOpts(Options{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

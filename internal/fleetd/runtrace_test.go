@@ -24,7 +24,7 @@ import (
 // the buffer.
 func runTraced(t *testing.T, dataDir string, spec CampaignSpec) (*Manager, *Campaign) {
 	t.Helper()
-	m, err := NewManager(dataDir)
+	m, err := NewManagerOpts(Options{DataDir: dataDir})
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
@@ -106,7 +106,7 @@ func TestTracingInvisibleAcrossCrashResume(t *testing.T) {
 	ref := fingerprint(t, runToEnd(t, t.TempDir(), spec))
 
 	dir := t.TempDir()
-	m1, err := NewManager(dir)
+	m1, err := NewManagerOpts(Options{DataDir: dir})
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
@@ -116,7 +116,7 @@ func TestTracingInvisibleAcrossCrashResume(t *testing.T) {
 		t.Fatalf("Submit: %v", err)
 	}
 	interrupt(c1)
-	m2, err := NewManager(dir)
+	m2, err := NewManagerOpts(Options{DataDir: dir})
 	if err != nil {
 		t.Fatalf("NewManager (restart): %v", err)
 	}
@@ -206,7 +206,7 @@ func TestPhaseTotalsReconcile(t *testing.T) {
 // TestTraceHTTPEndpoints drives the ops-plane trace window over HTTP:
 // status → start → (campaign runs) → stop → fetch, plus the pprof mounts.
 func TestTraceHTTPEndpoints(t *testing.T) {
-	m, err := NewManager(t.TempDir())
+	m, err := NewManagerOpts(Options{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}

@@ -33,7 +33,7 @@ func TestCampaignPanicContainment(t *testing.T) {
 	}
 	defer func() { panicHook = nil }()
 
-	m, err := NewManager(t.TempDir())
+	m, err := NewManagerOpts(Options{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
@@ -76,7 +76,7 @@ func TestCampaignPanicContainment(t *testing.T) {
 // HTTP round trip: submit, poll, series, ledger, result, pause/resume
 // conflict handling, and fork.
 func TestServerAPI(t *testing.T) {
-	m, err := NewManager(t.TempDir())
+	m, err := NewManagerOpts(Options{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
@@ -193,7 +193,7 @@ func TestServerAPI(t *testing.T) {
 // failure mode a client can trip: unknown ids, malformed bodies, bad fork
 // grids, and operations against campaigns in the wrong state.
 func TestServerErrorPaths(t *testing.T) {
-	m, err := NewManager(t.TempDir())
+	m, err := NewManagerOpts(Options{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
@@ -303,7 +303,7 @@ func TestServerErrorPaths(t *testing.T) {
 // /metrics serves the mandatory Prometheus families and /events serves
 // the journal with ?since and jsonl support.
 func TestServerMetricsAndEvents(t *testing.T) {
-	m, err := NewManager(t.TempDir())
+	m, err := NewManagerOpts(Options{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
@@ -422,7 +422,7 @@ func TestServerMetricsAndEvents(t *testing.T) {
 // requires live delivery: progress events arrive while the campaign runs,
 // in contiguous seq order, ending with the terminal event.
 func TestWatchSSE(t *testing.T) {
-	m, err := NewManager(t.TempDir())
+	m, err := NewManagerOpts(Options{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}

@@ -263,7 +263,7 @@ func TestTortureOrphanTmpSwept(t *testing.T) {
 	if err := os.WriteFile(stray, []byte("partial checkpoint bytes"), 0o644); err != nil {
 		t.Fatalf("planting stray tmp: %v", err)
 	}
-	m2, err := NewManager(dir)
+	m2, err := NewManagerOpts(Options{DataDir: dir})
 	if err != nil {
 		t.Fatalf("NewManager over dirty dir: %v", err)
 	}
@@ -294,7 +294,7 @@ func TestTortureAdoptionSkipsHalfSubmittedDir(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(half, "events.jsonl"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewManager(dir)
+	m, err := NewManagerOpts(Options{DataDir: dir})
 	if err != nil {
 		t.Fatalf("adoption failed over half-submitted dir: %v", err)
 	}
@@ -339,7 +339,7 @@ func TestTortureJournalContiguousAcrossFaults(t *testing.T) {
 	}
 	// A fresh process reads the durable file; whatever prefix it holds
 	// must be contiguous from 1 (OpenJournalFS fails the open otherwise).
-	j, err := obs.OpenJournal(filepath.Join(dir, c.ID(), "events.jsonl"))
+	j, err := obs.OpenJournalFS(hostio.OS{}, filepath.Join(dir, c.ID(), "events.jsonl"))
 	if err != nil {
 		t.Fatalf("reopening journal: %v", err)
 	}
@@ -385,7 +385,7 @@ func TestTortureDrain(t *testing.T) {
 	ref := fingerprint(t, runToEnd(t, t.TempDir(), spec))
 
 	dir := t.TempDir()
-	m, err := NewManager(dir)
+	m, err := NewManagerOpts(Options{DataDir: dir})
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}

@@ -56,17 +56,6 @@ type FS struct {
 	statReplayedTxns     int
 }
 
-// Stats reports FS-internal activity, used by the write-amplification
-// experiments.
-type Stats struct {
-	JournalCommits   int64
-	JournalBlocks    int64 // journal-region block writes (desc + bodies + commit)
-	CheckpointWrites int64
-	DataBlocks       int64 // file-content block writes
-	ReplayedTxns     int
-	FreeBlocks       int64
-}
-
 // Mkfs formats the device with a fresh, empty extfs volume.
 func Mkfs(dev blockdev.Device) error {
 	sb, err := computeLayout(dev.Size())
@@ -232,18 +221,6 @@ func (v *FS) mount(dev blockdev.Device, opts fs.Options) error {
 
 // Name implements fs.FileSystem.
 func (v *FS) Name() string { return "extfs" }
-
-// Stats returns internal counters.
-func (v *FS) Stats() Stats {
-	return Stats{
-		JournalCommits:   v.statJournalCommits,
-		JournalBlocks:    v.statJournalBlocks,
-		CheckpointWrites: v.statCheckpointWrites,
-		DataBlocks:       v.statDataBlocks,
-		ReplayedTxns:     v.statReplayedTxns,
-		FreeBlocks:       v.freeBlocks,
-	}
-}
 
 func (v *FS) nowNanos() int64 {
 	v.nowCounter++

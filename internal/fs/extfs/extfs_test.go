@@ -938,3 +938,25 @@ func TestFsckDetectsCorruption(t *testing.T) {
 		t.Fatal("fsck missed a deliberately corrupted bitmap")
 	}
 }
+
+// Stats reports FS-internal activity.
+type Stats struct {
+	JournalCommits   int64
+	JournalBlocks    int64 // journal-region block writes (desc + bodies + commit)
+	CheckpointWrites int64
+	DataBlocks       int64 // file-content block writes
+	ReplayedTxns     int
+	FreeBlocks       int64
+}
+
+// Stats returns internal counters.
+func (v *FS) Stats() Stats {
+	return Stats{
+		JournalCommits:   v.statJournalCommits,
+		JournalBlocks:    v.statJournalBlocks,
+		CheckpointWrites: v.statCheckpointWrites,
+		DataBlocks:       v.statDataBlocks,
+		ReplayedTxns:     v.statReplayedTxns,
+		FreeBlocks:       v.freeBlocks,
+	}
+}

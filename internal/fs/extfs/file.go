@@ -178,7 +178,9 @@ func (h *names) Fsync(in *inode, syncs *int) error {
 	return v.commit()
 }
 
-// truncateInode shrinks (or sparsely grows) an inode to size.
+// truncateInode shrinks (or sparsely grows) an inode to size. A shrink
+// into a block zeroes the rest of it, as ext4's block_truncate_page does,
+// so a later growth reads zeros there; a hole stays a hole.
 func (v *FS) truncateInode(in *inode, size int64) error {
 	if size >= in.size {
 		if size != in.size {
@@ -186,6 +188,17 @@ func (v *FS) truncateInode(in *inode, size int64) error {
 			in.hardDirty = true
 		}
 		return nil
+	}
+	if off := size % BlockSize; off != 0 {
+		blk, err := v.bmap(in, size/BlockSize, false)
+		if err != nil {
+			return err
+		}
+		if blk != 0 {
+			if err := v.writeData(blk, make([]byte, BlockSize-off), int(off)); err != nil {
+				return err
+			}
+		}
 	}
 	firstDead := (size + BlockSize - 1) / BlockSize
 	// Free direct blocks.

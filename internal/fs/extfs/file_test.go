@@ -16,14 +16,14 @@ import (
 // that reaches every path of a file handle (fileScript), before a crash
 // and after the remount that replays the journal.
 func TestFileImagePinned(t *testing.T) {
-	const want = `before: image 0219ac33d43ea61c85bd196bfe411e654703bd97142c8001b4c80b405f1299c8
-  stats {JournalCommits:9 JournalBlocks:38 CheckpointWrites:3 DataBlocks:16 ReplayedTxns:0 FreeBlocks:1992}
-  io reads 29 (118784 B) writes 114 (466944 B) discards 11 flushes 15
-  reads 7b3cc5d9824f3ebe95a2fa212fbf6b3a73550d8601017be354a69aeec916c7cb
-after: image 03542c34590b997fb1b003c64489201124446bc636346a0ad9cdec38c6007bbe
+	const want = `before: image 68421b5086e5999c3e2fbc5dfdc0c4a2f9cb94e9f20c1add78fa5832049f32e6
+  stats {JournalCommits:9 JournalBlocks:38 CheckpointWrites:3 DataBlocks:17 ReplayedTxns:0 FreeBlocks:1992}
+  io reads 30 (122880 B) writes 115 (471040 B) discards 11 flushes 15
+  reads 97a031822c1ffc44c710a2f2aa1f3977de11eb5d746c54edf6a4bedb7ce3be6b
+after: image 90cc97c9ab4d8a42cef2c2dcbfd9762ba8b6bbd6436ac24c2460b32fd0c3b17c
   stats {JournalCommits:0 JournalBlocks:0 CheckpointWrites:0 DataBlocks:0 ReplayedTxns:2 FreeBlocks:1992}
-  io reads 47 (192512 B) writes 119 (487424 B) discards 11 flushes 18
-  reads d5b007337132c6756b7a94a9562fcdf4f6b1e943392b6e5ae450a172e9ddaca6
+  io reads 48 (196608 B) writes 120 (491520 B) discards 11 flushes 18
+  reads 9d9b64a4986e31e84e83e21b357e21d01e6a519e3d9c619d18d79059e83c3b8a
 `
 	mem, err := blockdev.NewMem(8<<20, 512)
 	if err != nil {
@@ -80,8 +80,7 @@ func fileScript(t *testing.T, v fs.FileSystem) string {
 	}
 	f, err := v.Create("/f")
 	must(err)
-	// model holds the file's bytes up to its size, and past it the old
-	// bytes a shrink left in its last block.
+	// model holds the file's bytes up to its size.
 	var model []byte
 	var size int64
 	sum := sha256.New()
@@ -114,13 +113,12 @@ func fileScript(t *testing.T, v fs.FileSystem) string {
 		}
 		sum.Write(p[:got])
 	}
-	// A shrink frees the blocks past the new size but leaves the rest of
-	// the last block as it was: a later growth reads those old bytes
-	// back, where POSIX reads zeros. Both file systems do this today.
+	// A shrink drops every byte past the new size: a later growth reads
+	// zeros there.
 	truncate := func(to int64) {
 		t.Helper()
 		must(f.Truncate(to))
-		model = model[:min((to+bs-1)/bs*bs, int64(len(model)))]
+		model = model[:min(to, int64(len(model)))]
 		size = min(size, to)
 		grow(to)
 	}

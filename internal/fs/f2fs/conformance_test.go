@@ -103,7 +103,7 @@ func TestCrashConformanceOnFaultyFlash(t *testing.T) {
 			t.Fatal(err)
 		}
 		mount := func(t *testing.T) fstest.CrashFS {
-			if dev.PowerLost() {
+			if dev.FTL().PowerLost() {
 				if err := dev.PowerCycle(); err != nil {
 					t.Fatalf("power cycle: %v", err)
 				}

@@ -49,16 +49,6 @@ type FS struct {
 	statRolledForward int64
 }
 
-// Stats reports FS-internal activity.
-type Stats struct {
-	NodeWrites      int64
-	DataWrites      int64 // file-content block writes through the data log
-	Checkpoints     int64
-	CleanedSegments int64
-	RolledForward   int64
-	FreeSegments    int
-}
-
 // Mkfs formats the device with a fresh, empty f2fs volume.
 func Mkfs(dev blockdev.Device) error {
 	sb, err := computeLayout(dev.Size())
@@ -175,18 +165,6 @@ func Mount(dev blockdev.Device, opts fs.Options) (*FS, error) {
 
 // Name implements fs.FileSystem.
 func (v *FS) Name() string { return "f2fs" }
-
-// Stats returns internal counters.
-func (v *FS) Stats() Stats {
-	return Stats{
-		NodeWrites:      v.statNodeWrites,
-		DataWrites:      v.statDataWrites,
-		Checkpoints:     v.statCheckpoints,
-		CleanedSegments: v.statCleanedSegs,
-		RolledForward:   v.statRolledForward,
-		FreeSegments:    v.freeSegs,
-	}
-}
 
 func (v *FS) nowNanos() int64 {
 	v.nowCounter++

@@ -747,3 +747,25 @@ func TestIndirectSlotBound(t *testing.T) {
 	}
 	check(v2, "after truncating into the direct range", 0)
 }
+
+// Stats reports FS-internal activity.
+type Stats struct {
+	NodeWrites      int64
+	DataWrites      int64 // file-content block writes through the data log
+	Checkpoints     int64
+	CleanedSegments int64
+	RolledForward   int64
+	FreeSegments    int
+}
+
+// Stats returns internal counters.
+func (v *FS) Stats() Stats {
+	return Stats{
+		NodeWrites:      v.statNodeWrites,
+		DataWrites:      v.statDataWrites,
+		Checkpoints:     v.statCheckpoints,
+		CleanedSegments: v.statCleanedSegs,
+		RolledForward:   v.statRolledForward,
+		FreeSegments:    v.freeSegs,
+	}
+}

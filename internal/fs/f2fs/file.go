@@ -162,12 +162,25 @@ func (h *names) Fsync(n *node, _ *int) error {
 }
 
 // truncateNode shrinks (or sparsely grows) a node to size, invalidating
-// dropped blocks and releasing empty indirect nodes.
+// dropped blocks and releasing empty indirect nodes. A shrink into a
+// block rewrites it with the rest zeroed, so a later growth reads zeros
+// there; a hole stays a hole.
 func (v *FS) truncateNode(in *node, size int64) error {
 	if size >= in.size {
 		in.size = size
 		in.dirty = true
 		return nil
+	}
+	if off := size % BlockSize; off != 0 {
+		holder, slot, err := v.mapSlot(in, size/BlockSize, false)
+		if err != nil {
+			return err
+		}
+		if holder != nil && holder.ptr(slot) != 0 {
+			if err := (*names)(v).WriteBlock(in, size/BlockSize, int(off), make([]byte, BlockSize-off)); err != nil {
+				return err
+			}
+		}
 	}
 	firstDead := (size + BlockSize - 1) / BlockSize
 	for s := uint32(firstDead); s < NDirect; s++ {

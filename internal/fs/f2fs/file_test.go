@@ -16,14 +16,14 @@ import (
 // that reaches every path of a file handle (fileScript), before a crash
 // and after the remount that rolls forward.
 func TestFileImagePinned(t *testing.T) {
-	const want = `before: image 07f179a68a698dfc42cd1d6cd6c02b368810196730192271e3a861998e718e55
-  stats {NodeWrites:16 DataWrites:18 Checkpoints:1 CleanedSegments:0 RolledForward:0 FreeSegments:29}
-  io reads 25 (102400 B) writes 44 (180224 B) discards 1 flushes 14
-  reads 7b3cc5d9824f3ebe95a2fa212fbf6b3a73550d8601017be354a69aeec916c7cb
-after: image f439b20367b484fb08fc6cbff519519fa4c4076c401143c4e323a424f97c65f2
+	const want = `before: image d13a96b27cdd94d8586d661ec48fbc99e18df599a2f42e52da3d8a10c8df54a9
+  stats {NodeWrites:16 DataWrites:19 Checkpoints:1 CleanedSegments:0 RolledForward:0 FreeSegments:29}
+  io reads 26 (106496 B) writes 45 (184320 B) discards 1 flushes 14
+  reads 97a031822c1ffc44c710a2f2aa1f3977de11eb5d746c54edf6a4bedb7ce3be6b
+after: image 966f0999fac7434302c711990a06f49871b4bad01dcd2c6ff07055cfbd5cdea6
   stats {NodeWrites:0 DataWrites:0 Checkpoints:1 CleanedSegments:0 RolledForward:2 FreeSegments:29}
-  io reads 4013 (16437248 B) writes 47 (192512 B) discards 1 flushes 17
-  reads 7b0b2e3cd01ec8cf87cfe34fc563424779161ac9862833169e5caa7debade28b
+  io reads 4014 (16441344 B) writes 48 (196608 B) discards 1 flushes 17
+  reads 26d6729b229231a445e6088b8c8ee3af0d228e24e96c5b0f56be5824b76a25fe
 `
 	mem, err := blockdev.NewMem(16<<20, 512)
 	if err != nil {
@@ -80,8 +80,7 @@ func fileScript(t *testing.T, v fs.FileSystem) string {
 	}
 	f, err := v.Create("/f")
 	must(err)
-	// model holds the file's bytes up to its size, and past it the old
-	// bytes a shrink left in its last block.
+	// model holds the file's bytes up to its size.
 	var model []byte
 	var size int64
 	sum := sha256.New()
@@ -114,13 +113,12 @@ func fileScript(t *testing.T, v fs.FileSystem) string {
 		}
 		sum.Write(p[:got])
 	}
-	// A shrink frees the blocks past the new size but leaves the rest of
-	// the last block as it was: a later growth reads those old bytes
-	// back, where POSIX reads zeros. Both file systems do this today.
+	// A shrink drops every byte past the new size: a later growth reads
+	// zeros there.
 	truncate := func(to int64) {
 		t.Helper()
 		must(f.Truncate(to))
-		model = model[:min((to+bs-1)/bs*bs, int64(len(model)))]
+		model = model[:min(to, int64(len(model)))]
 		size = min(size, to)
 		grow(to)
 	}

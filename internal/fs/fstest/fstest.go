@@ -25,6 +25,7 @@ func Run(t *testing.T, mk Factory) {
 	t.Run("RemoveAndRecreate", func(t *testing.T) { testRemoveRecreate(t, mk(t)) })
 	t.Run("RenameContract", func(t *testing.T) { testRename(t, mk(t)) })
 	t.Run("TruncateContract", func(t *testing.T) { testTruncate(t, mk(t)) })
+	t.Run("TruncateZeroesTail", func(t *testing.T) { testTruncateTail(t, mk(t)) })
 	t.Run("ErrorContract", func(t *testing.T) { testErrors(t, mk(t)) })
 	t.Run("HandleContract", func(t *testing.T) { testHandle(t, mk(t)) })
 	t.Run("ManySmallFiles", func(t *testing.T) { testManyFiles(t, mk(t)) })
@@ -209,6 +210,54 @@ func testTruncate(t *testing.T, v fs.FileSystem) {
 	if err := f.Truncate(-1); err == nil {
 		t.Fatal("negative truncate accepted")
 	}
+}
+
+// testTruncateTail checks that a shrink to an unaligned size zeroes the
+// rest of the last kept block: growing the file again, by a write past
+// EOF and a Truncate up, reads zeros from the new size on, where the old
+// bytes were, and keeps reading them through a new handle after Sync.
+func testTruncateTail(t *testing.T, v fs.FileSystem) {
+	f, err := v.Create("/t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(bytes.Repeat([]byte{0xA5}, 12_000), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate(5000); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{1, 2, 3}, 9000); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate(20_000); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, 20_000)
+	copy(want, bytes.Repeat([]byte{0xA5}, 5000))
+	copy(want[9000:], []byte{1, 2, 3})
+	check := func(f fs.File, when string) {
+		t.Helper()
+		got := make([]byte, len(want)+1)
+		n, err := f.ReadAt(got, 0)
+		if err != nil || n != len(want) {
+			t.Fatalf("%s: ReadAt = (%d, %v), want %d bytes", when, n, err, len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: byte %d = %#x, want %#x", when, i, got[i], want[i])
+			}
+		}
+	}
+	check(f, "after the grow")
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	g, err := v.Open("/t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(g, "through a new handle")
 }
 
 func testErrors(t *testing.T, v fs.FileSystem) {

@@ -259,15 +259,6 @@ func (c *cachePool) removeFromRing(pos int) {
 	}
 }
 
-// validPages returns the number of live pages held in the cache.
-func (c *cachePool) validPages() int64 {
-	var n int64
-	for _, v := range c.valid {
-		n += int64(v)
-	}
-	return n
-}
-
 // utilisation returns the fraction of cache pages holding data (valid or
 // dead-but-not-yet-drained).
 func (c *cachePool) utilisation() float64 {

@@ -176,3 +176,12 @@ func TestCacheUtilisation(t *testing.T) {
 		t.Fatalf("utilisation = %v", u)
 	}
 }
+
+// validPages returns the number of live pages held in the cache.
+func (c *cachePool) validPages() int64 {
+	var n int64
+	for _, v := range c.valid {
+		n += int64(v)
+	}
+	return n
+}

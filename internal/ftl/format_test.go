@@ -38,7 +38,7 @@ func formatCfg(seed int64, hybrid bool, inj *faultinject.Injector) Config {
 // two tracer origins, and returns its transcript.
 func ftlScript(f *FTL, inj *faultinject.Injector, seed int64, ops int) string {
 	r := rand.New(rand.NewSource(seed))
-	tr := f.Tracer()
+	tr := f.tr
 	orgs := [2]wtrace.Origin{tr.Origin("app.hot"), tr.Origin("app.cold")}
 	n := f.LogicalPages()
 	var out strings.Builder
@@ -163,7 +163,7 @@ func TestFormatEqualsNew(t *testing.T) {
 				if hybrid && !reflect.DeepEqual(fresh.CacheChip().ExportState(), dirty.CacheChip().ExportState()) {
 					t.Fatalf("round %d: the cache chips differ", round)
 				}
-				if a, b := fresh.Tracer().Snapshot(), tr.Snapshot(); !reflect.DeepEqual(a, b) {
+				if a, b := fresh.tr.Snapshot(), tr.Snapshot(); !reflect.DeepEqual(a, b) {
 					t.Fatalf("round %d: ledger %+v new, %+v formatted", round, a, b)
 				}
 			}

@@ -19,9 +19,9 @@ var (
 	// ErrUnreadable is returned when a read hits an uncorrectable error.
 	ErrUnreadable = errors.New("ftl: uncorrectable read")
 	// ErrReadOnly means endurance is exhausted and the device has retired
-	// into JEDEC-style read-only mode: writes, trims, and sanitize are
-	// refused, but reads (and flushes) still succeed. This is the graceful
-	// sibling of ErrBricked — how a well-behaved eMMC part ends its life.
+	// into JEDEC-style read-only mode: writes and trims are refused, but
+	// reads (and flushes) still succeed. This is the graceful sibling of
+	// ErrBricked — how a well-behaved eMMC part ends its life.
 	ErrReadOnly = errors.New("ftl: device is read-only (end of life)")
 	// ErrPowerLoss means power dropped mid-operation. All volatile FTL
 	// state is gone; the host must run Recover before issuing I/O.
@@ -211,9 +211,6 @@ func (f *FTL) SetTracer(tr *wtrace.Tracer) {
 		f.cache.orgs = make([]wtrace.Origin, len(f.cache.rmap))
 	}
 }
-
-// Tracer returns the attached wear-attribution tracer, or nil.
-func (f *FTL) Tracer() *wtrace.Tracer { return f.tr }
 
 // origin returns the ambient origin for a host write — who the current
 // request is attributed to.
@@ -604,8 +601,7 @@ func (f *FTL) invalidateLoc(l loc) {
 // ReadPage reads one logical page. Unmapped pages read as nil data with no
 // flash work (the device returns zeroes). Accounting-only pages return nil
 // data too. Data is lent by the chip (nand.Chip.ReadPage): it is read-only
-// and valid until the next write or Sanitize, either of which may erase its
-// block.
+// and valid until the next write, which may erase its block.
 func (f *FTL) ReadPage(lp int) ([]byte, Cost, error) {
 	var cost Cost
 	if f.powerLost {
@@ -671,57 +667,3 @@ func (f *FTL) Flush() (Cost, error) {
 // GCCopies returns the number of pages copied by main-pool GC (for write
 // amplification breakdowns).
 func (f *FTL) GCCopies() int64 { return f.main.gcCopies }
-
-// Sanitize is the factory-reset path: every mapping is dropped and every
-// good block erased. Crucially — and this is the paper's point about
-// permanently-consumable resources — sanitising costs one more P/E cycle
-// per block and restores exactly none of the consumed lifetime.
-func (f *FTL) Sanitize() (Cost, error) {
-	var cost Cost
-	switch {
-	case f.bricked:
-		return cost, ErrBricked
-	case f.readOnly:
-		return cost, ErrReadOnly
-	case f.powerLost:
-		return cost, ErrPowerLoss
-	}
-	for lp := range f.l2p {
-		if f.l2p[lp] != noLoc {
-			f.invalidateLoc(f.l2p[lp])
-			f.l2p[lp] = noLoc
-		}
-	}
-	f.validLogical = 0
-	// Reset pool structures by erasing everything that is not bad.
-	p := f.main
-	for st := range p.openBlk {
-		p.closeStream(st)
-	}
-	p.free = p.free[:0]
-	for b := range p.state {
-		if p.state[b] == sBad {
-			continue
-		}
-		p.state[b] = sFull // eraseToFree expects a non-free block
-		p.eraseToFree(b, &cost)
-		if p.lostPower {
-			return cost, f.notePowerLoss(nand.ErrPowerLoss)
-		}
-	}
-	if f.cache != nil && f.cache.alive() {
-		for f.cache.content() {
-			if _, _, _, err := f.cache.drainOne(&cost); err != nil {
-				if errors.Is(err, nand.ErrPowerLoss) {
-					return cost, f.notePowerLoss(err)
-				}
-				return cost, err
-			}
-		}
-	}
-	if p.freeCount() == 0 {
-		f.bricked = true
-		return cost, fmt.Errorf("%w: sanitize retired the last blocks", ErrBricked)
-	}
-	return cost, nil
-}

@@ -102,17 +102,6 @@ func newGCPool(id PoolID, chip *nand.Chip, cfg *Config, remap func(int32, loc)) 
 	return p
 }
 
-func (p *gcPool) freeCount() int { return len(p.free) }
-
-// validPages returns the number of live pages in the pool.
-func (p *gcPool) validPages() int64 {
-	var n int64
-	for _, v := range p.valid {
-		n += int64(v)
-	}
-	return n
-}
-
 // takeFree removes and returns the free block with the lowest erase count
 // (dynamic wear-leveling) or simply the last one when dynamic WL is off.
 func (p *gcPool) takeFree() int {

@@ -2,7 +2,9 @@ package ftl
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -12,7 +14,8 @@ import (
 // TestQuickFTLMatchesModel drives random write/trim/read sequences against
 // both the FTL and a trivial in-memory model, on single-pool and hybrid
 // devices. The FTL must return exactly what the model predicts regardless
-// of GC, wear-leveling, drains, or merges happening underneath.
+// of GC, wear-leveling, drains, or merges happening underneath, and after
+// every op its own maps must agree with each other (checkMaps).
 func TestQuickFTLMatchesModel(t *testing.T) {
 	run := func(seed int64, hybrid bool) bool {
 		var cfg Config
@@ -45,6 +48,9 @@ func TestQuickFTLMatchesModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		buf := make([]byte, 4096)
 		for op := 0; op < 3000; op++ {
+			if err := checkMaps(f); err != nil {
+				t.Fatalf("seed %d, hybrid %v, before op %d: %v", seed, hybrid, op, err)
+			}
 			lp := rng.Intn(n)
 			switch rng.Intn(10) {
 			case 0: // trim
@@ -81,6 +87,9 @@ func TestQuickFTLMatchesModel(t *testing.T) {
 				}
 				model[lp] = v
 			}
+		}
+		if err := checkMaps(f); err != nil {
+			t.Fatalf("seed %d, hybrid %v, after the last op: %v", seed, hybrid, err)
 		}
 		// Final sweep: every page must match the model.
 		for lp := 0; lp < n; lp++ {
@@ -142,8 +151,10 @@ func TestQuickWearMonotonic(t *testing.T) {
 
 // TestQuickRemountMatchesModel interleaves clean power cuts and OOB-scan
 // recoveries into a random write/read workload: the remounted FTL must
-// behave exactly like one that never lost power. Writes and reads only —
-// trims are volatile by contract, so they would make the model ambiguous.
+// behave exactly like one that never lost power, and its maps — rebuilt
+// from the OOB scan — must agree with each other after every op and every
+// remount (checkMaps). Writes and reads only — trims are volatile by
+// contract, so they would make the model ambiguous.
 func TestQuickRemountMatchesModel(t *testing.T) {
 	run := func(seed int64, hybrid bool) bool {
 		var cfg Config
@@ -177,12 +188,18 @@ func TestQuickRemountMatchesModel(t *testing.T) {
 		buf := make([]byte, 4096)
 		remounts := 0
 		for op := 0; op < 2000; op++ {
+			if err := checkMaps(f); err != nil {
+				t.Fatalf("seed %d, hybrid %v, before op %d: %v", seed, hybrid, op, err)
+			}
 			if op%137 == 136 {
 				f.CutPower()
 				if _, err := f.Recover(); err != nil {
 					t.Fatalf("recover: %v", err)
 				}
 				remounts++
+				if err := checkMaps(f); err != nil {
+					t.Fatalf("seed %d, hybrid %v, after remount %d: %v", seed, hybrid, remounts, err)
+				}
 			}
 			lp := rng.Intn(n)
 			if rng.Intn(4) == 0 { // read and check
@@ -208,6 +225,9 @@ func TestQuickRemountMatchesModel(t *testing.T) {
 				t.Fatalf("write: %v", err)
 			}
 			model[lp] = v
+		}
+		if err := checkMaps(f); err != nil {
+			t.Fatalf("seed %d, hybrid %v, after the last op: %v", seed, hybrid, err)
 		}
 		if remounts == 0 || f.Stats().Recoveries != int64(remounts) {
 			t.Fatalf("remounts = %d, Recoveries = %d", remounts, f.Stats().Recoveries)
@@ -261,4 +281,57 @@ func TestQuickUtilisationBounded(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// poolMaps is one pool's view of the mapping, for checkMaps.
+type poolMaps struct {
+	id          PoolID
+	ppb         int
+	rmap, valid []int32
+}
+
+// checkMaps checks the FTL's maps against each other: l2p and each pool's
+// rmap are exact inverses, validLogical counts the mapped pages, and each
+// block's valid count equals its live rmap entries.
+func checkMaps(f *FTL) error {
+	pools := []poolMaps{{PoolB, f.main.ppb, f.main.rmap, f.main.valid}}
+	if f.cache != nil {
+		pools = append(pools, poolMaps{PoolA, f.cache.ppb, f.cache.rmap, f.cache.valid})
+	}
+	var mapped int64
+	for lp, l := range f.l2p {
+		if l == noLoc {
+			continue
+		}
+		mapped++
+		i := slices.IndexFunc(pools, func(p poolMaps) bool { return p.id == l.pool() })
+		if i < 0 {
+			return fmt.Errorf("lp %d maps to %v, a pool the FTL does not have", lp, l)
+		}
+		if got := pools[i].rmap[l.block()*pools[i].ppb+l.page()]; got != int32(lp) {
+			return fmt.Errorf("lp %d maps to %v, whose rmap holds lp %d", lp, l, got)
+		}
+	}
+	if f.validLogical != mapped {
+		return fmt.Errorf("validLogical = %d, but %d pages are mapped", f.validLogical, mapped)
+	}
+	for _, p := range pools {
+		for b, v := range p.valid {
+			live := int32(0)
+			for pg := 0; pg < p.ppb; pg++ {
+				lp := p.rmap[b*p.ppb+pg]
+				if lp < 0 {
+					continue
+				}
+				live++
+				if want := makeLoc(p.id, b, pg); f.l2p[lp] != want {
+					return fmt.Errorf("%v holds lp %d in rmap, but l2p maps it to %v", want, lp, f.l2p[lp])
+				}
+			}
+			if v != live {
+				return fmt.Errorf("%v block %d: valid = %d, but rmap holds %d live pages", p.id, b, v, live)
+			}
+		}
+	}
+	return nil
 }

@@ -399,9 +399,6 @@ func TestGracefulEOLReadOnly(t *testing.T) {
 	if _, err := f.WritePage(0, page(1, 4096), 4096); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("WritePage on read-only device: %v, want ErrReadOnly", err)
 	}
-	if _, err := f.Sanitize(); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Sanitize on read-only device: %v, want ErrReadOnly", err)
-	}
 	if got := f.PreEOLInfo(); got != 3 {
 		t.Fatalf("PreEOLInfo = %d, want 3 (urgent)", got)
 	}

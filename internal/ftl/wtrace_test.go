@@ -19,7 +19,7 @@ import (
 // breaks the write-amplification decomposition.
 func checkWearIdentity(t *testing.T, f *FTL) wtrace.Snapshot {
 	t.Helper()
-	snap := f.Tracer().Snapshot()
+	snap := f.tr.Snapshot()
 	tot := snap.Totals()
 	if got, want := tot.HostPages, f.Stats().HostPagesWritten; got != want {
 		t.Errorf("ledger host pages = %d, FTL counted %d", got, want)
@@ -274,7 +274,7 @@ func TestWearTracerDetach(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.SetTracer(nil)
-	if f.Tracer() != nil {
+	if f.tr != nil {
 		t.Fatal("Tracer() non-nil after detach")
 	}
 	before := tr.Snapshot().Totals()

@@ -66,9 +66,6 @@ type Plan struct {
 	Clauses []Clause
 }
 
-// Empty reports whether the plan injects nothing.
-func (p Plan) Empty() bool { return len(p.Clauses) == 0 }
-
 // Validate reports the first invalid clause.
 func (p Plan) Validate() error {
 	for i, c := range p.Clauses {

@@ -51,7 +51,7 @@ func TestParsePlan(t *testing.T) {
 		t.Fatalf("defaults not applied: %+v", p.Clauses[1])
 	}
 
-	if p, err := ParsePlan(""); err != nil || !p.Empty() {
+	if p, err := ParsePlan(""); err != nil || len(p.Clauses) != 0 {
 		t.Fatalf("empty plan: %+v, %v", p, err)
 	}
 }

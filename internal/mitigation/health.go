@@ -83,9 +83,6 @@ func (w *WearWatch) Sample(now time.Duration) HealthSample {
 	return s
 }
 
-// History returns all samples taken.
-func (w *WearWatch) History() []HealthSample { return w.history }
-
 // FirstAlertAt returns when the watch first reached at least the given
 // level, and whether it ever did. This is the "advance notice" metric of
 // the mitigation evaluation: how long before destruction a user who checked
@@ -97,44 +94,4 @@ func (w *WearWatch) FirstAlertAt(level AlertLevel) (time.Duration, bool) {
 		}
 	}
 	return 0, false
-}
-
-// ProjectedEOL extrapolates the time remaining until estimated end of life
-// from the observed wear trend between the first and last trusted samples.
-// It returns ok=false when the history is too short or wear has not moved.
-// This is the number a health UI would surface: "at this rate, the storage
-// is gone in N days".
-func (w *WearWatch) ProjectedEOL(now time.Duration) (remaining time.Duration, ok bool) {
-	var first, last *HealthSample
-	for i := range w.history {
-		s := &w.history[i]
-		if s.Untrusted {
-			continue
-		}
-		if first == nil {
-			first = s
-		}
-		last = s
-	}
-	if first == nil || last == nil || last.At <= first.At {
-		return 0, false
-	}
-	// Level midpoints approximate consumed life: level n ~ (n-0.5)*10%.
-	lifeOf := func(s *HealthSample) float64 {
-		lvl := s.LevelB
-		if s.LevelA > lvl {
-			lvl = s.LevelA
-		}
-		return (float64(lvl) - 0.5) / 10
-	}
-	l0, l1 := lifeOf(first), lifeOf(last)
-	if l1 <= l0 {
-		return 0, false
-	}
-	rate := (l1 - l0) / float64(last.At-first.At) // life fraction per ns
-	left := 1.0 - l1
-	if left <= 0 {
-		return 0, true
-	}
-	return time.Duration(left / rate), true
 }

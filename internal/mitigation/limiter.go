@@ -18,8 +18,6 @@ type RateLimiter struct {
 	perApp map[string]*TokenBucket
 	// PerApp switches from one shared bucket to per-app buckets.
 	PerApp bool
-
-	throttledTime time.Duration
 }
 
 // NewRateLimiter builds a limiter from a budget. Buckets materialise on
@@ -34,9 +32,6 @@ func NewRateLimiter(budget LifespanBudget) (*RateLimiter, error) {
 		perApp:     make(map[string]*TokenBucket),
 	}, nil
 }
-
-// ThrottledTime reports the total stall imposed so far.
-func (l *RateLimiter) ThrottledTime() time.Duration { return l.throttledTime }
 
 // Throttle implements the android.Config.Throttle hook.
 func (l *RateLimiter) Throttle(app string, bytes int64, now time.Duration) time.Duration {
@@ -53,9 +48,5 @@ func (l *RateLimiter) Throttle(app string, bytes int64, now time.Duration) time.
 		}
 		tb = l.global
 	}
-	d := tb.Take(bytes, now)
-	if d > 0 {
-		l.throttledTime += d
-	}
-	return d
+	return tb.Take(bytes, now)
 }

@@ -89,12 +89,11 @@ func TestRateLimiterGlobalVsPerApp(t *testing.T) {
 	lim2.PerApp = true
 	lim2.BurstBytes = 1 << 20
 	_ = lim2.Throttle("a", 1<<20, 0)
-	_ = lim2.Throttle("a", 1<<20, 0) // A now throttled
+	if d := lim2.Throttle("a", 1<<20, 0); d == 0 {
+		t.Fatal("per-app limiter did not throttle app A past its burst")
+	}
 	if d := lim2.Throttle("b", 1<<20, 0); d != 0 {
 		t.Fatalf("per-app limiter punished app B for app A's writes (%v)", d)
-	}
-	if lim2.ThrottledTime() == 0 {
-		t.Fatal("no throttling recorded")
 	}
 }
 
@@ -181,7 +180,7 @@ func TestWearWatchAlerts(t *testing.T) {
 	warnAt, warned := w.FirstAlertAt(AlertWarning)
 	critAt, crit := w.FirstAlertAt(AlertCritical)
 	if !warned || !crit {
-		t.Fatalf("alerts missing: warn=%v crit=%v (history %d)", warned, crit, len(w.History()))
+		t.Fatalf("alerts missing: warn=%v crit=%v (history %d)", warned, crit, len(w.history))
 	}
 	if warnAt >= critAt {
 		t.Fatalf("warning (%v) should precede critical (%v)", warnAt, critAt)
@@ -218,43 +217,5 @@ func TestAlertLevelString(t *testing.T) {
 		if l.String() != want {
 			t.Errorf("%d.String() = %q", l, l.String())
 		}
-	}
-}
-
-func TestProjectedEOL(t *testing.T) {
-	clock := simclock.New()
-	p := device.ProfileEMMC8().Scaled(512)
-	p.RatedPE = 200
-	dev, err := device.New(p, clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := NewWearWatch(dev)
-	if _, ok := w.ProjectedEOL(clock.Now()); ok {
-		t.Fatal("projection from empty history")
-	}
-	rng := rand.New(rand.NewSource(6))
-	for i := 0; i < 600_000; i++ {
-		off := int64(rng.Intn(int(dev.Size()/4096/8))) * 4096
-		if err := dev.WriteAccounted(off, 4096); err != nil {
-			break
-		}
-		if i%5000 == 0 {
-			w.Sample(clock.Now())
-		}
-		if dev.WearIndicator(ftl.PoolB) >= 5 {
-			break
-		}
-	}
-	w.Sample(clock.Now())
-	remaining, ok := w.ProjectedEOL(clock.Now())
-	if !ok {
-		t.Fatal("no projection despite steady wear")
-	}
-	// At ~50% life consumed, the projection should be the same order as
-	// the elapsed time.
-	elapsed := clock.Now()
-	if remaining < elapsed/4 || remaining > elapsed*4 {
-		t.Fatalf("projection %v implausible vs elapsed %v", remaining, elapsed)
 	}
 }

@@ -41,20 +41,6 @@ func (t CellType) String() string {
 	}
 }
 
-// BitsPerCell returns the number of logical bits each cell encodes.
-func (t CellType) BitsPerCell() int {
-	switch t {
-	case SLC:
-		return 1
-	case MLC:
-		return 2
-	case TLC:
-		return 3
-	default:
-		return 0
-	}
-}
-
 // DefaultRatedPE returns a typical vendor-rated P/E cycle count for the cell
 // type, matching the figures quoted in §2.1 of the paper.
 func (t CellType) DefaultRatedPE() int {

@@ -273,20 +273,11 @@ func (c *Chip) Format(seed int64) {
 // Geometry returns the chip's layout.
 func (c *Chip) Geometry() Geometry { return c.geo }
 
-// Cell returns the chip's cell type.
-func (c *Chip) Cell() CellType { return c.cell }
-
 // RatedPE returns the vendor-rated endurance in P/E cycles.
 func (c *Chip) RatedPE() int { return c.ratedPE }
 
-// Timing returns the chip's operation latencies.
-func (c *Chip) Timing() Timing { return c.timing }
-
 // Stats returns a snapshot of activity counters.
 func (c *Chip) Stats() Stats { return c.stats }
-
-// CorrectableBits returns the ECC capability reads are judged against.
-func (c *Chip) CorrectableBits() int { return c.tcorr }
 
 func (c *Chip) simNow() time.Duration {
 	if c.now == nil {
@@ -327,9 +318,6 @@ func (c *Chip) atWear(blockIdx int) *block {
 
 // EraseCount returns a block's raw erase count.
 func (c *Chip) EraseCount(blockIdx int) int { return c.blocks[blockIdx].eraseCount }
-
-// ReadsSinceErase returns a block's accumulated read-disturb exposure.
-func (c *Chip) ReadsSinceErase(blockIdx int) int64 { return c.blocks[blockIdx].reads }
 
 // Bad reports whether a block has been marked bad.
 func (c *Chip) Bad(blockIdx int) bool { return c.blocks[blockIdx].bad }
@@ -422,19 +410,15 @@ type OpResult struct {
 	BitErrors int // worst-codeword raw bit errors observed (reads only)
 }
 
-// ProgramPage writes one page. data may be nil for accounting-only writes
-// (wear experiments at device scale); when non-nil it is at most PageSize
-// bytes, zero-extended to a page, and is retained for later reads.
+// ProgramPageOOB writes one page. data may be nil for accounting-only
+// writes (wear experiments at device scale); when non-nil it is at most
+// PageSize bytes, zero-extended to a page, and is retained for later reads.
+// oob is the spare-area metadata, stored with the page on success and
+// readable back via ReadOOB without any error sampling — it is what
+// power-loss recovery scans.
 //
 // NAND constraints are enforced: the block must not be bad, and pages within
 // a block must be programmed in order, each exactly once per erase cycle.
-func (c *Chip) ProgramPage(a PageAddr, data []byte) (OpResult, error) {
-	return c.ProgramPageOOB(a, data, OOB{LP: -1})
-}
-
-// ProgramPageOOB is ProgramPage with spare-area metadata: oob is stored
-// with the page on success and is readable back via ReadOOB without any
-// error sampling — it is what power-loss recovery scans.
 func (c *Chip) ProgramPageOOB(a PageAddr, data []byte, oob OOB) (OpResult, error) {
 	if !c.inRange(a) {
 		return OpResult{}, &OpError{Op: OpProgram, Addr: a, Err: ErrAddr}

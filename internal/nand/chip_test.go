@@ -30,14 +30,8 @@ func newTestChip(t *testing.T, mutate func(*Config)) *Chip {
 
 func TestGeometryDerived(t *testing.T) {
 	g := testGeometry()
-	if g.Planes() != 2 || g.Blocks() != 16 || g.Pages() != 256 {
-		t.Fatalf("planes/blocks/pages = %d/%d/%d, want 2/16/256", g.Planes(), g.Blocks(), g.Pages())
-	}
-	if g.BlockSize() != 16*4096 {
-		t.Fatalf("BlockSize = %d", g.BlockSize())
-	}
-	if g.Capacity() != 16*16*4096 {
-		t.Fatalf("Capacity = %d", g.Capacity())
+	if g.Planes() != 2 || g.Blocks() != 16 {
+		t.Fatalf("planes/blocks = %d/%d, want 2/16", g.Planes(), g.Blocks())
 	}
 }
 
@@ -80,9 +74,6 @@ func TestCellTypeDefaults(t *testing.T) {
 	if SLC.DefaultRatedPE() != 100_000 || MLC.DefaultRatedPE() != 3_000 || TLC.DefaultRatedPE() != 1_000 {
 		t.Fatal("default rated P/E cycles do not match §2.1")
 	}
-	if SLC.BitsPerCell() != 1 || MLC.BitsPerCell() != 2 || TLC.BitsPerCell() != 3 {
-		t.Fatal("bits per cell wrong")
-	}
 	if SLC.String() != "SLC" || MLC.String() != "MLC" || TLC.String() != "TLC" {
 		t.Fatal("CellType.String wrong")
 	}
@@ -97,15 +88,15 @@ func TestProgramReadRoundTrip(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i)
 	}
-	if _, err := c.ProgramPage(PageAddr{0, 0}, data); err != nil {
-		t.Fatalf("ProgramPage: %v", err)
+	if _, err := c.ProgramPageOOB(PageAddr{0, 0}, data, OOB{LP: -1}); err != nil {
+		t.Fatalf("ProgramPageOOB: %v", err)
 	}
 	got, res, err := c.ReadPage(PageAddr{0, 0})
 	if err != nil {
 		t.Fatalf("ReadPage: %v", err)
 	}
-	if res.Latency != c.Timing().ReadPage {
-		t.Errorf("read latency = %v, want %v", res.Latency, c.Timing().ReadPage)
+	if res.Latency != c.timing.ReadPage {
+		t.Errorf("read latency = %v, want %v", res.Latency, c.timing.ReadPage)
 	}
 	for i := range got {
 		if got[i] != byte(i) {
@@ -116,8 +107,8 @@ func TestProgramReadRoundTrip(t *testing.T) {
 
 func TestAccountingWriteReturnsNoData(t *testing.T) {
 	c := newTestChip(t, nil)
-	if _, err := c.ProgramPage(PageAddr{1, 0}, nil); err != nil {
-		t.Fatalf("ProgramPage(nil): %v", err)
+	if _, err := c.ProgramPageOOB(PageAddr{1, 0}, nil, OOB{LP: -1}); err != nil {
+		t.Fatalf("ProgramPageOOB(nil): %v", err)
 	}
 	data, _, err := c.ReadPage(PageAddr{1, 0})
 	if err != nil {
@@ -130,13 +121,13 @@ func TestAccountingWriteReturnsNoData(t *testing.T) {
 
 func TestSequentialProgrammingEnforced(t *testing.T) {
 	c := newTestChip(t, nil)
-	if _, err := c.ProgramPage(PageAddr{0, 1}, nil); !errors.Is(err, ErrOutOfOrder) {
+	if _, err := c.ProgramPageOOB(PageAddr{0, 1}, nil, OOB{LP: -1}); !errors.Is(err, ErrOutOfOrder) {
 		t.Fatalf("out-of-order program err = %v, want ErrOutOfOrder", err)
 	}
-	if _, err := c.ProgramPage(PageAddr{0, 0}, nil); err != nil {
+	if _, err := c.ProgramPageOOB(PageAddr{0, 0}, nil, OOB{LP: -1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ProgramPage(PageAddr{0, 0}, nil); !errors.Is(err, ErrNotErased) {
+	if _, err := c.ProgramPageOOB(PageAddr{0, 0}, nil, OOB{LP: -1}); !errors.Is(err, ErrNotErased) {
 		t.Fatalf("reprogram err = %v, want ErrNotErased", err)
 	}
 }
@@ -151,7 +142,7 @@ func TestReadUnprogrammedPage(t *testing.T) {
 func TestEraseResetsBlock(t *testing.T) {
 	c := newTestChip(t, nil)
 	data := make([]byte, 4096)
-	if _, err := c.ProgramPage(PageAddr{0, 0}, data); err != nil {
+	if _, err := c.ProgramPageOOB(PageAddr{0, 0}, data, OOB{LP: -1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.EraseBlock(0); err != nil {
@@ -161,7 +152,7 @@ func TestEraseResetsBlock(t *testing.T) {
 		t.Fatalf("EraseCount = %d, want 1", c.EraseCount(0))
 	}
 	// Page 0 is programmable again and old data is gone.
-	if _, err := c.ProgramPage(PageAddr{0, 0}, nil); err != nil {
+	if _, err := c.ProgramPageOOB(PageAddr{0, 0}, nil, OOB{LP: -1}); err != nil {
 		t.Fatalf("program after erase: %v", err)
 	}
 	got, _, err := c.ReadPage(PageAddr{0, 0})
@@ -176,8 +167,8 @@ func TestEraseResetsBlock(t *testing.T) {
 func TestAddressBounds(t *testing.T) {
 	c := newTestChip(t, nil)
 	for _, a := range []PageAddr{{-1, 0}, {16, 0}, {0, -1}, {0, 16}} {
-		if _, err := c.ProgramPage(a, nil); !errors.Is(err, ErrAddr) {
-			t.Errorf("ProgramPage(%v) err = %v, want ErrAddr", a, err)
+		if _, err := c.ProgramPageOOB(a, nil, OOB{LP: -1}); !errors.Is(err, ErrAddr) {
+			t.Errorf("ProgramPageOOB(%v) err = %v, want ErrAddr", a, err)
 		}
 		if _, _, err := c.ReadPage(a); !errors.Is(err, ErrAddr) {
 			t.Errorf("ReadPage(%v) err = %v, want ErrAddr", a, err)
@@ -209,7 +200,7 @@ func TestErrorTextPinned(t *testing.T) {
 	inj := &forced{}
 	c := newTestChip(t, func(cfg *Config) { cfg.Inject = inj })
 	c.MarkBad(3)
-	if _, err := c.ProgramPage(PageAddr{0, 0}, nil); err != nil {
+	if _, err := c.ProgramPageOOB(PageAddr{0, 0}, nil, OOB{LP: -1}); err != nil {
 		t.Fatal(err)
 	}
 	prog := func(_ OpResult, err error) string { return fmt.Sprint(err) }
@@ -220,21 +211,21 @@ func TestErrorTextPinned(t *testing.T) {
 		return text()
 	}
 	got := []string{
-		prog(c.ProgramPage(PageAddr{16, 0}, nil)),
+		prog(c.ProgramPageOOB(PageAddr{16, 0}, nil, OOB{LP: -1})),
 		read(c.ReadPage(PageAddr{0, -1})),
 		prog(c.EraseBlock(99)),
-		prog(c.ProgramPage(PageAddr{3, 0}, nil)),
+		prog(c.ProgramPageOOB(PageAddr{3, 0}, nil, OOB{LP: -1})),
 		read(c.ReadPage(PageAddr{3, 0})),
 		prog(c.EraseBlock(3)),
-		prog(c.ProgramPage(PageAddr{0, 0}, nil)),
-		prog(c.ProgramPage(PageAddr{0, 2}, nil)),
-		prog(c.ProgramPage(PageAddr{0, 1}, make([]byte, 4097))),
+		prog(c.ProgramPageOOB(PageAddr{0, 0}, nil, OOB{LP: -1})),
+		prog(c.ProgramPageOOB(PageAddr{0, 2}, nil, OOB{LP: -1})),
+		prog(c.ProgramPageOOB(PageAddr{0, 1}, make([]byte, 4097), OOB{LP: -1})),
 		read(c.ReadPage(PageAddr{0, 5})),
-		with(OpProgram, FaultPowerCut, func() string { return prog(c.ProgramPage(PageAddr{0, 1}, nil)) }),
+		with(OpProgram, FaultPowerCut, func() string { return prog(c.ProgramPageOOB(PageAddr{0, 1}, nil, OOB{LP: -1})) }),
 		with(OpRead, FaultPowerCut, func() string { return read(c.ReadPage(PageAddr{0, 0})) }),
 		with(OpErase, FaultPowerCut, func() string { return prog(c.EraseBlock(1)) }),
 		with(OpRead, FaultRead, func() string { return read(c.ReadPage(PageAddr{0, 0})) }),
-		with(OpProgram, FaultProgram, func() string { return prog(c.ProgramPage(PageAddr{0, 1}, nil)) }),
+		with(OpProgram, FaultProgram, func() string { return prog(c.ProgramPageOOB(PageAddr{0, 1}, nil, OOB{LP: -1})) }),
 		with(OpErase, FaultErase, func() string { return prog(c.EraseBlock(1)) }),
 	}
 	want := []string{
@@ -264,7 +255,7 @@ func TestErrorTextPinned(t *testing.T) {
 	em := DefaultErrorModel()
 	em.BaseRBER = 0.01 // ~82 raw bit errors per codeword
 	c = newTestChip(t, func(cfg *Config) { cfg.Errors = &em })
-	if _, err := c.ProgramPage(PageAddr{0, 0}, nil); err != nil {
+	if _, err := c.ProgramPageOOB(PageAddr{0, 0}, nil, OOB{LP: -1}); err != nil {
 		t.Fatal(err)
 	}
 	_, res, err := c.ReadPage(PageAddr{0, 0})
@@ -289,7 +280,7 @@ func TestBadBlockRejectsOps(t *testing.T) {
 	if c.Stats().BadBlocks != 1 {
 		t.Fatal("MarkBad not idempotent")
 	}
-	if _, err := c.ProgramPage(PageAddr{3, 0}, nil); !errors.Is(err, ErrBadBlock) {
+	if _, err := c.ProgramPageOOB(PageAddr{3, 0}, nil, OOB{LP: -1}); !errors.Is(err, ErrBadBlock) {
 		t.Errorf("program bad block err = %v", err)
 	}
 	if _, _, err := c.ReadPage(PageAddr{3, 0}); !errors.Is(err, ErrBadBlock) {
@@ -320,7 +311,7 @@ func TestFreshChipIsReliable(t *testing.T) {
 	c := newTestChip(t, nil)
 	for b := 0; b < 4; b++ {
 		for p := 0; p < 16; p++ {
-			if _, err := c.ProgramPage(PageAddr{b, p}, nil); err != nil {
+			if _, err := c.ProgramPageOOB(PageAddr{b, p}, nil, OOB{LP: -1}); err != nil {
 				t.Fatalf("fresh program %v failed: %v", PageAddr{b, p}, err)
 			}
 			if _, _, err := c.ReadPage(PageAddr{b, p}); err != nil {
@@ -345,7 +336,7 @@ func TestWornChipFails(t *testing.T) {
 		}
 	}
 	for i := 0; i < 30; i++ {
-		if _, err := c.ProgramPage(PageAddr{0, 0}, nil); err != nil {
+		if _, err := c.ProgramPageOOB(PageAddr{0, 0}, nil, OOB{LP: -1}); err != nil {
 			fails++
 		}
 		if _, err := c.EraseBlock(0); err != nil {
@@ -359,7 +350,7 @@ func TestWornChipFails(t *testing.T) {
 
 func TestStatsCount(t *testing.T) {
 	c := newTestChip(t, nil)
-	_, _ = c.ProgramPage(PageAddr{0, 0}, nil)
+	_, _ = c.ProgramPageOOB(PageAddr{0, 0}, nil, OOB{LP: -1})
 	_, _, _ = c.ReadPage(PageAddr{0, 0})
 	_, _ = c.EraseBlock(0)
 	s := c.Stats()
@@ -375,11 +366,11 @@ func TestStatsCount(t *testing.T) {
 // shorter one is a page that reads zero past it.
 func TestProgramWrongLength(t *testing.T) {
 	c := newTestChip(t, nil)
-	if _, err := c.ProgramPage(PageAddr{0, 0}, make([]byte, 4097)); err == nil {
+	if _, err := c.ProgramPageOOB(PageAddr{0, 0}, make([]byte, 4097), OOB{LP: -1}); err == nil {
 		t.Fatal("payload longer than a page accepted")
 	}
 	short := []byte{1, 2, 3}
-	if _, err := c.ProgramPage(PageAddr{0, 0}, short); err != nil {
+	if _, err := c.ProgramPageOOB(PageAddr{0, 0}, short, OOB{LP: -1}); err != nil {
 		t.Fatalf("short payload: %v", err)
 	}
 	got, _, err := c.ReadPage(PageAddr{0, 0})
@@ -418,7 +409,7 @@ func TestHealingReducesWear(t *testing.T) {
 
 func TestRetentionIncreasesErrors(t *testing.T) {
 	em := DefaultErrorModel()
-	if a, b := em.RBERWithRetention(0.9, 0), em.RBERWithRetention(0.9, 10_000); b <= a {
+	if a, b := em.withRetention(em.RBER(0.9), em.retentionGrowth(0.9), 0), em.withRetention(em.RBER(0.9), em.retentionGrowth(0.9), 10_000); b <= a {
 		t.Fatalf("retention did not increase RBER: %v vs %v", a, b)
 	}
 }
@@ -474,19 +465,12 @@ func TestDeterminism(t *testing.T) {
 		c := newTestChip(t, func(cfg *Config) { cfg.RatedPE = 25; cfg.Seed = 7 })
 		for i := 0; i < 60; i++ {
 			_, _ = c.EraseBlock(0)
-			_, _ = c.ProgramPage(PageAddr{0, 0}, nil)
+			_, _ = c.ProgramPageOOB(PageAddr{0, 0}, nil, OOB{LP: -1})
 		}
 		return c.Stats()
 	}
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("same seed produced different stats:\n%+v\n%+v", a, b)
-	}
-}
-
-func TestPlaneStriping(t *testing.T) {
-	g := testGeometry()
-	if g.PlaneOf(0) == g.PlaneOf(1) {
-		t.Fatal("consecutive blocks should land on different planes")
 	}
 }

@@ -41,15 +41,6 @@ func (g Geometry) Planes() int { return g.Dies * g.PlanesPerDie }
 // Blocks returns the total number of erase blocks on the chip.
 func (g Geometry) Blocks() int { return g.Planes() * g.BlocksPerPlane }
 
-// Pages returns the total number of pages on the chip.
-func (g Geometry) Pages() int { return g.Blocks() * g.PagesPerBlock }
-
-// BlockSize returns the user-data bytes per erase block.
-func (g Geometry) BlockSize() int64 { return int64(g.PagesPerBlock) * int64(g.PageSize) }
-
-// Capacity returns the raw user-data capacity of the chip in bytes.
-func (g Geometry) Capacity() int64 { return int64(g.Blocks()) * g.BlockSize() }
-
 // PageAddr identifies a page by block index and page offset within the block.
 type PageAddr struct {
 	Block int
@@ -58,9 +49,3 @@ type PageAddr struct {
 
 // String implements fmt.Stringer.
 func (a PageAddr) String() string { return fmt.Sprintf("blk%d/pg%d", a.Block, a.Page) }
-
-// PlaneOf returns the plane index (0..Planes-1) a block belongs to. Blocks
-// are striped across planes round-robin so that consecutive block numbers
-// land on different planes, mirroring how FTLs exploit multi-plane
-// parallelism.
-func (g Geometry) PlaneOf(block int) int { return block % g.Planes() }

@@ -85,7 +85,7 @@ func TestStoredPayloadForm(t *testing.T) {
 			z := z0 + pg
 			p := tailPayload(rng, ps, z)
 			want = append(want, zeroExtend(p, ps))
-			if _, err := src.ProgramPage(PageAddr{0, pg}, p); err != nil {
+			if _, err := src.ProgramPageOOB(PageAddr{0, pg}, p, OOB{LP: -1}); err != nil {
 				t.Fatal(err)
 			}
 			if got := read("program", src, PageAddr{0, pg}, want[pg]); len(got) != ps-z {
@@ -99,7 +99,7 @@ func TestStoredPayloadForm(t *testing.T) {
 		for pg := range want {
 			read("import", dst, PageAddr{0, pg}, want[pg])
 			lent := read("lent", src, PageAddr{0, pg}, want[pg])
-			if _, err := src.ProgramPage(PageAddr{1, pg}, lent); err != nil {
+			if _, err := src.ProgramPageOOB(PageAddr{1, pg}, lent, OOB{LP: -1}); err != nil {
 				t.Fatal(err)
 			}
 			read("relocated", src, PageAddr{1, pg}, want[pg])
@@ -169,7 +169,7 @@ func BenchmarkProgramPayload(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				if _, err := c.ProgramPage(PageAddr{blk, pg}, page); err != nil && !errors.Is(err, ErrProgramFail) {
+				if _, err := c.ProgramPageOOB(PageAddr{blk, pg}, page, OOB{LP: -1}); err != nil && !errors.Is(err, ErrProgramFail) {
 					b.Fatal(err)
 				}
 			}
@@ -204,7 +204,7 @@ func TestPayloadClassesAnyPageSize(t *testing.T) {
 		}
 		program := func() {
 			for pg, p := range pages {
-				if _, err := c.ProgramPage(PageAddr{0, pg}, p); err != nil {
+				if _, err := c.ProgramPageOOB(PageAddr{0, pg}, p, OOB{LP: -1}); err != nil {
 					t.Fatal(err)
 				}
 			}

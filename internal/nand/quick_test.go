@@ -70,12 +70,12 @@ func TestQuickChipInvariants(t *testing.T) {
 			}
 			if next[b] >= g.PagesPerBlock {
 				// Out-of-order / full block must be rejected.
-				if _, err := c.ProgramPage(PageAddr{b, next[b]}, nil); err == nil {
+				if _, err := c.ProgramPageOOB(PageAddr{b, next[b]}, nil, OOB{LP: -1}); err == nil {
 					return false
 				}
 				continue
 			}
-			_, _ = c.ProgramPage(PageAddr{b, next[b]}, nil)
+			_, _ = c.ProgramPageOOB(PageAddr{b, next[b]}, nil, OOB{LP: -1})
 			next[b]++
 		}
 		return true
@@ -115,7 +115,7 @@ func TestReadDisturbGrowsErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ProgramPage(PageAddr{0, 0}, nil); err != nil {
+	if _, err := c.ProgramPageOOB(PageAddr{0, 0}, nil, OOB{LP: -1}); err != nil {
 		t.Fatal(err)
 	}
 	sawFailure := false
@@ -128,13 +128,13 @@ func TestReadDisturbGrowsErrors(t *testing.T) {
 	if !sawFailure {
 		t.Fatal("read disturb never produced an uncorrectable read")
 	}
-	if c.ReadsSinceErase(0) == 0 {
+	if c.blocks[0].reads == 0 {
 		t.Fatal("read counter not tracked")
 	}
 	if _, err := c.EraseBlock(0); err != nil {
 		t.Fatal(err)
 	}
-	if c.ReadsSinceErase(0) != 0 {
+	if c.blocks[0].reads != 0 {
 		t.Fatal("erase did not reset read-disturb exposure")
 	}
 }

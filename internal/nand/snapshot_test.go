@@ -18,7 +18,7 @@ func mustProgram(t *testing.T, c *Chip, block int, fills ...byte) {
 	t.Helper()
 	for _, f := range fills {
 		buf := filled(f)
-		if _, err := c.ProgramPage(PageAddr{block, c.ProgrammedPages(block)}, buf); err != nil {
+		if _, err := c.ProgramPageOOB(PageAddr{block, c.ProgrammedPages(block)}, buf, OOB{LP: -1}); err != nil {
 			t.Errorf("program block %d: %v", block, err)
 			return
 		}
@@ -284,7 +284,7 @@ func TestViewMatchesExportState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.ProgramPage(PageAddr{Block: 2, Page: 0}, nil); err != nil {
+	if _, err := c.ProgramPageOOB(PageAddr{Block: 2, Page: 0}, nil, OOB{LP: -1}); err != nil {
 		t.Fatal(err)
 	}
 	var v ChipState

@@ -87,7 +87,7 @@ func TestWearScriptPinned(t *testing.T) {
 					if script.Intn(2) == 0 {
 						data = filled(byte(step))
 					}
-					c.ProgramPage(PageAddr{b, next}, data) // failures are part of the script
+					c.ProgramPageOOB(PageAddr{b, next}, data, OOB{LP: -1}) // failures are part of the script
 				case op < 9 && next > 0:
 					_, res, _ := c.ReadPage(PageAddr{b, script.Intn(next)})
 					bitErrors += res.BitErrors
@@ -103,7 +103,7 @@ func TestWearScriptPinned(t *testing.T) {
 					}
 					hours := (now - blk.firstProg).Hours()
 					if blk.failProb != em.FailProb(w) || blk.rber != em.RBER(w) ||
-						em.withRetention(blk.rber, blk.retGrowth, hours) != em.RBERWithRetention(w, hours) {
+						em.withRetention(blk.rber, blk.retGrowth, hours) != em.withRetention(em.RBER(w), em.retentionGrowth(w), hours) {
 						t.Fatalf("step %d: block %d memo {%v %v %v} is stale at wear %v", step, i, blk.failProb, blk.rber, blk.retGrowth, w)
 					}
 				}
@@ -156,7 +156,7 @@ func TestProgramEraseAllocatesNothing(t *testing.T) {
 	cycle := func() {
 		mustErase(t, c, 0)
 		for pg := range c.geo.PagesPerBlock {
-			if _, err := c.ProgramPage(PageAddr{0, pg}, pages[pg%len(pages)]); err != nil {
+			if _, err := c.ProgramPageOOB(PageAddr{0, pg}, pages[pg%len(pages)], OOB{LP: -1}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -173,7 +173,7 @@ func TestProgramEraseAllocatesNothing(t *testing.T) {
 func TestReadPageAllocatesNothing(t *testing.T) {
 	c := newTestChip(t, nil)
 	page := filled(0x5A)
-	if _, err := c.ProgramPage(PageAddr{0, 0}, page); err != nil {
+	if _, err := c.ProgramPageOOB(PageAddr{0, 0}, page, OOB{LP: -1}); err != nil {
 		t.Fatal(err)
 	}
 	var got []byte

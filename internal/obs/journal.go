@@ -24,8 +24,8 @@ import (
 //     (Type, Day, Rule, Value, Detail) is a pure function of the
 //     campaign's sim-domain day series, so across shards, workers,
 //     checkpoint cadence, and resume the set of sim events is identical
-//     (the determinism tests compare them via SimString, which strips the
-//     ops envelope).
+//     (the determinism tests compare that payload, without the ops
+//     envelope).
 //
 // Seq and WallMs are the ops envelope on every event: Seq is assigned by
 // the journal (contiguous from 1, never reused, survives crash/resume)
@@ -55,12 +55,6 @@ type Event struct {
 // matter how many sweeps re-derive it.
 func (e Event) SimKey() string {
 	return fmt.Sprintf("%s|%s|%d", e.Type, e.Rule, e.Day)
-}
-
-// SimString is the canonical ops-envelope-free rendering determinism
-// fingerprints compare.
-func (e Event) SimString() string {
-	return fmt.Sprintf("%s day=%d rule=%s value=%s detail=%s", e.Type, e.Day, e.Rule, e.Value, e.Detail)
 }
 
 // Journal is an append-only, monotonically-sequenced event log with
@@ -108,12 +102,6 @@ type Journal struct {
 
 type subscriber struct {
 	ch chan Event
-}
-
-// OpenJournal opens (or creates) the journal at path over the real host
-// filesystem; an empty path makes a memory-only journal.
-func OpenJournal(path string) (*Journal, error) {
-	return OpenJournalFS(hostio.OS{}, path)
 }
 
 // OpenJournalFS opens (or creates) the journal at path over fsys,
@@ -288,30 +276,6 @@ func (j *Journal) recoverLocked() bool {
 	j.ring = nil
 	j.recoveries++
 	return true
-}
-
-// Pending returns how many appended events await persistence (0 when
-// healthy or memory-only).
-func (j *Journal) Pending() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.ring)
-}
-
-// Lost reports whether the degraded ring overflowed and persistence was
-// abandoned for this process.
-func (j *Journal) Lost() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.lost
-}
-
-// PersistStats returns (persist failures, successful ring recoveries) —
-// ops counters for /metrics.
-func (j *Journal) PersistStats() (failures, recoveries int64) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.persistErrs, j.recoveries
 }
 
 // Events returns a copy of every event with Seq > since.

@@ -27,7 +27,7 @@ func openFaultJournal(t *testing.T, path, plan string) *Journal {
 // returns its replayed events — what the next process would adopt.
 func reopenClean(t *testing.T, path string) []Event {
 	t.Helper()
-	j, err := OpenJournal(path)
+	j, err := OpenJournalFS(hostio.OS{}, path)
 	if err != nil {
 		t.Fatalf("clean reopen: %v", err)
 	}
@@ -63,18 +63,18 @@ func TestJournalSyncFailRecovers(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "events.jsonl")
 	j := openFaultJournal(t, path, "class=journal,fault=eio,on=sync,at=2")
 	appendN(t, j, 1)
-	if j.Pending() != 0 {
-		t.Fatalf("healthy append parked: pending = %d", j.Pending())
+	if j.pending() != 0 {
+		t.Fatalf("healthy append parked: pending = %d", j.pending())
 	}
 	appendN(t, j, 1) // sync #2 fails
-	if j.Pending() != 1 {
-		t.Fatalf("after failed sync: pending = %d, want 1", j.Pending())
+	if j.pending() != 1 {
+		t.Fatalf("after failed sync: pending = %d, want 1", j.pending())
 	}
 	appendN(t, j, 1) // triggers recovery replay
-	if j.Pending() != 0 {
-		t.Fatalf("after recovery: pending = %d, want 0", j.Pending())
+	if j.pending() != 0 {
+		t.Fatalf("after recovery: pending = %d, want 0", j.pending())
 	}
-	fails, recovs := j.PersistStats()
+	fails, recovs := j.persistStats()
 	if fails == 0 || recovs != 1 {
 		t.Fatalf("persist stats = (%d fails, %d recoveries)", fails, recovs)
 	}
@@ -89,8 +89,8 @@ func TestJournalTornWriteRecovers(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "events.jsonl")
 	j := openFaultJournal(t, path, "class=journal,fault=torn,on=write,at=2")
 	appendN(t, j, 4)
-	if j.Pending() != 0 {
-		t.Fatalf("pending = %d, want 0 after recovery", j.Pending())
+	if j.pending() != 0 {
+		t.Fatalf("pending = %d, want 0 after recovery", j.pending())
 	}
 	j.Close()
 	wantContiguous(t, reopenClean(t, path), 4)
@@ -102,10 +102,10 @@ func TestJournalRingReplayAfterWindow(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "events.jsonl")
 	j := openFaultJournal(t, path, "class=journal,fault=enospc,on=write,from=2,until=6")
 	appendN(t, j, 6)
-	if j.Pending() != 0 {
-		t.Fatalf("pending = %d, want 0 after the window closed", j.Pending())
+	if j.pending() != 0 {
+		t.Fatalf("pending = %d, want 0 after the window closed", j.pending())
 	}
-	if j.Lost() {
+	if j.isLost() {
 		t.Fatal("journal reported lost; ring should have absorbed the window")
 	}
 	j.Close()
@@ -122,7 +122,7 @@ func TestJournalRingOverflowKeepsCleanPrefix(t *testing.T) {
 	j := openFaultJournal(t, path, "class=journal,fault=enospc,on=write,from=2")
 	j.RingCap = 2
 	appendN(t, j, 8)
-	if !j.Lost() {
+	if !j.isLost() {
 		t.Fatal("want Lost() after ring overflow")
 	}
 	// Memory still has everything, contiguous.
@@ -131,4 +131,27 @@ func TestJournalRingOverflowKeepsCleanPrefix(t *testing.T) {
 	// Disk has only the durable prefix (event 1), still contiguous and
 	// adoptable.
 	wantContiguous(t, reopenClean(t, path), 1)
+}
+
+// pending returns how many appended events await persistence (0 when
+// healthy or memory-only).
+func (j *Journal) pending() int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return len(j.ring)
+}
+
+// isLost reports whether the degraded ring overflowed and persistence
+// was abandoned for this process.
+func (j *Journal) isLost() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.lost
+}
+
+// persistStats returns (persist failures, successful ring recoveries).
+func (j *Journal) persistStats() (failures, recoveries int64) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.persistErrs, j.recoveries
 }

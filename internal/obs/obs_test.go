@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"flashwear/internal/hostio"
 )
 
 func TestRegistryPrometheusRender(t *testing.T) {
@@ -15,8 +17,7 @@ func TestRegistryPrometheusRender(t *testing.T) {
 	c := r.Counter("test_ops_total", "Ops done.")
 	c.Add(3)
 	g := r.Gauge("test_depth", "Queue depth.")
-	g.Set(2.5)
-	g.Add(-0.5)
+	g.Set(2)
 	h := r.Histogram("test_latency_seconds", "Latency.", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
@@ -66,7 +67,7 @@ func TestHistogramTimer(t *testing.T) {
 
 func TestJournalPersistAndReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sub", "events.jsonl")
-	j, err := OpenJournal(path)
+	j, err := OpenJournalFS(hostio.OS{}, path)
 	if err != nil {
 		t.Fatalf("OpenJournal: %v", err)
 	}
@@ -77,7 +78,7 @@ func TestJournalPersistAndReplay(t *testing.T) {
 	}
 	j.Close()
 
-	j2, err := OpenJournal(path)
+	j2, err := OpenJournalFS(hostio.OS{}, path)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -101,7 +102,7 @@ func TestJournalPersistAndReplay(t *testing.T) {
 
 func TestJournalTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "events.jsonl")
-	j, err := OpenJournal(path)
+	j, err := OpenJournalFS(hostio.OS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestJournalTornTail(t *testing.T) {
 	f.WriteString(`{"seq":3,"type":"tor`)
 	f.Close()
 
-	j2, err := OpenJournal(path)
+	j2, err := OpenJournalFS(hostio.OS{}, path)
 	if err != nil {
 		t.Fatalf("reopen with torn tail: %v", err)
 	}
@@ -134,7 +135,7 @@ func TestJournalTornTail(t *testing.T) {
 	j2.Close()
 
 	// The recovered file must itself replay cleanly.
-	j3, err := OpenJournal(path)
+	j3, err := OpenJournalFS(hostio.OS{}, path)
 	if err != nil {
 		t.Fatalf("third open: %v", err)
 	}
@@ -147,13 +148,13 @@ func TestJournalTornTail(t *testing.T) {
 func TestJournalRejectsSeqGap(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "events.jsonl")
 	os.WriteFile(path, []byte(`{"seq":1,"type":"a"}`+"\n"+`{"seq":3,"type":"b"}`+"\n"), 0o644)
-	if _, err := OpenJournal(path); err == nil {
+	if _, err := OpenJournalFS(hostio.OS{}, path); err == nil {
 		t.Fatal("journal with a sequence gap opened cleanly, want error")
 	}
 }
 
 func TestJournalSubscribe(t *testing.T) {
-	j, err := OpenJournal("")
+	j, err := OpenJournalFS(hostio.OS{}, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,16 +142,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 // Set replaces the value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add adjusts the value by d.
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -177,9 +167,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) *GaugeFunc {
 	r.register(g)
 	return g
 }
-
-// Value invokes the callback.
-func (g *GaugeFunc) Value() float64 { return g.fn() }
 
 func (g *GaugeFunc) metricName() string { return g.name }
 

@@ -3,7 +3,6 @@ package report
 import (
 	"fmt"
 	"io"
-	"math"
 )
 
 // Histogram counts observations in fixed-width buckets over [Min, Max).
@@ -100,23 +99,6 @@ func (h *Histogram) Percentile(p float64) float64 {
 		cum += float64(c)
 	}
 	return h.Max
-}
-
-// Mean approximates the mean using bucket midpoints; under- and overflow
-// contribute Min and Max. An empty histogram returns NaN.
-func (h *Histogram) Mean() float64 {
-	total := h.Total()
-	if total == 0 {
-		return math.NaN()
-	}
-	w := h.BucketWidth()
-	sum := float64(h.Under)*h.Min + float64(h.Over)*h.Max
-	for i, c := range h.Counts {
-		if c != 0 {
-			sum += float64(c) * (h.Min + (float64(i)+0.5)*w)
-		}
-	}
-	return sum / float64(total)
 }
 
 // Percentiles evaluates several percentiles at once, in the given order.

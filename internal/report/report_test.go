@@ -9,8 +9,8 @@ func TestTableRender(t *testing.T) {
 	tbl := NewTable("Demo", "Device", "GiB", "Hours")
 	tbl.AddRow("eMMC 8GB", 992.0, 14.1)
 	tbl.AddRow("eMMC 16GB", 2210.5, 28.23)
-	if tbl.Rows() != 2 {
-		t.Fatalf("Rows = %d", tbl.Rows())
+	if len(tbl.rows) != 2 {
+		t.Fatalf("Rows = %d", len(tbl.rows))
 	}
 	var sb strings.Builder
 	tbl.Render(&sb)

@@ -98,9 +98,6 @@ func (c *Clock) Reset(t time.Duration) {
 	c.seq = 0
 }
 
-// Pending reports the number of scheduled events that have not yet fired.
-func (c *Clock) Pending() int { return c.events.Len() }
-
 // runUntil fires, in order, all events with timestamps <= target. Events may
 // schedule further events; those also run if they fall within the window.
 func (c *Clock) runUntil(target time.Duration) {
@@ -142,7 +139,3 @@ func (q *eventQueue) Pop() any {
 	*q = old[:n-1]
 	return e
 }
-
-// Hours converts a simulated duration to floating-point hours, the unit the
-// paper reports wear-out times in (Figure 3, Table 1).
-func Hours(d time.Duration) float64 { return d.Hours() }

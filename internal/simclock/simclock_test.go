@@ -93,8 +93,8 @@ func TestEventsNotYetDueStayPending(t *testing.T) {
 	if ran {
 		t.Fatal("event fired an hour early")
 	}
-	if c.Pending() != 1 {
-		t.Fatalf("Pending() = %d, want 1", c.Pending())
+	if n := c.events.Len(); n != 1 {
+		t.Fatalf("%d events pending, want 1", n)
 	}
 	c.Advance(time.Hour)
 	if !ran {
@@ -157,12 +157,6 @@ func TestAtNilFuncPanics(t *testing.T) {
 		}
 	}()
 	New().At(time.Second, nil)
-}
-
-func TestHours(t *testing.T) {
-	if got := Hours(90 * time.Minute); got != 1.5 {
-		t.Fatalf("Hours(90m) = %v, want 1.5", got)
-	}
 }
 
 func TestCancelDuringTickStopsFutureTicks(t *testing.T) {

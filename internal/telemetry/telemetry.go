@@ -172,16 +172,6 @@ type Snapshot struct {
 	Points []Point
 }
 
-// Index returns the position of name in Points, or -1.
-func (s Snapshot) Index(name string) int {
-	for i, p := range s.Points {
-		if p.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Snapshot reads every instrument. Pull callbacks run under the registry
 // lock; they must not re-enter the registry.
 func (r *Registry) Snapshot(at time.Duration) Snapshot {

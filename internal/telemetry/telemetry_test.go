@@ -96,12 +96,6 @@ func TestSnapshotOrderAndValues(t *testing.T) {
 	if v := snap.Points[3].Value(); v != 2.5 {
 		t.Errorf("gaugefunc = %g, want 2.5", v)
 	}
-	if i := snap.Index("c.level"); i != 2 {
-		t.Errorf("Index = %d, want 2", i)
-	}
-	if i := snap.Index("missing"); i != -1 {
-		t.Errorf("Index(missing) = %d, want -1", i)
-	}
 }
 
 func TestSamplerCadence(t *testing.T) {

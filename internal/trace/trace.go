@@ -65,9 +65,6 @@ type Stats struct {
 	BytesDiscarded int64
 }
 
-// Events returns the total number of recorded requests.
-func (s Stats) Events() int64 { return s.Writes + s.Reads + s.Discards + s.Flushes }
-
 // Recorder wraps a device and appends every request to an in-memory trace.
 type Recorder struct {
 	Inner blockdev.Device
@@ -84,9 +81,6 @@ func NewRecorder(dev blockdev.Device, clock *simclock.Clock) *Recorder {
 
 // Events returns the recorded trace.
 func (r *Recorder) Events() []Event { return r.events }
-
-// Stats returns a summary of the recorded trace so far.
-func (r *Recorder) Stats() Stats { return r.stats }
 
 func (r *Recorder) add(op Op, off, length int64) {
 	r.events = append(r.events, Event{At: r.clock.Now(), Op: op, Off: off, Len: length})

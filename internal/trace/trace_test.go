@@ -126,16 +126,13 @@ func TestSerializationRoundTripAllOps(t *testing.T) {
 }
 
 func TestRecorderStats(t *testing.T) {
-	st := recordAllOps(t).Stats()
+	st := recordAllOps(t).stats
 	want := Stats{
 		Writes: 2, Reads: 1, Discards: 1, Flushes: 1,
 		BytesWritten: 8192, BytesRead: 2048, BytesDiscarded: 4096,
 	}
 	if st != want {
 		t.Fatalf("Stats = %+v, want %+v", st, want)
-	}
-	if st.Events() != 5 {
-		t.Fatalf("Events = %d, want 5", st.Events())
 	}
 }
 

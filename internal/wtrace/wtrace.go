@@ -79,22 +79,6 @@ const (
 	NumCauses
 )
 
-// String implements fmt.Stringer.
-func (c Cause) String() string {
-	switch c {
-	case CauseHost:
-		return "host"
-	case CauseGC:
-		return "gc"
-	case CauseWL:
-		return "wl"
-	case CauseCache:
-		return "cache"
-	default:
-		return fmt.Sprintf("Cause(%d)", int(c))
-	}
-}
-
 // row is one origin's live counters.
 type row struct {
 	hostPages  int64
@@ -251,9 +235,6 @@ func (t *Tracer) EnableEvents(cap int) {
 
 // EventsEnabled reports whether event recording is on.
 func (t *Tracer) EventsEnabled() bool { return t.eventsOn }
-
-// Dropped returns how many events were dropped at the cap.
-func (t *Tracer) Dropped() int64 { return t.dropped }
 
 func (t *Tracer) now() int64 {
 	if t.Now == nil {

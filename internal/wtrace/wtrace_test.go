@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -319,7 +320,7 @@ func TestEventCapDrops(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tr.EventRelocate(CauseGC, i, 1)
 	}
-	if got := tr.Dropped(); got != 3 {
+	if got := tr.dropped; got != 3 {
 		t.Fatalf("dropped = %d, want 3", got)
 	}
 	var buf bytes.Buffer
@@ -342,7 +343,7 @@ func TestAttachTelemetry(t *testing.T) {
 	snap := reg.Snapshot(0)
 	check := func(name string, want int64) {
 		t.Helper()
-		i := snap.Index(name)
+		i := slices.IndexFunc(snap.Points, func(p telemetry.Point) bool { return p.Name == name })
 		if i < 0 {
 			t.Fatalf("%s not registered", name)
 		}
