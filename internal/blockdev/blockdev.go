@@ -42,6 +42,33 @@ type Device interface {
 	SectorSize() int
 }
 
+// PrefixWriter is a Device that can be told how much of a write can be
+// non-zero. WritePrefix(p, n, off) is WriteAt(p, off) with the caller's
+// promise that p[n:] is all zero, 0 <= n <= len(p): a writer that knows
+// how much of a block it filled (a metadata block's used length) spares
+// the device from finding the zero tail itself. The stored content is the
+// same either way.
+type PrefixWriter interface {
+	WritePrefix(p []byte, n int, off int64) error
+}
+
+// WritePrefix writes p at off with the promise that p[n:] is zero: through
+// d's own WritePrefix when it has one, else as d.WriteAt(p, off).
+func WritePrefix(d Device, p []byte, n int, off int64) error {
+	if pw, ok := d.(PrefixWriter); ok {
+		return pw.WritePrefix(p, n, off)
+	}
+	return d.WriteAt(p, off)
+}
+
+// CheckPrefix validates a WritePrefix length against its payload's size.
+func CheckPrefix(n, size int) error {
+	if n < 0 || n > size {
+		return fmt.Errorf("blockdev: WritePrefix: %d used bytes of %d", n, size)
+	}
+	return nil
+}
+
 // CheckRange validates an access against a device's size and sector size.
 func CheckRange(d Device, off, length int64) error {
 	return CheckExtent(off, length, int64(d.SectorSize()), d.Size())

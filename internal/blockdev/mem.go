@@ -61,6 +61,21 @@ func (m *MemDevice) WriteAt(p []byte, off int64) error {
 	return nil
 }
 
+// WritePrefix implements PrefixWriter. It refuses a write that breaks the
+// promise, a non-zero byte at or past n, so every file-system test that
+// mounts a MemDevice checks each length its writer states.
+func (m *MemDevice) WritePrefix(p []byte, n int, off int64) error {
+	if err := CheckPrefix(n, len(p)); err != nil {
+		return err
+	}
+	for i, c := range p[n:] {
+		if c != 0 {
+			return fmt.Errorf("blockdev: WritePrefix at %d: byte %d is %#x past the %d used", off, n+i, c, n)
+		}
+	}
+	return m.WriteAt(p, off)
+}
+
 // WriteAccounted implements Device; for a RAM device it simply drops any
 // previous payload in the range.
 func (m *MemDevice) WriteAccounted(off, length int64) error {

@@ -28,6 +28,13 @@ func (c *Counting) WriteAt(p []byte, off int64) error {
 	return c.Inner.WriteAt(p, off)
 }
 
+// WritePrefix implements PrefixWriter, counting the whole of p.
+func (c *Counting) WritePrefix(p []byte, n int, off int64) error {
+	c.WriteOps++
+	c.BytesWritten += int64(len(p))
+	return WritePrefix(c.Inner, p, n, off)
+}
+
 // WriteAccounted implements Device.
 func (c *Counting) WriteAccounted(off, length int64) error {
 	c.WriteOps++

@@ -388,15 +388,27 @@ func (d *Device) ReadAt(p []byte, off int64) error {
 
 // WriteAt implements blockdev.Device.
 func (d *Device) WriteAt(p []byte, off int64) error {
-	return d.write(off, int64(len(p)), p)
+	return d.write(off, int64(len(p)), p, len(p))
+}
+
+// WritePrefix implements blockdev.PrefixWriter: each whole page the write
+// covers goes to the FTL as only its part of p[:n], so the chip finds a
+// page's stored prefix within the bytes the writer says it used.
+func (d *Device) WritePrefix(p []byte, n int, off int64) error {
+	if err := blockdev.CheckPrefix(n, len(p)); err != nil {
+		return err
+	}
+	return d.write(off, int64(len(p)), p, n)
 }
 
 // WriteAccounted implements blockdev.Device.
 func (d *Device) WriteAccounted(off, length int64) error {
-	return d.write(off, length, nil)
+	return d.write(off, length, nil, 0)
 }
 
-func (d *Device) write(off, length int64, payload []byte) error {
+// write stores payload (nil for an accounting-only write) at off, with
+// payload[used:] zero.
+func (d *Device) write(off, length int64, payload []byte, used int) error {
 	if err := blockdev.CheckExtent(off, length, sector, d.f.Capacity()); err != nil {
 		return err
 	}
@@ -445,7 +457,8 @@ func (d *Device) write(off, length int64, payload []byte) error {
 				copy(data[from-pageStart:], payload[from-off:to-off])
 			}
 		} else if payload != nil {
-			data = payload[from-off : to-off]
+			// The page's part of payload[:used], which the FTL zero-extends.
+			data = payload[from-off : max(from-off, min(to-off, int64(used)))]
 		}
 		cost, err := d.f.WritePage(int(pg), data, reqBytes)
 		total.Add(cost)

@@ -221,4 +221,20 @@ type Result struct {
 	// Spec echoes the run's (defaulted) specification.
 	Spec Spec
 	*Accumulator
+	// Faults sums what the devices' fault plans did. It is a pure function
+	// of the Spec like the Accumulator, but no part of the aggregate.
+	Faults Faults `json:"-"`
+}
+
+// Faults counts a fault plan's effects on a device or a run: the FTL's
+// power-loss recoveries (each a remount after a cut, or after the clean
+// cut of a reboot) and the read and program faults the injector fired.
+type Faults struct {
+	Recoveries, ReadFaults, ProgramFaults int64
+}
+
+func (f *Faults) add(o Faults) {
+	f.Recoveries += o.Recoveries
+	f.ReadFaults += o.ReadFaults
+	f.ProgramFaults += o.ProgramFaults
 }

@@ -3,7 +3,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"flashwear/internal/core"
@@ -64,17 +63,6 @@ type Phone struct {
 	// vol is the last volume mounted, which the next mount reuses.
 	vol *extfs.FS
 }
-
-// remounts counts successful power-loss recoveries across all phones of
-// all runs — schedule-independent in total, never part of a result; tests
-// read it to prove a fault plan actually exercised the recovery path.
-// readFaults and programFaults likewise sum the faults the injectors of
-// Run's finished devices injected.
-var remounts, readFaults, programFaults atomic.Int64
-
-// Remounts returns the process-wide count of successful remounts, for
-// tests outside this package.
-func Remounts() int64 { return remounts.Load() }
 
 // NewPhone builds the device (and tracer) of the phone p describes, on
 // clock, injecting plan if non-nil. The device is blank and powered; the
@@ -343,7 +331,6 @@ func (ph *Phone) remount() (died bool, err error) {
 		}
 		switch {
 		case err == nil:
-			remounts.Add(1)
 			return false, nil
 		case isPowerLoss(err):
 			// Cut again mid-boot: cycle and try once more.

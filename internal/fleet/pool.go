@@ -58,9 +58,11 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		wg       sync.WaitGroup
 	)
 	accs := make([]*Accumulator, workers)
+	faults := make([]Faults, workers)
 	for w := 0; w < workers; w++ {
 		acc := newAccumulator(spec)
 		accs[w] = acc
+		ft := &faults[w]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -91,6 +93,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 					return
 				}
 				acc.add(res)
+				ft.add(res.faults)
 				if spec.Progress != nil {
 					spec.Progress(int(done.Add(1)), spec.Devices, res)
 				}
@@ -118,5 +121,9 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	sort.Slice(merged.FailedSeeds, func(a, b int) bool {
 		return merged.FailedSeeds[a] < merged.FailedSeeds[b]
 	})
-	return &Result{Spec: spec, Accumulator: merged}, nil
+	res := &Result{Spec: spec, Accumulator: merged}
+	for _, f := range faults {
+		res.Faults.add(f)
+	}
+	return res, nil
 }

@@ -40,6 +40,8 @@ type DeviceResult struct {
 	// wear is the device's full-scale wear ledger (zero-value unless
 	// Spec.WearTrace is set).
 	wear wtrace.Snapshot
+	// faults is what the device's fault plan did (Result.Faults).
+	faults Faults
 }
 
 // simulateDevice runs device p on the worker's stack for its model, reborn
@@ -107,10 +109,10 @@ func simulate(ctx context.Context, spec Spec, ph *Phone) (DeviceResult, error) {
 		return DeviceResult{}, err
 	}
 	res := ph.Result(died)
+	res.faults.Recoveries = ph.Dev.FTL().Stats().Recoveries
 	if inj := ph.Dev.Injector(); inj != nil {
 		st := inj.Stats()
-		readFaults.Add(st.ReadFaults)
-		programFaults.Add(st.ProgramFaults)
+		res.faults.ReadFaults, res.faults.ProgramFaults = st.ReadFaults, st.ProgramFaults
 	}
 	if spec.MetricsEvery > 0 {
 		// Exactly one row per whole interval: a phone that died early

@@ -244,6 +244,8 @@ func (m *Manager) newCampaign(id string, spec CampaignSpec) (*Campaign, error) {
 	}
 	j.Logger = m.logger
 	j.Tag = id
+	j.PersistErrors = m.metrics.JournalPersistErrors
+	j.Recoveries = m.metrics.JournalRecoveries
 	c.journal = j
 	c.alerts = newAlertState()
 	c.alerts.seed(j.Events(0))

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"flashwear/internal/fleet"
+	"flashwear/internal/hostio"
 )
 
 // fingerprint renders everything the determinism contract covers: the
@@ -32,6 +33,34 @@ func fingerprint(t *testing.T, c *Campaign) []byte {
 	fmt.Fprintf(&buf, "final=%v\n", final)
 	buf.Write(raw)
 	return buf.Bytes()
+}
+
+// survivorRecoveries reads the final checkpoint cells of disk-backed
+// campaign c and returns how many devices they hold, the survivors, and
+// the sum of their FTLs' lifetime power-loss recoveries.
+func survivorRecoveries(t *testing.T, c *Campaign) (devices int, recoveries int64) {
+	t.Helper()
+	epoch := epochCount(c.epochLen(), c.spec.Days)
+	for shard := 0; shard < max(c.spec.Shards, 1); shard++ {
+		r, err := openCell(hostio.OS{}, cellPath(c.dir, shard, epoch), newCellBufs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var a arena
+		_, err = r.frames(func(payload []byte) error {
+			st, err := decodeDevice(payload, &a)
+			if err == nil {
+				devices++
+				recoveries += st.FTLStats.Recoveries
+			}
+			return err
+		})
+		r.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return devices, recoveries
 }
 
 // TestSchedulingInvariance pins the core contract: shards, workers, and
@@ -59,12 +88,7 @@ func TestSchedulingInvariance(t *testing.T) {
 			base := tinySpec()
 			base.Seed = tc.seed
 			base.Faults = tc.faults
-			before := fleet.Remounts()
 			ref := fingerprint(t, runToEnd(t, "", base))
-			// The nightly reboots alone remount devices x (days-1) times.
-			if n := fleet.Remounts() - before; tc.midDayCuts && n <= int64(base.Devices*(base.Days-1)) {
-				t.Errorf("%d remounts: the plan's cuts never fired mid-day — tighten cut-every", n)
-			}
 			if got := fmt.Sprintf("%x", sha256.Sum256(ref)); got != tc.golden {
 				t.Errorf("reference fingerprint hash = %s, want %s", got, tc.golden)
 			}
@@ -87,7 +111,16 @@ func TestSchedulingInvariance(t *testing.T) {
 				if v.disk {
 					dir = t.TempDir()
 				}
-				got := fingerprint(t, runToEnd(t, dir, spec))
+				c := runToEnd(t, dir, spec)
+				if tc.midDayCuts && v.name == "w1s1-nockpt" {
+					// The nightly reboots alone recover each survivor's
+					// FTL days-1 times.
+					devices, n := survivorRecoveries(t, c)
+					if devices == 0 || n <= int64(devices*(base.Days-1)) {
+						t.Errorf("%d recoveries over %d survivors: the plan's cuts never fired mid-day — tighten cut-every", n, devices)
+					}
+				}
+				got := fingerprint(t, c)
 				if !bytes.Equal(got, ref) {
 					t.Errorf("%s: results differ from reference run\nref:\n%s\ngot:\n%s", v.name, ref, got)
 				}

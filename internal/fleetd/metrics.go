@@ -28,6 +28,11 @@ type Metrics struct {
 	// (degraded, in-memory carry) mode.
 	CheckpointRetries  *obs.Counter
 	CheckpointDegraded *obs.Gauge
+	// Event-journal resilience, over every campaign's journal: failed
+	// appends to its file, and replays of the parked events that made the
+	// file whole again (obs.Journal's degraded mode).
+	JournalPersistErrors *obs.Counter
+	JournalRecoveries    *obs.Counter
 
 	// Campaign lifecycle.
 	Submits *obs.Counter
@@ -76,6 +81,10 @@ func NewMetrics() *Metrics {
 			"Checkpoint cell write attempts retried after a host I/O failure."),
 		CheckpointDegraded: r.Gauge("fleetd_checkpoint_degraded",
 			"1 while a campaign is in checkpointing-paused mode (simulating with in-memory state carry because checkpoint writes fail), else 0."),
+		JournalPersistErrors: r.Counter("fleetd_journal_persist_errors_total",
+			"Campaign event-journal writes or syncs that failed on the host; the events wait in memory for a replay."),
+		JournalRecoveries: r.Counter("fleetd_journal_recoveries_total",
+			"Campaign event-journal replays that wrote every parked event back to the file."),
 		Submits: r.Counter("fleetd_campaign_submits_total",
 			"Campaigns submitted."),
 		Resumes: r.Counter("fleetd_campaign_resumes_total",

@@ -97,6 +97,8 @@ func TestMetricsRegistryWellFormed(t *testing.T) {
 		"fleetd_checkpoint_fsync_seconds",
 		"fleetd_checkpoint_retries_total",
 		"fleetd_checkpoint_degraded",
+		"fleetd_journal_persist_errors_total",
+		"fleetd_journal_recoveries_total",
 		"fleetd_campaign_submits_total",
 		"fleetd_campaign_resumes_total",
 		"fleetd_campaign_forks_total",
@@ -123,6 +125,34 @@ func TestMetricsRegistryWellFormed(t *testing.T) {
 		want := `fleetd_phase_seconds_count{phase="` + p.String() + `"}`
 		if !strings.Contains(text, want) {
 			t.Errorf("fresh registry missing %s", want)
+		}
+	}
+}
+
+// TestJournalFaultsOnMetrics: when a campaign's event journal fails on the
+// host, /metrics shows the failures and the replays that healed them.
+func TestJournalFaultsOnMetrics(t *testing.T) {
+	m, _ := tortureManager(t, t.TempDir(), "class=journal,fault=eio,on=sync,at=1;4")
+	c, err := m.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Metrics().Registry.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	values := map[string]string{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if name, v, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			values[name] = v
+		}
+	}
+	for _, name := range []string{"fleetd_journal_persist_errors_total", "fleetd_journal_recoveries_total"} {
+		if v := values[name]; v == "" || v == "0" {
+			t.Errorf("%s = %q after two failed journal syncs, want at least 1", name, v)
 		}
 	}
 }

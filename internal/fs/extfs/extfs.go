@@ -98,10 +98,10 @@ func Mkfs(dev blockdev.Device) error {
 		return err
 	}
 	// Journal superblock.
-	if err := writeBlock(dev, sb.jStart, journalSuper{seq: 1}.encode(buf)); err != nil {
+	if err := writePrefix(dev, sb.jStart, journalSuper{seq: 1}.encode(buf), jsupLen); err != nil {
 		return err
 	}
-	if err := writeBlock(dev, 0, sb.encode(buf)); err != nil {
+	if err := writePrefix(dev, 0, sb.encode(buf), sbLen); err != nil {
 		return err
 	}
 	return dev.Flush()
@@ -209,7 +209,7 @@ func (v *FS) mount(dev blockdev.Device, opts fs.Options) error {
 	v.countFree()
 	// Mark mounted (dirty) so a crash triggers replay next time.
 	sb.state = stateMounted
-	if err := writeBlock(dev, 0, sb.encode(v.scratch)); err != nil {
+	if err := writePrefix(dev, 0, sb.encode(v.scratch), sbLen); err != nil {
 		return err
 	}
 	if err := dev.Flush(); err != nil {
@@ -399,7 +399,7 @@ func (v *FS) Unmount() error {
 		return err
 	}
 	v.sb.state = stateClean
-	if err := writeBlock(v.dev, 0, v.sb.encode(v.scratch)); err != nil {
+	if err := writePrefix(v.dev, 0, v.sb.encode(v.scratch), sbLen); err != nil {
 		return err
 	}
 	if err := v.dev.Flush(); err != nil {

@@ -20,7 +20,14 @@ const (
 
 	// maxTxnBlocks bounds one transaction's staged blocks so a descriptor
 	// block can always list them.
-	maxTxnBlocks = (BlockSize - 16) / 4
+	maxTxnBlocks = (BlockSize - jdscHdr) / 4
+
+	// How many bytes of its block each journal record can make non-zero:
+	// the superblock and the commit record are fixed, and a descriptor is
+	// a 16-byte header and then one 4-byte home per staged block.
+	jsupLen = 16
+	jcmtLen = 12
+	jdscHdr = 16
 )
 
 // journalSuper is the first block of the journal region.
@@ -134,9 +141,9 @@ func (v *FS) commit() error {
 	le.PutUint32(desc[12:], uint32(len(v.txn)))
 	v.keys = sortedKeys(v.keys, v.txn)
 	for i, h := range v.keys {
-		le.PutUint32(desc[16+4*i:], h)
+		le.PutUint32(desc[jdscHdr+4*i:], h)
 	}
-	if err := writeBlock(v.dev, v.jHead, desc); err != nil {
+	if err := writePrefix(v.dev, v.jHead, desc, jdscHdr+4*len(v.keys)); err != nil {
 		return err
 	}
 	v.jHead++
@@ -152,7 +159,7 @@ func (v *FS) commit() error {
 	clear(cmt)
 	le.PutUint32(cmt[0:], jcmtMagic)
 	le.PutUint64(cmt[4:], v.jSeq)
-	if err := writeBlock(v.dev, v.jHead, cmt); err != nil {
+	if err := writePrefix(v.dev, v.jHead, cmt, jcmtLen); err != nil {
 		return err
 	}
 	v.jHead++
@@ -202,7 +209,7 @@ func (v *FS) checkpoint() error {
 	}
 	v.jHead = v.sb.jStart + 1
 	jsb := journalSuper{seq: v.jSeq}
-	if err := writeBlock(v.dev, v.sb.jStart, jsb.encode(v.scratch)); err != nil {
+	if err := writePrefix(v.dev, v.sb.jStart, jsb.encode(v.scratch), jsupLen); err != nil {
 		return err
 	}
 	return v.dev.Flush()
@@ -248,7 +255,7 @@ func (v *FS) replay() (int, error) {
 			break // crashed mid-transaction: discard
 		}
 		for i := uint32(0); i < count; i++ {
-			home := le.Uint32(db[16+4*i:])
+			home := le.Uint32(db[jdscHdr+4*i:])
 			if home >= v.sb.totalBlocks {
 				return applied, fmt.Errorf("%w: journal home %d out of range", ErrCorrupt, home)
 			}
@@ -269,7 +276,7 @@ func (v *FS) replay() (int, error) {
 	}
 	v.jSeq = seq
 	v.jHead = v.sb.jStart + 1
-	if err := writeBlock(v.dev, v.sb.jStart, journalSuper{seq: seq}.encode(v.scratch)); err != nil {
+	if err := writePrefix(v.dev, v.sb.jStart, journalSuper{seq: seq}.encode(v.scratch), jsupLen); err != nil {
 		return applied, err
 	}
 	return applied, v.dev.Flush()

@@ -71,6 +71,10 @@ type superblock struct {
 	state       uint32
 }
 
+// sbLen is how many bytes of its block superblock.encode can make
+// non-zero.
+const sbLen = 48
+
 // encode renders the superblock into b, a BlockSize buffer, and returns
 // it.
 func (sb *superblock) encode(b []byte) []byte {
@@ -177,4 +181,11 @@ func readBlockInto(d blockdev.Device, blk uint32, b []byte) ([]byte, error) {
 // writeBlock writes one 4 KiB block.
 func writeBlock(d blockdev.Device, blk uint32, b []byte) error {
 	return d.WriteAt(b, int64(blk)*BlockSize)
+}
+
+// writePrefix writes one 4 KiB block of which only b[:n] can be non-zero
+// (blockdev.WritePrefix): a block encoded at a length known without a
+// scan.
+func writePrefix(d blockdev.Device, blk uint32, b []byte, n int) error {
+	return blockdev.WritePrefix(d, b, n, int64(blk)*BlockSize)
 }

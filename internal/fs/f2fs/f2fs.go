@@ -15,6 +15,7 @@ const checkpointInterval = 1024
 // FS is a mounted f2fs volume. It is not safe for concurrent use.
 type FS struct {
 	dev  blockdev.Device
+	pw   blockdev.PrefixWriter // dev's WritePrefix, nil when it has none
 	opts fs.Options
 	sb   *superblock
 
@@ -96,8 +97,9 @@ func Mount(dev blockdev.Device, opts fs.Options) (*FS, error) {
 	if err != nil {
 		return nil, err
 	}
+	pw, _ := dev.(blockdev.PrefixWriter)
 	v := &FS{
-		dev: dev, opts: opts, sb: sb,
+		dev: dev, pw: pw, opts: opts, sb: sb,
 		natDirty:  make([]bool, sb.natBlks),
 		scratch:   make([]byte, BlockSize),
 		nodes:     make(map[uint32]*node),

@@ -182,7 +182,7 @@ func TestFsyncWritesNodePerSync(t *testing.T) {
 	// data block plus a node block.
 	v, dev := newVolume(t, 16, fs.Options{})
 	c := blockdev.NewCounting(dev)
-	v.dev = c
+	v.dev, v.pw = c, c
 	f, _ := v.Create("/f")
 	if _, err := f.WriteAt(make([]byte, 64*BlockSize), 0); err != nil {
 		t.Fatal(err)

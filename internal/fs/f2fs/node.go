@@ -29,6 +29,7 @@ const nodeMagic = 0x46324E44 // "F2ND"
 // an indirect node's IndirectPtrs data pointers. Data-pointer slot s sits at
 // the same offset in both kinds.
 const (
+	hdrLen    = 40
 	ptrBase   = 64
 	indirBase = ptrBase + 4*NDirect
 )
@@ -49,6 +50,10 @@ type node struct {
 	// encoded and updated in place. The header fields above are patched in
 	// by encode.
 	blk []byte
+	// used bounds blk's non-zero bytes: blk[used:] is zero. It is at least
+	// hdrLen, which covers whatever encode patches in, and setPtr and
+	// setIndirectID raise it; writeNode tightens it and tells the device.
+	used int
 	// nIndir is one past an inode's highest non-zero indirect-node slot
 	// (0 when it has none): the slots a walk over them must visit. A file
 	// that never outgrows its direct pointers has none.
@@ -58,11 +63,11 @@ type node struct {
 }
 
 func newInode(id uint32, mode uint16) *node {
-	return &node{id: id, mode: mode, links: 1, blk: make([]byte, BlockSize), dirty: true}
+	return &node{id: id, mode: mode, links: 1, blk: make([]byte, BlockSize), used: hdrLen, dirty: true}
 }
 
 func newIndirect(id uint32) *node {
-	return &node{id: id, flags: nodeIndirect, blk: make([]byte, BlockSize), dirty: true}
+	return &node{id: id, flags: nodeIndirect, blk: make([]byte, BlockSize), used: hdrLen, dirty: true}
 }
 
 func (n *node) isIndirect() bool { return n.flags&nodeIndirect != 0 }
@@ -80,7 +85,16 @@ func (n *node) ptr(slot uint32) uint32 {
 }
 
 func (n *node) setPtr(slot, addr uint32) {
-	binary.LittleEndian.PutUint32(n.blk[ptrBase+4*slot:], addr)
+	n.put(ptrBase+4*int(slot), addr)
+}
+
+// put stores v at byte off of the image, raising used past it when v is
+// non-zero.
+func (n *node) put(off int, v uint32) {
+	binary.LittleEndian.PutUint32(n.blk[off:], v)
+	if v != 0 {
+		n.used = max(n.used, off+4)
+	}
 }
 
 // indirectID returns the ID of an inode's which-th indirect node, 0 if none.
@@ -89,7 +103,7 @@ func (n *node) indirectID(which int64) uint32 {
 }
 
 func (n *node) setIndirectID(which int64, id uint32) {
-	binary.LittleEndian.PutUint32(n.blk[indirBase+4*which:], id)
+	n.put(indirBase+4*int(which), id)
 	switch {
 	case id != 0 && which >= n.nIndir:
 		n.nIndir = which + 1
@@ -109,7 +123,8 @@ func (n *node) highestIndirect(below int64) int64 {
 
 // encode patches the header, with the given version and fsync flag, into the
 // node's block image and returns the image itself: the caller hands it to
-// the device, which stores a copy, and must not keep or change it.
+// the device, which stores a copy, and must not keep or change it. The
+// header lies within hdrLen, so blk[n.used:] stays zero.
 func (n *node) encode(ver uint64, fsync bool) []byte {
 	b := n.blk
 	le := binary.LittleEndian
@@ -145,11 +160,30 @@ func decodeNode(b []byte) (*node, uint64, bool, error) {
 		size:  int64(le.Uint64(b[24:])),
 		mtime: int64(le.Uint64(b[32:])),
 		blk:   b,
+		used:  len(b), // the first writeNode finds how much is in use
 	}
 	if !n.isIndirect() {
 		n.nIndir = n.highestIndirect(NIndirectIDs)
 	}
 	return n, le.Uint64(b[8:]), b[16]&nodeFsync != 0, nil
+}
+
+// tighten steps used back over the image's trailing zero bytes, no
+// further than hdrLen, and returns how many bytes of the image are in use:
+// the image up to its last non-zero byte. A setPtr that raised used wrote
+// a block address, whose high byte is usually zero, so this is a step or
+// two. A decoded node, or one whose last pointers were cleared, walks back
+// by words, once.
+func (n *node) tighten() int {
+	k := n.used
+	for k >= 8 && binary.LittleEndian.Uint64(n.blk[k-8:]) == 0 {
+		k -= 8
+	}
+	for k > 0 && n.blk[k-1] == 0 {
+		k--
+	}
+	n.used = max(k, hdrLen)
+	return k
 }
 
 // --- NAT ---
@@ -218,7 +252,8 @@ func (v *FS) writeNode(n *node, fsync bool) error {
 		return err
 	}
 	v.ver++
-	if err := v.writeMetaBlock(addr, n.encode(v.ver, fsync)); err != nil {
+	b := n.encode(v.ver, fsync)
+	if err := v.writeMetaPrefix(addr, b, n.tighten()); err != nil {
 		return err
 	}
 	if old := v.natLookup(n.id); old != 0 {

@@ -255,7 +255,12 @@ func (v *FS) copyDataBlock(from, to uint32, owner *node) error {
 	return writeBlock(v.dev, to, b)
 }
 
-// writeMetaBlock writes a block that must retain real content.
-func (v *FS) writeMetaBlock(addr uint32, b []byte) error {
+// writeMetaPrefix writes a block that must retain real content, of which
+// only b[:n] can be non-zero: through the device's WritePrefix when it has
+// one.
+func (v *FS) writeMetaPrefix(addr uint32, b []byte, n int) error {
+	if v.pw != nil {
+		return v.pw.WritePrefix(b, n, int64(addr)*BlockSize)
+	}
 	return writeBlock(v.dev, addr, b)
 }

@@ -401,7 +401,7 @@ func (f *FTL) checkRange(lp int) error {
 }
 
 // WritePage writes one logical page. data may be nil for accounting-only
-// writes. reqBytes is the size of the host request this page belongs to,
+// writes; otherwise it is at most a page, zero-extended to one. reqBytes is the size of the host request this page belongs to,
 // which drives hybrid routing (small requests go through the cache).
 func (f *FTL) WritePage(lp int, data []byte, reqBytes int) (Cost, error) {
 	var cost Cost
@@ -416,8 +416,8 @@ func (f *FTL) WritePage(lp int, data []byte, reqBytes int) (Cost, error) {
 	if err := f.checkRange(lp); err != nil {
 		return cost, err
 	}
-	if data != nil && len(data) != f.pageSize {
-		return cost, fmt.Errorf("ftl: WritePage: payload %d bytes, want %d", len(data), f.pageSize)
+	if len(data) > f.pageSize {
+		return cost, fmt.Errorf("ftl: WritePage: payload %d bytes, page %d", len(data), f.pageSize)
 	}
 	f.stats.HostPagesWritten++
 	f.stats.HostBytesWritten += int64(f.pageSize)

@@ -158,8 +158,33 @@ func TestRangeChecks(t *testing.T) {
 	if _, _, err := f.ReadPage(1 << 30); !errors.Is(err, ErrRange) {
 		t.Error("out-of-range read accepted")
 	}
-	if _, err := f.WritePage(0, make([]byte, 100), 4096); err == nil {
-		t.Error("short payload accepted")
+	if _, err := f.WritePage(0, make([]byte, f.PageSize()+1), 4096); err == nil {
+		t.Error("payload longer than a page accepted")
+	}
+}
+
+// TestWritePageShortPayload: a payload shorter than a page is the page's
+// prefix, zero-extended, on either pool; the chip lends back the prefix up
+// to its last non-zero byte, all of these payloads.
+func TestWritePageShortPayload(t *testing.T) {
+	for _, hybrid := range []bool{false, true} {
+		f := newTestFTL(t, nil)
+		if hybrid {
+			f = hybridFTL(t, 0.25, 0.8)
+		}
+		for i, n := range []int{0, 1, 100, f.PageSize() - 1} {
+			p := bytes.Repeat([]byte{byte(i + 1)}, n)
+			if _, err := f.WritePage(i, p, 4096); err != nil {
+				t.Fatalf("hybrid=%v: %d-byte payload: %v", hybrid, n, err)
+			}
+			got, _, err := f.ReadPage(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, p) {
+				t.Errorf("hybrid=%v: %d-byte payload reads back as %d bytes", hybrid, n, len(got))
+			}
+		}
 	}
 }
 

@@ -85,19 +85,21 @@ type Journal struct {
 	// RingCap bounds the degraded-mode ring (set before first use;
 	// 0 means 1024).
 	RingCap int
+	// PersistErrors and Recoveries, when set (before first use), count
+	// failed writes and syncs of the file and ring replays that made it
+	// whole again.
+	PersistErrors, Recoveries *Counter
 
-	mu          sync.Mutex
-	fs          hostio.FS
-	f           hostio.File // nil when memory-only
-	path        string
-	goodOff     int64   // bytes of durable, fully-synced, contiguous prefix
-	ring        []Event // appended but not yet persisted (degraded mode)
-	lost        bool    // ring overflowed: persistence abandoned for this process
-	recoveries  int64
-	persistErrs int64
-	events      []Event
-	subs        []*subscriber
-	nextSeq     uint64
+	mu      sync.Mutex
+	fs      hostio.FS
+	f       hostio.File // nil when memory-only
+	path    string
+	goodOff int64   // bytes of durable, fully-synced, contiguous prefix
+	ring    []Event // appended but not yet persisted (degraded mode)
+	lost    bool    // ring overflowed: persistence abandoned for this process
+	events  []Event
+	subs    []*subscriber
+	nextSeq uint64
 }
 
 type subscriber struct {
@@ -206,13 +208,13 @@ func (j *Journal) persistLocked(e Event, line []byte) {
 		return
 	}
 	if _, err := j.f.Write(line); err != nil {
-		j.persistErrs++
+		j.PersistErrors.Inc()
 		j.Logger.Log("journal_degraded", "campaign", j.Tag, "seq", e.Seq, "err", err.Error())
 		j.enqueueLocked(e)
 		return
 	}
 	if err := j.f.Sync(); err != nil {
-		j.persistErrs++
+		j.PersistErrors.Inc()
 		j.Logger.Log("journal_degraded", "campaign", j.Tag, "seq", e.Seq, "err", err.Error())
 		j.enqueueLocked(e)
 		return
@@ -264,17 +266,17 @@ func (j *Journal) recoverLocked() bool {
 		buf.WriteByte('\n')
 	}
 	if _, err := j.f.Write(buf.Bytes()); err != nil {
-		j.persistErrs++
+		j.PersistErrors.Inc()
 		return false
 	}
 	if err := j.f.Sync(); err != nil {
-		j.persistErrs++
+		j.PersistErrors.Inc()
 		return false
 	}
 	j.goodOff += int64(buf.Len())
 	j.Logger.Log("journal_recovered", "campaign", j.Tag, "replayed", len(j.ring))
 	j.ring = nil
-	j.recoveries++
+	j.Recoveries.Inc()
 	return true
 }
 

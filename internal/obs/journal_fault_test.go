@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"flashwear/internal/hostio"
@@ -62,6 +64,9 @@ func wantContiguous(t *testing.T, events []Event, n int) {
 func TestJournalSyncFailRecovers(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "events.jsonl")
 	j := openFaultJournal(t, path, "class=journal,fault=eio,on=sync,at=2")
+	reg := NewRegistry()
+	j.PersistErrors = reg.Counter("journal_persist_errors_total", "Failed journal writes and syncs.")
+	j.Recoveries = reg.Counter("journal_recoveries_total", "Journal ring replays.")
 	appendN(t, j, 1)
 	if j.pending() != 0 {
 		t.Fatalf("healthy append parked: pending = %d", j.pending())
@@ -74,9 +79,15 @@ func TestJournalSyncFailRecovers(t *testing.T) {
 	if j.pending() != 0 {
 		t.Fatalf("after recovery: pending = %d, want 0", j.pending())
 	}
-	fails, recovs := j.persistStats()
-	if fails == 0 || recovs != 1 {
-		t.Fatalf("persist stats = (%d fails, %d recoveries)", fails, recovs)
+	// Both counters render on the registry they were made on.
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"\njournal_persist_errors_total 1\n", "\njournal_recoveries_total 1\n"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("rendering lacks %q:\n%s", strings.TrimSpace(want), buf.String())
+		}
 	}
 	j.Close()
 	wantContiguous(t, reopenClean(t, path), 3)
@@ -147,11 +158,4 @@ func (j *Journal) isLost() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.lost
-}
-
-// persistStats returns (persist failures, successful ring recoveries).
-func (j *Journal) persistStats() (failures, recoveries int64) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.persistErrs, j.recoveries
 }

@@ -110,8 +110,12 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return c
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+// Inc adds one; a nil counter counts nothing.
+func (c *Counter) Inc() {
+	if c != nil {
+		c.v.Add(1)
+	}
+}
 
 // Add adds n (which must be non-negative; counters only go up).
 func (c *Counter) Add(n int64) { c.v.Add(n) }
