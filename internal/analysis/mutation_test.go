@@ -37,9 +37,9 @@ var mutations = []mutation{
 		new: "c.stats.Erases++\n\t_ = simrand.New(1) // mutation:globalrand",
 	},
 	{
-		name: "opserrcheck", pass: "opserrcheck", file: "internal/ftl/pool.go",
-		old: "_, err := p.chip.EraseBlock(b)",
-		new: "_, _ = p.chip.EraseBlock(b); var err error // mutation:opserrcheck",
+		name: "opserrcheck", pass: "opserrcheck", file: "internal/ftl/pages.go",
+		old: "_, err := m.chip.EraseBlock(b)",
+		new: "_, _ = m.chip.EraseBlock(b); var err error // mutation:opserrcheck",
 	},
 	{
 		name: "floataccum", pass: "floataccum", file: "internal/fleet/fleet.go",

@@ -16,8 +16,7 @@ import (
 // is what lets Table 1's Type A / Type B wear ratio emerge from mechanism
 // rather than curve fitting.
 type cachePool struct {
-	chip *nand.Chip
-	ppb  int
+	pageMap
 
 	ring []int // usable block indices in ring order (bad blocks removed)
 	head int   // ring position being filled
@@ -27,32 +26,14 @@ type cachePool struct {
 	headPage int // next free page in the head block
 	tailPage int // next page to scan in the tail block
 
-	rmap  []int32 // physical page -> logical page, -1 if dead
-	valid []int32
 	// filled is rebuildFromChip's scratch: which ring positions hold data.
 	filled []bool
-
-	// gseq / stats point at the owning FTL's sequence counter and Stats
-	// block (dummies when the pool is tested standalone).
-	gseq  *int64
-	stats *Stats
-
-	// tr/orgs: wear attribution, as in gcPool. orgs mirrors rmap with
-	// each physical page's writing origin; nil when tracing is off.
-	tr   *wtrace.Tracer
-	orgs []wtrace.Origin
 }
 
 func newCachePool(chip *nand.Chip) *cachePool {
-	g := chip.Geometry()
 	c := &cachePool{
-		chip:  chip,
-		ppb:   g.PagesPerBlock,
-		ring:  make([]int, 0, g.Blocks()),
-		rmap:  make([]int32, g.Blocks()*g.PagesPerBlock),
-		valid: make([]int32, g.Blocks()),
-		gseq:  new(int64),
-		stats: new(Stats),
+		pageMap: newPageMap(PoolA, chip),
+		ring:    make([]int, 0, chip.Geometry().Blocks()),
 	}
 	c.rebuildFromChip()
 	return c
@@ -92,59 +73,25 @@ func (c *cachePool) program(lp int32, data []byte, cost *Cost, org wtrace.Origin
 			c.headPage = 0
 			c.used++
 		}
-		b := c.ring[c.head]
-		addr := nand.PageAddr{Block: b, Page: c.headPage}
-		*c.gseq++
-		_, err := c.chip.ProgramPageOOB(addr, data, nand.OOB{LP: lp, Seq: *c.gseq, Org: uint16(org)})
-		cost.Programs++
+		l := makeLoc(PoolA, c.ring[c.head], c.headPage)
 		c.headPage++
-		// Same contract as gcPool.program: attribute iff the chip counted
-		// (success or program failure; never power cuts).
-		if c.tr != nil && (err == nil || errors.Is(err, nand.ErrProgramFail)) {
-			c.orgs[b*c.ppb+addr.Page] = org
-			c.tr.NoteProgram(org, wtrace.CauseHost)
-		}
+		err := c.programAt(l, lp, data, cost, org, wtrace.CauseHost)
 		if err == nil {
-			c.rmap[b*c.ppb+addr.Page] = lp
-			c.valid[b]++
-			return makeLoc(PoolA, b, addr.Page), nil
+			return l, nil
 		}
-		if errors.Is(err, nand.ErrProgramFail) {
-			c.stats.ProgramRetries++
-			continue // page wasted; try the next slot
+		if !errors.Is(err, nand.ErrProgramFail) {
+			return noLoc, err
 		}
-		return noLoc, err
+		// The page is wasted; try the next slot.
 	}
 	return noLoc, ErrNoSpace
 }
 
-// invalidate drops a cache page from the valid set.
-func (c *cachePool) invalidate(l loc) {
-	idx := l.block()*c.ppb + l.page()
-	if c.rmap[idx] < 0 {
-		return
-	}
-	c.rmap[idx] = -1
-	c.valid[l.block()]--
-}
-
-// read returns the payload at l, with firmware read-retry.
-func (c *cachePool) read(l loc, cost *Cost) ([]byte, error) {
-	a := nand.PageAddr{Block: l.block(), Page: l.page()}
-	data, _, err := c.chip.ReadPage(a)
-	cost.Reads++
-	for r := 0; r < readRetries && errors.Is(err, nand.ErrUncorrectable); r++ {
-		c.stats.ReadRetries++
-		data, _, err = c.chip.ReadPage(a)
-		cost.Reads++
-	}
-	return data, err
-}
-
 // drainOne advances the tail scan by one page. If that page is still valid,
 // it returns its logical page, payload, and owning origin for the owner to
-// rewrite into the main pool; otherwise (dead page, or nothing to drain) it
-// returns lp = -1. Fully scanned tail blocks are erased and rejoin the ring.
+// rewrite into the main pool; otherwise (dead page, a page lost to an
+// uncorrectable read, or nothing to drain) it returns lp = -1. Fully
+// scanned tail blocks are erased and rejoin the ring.
 func (c *cachePool) drainOne(cost *Cost) (lp int32, data []byte, org wtrace.Origin, err error) {
 	if c.tailPage >= c.ppb {
 		// A fully scanned tail block is erased lazily, on the *next* drain
@@ -181,20 +128,16 @@ func (c *cachePool) drainOne(cost *Cost) (lp int32, data []byte, org wtrace.Orig
 		if c.tr != nil {
 			org = c.orgs[idx]
 		}
-		data, err = c.read(makeLoc(PoolA, b, c.tailPage), cost)
+		l := makeLoc(PoolA, b, c.tailPage)
+		data, err = c.read(l, cost)
 		if err != nil {
 			if errors.Is(err, nand.ErrPowerLoss) {
 				// Power failed, not the page: leave everything in place
 				// for recovery and report the cut.
 				return -1, nil, 0, err
 			}
-			// Uncorrectable: the page's data is lost.
-			c.rmap[idx] = -1
-			c.valid[b]--
-			lp = -2 // signal loss to the owner
-			data = nil
-			org = 0
-			err = nil
+			c.lose(l)
+			lp, data, org = -1, nil, 0
 		}
 	}
 	c.tailPage++
@@ -205,29 +148,11 @@ func (c *cachePool) drainOne(cost *Cost) (lp int32, data []byte, org wtrace.Orig
 // power cut leaves the block, its pages, and the tail cursor untouched.
 func (c *cachePool) eraseTail(cost *Cost) error {
 	b := c.ring[c.tail]
-	programmed := 0
-	if c.tr != nil {
-		programmed = c.chip.ProgrammedPages(b)
-	}
-	_, err := c.chip.EraseBlock(b)
-	cost.Erases++
+	err := c.erase(b, cost)
 	if errors.Is(err, nand.ErrPowerLoss) {
 		c.tailPage = c.ppb // resume here after recovery-less restarts
 		return err
 	}
-	base := b * c.ppb
-	if c.tr != nil {
-		// The chip counted this erase (even if it failed), so the ledger
-		// attributes it: plurality owner of the block's pages.
-		c.tr.EraseBlockAttrib(b, c.orgs[base:base+programmed])
-		for pg := 0; pg < programmed; pg++ {
-			c.orgs[base+pg] = 0
-		}
-	}
-	for pg := 0; pg < c.ppb; pg++ {
-		c.rmap[base+pg] = -1
-	}
-	c.valid[b] = 0
 	pos := c.tail
 	c.tail = (c.tail + 1) % len(c.ring)
 	c.tailPage = 0

@@ -63,10 +63,10 @@ type Stats struct {
 // FTL is a page-mapped flash translation layer over one or two NAND chips.
 // It is not safe for concurrent use.
 type FTL struct {
-	cfg       Config
-	main      *gcPool
-	cache     *cachePool
-	cacheChip *nand.Chip
+	cfg   Config
+	main  *gcPool
+	cache *cachePool
+	maps  []*pageMap // each pool's page map, the main pool's first
 
 	pageSize     int
 	logicalPages int
@@ -119,23 +119,23 @@ func New(cfg Config) (*FTL, error) {
 	}
 	f.logicalPages = userBlocks * mainChip.Geometry().PagesPerBlock
 	f.l2p = make([]loc, f.logicalPages)
-	f.main = newGCPool(PoolB, mainChip, &cfg, f.remap)
-	f.main.gseq = &f.gseq
-	f.main.stats = &f.stats
+	f.main = newGCPool(PoolB, mainChip, &cfg)
+	f.maps = []*pageMap{&f.main.pageMap}
 
 	if cfg.Hybrid != nil {
-		cacheChip, err := nand.New(cfg.Hybrid.CacheChip)
+		chip, err := nand.New(cfg.Hybrid.CacheChip)
 		if err != nil {
 			return nil, fmt.Errorf("ftl: cache chip: %w", err)
 		}
-		if cacheChip.Geometry().PageSize != f.pageSize {
+		if chip.Geometry().PageSize != f.pageSize {
 			return nil, fmt.Errorf("ftl: cache page size %d != main page size %d",
-				cacheChip.Geometry().PageSize, f.pageSize)
+				chip.Geometry().PageSize, f.pageSize)
 		}
-		f.cacheChip = cacheChip
-		f.cache = newCachePool(cacheChip)
-		f.cache.gseq = &f.gseq
-		f.cache.stats = &f.stats
+		f.cache = newCachePool(chip)
+		f.maps = append(f.maps, &f.cache.pageMap)
+	}
+	for _, m := range f.maps {
+		m.gseq, m.stats, m.remap = &f.gseq, &f.stats, f.remap
 	}
 	f.format()
 	return f, nil
@@ -172,9 +172,8 @@ func (f *FTL) format() {
 }
 
 func (f *FTL) setInjector(inj nand.FaultInjector) {
-	f.main.chip.SetInjector(inj)
-	if f.cacheChip != nil {
-		f.cacheChip.SetInjector(inj)
+	for _, m := range f.maps {
+		m.chip.SetInjector(inj)
 	}
 }
 
@@ -182,9 +181,8 @@ func (f *FTL) setInjector(inj nand.FaultInjector) {
 func (f *FTL) zeroCounters() {
 	f.stats = Stats{}
 	f.main.gcCopies, f.main.collects = 0, 0
-	clear(f.main.orgs)
-	if f.cache != nil {
-		clear(f.cache.orgs)
+	for _, m := range f.maps {
+		clear(m.orgs)
 	}
 }
 
@@ -195,20 +193,14 @@ func (f *FTL) zeroCounters() {
 // the same lifecycle (cleared on erase, rebuilt by Recover from OOB).
 func (f *FTL) SetTracer(tr *wtrace.Tracer) {
 	f.tr = tr
-	f.main.tr = tr
-	if tr == nil {
-		f.main.orgs = nil
-		if f.cache != nil {
-			f.cache.tr = nil
-			f.cache.orgs = nil
-		}
-		return
+	if tr != nil {
+		tr.SetPageSize(f.pageSize)
 	}
-	tr.SetPageSize(f.pageSize)
-	f.main.orgs = make([]wtrace.Origin, len(f.main.rmap))
-	if f.cache != nil {
-		f.cache.tr = tr
-		f.cache.orgs = make([]wtrace.Origin, len(f.cache.rmap))
+	for _, m := range f.maps {
+		m.tr, m.orgs = tr, nil
+		if tr != nil {
+			m.orgs = make([]wtrace.Origin, len(m.rmap))
+		}
 	}
 }
 
@@ -222,7 +214,8 @@ func (f *FTL) origin() wtrace.Origin {
 }
 
 // remap records a relocation decided inside a pool (GC, wear-leveling).
-// l == noLoc means the page's data was lost to an uncorrectable error.
+// l == noLoc means the page's data was lost to an uncorrectable error
+// (pageMap.lose).
 func (f *FTL) remap(lp int32, l loc) {
 	if l == noLoc {
 		if f.l2p[lp] != noLoc {
@@ -302,7 +295,20 @@ func (f *FTL) RestoreStats(s Stats, gcCopies int64) {
 func (f *FTL) MainChip() *nand.Chip { return f.main.chip }
 
 // CacheChip exposes the Type A chip, or nil for single-pool devices.
-func (f *FTL) CacheChip() *nand.Chip { return f.cacheChip }
+func (f *FTL) CacheChip() *nand.Chip {
+	if f.cache == nil {
+		return nil
+	}
+	return f.cache.chip
+}
+
+// pageMap returns the page map of the pool a location belongs to.
+func (f *FTL) pageMap(id PoolID) *pageMap {
+	if id == PoolA {
+		return &f.cache.pageMap
+	}
+	return &f.main.pageMap
+}
 
 // WriteAmplification returns total flash programs divided by host pages
 // written, the metric §4.3 discusses under "Advanced Factors".
@@ -310,9 +316,9 @@ func (f *FTL) WriteAmplification() float64 {
 	if f.stats.HostPagesWritten == 0 {
 		return 0
 	}
-	progs := f.main.chip.Stats().Programs
-	if f.cacheChip != nil {
-		progs += f.cacheChip.Stats().Programs
+	var progs int64
+	for _, m := range f.maps {
+		progs += m.chip.Stats().Programs
 	}
 	return float64(progs) / float64(f.stats.HostPagesWritten)
 }
@@ -347,17 +353,7 @@ func (f *FTL) lifeConsumed(chip *nand.Chip) float64 {
 // means the device exceeded its estimated lifetime (§4.3). Pool A on a
 // single-pool device reports 1 (not used).
 func (f *FTL) WearIndicator(pool PoolID) int {
-	var chip *nand.Chip
-	switch pool {
-	case PoolA:
-		if f.cacheChip == nil {
-			return 1
-		}
-		chip = f.cacheChip
-	default:
-		chip = f.main.chip
-	}
-	lvl := int(f.lifeConsumed(chip)*10) + 1
+	lvl := int(f.LifeConsumed(pool)*10) + 1
 	if lvl < 1 {
 		lvl = 1
 	}
@@ -370,10 +366,10 @@ func (f *FTL) WearIndicator(pool PoolID) int {
 // LifeConsumed returns the raw consumed-lifetime fraction for a pool.
 func (f *FTL) LifeConsumed(pool PoolID) float64 {
 	if pool == PoolA {
-		if f.cacheChip == nil {
+		if f.cache == nil {
 			return 0
 		}
-		return f.lifeConsumed(f.cacheChip)
+		return f.lifeConsumed(f.cache.chip)
 	}
 	return f.lifeConsumed(f.main.chip)
 }
@@ -446,7 +442,7 @@ func (f *FTL) WritePage(lp int, data []byte, reqBytes int) (Cost, error) {
 	// Invalidate the previous copy *after* programming: GC during the
 	// program may already have moved it, so consult the live map.
 	if old := f.l2p[lp]; old != noLoc {
-		f.invalidateLoc(old)
+		f.pageMap(old.pool()).invalidate(old)
 	} else {
 		f.validLogical++
 	}
@@ -507,27 +503,10 @@ func (f *FTL) writeViaCache(lp int, data []byte, cost *Cost, org wtrace.Origin) 
 				return noLoc, err
 			}
 		}
-		if f.cache.hasFreeSlot() {
-			l, err := f.cache.program(int32(lp), data, cost, org)
-			if err == nil {
-				f.stats.CacheAbsorbed++
-				return l, nil
-			}
-			if !errors.Is(err, ErrNoSpace) {
-				return noLoc, err
-			}
-			// Program-failure retries can eat the cache's last slots
-			// mid-write; a full cache is a routing condition, not device
-			// EOL — fall through to the main pool.
-		}
-		f.stats.CacheBypassed++
-		return f.main.program(int32(lp), data, cost, false, streamHost, org, wtrace.CauseHost)
-	}
-
-	// Unmerged: background drain proceeds at the migration budget; the
-	// cache absorbs the write only if it has room, else the write
-	// bypasses straight to the main pool.
-	if f.cache.utilisation() > drainWatermark {
+	} else if f.cache.utilisation() > drainWatermark {
+		// Unmerged: background drain proceeds at the migration budget;
+		// the cache absorbs the write only if it has room, else the
+		// write bypasses straight to the main pool.
 		f.drainDebt += h.DrainRatio
 		for f.drainDebt >= 1 && f.cache.content() {
 			f.drainDebt--
@@ -545,8 +524,9 @@ func (f *FTL) writeViaCache(lp int, data []byte, cost *Cost, org wtrace.Origin) 
 		if !errors.Is(err, ErrNoSpace) {
 			return noLoc, err
 		}
-		// See the merged path: a cache exhausted by program-failure
-		// retries bypasses rather than ending the device's life.
+		// Program-failure retries can eat the cache's last slots
+		// mid-write; a full cache is a routing condition, not device
+		// EOL — fall through to the main pool.
 	}
 	f.stats.CacheBypassed++
 	return f.main.program(int32(lp), data, cost, false, streamHost, org, wtrace.CauseHost)
@@ -562,11 +542,8 @@ func (f *FTL) drainOne(cost *Cost) error {
 		}
 		return err
 	}
-	switch {
-	case lp == -1:
-		return nil // dead or empty slot: reclaimed for free
-	case lp == -2:
-		return nil // data lost; cache already dropped it
+	if lp < 0 {
+		return nil // dead, lost or empty slot: nothing to migrate
 	}
 	// Live page: move to main, still owned by the origin that wrote it
 	// into the cache — the drain migration is that origin's amplification.
@@ -589,15 +566,6 @@ func (f *FTL) drainOne(cost *Cost) error {
 	return nil
 }
 
-// invalidateLoc drops a physical page in whichever pool holds it.
-func (f *FTL) invalidateLoc(l loc) {
-	if l.pool() == PoolA && f.cache != nil {
-		f.cache.invalidate(l)
-		return
-	}
-	f.main.invalidate(l)
-}
-
 // ReadPage reads one logical page. Unmapped pages read as nil data with no
 // flash work (the device returns zeroes). Accounting-only pages return nil
 // data too. Data is lent by the chip (nand.Chip.ReadPage): it is read-only
@@ -615,13 +583,7 @@ func (f *FTL) ReadPage(lp int) ([]byte, Cost, error) {
 	if l == noLoc {
 		return nil, cost, nil
 	}
-	var data []byte
-	var err error
-	if l.pool() == PoolA && f.cache != nil {
-		data, err = f.cache.read(l, &cost)
-	} else {
-		data, err = f.main.read(l, &cost)
-	}
+	data, err := f.pageMap(l.pool()).read(l, &cost)
 	if err != nil {
 		if errors.Is(err, nand.ErrPowerLoss) {
 			return nil, cost, f.notePowerLoss(err)
@@ -644,7 +606,7 @@ func (f *FTL) TrimPage(lp int) (Cost, error) {
 		return cost, err
 	}
 	if l := f.l2p[lp]; l != noLoc {
-		f.invalidateLoc(l)
+		f.pageMap(l.pool()).invalidate(l)
 		f.l2p[lp] = noLoc
 		f.validLogical--
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"flashwear/internal/faultinject"
 	"flashwear/internal/nand"
 )
 
@@ -200,5 +201,56 @@ func TestHybridPageSizeMismatchRejected(t *testing.T) {
 	_, err := New(Config{MainChip: main, Hybrid: &HybridConfig{CacheChip: cache, DrainRatio: 0.1}})
 	if err == nil {
 		t.Fatal("mismatched page sizes accepted")
+	}
+}
+
+// TestHybridDrainLosesPageLikeGC: a cache page whose every read fails
+// while the drain migrates it is lost the way GC loses one. Its logical
+// page is unmapped and counted in LostPages, and it keeps reading as
+// unmapped after its cache block is erased and holds other pages.
+func TestHybridDrainLosesPageLikeGC(t *testing.T) {
+	f := hybridFTL(t, 1, 10)
+	inj := faultinject.New(faultinject.Plan{}, nil)
+	f.setInjector(inj)
+	if _, err := f.WritePage(0, page(1, 4096), 4096); err != nil {
+		t.Fatal(err)
+	}
+	blk := f.l2p[0].block()
+	// Host writes read nothing until the drain starts, which scans the
+	// ring from its tail: lp 0 is the first page it reads.
+	inj.Reset(faultinject.Plan{ReadFaultProb: 1})
+	lp := 1
+	for ; ; lp++ {
+		cost, err := f.WritePage(lp, page(byte(lp%255+1), 4096), 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cost.Reads > 0 {
+			break
+		}
+	}
+	inj.Reset(faultinject.Plan{})
+	if err := checkMaps(f); err != nil {
+		t.Fatalf("after the failed drain: %v", err)
+	}
+	if got := f.Stats().LostPages; got != 1 {
+		t.Fatalf("LostPages = %d, want 1", got)
+	}
+	if data, _, err := f.ReadPage(0); data != nil || err != nil {
+		t.Fatalf("lost page reads %d bytes, %v; want unmapped", len(data), err)
+	}
+	// Let the drain erase the lost page's block and the head refill it.
+	erases := f.CacheChip().EraseCount(blk)
+	for f.CacheChip().EraseCount(blk) == erases || f.CacheChip().ProgrammedPages(blk) == 0 {
+		lp++
+		if _, err := f.WritePage(lp, page(byte(lp%255+1), 4096), 4096); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := checkMaps(f); err != nil {
+		t.Fatalf("after the block was reused: %v", err)
+	}
+	if data, _, err := f.ReadPage(0); data != nil || err != nil {
+		t.Fatalf("lost page reads %d bytes, %v after its block was reused; want unmapped", len(data), err)
 	}
 }

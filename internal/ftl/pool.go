@@ -28,15 +28,11 @@ const (
 // gcPool manages one chip's blocks with out-of-place writes, garbage
 // collection, and wear-leveling — the main ("Type B") pool.
 type gcPool struct {
-	id   PoolID
-	chip *nand.Chip
-	ppb  int
+	pageMap
 
 	state []blockState
-	valid []int32 // valid pages per block
 	fill  []int32 // pages programmed per block since erase (dead = fill-valid)
 	seqNo []int64 // fill sequence, for cost-benefit aging
-	rmap  []int32 // physical page index -> logical page, -1 if dead/free
 
 	free []int
 	// Three write streams with separate open blocks, as real controllers
@@ -55,48 +51,26 @@ type gcPool struct {
 	collecting    bool // re-entrancy guard: GC must not recurse into GC
 	relocating    int  // block currently being relocated, -1 if none
 
-	// remap tells the owner a logical page moved (GC/WL relocation).
-	remap func(lp int32, l loc)
-	// onMigrate reports each GC page copy so the owner can account it.
-	gcCopies int64
+	gcCopies int64 // pages moved by GC and wear-leveling
 	// collects counts GC invocations (collect calls that did work).
 	collects int64
 
-	// gseq points at the FTL's global OOB sequence counter; stats at its
-	// Stats block (both owned by the FTL, dummies when tested standalone).
-	gseq  *int64
-	stats *Stats
 	// lostPower is set when an internal operation (GC read/erase) saw
 	// power drop, for paths that cannot propagate an error.
 	lostPower bool
-
-	// tr/orgs are the wear-attribution hooks (internal/wtrace): orgs
-	// mirrors rmap with the origin that last programmed each physical
-	// page, so relocations and erases can be charged to the writer whose
-	// data caused them. Both nil when tracing is off.
-	tr   *wtrace.Tracer
-	orgs []wtrace.Origin
 }
 
-func newGCPool(id PoolID, chip *nand.Chip, cfg *Config, remap func(int32, loc)) *gcPool {
-	g := chip.Geometry()
-	nb := g.Blocks()
+func newGCPool(id PoolID, chip *nand.Chip, cfg *Config) *gcPool {
+	nb := chip.Geometry().Blocks()
 	p := &gcPool{
-		id:      id,
-		chip:    chip,
-		ppb:     g.PagesPerBlock,
+		pageMap: newPageMap(id, chip),
 		state:   make([]blockState, nb),
-		valid:   make([]int32, nb),
 		fill:    make([]int32, nb),
 		seqNo:   make([]int64, nb),
-		rmap:    make([]int32, nb*g.PagesPerBlock),
 		free:    make([]int, 0, nb),
 		policy:  cfg.GC,
 		noWL:    cfg.NoWearLeveling,
 		reserve: 2,
-		remap:   remap,
-		gseq:    new(int64),
-		stats:   new(Stats),
 	}
 	p.rebuildFromChip()
 	return p
@@ -134,13 +108,11 @@ func (p *gcPool) stream(st int) (blk *int, page *int) {
 	return &p.openBlk[st], &p.openPage[st]
 }
 
-// openFor ensures the chosen stream has an open block with a free page.
-// reserveOK lets GC relocation dip into the reserve blocks.
+// openFor gives a stream whose block is full, or that has none, an open
+// block with a free page. reserveOK lets GC relocation dip into the
+// reserve blocks.
 func (p *gcPool) openFor(cost *Cost, reserveOK bool, st int) error {
 	blk, page := p.stream(st)
-	if *blk >= 0 && *page < p.ppb {
-		return nil
-	}
 	p.closeStream(st)
 	floor := p.reserve
 	if reserveOK {
@@ -190,39 +162,28 @@ func (p *gcPool) closeStream(st int) {
 
 // program writes one logical page into the pool and returns its location.
 // st selects the write stream. The caller is responsible for invalidating
-// any previous location of lp. org and cause attribute the physical
-// program for the wear ledger (ignored when no tracer is attached): org
-// is the writer whose data this is, cause is why the FTL issued it.
+// any previous location of lp. org and cause attribute the program, as in
+// pageMap.programAt.
 func (p *gcPool) program(lp int32, data []byte, cost *Cost, reserveOK bool, st int, org wtrace.Origin, cause wtrace.Cause) (loc, error) {
 	blk, page := p.stream(st)
 	for attempts := 0; attempts < 8; attempts++ {
-		if err := p.openFor(cost, reserveOK, st); err != nil {
-			return noLoc, err
+		// Checked here, not in openFor, so that a page program into an
+		// open block costs no more calls than programAt's.
+		if *blk < 0 || *page >= p.ppb {
+			if err := p.openFor(cost, reserveOK, st); err != nil {
+				return noLoc, err
+			}
 		}
-		addr := nand.PageAddr{Block: *blk, Page: *page}
-		*p.gseq++
-		_, err := p.chip.ProgramPageOOB(addr, data, nand.OOB{LP: lp, Seq: *p.gseq, Org: uint16(org)})
-		cost.Programs++
+		l := makeLoc(p.id, *blk, *page)
 		*page++
-		p.fill[addr.Block]++
-		// Attribute exactly the programs the chip counted: successes and
-		// program *failures* consume the page (nextPage advanced), while
-		// power cuts and address errors return before the chip counts —
-		// this mirroring is what keeps the ledger identity exact.
-		if p.tr != nil && (err == nil || errors.Is(err, nand.ErrProgramFail)) {
-			p.orgs[addr.Block*p.ppb+addr.Page] = org
-			p.tr.NoteProgram(org, cause)
-		}
+		p.fill[*blk]++
+		err := p.programAt(l, lp, data, cost, org, cause)
 		if err == nil {
-			l := makeLoc(p.id, addr.Block, addr.Page)
-			p.rmap[addr.Block*p.ppb+addr.Page] = lp
-			p.valid[addr.Block]++
 			return l, nil
 		}
 		if errors.Is(err, nand.ErrProgramFail) {
 			// The page is wasted; retire the block if it keeps failing,
 			// otherwise try the next page.
-			p.stats.ProgramRetries++
 			if *page >= p.ppb {
 				continue // openFor will close it
 			}
@@ -255,30 +216,6 @@ func (p *gcPool) retireOpen(cost *Cost, st int) {
 	p.relocateTo(b, cost, streamGC)
 	p.state[b] = sBad
 	p.chip.MarkBad(b)
-}
-
-// invalidate drops a physical page from the valid set.
-func (p *gcPool) invalidate(l loc) {
-	idx := l.block()*p.ppb + l.page()
-	if p.rmap[idx] < 0 {
-		return
-	}
-	p.rmap[idx] = -1
-	p.valid[l.block()]--
-}
-
-// read returns the payload (nil for accounting-only pages) at l, stepping
-// through firmware read-retry on uncorrectable results.
-func (p *gcPool) read(l loc, cost *Cost) ([]byte, error) {
-	a := nand.PageAddr{Block: l.block(), Page: l.page()}
-	data, _, err := p.chip.ReadPage(a)
-	cost.Reads++
-	for r := 0; r < readRetries && errors.Is(err, nand.ErrUncorrectable); r++ {
-		p.stats.ReadRetries++
-		data, _, err = p.chip.ReadPage(a)
-		cost.Reads++
-	}
-	return data, err
 }
 
 // collect reclaims full blocks until the free list reaches high water, or no
@@ -403,7 +340,8 @@ func (p *gcPool) relocateTo(b int, cost *Cost, st int) {
 		if lp < 0 {
 			continue
 		}
-		data, err := p.read(makeLoc(p.id, b, pg), cost)
+		l := makeLoc(p.id, b, pg)
+		data, err := p.read(l, cost)
 		if err != nil {
 			if errors.Is(err, nand.ErrPowerLoss) {
 				// Power, not the page, failed: the data is intact on
@@ -411,12 +349,7 @@ func (p *gcPool) relocateTo(b int, cost *Cost, st int) {
 				p.lostPower = true
 				return
 			}
-			// Uncorrectable during GC: the data is lost; drop the
-			// mapping rather than propagate garbage. Firmware logs
-			// this as a grown defect.
-			p.rmap[base+pg] = -1
-			p.valid[b]--
-			p.remap(lp, noLoc)
+			p.lose(l)
 			continue
 		}
 		var org wtrace.Origin
@@ -430,53 +363,26 @@ func (p *gcPool) relocateTo(b int, cost *Cost, st int) {
 		}
 		p.gcCopies++
 		moved++
-		p.rmap[base+pg] = -1
-		p.valid[b]--
+		p.invalidate(l)
 		p.remap(lp, nl)
 	}
 }
 
 // eraseToFree erases b and returns it to the free list, or retires it.
 func (p *gcPool) eraseToFree(b int, cost *Cost) {
-	// Snapshot the page-origin extent before the erase wipes it: the
-	// erase is charged to the plurality owner of the block's pages.
-	programmed := 0
-	if p.tr != nil {
-		programmed = p.chip.ProgrammedPages(b)
-	}
-	_, err := p.chip.EraseBlock(b)
-	cost.Erases++
+	err := p.erase(b, cost)
 	if errors.Is(err, nand.ErrPowerLoss) {
 		// Nothing latched: the block is untouched, not bad. Leave it
-		// full; recovery rebuilds from the chip anyway. The chip did not
-		// count the erase, so neither does the ledger.
+		// full; recovery rebuilds from the chip anyway.
 		p.lostPower = true
 		p.state[b] = sFull
 		return
 	}
 	p.erasesSinceWL++
-	base := b * p.ppb
-	if p.tr != nil {
-		// Erase failures still count as erases on the chip, so they are
-		// attributed too; only the power cut above is not.
-		p.tr.EraseBlockAttrib(b, p.orgs[base:base+programmed])
-		for pg := 0; pg < programmed; pg++ {
-			p.orgs[base+pg] = 0
-		}
-	}
-	for pg := 0; pg < p.ppb; pg++ {
-		p.rmap[base+pg] = -1
-	}
-	p.valid[b] = 0
 	p.fill[b] = 0
-	if err != nil {
-		p.state[b] = sBad
-		p.chip.MarkBad(b)
-		return
-	}
-	// Proactive retirement: firmware takes blocks whose error rate has
-	// grown too close to the ECC capability out of service.
-	if p.chip.ShouldRetire(b) {
+	// Firmware retires a block whose erase failed, and proactively one
+	// whose error rate has grown too close to the ECC capability.
+	if err != nil || p.chip.ShouldRetire(b) {
 		p.state[b] = sBad
 		p.chip.MarkBad(b)
 		return

@@ -2,29 +2,42 @@ package ftl
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
 
+	"flashwear/internal/faultinject"
 	"flashwear/internal/nand"
 )
 
 // TestQuickFTLMatchesModel drives random write/trim/read sequences against
 // both the FTL and a trivial in-memory model, on single-pool and hybrid
-// devices. The FTL must return exactly what the model predicts regardless
-// of GC, wear-leveling, drains, or merges happening underneath, and after
-// every op its own maps must agree with each other (checkMaps).
+// devices whose chips fail reads, programs and erases at random. The FTL
+// must return exactly what the model predicts regardless of GC,
+// wear-leveling, drains, merges or faults happening underneath, and after
+// every op its own maps must agree with each other (checkMaps). Faults
+// bend the model in two specified ways only: a host read may fail as
+// ErrUnreadable (the data underneath is intact, so a later read must still
+// return it), and a page whose every read failed while GC, wear-leveling
+// or the drain moved it reads as unmapped — which the model accepts only
+// for as many pages as LostPages counts. A device that runs out of good
+// blocks retires read-only, and from then on its reads must still match.
 func TestQuickFTLMatchesModel(t *testing.T) {
+	var faults faultinject.Stats
+	var lost int64
 	run := func(seed int64, hybrid bool) bool {
+		inj := faultinject.New(faultinject.Plan{Seed: seed, ReadFaultProb: 0.1,
+			ProgramFaultProb: 0.01, EraseFaultProb: 0.002}, nil)
 		var cfg Config
 		cfg.MainChip = nand.Config{
 			Geometry: nand.Geometry{
 				Dies: 1, PlanesPerDie: 2, BlocksPerPlane: 12,
 				PagesPerBlock: 8, PageSize: 4096,
 			},
-			Cell: nand.MLC, RatedPE: 100_000, Seed: seed,
+			Cell: nand.MLC, RatedPE: 100_000, Seed: seed, Inject: inj,
 		}
 		if hybrid {
 			cfg.Hybrid = &HybridConfig{
@@ -33,7 +46,7 @@ func TestQuickFTLMatchesModel(t *testing.T) {
 						Dies: 1, PlanesPerDie: 1, BlocksPerPlane: 4,
 						PagesPerBlock: 8, PageSize: 4096,
 					},
-					Cell: nand.SLC, RatedPE: 100_000, Seed: seed + 1,
+					Cell: nand.SLC, RatedPE: 100_000, Seed: seed + 1, Inject: inj,
 				},
 				DrainRatio:       0.25,
 				MergeUtilisation: 0.8,
@@ -43,10 +56,46 @@ func TestQuickFTLMatchesModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer func() {
+			s := inj.Stats()
+			faults.ReadFaults += s.ReadFaults
+			faults.ProgramFaults += s.ProgramFaults
+			faults.EraseFaults += s.EraseFaults
+			lost += f.Stats().LostPages
+		}()
 		n := f.LogicalPages()
 		model := make(map[int]byte) // lp -> value byte; absent = unmapped
-		rng := rand.New(rand.NewSource(seed))
+		var unmapped int64          // model pages that read back unmapped
+		// read checks one page against the model, trying up to tries
+		// times while it is unreadable; false means a mismatch.
+		read := func(lp, tries int) bool {
+			data, _, err := f.ReadPage(lp)
+			for ; errors.Is(err, ErrUnreadable) && tries > 1; tries-- {
+				data, _, err = f.ReadPage(lp)
+			}
+			if errors.Is(err, ErrUnreadable) {
+				return true // transient: the next read sees the data
+			}
+			if err != nil {
+				t.Fatalf("read: %v", err)
+			}
+			want, mapped := model[lp]
+			if mapped && data == nil {
+				unmapped++
+				if unmapped > f.Stats().LostPages {
+					t.Fatalf("seed %d, hybrid %v: lp %d reads unmapped, but LostPages = %d accounts for %d such pages",
+						seed, hybrid, lp, f.Stats().LostPages, unmapped-1)
+				}
+				delete(model, lp)
+				return true
+			}
+			if !mapped {
+				return data == nil
+			}
+			return bytes.Equal(data, bytes.Repeat([]byte{want}, 4096))
+		}
 		buf := make([]byte, 4096)
+		rng := rand.New(rand.NewSource(seed))
 		for op := 0; op < 3000; op++ {
 			if err := checkMaps(f); err != nil {
 				t.Fatalf("seed %d, hybrid %v, before op %d: %v", seed, hybrid, op, err)
@@ -54,23 +103,13 @@ func TestQuickFTLMatchesModel(t *testing.T) {
 			lp := rng.Intn(n)
 			switch rng.Intn(10) {
 			case 0: // trim
-				if _, err := f.TrimPage(lp); err != nil {
+				if _, err := f.TrimPage(lp); err == nil {
+					delete(model, lp)
+				} else if !f.ReadOnly() {
 					t.Fatalf("trim: %v", err)
 				}
-				delete(model, lp)
 			case 1, 2: // read and check
-				data, _, err := f.ReadPage(lp)
-				if err != nil {
-					t.Fatalf("read: %v", err)
-				}
-				want, mapped := model[lp]
-				if !mapped {
-					if data != nil {
-						return false
-					}
-					continue
-				}
-				if data == nil || !bytes.Equal(data, bytes.Repeat([]byte{want}, 4096)) {
+				if !read(lp, 1) {
 					return false
 				}
 			default: // write
@@ -82,37 +121,31 @@ func TestQuickFTLMatchesModel(t *testing.T) {
 				if rng.Intn(4) == 0 {
 					reqBytes = 1 << 20 // sometimes bypass the cache
 				}
-				if _, err := f.WritePage(lp, buf, reqBytes); err != nil {
+				if _, err := f.WritePage(lp, buf, reqBytes); err == nil {
+					model[lp] = v
+				} else if !errors.Is(err, ErrReadOnly) {
 					t.Fatalf("write: %v", err)
 				}
-				model[lp] = v
 			}
 		}
 		if err := checkMaps(f); err != nil {
 			t.Fatalf("seed %d, hybrid %v, after the last op: %v", seed, hybrid, err)
 		}
-		// Final sweep: every page must match the model.
+		// Final sweep: every page must match the model. Read faults are
+		// transient, so an unreadable page is retried.
 		for lp := 0; lp < n; lp++ {
-			data, _, err := f.ReadPage(lp)
-			if err != nil {
-				t.Fatalf("final read: %v", err)
-			}
-			want, mapped := model[lp]
-			if !mapped {
-				if data != nil {
-					return false
-				}
-				continue
-			}
-			if data == nil || data[0] != want || data[4095] != want {
+			if !read(lp, 20) {
 				return false
 			}
 		}
 		return true
 	}
-	f := func(seed int64, hybrid bool) bool { return run(seed, hybrid) }
-	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
+	if err := quick.Check(run, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
+	}
+	// A fault that never fires tests nothing.
+	if faults.ReadFaults == 0 || faults.ProgramFaults == 0 || faults.EraseFaults == 0 || lost == 0 {
+		t.Fatalf("faults %+v and %d lost pages over all schedules; want each > 0", faults, lost)
 	}
 }
 
@@ -283,53 +316,43 @@ func TestQuickUtilisationBounded(t *testing.T) {
 	}
 }
 
-// poolMaps is one pool's view of the mapping, for checkMaps.
-type poolMaps struct {
-	id          PoolID
-	ppb         int
-	rmap, valid []int32
-}
-
 // checkMaps checks the FTL's maps against each other: l2p and each pool's
-// rmap are exact inverses, validLogical counts the mapped pages, and each
-// block's valid count equals its live rmap entries.
+// page map are exact inverses, validLogical counts the mapped pages, and
+// each block's valid count equals its live rmap entries.
 func checkMaps(f *FTL) error {
-	pools := []poolMaps{{PoolB, f.main.ppb, f.main.rmap, f.main.valid}}
-	if f.cache != nil {
-		pools = append(pools, poolMaps{PoolA, f.cache.ppb, f.cache.rmap, f.cache.valid})
-	}
 	var mapped int64
 	for lp, l := range f.l2p {
 		if l == noLoc {
 			continue
 		}
 		mapped++
-		i := slices.IndexFunc(pools, func(p poolMaps) bool { return p.id == l.pool() })
+		i := slices.IndexFunc(f.maps, func(m *pageMap) bool { return m.id == l.pool() })
 		if i < 0 {
 			return fmt.Errorf("lp %d maps to %v, a pool the FTL does not have", lp, l)
 		}
-		if got := pools[i].rmap[l.block()*pools[i].ppb+l.page()]; got != int32(lp) {
+		m := f.maps[i]
+		if got := m.rmap[l.block()*m.ppb+l.page()]; got != int32(lp) {
 			return fmt.Errorf("lp %d maps to %v, whose rmap holds lp %d", lp, l, got)
 		}
 	}
 	if f.validLogical != mapped {
 		return fmt.Errorf("validLogical = %d, but %d pages are mapped", f.validLogical, mapped)
 	}
-	for _, p := range pools {
-		for b, v := range p.valid {
+	for _, m := range f.maps {
+		for b, v := range m.valid {
 			live := int32(0)
-			for pg := 0; pg < p.ppb; pg++ {
-				lp := p.rmap[b*p.ppb+pg]
+			for pg := 0; pg < m.ppb; pg++ {
+				lp := m.rmap[b*m.ppb+pg]
 				if lp < 0 {
 					continue
 				}
 				live++
-				if want := makeLoc(p.id, b, pg); f.l2p[lp] != want {
+				if want := makeLoc(m.id, b, pg); f.l2p[lp] != want {
 					return fmt.Errorf("%v holds lp %d in rmap, but l2p maps it to %v", want, lp, f.l2p[lp])
 				}
 			}
 			if v != live {
-				return fmt.Errorf("%v block %d: valid = %d, but rmap holds %d live pages", p.id, b, v, live)
+				return fmt.Errorf("%v block %d: valid = %d, but rmap holds %d live pages", m.id, b, v, live)
 			}
 		}
 	}

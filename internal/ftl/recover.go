@@ -41,9 +41,9 @@ func (f *FTL) Recover() (Cost, error) {
 	for i := range bestLoc {
 		bestLoc[i] = noLoc
 	}
-	f.scanPool(PoolB, f.main.chip, bestSeq, bestLoc, f.main.seqNo, &cost)
-	if f.cacheChip != nil {
-		f.scanPool(PoolA, f.cacheChip, bestSeq, bestLoc, nil, &cost)
+	f.scanPool(&f.main.pageMap, bestSeq, bestLoc, f.main.seqNo, &cost)
+	if f.cache != nil {
+		f.scanPool(&f.cache.pageMap, bestSeq, bestLoc, nil, &cost)
 	}
 
 	// Install the winners.
@@ -53,13 +53,9 @@ func (f *FTL) Recover() (Cost, error) {
 		}
 		f.l2p[lp] = l
 		f.validLogical++
-		if l.pool() == PoolA {
-			f.cache.rmap[l.block()*f.cache.ppb+l.page()] = int32(lp)
-			f.cache.valid[l.block()]++
-		} else {
-			f.main.rmap[l.block()*f.main.ppb+l.page()] = int32(lp)
-			f.main.valid[l.block()]++
-		}
+		m := f.pageMap(l.pool())
+		m.rmap[l.block()*m.ppb+l.page()] = int32(lp)
+		m.valid[l.block()]++
 	}
 	// The pool's aging sequence resumes above everything seen on flash.
 	f.main.seq = f.gseq
@@ -90,25 +86,17 @@ func (f *FTL) dropVolatile() {
 	}
 }
 
-// scanPool walks every programmed page of a chip, reading OOB metadata and
-// folding it into the per-logical-page winner tables. blockSeq, when
-// non-nil, receives the highest sequence seen per block (GC aging).
-func (f *FTL) scanPool(pool PoolID, chip *nand.Chip, bestSeq []int64, bestLoc []loc, blockSeq []int64, cost *Cost) {
+// scanPool walks every programmed page of a pool's chip, reading OOB
+// metadata and folding it into the per-logical-page winner tables.
+// blockSeq, when non-nil, receives the highest sequence seen per block (GC
+// aging).
+func (f *FTL) scanPool(m *pageMap, bestSeq []int64, bestLoc []loc, blockSeq []int64, cost *Cost) {
 	// Wear-attribution tags are part of the OOB record, so page ownership
 	// survives power loss the same way the mapping does. (Pages of failed
 	// programs carry no OOB; their in-RAM attribution, made at program
 	// time, is left alone.)
-	var orgs []wtrace.Origin
-	if f.tr != nil {
-		if pool == PoolA {
-			orgs = f.cache.orgs
-		} else {
-			orgs = f.main.orgs
-		}
-	}
-	g := chip.Geometry()
-	ppb := g.PagesPerBlock
-	for b := 0; b < g.Blocks(); b++ {
+	chip, ppb, orgs := m.chip, m.ppb, m.orgs
+	for b := 0; b < chip.Geometry().Blocks(); b++ {
 		if chip.Bad(b) {
 			continue
 		}
@@ -134,7 +122,7 @@ func (f *FTL) scanPool(pool PoolID, chip *nand.Chip, bestSeq []int64, bestLoc []
 			}
 			if oob.Seq > bestSeq[lp] {
 				bestSeq[lp] = oob.Seq
-				bestLoc[lp] = makeLoc(pool, b, pg)
+				bestLoc[lp] = makeLoc(m.id, b, pg)
 			}
 		}
 	}
@@ -158,12 +146,9 @@ func (p *gcPool) rebuildFromChip() {
 	p.relocating = -1
 	p.lostPower = false
 	p.erasesSinceWL = 0
-	for i := range p.rmap {
-		p.rmap[i] = -1
-	}
+	p.unmap()
 	reopened := 0
 	for b := 0; b < nb; b++ {
-		p.valid[b] = 0
 		p.seqNo[b] = 0
 		programmed := p.chip.ProgrammedPages(b)
 		switch {
@@ -203,12 +188,7 @@ func (c *cachePool) rebuildFromChip() {
 			c.ring = append(c.ring, b)
 		}
 	}
-	for i := range c.rmap {
-		c.rmap[i] = -1
-	}
-	for i := range c.valid {
-		c.valid[i] = 0
-	}
+	c.unmap()
 	c.head, c.tail, c.used = 0, 0, 0
 	c.headPage, c.tailPage = 0, 0
 	n := len(c.ring)

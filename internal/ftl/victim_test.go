@@ -61,7 +61,7 @@ func TestVictimMatchesFloatScan(t *testing.T) {
 		picked := 0
 		for trial := 0; trial < 2000; trial++ {
 			for _, policy := range []GCPolicy{GCGreedy, GCCostBenefit} {
-				p := newGCPool(0, chip, &Config{GC: policy}, nil)
+				p := newGCPool(0, chip, &Config{GC: policy})
 				p.seq = int64(rng.Intn(50))
 				// A handful of valid counts, including 0 and ppb, so ties
 				// and non-reclaimable full blocks are common.
