@@ -66,7 +66,7 @@ type FTL struct {
 	cfg   Config
 	main  *gcPool
 	cache *cachePool
-	maps  []*pageMap // each pool's page map, the main pool's first
+	maps  [2]*pageMap // each pool's page map by PoolID, nil for a missing pool
 
 	pageSize     int
 	logicalPages int
@@ -120,7 +120,7 @@ func New(cfg Config) (*FTL, error) {
 	f.logicalPages = userBlocks * mainChip.Geometry().PagesPerBlock
 	f.l2p = make([]loc, f.logicalPages)
 	f.main = newGCPool(PoolB, mainChip, &cfg)
-	f.maps = []*pageMap{&f.main.pageMap}
+	f.maps[PoolB] = &f.main.pageMap
 
 	if cfg.Hybrid != nil {
 		chip, err := nand.New(cfg.Hybrid.CacheChip)
@@ -132,9 +132,9 @@ func New(cfg Config) (*FTL, error) {
 				chip.Geometry().PageSize, f.pageSize)
 		}
 		f.cache = newCachePool(chip)
-		f.maps = append(f.maps, &f.cache.pageMap)
+		f.maps[PoolA] = &f.cache.pageMap
 	}
-	for _, m := range f.maps {
+	for _, m := range f.pageMaps() {
 		m.gseq, m.stats, m.remap = &f.gseq, &f.stats, f.remap
 	}
 	f.format()
@@ -172,7 +172,7 @@ func (f *FTL) format() {
 }
 
 func (f *FTL) setInjector(inj nand.FaultInjector) {
-	for _, m := range f.maps {
+	for _, m := range f.pageMaps() {
 		m.chip.SetInjector(inj)
 	}
 }
@@ -181,7 +181,7 @@ func (f *FTL) setInjector(inj nand.FaultInjector) {
 func (f *FTL) zeroCounters() {
 	f.stats = Stats{}
 	f.main.gcCopies, f.main.collects = 0, 0
-	for _, m := range f.maps {
+	for _, m := range f.pageMaps() {
 		clear(m.orgs)
 	}
 }
@@ -196,7 +196,7 @@ func (f *FTL) SetTracer(tr *wtrace.Tracer) {
 	if tr != nil {
 		tr.SetPageSize(f.pageSize)
 	}
-	for _, m := range f.maps {
+	for _, m := range f.pageMaps() {
 		m.tr, m.orgs = tr, nil
 		if tr != nil {
 			m.orgs = make([]wtrace.Origin, len(m.rmap))
@@ -303,11 +303,15 @@ func (f *FTL) CacheChip() *nand.Chip {
 }
 
 // pageMap returns the page map of the pool a location belongs to.
-func (f *FTL) pageMap(id PoolID) *pageMap {
-	if id == PoolA {
-		return &f.cache.pageMap
+func (f *FTL) pageMap(id PoolID) *pageMap { return f.maps[id] }
+
+// pageMaps returns the page maps the FTL has: the cache's, if any, then
+// the main pool's.
+func (f *FTL) pageMaps() []*pageMap {
+	if f.cache == nil {
+		return f.maps[PoolB:]
 	}
-	return &f.main.pageMap
+	return f.maps[:]
 }
 
 // WriteAmplification returns total flash programs divided by host pages
@@ -317,7 +321,7 @@ func (f *FTL) WriteAmplification() float64 {
 		return 0
 	}
 	var progs int64
-	for _, m := range f.maps {
+	for _, m := range f.pageMaps() {
 		progs += m.chip.Stats().Programs
 	}
 	return float64(progs) / float64(f.stats.HostPagesWritten)
@@ -557,9 +561,8 @@ func (f *FTL) drainOne(cost *Cost) error {
 		}
 		return err
 	}
-	old := f.l2p[lp]
-	if old != noLoc && old.pool() == PoolA {
-		f.cache.invalidate(old)
+	if old := f.l2p[lp]; old != noLoc {
+		f.pageMap(old.pool()).invalidate(old)
 	}
 	f.l2p[lp] = nl
 	f.stats.DrainMigrations++
@@ -588,7 +591,7 @@ func (f *FTL) ReadPage(lp int) ([]byte, Cost, error) {
 		if errors.Is(err, nand.ErrPowerLoss) {
 			return nil, cost, f.notePowerLoss(err)
 		}
-		return nil, cost, fmt.Errorf("%w: page %d: %v", ErrUnreadable, lp, err)
+		return nil, cost, fmt.Errorf("%w: page %d: %w", ErrUnreadable, lp, err)
 	}
 	return data, cost, nil
 }

@@ -106,9 +106,9 @@ func (m *pageMap) invalidate(l loc) {
 
 // lose drops the live page at l, whose data an uncorrectable read
 // destroyed while GC, wear-leveling or the cache drain moved it, and
-// unmaps its logical page: it reads as unmapped from then on, and the FTL
-// counts it in LostPages. Firmware logs this as a grown defect rather
-// than propagate garbage.
+// unmaps its logical page: it reads as unmapped until the next Recover,
+// and the FTL counts it in LostPages. Firmware logs this as a grown
+// defect rather than propagate garbage.
 func (m *pageMap) lose(l loc) {
 	lp := m.rmap[l.block()*m.ppb+l.page()]
 	m.invalidate(l)
