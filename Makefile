@@ -25,7 +25,9 @@ vet:
 # TestReachability builds every binary with inlining off and requires the
 # functions under internal/ that none of them links to be exactly
 # test_only_api.txt, each with its reason, so API that only tests reach
-# is a reviewed diff too.
+# is a reviewed diff too. TestFastPathsInline then requires each fast path
+# on the per-request path (the clock's step, the NAND memo, payload and
+# buffer checks, the wear-leveling interval check) to stay inlinable.
 lint:
 	@mkdir -p bin
 	$(GO) build -o bin/flashvet ./cmd/flashvet
@@ -33,7 +35,7 @@ lint:
 	./bin/flashvet -waivers ./... >bin/lint_waivers.txt
 	diff -u lint_waivers.txt bin/lint_waivers.txt
 	$(GO) test -count=1 -run 'TestEachPassCatchesARealMutation|TestRealTreeClean' ./internal/analysis
-	$(GO) test -count=1 -run TestReachability .
+	$(GO) test -count=1 -run 'TestReachability|TestFastPathsInline' .
 
 test:
 	$(GO) test ./...

@@ -189,7 +189,12 @@ func render(w io.Writer, res *fleet.Result) {
 	if t.Bricked > 0 {
 		fmt.Fprintf(w, ", mean time-to-brick %.1f days", t.MeanDaysToBrick())
 	}
-	fmt.Fprintf(w, "\nhost data absorbed: %s\n\n", report.HumanBytes(t.HostMiB<<20))
+	fmt.Fprintf(w, "\nhost data absorbed: %s\n", report.HumanBytes(t.HostMiB<<20))
+	if f := res.Faults; spec.Faults != nil {
+		fmt.Fprintf(w, "faults: %d recoveries, %d read faults, %d program faults, %d lost pages\n",
+			f.Recoveries, f.ReadFaults, f.ProgramFaults, f.LostPages)
+	}
+	fmt.Fprintln(w)
 
 	if res.Failed > 0 {
 		fmt.Fprintf(w, "FAILED: %d device simulation(s) panicked (contained; results exclude them)\n", res.Failed)

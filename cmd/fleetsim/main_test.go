@@ -8,6 +8,7 @@ import (
 
 	"flashwear/internal/device"
 	"flashwear/internal/fleet"
+	"flashwear/internal/fleetd"
 )
 
 // renderRun runs a tiny fleet at the given worker count and returns what
@@ -55,5 +56,35 @@ func TestRenderIndependentOfWorkers(t *testing.T) {
 		if !strings.Contains(serial, want) {
 			t.Errorf("output lacks %q:\n%s", want, serial)
 		}
+	}
+}
+
+// TestFaultsLineReportsLostPages runs a small fleet under a plan that
+// fails most reads, as fleetsim -fault-plan "seed=7,read=0.6" would: the
+// FTL loses acknowledged pages when GC or the cache drain cannot read
+// them, and the run must say so, in Result.Faults and in the faults line
+// fleetsim prints only for a run with a plan.
+func TestFaultsLineReportsLostPages(t *testing.T) {
+	spec, err := fleetd.CampaignSpec{
+		Devices: 12, Days: 10, Seed: 9, Scale: 4096, ReqBytes: 64 << 10,
+		Buggy: 0.07, Attack: 0.03, Faults: "seed=7,read=0.6", Workers: 1,
+	}.FleetSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fleet.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Faults.ReadFaults == 0 || res.Faults.LostPages == 0 {
+		t.Fatalf("Faults = %+v, want read faults and lost pages", res.Faults)
+	}
+	var buf bytes.Buffer
+	render(&buf, res)
+	if !strings.Contains(buf.String(), "lost pages\n") {
+		t.Errorf("output lacks the faults line:\n%s", buf.String())
+	}
+	if strings.Contains(renderRun(t, 1), "faults:") {
+		t.Error("a run without a fault plan prints a faults line")
 	}
 }

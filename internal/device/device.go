@@ -32,7 +32,7 @@ var ErrPowerLoss = errors.New("device: power lost")
 // moved gives the bandwidths of Figure 1 and the hours of Figure 3/Table 1.
 type Device struct {
 	prof  Profile
-	tm    nand.Timing // prof.timing(), which serviceTime needs per request
+	tm    nand.Timing // prof.timing(), which advance needs per request
 	f     *ftl.FTL
 	clock *simclock.Clock
 	// rng draws the garbage an unreliable indicator reads; nil until the
@@ -310,17 +310,19 @@ func (d *Device) PreEOLInfo() int {
 	return d.f.PreEOLInfo()
 }
 
-// serviceTime converts raw flash work plus a transfer into request latency.
-// Sustained pipelining spreads page operations across the controller's
-// parallel planes, and the host transfer overlaps the flash work (the
-// controller streams into its page buffers), so the slower of the two
-// dominates — which is what lets Figure 1's curves plateau at
+// advance charges a request its service time: busy time and the clock's
+// step. Sustained pipelining spreads page operations across the
+// controller's parallel planes, and the host transfer overlaps the flash
+// work (the controller streams into its page buffers), so the slower of the
+// two dominates — which is what lets Figure 1's curves plateau at
 // min(interface, array) bandwidth.
 //
 // Each flash term is divided on its own, so each truncates on its own; a
 // term whose count is zero is zero and is skipped, which spares the reads
-// and erases terms' divisions on nearly every request.
-func (d *Device) serviceTime(cost ftl.Cost, transfer int64) time.Duration {
+// and erases terms' divisions on nearly every request. The arithmetic sits
+// here rather than in a helper of its own, and the clock's step inlines:
+// every request pays for this function and nothing under it.
+func (d *Device) advance(cost ftl.Cost, transfer int64) {
 	t := &d.tm
 	w := time.Duration(d.prof.Parallelism)
 	xfer := time.Duration(float64(transfer) / (d.prof.InterfaceMBps * 1e6) * float64(time.Second))
@@ -340,11 +342,6 @@ func (d *Device) serviceTime(cost ftl.Cost, transfer int64) time.Duration {
 	} else {
 		svc += flash
 	}
-	return svc
-}
-
-func (d *Device) advance(cost ftl.Cost, transfer int64) {
-	svc := d.serviceTime(cost, transfer)
 	d.busy += svc
 	d.clock.Advance(svc)
 }
@@ -525,5 +522,8 @@ func (d *Device) Discard(off, length int64) error {
 func (d *Device) Flush() error {
 	cost, err := d.f.Flush()
 	d.advance(cost, 0)
-	return d.mapErr(err)
+	if err != nil {
+		return d.mapErr(err)
+	}
+	return nil
 }

@@ -410,9 +410,10 @@ func TestHealingProfileBuilds(t *testing.T) {
 	}
 }
 
-// TestServiceTimeMatchesPlainExpression pins serviceTime, which skips
-// zero terms, to the expression it replaces, for every profile and for
-// random costs and transfers.
+// TestServiceTimeMatchesPlainExpression pins advance's service time,
+// which skips zero terms, to the expression it replaces, for every profile
+// and for random costs and transfers: both the busy time and the clock
+// must step by exactly that much.
 func TestServiceTimeMatchesPlainExpression(t *testing.T) {
 	plain := func(d *Device, cost ftl.Cost, transfer int64) time.Duration {
 		tm := d.prof.timing()
@@ -435,8 +436,14 @@ func TestServiceTimeMatchesPlainExpression(t *testing.T) {
 			if i%5 == 0 {
 				transfer = 0
 			}
-			if got, want := d.serviceTime(cost, transfer), plain(d, cost, transfer); got != want {
-				t.Fatalf("%s: serviceTime(%+v, %d) = %v, want %v", prof.Name, cost, transfer, got, want)
+			busy, now := d.BusyTime(), d.clock.Now()
+			d.advance(cost, transfer)
+			want := plain(d, cost, transfer)
+			if got := d.BusyTime() - busy; got != want {
+				t.Fatalf("%s: advance(%+v, %d) added busy time %v, want %v", prof.Name, cost, transfer, got, want)
+			}
+			if got := d.clock.Now() - now; got != want {
+				t.Fatalf("%s: advance(%+v, %d) stepped the clock %v, want %v", prof.Name, cost, transfer, got, want)
 			}
 		}
 	}

@@ -228,13 +228,16 @@ type Result struct {
 
 // Faults counts a fault plan's effects on a device or a run: the FTL's
 // power-loss recoveries (each a remount after a cut, or after the clean
-// cut of a reboot) and the read and program faults the injector fired.
+// cut of a reboot), the read and program faults the injector fired, and
+// the acknowledged pages the FTL lost because GC, wear-leveling or the
+// cache drain could not read them (ftl.Stats.LostPages).
 type Faults struct {
-	Recoveries, ReadFaults, ProgramFaults int64
+	Recoveries, ReadFaults, ProgramFaults, LostPages int64
 }
 
 func (f *Faults) add(o Faults) {
 	f.Recoveries += o.Recoveries
 	f.ReadFaults += o.ReadFaults
 	f.ProgramFaults += o.ProgramFaults
+	f.LostPages += o.LostPages
 }

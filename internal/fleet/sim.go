@@ -109,7 +109,8 @@ func simulate(ctx context.Context, spec Spec, ph *Phone) (DeviceResult, error) {
 		return DeviceResult{}, err
 	}
 	res := ph.Result(died)
-	res.faults.Recoveries = ph.Dev.FTL().Stats().Recoveries
+	st := ph.Dev.FTL().Stats()
+	res.faults.Recoveries, res.faults.LostPages = st.Recoveries, st.LostPages
 	if inj := ph.Dev.Injector(); inj != nil {
 		st := inj.Stats()
 		res.faults.ReadFaults, res.faults.ProgramFaults = st.ReadFaults, st.ProgramFaults

@@ -393,11 +393,11 @@ func (f *FTL) PreEOLInfo() int {
 	}
 }
 
-func (f *FTL) checkRange(lp int) error {
-	if lp < 0 || lp >= f.logicalPages {
-		return fmt.Errorf("%w: page %d of %d", ErrRange, lp, f.logicalPages)
-	}
-	return nil
+// rangeErr is the error for a logical page outside [0, LogicalPages). The
+// host paths test uint(lp) < uint(f.logicalPages) in line, which is lp's
+// range check in one compare, and call this only for a page that fails it.
+func (f *FTL) rangeErr(lp int) error {
+	return fmt.Errorf("%w: page %d of %d", ErrRange, lp, f.logicalPages)
 }
 
 // WritePage writes one logical page. data may be nil for accounting-only
@@ -413,8 +413,8 @@ func (f *FTL) WritePage(lp int, data []byte, reqBytes int) (Cost, error) {
 	case f.powerLost:
 		return cost, ErrPowerLoss
 	}
-	if err := f.checkRange(lp); err != nil {
-		return cost, err
+	if uint(lp) >= uint(f.logicalPages) {
+		return cost, f.rangeErr(lp)
 	}
 	if len(data) > f.pageSize {
 		return cost, fmt.Errorf("ftl: WritePage: payload %d bytes, page %d", len(data), f.pageSize)
@@ -578,8 +578,8 @@ func (f *FTL) ReadPage(lp int) ([]byte, Cost, error) {
 	if f.powerLost {
 		return nil, cost, ErrPowerLoss
 	}
-	if err := f.checkRange(lp); err != nil {
-		return nil, cost, err
+	if uint(lp) >= uint(f.logicalPages) {
+		return nil, cost, f.rangeErr(lp)
 	}
 	f.stats.HostPagesRead++
 	l := f.l2p[lp]
@@ -605,8 +605,8 @@ func (f *FTL) TrimPage(lp int) (Cost, error) {
 	case f.powerLost:
 		return cost, ErrPowerLoss
 	}
-	if err := f.checkRange(lp); err != nil {
-		return cost, err
+	if uint(lp) >= uint(f.logicalPages) {
+		return cost, f.rangeErr(lp)
 	}
 	if l := f.l2p[lp]; l != noLoc {
 		f.pageMap(l.pool()).invalidate(l)

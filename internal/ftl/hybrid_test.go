@@ -204,23 +204,21 @@ func TestHybridPageSizeMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestHybridDrainLosesPageLikeGC: a cache page whose every read fails
-// while the drain migrates it is lost the way GC loses one. Its logical
-// page is unmapped and counted in LostPages, and it keeps reading as
-// unmapped after its cache block is erased and holds other pages.
-func TestHybridDrainLosesPageLikeGC(t *testing.T) {
-	f := hybridFTL(t, 1, 10)
+// loseToDrain writes lp 0, then fails every read until the cache drain
+// has tried to migrate it, so the drain loses it. It returns the cache
+// block that held lp 0 and the last logical page written.
+func loseToDrain(t *testing.T, f *FTL) (blk, lp int) {
+	t.Helper()
 	inj := faultinject.New(faultinject.Plan{}, nil)
 	f.setInjector(inj)
 	if _, err := f.WritePage(0, page(1, 4096), 4096); err != nil {
 		t.Fatal(err)
 	}
-	blk := f.l2p[0].block()
+	blk = f.l2p[0].block()
 	// Host writes read nothing until the drain starts, which scans the
 	// ring from its tail: lp 0 is the first page it reads.
 	inj.Reset(faultinject.Plan{ReadFaultProb: 1})
-	lp := 1
-	for ; ; lp++ {
+	for lp = 1; ; lp++ {
 		cost, err := f.WritePage(lp, page(byte(lp%255+1), 4096), 4096)
 		if err != nil {
 			t.Fatal(err)
@@ -236,10 +234,13 @@ func TestHybridDrainLosesPageLikeGC(t *testing.T) {
 	if got := f.Stats().LostPages; got != 1 {
 		t.Fatalf("LostPages = %d, want 1", got)
 	}
-	if data, _, err := f.ReadPage(0); data != nil || err != nil {
-		t.Fatalf("lost page reads %d bytes, %v; want unmapped", len(data), err)
-	}
-	// Let the drain erase the lost page's block and the head refill it.
+	return blk, lp
+}
+
+// reuseCacheBlock writes after lp until the drain has erased cache block
+// blk and the head has refilled it, and returns the last page written.
+func reuseCacheBlock(t *testing.T, f *FTL, blk, lp int) int {
+	t.Helper()
 	erases := f.CacheChip().EraseCount(blk)
 	for f.CacheChip().EraseCount(blk) == erases || f.CacheChip().ProgrammedPages(blk) == 0 {
 		lp++
@@ -247,10 +248,61 @@ func TestHybridDrainLosesPageLikeGC(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return lp
+}
+
+// TestHybridDrainLosesPageLikeGC: a cache page whose every read fails
+// while the drain migrates it is lost the way GC loses one. Its logical
+// page is unmapped and counted in LostPages, and it keeps reading as
+// unmapped after its cache block is erased and holds other pages.
+func TestHybridDrainLosesPageLikeGC(t *testing.T) {
+	f := hybridFTL(t, 1, 10)
+	blk, lp := loseToDrain(t, f)
+	if data, _, err := f.ReadPage(0); data != nil || err != nil {
+		t.Fatalf("lost page reads %d bytes, %v; want unmapped", len(data), err)
+	}
+	reuseCacheBlock(t, f, blk, lp)
 	if err := checkMaps(f); err != nil {
 		t.Fatalf("after the block was reused: %v", err)
 	}
 	if data, _, err := f.ReadPage(0); data != nil || err != nil {
 		t.Fatalf("lost page reads %d bytes, %v after its block was reused; want unmapped", len(data), err)
+	}
+}
+
+// TestLostPageMayResurrectAtRecover pins what a remount does with a lost
+// page (DESIGN.md §8): like a trim, the loss is volatile. While the lost
+// page's physical copy is not yet erased, its OOB record still holds the
+// logical page's highest sequence, so Recover maps it again and it reads
+// its old data; once the copy is erased it stays unmapped. Either way
+// LostPages keeps counting the loss.
+func TestLostPageMayResurrectAtRecover(t *testing.T) {
+	remount := func(f *FTL) {
+		t.Helper()
+		f.CutPower()
+		if _, err := f.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		if err := checkMaps(f); err != nil {
+			t.Fatalf("after Recover: %v", err)
+		}
+		if got := f.Stats().LostPages; got != 1 {
+			t.Fatalf("LostPages = %d after Recover, want 1", got)
+		}
+	}
+
+	f := hybridFTL(t, 1, 10)
+	loseToDrain(t, f)
+	remount(f)
+	if data, _, err := f.ReadPage(0); err != nil || !bytes.Equal(data, page(1, 4096)) {
+		t.Fatalf("lost page with its copy unerased reads %d bytes, %v after Recover; want its old data", len(data), err)
+	}
+
+	f = hybridFTL(t, 1, 10)
+	blk, lp := loseToDrain(t, f)
+	reuseCacheBlock(t, f, blk, lp)
+	remount(f)
+	if data, _, err := f.ReadPage(0); data != nil || err != nil {
+		t.Fatalf("lost page with its copy erased reads %d bytes, %v after Recover; want unmapped", len(data), err)
 	}
 }

@@ -391,14 +391,20 @@ func (p *gcPool) eraseToFree(b int, cost *Cost) {
 	p.free = append(p.free, b)
 }
 
-// maybeStaticWL runs static wear-leveling when due: if the erase-count
-// spread exceeds the threshold, the coldest full block's data is relocated
-// so the block rejoins the rotation. The FTL calls this from the host write
-// path only, never from GC, so it cannot re-enter relocation.
+// maybeStaticWL runs static wear-leveling when due. The FTL calls this
+// from the host write path only, never from GC, so it cannot re-enter
+// relocation. The check inlines into the caller; the scan is staticWL.
 func (p *gcPool) maybeStaticWL(cost *Cost) {
 	if p.noWL || p.erasesSinceWL < staticWLInterval {
 		return
 	}
+	p.staticWL(cost)
+}
+
+// staticWL is maybeStaticWL when due: if the erase-count spread exceeds
+// the threshold, the coldest full block's data is relocated so the block
+// rejoins the rotation.
+func (p *gcPool) staticWL(cost *Cost) {
 	p.erasesSinceWL = 0
 	cold, hot := -1, -1
 	for b, s := range p.state {

@@ -303,17 +303,24 @@ func (c *Chip) Wear(blockIdx int) float64 {
 }
 
 // atWear returns the block with its error-model memo valid: every program
-// and read needs an exponential of Wear, which changes once per erase.
+// and read needs an exponential of Wear, which changes once per erase. A
+// valid memo costs a check that inlines into the caller.
 func (c *Chip) atWear(blockIdx int) *block {
 	b := &c.blocks[blockIdx]
 	if !b.memoOK {
-		w := c.Wear(blockIdx)
-		b.failProb = c.emodel.FailProb(w)
-		b.rber = c.emodel.RBER(w)
-		b.retGrowth = c.emodel.retentionGrowth(w)
-		b.memoOK = true
+		c.fillMemo(blockIdx)
 	}
 	return b
+}
+
+// fillMemo fills a block's error-model memo at its current Wear.
+func (c *Chip) fillMemo(blockIdx int) {
+	b := &c.blocks[blockIdx]
+	w := c.Wear(blockIdx)
+	b.failProb = c.emodel.FailProb(w)
+	b.rber = c.emodel.RBER(w)
+	b.retGrowth = c.emodel.retentionGrowth(w)
+	b.memoOK = true
 }
 
 // EraseCount returns a block's raw erase count.
@@ -486,15 +493,21 @@ var zeros [2048]byte
 
 // payloadLen returns the length of p up to its last non-zero byte. A
 // payload that ends in a non-zero byte (a dense page, or a lent one that
-// GC or the cache drain programs again) costs one compare. Otherwise it
-// halves the range that holds the last non-zero byte, each step one
-// compare of the upper part against zeros (runtime.memequal), until 64
-// bytes are left, then steps back by word and byte.
+// GC or the cache drain programs again) costs one compare, inlined into
+// the caller. Any other goes to zeroTail.
 func payloadLen(p []byte) int {
-	n := len(p)
-	if n == 0 || p[n-1] != 0 {
-		return n
+	if len(p) == 0 || p[len(p)-1] != 0 {
+		return len(p)
 	}
+	return zeroTail(p)
+}
+
+// zeroTail is payloadLen for a p that ends in a zero byte. It halves the
+// range that holds the last non-zero byte, each step one compare of the
+// upper part against zeros (runtime.memequal), until 64 bytes are left,
+// then steps back by word and byte.
+func zeroTail(p []byte) int {
+	n := len(p)
 	lo := 0 // the last non-zero byte, if any, is in p[lo:n]
 	for n-lo > 64 {
 		mid := max(lo+(n-lo)/2, n-len(zeros))
@@ -519,13 +532,18 @@ func payloadLen(p []byte) int {
 func (c *Chip) classOf(n int) int { return min(bits.Len(uint(n-1)/minClass), c.lastClass) }
 
 // pageBuf returns an n-byte buffer for a payload: empty for n == 0, else
-// the last buffer of n's class erased onto its free list, or the next of
-// the class's slab. Its capacity is its class's size, by which recycle
-// finds the class again.
+// classBuf's. The empty case inlines into the caller.
 func (c *Chip) pageBuf(n int) []byte {
 	if n == 0 {
 		return noPayload
 	}
+	return c.classBuf(n)
+}
+
+// classBuf returns an n-byte buffer, n > 0: the last buffer of n's class
+// erased onto its free list, or the next of the class's slab. Its capacity
+// is its class's size, by which recycle finds the class again.
+func (c *Chip) classBuf(n int) []byte {
 	k := c.classOf(n)
 	cl := &c.classes[k]
 	if i := len(cl.free) - 1; i >= 0 {

@@ -10,6 +10,7 @@ package simclock
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -19,7 +20,12 @@ import (
 // Clock is not safe for concurrent use; the simulation stack is synchronous
 // by design (see DESIGN.md).
 type Clock struct {
-	now    time.Duration
+	now time.Duration
+	// due is no later than the next event and never earlier than now; with
+	// no event queued it is as late as due-now can be without overflowing.
+	// Advance steps to any time before it without looking at the queue. A
+	// zero Clock's due is 0, so its first Advance looks once.
+	due    time.Duration
 	events eventQueue
 	seq    uint64
 }
@@ -34,13 +40,27 @@ func (c *Clock) Now() time.Duration { return c.now }
 // Advance moves simulated time forward by d, firing any events scheduled in
 // the interval in timestamp order. Advance panics if d is negative: simulated
 // time, like the real thing, only moves forward.
+//
+// A step that ends before the next event is one compare and one add, which
+// the compiler inlines into every caller; a negative d is huge as unsigned,
+// so it fails the compare and reaches advance's panic.
 func (c *Clock) Advance(d time.Duration) {
+	if uint64(d) < uint64(c.due-c.now) {
+		c.now += d
+		return
+	}
+	c.advance(d)
+}
+
+// advance is Advance when an event may be due by now+d.
+func (c *Clock) advance(d time.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("simclock: Advance(%v): negative duration", d))
 	}
 	target := c.now + d
 	c.runUntil(target)
 	c.now = target
+	c.refresh()
 }
 
 // AdvanceTo moves simulated time forward to the absolute simulated time t.
@@ -61,6 +81,7 @@ func (c *Clock) At(t time.Duration, fn func()) {
 	}
 	c.seq++
 	heap.Push(&c.events, &event{when: t, seq: c.seq, fn: fn})
+	c.refresh()
 }
 
 // After schedules fn to run d from the current simulated time.
@@ -96,6 +117,19 @@ func (c *Clock) Reset(t time.Duration) {
 	c.events = c.events[:0]
 	c.now = t
 	c.seq = 0
+	c.refresh()
+}
+
+// refresh sets due from now and the queue: the next event's time, or now if
+// that is past, so a past event fires at the next Advance.
+func (c *Clock) refresh() {
+	c.due = math.MaxInt64
+	if c.now < 0 {
+		c.due += c.now // due-now stays at most math.MaxInt64
+	}
+	if len(c.events) > 0 && c.events[0].when < c.due {
+		c.due = max(c.events[0].when, c.now)
+	}
 }
 
 // runUntil fires, in order, all events with timestamps <= target. Events may
@@ -110,6 +144,7 @@ func (c *Clock) runUntil(target time.Duration) {
 		if next.when > c.now {
 			c.now = next.when
 		}
+		c.refresh()
 		next.fn()
 	}
 }
